@@ -28,11 +28,6 @@ sbft::core::SystemConfig SweepConfig(double conflict_pct, double cross_pct,
   config.n_e = 4;  // 3f_E + 1 (§VI-B).
   config.verifier_match_timeout = Millis(400);
   config.prepare_lock_queue_depth = queue_depth;
-  // The unified-path features ride along: watermark-pruned 2PC state and
-  // the calibrated coordinator cost entries (this sweep is the headline
-  // cross-shard experiment those entries exist for).
-  config.twopc_watermark = true;
-  config.twopc_calibrated_costs = true;
   return config;
 }
 

@@ -80,6 +80,15 @@ inline double NowSeconds() {
       .count();
 }
 
+/// Optimisation barrier: the empty asm claims to read `v` and to clobber
+/// memory, so `v` must be computed and every buffer re-read afterwards.
+/// A timed loop can then neither drop the work that produced `v` nor
+/// hoist it out of the loop.
+template <typename T>
+inline void Consume(const T& v) {
+  asm volatile("" : : "r,m"(v) : "memory");
+}
+
 /// A self-rescheduling timer: the common shape of protocol timers
 /// (retransmit, view change, client timeout). Small capture so the
 /// allocation-free scheduler keeps it inline.
@@ -296,45 +305,38 @@ inline SimcoreBenchResult BenchDigestRounds(const SimcoreBenchOptions& opt) {
 /// then re-parsed as bounds-and-kind-checked views (wire::TryFrom) with
 /// every header field read back. This is the receive-path cost the
 /// packed wire layer replaced the decoder round-trip with — a parse is
-/// a pointer check plus shift-based field loads, no allocation.
+/// a pointer check plus shift-based field loads, no allocation. Each
+/// parse's fields go through Consume, so the optimiser can neither drop
+/// a parse nor hoist it out of the loop.
 inline SimcoreBenchResult BenchWireParse(const SimcoreBenchOptions& opt) {
-  const uint64_t total = static_cast<uint64_t>(4'000'000 * opt.scale);
+  // ~40 ms per rep at scale 1, long enough to average over timer
+  // granularity and CPU frequency steps.
+  const uint64_t total = static_cast<uint64_t>(40'000'000 * opt.scale);
   SimcoreBenchResult r{"wire_parse", "parses/s"};
   r.ops = total;
   shim::PrepareMsg prepare(3);
   prepare.view = 7;
   prepare.seq = 12345;
   prepare.digest = crypto::Sha256::Hash("wire-parse");
-  Bytes prepare_bytes = prepare.Serialized();
-  shim::ShardPrepareVoteMsg vote(9);
-  vote.global_id = 424242;
-  vote.shard = 1;
-  vote.seq = 99;
-  vote.commit = true;
-  Bytes vote_bytes = vote.Serialized();
-  // The seq fields sit right after the 5-byte MsgHeader + 8-byte view
-  // (prepare) / 8-byte global_id (vote); rewriting one byte per
-  // iteration keeps each parse data-dependent so the optimizer cannot
-  // hoist the loop-invariant view out of the timed loop.
-  const size_t prep_seq_off = sizeof(shim::wire::MsgHeader) + 8;
-  const size_t vote_gid_off = sizeof(shim::wire::MsgHeader);
+  const Bytes prepare_bytes = prepare.Serialized();
+  shim::ShardCommitDecisionMsg decision(9);
+  decision.global_id = 424242;
+  decision.commit = true;
+  const Bytes decision_bytes = decision.Serialized();
   for (int rep = 0; rep < opt.reps; ++rep) {
-    uint64_t sink = 0;
     double t0 = NowSeconds();
     for (uint64_t i = 0; i < total; i += 2) {
-      prepare_bytes[prep_seq_off] = static_cast<uint8_t>(i);
       const auto* p = shim::wire::TryFrom<shim::wire::PrepareHeader>(
           prepare_bytes, shim::MsgKind::kPrepare);
-      sink += p->view.get() + p->seq.get() + p->hdr.sender.get() +
-              p->digest.data()[0];
-      vote_bytes[vote_gid_off] = static_cast<uint8_t>(i >> 1);
-      const auto* v = shim::wire::TryFrom<shim::wire::ShardPrepareVoteHeader>(
-          vote_bytes, shim::MsgKind::kShardPrepareVote);
-      sink += v->global_id.get() + v->shard.get() + v->seq.get() +
-              static_cast<uint64_t>(v->commit.get());
+      Consume(p->view.get() + p->seq.get() + p->hdr.sender.get() +
+              p->digest.data()[0]);
+      const auto* d =
+          shim::wire::TryFrom<shim::wire::ShardCommitDecisionHeader>(
+              decision_bytes, shim::MsgKind::kShardCommitDecision);
+      Consume(d->global_id.get() + d->hdr.sender.get() +
+              static_cast<uint64_t>(d->commit.get()));
     }
     double dt = NowSeconds() - t0;
-    if (sink == 0) std::abort();  // keeps the parsed fields live
     double tput = static_cast<double>(total) / dt;
     if (tput > r.throughput) {
       r.throughput = tput;
@@ -499,7 +501,7 @@ inline SimcoreBenchResult BenchSha256Stream(const SimcoreBenchOptions& opt) {
 /// regressions.
 inline SimcoreBenchResult BenchCrossShardCommitAt(
     const SimcoreBenchOptions& opt, const char* name, uint32_t shards,
-    bool gate, bool unified_path) {
+    bool gate) {
   const SimDuration sim_window =
       static_cast<SimDuration>(Seconds(2.0) * opt.scale);
   SimcoreBenchResult r{name, "txns/s"};
@@ -516,14 +518,6 @@ inline SimcoreBenchResult BenchCrossShardCommitAt(
     config.workload.cross_shard_percentage = 50.0;
     config.crypto_mode = crypto::CryptoMode::kFast;
     config.seed = opt.seed;
-    if (unified_path) {
-      // Unified-commit-path variant: prepare-lock queueing, the
-      // fully-decided watermark, and calibrated 2PC cost entries all on
-      // — tracks the feature path's engine cost in the trajectory.
-      config.prepare_lock_queue_depth = 8;
-      config.twopc_watermark = true;
-      config.twopc_calibrated_costs = true;
-    }
     core::Architecture arch(config);
     arch.Start();
     double t0 = NowSeconds();
@@ -546,23 +540,16 @@ inline SimcoreBenchResult BenchCrossShardCommitAt(
 inline SimcoreBenchResult BenchCrossShardCommit(
     const SimcoreBenchOptions& opt) {
   return BenchCrossShardCommitAt(opt, "cross_shard_commit", 2,
-                                 /*gate=*/true, /*unified_path=*/false);
+                                 /*gate=*/true);
 }
 
-/// Shard-count trajectory points: the same cross-shard workload on 4
-/// planes, and the 2-plane unified commit path (queueing + watermark +
-/// calibrated costs). Not gated — they exist so BENCH_*.json carries the
-/// multi-pipeline scaling and the feature path's cost across PRs.
+/// Shard-count trajectory point: the same cross-shard workload on 4
+/// planes. Not gated — it exists so BENCH_*.json carries the
+/// multi-pipeline scaling across PRs.
 inline SimcoreBenchResult BenchCrossShardCommit4s(
     const SimcoreBenchOptions& opt) {
   return BenchCrossShardCommitAt(opt, "cross_shard_commit_4s", 4,
-                                 /*gate=*/false, /*unified_path=*/false);
-}
-
-inline SimcoreBenchResult BenchCrossShardUnified(
-    const SimcoreBenchOptions& opt) {
-  return BenchCrossShardCommitAt(opt, "cross_shard_unified", 2,
-                                 /*gate=*/false, /*unified_path=*/true);
+                                 /*gate=*/false);
 }
 
 /// Open-loop saturation points: the small open-loop deployment from
@@ -830,8 +817,6 @@ inline CrossShardAbortCheck RunCrossShardAbortCheck(uint64_t seed) {
     config.conflicts_possible = true;
     config.verifier_match_timeout = Millis(400);
     config.prepare_lock_queue_depth = queue_depth;
-    config.twopc_watermark = true;
-    config.twopc_calibrated_costs = true;
     config.crypto_mode = crypto::CryptoMode::kFast;
     config.seed = seed;
     return config;
@@ -868,7 +853,6 @@ inline std::vector<SimcoreBenchResult> RunSimcoreSuite(
       {"sha256_stream", BenchSha256Stream},
       {"cross_shard_commit", BenchCrossShardCommit},
       {"cross_shard_commit_4s", BenchCrossShardCommit4s},
-      {"cross_shard_unified", BenchCrossShardUnified},
       {"openloop_sat_below", BenchOpenLoopBelowKnee},
       {"openloop_sat_over", BenchOpenLoopPastKnee},
       {"coord_failover_goodput", BenchCoordFailoverGoodput},

@@ -189,9 +189,7 @@ void Architecture::BuildCoordinator() {
   }
   CoordinatorOptions base_options;
   base_options.vote_timeout = config_.coordinator_vote_timeout;
-  base_options.watermark = config_.twopc_watermark;
   base_options.decision_retention = config_.twopc_decision_retention;
-  base_options.vote_certificates = config_.twopc_vote_certificates;
   base_options.num_groups = coord_topology_.groups;
   base_options.heartbeat_interval = config_.coordinator_heartbeat;
   base_options.failover_timeout = config_.coordinator_failover_timeout;
@@ -232,34 +230,24 @@ void Architecture::BuildCoordinatorMember(
                                            : config_.verifier_cores);
   net_->Register(coordinator.get(), sim::RegionTable::kHomeRegion);
   CostModel costs = config_.costs;
-  bool calibrated = config_.twopc_calibrated_costs;
   net_->AttachServer(
       member_id, cpu.get(),
-      [costs, calibrated](const sim::Envelope& env) -> SimDuration {
+      [costs](const sim::Envelope& env) -> SimDuration {
         const auto* msg =
             static_cast<const shim::Message*>(env.message.get());
         if (msg != nullptr && msg->kind == shim::MsgKind::kClientRequest) {
           // Verify the client's DS + sign each fragment (amortized).
           return costs.per_message + costs.ds_verify + costs.ds_sign;
         }
-        if (calibrated && msg != nullptr &&
-            msg->kind == shim::MsgKind::kShardPrepareVote) {
-          // Calibrated 2PC entry: vote verification (MAC + quorum
-          // bookkeeping) instead of the generic dispatch charge. The
-          // decision signing is charged per decision *message* on the
-          // receiving participant (kCommit convention: sender-side
-          // signing folds into the receiver charge) — charging it here
-          // would bill one signature per vote retransmit, which under a
-          // coordinator outage means phantom signing work for votes
-          // that never produce a decision.
-          return costs.twopc_vote_verify;
-        }
-        if (calibrated && msg != nullptr &&
-            msg->kind == shim::MsgKind::kShardVoteCert) {
-          // Share-based certificate: full verification charge for the
-          // first share, half for each further one — batch verification
-          // shares the random-linear-combination multi-exponentiation
-          // across the certificate (DESIGN.md §8).
+        if (msg != nullptr && msg->kind == shim::MsgKind::kShardVoteCert) {
+          // Full verification charge for the first share, half for each
+          // further one — batch verification shares the random-linear-
+          // combination multi-exponentiation across the certificate
+          // (DESIGN.md §8). The decision signing is charged per decision
+          // *message* on the receiving participant (kCommit convention:
+          // sender-side signing folds into the receiver charge) —
+          // charging it here would bill a signature per vote retransmit,
+          // phantom work for votes that never produce a decision.
           const auto* cert = static_cast<const shim::ShardVoteCertMsg*>(msg);
           auto shares =
               static_cast<SimDuration>(cert->cert.shares.size());

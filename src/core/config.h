@@ -10,6 +10,7 @@
 #include "serverless/cloud.h"
 #include "shim/shim_config.h"
 #include "sim/network.h"
+#include "verifier/verifier.h"
 #include "workload/traffic.h"
 #include "workload/ycsb.h"
 
@@ -17,6 +18,10 @@ namespace sbft::core {
 
 // kCoordinatorBaseId and the CoordGroups topology helper (member id
 // layout, gid->group hash, leader arithmetic) live in coord_group.h.
+
+/// The verifier defaults SystemConfig's verifier fields start from, so
+/// each default is written once (in verifier::VerifierConfig).
+inline constexpr verifier::VerifierConfig kVerifierDefaults{};
 
 /// Which consensus/execution stack the shim runs (paper §IX-H baselines,
 /// plus the §IV-B linear-communication extension).
@@ -53,10 +58,10 @@ struct CostModel {
   SimDuration per_message = Micros(3);
   /// Per-transaction batch-handling overhead (hash, copy).
   SimDuration per_txn = Micros(2);
-  /// Coordinator verifying one shard PREPARE vote: MAC check plus quorum
-  /// bookkeeping (votes are channel-authenticated, not DS-signed).
-  /// Charged per vote received instead of the generic per_message when
-  /// `twopc_calibrated_costs` is set.
+  /// Coordinator verifying one shard PREPARE vote share plus quorum
+  /// bookkeeping. A kShardVoteCert of K shares is charged this for the
+  /// first share and half of it for each further one (batch
+  /// verification), instead of the generic per_message.
   SimDuration twopc_vote_verify = Micros(6);
   /// Coordinator producing one signed decision message (MAC per
   /// recipient + durable-log append share). Amortized onto the
@@ -67,7 +72,7 @@ struct CostModel {
   SimDuration twopc_decision_sign = Micros(8);
   /// Participant verifying one decision (MAC check + buffered write-set
   /// lookup), charged with twopc_decision_sign per decision received
-  /// when `twopc_calibrated_costs` is set.
+  /// instead of the generic per_message.
   SimDuration twopc_decision_verify = Micros(4);
 };
 
@@ -86,10 +91,10 @@ struct SystemConfig {
 
   // --- executors (E) ---
   /// Executor fault bound f_E.
-  uint32_t f_e = 1;
+  uint32_t f_e = kVerifierDefaults.f_e;
   /// Executors spawned per batch; honest default 2f_E+1, or 3f_E+1 when
   /// conflicts are possible (§VI-B).
-  uint32_t n_e = 3;
+  uint32_t n_e = kVerifierDefaults.n_e;
   SpawnMode spawn_mode = SpawnMode::kPrimaryOnly;
   /// Number of cloud regions executors round-robin over (1..11).
   uint32_t executor_regions = 3;
@@ -102,11 +107,11 @@ struct SystemConfig {
   // --- verifier + storage (V, S) ---
   int verifier_cores = 8;
   /// Unknown-rw-set conflict handling (§VI-B): abort timer + 3f_E+1.
-  bool conflicts_possible = false;
+  bool conflicts_possible = kVerifierDefaults.conflicts_possible;
   /// Best-effort conflict avoidance at the primary (§VI-C); requires
   /// workload.rw_sets_known.
   bool conflict_avoidance = false;
-  SimDuration verifier_match_timeout = Millis(700);
+  SimDuration verifier_match_timeout = kVerifierDefaults.match_timeout;
 
   // --- PBFT baseline execution (Fig. 8) ---
   /// Execution threads per node for Protocol::kPbftBaseline.
@@ -124,42 +129,16 @@ struct SystemConfig {
   /// logs a presumed ABORT.
   SimDuration coordinator_vote_timeout = Millis(1500);
   /// Per-key FIFO cap for transactions queueing behind a 2PC prepare
-  /// lock at shard verifiers (the unified commit path's bounded
-  /// prepare-lock queueing). 0 restores the legacy abort-on-locked-key
-  /// rule. On by default: queueing changes settle outcomes, so the
-  /// sharded golden-scenario digests were regenerated when the default
-  /// flipped (single-plane scenarios never hold prepare locks and are
-  /// unaffected).
-  uint32_t prepare_lock_queue_depth = 8;
-  /// Fully-decided-watermark piggyback on 2PC vote/decision traffic:
-  /// truncates the coordinator COMMIT log and the shard verifiers'
-  /// applied/aborted dedup maps so 2PC bookkeeping is bounded by
-  /// in-flight transactions, not total cross-shard count. On by
-  /// default; the piggyback adds wire bytes (transmission delay is
-  /// size-dependent), so the sharded golden digests were regenerated
-  /// with the flip.
-  bool twopc_watermark = true;
+  /// lock at shard verifiers (bounded prepare-lock queueing); see
+  /// verifier::VerifierConfig.
+  uint32_t prepare_lock_queue_depth =
+      kVerifierDefaults.prepare_lock_queue_depth;
   /// How long the coordinator retains a fully-acked COMMIT entry before
-  /// truncation, covering client retransmissions of lost responses (the
-  /// standard presumed-abort GC assumption). Only meaningful with
-  /// `twopc_watermark`.
+  /// truncating it below the fully-decided watermark, covering client
+  /// retransmissions of lost responses (the standard presumed-abort GC
+  /// assumption). The shard verifiers' applied/aborted dedup maps are
+  /// truncated at the watermark itself.
   SimDuration twopc_decision_retention = Seconds(5);
-  /// Charge the calibrated CostModel entries (twopc_vote_verify /
-  /// twopc_decision_sign / twopc_decision_verify) for 2PC traffic
-  /// instead of the generic per-message CPU. On by default; the
-  /// calibrated charges shift vote/decision timing, pinned by the
-  /// regenerated sharded golden digests.
-  bool twopc_calibrated_costs = true;
-  /// Share-based quorum certificates on the 2PC vote path: shard
-  /// verifiers sign each prepare vote as a VoteShare and send one
-  /// kShardVoteCert message per coordinator per settle round (K shares
-  /// in one message instead of K kShardPrepareVote messages); the
-  /// coordinator batch-verifies the shares and attaches the full quorum
-  /// certificate to COMMIT decisions as proof, which participants
-  /// validate before applying. Coordinator and verifiers must agree on
-  /// this flag: a certificate-expecting verifier rejects proofless
-  /// COMMITs.
-  bool twopc_vote_certificates = true;
   /// Size of the replicated coordinator group (DESIGN.md §10). 1 keeps
   /// the original trusted-singleton coordinator and is the golden-digest
   /// anchor: no group machinery runs, no group message ever hits the

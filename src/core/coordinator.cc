@@ -97,9 +97,6 @@ void TxnCoordinator::OnMessage(const sim::Envelope& env) {
     case shim::MsgKind::kClientRequest:
       HandleClientRequest(env);
       break;
-    case shim::MsgKind::kShardPrepareVote:
-      HandleVote(env);
-      break;
     case shim::MsgKind::kShardVoteCert:
       HandleVoteCert(env);
       break;
@@ -285,37 +282,6 @@ void TxnCoordinator::SendFragments(const PendingTxn& pending) {
   }
 }
 
-void TxnCoordinator::HandleVote(const sim::Envelope& env) {
-  const auto* msg = shim::MessageAs<shim::ShardPrepareVoteMsg>(
-      env, shim::MsgKind::kShardPrepareVote);
-  if (msg == nullptr) return;
-  // Only the claimed shard's verifier may cast that shard's vote — the
-  // mirror of the verifier's decision-sender guard; without it a forged
-  // YES could complete a quorum a real participant never joined.
-  if (msg->shard >= shard_verifiers_.size() ||
-      env.from != shard_verifiers_[msg->shard]) {
-    return;
-  }
-  if (GroupMode() && (!IsGroupLeader() || !leader_synced_)) {
-    // Votes are never forwarded (that would defeat the sender-auth
-    // guard above); a follower bounces a redirect so the verifier
-    // re-aims its retransmits, a mid-takeover leader stays silent.
-    if (!IsGroupLeader()) {
-      auto redirect = std::make_shared<shim::CoordRedirectMsg>(id());
-      redirect->view = view_;
-      redirect->leader = GroupLeader();
-      net_->Send(id(), env.from, redirect, redirect->WireSize());
-    }
-    return;
-  }
-  if (options_.watermark && msg->has_meta) {
-    RecordAcks(msg->shard, msg->acked_cseqs);
-    PruneDecisions();
-  }
-  ProcessVote(msg->global_id, msg->shard, msg->commit, env.from,
-              /*share=*/nullptr);
-}
-
 void TxnCoordinator::HandleVoteCert(const sim::Envelope& env) {
   const auto* msg = shim::MessageAs<shim::ShardVoteCertMsg>(
       env, shim::MsgKind::kShardVoteCert);
@@ -333,6 +299,9 @@ void TxnCoordinator::HandleVoteCert(const sim::Envelope& env) {
     }
   }
   if (GroupMode() && (!IsGroupLeader() || !leader_synced_)) {
+    // Votes are never forwarded (that would defeat the sender guard
+    // above); a follower bounces a redirect so the verifier re-aims its
+    // retransmits, a mid-takeover leader stays silent.
     if (!IsGroupLeader()) {
       auto redirect = std::make_shared<shim::CoordRedirectMsg>(id());
       redirect->view = view_;
@@ -346,21 +315,20 @@ void TxnCoordinator::HandleVoteCert(const sim::Envelope& env) {
     return;
   }
   ++vote_cert_msgs_;
-  if (options_.watermark && msg->has_meta) {
+  if (msg->has_meta) {
     // All shares come from one verifier (the guard pinned each share's
     // shard to env.from), so the piggybacked acks are that one shard's.
     RecordAcks(msg->cert.shares.front().shard, msg->acked_cseqs);
     PruneDecisions();
   }
   for (const crypto::VoteShare& share : msg->cert.shares) {
-    ProcessVote(share.global_id, share.shard, share.commit, env.from,
-                &share);
+    ProcessVote(share, env.from);
   }
 }
 
-void TxnCoordinator::ProcessVote(TxnId gid, uint32_t shard, bool commit,
-                                 ActorId from,
-                                 const crypto::VoteShare* share) {
+void TxnCoordinator::ProcessVote(const crypto::VoteShare& share,
+                                 ActorId from) {
+  const TxnId gid = share.global_id;
   if (options_.num_groups > 1 &&
       CoordGroups::GroupOf(gid, options_.num_groups) != options_.group_id) {
     // A misrouted vote must never be answered here: a foreign-group gid
@@ -421,19 +389,18 @@ void TxnCoordinator::ProcessVote(TxnId gid, uint32_t shard, bool commit,
   // foreign shard id must not be able to complete the quorum.
   bool participant = false;
   for (uint32_t s : pending.shards) {
-    participant = participant || s == shard;
+    participant = participant || s == share.shard;
   }
   if (!participant) return;
-  pending.votes[shard] = commit;
-  if (share != nullptr) pending.share_votes[shard] = *share;
-  if (!commit) {
+  pending.votes[share.shard] = share;
+  if (!share.commit) {
     Decide(gid, false);
     return;
   }
   if (pending.votes.size() == pending.shards.size()) {
     bool all_yes = true;
     for (const auto& [s, vote] : pending.votes) {
-      all_yes = all_yes && vote;
+      all_yes = all_yes && vote.commit;
     }
     Decide(gid, all_yes);
   }
@@ -448,14 +415,13 @@ void TxnCoordinator::Decide(TxnId global_id, bool commit) {
     sim_->Cancel(pending.timer);
     pending.timer = 0;
   }
-  uint64_t cseq = 0;
-  if (options_.watermark) cseq = next_cseq_++;
-  // A COMMIT can only be decided on an all-YES vote set, so under the
-  // certificate transport the collected shares form exactly the quorum
-  // proof participants will demand before applying.
+  uint64_t cseq = next_cseq_++;
+  // A COMMIT can only be decided on an all-YES vote set, so the collected
+  // shares form exactly the quorum proof participants will demand before
+  // applying.
   crypto::VoteCertificate proof;
-  if (options_.vote_certificates && commit) {
-    for (const auto& [shard, share] : pending.share_votes) {
+  if (commit) {
+    for (const auto& [shard, share] : pending.votes) {
       proof.shares.push_back(share);
     }
   }
@@ -524,9 +490,7 @@ void TxnCoordinator::FinishDecide(TxnId global_id, bool commit,
       outstanding.sent_to.insert(shard);
     }
   }
-  if (options_.watermark && cseq > 0) {
-    outstanding_.emplace(cseq, std::move(outstanding));
-  }
+  outstanding_.emplace(cseq, std::move(outstanding));
   RespondToClient(global_id, pending.client, commit);
   pending_.erase(it);
 }
@@ -540,11 +504,9 @@ void TxnCoordinator::SendDecision(TxnId global_id, bool commit,
   if (proof != nullptr && !proof->shares.empty()) {
     decision->proof = *proof;
   }
-  if (options_.watermark) {
-    decision->has_meta = true;
-    decision->cseq = cseq;
-    decision->watermark = watermark_;
-  }
+  decision->has_meta = true;
+  decision->cseq = cseq;
+  decision->watermark = watermark_;
   if (GroupMode()) {
     // View stamp: how participants learn the current leader (and where
     // to aim vote retransmits). Absent on singleton wire bytes.
@@ -988,8 +950,7 @@ void TxnCoordinator::PruneDecisions() {
   // Truncate fully-acked COMMITs once the retention window (for late
   // client retransmissions of lost responses) has passed. Ran from the
   // vote handler, so pruning advances exactly with 2PC traffic — no
-  // extra timer events that would perturb replay when the feature is
-  // off.
+  // extra timer events.
   SimTime now = sim_->now();
   while (!retention_queue_.empty() &&
          retention_queue_.front().first + options_.decision_retention <=

@@ -22,16 +22,9 @@ namespace sbft::core {
 struct CoordinatorOptions {
   /// Vote-collection timeout; expiry without all votes decides ABORT.
   SimDuration vote_timeout = Millis(1500);
-  /// Fully-decided-watermark piggyback + COMMIT-log truncation.
-  bool watermark = false;
   /// Retention of fully-acked COMMIT entries before truncation (covers
   /// client retransmissions of lost responses).
   SimDuration decision_retention = Seconds(5);
-  /// Share-based vote certificates: accept kShardVoteCert aggregates,
-  /// store the signed shares, and attach the quorum certificate to
-  /// COMMIT decisions as proof. Must match the verifiers' setting (a
-  /// certificate-expecting verifier rejects proofless COMMITs).
-  bool vote_certificates = false;
   /// Replicated coordinator group (DESIGN.md §10): every member's actor
   /// id in index order; member 0 is the view-0 leader. Size <= 1 keeps
   /// the trusted-singleton behaviour — no group machinery runs and no
@@ -61,7 +54,8 @@ struct CoordinatorOptions {
 /// Clients send transactions whose key set spans shard planes here. The
 /// coordinator splits the transaction into per-shard *fragments*, signs
 /// and submits each to its shard's current primary as an ordinary client
-/// request, and collects the shard verifiers' PREPARE votes. All-YES
+/// request, and collects the shard verifiers' PREPARE votes as signed
+/// shares (kShardVoteCert, one certificate per settle round). All-YES
 /// logs COMMIT, anything else (including a vote timeout) logs ABORT —
 /// presumed abort. The decision log survives crashes (stable storage in
 /// the real deployment), so a recovering coordinator re-answers late
@@ -70,9 +64,9 @@ struct CoordinatorOptions {
 /// decision lands, which makes the pair live through coordinator crash
 /// between PREPARE and COMMIT.
 ///
-/// With `CoordinatorOptions::watermark` every decision carries a dense
-/// sequence number (cseq); participants ack applied cseqs on their next
-/// votes, the coordinator advances a fully-decided watermark over the
+/// A COMMIT decision carries the participants' YES shares as its quorum
+/// proof. Every decision carries a dense sequence number (cseq);
+/// participants ack applied cseqs on their next votes, the coordinator advances a fully-decided watermark over the
 /// complete ack prefix, piggybacks it on outgoing decisions, and
 /// truncates COMMIT entries below it once the retention window (for
 /// late client retransmissions) has passed — bounding the log by
@@ -88,11 +82,11 @@ class TxnCoordinator : public sim::Actor {
   /// max-view conflict resolution has both outcomes to compare.
   struct DecisionRecord {
     bool commit = false;
-    /// Dense decision sequence (0 when the watermark feature is off).
+    /// Dense decision sequence (0 for a logged presumed abort).
     uint64_t cseq = 0;
     SimTime decided_at = 0;
-    /// Quorum proof for COMMITs under `vote_certificates`: the signed
-    /// YES shares of every participant shard. Kept in the log so
+    /// Quorum proof for COMMITs: the signed YES shares of every
+    /// participant shard. Kept in the log so
     /// re-answers to retried votes carry the same proof; truncated with
     /// the entry by watermark pruning.
     crypto::VoteCertificate proof;
@@ -163,20 +157,17 @@ class TxnCoordinator : public sim::Actor {
   /// answers for ids unknown after a crash are not counted — they are
   /// re-derived per retry, not decided.
   uint64_t aborts_decided() const { return aborts_decided_; }
-  /// Logical prepare votes processed, across both transports (one per
-  /// kShardPrepareVote message, one per share of a kShardVoteCert).
+  /// Logical prepare votes processed (one per share of a kShardVoteCert).
   uint64_t votes_received() const { return votes_received_; }
   /// kShardVoteCert messages accepted (sender guard + batch-verified).
-  /// votes_received / vote_cert_msgs is the aggregation factor the
-  /// share-based transport buys over per-vote messages.
+  /// votes_received / vote_cert_msgs is the aggregation factor.
   uint64_t vote_cert_msgs() const { return vote_cert_msgs_; }
   /// Certificate messages dropped whole: a share failed the per-share
   /// sender guard or the batch signature verification.
   uint64_t vote_certs_rejected() const { return vote_certs_rejected_; }
   /// Durable decision log. Presumed abort: only COMMIT outcomes are
-  /// logged; an id absent here was (or will be) answered ABORT. Under
-  /// the watermark feature, entries below the watermark are truncated
-  /// after the retention window.
+  /// logged; an id absent here was (or will be) answered ABORT. Entries
+  /// below the watermark are truncated after the retention window.
   const std::map<TxnId, DecisionRecord>& decisions() const {
     return decisions_;
   }
@@ -203,10 +194,9 @@ class TxnCoordinator : public sim::Actor {
   struct PendingTxn {
     ActorId client = kInvalidActor;
     std::vector<uint32_t> shards;
-    std::map<uint32_t, bool> votes;
-    /// Signed shares by shard (`vote_certificates`): an all-YES set
-    /// becomes the COMMIT decision's quorum proof.
-    std::map<uint32_t, crypto::VoteShare> share_votes;
+    /// Signed vote share by shard: an all-YES set becomes the COMMIT
+    /// decision's quorum proof.
+    std::map<uint32_t, crypto::VoteShare> votes;
     /// Signed fragment requests, kept for re-drive on client resend.
     /// Empty on a pending rebuilt from a replicated launch record after
     /// takeover (the shards already hold their fragments).
@@ -258,16 +248,12 @@ class TxnCoordinator : public sim::Actor {
   /// once a serving leader exists.
   void ProcessClientRequest(const sim::MessagePtr& message,
                             const shim::ClientRequestMsg& msg);
-  void HandleVote(const sim::Envelope& env);
-  /// Share-based transport: guards every share's sender, batch-verifies
-  /// the certificate once, then feeds each share through the same vote
-  /// logic as the per-message path.
+  /// Guards every share's sender, batch-verifies the certificate once,
+  /// then feeds each share through ProcessVote.
   void HandleVoteCert(const sim::Envelope& env);
-  /// The one vote-processing path both transports funnel into. `share`
-  /// is the signed share to retain for the quorum proof (null on the
-  /// legacy per-message transport).
-  void ProcessVote(TxnId global_id, uint32_t shard, bool commit,
-                   ActorId from, const crypto::VoteShare* share);
+  /// One shard's vote: answered from the log, presumed-aborted, or
+  /// recorded (the share is retained for the quorum proof).
+  void ProcessVote(const crypto::VoteShare& share, ActorId from);
 
   /// Splits `txn` into per-shard fragments (`shards` is its routed,
   /// sorted shard set), signs them, and submits each to its shard's
@@ -277,7 +263,7 @@ class TxnCoordinator : public sim::Actor {
   void SendFragments(const PendingTxn& pending);
   void Decide(TxnId global_id, bool commit);
   /// `proof` is the quorum certificate to attach (null / empty sends a
-  /// proofless decision — aborts and legacy mode).
+  /// proofless decision — aborts).
   void SendDecision(TxnId global_id, bool commit, uint64_t cseq,
                     ActorId to, const crypto::VoteCertificate* proof);
   void RespondToClient(TxnId global_id, ActorId client, bool commit);
@@ -349,9 +335,8 @@ class TxnCoordinator : public sim::Actor {
   /// Durable COMMIT log: survives crashes; aborts are presumed (never
   /// stored). Clients learn decided outcomes from their own
   /// retransmission (the resend carries the transaction, so no client
-  /// map needs to survive). With the watermark feature the log is
-  /// bounded by in-flight transactions plus the retention window;
-  /// without it, by committed cross-shard transactions.
+  /// map needs to survive). The watermark bounds the log by in-flight
+  /// transactions plus the retention window.
   std::map<TxnId, DecisionRecord> decisions_;
 
   // --- watermark state ---

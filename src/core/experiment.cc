@@ -85,6 +85,8 @@ RunReport RunExperiment(const SystemConfig& config, SimDuration warmup,
   const uint64_t offered0 = arch.TotalOffered();
   const uint64_t dropped0 = arch.TotalDropped();
   const double lambda0 = total_lambda_cents();
+  const uint64_t view_changes0 = arch.TotalViewChanges();
+  const uint64_t floods0 = total_floods();
   const std::vector<uint64_t> coord_decisions0 =
       arch.CoordinatorGroupDecisions();
   arch.ResetLatency();
@@ -127,9 +129,9 @@ RunReport RunExperiment(const SystemConfig& config, SimDuration warmup,
   report.bytes_sent = arch.network()->bytes_sent() - bytes0;
   report.executors_spawned = total_spawned() - spawned0;
   report.cold_starts = total_cold_starts() - cold0;
-  report.view_changes = arch.TotalViewChanges();
+  report.view_changes = arch.TotalViewChanges() - view_changes0;
   report.client_retransmissions = arch.TotalRetransmissions() - retrans0;
-  report.verifier_floods_ignored = total_floods();
+  report.verifier_floods_ignored = total_floods() - floods0;
 
   // Monetary cost over the measurement window (Fig. 8 methodology):
   // Lambda charges accrued during measurement plus VM time for the shim

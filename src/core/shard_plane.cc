@@ -96,16 +96,15 @@ sim::Network::CostFn ShardPlane::ShimCostFn() const {
 
 sim::Network::CostFn ShardPlane::VerifierCostFn() const {
   CostModel costs = config_.costs;
-  bool calibrated = config_.twopc_calibrated_costs;
-  return [costs, calibrated](const sim::Envelope& env) -> SimDuration {
+  return [costs](const sim::Envelope& env) -> SimDuration {
     const auto* msg = static_cast<const shim::Message*>(env.message.get());
     if (msg == nullptr) return costs.per_message;
-    if (calibrated && msg->kind == shim::MsgKind::kShardCommitDecision) {
-      // Calibrated 2PC entry: the coordinator's per-recipient decision
-      // signing (amortized onto the receiver, kCommit convention) plus
-      // the participant's MAC check + buffered write-set lookup,
-      // instead of the generic dispatch charge. Charged per decision
-      // message — re-answers to retried votes are real re-signs.
+    if (msg->kind == shim::MsgKind::kShardCommitDecision) {
+      // The coordinator's per-recipient decision signing (amortized onto
+      // the receiver, kCommit convention) plus the participant's MAC
+      // check + buffered write-set lookup, instead of the generic
+      // dispatch charge. Charged per decision message — re-answers to
+      // retried votes are real re-signs.
       return costs.twopc_decision_sign + costs.twopc_decision_verify;
     }
     if (msg->kind == shim::MsgKind::kVerify) {
@@ -213,8 +212,6 @@ void ShardPlane::BuildVerifierAndStorage() {
   vconfig.match_timeout = config_.verifier_match_timeout;
   vconfig.shard = shard_;
   vconfig.prepare_lock_queue_depth = config_.prepare_lock_queue_depth;
-  vconfig.twopc_watermark = config_.twopc_watermark;
-  vconfig.twopc_vote_certificates = config_.twopc_vote_certificates;
   // Coordinator topology (DESIGN.md §10/§12). The Architecture clamps
   // coordinator_groups/replicas into config_ before any plane is built,
   // so this view matches what BuildCoordinator constructs. A sharded

@@ -108,8 +108,6 @@ const char* MsgKindName(MsgKind kind) {
       return "LINEAR_VOTE";
     case MsgKind::kLinearCert:
       return "LINEAR_CERT";
-    case MsgKind::kShardPrepareVote:
-      return "SHARD_PREPARE_VOTE";
     case MsgKind::kShardCommitDecision:
       return "SHARD_COMMIT_DECISION";
     case MsgKind::kShardVoteCert:
@@ -255,8 +253,7 @@ Bytes VerifyMsg::SigningBytes(ViewNum view, SeqNum seq,
 }
 
 crypto::Digest VerifyMsg::MatchKey(bool include_rw) const {
-  // Streamed straight into SHA-256 — no scratch buffer. The byte
-  // sequence matches the historical encoder-built one.
+  // Streamed straight into SHA-256 — no scratch buffer.
   crypto::Sha256 h;
   HashU64(&h, seq);
   h.Update(batch_digest.data(), crypto::Digest::kSize);
@@ -278,6 +275,14 @@ crypto::Digest VerifyMsg::MatchKey(bool include_rw) const {
       HashString(&h, w.key);
       HashBytes(&h, w.value);
     }
+  }
+  // The per-transaction split must agree too: the verifier settles each
+  // transaction's own set, so a match on the concatenation alone would
+  // let the quorum-completing VERIFY move writes across transactions.
+  HashVarint(&h, txn_rws.size());
+  for (const storage::RwSet& txn_rw : txn_rws) {
+    if (include_rw) HashVarint(&h, txn_rw.reads.size());
+    HashVarint(&h, txn_rw.writes.size());
   }
   HashBytes(&h, result);
   return h.Finish();
@@ -595,35 +600,6 @@ void LinearCertMsg::BuildWire(Encoder* enc) const {
   cert.EncodeTo(enc);
 }
 
-size_t ShardPrepareVoteMsg::PayloadWireBytes() const {
-  size_t n = 8 + 4 + 8 + 1;
-  if (has_meta) n += VarintLen(acked_cseqs.size()) + 8 * acked_cseqs.size();
-  if (has_view) n += 8;
-  return n;
-}
-
-void ShardPrepareVoteMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::ShardPrepareVoteHeader>(*this);
-  h.global_id.set(global_id);
-  h.shard.set(shard);
-  h.seq.set(seq);
-  h.commit.set(commit);
-  PutPacked(enc, h);
-  // Watermark piggyback rides in a trailing section gated on has_meta,
-  // mirroring the VerifyMsg fragment section: runs without the feature
-  // keep their exact pre-watermark wire bytes (the golden scenario
-  // digests pin message sizes through the transmission-delay model).
-  if (has_meta) {
-    enc->PutVarint(acked_cseqs.size());
-    for (uint64_t cseq : acked_cseqs) {
-      enc->PutU64(cseq);
-    }
-  }
-  // View stamp: only a replicated coordinator group (replicas > 1) sets
-  // has_view, so singleton runs keep byte-identical votes.
-  if (has_view) enc->PutU64(coord_view);
-}
-
 size_t ShardVoteCertMsg::PayloadWireBytes() const {
   size_t n = cert.WireSize() + 1;
   if (has_meta) n += VarintLen(acked_cseqs.size()) + 8 * acked_cseqs.size();
@@ -657,9 +633,9 @@ void ShardCommitDecisionMsg::BuildWire(Encoder* enc) const {
   h.global_id.set(global_id);
   h.commit.set(commit);
   PutPacked(enc, h);
-  // The quorum proof is a trailing section present only under
-  // twopc_vote_certificates (an empty proof keeps legacy bytes), like
-  // the has_meta watermark section after it.
+  // The quorum proof is a trailing section present only on COMMITs (an
+  // empty proof adds no bytes), like the has_meta watermark section
+  // after it.
   if (!proof.shares.empty()) proof.EncodeTo(enc);
   if (has_meta) {
     enc->PutU64(cseq);

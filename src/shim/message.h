@@ -40,7 +40,6 @@ enum class MsgKind : uint8_t {
   kPaxosAccepted = 16,
   kLinearVote = 17,
   kLinearCert = 18,
-  kShardPrepareVote = 19,
   kShardCommitDecision = 20,
   kShardVoteCert = 21,
   // Coordinator-group replication (coordinator_replicas > 1 only).
@@ -246,7 +245,8 @@ struct VerifyMsg : Message {
   /// (seq, batch, result, writes) must agree: per §IV-D, "matching
   /// read-write sets is only required when the transactions are
   /// conflicting" — executors legitimately observe different read
-  /// versions when they fetch at different times.
+  /// versions when they fetch at different times. Either way the split
+  /// of the sets into `txn_rws` must agree as well.
   crypto::Digest MatchKey(bool include_rw = true) const;
 
   size_t PayloadWireBytes() const override;
@@ -477,49 +477,27 @@ struct LinearCertMsg : Message {
   void BuildWire(Encoder* enc) const override;
 };
 
-/// Shard verifier -> coordinator: this shard's PREPARE vote for one
-/// cross-shard transaction (2PC phase 1, layered on top of the shard's
-/// BFT pipeline — the vote is only produced after the fragment matched
-/// f_E+1 identical VERIFYs and passed ccheck + prepare locking).
-struct ShardPrepareVoteMsg : Message {
-  explicit ShardPrepareVoteMsg(ActorId s)
-      : Message(MsgKind::kShardPrepareVote, s) {}
+/// Shard verifier -> coordinator: one settle round's 2PC PREPARE votes
+/// as a share-based certificate — K signed (signer, signature) vote
+/// shares in a single message, each share individually attributable and
+/// the whole set batch-verifiable (DESIGN.md §8). Votes are layered on
+/// top of the shard's BFT pipeline: a share is only produced after the
+/// fragment matched f_E+1 identical VERIFYs and passed ccheck + prepare
+/// locking.
+struct ShardVoteCertMsg : Message {
+  explicit ShardVoteCertMsg(ActorId s)
+      : Message(MsgKind::kShardVoteCert, s) {}
 
-  TxnId global_id = 0;
-  uint32_t shard = 0;
-  SeqNum seq = 0;      ///< Shard-local sequence the fragment settled at.
-  bool commit = true;  ///< YES/NO vote.
-  /// Watermark piggyback (twopc_watermark): decision cseqs this shard
-  /// has applied but not yet seen confirmed by the coordinator's
-  /// watermark. Emitted as a trailing section only when `has_meta` is
-  /// set, so legacy votes keep their exact wire bytes.
+  crypto::VoteCertificate cert;
+  /// Watermark piggyback: decision cseqs this shard has applied but not
+  /// yet seen confirmed by the coordinator's watermark. A presence bit
+  /// on the wire; verifiers always set it.
   bool has_meta = false;
   std::vector<uint64_t> acked_cseqs;
   /// View stamp (coordinator_replicas > 1): the coordinator-group view
   /// this participant believes is current when it votes — a stale stamp
   /// is answered with a view-stamped decision the participant learns the
   /// real leader from. Trailing section, absent on singleton wire bytes.
-  bool has_view = false;
-  uint64_t coord_view = 0;
-
-  size_t PayloadWireBytes() const override;
-  void BuildWire(Encoder* enc) const override;
-};
-
-/// Shard verifier -> coordinator: one settle round's prepare votes as a
-/// share-based certificate — K signed (signer, signature) vote shares in
-/// a single message instead of K ShardPrepareVoteMsg, with each share
-/// individually attributable and the whole set batch-verifiable
-/// (twopc_vote_certificates; DESIGN.md §8).
-struct ShardVoteCertMsg : Message {
-  explicit ShardVoteCertMsg(ActorId s)
-      : Message(MsgKind::kShardVoteCert, s) {}
-
-  crypto::VoteCertificate cert;
-  /// Watermark piggyback, same contract as ShardPrepareVoteMsg.
-  bool has_meta = false;
-  std::vector<uint64_t> acked_cseqs;
-  /// View stamp, same contract as ShardPrepareVoteMsg.
   bool has_view = false;
   uint64_t coord_view = 0;
 
@@ -538,10 +516,10 @@ struct ShardCommitDecisionMsg : Message {
   TxnId global_id = 0;
   bool commit = false;
   /// Quorum proof: the full set of signed vote shares the coordinator
-  /// decided on (twopc_vote_certificates). Participants batch-verify it
-  /// before applying, so a forged decision cannot flip an outcome.
+  /// decided on (COMMITs only). Participants batch-verify it before
+  /// applying, so a forged decision cannot flip an outcome.
   crypto::VoteCertificate proof;
-  /// Watermark piggyback (twopc_watermark): the coordinator's dense
+  /// Watermark piggyback: the coordinator's dense
   /// decision sequence number for this outcome (0 for presumed-abort
   /// answers) and its fully-decided watermark — every decision with
   /// cseq <= watermark is applied at all its participants, so dedup
@@ -593,8 +571,8 @@ struct CoordAppendMsg : Message {
   /// kDecision: the shards the decision is sent to. kLaunch: the
   /// participant set (what a standby needs to judge vote completeness).
   std::vector<uint32_t> shards;
-  /// kDecision COMMITs under vote certificates: the quorum proof, so a
-  /// standby can re-answer retried votes with a provable decision.
+  /// kDecision COMMITs: the quorum proof, so a standby can re-answer
+  /// retried votes with a provable decision.
   crypto::VoteCertificate proof;
 
   size_t PayloadWireBytes() const override;

@@ -262,17 +262,6 @@ struct LinearCertHeader {
 };
 static_assert(sizeof(LinearCertHeader) == 6, "wire layout changed");
 
-/// kShardPrepareVote prefix: the optional watermark piggyback follows
-/// when has_meta (the trailing section keeps legacy votes byte-exact).
-struct ShardPrepareVoteHeader {
-  MsgHeader hdr;
-  U64Field global_id;
-  U32Field shard;
-  U64Field seq;
-  BoolField commit;
-};
-static_assert(sizeof(ShardPrepareVoteHeader) == 26, "wire layout changed");
-
 /// kShardCommitDecision prefix: optional (cseq, watermark) follows when
 /// has_meta.
 struct ShardCommitDecisionHeader {

@@ -52,6 +52,34 @@ void Verifier::BroadcastToShim(const shim::MessagePtr& msg) {
 // VERIFY collection and quorum matching (Fig. 3 verifier role).
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// True when `msg.txn_rws` holds one set per transaction ref and the sets
+/// concatenate, in order, to exactly the batch-level `rw` — which is how
+/// executors build them. The executor signature and the match key cover
+/// only `rw`, so this check is what binds the per-transaction sets the
+/// settle loop applies to the quorum that matched.
+bool TxnRwsConcatenateToRw(const shim::VerifyMsg& msg) {
+  if (msg.txn_rws.size() != msg.txn_refs.size()) return false;
+  size_t reads = 0;
+  size_t writes = 0;
+  for (const storage::RwSet& txn_rw : msg.txn_rws) {
+    for (const storage::ReadEntry& r : txn_rw.reads) {
+      if (reads == msg.rw.reads.size() || !(msg.rw.reads[reads++] == r)) {
+        return false;
+      }
+    }
+    for (const storage::WriteEntry& w : txn_rw.writes) {
+      if (writes == msg.rw.writes.size() || !(msg.rw.writes[writes++] == w)) {
+        return false;
+      }
+    }
+  }
+  return reads == msg.rw.reads.size() && writes == msg.rw.writes.size();
+}
+
+}  // namespace
+
 void Verifier::HandleVerify(const sim::Envelope& env) {
   auto msg = std::static_pointer_cast<const shim::VerifyMsg>(
       std::static_pointer_cast<const shim::Message>(env.message));
@@ -81,7 +109,8 @@ void Verifier::HandleVerify(const sim::Envelope& env) {
                      shim::VerifyMsg::SigningBytes(msg->view, msg->seq,
                                                    msg->batch_digest, msg->rw,
                                                    msg->result),
-                     msg->executor_sig)) {
+                     msg->executor_sig) ||
+      !TxnRwsConcatenateToRw(*msg)) {
     ++rejected_verifies_;
     return;
   }
@@ -107,10 +136,10 @@ void Verifier::HandleVerify(const sim::Envelope& env) {
     }
   }
 
-  if (config_.conflicts_possible) {
-    StartAbortTimer(seq);
+  if (config_.conflicts_possible) StartAbortTimer(seq);
+  if (config_.conflicts_possible && !msg->txn_refs.empty()) {
     RecordPerTxnVotes(state, msg);
-    if (!state.txns.empty() && state.txns_matched == state.txns.size()) {
+    if (state.txns_matched == state.txns.size()) {
       state.matched = true;
       if (state.timer != 0) {
         sim_->Cancel(state.timer);
@@ -121,6 +150,8 @@ void Verifier::HandleVerify(const sim::Envelope& env) {
     return;
   }
 
+  // Whole-batch quorum: always outside the conflict regime, and for an
+  // empty batch (a view-change null request) inside it.
   SeqState::Bucket& bucket = state.buckets[msg->MatchKey(false)];
   ++bucket.count;
   bucket.sample = msg;
@@ -129,15 +160,17 @@ void Verifier::HandleVerify(const sim::Envelope& env) {
     // Matched (Fig. 3 line 23): stop collecting for this sequence.
     state.matched = true;
     state.winner = bucket.sample;
+    if (state.timer != 0) {
+      sim_->Cancel(state.timer);
+      state.timer = 0;
+    }
     ProcessInOrder();
   }
 }
 
 void Verifier::RecordPerTxnVotes(
     SeqState& state, const std::shared_ptr<const shim::VerifyMsg>& msg) {
-  // Per-txn rw sets when available; synthetic messages without them are
-  // treated as one pseudo-transaction over the batch-level rw.
-  size_t n = msg->txn_rws.empty() ? 1 : msg->txn_rws.size();
+  size_t n = msg->txn_rws.size();
   if (state.txns.empty()) {
     state.txns.resize(n);
   }
@@ -148,11 +181,7 @@ void Verifier::RecordPerTxnVotes(
     if (quorum.matched) continue;
     // Bind the vote to the rw set and the batch result.
     Encoder enc;
-    if (msg->txn_rws.empty()) {
-      msg->rw.EncodeTo(&enc);
-    } else {
-      msg->txn_rws[i].EncodeTo(&enc);
-    }
+    msg->txn_rws[i].EncodeTo(&enc);
     enc.PutBytes(msg->result);
     crypto::Digest key = crypto::Sha256::Hash(enc.buffer());
     if (++quorum.counts[key] >= config_.f_e + 1) {
@@ -177,33 +206,15 @@ void Verifier::ProcessInOrder() {
   }
 }
 
-namespace {
-
-bool HasFragmentRefs(const shim::VerifyMsg& msg) {
-  for (const shim::VerifyMsg::TxnRef& ref : msg.txn_refs) {
-    if (ref.global_id != 0) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 void Verifier::Settle(SeqNum seq, SeqState& state) {
-  // §VI conflict regime: per-transaction quorums feed the unified loop.
-  if (config_.conflicts_possible && !state.txns.empty() &&
-      (state.matched || state.abort_tag)) {
+  // §VI conflict regime: per-transaction quorums feed the settle loop.
+  if (!state.txns.empty()) {
     SettleConflictQuorums(seq, state);
     return;
   }
-  // Sharded data plane: batches carrying cross-shard fragments — or
-  // landing while prepare locks are held — settle through the same
-  // per-transaction loop so fragments can vote instead of applying.
-  // Single-plane runs (no fragments, no locks ever) never enter this
-  // branch, keeping the legacy batch path byte-identical.
-  if (state.matched &&
-      (HasFragmentRefs(*state.winner) || prepare_locks_.size() > 0) &&
-      state.winner->txn_rws.size() == state.winner->txn_refs.size() &&
-      !state.winner->txn_refs.empty()) {
+  if (state.matched) {
+    // Whole-batch quorum: the matched VERIFY's per-transaction sets
+    // (bound to its signed rw by HandleVerify) settle one by one.
     const shim::VerifyMsg& winner = *state.winner;
     std::vector<SettleItem> items;
     items.reserve(winner.txn_refs.size());
@@ -211,33 +222,6 @@ void Verifier::Settle(SeqNum seq, SeqState& state) {
       items.push_back(SettleItem{winner.txn_refs[i], &winner.txn_rws[i]});
     }
     SettlePerTxn(seq, winner, items);
-    return;
-  }
-  if (state.matched) {
-    const shim::VerifyMsg& winner = *state.winner;
-    // ccheck (Fig. 3 lines 31-34): all read versions must still be
-    // current; otherwise the transaction read stale data (conflict) and
-    // must abort. Per §IV-D the check is only required when transactions
-    // can conflict; otherwise writes are applied directly.
-    if (!config_.conflicts_possible || winner.rw.ReadsCurrent(*store_)) {
-      winner.rw.ApplyWrites(store_);
-      ++applied_batches_;
-      applied_txns_ += winner.txn_refs.size();
-      audit_log_
-          .Append(seq, winner.batch_digest,
-                  crypto::Sha256::Hash(winner.result),
-                  storage::AuditLog::Outcome::kApplied, sim_->now())
-          .ok();
-      SendResponses(seq, winner, /*aborted=*/false, winner.result);
-    } else {
-      ++aborted_batches_;
-      aborted_txns_ += winner.txn_refs.size();
-      audit_log_
-          .Append(seq, winner.batch_digest, crypto::Digest(),
-                  storage::AuditLog::Outcome::kAborted, sim_->now())
-          .ok();
-      SendResponses(seq, winner, /*aborted=*/true, Bytes{});
-    }
     return;
   }
   // Abort-tagged without a match (§VI-B): answer the clients with ABORT
@@ -272,9 +256,7 @@ void Verifier::SettleConflictQuorums(SeqNum seq, SeqState& state) {
       items[i].ref = sample->txn_refs[i];
     }
     if (quorum.matched && !quorum.aborted && quorum.winner != nullptr) {
-      items[i].rw = quorum.winner->txn_rws.empty()
-                        ? &quorum.winner->rw
-                        : &quorum.winner->txn_rws[quorum.winner_index];
+      items[i].rw = &quorum.winner->txn_rws[quorum.winner_index];
     }
   }
   SettlePerTxn(seq, *sample, items);
@@ -325,8 +307,8 @@ void Verifier::SettlePerTxn(SeqNum seq, const shim::VerifyMsg& sample,
     // Plain transaction: prepare-locked keys are in-doubt 2PC state —
     // queue behind the lock when the bounded FIFO has room, otherwise
     // abort (the client retries). The per-request ccheck (Fig. 3 lines
-    // 31-34) runs only under the conflict regime, mirroring the legacy
-    // batch rule.
+    // 31-34) runs only under the conflict regime (§IV-D): otherwise the
+    // matched writes apply directly.
     bool ok = false;
     if (item.rw != nullptr) {
       const std::string* blocked = FirstBlockedKey(*item.rw, 0);
@@ -354,10 +336,10 @@ void Verifier::SettlePerTxn(SeqNum seq, const shim::VerifyMsg& sample,
   vote_batching_ = outer_batching;
   if (!vote_batching_) FlushVoteCerts();
   // Batch outcome: alive when any plain transaction applied (or waits in
-  // the lock queue) or any fragment stands at a YES vote. The rule lives
-  // in exactly one place, so the audit outcome of a fragment batch never
-  // depends on which mode settled it.
-  bool batch_alive = applied > 0 || yes_votes > 0 || queued > 0;
+  // the lock queue) or any fragment stands at a YES vote. An empty batch
+  // (a view-change null request) has nothing to abort and is alive too.
+  bool batch_alive =
+      items.empty() || applied > 0 || yes_votes > 0 || queued > 0;
   if (batch_alive) {
     ++applied_batches_;
   } else {
@@ -429,52 +411,26 @@ bool Verifier::PrepareFragment(SeqNum seq,
 }
 
 void Verifier::SendVote(TxnId global_id, PreparedFragment& frag) {
-  if (config_.twopc_vote_certificates) {
-    // Certificate transport: the vote becomes a signed share, buffered
-    // per coordinator. A batched section (settle loop, decision drain)
-    // flushes all its shares as one kShardVoteCert afterwards; outside
-    // one (retry timers) the share flushes alone.
-    crypto::VoteShare share;
-    share.global_id = global_id;
-    share.shard = config_.shard;
-    share.seq = frag.seq;
-    share.commit = frag.vote_commit;
-    share.signer = id();
-    if (frag.vote_sig.empty()) {
-      frag.vote_sig = keys_->Sign(
-          id(), crypto::VoteSigningBytes(global_id, config_.shard, frag.seq,
-                                         frag.vote_commit));
-    }
-    share.sig = frag.vote_sig;
-    // Buffered under the *resolved* target, so a leader change between
-    // buffering and flush still lands every share at the new leader.
-    vote_cert_buffer_[CoordTarget(frag)].shares.push_back(
-        std::move(share));
-    if (!vote_batching_) FlushVoteCerts();
-  } else {
-    auto vote = std::make_shared<shim::ShardPrepareVoteMsg>(id());
-    vote->global_id = global_id;
-    vote->shard = config_.shard;
-    vote->seq = frag.seq;
-    vote->commit = frag.vote_commit;
-    const CoordGroupState& gs = GroupStateOf(global_id);
-    if (config_.twopc_watermark) {
-      // Piggyback the applied-decision acks (cumulative, re-sent until
-      // the owning group's watermark confirms them) on the existing
-      // vote traffic — no extra message round. Acks are per group: the
-      // cseq spaces of different groups are independent.
-      vote->has_meta = true;
-      vote->acked_cseqs.assign(gs.unconfirmed_acks.begin(),
-                               gs.unconfirmed_acks.end());
-    }
-    if (config_.coord_groups.replicated()) {
-      // View stamp (wire realism only; the coordinator group resolves
-      // leadership from its own state). Absent on singleton wire bytes.
-      vote->has_view = true;
-      vote->coord_view = gs.view;
-    }
-    net_->Send(id(), CoordTarget(frag), vote, vote->WireSize());
+  // The vote is a signed share, buffered per coordinator. A batched
+  // section (settle loop, decision drain) flushes all its shares as one
+  // kShardVoteCert afterwards; outside one (retry timers) the share
+  // flushes alone.
+  crypto::VoteShare share;
+  share.global_id = global_id;
+  share.shard = config_.shard;
+  share.seq = frag.seq;
+  share.commit = frag.vote_commit;
+  share.signer = id();
+  if (frag.vote_sig.empty()) {
+    frag.vote_sig = keys_->Sign(
+        id(), crypto::VoteSigningBytes(global_id, config_.shard, frag.seq,
+                                       frag.vote_commit));
   }
+  share.sig = frag.vote_sig;
+  // Buffered under the *resolved* target, so a leader change between
+  // buffering and flush still lands every share at the new leader.
+  vote_cert_buffer_[CoordTarget(frag)].shares.push_back(std::move(share));
+  if (!vote_batching_) FlushVoteCerts();
   // Re-send until the coordinator's decision lands (lost decisions,
   // coordinator crash/recovery). Retries back off to a capped interval
   // but never stop: the prepare locks this fragment holds can only be
@@ -499,15 +455,16 @@ void Verifier::FlushVoteCerts() {
     // own group (CoordTarget resolves per gid), so the piggybacked acks
     // and view are that one group's.
     const CoordGroupState& gs = coord_groups_[GroupOfTarget(coordinator)];
-    if (config_.twopc_watermark) {
-      // The ack piggyback rides once per certificate instead of once
-      // per vote — the same confirmation latency at a fraction of the
-      // redundant bytes.
-      msg->has_meta = true;
-      msg->acked_cseqs.assign(gs.unconfirmed_acks.begin(),
-                              gs.unconfirmed_acks.end());
-    }
+    // Piggyback the applied-decision acks (cumulative, re-sent until the
+    // owning group's watermark confirms them) once per certificate — no
+    // extra message round. Acks are per group: the cseq spaces of
+    // different groups are independent.
+    msg->has_meta = true;
+    msg->acked_cseqs.assign(gs.unconfirmed_acks.begin(),
+                            gs.unconfirmed_acks.end());
     if (config_.coord_groups.replicated()) {
+      // View stamp (wire realism only; the coordinator group resolves
+      // leadership from its own state). Absent on singleton wire bytes.
       msg->has_view = true;
       msg->coord_view = gs.view;
     }
@@ -548,7 +505,7 @@ void Verifier::HandleDecision(const sim::Envelope& env) {
   } else if (env.from != it->second.ref.coordinator) {
     return;
   }
-  if (config_.twopc_vote_certificates && msg->commit) {
+  if (msg->commit) {
     // A COMMIT must prove its quorum: every participant's signed YES
     // share, including this shard's own. Aborts need no proof (abort is
     // the presumed, safe direction). A rejected decision is simply
@@ -663,7 +620,6 @@ void Verifier::RecordGlobalOutcome(TxnId global_id, bool applied,
   } else {
     aborted_global_[global_id] = cseq;
   }
-  if (!config_.twopc_watermark) return;
   if (cseq > 0) {
     CoordGroupState& gs = GroupStateOf(global_id);
     gs.decided_by_cseq[cseq] = {global_id, applied};
@@ -693,7 +649,7 @@ void Verifier::RecordGlobalOutcome(TxnId global_id, bool applied,
 }
 
 void Verifier::PruneAtWatermark(CoordGroupState& gs, uint64_t watermark) {
-  if (!config_.twopc_watermark || watermark == 0) return;
+  if (watermark == 0) return;
   // Every decision with cseq <= watermark is applied at every participant
   // (the group's coordinator advanced its watermark over full ack sets),
   // so the dedup entries for them can never be needed again: the
@@ -794,7 +750,7 @@ void Verifier::ResolveWaiter(uint64_t waiter_id, LockWaiter waiter) {
         return;
       }
     }
-    // Queue exhausted: fall back to the legacy abort rule.
+    // Queue exhausted: fall back to the abort rule.
     ++aborted_txns_;
     ++lock_waits_aborted_;
     if (waiter.ref.client != kInvalidActor) {

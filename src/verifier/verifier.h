@@ -20,7 +20,8 @@
 
 namespace sbft::verifier {
 
-/// Parameters of the verifier V.
+/// Parameters of the verifier V. These defaults are the only ones:
+/// core::SystemConfig takes its verifier fields from here.
 struct VerifierConfig {
   /// Byzantine executor bound f_E.
   uint32_t f_e = 1;
@@ -39,26 +40,13 @@ struct VerifierConfig {
   /// decisions and coordinator crash/recovery).
   SimDuration decision_retry = Millis(250);
   /// Per-key FIFO cap for transactions queueing behind a 2PC prepare
-  /// lock. 0 (the default) keeps the legacy abort-on-locked-key rule —
-  /// and with it the byte-identical replay of the pre-queueing golden
-  /// scenarios. Queueing is deadlock-free because prepare locks are only
-  /// held between vote and decision and waiters hold no locks.
-  uint32_t prepare_lock_queue_depth = 0;
+  /// lock. A full queue (or a cap of 0) falls back to the abort rule.
+  /// Queueing is deadlock-free because prepare locks are only held
+  /// between vote and decision and waiters hold no locks.
+  uint32_t prepare_lock_queue_depth = 8;
   /// Bound on how many times one waiter may hop to a different blocking
   /// key before it falls back to the abort rule (livelock guard).
   uint32_t prepare_lock_max_requeues = 16;
-  /// Fully-decided-watermark piggyback (2PC state pruning): votes carry
-  /// applied-decision acks, decisions carry (cseq, watermark), and the
-  /// per-shard applied/aborted global-txn maps are truncated at the
-  /// watermark. Off by default: the piggyback changes vote/decision wire
-  /// bytes, which the golden-scenario replay contract pins.
-  bool twopc_watermark = false;
-  /// Share-based quorum certificates on the vote path: prepare votes
-  /// are Schnorr-signed VoteShares batched into one kShardVoteCert
-  /// message per coordinator per settle round, and COMMIT decisions
-  /// must carry a validated quorum proof before this shard applies.
-  /// Must match the coordinator's setting.
-  bool twopc_vote_certificates = false;
   /// Coordinator topology (DESIGN.md §10/§12): G gid-partitioned groups
   /// of R members each. The default {1, 1} singleton keeps the decision
   /// sender guard pinned to the fragment's launching coordinator and
@@ -116,11 +104,11 @@ class Verifier : public sim::Actor {
   uint64_t twopc_votes_no() const { return twopc_votes_no_; }
   uint64_t twopc_committed() const { return twopc_committed_; }
   uint64_t twopc_aborted() const { return twopc_aborted_; }
-  /// kShardVoteCert messages sent (certificate transport). The ratio of
-  /// votes cast to certificates sent is the aggregation factor.
+  /// kShardVoteCert messages sent. The ratio of votes cast to
+  /// certificates sent is the aggregation factor.
   uint64_t vote_certs_sent() const { return vote_certs_sent_; }
-  /// COMMIT decisions dropped for a missing or invalid quorum proof
-  /// (certificate transport only; the vote retry re-solicits).
+  /// COMMIT decisions dropped for a missing or invalid quorum proof (the
+  /// vote retry re-solicits).
   uint64_t decisions_rejected() const { return decisions_rejected_; }
   size_t prepare_locks_held() const { return prepare_locks_.size(); }
   /// The shared lock table holding this shard's 2PC prepare locks. The
@@ -137,11 +125,10 @@ class Verifier : public sim::Actor {
 
   /// Global txn ids this shard applied / aborted a fragment write set
   /// for, each with the coordinator decision sequence (cseq; 0 when the
-  /// outcome was a presumed-abort answer or the watermark piggyback is
-  /// off). This is the atomic-commit evidence the cross-shard tests
-  /// check; under `twopc_watermark` both maps are truncated at the
+  /// outcome was a presumed-abort answer). Both maps are truncated at the
   /// coordinator's fully-decided watermark, bounding them by in-flight
-  /// transactions instead of total cross-shard count.
+  /// transactions instead of total cross-shard count; decision_log()
+  /// keeps the full history.
   const std::map<TxnId, uint64_t>& applied_global() const {
     return applied_global_;
   }
@@ -150,7 +137,8 @@ class Verifier : public sim::Actor {
   }
   /// Hash-chained log of 2PC decisions applied at this shard (chained
   /// separately from the batch audit log, which stays byte-compatible
-  /// with single-plane runs).
+  /// with single-plane runs). Never pruned; each entry's txn digest is
+  /// Sha256 over the little-endian u64 global id.
   const storage::AuditLog& decision_log() const { return decision_log_; }
 
   // --- prepare-lock queueing statistics ---
@@ -211,9 +199,8 @@ class Verifier : public sim::Actor {
     SeqNum seq = 0;
     shim::VerifyMsg::TxnRef ref;
     bool vote_commit = false;
-    /// Memoized share signature (certificate transport): the vote is
-    /// immutable once cast, so retries re-send the same signature
-    /// instead of re-signing.
+    /// Memoized share signature: the vote is immutable once cast, so
+    /// retries re-send the same signature instead of re-signing.
     Bytes vote_sig;
     sim::EventId retry_timer = 0;
     /// Current vote-retry interval; doubles per retry up to a cap.
@@ -308,18 +295,16 @@ class Verifier : public sim::Actor {
   /// 24-29 + ccheck).
   void ProcessInOrder();
 
-  /// Applies or aborts the winner of `state` at sequence `seq` and sends
-  /// responses. Dispatches between the legacy whole-batch path (exact
-  /// paper flow, byte-identical for single-plane non-conflict runs) and
-  /// the unified per-transaction loop.
+  /// Settles sequence `seq`: a matched batch (whole-batch quorum or
+  /// per-transaction conflict quorums) goes through SettlePerTxn; an
+  /// abort-tagged one (§VI-B) answers every client ABORT.
   void Settle(SeqNum seq, SeqState& state);
 
-  /// THE settle loop: every per-transaction case — conflict-mode quorums,
-  /// cross-shard fragment batches, and batches landing while prepare
-  /// locks are held — runs through this one function. Fragments run the
-  /// prepare/vote step, plain transactions ccheck-and-apply, and the
-  /// mirrored batch-outcome rule (alive iff any transaction applied,
-  /// queued, or stands at a YES vote) is structural, not convention.
+  /// THE settle loop: every matched batch runs through this one
+  /// function. Fragments run the prepare/vote step, plain transactions
+  /// ccheck-and-apply, and the batch-outcome rule (alive iff the batch
+  /// is empty or any transaction applied, queued, or stands at a YES
+  /// vote) lives in exactly one place.
   void SettlePerTxn(SeqNum seq, const shim::VerifyMsg& sample,
                     const std::vector<SettleItem>& items);
 
@@ -332,7 +317,7 @@ class Verifier : public sim::Actor {
   void SendVote(TxnId global_id, PreparedFragment& frag);
   /// Flushes the shares buffered by SendVote during a batched section
   /// (settle loop, decision-drain) as one kShardVoteCert message per
-  /// coordinator. No-op outside the certificate transport.
+  /// coordinator. No-op when nothing is buffered.
   void FlushVoteCerts();
   void ApplyDecision(TxnId global_id, bool commit, uint64_t cseq,
                      uint64_t watermark);
@@ -365,7 +350,8 @@ class Verifier : public sim::Actor {
   /// the quorums and runs the unified loop.
   void SettleConflictQuorums(SeqNum seq, SeqState& state);
 
-  /// Records a VERIFY's votes into the per-transaction quorums.
+  /// Records a VERIFY's votes into the per-transaction quorums, one per
+  /// entry of its `txn_rws`.
   void RecordPerTxnVotes(SeqState& state,
                          const std::shared_ptr<const shim::VerifyMsg>& msg);
 

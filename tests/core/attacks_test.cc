@@ -154,6 +154,32 @@ TEST(AttacksTest, DuplicateSpawningIsAbsorbedAndSelfPenalizing) {
             2 * arch.spawner()->batches_spawned());
 }
 
+TEST(AttacksTest, FloodCountReportsTheMeasurementWindowOnly) {
+  // A duplicate-VERIFY executor floods the verifier from the first
+  // batch on. RunReport counts only the measurement window, like every
+  // other report field — warmup floods must not leak into it.
+  SystemConfig config = BaseConfig();
+  config.byzantine_executors = 1;
+  config.byzantine_executor_behavior =
+      serverless::ExecutorBehavior::kDuplicateVerify;
+  const SimDuration warmup = Seconds(1);
+  const SimDuration measure = Seconds(1);
+  RunReport report = RunExperiment(config, warmup, measure);
+
+  // The same run by hand (a run is a pure function of config and seed).
+  Architecture arch(config);
+  arch.Start();
+  arch.RunUntil(warmup);
+  const uint64_t at_warmup = arch.verifier()->flooding_ignored();
+  arch.SetRecording(true);
+  arch.RunUntil(warmup + measure);
+  const uint64_t at_end = arch.verifier()->flooding_ignored();
+
+  EXPECT_GT(at_warmup, 0u);
+  EXPECT_GT(at_end, at_warmup);
+  EXPECT_EQ(report.verifier_floods_ignored, at_end - at_warmup);
+}
+
 TEST(AttacksTest, LinearShimRecoversFromCrashedPrimary) {
   // The §IV-B linear shim must survive the same faults: a crashed
   // primary is replaced via the τ_m timers and the coordinated view

@@ -13,7 +13,10 @@
 #include <set>
 
 #include "core/serverless_bft.h"
+#include "crypto/certificate.h"
 #include "shim/message.h"
+
+#include "twopc_evidence.h"
 
 namespace sbft::core {
 namespace {
@@ -183,18 +186,14 @@ TEST(CoordGroupTest, PerGroupFailoverIsolation) {
   // Atomicity across the partitioned groups: no gid applied on one
   // shard and aborted on another, and every applied gid is COMMIT-
   // logged on a member of its owner group.
-  std::set<TxnId> applied;
-  std::set<TxnId> aborted;
   for (uint32_t s = 0; s < arch.shard_count(); ++s) {
     const verifier::Verifier* v = arch.plane(s)->verifier();
-    for (const auto& [gid, cseq] : v->applied_global()) applied.insert(gid);
-    for (const auto& [gid, cseq] : v->aborted_global()) aborted.insert(gid);
     EXPECT_TRUE(v->audit_log().VerifyChain());
     EXPECT_TRUE(v->decision_log().VerifyChain());
   }
-  for (TxnId gid : applied) {
-    EXPECT_FALSE(aborted.contains(gid))
-        << "gid " << gid << " applied on one shard, aborted on another";
+  const TwoPcEvidence evidence = CollectTwoPcEvidence(arch);
+  EXPECT_TRUE(evidence.SplitOutcomes().empty());
+  for (TxnId gid : evidence.applied_gids) {
     uint32_t owner = arch.coord_topology().GroupOf(gid);
     bool commit_logged = false;
     for (uint32_t r = 0; r < 3; ++r) {
@@ -250,12 +249,18 @@ TEST(CoordGroupTest, DecisionsStayGroupLocalAndForeignVotesDropped) {
   TxnCoordinator* group0 = arch.coordinator_member(0, 0);
   const uint64_t dropped_before = group0->foreign_votes_dropped();
   const uint64_t presumed_before = group0->presumed_aborts_logged();
-  auto vote = std::make_shared<shim::ShardPrepareVoteMsg>(
-      ShardPlane::VerifierId(0));
-  vote->global_id = foreign_gid;
-  vote->shard = 0;
-  vote->seq = 1;
-  vote->commit = true;
+  auto vote =
+      std::make_shared<shim::ShardVoteCertMsg>(ShardPlane::VerifierId(0));
+  crypto::VoteShare share;
+  share.global_id = foreign_gid;
+  share.shard = 0;
+  share.seq = 1;
+  share.commit = true;
+  share.signer = ShardPlane::VerifierId(0);
+  share.sig = arch.keys()->Sign(
+      ShardPlane::VerifierId(0),
+      crypto::VoteSigningBytes(foreign_gid, 0, 1, true));
+  vote->cert.shares.push_back(share);
   arch.network()->Send(ShardPlane::VerifierId(0), group0->id(), vote,
                        vote->WireSize());
   arch.simulator()->RunUntil(Seconds(4));

@@ -10,11 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 
 #include "core/serverless_bft.h"
 #include "faults/controller.h"
 #include "faults/schedule.h"
+
+#include "twopc_evidence.h"
 
 namespace sbft::core {
 namespace {
@@ -59,19 +60,12 @@ TxnCoordinator* ServingCoordinator(Architecture& arch) {
 /// *conflicting* outcomes at the same maximum view (the quorum fence
 /// plus max-view sync resolution must keep the logs reconcilable).
 void ExpectAtomicAcrossGroup(Architecture& arch) {
-  std::set<TxnId> applied;
-  std::set<TxnId> aborted;
-  for (uint32_t s = 0; s < arch.shard_count(); ++s) {
-    const verifier::Verifier* v = arch.plane(s)->verifier();
-    for (const auto& [gid, cseq] : v->applied_global()) applied.insert(gid);
-    for (const auto& [gid, cseq] : v->aborted_global()) aborted.insert(gid);
+  const TwoPcEvidence evidence = CollectTwoPcEvidence(arch);
+  for (const crypto::Digest& key : evidence.SplitOutcomes()) {
+    ADD_FAILURE() << "global txn " << key.ToHex()
+                  << " applied on one shard, aborted on another";
   }
-  for (TxnId gid : applied) {
-    EXPECT_FALSE(aborted.contains(gid))
-        << "global txn " << gid
-        << " applied on one shard, aborted on another";
-  }
-  for (TxnId gid : applied) {
+  for (TxnId gid : evidence.applied_gids) {
     bool commit_logged = false;
     uint64_t best_view = 0;
     bool best_commit = false;
@@ -225,7 +219,6 @@ TEST(CoordinatorFailoverTest, SingletonStallsWhereGroupFailsOver) {
 // monotonicity the pruning machinery depends on.
 TEST(CoordinatorFailoverTest, WatermarkRederivedAfterTakeover) {
   SystemConfig config = FailoverConfig(23, 3);
-  config.twopc_watermark = true;
   config.twopc_decision_retention = Millis(1500);
   Architecture arch(config);
   arch.Start();
@@ -275,7 +268,6 @@ TEST(CoordinatorFailoverTest, WorkflowHopsExactlyOnceAcrossFailover) {
   config.coordinator_replicas = 3;
   config.coordinator_heartbeat = Millis(100);
   config.coordinator_failover_timeout = Millis(400);
-  config.twopc_watermark = false;  // Keep the full audit maps.
   config.crypto_mode = crypto::CryptoMode::kFast;
   config.seed = 33;
   config.traffic.open_loop = true;
@@ -299,17 +291,9 @@ TEST(CoordinatorFailoverTest, WorkflowHopsExactlyOnceAcrossFailover) {
   for (const auto& source : arch.sources()) source->Pause();
   arch.simulator()->RunUntil(Seconds(9));
 
-  std::set<TxnId> applied;
-  std::set<TxnId> aborted;
-  for (uint32_t s = 0; s < arch.shard_count(); ++s) {
-    const verifier::Verifier* v = arch.plane(s)->verifier();
-    for (const auto& [gid, cseq] : v->applied_global()) applied.insert(gid);
-    for (const auto& [gid, cseq] : v->aborted_global()) aborted.insert(gid);
-  }
-  for (TxnId gid : applied) {
-    EXPECT_FALSE(aborted.contains(gid))
-        << "hop txn " << gid << " applied and aborted";
-  }
+  // Exactly-once is audited from the shards' never-pruned decision logs.
+  const TwoPcEvidence evidence = CollectTwoPcEvidence(arch);
+  EXPECT_TRUE(evidence.SplitOutcomes().empty());
 
   uint64_t chains_completed = 0;
   uint64_t chains_seen = 0;
@@ -321,7 +305,7 @@ TEST(CoordinatorFailoverTest, WorkflowHopsExactlyOnceAcrossFailover) {
         const auto& attempts = chain.hop_attempts[hop];
         int applied_attempts = 0;
         for (TxnId id : attempts) {
-          if (applied.contains(id)) ++applied_attempts;
+          if (evidence.Applied(id)) ++applied_attempts;
         }
         EXPECT_LE(applied_attempts, 1)
             << "chain " << chain.chain_id << " hop " << hop

@@ -12,6 +12,8 @@
 #include "storage/shard_router.h"
 #include "workload/ycsb_key.h"
 
+#include "twopc_evidence.h"
+
 namespace sbft::core {
 namespace {
 
@@ -34,27 +36,16 @@ SystemConfig ShardedConfig(uint32_t shards, double cross_pct) {
 /// a global transaction id never appears in one shard's applied set and
 /// another shard's aborted set.
 void ExpectAtomicCommit(Architecture& arch) {
-  std::set<TxnId> applied_anywhere;
-  std::set<TxnId> aborted_anywhere;
-  for (uint32_t s = 0; s < arch.shard_count(); ++s) {
-    const verifier::Verifier* v = arch.plane(s)->verifier();
-    for (const auto& [gid, cseq] : v->applied_global()) {
-      applied_anywhere.insert(gid);
-    }
-    for (const auto& [gid, cseq] : v->aborted_global()) {
-      aborted_anywhere.insert(gid);
-    }
-  }
-  for (TxnId gid : applied_anywhere) {
-    EXPECT_FALSE(aborted_anywhere.contains(gid))
-        << "global txn " << gid
-        << " was applied on one shard and aborted on another";
+  const TwoPcEvidence evidence = CollectTwoPcEvidence(arch);
+  for (const crypto::Digest& key : evidence.SplitOutcomes()) {
+    ADD_FAILURE() << "global txn " << key.ToHex()
+                  << " was applied on one shard and aborted on another";
   }
   // Cross-check against the coordinator's durable decision log: an
   // applied fragment must correspond to a logged COMMIT.
   ASSERT_NE(arch.coordinator(), nullptr);
   const auto& decisions = arch.coordinator()->decisions();
-  for (TxnId gid : applied_anywhere) {
+  for (TxnId gid : evidence.applied_gids) {
     auto it = decisions.find(gid);
     ASSERT_NE(it, decisions.end()) << "applied gtxn " << gid << " undecided";
     EXPECT_TRUE(it->second.commit)

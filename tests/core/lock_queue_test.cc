@@ -9,9 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 
 #include "core/serverless_bft.h"
+
+#include "twopc_evidence.h"
 
 namespace sbft::core {
 namespace {
@@ -66,20 +67,7 @@ QueueStats RunContended(const SystemConfig& config, SimDuration duration) {
 
   // Atomicity must survive queueing: no gid applied on one shard and
   // aborted on another.
-  std::set<TxnId> applied_anywhere;
-  std::set<TxnId> aborted_anywhere;
-  for (uint32_t s = 0; s < arch.shard_count(); ++s) {
-    const verifier::Verifier* v = arch.plane(s)->verifier();
-    for (const auto& [gid, cseq] : v->applied_global()) {
-      applied_anywhere.insert(gid);
-    }
-    for (const auto& [gid, cseq] : v->aborted_global()) {
-      aborted_anywhere.insert(gid);
-    }
-  }
-  for (TxnId gid : applied_anywhere) {
-    EXPECT_FALSE(aborted_anywhere.contains(gid)) << "gid " << gid;
-  }
+  EXPECT_TRUE(CollectTwoPcEvidence(arch).SplitOutcomes().empty());
   return stats;
 }
 

@@ -199,7 +199,6 @@ TEST(VoteCertTest, ProoflessCommitDecisionNeverAppliesAtVerifier) {
   vconfig.n_e = 3;
   vconfig.shim_quorum = 3;
   vconfig.shard = 0;
-  vconfig.twopc_vote_certificates = true;
   verifier::Verifier verifier(kVerifier, vconfig, &store, &keys, &sim, &net,
                               std::vector<ActorId>{1, 2, 3, 4});
   net.Register(&verifier, 0);
@@ -245,7 +244,6 @@ TEST(VoteCertTest, ProoflessCommitDecisionNeverAppliesAtVerifier) {
   EXPECT_EQ(verifier.twopc_votes_yes(), 1u);
   EXPECT_GT(verifier.prepare_locks_held(), 0u);
   EXPECT_GE(coordinator.CountKind(shim::MsgKind::kShardVoteCert), 1u);
-  EXPECT_EQ(coordinator.CountKind(shim::MsgKind::kShardPrepareVote), 0u);
 
   auto decide = [&](const crypto::VoteCertificate* proof) {
     auto decision = std::make_shared<shim::ShardCommitDecisionMsg>(

@@ -7,15 +7,14 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <set>
-
 #include "core/serverless_bft.h"
+
+#include "twopc_evidence.h"
 
 namespace sbft::core {
 namespace {
 
-SystemConfig WatermarkConfig(bool watermark) {
+SystemConfig WatermarkConfig() {
   SystemConfig config;
   config.shard_count = 2;
   config.shim.n = 4;
@@ -27,13 +26,12 @@ SystemConfig WatermarkConfig(bool watermark) {
   config.workload.cross_shard_percentage = 30.0;
   config.crypto_mode = crypto::CryptoMode::kFast;
   config.seed = 13;
-  config.twopc_watermark = watermark;
   config.twopc_decision_retention = Millis(500);
   return config;
 }
 
 TEST(WatermarkPruneTest, CommitLogAndDedupMapsStayBounded) {
-  Architecture arch(WatermarkConfig(true));
+  Architecture arch(WatermarkConfig());
   arch.Start();
   arch.simulator()->RunUntil(Seconds(8));
 
@@ -63,47 +61,23 @@ TEST(WatermarkPruneTest, CommitLogAndDedupMapsStayBounded) {
   }
 }
 
-TEST(WatermarkPruneTest, WithoutWatermarkLogGrowsWithHistory) {
-  // The contrast run: identical workload, feature off — the COMMIT log
-  // holds every committed cross-shard transaction of the run, which is
-  // exactly the growth the watermark removes.
-  Architecture arch(WatermarkConfig(false));
-  arch.Start();
-  arch.simulator()->RunUntil(Seconds(8));
-
-  const TxnCoordinator* coordinator = arch.coordinator();
-  ASSERT_NE(coordinator, nullptr);
-  EXPECT_GT(coordinator->commits_decided(), 400u);
-  EXPECT_EQ(coordinator->decisions().size(), coordinator->commits_decided());
-  EXPECT_EQ(coordinator->decisions_pruned(), 0u);
-  EXPECT_EQ(coordinator->watermark(), 0u);
-}
-
 TEST(WatermarkPruneTest, AtomicityHoldsWhilePruning) {
-  // Over a window short enough that pruning has not erased the evidence,
-  // the atomic-commit property must hold exactly as without the feature:
-  // no gid applied on one shard and aborted on another, and every
-  // applied gid matches a logged COMMIT still inside retention.
-  SystemConfig config = WatermarkConfig(true);
-  config.twopc_decision_retention = Seconds(30);  // Keep the evidence.
+  // While the shards prune their dedup maps at the watermark, the
+  // atomic-commit property must hold over the full decision-log
+  // history: no gid applied on one shard and aborted on another, and
+  // every applied gid matches a logged COMMIT still inside retention.
+  SystemConfig config = WatermarkConfig();
+  config.twopc_decision_retention = Seconds(30);  // Keep the COMMITs.
   Architecture arch(config);
   arch.Start();
   arch.simulator()->RunUntil(Seconds(3));
 
-  std::set<TxnId> applied_anywhere;
-  std::set<TxnId> aborted_anywhere;
-  for (uint32_t s = 0; s < arch.shard_count(); ++s) {
-    const verifier::Verifier* v = arch.plane(s)->verifier();
-    for (const auto& [gid, cseq] : v->applied_global()) {
-      applied_anywhere.insert(gid);
-    }
-    for (const auto& [gid, cseq] : v->aborted_global()) {
-      aborted_anywhere.insert(gid);
-    }
-  }
-  EXPECT_GT(applied_anywhere.size(), 0u);
-  for (TxnId gid : applied_anywhere) {
-    EXPECT_FALSE(aborted_anywhere.contains(gid)) << "gid " << gid;
+  const TwoPcEvidence evidence = CollectTwoPcEvidence(arch);
+  EXPECT_TRUE(evidence.SplitOutcomes().empty());
+  EXPECT_GT(evidence.applied_gids.size(), 0u);
+  EXPECT_EQ(evidence.applied_gids.size(), evidence.applied.size())
+      << "applied evidence without a logged decision";
+  for (TxnId gid : evidence.applied_gids) {
     auto it = arch.coordinator()->decisions().find(gid);
     ASSERT_NE(it, arch.coordinator()->decisions().end()) << "gid " << gid;
     EXPECT_TRUE(it->second.commit) << "gid " << gid;

@@ -2,18 +2,18 @@
 // cross-shard transaction driven by an open-loop source (Beldi-style —
 // hop k+1 only after hop k commits, aborted hops reissued as fresh
 // transactions, timeouts retransmitting the same signed request). Under
-// a coordinator crash mid-run, the verifiers' global applied/aborted
-// evidence must show: at most one attempt per hop ever applied, applied
+// a coordinator crash mid-run, the verifiers' 2PC evidence (their
+// never-pruned decision logs) must show: at most one attempt per hop ever applied, applied
 // hops atomic across shards, and completed chains with exactly one
 // applied attempt for every hop.
 
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "core/serverless_bft.h"
 #include "faults/controller.h"
 #include "faults/schedule.h"
+
+#include "twopc_evidence.h"
 
 namespace sbft::core {
 namespace {
@@ -27,9 +27,6 @@ SystemConfig WorkflowChainConfig() {
   config.n_e = 3;
   config.f_e = 1;
   config.coordinator_vote_timeout = Millis(600);
-  // Keep the full applied/aborted evidence: watermark pruning would
-  // truncate exactly the maps this test audits.
-  config.twopc_watermark = false;
   config.crypto_mode = crypto::CryptoMode::kFast;
   config.seed = 33;
   config.traffic.open_loop = true;
@@ -65,19 +62,10 @@ TEST(WorkflowChainTest, HopsCommitExactlyOnceAcrossCoordinatorCrash) {
   for (const auto& source : arch.sources()) source->Pause();
   arch.simulator()->RunUntil(Seconds(9.0));
 
-  // Union the per-shard global evidence.
-  std::set<TxnId> applied;
-  std::set<TxnId> aborted;
-  for (uint32_t s = 0; s < arch.shard_count(); ++s) {
-    const verifier::Verifier* v = arch.plane(s)->verifier();
-    for (const auto& [gid, cseq] : v->applied_global()) applied.insert(gid);
-    for (const auto& [gid, cseq] : v->aborted_global()) aborted.insert(gid);
-  }
+  // Union the per-shard 2PC evidence.
+  const TwoPcEvidence evidence = CollectTwoPcEvidence(arch);
   // Atomicity: no hop attempt applied on one shard, aborted on another.
-  for (TxnId gid : applied) {
-    EXPECT_FALSE(aborted.contains(gid))
-        << "hop txn " << gid << " applied and aborted";
-  }
+  EXPECT_TRUE(evidence.SplitOutcomes().empty());
 
   uint64_t chains_completed = 0;
   uint64_t chains_seen = 0;
@@ -96,7 +84,7 @@ TEST(WorkflowChainTest, HopsCommitExactlyOnceAcrossCoordinatorCrash) {
         // guards) would double-run the function.
         int applied_attempts = 0;
         for (TxnId id : attempts) {
-          if (applied.contains(id)) ++applied_attempts;
+          if (evidence.Applied(id)) ++applied_attempts;
         }
         EXPECT_LE(applied_attempts, 1)
             << "chain " << chain.chain_id << " hop " << hop

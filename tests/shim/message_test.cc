@@ -141,6 +141,19 @@ TEST(MessageTest, VerifyMatchKeyIgnoresExecutorIdentity) {
   VerifyMsg v4 = v2;
   v4.rw.reads[0].version = 6;  // Stale read divergence.
   EXPECT_NE(v1.MatchKey(), v4.MatchKey());
+
+  // Same concatenation, different per-transaction split.
+  storage::RwSet w1;
+  w1.writes.push_back({"user1", ToBytes("a")});
+  storage::RwSet w2;
+  w2.writes.push_back({"user2", ToBytes("b")});
+  VerifyMsg split = v2;
+  split.rw.writes = {w1.writes[0], w2.writes[0]};
+  split.txn_rws = {w1, w2};
+  VerifyMsg resplit = split;
+  resplit.txn_rws = {split.rw, storage::RwSet{}};
+  resplit.txn_rws[0].reads.clear();
+  EXPECT_NE(split.MatchKey(false), resplit.MatchKey(false));
 }
 
 TEST(MessageTest, PreparedProofRoundTrip) {
@@ -161,34 +174,26 @@ TEST(MessageTest, PreparedProofRoundTrip) {
 }
 
 TEST(MessageTest, TwoPcWatermarkSectionsAreGatedOnHasMeta) {
-  // The watermark piggyback rides in trailing sections gated on
-  // `has_meta`; without the flag the messages must keep their exact
-  // legacy wire bytes (transmission delay is size-dependent and the
-  // golden scenario digests pin the event stream).
-  ShardPrepareVoteMsg legacy_vote(9);
-  legacy_vote.global_id = 42;
-  legacy_vote.shard = 1;
-  legacy_vote.seq = 7;
-  legacy_vote.commit = true;
+  // The watermark piggyback rides in trailing sections gated on the
+  // `has_meta` presence bit; without it the messages keep their exact
+  // bare wire bytes (transmission delay is size-dependent and the golden
+  // scenario digests pin the event stream).
+  crypto::VoteShare share{42, 1, 7, true, 9, ToBytes("sig")};
+  ShardVoteCertMsg bare_cert(9);
+  bare_cert.cert.shares.push_back(share);
 
-  ShardPrepareVoteMsg meta_vote(9);
-  meta_vote.global_id = 42;
-  meta_vote.shard = 1;
-  meta_vote.seq = 7;
-  meta_vote.commit = true;
-  meta_vote.has_meta = true;
-  meta_vote.acked_cseqs = {3, 4, 9};
+  ShardVoteCertMsg meta_cert(9);
+  meta_cert.cert.shares.push_back(share);
+  meta_cert.has_meta = true;
+  meta_cert.acked_cseqs = {3, 4, 9};
 
-  EXPECT_GT(meta_vote.WireSize(), legacy_vote.WireSize());
+  EXPECT_GT(meta_cert.WireSize(), bare_cert.WireSize());
   // An empty ack list still differs (the count marker) so the encoding
-  // stays injective between meta and legacy forms at the sender.
-  ShardPrepareVoteMsg empty_meta_vote(9);
-  empty_meta_vote.global_id = 42;
-  empty_meta_vote.shard = 1;
-  empty_meta_vote.seq = 7;
-  empty_meta_vote.commit = true;
-  empty_meta_vote.has_meta = true;
-  EXPECT_GT(empty_meta_vote.WireSize(), legacy_vote.WireSize());
+  // stays injective between the meta and bare forms at the sender.
+  ShardVoteCertMsg empty_meta_cert(9);
+  empty_meta_cert.cert.shares.push_back(share);
+  empty_meta_cert.has_meta = true;
+  EXPECT_GT(empty_meta_cert.WireSize(), bare_cert.WireSize());
 
   ShardCommitDecisionMsg legacy_decision(9);
   legacy_decision.global_id = 42;
@@ -226,7 +231,6 @@ TEST(MessageTest, AllKindsEncodeNonEmpty) {
   msgs.push_back(std::make_unique<PaxosAcceptedMsg>(1));
   msgs.push_back(std::make_unique<LinearVoteMsg>(1));
   msgs.push_back(std::make_unique<LinearCertMsg>(1));
-  msgs.push_back(std::make_unique<ShardPrepareVoteMsg>(1));
   msgs.push_back(std::make_unique<ShardVoteCertMsg>(1));
   msgs.push_back(std::make_unique<ShardCommitDecisionMsg>(1));
   for (const auto& msg : msgs) {

@@ -386,27 +386,22 @@ TEST(WireFormatTest, LinearMessagesMatchLegacyBytes) {
 }
 
 TEST(WireFormatTest, ShardMessagesMatchLegacyBytes) {
-  ShardPrepareVoteMsg vote(9);
-  vote.global_id = 42;
-  vote.shard = 1;
-  vote.seq = 7;
-  vote.commit = true;
-  vote.has_meta = true;
-  vote.acked_cseqs = {3, 4};
-  ExpectLegacyBytes(vote, [&](Encoder* e) {
-    e->PutU64(vote.global_id);
-    e->PutU32(vote.shard);
-    e->PutU64(vote.seq);
-    e->PutBool(vote.commit);
-    e->PutVarint(vote.acked_cseqs.size());
-    for (uint64_t c : vote.acked_cseqs) e->PutU64(c);
-  });
-
   ShardVoteCertMsg vc(9);
   vc.cert = MakeVoteCert();
   ExpectLegacyBytes(vc, [&](Encoder* e) {
     vc.cert.EncodeTo(e);
     e->PutBool(false);
+  });
+
+  ShardVoteCertMsg meta_vc(9);
+  meta_vc.cert = MakeVoteCert();
+  meta_vc.has_meta = true;
+  meta_vc.acked_cseqs = {3, 4};
+  ExpectLegacyBytes(meta_vc, [&](Encoder* e) {
+    meta_vc.cert.EncodeTo(e);
+    e->PutBool(true);
+    e->PutVarint(meta_vc.acked_cseqs.size());
+    for (uint64_t c : meta_vc.acked_cseqs) e->PutU64(c);
   });
 
   ShardCommitDecisionMsg decision(9);
@@ -528,10 +523,6 @@ TEST(WireFormatTest, TryFromRejectsMalformedBuffersPerKind) {
   LinearCertMsg lc(3);
   ExpectTryFromRejects<wire::LinearCertHeader>(lc, MsgKind::kLinearCert);
 
-  ShardPrepareVoteMsg vote(9);
-  ExpectTryFromRejects<wire::ShardPrepareVoteHeader>(
-      vote, MsgKind::kShardPrepareVote);
-
   ShardVoteCertMsg svc(9);
   svc.cert = MakeVoteCert();
   ExpectTryFromRejects<wire::ShardVoteCertHeader>(svc,
@@ -577,18 +568,14 @@ TEST(WireFormatTest, PackedFieldsRoundTripValues) {
 }
 
 TEST(WireFormatTest, ParsedViewFieldsMatchMessage) {
-  ShardPrepareVoteMsg vote(12);
-  vote.global_id = 0x1122334455667788ULL;
-  vote.shard = 3;
-  vote.seq = 901;
-  vote.commit = false;
-  const auto* h = wire::TryFrom<wire::ShardPrepareVoteHeader>(
-      vote.Serialized(), MsgKind::kShardPrepareVote);
+  ShardCommitDecisionMsg decision(12);
+  decision.global_id = 0x1122334455667788ULL;
+  decision.commit = false;
+  const auto* h = wire::TryFrom<wire::ShardCommitDecisionHeader>(
+      decision.Serialized(), MsgKind::kShardCommitDecision);
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->hdr.sender.get(), 12u);
   EXPECT_EQ(h->global_id.get(), 0x1122334455667788ULL);
-  EXPECT_EQ(h->shard.get(), 3u);
-  EXPECT_EQ(h->seq.get(), 901u);
   EXPECT_FALSE(h->commit.get());
   EXPECT_TRUE(h->commit.valid());
 }

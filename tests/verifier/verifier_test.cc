@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/certificate.h"
 #include "crypto/sha256.h"
 #include "sim/region.h"
 
@@ -95,6 +96,7 @@ class VerifierTest : public ::testing::Test {
     msg->batch_digest = digest;
     msg->cert = MakeCert(seq, digest);
     msg->rw = rw;
+    msg->txn_rws = {rw};
     msg->txn_refs.push_back({txn_id == 0 ? seq * 100 : txn_id, kClient});
     msg->result = result;
     msg->executor_sig = keys_.Sign(
@@ -112,6 +114,17 @@ class VerifierTest : public ::testing::Test {
     env.wire_bytes = msg->WireSize();
     env.message = msg;
     sim_.Schedule(0, [this, env]() { verifier_->OnMessage(env); });
+  }
+
+  /// The batch-level rw an executor signs: the per-transaction sets,
+  /// concatenated in order.
+  static storage::RwSet Concat(const std::vector<storage::RwSet>& txn_rws) {
+    storage::RwSet rw;
+    for (const storage::RwSet& t : txn_rws) {
+      rw.reads.insert(rw.reads.end(), t.reads.begin(), t.reads.end());
+      rw.writes.insert(rw.writes.end(), t.writes.begin(), t.writes.end());
+    }
+    return rw;
   }
 
   storage::RwSet CurrentRw() {
@@ -319,6 +332,7 @@ TEST_F(VerifierTest, PerTxnSettleAbortsOnlyStaleTransactions) {
     stale.reads.push_back({"user2", store_.VersionOf("user2") + 7});
     stale.writes.push_back({"user2", ToBytes("stale-write")});
     msg->txn_rws = {fresh, stale};
+    msg->rw = Concat(msg->txn_rws);
     msg->txn_refs.push_back({101, kClient});
     msg->txn_refs.push_back({102, kClient});
     msg->result = ToBytes("r");
@@ -361,6 +375,7 @@ TEST_F(VerifierTest, PerTxnTimerAbortsOnlyDivergentTransactions) {
     storage::RwSet divergent;
     divergent.reads.push_back({"user2", divergent_version});
     msg->txn_rws = {agreed, divergent};
+    msg->rw = Concat(msg->txn_rws);
     msg->txn_refs.push_back({201, kClient});
     msg->txn_refs.push_back({202, kClient});
     msg->result = ToBytes("r");
@@ -377,6 +392,120 @@ TEST_F(VerifierTest, PerTxnTimerAbortsOnlyDivergentTransactions) {
   EXPECT_EQ(verifier_->applied_txns(), 1u);
   EXPECT_EQ(verifier_->aborted_txns(), 1u);
   EXPECT_EQ(verifier_->kmax(), 2u);
+}
+
+TEST_F(VerifierTest, TxnRwsNotConcatenatingToRwRejected) {
+  // The executor signature covers only the batch-level rw; per-txn sets
+  // that do not concatenate to it (or miscount the refs) are rejected.
+  storage::RwSet rw = CurrentRw();
+  auto extra = MakeVerify(1, kFirstExecutor, rw, ToBytes("r"));
+  extra->txn_rws.push_back(storage::RwSet{});
+  Deliver(extra);
+  auto missing_write = MakeVerify(1, kFirstExecutor + 1, rw, ToBytes("r"));
+  missing_write->txn_rws[0].writes.clear();
+  Deliver(missing_write);
+  sim_.RunUntil(Millis(10));
+  EXPECT_EQ(verifier_->rejected_verifies(), 2u);
+}
+
+TEST_F(VerifierTest, TamperedTxnRwsOnFragmentBatchNeverPrepareOrApply) {
+  // A sharded fragment batch settles from the matched VERIFY's per-txn
+  // sets. A quorum-completing VERIFY with the honest signed rw but
+  // tampered per-txn sets must not get its unmatched write prepared —
+  // and, on COMMIT, applied.
+  constexpr ActorId kCoordinator = 888;
+  constexpr TxnId kGid = 777;
+  keys_.RegisterNode(999);  // The verifier signs its vote share.
+  RecorderActor coordinator(kCoordinator);
+  net_.Register(&coordinator, 0);
+
+  storage::RwSet rw = CurrentRw();
+  auto fragment = [&](ActorId executor) {
+    auto msg = MakeVerify(1, executor, rw, ToBytes("r"));
+    msg->txn_refs[0] = {(kGid << 8) | 1, kCoordinator, kGid, kCoordinator};
+    return msg;
+  };
+  Deliver(fragment(kFirstExecutor));
+  auto tampered = fragment(kFirstExecutor + 1);
+  tampered->txn_rws[0].writes.push_back({"user2", ToBytes("tampered")});
+  Deliver(tampered);
+  sim_.RunUntil(Millis(10));
+  EXPECT_EQ(verifier_->rejected_verifies(), 1u);
+  EXPECT_EQ(verifier_->twopc_votes_yes(), 0u);
+
+  // An honest VERIFY completes the quorum; the fragment prepares.
+  Deliver(fragment(kFirstExecutor + 2));
+  sim_.RunUntil(Millis(20));
+  EXPECT_EQ(verifier_->twopc_votes_yes(), 1u);
+
+  // COMMIT carrying this shard's genuine YES share.
+  auto decision = std::make_shared<shim::ShardCommitDecisionMsg>(kCoordinator);
+  decision->global_id = kGid;
+  decision->commit = true;
+  decision->proof.shares.push_back(
+      {kGid, 0, 1, true, 999,
+       keys_.Sign(999, crypto::VoteSigningBytes(kGid, 0, 1, true))});
+  sim::Envelope env;
+  env.from = kCoordinator;
+  env.to = 999;
+  env.wire_bytes = decision->WireSize();
+  env.message = decision;
+  verifier_->OnMessage(env);
+  EXPECT_EQ(verifier_->twopc_committed(), 1u);
+
+  storage::VersionedValue v;
+  ASSERT_TRUE(store_.Get("user1", &v).ok());
+  EXPECT_EQ(BytesToString(v.value), "updated");
+  ASSERT_TRUE(store_.Get("user2", &v).ok());
+  EXPECT_EQ(BytesToString(v.value), "b") << "unmatched write applied";
+}
+
+TEST_F(VerifierTest, ResplitTxnRwsNeverCompleteAQuorum) {
+  // Same signed rw, same concatenation — but the quorum-completing
+  // VERIFY moves the fragment's write into the plain transaction's set,
+  // which would apply it directly instead of preparing it.
+  constexpr ActorId kCoordinator = 888;
+  constexpr TxnId kGid = 777;
+  keys_.RegisterNode(999);
+  RecorderActor coordinator(kCoordinator);
+  net_.Register(&coordinator, 0);
+
+  storage::RwSet plain = CurrentRw();
+  storage::RwSet frag;
+  frag.reads.push_back({"user2", store_.VersionOf("user2")});
+  frag.writes.push_back({"user2", ToBytes("fragment")});
+  crypto::Digest digest = crypto::Sha256::Hash("batch-1");
+  auto make = [&](ActorId executor, std::vector<storage::RwSet> txn_rws) {
+    auto msg = std::make_shared<shim::VerifyMsg>(executor);
+    msg->seq = 1;
+    msg->batch_digest = digest;
+    msg->cert = MakeCert(1, digest);
+    msg->txn_rws = std::move(txn_rws);
+    msg->rw = Concat(msg->txn_rws);
+    msg->txn_refs.push_back({101, kClient});
+    msg->txn_refs.push_back({(kGid << 8) | 1, kCoordinator, kGid, kCoordinator});
+    msg->result = ToBytes("r");
+    msg->executor_sig = keys_.Sign(
+        executor, shim::VerifyMsg::SigningBytes(0, 1, digest, msg->rw,
+                                                msg->result));
+    return msg;
+  };
+  Deliver(make(kFirstExecutor, {plain, frag}));
+  Deliver(make(kFirstExecutor + 1, {Concat({plain, frag}), storage::RwSet{}}));
+  sim_.RunUntil(Millis(10));
+  EXPECT_EQ(verifier_->kmax(), 1u) << "re-split VERIFY completed a quorum";
+  storage::VersionedValue v;
+  ASSERT_TRUE(store_.Get("user2", &v).ok());
+  EXPECT_EQ(BytesToString(v.value), "b");
+
+  Deliver(make(kFirstExecutor + 2, {plain, frag}));
+  sim_.RunUntil(Millis(20));
+  EXPECT_EQ(verifier_->applied_txns(), 1u);
+  EXPECT_EQ(verifier_->twopc_votes_yes(), 1u);
+  ASSERT_TRUE(store_.Get("user1", &v).ok());
+  EXPECT_EQ(BytesToString(v.value), "updated");
+  ASSERT_TRUE(store_.Get("user2", &v).ok());
+  EXPECT_EQ(BytesToString(v.value), "b") << "fragment write applied unprepared";
 }
 
 TEST_F(VerifierTest, ClientResendAfterResponseIsReanswered) {
