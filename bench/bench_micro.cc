@@ -125,7 +125,9 @@ BENCHMARK(BM_KvStorePut);
 
 void BM_KvStoreGet(benchmark::State& state) {
   storage::KvStore store;
-  store.LoadYcsbRecords(100000, 100);
+  workload::YcsbConfig ycsb;
+  ycsb.record_count = 100000;
+  workload::YcsbGenerator(ycsb, Rng(1)).LoadInto(&store);
   Rng rng(5);
   storage::VersionedValue out;
   for (auto _ : state) {

@@ -1,8 +1,10 @@
 #include "storage/kv_store.h"
 
-#include "workload/ycsb_key.h"
-
 namespace sbft::storage {
+
+KvStore::Image KvStore::MakeImage(size_t value_size, uint8_t fill) {
+  return std::make_shared<const Bytes>(value_size, fill);
+}
 
 Status KvStore::Get(const std::string& key, VersionedValue* out) const {
   ++reads_;
@@ -10,7 +12,8 @@ Status KvStore::Get(const std::string& key, VersionedValue* out) const {
   if (it == map_.end()) {
     return Status::NotFound(key);
   }
-  *out = it->second;
+  out->value = *it->second.value;
+  out->version = it->second.version;
   return Status::Ok();
 }
 
@@ -25,19 +28,18 @@ bool KvStore::Contains(const std::string& key) const {
 
 void KvStore::Put(const std::string& key, Bytes value) {
   ++writes_;
-  VersionedValue& slot = map_[key];
-  slot.value = std::move(value);
+  Record& slot = map_[key];
+  slot.value = std::make_shared<const Bytes>(std::move(value));
+  ++slot.version;
+}
+
+void KvStore::Load(std::string key, const Image& image) {
+  ++writes_;
+  Record& slot = map_[std::move(key)];
+  slot.value = image;
   ++slot.version;
 }
 
 void KvStore::Delete(const std::string& key) { map_.erase(key); }
-
-void KvStore::LoadYcsbRecords(uint64_t count, size_t value_size) {
-  map_.reserve(map_.size() + count);
-  for (uint64_t i = 0; i < count; ++i) {
-    Bytes value(value_size, static_cast<uint8_t>('v'));
-    Put(workload::YcsbKey(i), std::move(value));
-  }
-}
 
 }  // namespace sbft::storage

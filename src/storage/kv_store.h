@@ -2,6 +2,7 @@
 #define SBFT_STORAGE_KV_STORE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 
@@ -24,9 +25,20 @@ struct VersionedValue {
 /// let the verifier run the paper's concurrency-control check ("is the
 /// value of rw the same as in the data-store", Fig. 3 line 32) by
 /// comparing versions instead of full values.
+///
+/// Values are copy-on-write: a load phase shares one immutable image
+/// across all its records, and a record gets a buffer of its own on its
+/// first Put. Memory is bounded by the record count plus the keys written
+/// since the load, not by records times value size.
 class KvStore {
  public:
+  /// An immutable value shared by the records of one load phase.
+  using Image = std::shared_ptr<const Bytes>;
+
   KvStore() = default;
+
+  /// A `value_size`-byte image of `fill`, for Load.
+  static Image MakeImage(size_t value_size, uint8_t fill);
 
   /// Reads a key. Returns NotFound for absent keys.
   Status Get(const std::string& key, VersionedValue* out) const;
@@ -41,19 +53,27 @@ class KvStore {
   /// Writes a key, bumping its version.
   void Put(const std::string& key, Bytes value);
 
+  /// Load phase: writes `key` like Put, sharing `image` instead of owning
+  /// a copy of the value.
+  void Load(std::string key, const Image& image);
+
+  /// Pre-sizes the table for `records` keys (before a load phase).
+  void Reserve(size_t records) { map_.reserve(records); }
+
   /// Removes a key (used by tests; the YCSB workloads only read/update).
   void Delete(const std::string& key);
-
-  /// Bulk-loads `count` records named "user<i>" with `value_size`-byte
-  /// values, mirroring a YCSB load phase (paper: 600 k records).
-  void LoadYcsbRecords(uint64_t count, size_t value_size);
 
   size_t size() const { return map_.size(); }
   uint64_t reads() const { return reads_; }
   uint64_t writes() const { return writes_; }
 
  private:
-  std::unordered_map<std::string, VersionedValue> map_;
+  struct Record {
+    Image value;
+    uint64_t version = 0;
+  };
+
+  std::unordered_map<std::string, Record> map_;
   mutable uint64_t reads_ = 0;
   uint64_t writes_ = 0;
 };

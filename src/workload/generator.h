@@ -1,6 +1,9 @@
 #ifndef SBFT_WORKLOAD_GENERATOR_H_
 #define SBFT_WORKLOAD_GENERATOR_H_
 
+#include <functional>
+#include <string>
+
 #include "common/ids.h"
 #include "storage/kv_store.h"
 #include "storage/shard_router.h"
@@ -23,13 +26,27 @@ class TxnGenerator {
   virtual Transaction Next(ActorId client) = 0;
 
   /// Loads the workload's records into the store (single-plane runs).
-  virtual void LoadInto(storage::KvStore* store) const = 0;
+  void LoadInto(storage::KvStore* store) const;
 
   /// Sharded load phase: loads only the records whose key hashes to
-  /// `shard` under `router`.
-  virtual void LoadInto(storage::KvStore* store,
-                        const storage::ShardRouter& router,
-                        uint32_t shard) const = 0;
+  /// `shard` under `router`. Every loaded record starts at version 1 and
+  /// shares one value image with the others (KvStore::Load).
+  void LoadInto(storage::KvStore* store, const storage::ShardRouter& router,
+                uint32_t shard) const;
+
+ protected:
+  /// The load phase: `records` keys, each with the same `value_size`-byte
+  /// value of `fill`.
+  struct LoadShape {
+    uint64_t records = 0;
+    size_t value_size = 0;
+    uint8_t fill = 0;
+  };
+  virtual LoadShape Shape() const = 0;
+
+  /// Calls `emit` once for each of the Shape().records record keys.
+  virtual void ForEachRecordKey(
+      const std::function<void(std::string)>& emit) const = 0;
 };
 
 }  // namespace sbft::workload

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "storage/shard_router.h"
-
 namespace sbft::workload {
 
 TpccGenerator::TpccGenerator(const TpccConfig& config, Rng rng)
@@ -25,37 +23,28 @@ std::string TpccGenerator::StockKey(uint32_t w, uint32_t i) {
   return "ts" + std::to_string(w) + "_" + std::to_string(i);
 }
 
-template <typename Put>
-void TpccGenerator::LoadRows(Put put) const {
+TxnGenerator::LoadShape TpccGenerator::Shape() const {
+  uint64_t w = config_.warehouses;
+  uint64_t rows =
+      w * (1 + config_.districts_per_warehouse + config_.items) +
+      config_.items;
+  return {rows, config_.value_size, 't'};
+}
+
+void TpccGenerator::ForEachRecordKey(
+    const std::function<void(std::string)>& emit) const {
   for (uint32_t w = 0; w < config_.warehouses; ++w) {
-    put(WarehouseKey(w));
+    emit(WarehouseKey(w));
     for (uint32_t d = 0; d < config_.districts_per_warehouse; ++d) {
-      put(DistrictKey(w, d));
+      emit(DistrictKey(w, d));
     }
     for (uint32_t i = 0; i < config_.items; ++i) {
-      put(StockKey(w, i));
+      emit(StockKey(w, i));
     }
   }
   for (uint32_t i = 0; i < config_.items; ++i) {
-    put(ItemKey(i));
+    emit(ItemKey(i));
   }
-}
-
-void TpccGenerator::LoadInto(storage::KvStore* store) const {
-  LoadRows([&](std::string key) {
-    Bytes value(config_.value_size, static_cast<uint8_t>('t'));
-    store->Put(std::move(key), std::move(value));
-  });
-}
-
-void TpccGenerator::LoadInto(storage::KvStore* store,
-                             const storage::ShardRouter& router,
-                             uint32_t shard) const {
-  LoadRows([&](std::string key) {
-    if (router.ShardOf(key) != shard) return;
-    Bytes value(config_.value_size, static_cast<uint8_t>('t'));
-    store->Put(std::move(key), std::move(value));
-  });
 }
 
 Transaction TpccGenerator::Next(ActorId client) {

@@ -47,9 +47,6 @@ class TpccGenerator : public TxnGenerator {
   TpccGenerator(const TpccConfig& config, Rng rng);
 
   Transaction Next(ActorId client) override;
-  void LoadInto(storage::KvStore* store) const override;
-  void LoadInto(storage::KvStore* store, const storage::ShardRouter& router,
-                uint32_t shard) const override;
 
   static std::string WarehouseKey(uint32_t w);
   static std::string DistrictKey(uint32_t w, uint32_t d);
@@ -58,10 +55,13 @@ class TpccGenerator : public TxnGenerator {
 
   const TpccConfig& config() const { return config_; }
 
- private:
-  template <typename Put>
-  void LoadRows(Put put) const;
+ protected:
+  /// Every warehouse, district, stock and item row.
+  LoadShape Shape() const override;
+  void ForEachRecordKey(
+      const std::function<void(std::string)>& emit) const override;
 
+ private:
   TpccConfig config_;
   Rng rng_;
   TxnId next_txn_id_ = 1;

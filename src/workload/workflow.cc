@@ -23,24 +23,16 @@ uint32_t WorkflowGenerator::NextSlot() {
   return static_cast<uint32_t>(slots_->NextIndex(&rng_));
 }
 
-void WorkflowGenerator::LoadInto(storage::KvStore* store) const {
-  for (uint32_t fn = 0; fn < config_.functions; ++fn) {
-    for (uint32_t s = 0; s < config_.state_keys_per_function; ++s) {
-      Bytes value(config_.value_size, static_cast<uint8_t>('f'));
-      store->Put(StateKey(fn, s), std::move(value));
-    }
-  }
+TxnGenerator::LoadShape WorkflowGenerator::Shape() const {
+  return {uint64_t{config_.functions} * config_.state_keys_per_function,
+          config_.value_size, 'f'};
 }
 
-void WorkflowGenerator::LoadInto(storage::KvStore* store,
-                                 const storage::ShardRouter& router,
-                                 uint32_t shard) const {
+void WorkflowGenerator::ForEachRecordKey(
+    const std::function<void(std::string)>& emit) const {
   for (uint32_t fn = 0; fn < config_.functions; ++fn) {
     for (uint32_t s = 0; s < config_.state_keys_per_function; ++s) {
-      std::string key = StateKey(fn, s);
-      if (router.ShardOf(key) != shard) continue;
-      Bytes value(config_.value_size, static_cast<uint8_t>('f'));
-      store->Put(std::move(key), std::move(value));
+      emit(StateKey(fn, s));
     }
   }
 }

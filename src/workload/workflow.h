@@ -50,9 +50,6 @@ class WorkflowGenerator : public TxnGenerator {
   /// One fresh chain's first hop (TxnGenerator interface; sources in
   /// chain mode call HopTxn directly).
   Transaction Next(ActorId client) override;
-  void LoadInto(storage::KvStore* store) const override;
-  void LoadInto(storage::KvStore* store, const storage::ShardRouter& router,
-                uint32_t shard) const override;
 
   /// Transaction for hop `hop` of chain `chain_id` on behalf of
   /// `source`. Each call draws fresh slots and a fresh txn id — calling
@@ -65,6 +62,12 @@ class WorkflowGenerator : public TxnGenerator {
   static std::string StateKey(uint32_t fn, uint32_t slot);
 
   const WorkflowConfig& config() const { return config_; }
+
+ protected:
+  /// Every state slot of every function.
+  LoadShape Shape() const override;
+  void ForEachRecordKey(
+      const std::function<void(std::string)>& emit) const override;
 
  private:
   uint32_t NextSlot();

@@ -16,19 +16,13 @@ YcsbGenerator::YcsbGenerator(const YcsbConfig& config, Rng rng)
       keys_(MakeKeyDistribution(config.record_count, config.zipf_theta,
                                 100000)) {}
 
-void YcsbGenerator::LoadInto(storage::KvStore* store) const {
-  store->LoadYcsbRecords(config_.record_count, config_.value_size);
+TxnGenerator::LoadShape YcsbGenerator::Shape() const {
+  return {config_.record_count, config_.value_size, 'v'};
 }
 
-void YcsbGenerator::LoadInto(storage::KvStore* store,
-                             const storage::ShardRouter& router,
-                             uint32_t shard) const {
-  for (uint64_t i = 0; i < config_.record_count; ++i) {
-    std::string key = YcsbKey(i);
-    if (router.ShardOf(key) != shard) continue;
-    Bytes value(config_.value_size, static_cast<uint8_t>('v'));
-    store->Put(std::move(key), std::move(value));
-  }
+void YcsbGenerator::ForEachRecordKey(
+    const std::function<void(std::string)>& emit) const {
+  for (uint64_t i = 0; i < config_.record_count; ++i) emit(YcsbKey(i));
 }
 
 std::string YcsbGenerator::KeyFor(uint64_t index) { return YcsbKey(index); }

@@ -64,15 +64,6 @@ class YcsbGenerator : public TxnGenerator {
  public:
   YcsbGenerator(const YcsbConfig& config, Rng rng);
 
-  /// Loads the configured records into the store (the YCSB load phase).
-  void LoadInto(storage::KvStore* store) const override;
-
-  /// Sharded load phase: loads only the records whose key hashes to
-  /// `shard` under `router` — each shard plane's store holds exactly its
-  /// partition of the keyspace.
-  void LoadInto(storage::KvStore* store, const storage::ShardRouter& router,
-                uint32_t shard) const override;
-
   /// Generates the next transaction on behalf of `client`.
   Transaction Next(ActorId client) override;
 
@@ -80,6 +71,12 @@ class YcsbGenerator : public TxnGenerator {
   static std::string KeyFor(uint64_t index);
 
   const YcsbConfig& config() const { return config_; }
+
+ protected:
+  /// The YCSB load phase: "user0".."user<record_count-1>".
+  LoadShape Shape() const override;
+  void ForEachRecordKey(
+      const std::function<void(std::string)>& emit) const override;
 
  private:
   uint64_t NextKeyIndex();

@@ -43,15 +43,42 @@ TEST(KvStoreTest, DeleteRemovesKey) {
   EXPECT_EQ(store.VersionOf("k"), 0u);
 }
 
-TEST(KvStoreTest, LoadYcsbRecords) {
+TEST(KvStoreTest, LoadSharesOneImageUntilPut) {
   KvStore store;
-  store.LoadYcsbRecords(1000, 100);
+  const Bytes fill(100, 'v');
+  KvStore::Image image = KvStore::MakeImage(100, 'v');
+  for (int i = 0; i < 1000; ++i) store.Load("user" + std::to_string(i), image);
   EXPECT_EQ(store.size(), 1000u);
+  EXPECT_EQ(store.writes(), 1000u);
+  EXPECT_EQ(image.use_count(), 1001);  // One buffer for every record.
   VersionedValue out;
-  ASSERT_TRUE(store.Get("user0", &out).ok());
   ASSERT_TRUE(store.Get("user999", &out).ok());
-  EXPECT_EQ(out.value.size(), 100u);
+  EXPECT_EQ(out.value, fill);
+  EXPECT_EQ(out.version, 1u);
   EXPECT_FALSE(store.Contains("user1000"));
+
+  // The first Put gives a key its own buffer; its neighbours keep the
+  // image and version 1.
+  store.Put("user7", ToBytes("mine"));
+  EXPECT_EQ(image.use_count(), 1000);
+  EXPECT_EQ(*image, fill);
+  ASSERT_TRUE(store.Get("user7", &out).ok());
+  EXPECT_EQ(BytesToString(out.value), "mine");
+  EXPECT_EQ(out.version, 2u);
+  for (const char* key : {"user6", "user8"}) {
+    ASSERT_TRUE(store.Get(key, &out).ok());
+    EXPECT_EQ(out.value, fill) << key;
+    EXPECT_EQ(out.version, 1u) << key;
+  }
+
+  // Delete drops the record; a reload starts its versions over.
+  store.Delete("user8");
+  EXPECT_FALSE(store.Contains("user8"));
+  EXPECT_EQ(store.VersionOf("user8"), 0u);
+  store.Load("user8", image);
+  EXPECT_EQ(store.VersionOf("user8"), 1u);
+  store.Put("user8", ToBytes("x"));
+  EXPECT_EQ(store.VersionOf("user8"), 2u);
 }
 
 TEST(KvStoreTest, StatsCountAccesses) {
