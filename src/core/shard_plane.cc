@@ -285,8 +285,8 @@ void ShardPlane::WireCommitCallbacks() {
         replica->SetRespawnCallback(
             [this, node](SeqNum seq) { spawner_->OnRespawn(node, seq); });
         replica->SetResponseObserver(
-            [this](const shim::ResponseMsg& msg) {
-              spawner_->OnResponse(msg.seq);
+            [this](ActorId from, const shim::ResponseMsg& msg) {
+              OnShimResponse(from, msg);
             });
       }
       break;
@@ -338,10 +338,18 @@ void ShardPlane::WirePbftCallbacks() {
     replica->SetRespawnCallback(
         [this, node](SeqNum seq) { spawner_->OnRespawn(node, seq); });
     replica->SetResponseObserver(
-        [this](const shim::ResponseMsg& msg) {
-          spawner_->OnResponse(msg.seq);
+        [this](ActorId from, const shim::ResponseMsg& msg) {
+          OnShimResponse(from, msg);
         });
   }
+}
+
+void ShardPlane::OnShimResponse(ActorId from, const shim::ResponseMsg& msg) {
+  // Only this plane's verifier settles sequences. A RESPONSE from anyone
+  // else (a byzantine shim node) would release §VI-C locks early and
+  // prune respawn work the verifier still needs.
+  if (from != VerifierId(shard_)) return;
+  spawner_->OnResponse(msg.seq);
 }
 
 void ShardPlane::WirePbftBaselineExecution() {

@@ -102,6 +102,8 @@ class ShardPlane {
   void WireCommitCallbacks();
   void WirePbftCallbacks();
   void WirePbftBaselineExecution();
+  /// A RESPONSE reached one of this plane's BFT shim nodes.
+  void OnShimResponse(ActorId from, const shim::ResponseMsg& msg);
 
   sim::Network::CostFn ShimCostFn() const;
   sim::Network::CostFn VerifierCostFn() const;

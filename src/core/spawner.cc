@@ -17,7 +17,9 @@ Spawner::Spawner(const SystemConfig& config,
       keys_(keys),
       sim_(sim),
       verifier_(verifier),
-      storage_(storage) {
+      storage_(storage),
+      respawns_(config.protocol == Protocol::kServerlessBft ||
+                config.protocol == Protocol::kServerlessBftLinear) {
   // Executors round-robin over AWS regions 1..executor_regions (region 0
   // is the OCI/on-premise site).
   for (uint32_t r = 1; r <= config_.executor_regions; ++r) {
@@ -65,17 +67,18 @@ void Spawner::OnCommit(ActorId node, bool is_primary,
                                                : configured_behavior;
   // Record the EXECUTE payload on every node's commit so a *new* primary
   // can satisfy respawn requests for sequences the old primary spawned
-  // short (§V-A recovery).
-  if (!recent_work_.contains(seq)) {
-    recent_work_[seq] = BuildWork(node, seq, view, batch, cert);
-    if (recent_work_.size() > 4096) {
-      recent_work_.erase(recent_work_.begin());
-    }
+  // short (§V-A recovery) — unless the verifier already settled it (a
+  // late backup commit).
+  std::shared_ptr<const shim::ExecuteMsg> work;
+  auto cached = recent_work_.find(seq);
+  if (cached != recent_work_.end()) {
+    work = cached->second;
+  } else {
+    work = BuildWork(node, seq, view, batch, cert);
+    if (respawns_ && seq > settled_seq_) recent_work_.emplace(seq, work);
   }
   uint32_t count = ExecutorsForNode(is_primary);
   if (count == 0) return;
-
-  std::shared_ptr<const shim::ExecuteMsg> work = recent_work_[seq];
 
   // §VI-C best-effort conflict avoidance (primary-only, known rw sets):
   // admit batches to the lock stage in sequence order.
@@ -232,6 +235,12 @@ bool Spawner::BlockedByPrepareLocks(
 }
 
 void Spawner::OnResponse(SeqNum seq) {
+  // The verifier settles in sequence order, so every sequence up to `seq`
+  // is settled and a respawn for one would only feed the flooding filter.
+  if (seq > settled_seq_) {
+    settled_seq_ = seq;
+    recent_work_.erase(recent_work_.begin(), recent_work_.upper_bound(seq));
+  }
   lock_stage_.ReleaseOwner(seq);
   ProcessLockStage();
 }

@@ -42,9 +42,12 @@ class Spawner {
                 const crypto::CommitCertificate& cert);
 
   /// Re-spawns executors for a sequence (verifier ERROR(kmax) recovery).
+  /// A no-op for a sequence the verifier has settled.
   void OnRespawn(ActorId node, SeqNum seq);
 
-  /// Verifier RESPONSE reached the primary: release §VI-C locks.
+  /// Verifier RESPONSE reached the primary: release §VI-C locks, and
+  /// record that every sequence up to `seq` is settled. The caller must
+  /// have checked that the RESPONSE came from the verifier.
   void OnResponse(SeqNum seq);
 
   /// Read-only view of the verifier's 2PC prepare locks (the shared
@@ -83,6 +86,10 @@ class Spawner {
     return batches_held_on_prepare_locks_;
   }
   size_t locked_keys() const { return lock_stage_.size(); }
+  /// EXECUTE payloads held for respawns.
+  size_t respawn_cache_size() const { return recent_work_.size(); }
+  /// Highest sequence a verifier RESPONSE has reported settled.
+  SeqNum settled_seq() const { return settled_seq_; }
 
  private:
   struct QueuedBatch {
@@ -136,8 +143,13 @@ class Spawner {
   std::vector<sim::RegionId> regions_;
   size_t next_region_ = 0;
 
-  // Recent EXECUTE payloads for respawn requests (bounded).
+  // Whether the shim can ask for respawns (the BFT shims' ERROR(kmax)).
+  bool respawns_;
+  // EXECUTE payloads for respawn requests, kept only above settled_seq_:
+  // the verifier drops VERIFYs of settled sequences (§V-C), so the cache
+  // is bounded by how far the verifier lags behind consensus.
   std::map<SeqNum, std::shared_ptr<const shim::ExecuteMsg>> recent_work_;
+  SeqNum settled_seq_ = 0;
 
   // Runtime byzantine-spawning overrides (fault engine), by node id.
   std::unordered_map<ActorId, shim::ByzantineBehavior> behavior_overrides_;

@@ -68,7 +68,9 @@ void LinearBftReplica::OnMessage(const sim::Envelope& env) {
       break;
     case MsgKind::kResponse: {
       const auto* msg = MessageAs<ResponseMsg>(env, MsgKind::kResponse);
-      if (msg != nullptr && response_observer_) response_observer_(*msg);
+      if (msg != nullptr && response_observer_) {
+        response_observer_(env.from, *msg);
+      }
       break;
     }
     default:

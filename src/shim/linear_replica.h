@@ -38,7 +38,9 @@ class LinearBftReplica : public sim::Actor {
       SeqNum seq, ViewNum view, const workload::BatchPtr& batch,
       const crypto::CommitCertificate& cert)>;
   using RespawnCallback = std::function<void(SeqNum seq)>;
-  using ResponseObserver = std::function<void(const ResponseMsg& msg)>;
+  /// `from` is the RESPONSE envelope's sender: the observer must check it.
+  using ResponseObserver =
+      std::function<void(ActorId from, const ResponseMsg& msg)>;
 
   LinearBftReplica(ActorId id, uint32_t index, const ShimConfig& config,
                    std::vector<ActorId> peers, crypto::KeyRegistry* keys,

@@ -82,7 +82,9 @@ void PbftReplica::OnMessage(const sim::Envelope& env) {
       break;
     case MsgKind::kResponse: {
       const auto* msg = MessageAs<ResponseMsg>(env, MsgKind::kResponse);
-      if (msg != nullptr && response_observer_) response_observer_(*msg);
+      if (msg != nullptr && response_observer_) {
+        response_observer_(env.from, *msg);
+      }
       break;
     }
     default:

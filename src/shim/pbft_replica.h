@@ -40,9 +40,11 @@ class PbftReplica : public sim::Actor {
   /// an already-committed sequence must be re-spawned.
   using RespawnCallback = std::function<void(SeqNum seq)>;
 
-  /// Fired when the verifier notifies this node of a validated sequence
-  /// (RESPONSE to primary, Fig. 3 line 33) — releases §VI-C locks.
-  using ResponseObserver = std::function<void(const ResponseMsg& msg)>;
+  /// Fired when a RESPONSE reaches this node — from the verifier, it
+  /// notifies a validated sequence (Fig. 3 line 33) and releases §VI-C
+  /// locks. `from` is the envelope's sender: the observer must check it.
+  using ResponseObserver =
+      std::function<void(ActorId from, const ResponseMsg& msg)>;
 
   /// `index` is the node's position in `peers` (identifier 0..n-1, §IV-B);
   /// the primary of view v is peers[v mod n].

@@ -180,6 +180,56 @@ TEST(AttacksTest, FloodCountReportsTheMeasurementWindowOnly) {
   EXPECT_EQ(report.verifier_floods_ignored, at_end - at_warmup);
 }
 
+/// Delivers a RESPONSE for every sequence in [1, last] to `node`, as if
+/// `from` had sent it.
+void DeliverResponses(shim::PbftReplica* node, ActorId from, SeqNum last) {
+  for (SeqNum seq = 1; seq <= last; ++seq) {
+    auto response = std::make_shared<shim::ResponseMsg>(from);
+    response->seq = seq;
+    sim::Envelope env;
+    env.from = from;
+    env.to = node->id();
+    env.message = response;
+    node->OnMessage(env);
+  }
+}
+
+TEST(AttacksTest, ForgedResponseFromShimNodeIsIgnored) {
+  // Only the plane's verifier settles sequences. A byzantine shim node
+  // forging RESPONSEs to the primary must neither release §VI-C
+  // conflict-avoidance locks nor advance the spawner's settle point,
+  // which prunes the respawn cache.
+  SystemConfig config = BaseConfig();
+  config.conflict_avoidance = true;
+  config.workload.rw_sets_known = true;
+  Architecture arch(config);
+  arch.Start();
+  Spawner* spawner = arch.spawner();
+  SimTime now = 0;
+  while (spawner->locked_keys() == 0 && now < Seconds(3)) {
+    now += Millis(1);
+    arch.simulator()->RunUntil(now);
+  }
+  ASSERT_GT(spawner->locked_keys(), 0u);
+  ASSERT_GT(spawner->respawn_cache_size(), 0u);
+  const size_t locked = spawner->locked_keys();
+  const size_t cached = spawner->respawn_cache_size();
+  const SeqNum settled = spawner->settled_seq();
+  const SeqNum last = settled + 1000;
+
+  shim::PbftReplica* primary = arch.pbft_replicas()[0];
+  ASSERT_TRUE(primary->IsPrimary());
+  DeliverResponses(primary, arch.plane(0)->shim_ids()[1], last);
+  EXPECT_EQ(spawner->locked_keys(), locked);
+  EXPECT_EQ(spawner->respawn_cache_size(), cached);
+  EXPECT_EQ(spawner->settled_seq(), settled);
+
+  // The same messages from the verifier do take effect.
+  DeliverResponses(primary, arch.plane(0)->verifier_id(), last);
+  EXPECT_EQ(spawner->settled_seq(), last);
+  EXPECT_EQ(spawner->respawn_cache_size(), 0u);
+}
+
 TEST(AttacksTest, LinearShimRecoversFromCrashedPrimary) {
   // The §IV-B linear shim must survive the same faults: a crashed
   // primary is replaced via the τ_m timers and the coordinated view

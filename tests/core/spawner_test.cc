@@ -186,6 +186,53 @@ TEST_F(SpawnerTest, RespawnWorksEvenIfOnlyBackupCommitted) {
   EXPECT_EQ(spawner.executors_spawned(), 3u);
 }
 
+TEST_F(SpawnerTest, RespawnSkipsSettledSequences) {
+  // The verifier drops VERIFYs of a settled sequence, so only an
+  // unsettled one is worth new executors.
+  SystemConfig config;
+  config.shim.n = 4;
+  config.n_e = 3;
+  Spawner spawner = MakeSpawner(config);
+  Commit(spawner, 1, {"a"});
+  Commit(spawner, 2, {"b"});
+  EXPECT_EQ(spawner.executors_spawned(), 6u);
+  spawner.OnResponse(1);  // The verifier settled seq 1.
+  EXPECT_EQ(spawner.settled_seq(), 1u);
+  spawner.OnRespawn(2, 2);  // Unsettled: n_E executors.
+  EXPECT_EQ(spawner.executors_spawned(), 9u);
+  spawner.OnRespawn(2, 1);  // Settled: none.
+  EXPECT_EQ(spawner.executors_spawned(), 9u);
+  // A late backup commit of a settled sequence is not cached again.
+  Commit(spawner, 1, {"a"}, /*is_primary=*/false);
+  spawner.OnRespawn(2, 1);
+  EXPECT_EQ(spawner.executors_spawned(), 9u);
+  EXPECT_EQ(spawner.respawn_cache_size(), 1u);  // Seq 2 only.
+}
+
+TEST_F(SpawnerTest, RespawnCacheBoundedBySettleLag) {
+  // Hundreds of batches, committed out of order within a pipeline window
+  // and settled `kLag` sequences behind: the cache holds only what the
+  // verifier has not settled, not the run's history.
+  SystemConfig config;
+  config.shim.n = 4;
+  config.n_e = 3;
+  Spawner spawner = MakeSpawner(config);
+  constexpr SeqNum kWidth = 8;
+  constexpr SeqNum kLag = 20;
+  SeqNum committed = 0;
+  for (SeqNum base = 1; base <= 400; base += kWidth) {
+    for (SeqNum i = kWidth; i-- > 0;) {
+      Commit(spawner, base + i, {"k"}, /*is_primary=*/false);
+    }
+    committed = base + kWidth - 1;
+    if (committed > kLag) spawner.OnResponse(committed - kLag);
+    EXPECT_LE(spawner.respawn_cache_size(),
+              committed - spawner.settled_seq() + kWidth);
+  }
+  EXPECT_EQ(committed, 400u);
+  EXPECT_EQ(spawner.respawn_cache_size(), kLag);
+}
+
 TEST_F(SpawnerTest, LockStageSerializesConflictingBatches) {
   SystemConfig config;
   config.shim.n = 4;
