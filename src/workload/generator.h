@@ -26,27 +26,35 @@ class TxnGenerator {
   virtual Transaction Next(ActorId client) = 0;
 
   /// Loads the workload's records into the store (single-plane runs).
-  void LoadInto(storage::KvStore* store) const;
+  void LoadInto(storage::KvStore* store) const {
+    LoadInto(store, storage::ShardRouter(1), 0);
+  }
 
   /// Sharded load phase: loads only the records whose key hashes to
-  /// `shard` under `router`. Every loaded record starts at version 1 and
-  /// shares one value image with the others (KvStore::Load).
+  /// `shard` under `router`. Every record starts at version 1 and shares
+  /// the generator's one value image (KvStore::Load).
   void LoadInto(storage::KvStore* store, const storage::ShardRouter& router,
-                uint32_t shard) const;
+                uint32_t shard) const {
+    store->Reserve(records_ / router.shard_count());
+    ForEachRecordKey([&](std::string key) {
+      if (router.ShardOf(key) == shard) store->Load(std::move(key), image_);
+    });
+  }
 
  protected:
-  /// The load phase: `records` keys, each with the same `value_size`-byte
-  /// value of `fill`.
-  struct LoadShape {
-    uint64_t records = 0;
-    size_t value_size = 0;
-    uint8_t fill = 0;
-  };
-  virtual LoadShape Shape() const = 0;
+  /// The load phase has about `records` records, each with the same
+  /// `value_size`-byte value of `fill`.
+  TxnGenerator(uint64_t records, size_t value_size, uint8_t fill)
+      : records_(records),
+        image_(storage::KvStore::MakeImage(value_size, fill)) {}
 
-  /// Calls `emit` once for each of the Shape().records record keys.
+  /// Calls `emit` once per record key of the load phase.
   virtual void ForEachRecordKey(
       const std::function<void(std::string)>& emit) const = 0;
+
+ private:
+  uint64_t records_;
+  storage::KvStore::Image image_;
 };
 
 }  // namespace sbft::workload

@@ -5,7 +5,11 @@
 namespace sbft::workload {
 
 TpccGenerator::TpccGenerator(const TpccConfig& config, Rng rng)
-    : config_(config),
+    : TxnGenerator(uint64_t{config.warehouses} *
+                           (1 + config.districts_per_warehouse + config.items) +
+                       config.items,
+                   config.value_size, 't'),
+      config_(config),
       rng_(rng),
       warehouses_(MakeKeyDistribution(std::max<uint32_t>(config.warehouses, 1),
                                       config.zipf_theta, 0)) {}
@@ -21,14 +25,6 @@ std::string TpccGenerator::ItemKey(uint32_t i) {
 }
 std::string TpccGenerator::StockKey(uint32_t w, uint32_t i) {
   return "ts" + std::to_string(w) + "_" + std::to_string(i);
-}
-
-TxnGenerator::LoadShape TpccGenerator::Shape() const {
-  uint64_t w = config_.warehouses;
-  uint64_t rows =
-      w * (1 + config_.districts_per_warehouse + config_.items) +
-      config_.items;
-  return {rows, config_.value_size, 't'};
 }
 
 void TpccGenerator::ForEachRecordKey(

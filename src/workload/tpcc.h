@@ -57,7 +57,6 @@ class TpccGenerator : public TxnGenerator {
 
  protected:
   /// Every warehouse, district, stock and item row.
-  LoadShape Shape() const override;
   void ForEachRecordKey(
       const std::function<void(std::string)>& emit) const override;
 

@@ -7,7 +7,10 @@
 namespace sbft::workload {
 
 WorkflowGenerator::WorkflowGenerator(const WorkflowConfig& config, Rng rng)
-    : config_(config), rng_(rng) {
+    : TxnGenerator(uint64_t{config.functions} * config.state_keys_per_function,
+                   config.value_size, 'f'),
+      config_(config),
+      rng_(rng) {
   config_.functions = std::max<uint32_t>(config_.functions, 1);
   config_.state_keys_per_function =
       std::max<uint32_t>(config_.state_keys_per_function, 1);
@@ -21,11 +24,6 @@ std::string WorkflowGenerator::StateKey(uint32_t fn, uint32_t slot) {
 
 uint32_t WorkflowGenerator::NextSlot() {
   return static_cast<uint32_t>(slots_->NextIndex(&rng_));
-}
-
-TxnGenerator::LoadShape WorkflowGenerator::Shape() const {
-  return {uint64_t{config_.functions} * config_.state_keys_per_function,
-          config_.value_size, 'f'};
 }
 
 void WorkflowGenerator::ForEachRecordKey(

@@ -65,7 +65,6 @@ class WorkflowGenerator : public TxnGenerator {
 
  protected:
   /// Every state slot of every function.
-  LoadShape Shape() const override;
   void ForEachRecordKey(
       const std::function<void(std::string)>& emit) const override;
 

@@ -8,17 +8,14 @@
 namespace sbft::workload {
 
 YcsbGenerator::YcsbGenerator(const YcsbConfig& config, Rng rng)
-    : config_(config),
+    : TxnGenerator(config.record_count, config.value_size, 'v'),
+      config_(config),
       rng_(rng),
       // The 100k cap bounds the zipfian harmonic-sum precomputation;
       // beyond it the tail weights are negligible and construction stays
       // O(1e5). Uniform sampling covers the full record count.
       keys_(MakeKeyDistribution(config.record_count, config.zipf_theta,
                                 100000)) {}
-
-TxnGenerator::LoadShape YcsbGenerator::Shape() const {
-  return {config_.record_count, config_.value_size, 'v'};
-}
 
 void YcsbGenerator::ForEachRecordKey(
     const std::function<void(std::string)>& emit) const {

@@ -74,7 +74,6 @@ class YcsbGenerator : public TxnGenerator {
 
  protected:
   /// The YCSB load phase: "user0".."user<record_count-1>".
-  LoadShape Shape() const override;
   void ForEachRecordKey(
       const std::function<void(std::string)>& emit) const override;
 
