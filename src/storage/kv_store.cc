@@ -2,10 +2,6 @@
 
 namespace sbft::storage {
 
-KvStore::Image KvStore::MakeImage(size_t value_size, uint8_t fill) {
-  return std::make_shared<const Bytes>(value_size, fill);
-}
-
 Status KvStore::Get(const std::string& key, VersionedValue* out) const {
   ++reads_;
   auto it = map_.find(key);

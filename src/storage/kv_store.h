@@ -37,9 +37,6 @@ class KvStore {
 
   KvStore() = default;
 
-  /// A `value_size`-byte image of `fill`, for Load.
-  static Image MakeImage(size_t value_size, uint8_t fill);
-
   /// Reads a key. Returns NotFound for absent keys.
   Status Get(const std::string& key, VersionedValue* out) const;
 

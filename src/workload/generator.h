@@ -2,6 +2,7 @@
 #define SBFT_WORKLOAD_GENERATOR_H_
 
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "common/ids.h"
@@ -46,7 +47,7 @@ class TxnGenerator {
   /// `value_size`-byte value of `fill`.
   TxnGenerator(uint64_t records, size_t value_size, uint8_t fill)
       : records_(records),
-        image_(storage::KvStore::MakeImage(value_size, fill)) {}
+        image_(std::make_shared<const Bytes>(value_size, fill)) {}
 
   /// Calls `emit` once per record key of the load phase.
   virtual void ForEachRecordKey(

@@ -46,7 +46,7 @@ TEST(KvStoreTest, DeleteRemovesKey) {
 TEST(KvStoreTest, LoadSharesOneImageUntilPut) {
   KvStore store;
   const Bytes fill(100, 'v');
-  KvStore::Image image = KvStore::MakeImage(100, 'v');
+  KvStore::Image image = std::make_shared<const Bytes>(fill);
   for (int i = 0; i < 1000; ++i) store.Load("user" + std::to_string(i), image);
   EXPECT_EQ(store.size(), 1000u);
   EXPECT_EQ(store.writes(), 1000u);
