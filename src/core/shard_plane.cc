@@ -346,8 +346,9 @@ void ShardPlane::WirePbftCallbacks() {
 
 void ShardPlane::OnShimResponse(ActorId from, const shim::ResponseMsg& msg) {
   // Only this plane's verifier settles sequences. A RESPONSE from anyone
-  // else (a byzantine shim node) would release §VI-C locks early and
-  // prune respawn work the verifier still needs.
+  // else (a byzantine shim node) would release §VI-C locks early, prune
+  // respawn work the verifier still needs, and retire the keys of
+  // executors whose VERIFYs the verifier has yet to check.
   if (from != VerifierId(shard_)) return;
   spawner_->OnResponse(msg.seq);
 }

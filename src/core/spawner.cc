@@ -26,6 +26,9 @@ Spawner::Spawner(const SystemConfig& config,
     regions_.push_back(r);
   }
   if (regions_.empty()) regions_.push_back(1);
+  // The BFT shims report settles (OnResponse), so the cloud can retire
+  // executor keys at the settle point; the others keep them.
+  if (respawns_) cloud_->RetireKeysAtSettle();
 }
 
 uint32_t Spawner::ExecutorsForNode(bool is_primary) const {
@@ -240,6 +243,7 @@ void Spawner::OnResponse(SeqNum seq) {
   if (seq > settled_seq_) {
     settled_seq_ = seq;
     recent_work_.erase(recent_work_.begin(), recent_work_.upper_bound(seq));
+    cloud_->OnSettled(seq);
   }
   lock_stage_.ReleaseOwner(seq);
   ProcessLockStage();

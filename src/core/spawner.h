@@ -46,8 +46,10 @@ class Spawner {
   void OnRespawn(ActorId node, SeqNum seq);
 
   /// Verifier RESPONSE reached the primary: release §VI-C locks, and
-  /// record that every sequence up to `seq` is settled. The caller must
-  /// have checked that the RESPONSE came from the verifier.
+  /// record that every sequence up to `seq` is settled, which prunes the
+  /// respawn cache and retires finished executors' keys
+  /// (CloudSimulator::OnSettled). The caller must have checked that the
+  /// RESPONSE came from the verifier.
   void OnResponse(SeqNum seq);
 
   /// Read-only view of the verifier's 2PC prepare locks (the shared
@@ -144,6 +146,7 @@ class Spawner {
   size_t next_region_ = 0;
 
   // Whether the shim can ask for respawns (the BFT shims' ERROR(kmax)).
+  // The same shims deliver the verifier's RESPONSE to OnResponse.
   bool respawns_;
   // EXECUTE payloads for respawn requests, kept only above settled_seq_:
   // the verifier drops VERIFYs of settled sequences (§V-C), so the cache

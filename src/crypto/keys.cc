@@ -1,6 +1,7 @@
 #include "crypto/keys.h"
 
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <mutex>
 #include <shared_mutex>
 
@@ -78,19 +79,28 @@ bool KeyRegistry::IsRegistered(ActorId id) const {
   return nodes_.contains(id);
 }
 
-const KeyRegistry::NodeKeys& KeyRegistry::KeysFor(ActorId id) const {
-  // The map is node-based and entries are immutable once inserted, so the
-  // reference stays valid after the lock drops; only the lookup itself
-  // races with concurrent inserts.
+void KeyRegistry::Unregister(ActorId id) {
+  std::unique_lock<std::shared_mutex> lock;
+  if (concurrent_) lock = std::unique_lock(mu_);
+  nodes_.erase(id);
+}
+
+size_t KeyRegistry::size() const {
   if (concurrent_) {
     std::shared_lock lock(mu_);
-    auto it = nodes_.find(id);
-    assert(it != nodes_.end() && "actor not registered with KeyRegistry");
-    return it->second;
+    return nodes_.size();
   }
-  auto it = nodes_.find(id);
-  assert(it != nodes_.end() && "actor not registered with KeyRegistry");
-  return it->second;
+  return nodes_.size();
+}
+
+const KeyRegistry::NodeKeys& KeyRegistry::KeysFor(ActorId id) const {
+  const NodeKeys* keys = FindKeys(id);
+  if (keys == nullptr) {
+    std::fprintf(stderr, "KeyRegistry: actor %u is not registered\n",
+                 static_cast<unsigned>(id));
+    std::abort();
+  }
+  return *keys;
 }
 
 const KeyRegistry::NodeKeys* KeyRegistry::FindKeys(ActorId id) const {
@@ -201,7 +211,8 @@ const Bytes& KeyRegistry::MacKey(ActorId a, ActorId b) const {
     }
     // Compute outside the lock (KeysFor re-locks shared); both racers
     // derive the same bytes, emplace keeps whichever landed first. The
-    // reference stays valid: the map is node-based and never erases.
+    // reference stays valid: mac_keys_ is node-based and never erases.
+    // The two KeysFor references are safe for the reason FindKeys gives.
     Bytes shared;
     if (mode_ == CryptoMode::kReal) {
       shared = DiffieHellmanSharedKey(*group_, KeysFor(lo).schnorr.secret,

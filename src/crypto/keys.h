@@ -51,6 +51,13 @@ class KeyRegistry {
   /// Registers an actor and generates its key material (idempotent).
   void RegisterNode(ActorId id);
 
+  /// Drops `id`'s key material: Verify for `id` fails from then on and
+  /// Sign by `id` aborts. The caller guarantees nobody looks the id up
+  /// again (CloudSimulator retires an executor only once it has finished
+  /// and its sequence has settled). In concurrent mode only the loop that
+  /// owns `id` may call this.
+  void Unregister(ActorId id);
+
   /// Switches the registry into thread-safe mode for parallel simulation
   /// runs: the lazily-grown tables (nodes, pairwise MAC keys, the
   /// validated-certificate memo) go behind a shared mutex, and key
@@ -62,11 +69,15 @@ class KeyRegistry {
   /// every golden digest) is untouched when this is never called.
   void EnableConcurrent();
 
-  /// True when `id` has been registered.
+  /// True when `id` has been registered and not unregistered.
   bool IsRegistered(ActorId id) const;
 
+  /// Number of registered actors.
+  size_t size() const;
+
   /// Digital signature by `signer` over `msg`. Deterministic (same inputs
-  /// produce the same bytes). Requires `signer` registered.
+  /// produce the same bytes). Aborts, naming the id, when `signer` is not
+  /// registered.
   Bytes Sign(ActorId signer, const Bytes& msg) const;
 
   /// Verifies a digital signature. Returns false for unknown signers.
@@ -112,10 +123,15 @@ class KeyRegistry {
   };
 
   const Bytes& MacKey(ActorId a, ActorId b) const;
+  /// Lookup for signing paths: aborts with the id in the message when
+  /// `id` is not registered, in every build type.
   const NodeKeys& KeysFor(ActorId id) const;
   /// Lookup that tolerates unknown ids (Verify paths); locked when
-  /// concurrent_. The returned pointer stays valid — the node map never
-  /// erases.
+  /// concurrent_. The returned pointer outlives the lock because the node
+  /// map is node-based (erasing one entry leaves the others in place) and
+  /// the only entries ever erased are executors': a plane's loop retires
+  /// its own finished executors after its last lookup of them, and no
+  /// other loop ever looks a plane's executors up.
   const NodeKeys* FindKeys(ActorId id) const;
 
   CryptoMode mode_;

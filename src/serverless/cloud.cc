@@ -38,6 +38,7 @@ ActorId CloudSimulator::Spawn(sim::RegionId region,
   Instance instance;
   instance.region = region;
   instance.started_at = sim_->now();
+  instance.seq = work->seq;
   instance.cpu =
       std::make_unique<sim::ServerResource>(sim_, config_.executor_cores);
   instance.function = std::make_unique<ExecutorFunction>(
@@ -77,6 +78,7 @@ size_t CloudSimulator::KillAllExecutors() {
     instance.killed = true;
     instance.function->Kill();
     net_->Unregister(id);
+    RetireWhenSettled(id, instance.seq);
     --active_;
     ++killed;
     // The instance object stays alive until teardown: its ServerResource
@@ -97,10 +99,30 @@ void CloudSimulator::OnExecutorDone(ActorId id) {
   ++warm_available_[it->second.region];  // Container stays warm.
   --active_;
   net_->Unregister(id);
+  RetireWhenSettled(id, it->second.seq);
 
   // Defer the actual destruction: the completion callback may be running
   // inside the executor's own call stack.
   sim_->Schedule(0, [this, id]() { instances_.erase(id); });
+}
+
+void CloudSimulator::RetireWhenSettled(ActorId id, SeqNum seq) {
+  if (!retire_keys_) return;
+  if (seq <= settled_seq_) {
+    keys_->Unregister(id);
+  } else {
+    awaiting_settle_.emplace(seq, id);
+  }
+}
+
+void CloudSimulator::OnSettled(SeqNum seq) {
+  if (seq <= settled_seq_) return;
+  settled_seq_ = seq;
+  auto end = awaiting_settle_.upper_bound(seq);
+  for (auto it = awaiting_settle_.begin(); it != end; ++it) {
+    keys_->Unregister(it->second);
+  }
+  awaiting_settle_.erase(awaiting_settle_.begin(), end);
 }
 
 }  // namespace sbft::serverless

@@ -345,7 +345,6 @@ void PbftReplica::OnCommitted(SeqNum seq) {
   }
   ++committed_batches_;
   committed_txns_ += slot.batch->txns.size();
-  cert_log_.push_back(slot.digest);
   if (commit_cb_) {
     commit_cb_(seq, slot.view, slot.batch, slot.cert);
   }

@@ -187,7 +187,6 @@ class PbftReplica : public sim::Actor {
   std::unordered_map<uint64_t, sim::EventId> retransmit_timers_;
 
   // Checkpoint protocol state.
-  std::vector<crypto::Digest> cert_log_;  // Digest chain of committed certs.
   SeqNum last_checkpoint_sent_ = 0;
   std::map<SeqNum, std::map<ActorId, crypto::Digest>> checkpoint_votes_;
 

@@ -2,8 +2,8 @@
 #define SBFT_STORAGE_AUDIT_LOG_H_
 
 #include <cstdint>
+#include <deque>
 #include <optional>
-#include <vector>
 
 #include "common/ids.h"
 #include "common/sim_time.h"
@@ -19,6 +19,10 @@ namespace sbft::storage {
 /// (Verifier Non-Divergence, §IV-E); this log makes that order auditable:
 /// each entry commits to its predecessor, so any retro-active tampering or
 /// order divergence is detectable by VerifyChain().
+///
+/// The log keeps its whole history (VerifyChain walks all of it), in a
+/// deque: growth allocates fixed blocks, with neither a vector's up-to-2x
+/// capacity slack nor a full copy at each reallocation.
 class AuditLog {
  public:
   enum class Outcome : uint8_t { kApplied = 0, kAborted = 1 };
@@ -51,13 +55,13 @@ class AuditLog {
   crypto::Digest head() const;
 
   size_t size() const { return entries_.size(); }
-  const std::vector<Entry>& entries() const { return entries_; }
+  const std::deque<Entry>& entries() const { return entries_; }
 
  private:
   static crypto::Digest ChainHash(const crypto::Digest& prev,
                                   const Entry& entry);
 
-  std::vector<Entry> entries_;
+  std::deque<Entry> entries_;
 };
 
 }  // namespace sbft::storage

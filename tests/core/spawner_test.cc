@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/architecture.h"
 #include "sim/region.h"
+#include "verifier/verifier.h"
 
 namespace sbft::core {
 namespace {
@@ -231,6 +233,95 @@ TEST_F(SpawnerTest, RespawnCacheBoundedBySettleLag) {
   }
   EXPECT_EQ(committed, 400u);
   EXPECT_EQ(spawner.respawn_cache_size(), kLag);
+}
+
+TEST_F(SpawnerTest, ExecutorKeysBoundedBySettleLag) {
+  // The registry holds the keys of live executors and of finished ones
+  // whose sequence has not settled, not of every executor ever spawned.
+  // Batches without operations skip the storage fetch, so their
+  // executors finish within one step.
+  SystemConfig config;
+  config.shim.n = 4;
+  config.n_e = 3;
+  Spawner spawner = MakeSpawner(config);
+  const size_t static_keys = keys_.size();
+  constexpr SeqNum kWidth = 8;
+  constexpr SeqNum kLag = 20;
+  SeqNum committed = 0;
+  for (SeqNum base = 1; base <= 400; base += kWidth) {
+    for (SeqNum i = kWidth; i-- > 0;) Commit(spawner, base + i, {});
+    committed = base + kWidth - 1;
+    sim_.RunUntil(sim_.now() + Millis(200));
+    if (committed > kLag) spawner.OnResponse(committed - kLag);
+    EXPECT_LE(keys_.size() - static_keys,
+              (committed - spawner.settled_seq()) * config.n_e +
+                  cloud_->active_executors());
+  }
+  EXPECT_EQ(spawner.executors_spawned(), 400u * config.n_e);
+  sim_.RunUntil(sim_.now() + Seconds(1));
+  EXPECT_EQ(cloud_->active_executors(), 0);
+  EXPECT_EQ(keys_.size() - static_keys, kLag * config.n_e);
+}
+
+TEST_F(SpawnerTest, CftPlaneKeepsExecutorKeysAndTracksNothing) {
+  // CFT and no-shim planes have no settle signal: their executors keep
+  // their keys and the cloud records no per-executor retirement state.
+  SystemConfig config;
+  config.protocol = Protocol::kServerlessCft;
+  config.shim.n = 3;
+  config.n_e = 3;
+  Spawner spawner = MakeSpawner(config);
+  const size_t static_keys = keys_.size();
+  for (SeqNum seq = 1; seq <= 10; ++seq) Commit(spawner, seq, {});
+  sim_.RunUntil(Seconds(1));
+  EXPECT_EQ(cloud_->active_executors(), 0);
+  EXPECT_EQ(keys_.size() - static_keys, 10u * config.n_e);
+  EXPECT_EQ(cloud_->executors_awaiting_settle(), 0u);
+}
+
+TEST(ExecutorKeyRetirementTest, ReplayedVerifyFromRetiredExecutorIsFlooding) {
+  // An honest run retires executor keys as sequences settle. Every
+  // VERIFY the verifier received from an executor whose key is gone must,
+  // replayed, meet the flooding filter (§V-C) before any signature
+  // lookup: counted in flooding_ignored, never in rejected_verifies.
+  SystemConfig config;
+  config.shim.n = 4;
+  config.shim.batch_size = 2;
+  config.n_e = 3;
+  config.f_e = 1;
+  config.num_clients = 8;
+  config.workload.record_count = 1000;
+  config.crypto_mode = crypto::CryptoMode::kFast;
+  config.seed = 31;
+  Architecture arch(config);
+  const size_t static_keys = arch.keys()->size();
+  const ActorId verifier_id = arch.plane(0)->verifier_id();
+  std::vector<sim::Envelope> verifies;
+  arch.network()->SetDeliveryObserver([&](const sim::Envelope& env) {
+    const auto* msg = static_cast<const shim::Message*>(env.message.get());
+    if (env.to == verifier_id && msg->kind == shim::MsgKind::kVerify) {
+      verifies.push_back(env);
+    }
+  });
+  arch.Start();
+  arch.RunUntil(Seconds(3));
+
+  verifier::Verifier* verifier = arch.verifier();
+  EXPECT_EQ(verifier->rejected_verifies(), 0u);
+  const uint64_t spawned = arch.spawner()->executors_spawned();
+  ASSERT_GT(spawned, 600u);
+  EXPECT_LT(arch.keys()->size() - static_keys, spawned / 10);
+
+  const uint64_t ignored = verifier->flooding_ignored();
+  uint64_t replayed = 0;
+  for (const sim::Envelope& env : verifies) {
+    if (arch.keys()->IsRegistered(env.from)) continue;
+    verifier->OnMessage(env);
+    ++replayed;
+  }
+  EXPECT_GT(replayed, 600u);
+  EXPECT_EQ(verifier->flooding_ignored(), ignored + replayed);
+  EXPECT_EQ(verifier->rejected_verifies(), 0u);
 }
 
 TEST_F(SpawnerTest, LockStageSerializesConflictingBatches) {

@@ -80,6 +80,19 @@ TEST_P(KeysTestP, RegisterIsIdempotent) {
   EXPECT_EQ(registry_.Sign(0, msg), before);
 }
 
+TEST_P(KeysTestP, UnregisterDropsOnlyThatActor) {
+  Bytes msg = ToBytes("retired");
+  Bytes sig = registry_.Sign(3, msg);
+  Bytes other = registry_.Sign(2, msg);
+  registry_.Unregister(3);
+  EXPECT_FALSE(registry_.IsRegistered(3));
+  EXPECT_EQ(registry_.size(), 3u);
+  EXPECT_FALSE(registry_.Verify(3, msg, sig));
+  EXPECT_TRUE(registry_.Verify(2, msg, other));
+  KeyRegistry::BatchItem item{3, &msg, &sig};
+  EXPECT_FALSE(registry_.BatchVerify({item}));
+}
+
 TEST_P(KeysTestP, SignatureSizeIsPositiveAndStable) {
   size_t size = registry_.SignatureSize();
   EXPECT_GT(size, 0u);
@@ -102,6 +115,20 @@ TEST(KeysTest, IsRegistered) {
   EXPECT_FALSE(registry.IsRegistered(5));
   registry.RegisterNode(5);
   EXPECT_TRUE(registry.IsRegistered(5));
+}
+
+TEST(KeysDeathTest, SignByUnknownActorAbortsNamingIt) {
+  // Checked in every build type, not only where assert() is live.
+  KeyRegistry registry(CryptoMode::kFast);
+  registry.RegisterNode(5);
+  EXPECT_DEATH(registry.Sign(4242, ToBytes("m")),
+               "actor 4242 is not registered");
+  registry.Unregister(5);
+  EXPECT_DEATH(registry.Sign(5, ToBytes("m")), "actor 5 is not registered");
+  KeyRegistry concurrent(CryptoMode::kNone);
+  concurrent.EnableConcurrent();
+  EXPECT_DEATH(concurrent.Sign(77, ToBytes("m")),
+               "actor 77 is not registered");
 }
 
 TEST(KeysTest, DifferentSeedsDifferentKeys) {

@@ -185,6 +185,69 @@ TEST_F(CloudTest, ExecutorsInFarRegionsTakeLonger) {
   // (Envelope timing asserted via the verify message itself.)
 }
 
+// Key retirement: an executor's keys go once it has finished (or been
+// killed) and its sequence has settled, and not before both.
+
+TEST_F(CloudTest, KeysRetireOnceFinishedAndSettled) {
+  cloud_->RetireKeysAtSettle();
+  ActorId id = cloud_->Spawn(1, MakeWork(1), 900, 901, 3);
+  sim_.RunUntil(Seconds(1));
+  ASSERT_EQ(sink_.verifies.size(), 1u);
+  EXPECT_EQ(cloud_->active_executors(), 0);
+  // Finished, but sequence 1 has not settled: its VERIFY could still be
+  // on its way to the verifier, which would look the key up.
+  EXPECT_TRUE(keys_.IsRegistered(id));
+  EXPECT_EQ(cloud_->executors_awaiting_settle(), 1u);
+  cloud_->OnSettled(1);
+  EXPECT_FALSE(keys_.IsRegistered(id));
+  EXPECT_EQ(cloud_->executors_awaiting_settle(), 0u);
+}
+
+TEST_F(CloudTest, ExecutorRunningAtSettleKeepsKeyUntilItFinishes) {
+  cloud_->RetireKeysAtSettle();
+  ActorId id = cloud_->Spawn(1, MakeWork(1), 900, 901, 3);
+  ActorId later = cloud_->Spawn(1, MakeWork(2), 900, 901, 3);
+  // Its peers settled sequence 1 before this executor even started.
+  cloud_->OnSettled(1);
+  EXPECT_TRUE(keys_.IsRegistered(id));
+  sim_.RunUntil(Seconds(1));
+  ASSERT_EQ(sink_.verifies.size(), 2u);
+  const shim::VerifyMsg& verify =
+      *(sink_.verifies[0]->sender == id ? sink_.verifies[0]
+                                        : sink_.verifies[1]);
+  ASSERT_EQ(verify.sender, id);
+  // Gone once it finished; the executor of unsettled sequence 2 stays.
+  EXPECT_FALSE(keys_.IsRegistered(id));
+  EXPECT_TRUE(keys_.IsRegistered(later));
+  // It signed with its own key. A registry that registers the same ids in
+  // the same order derives the same keys, so it checks the signature the
+  // retired key made.
+  crypto::KeyRegistry witness(crypto::CryptoMode::kFast, 3);
+  for (ActorId node = 1; node <= 4; ++node) witness.RegisterNode(node);
+  witness.RegisterNode(id);
+  EXPECT_TRUE(witness.Verify(
+      id,
+      shim::VerifyMsg::SigningBytes(verify.view, verify.seq,
+                                    verify.batch_digest, verify.rw,
+                                    verify.result),
+      verify.executor_sig));
+}
+
+TEST_F(CloudTest, KilledExecutorsRetireAtSettle) {
+  cloud_->RetireKeysAtSettle();
+  ActorId early = cloud_->Spawn(1, MakeWork(1), 900, 901, 3);
+  EXPECT_EQ(cloud_->KillAllExecutors(), 1u);
+  EXPECT_TRUE(keys_.IsRegistered(early));  // Sequence 1 is unsettled.
+  cloud_->OnSettled(1);
+  EXPECT_FALSE(keys_.IsRegistered(early));
+  // Killed after its sequence settled: retired at once.
+  ActorId late = cloud_->Spawn(1, MakeWork(1), 900, 901, 3);
+  EXPECT_EQ(cloud_->KillAllExecutors(), 1u);
+  EXPECT_FALSE(keys_.IsRegistered(late));
+  sim_.RunUntil(Seconds(1));
+  EXPECT_TRUE(sink_.verifies.empty());
+}
+
 TEST(BillingTest, CentsPerKtxn) {
   CostMeter meter;
   meter.ChargeInvocation(Seconds(1), 1.0);

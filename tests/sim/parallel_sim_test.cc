@@ -166,6 +166,11 @@ struct ArchResult {
   uint64_t completed = 0;
   uint64_t aborted = 0;
   uint64_t cross_loop = 0;
+  // Executor key retirement, summed over planes.
+  uint64_t executors_spawned = 0;
+  size_t executor_keys = 0;  // Registry entries added since construction.
+  size_t key_bound = 0;      // (unsettled spawned batches) x n_E + live.
+  std::vector<SeqNum> settled;
 };
 
 ArchResult RunShardedParallel(int threads, uint64_t seed) {
@@ -176,6 +181,7 @@ ArchResult RunShardedParallel(int threads, uint64_t seed) {
   config.sim_threads = threads;
   Architecture arch(config);
   EXPECT_EQ(arch.parallel(), threads > 0);
+  const size_t static_keys = arch.keys()->size();
   arch.Start();
   arch.RunUntil(Seconds(1));
 
@@ -184,7 +190,15 @@ ArchResult RunShardedParallel(int threads, uint64_t seed) {
     result.audit_heads.push_back(
         arch.plane(s)->verifier()->audit_log().head().ToBytes());
     result.audit_sizes.push_back(arch.plane(s)->verifier()->audit_log().size());
+    const core::Spawner* spawner = arch.plane(s)->spawner();
+    result.executors_spawned += spawner->executors_spawned();
+    result.key_bound +=
+        (spawner->batches_spawned() - spawner->settled_seq()) *
+            config.EffectiveExecutors() +
+        arch.plane(s)->cloud()->active_executors();
+    result.settled.push_back(spawner->settled_seq());
   }
+  result.executor_keys = arch.keys()->size() - static_keys;
   result.completed = arch.TotalCompleted();
   result.aborted = arch.TotalAborted();
   result.cross_loop = arch.network()->cross_loop_messages();
@@ -210,6 +224,21 @@ TEST(ParallelArchitectureTest, DigestsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one.completed, two.completed);
   EXPECT_EQ(one.completed, four.completed);
   EXPECT_EQ(one.aborted, four.aborted);
+}
+
+TEST(ParallelArchitectureTest, RetiresExecutorKeysIdenticallyAcrossThreads) {
+  // Each plane's loop retires its own executors' keys in the shared
+  // registry while the other loops sign and verify: the registry stays
+  // within the planes' settle lag, and retiring changes nothing a thread
+  // count could expose.
+  ArchResult one = RunShardedParallel(1, 2023);
+  ArchResult two = RunShardedParallel(2, 2023);
+  EXPECT_GT(two.executors_spawned, 200u);
+  EXPECT_LE(two.executor_keys, two.key_bound);
+  EXPECT_LT(two.executor_keys, two.executors_spawned / 10);
+  EXPECT_EQ(one.executor_keys, two.executor_keys);
+  EXPECT_EQ(one.settled, two.settled);
+  EXPECT_EQ(one.audit_heads, two.audit_heads);
 }
 
 TEST(ParallelArchitectureTest, DigestsIdenticalAcrossRepeatedRuns) {

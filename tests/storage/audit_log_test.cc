@@ -61,7 +61,7 @@ TEST(AuditLogTest, TamperingDetected) {
   }
   // Simulate retroactive tampering through a copy with a mutated entry.
   AuditLog tampered = log;
-  auto& entries = const_cast<std::vector<AuditLog::Entry>&>(tampered.entries());
+  auto& entries = const_cast<std::deque<AuditLog::Entry>&>(tampered.entries());
   entries[2].outcome = AuditLog::Outcome::kAborted;
   EXPECT_FALSE(tampered.VerifyChain());
   EXPECT_TRUE(log.VerifyChain());
