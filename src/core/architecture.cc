@@ -175,12 +175,9 @@ int Architecture::LoopOfActor(ActorId id) const {
 }
 
 void Architecture::BuildCoordinator() {
-  // Per-member construction below follows, for a 1x1 topology, the exact
-  // historical sequence (RegisterNode -> construct -> cpu -> Register ->
-  // AttachServer), so the singleton key-derivation and registration
-  // order — and thereby every golden digest — is unchanged. Group-major
-  // build order (all of group 0, then group 1, ...) keeps the G == 1
-  // replicated case identical to the pre-partitioning code too.
+  // Members are built group-major (all of group 0, then group 1, ...),
+  // each as RegisterNode -> construct -> cpu -> Register -> AttachServer:
+  // key derivation and registration order feed the golden digests.
   coord_topology_ =
       CoordGroups{config_.coordinator_groups, config_.coordinator_replicas};
   std::vector<ActorId> shard_verifiers;

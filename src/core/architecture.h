@@ -256,7 +256,7 @@ class Architecture {
 
   std::vector<std::unique_ptr<ShardPlane>> planes_;
   /// All coordinator members, group-major (member r of group g at flat
-  /// index g * replicas + r; size 1 = the historical singleton).
+  /// index g * replicas + r; size 1 = one group of one).
   std::vector<std::unique_ptr<TxnCoordinator>> coordinators_;
   /// The clamped coordinator topology (groups x replicas) actually
   /// built; {1, 1} until BuildCoordinator runs.

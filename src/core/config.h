@@ -133,26 +133,22 @@ struct SystemConfig {
   /// verifier::VerifierConfig.
   uint32_t prepare_lock_queue_depth =
       kVerifierDefaults.prepare_lock_queue_depth;
-  /// How long the coordinator retains a fully-acked COMMIT entry before
+  /// How long the coordinator retains a fully-acked decision entry before
   /// truncating it below the fully-decided watermark, covering client
   /// retransmissions of lost responses (the standard presumed-abort GC
   /// assumption). The shard verifiers' applied/aborted dedup maps are
   /// truncated at the watermark itself.
   SimDuration twopc_decision_retention = Seconds(5);
-  /// Size of the replicated coordinator group (DESIGN.md §10). 1 keeps
-  /// the original trusted-singleton coordinator and is the golden-digest
-  /// anchor: no group machinery runs, no group message ever hits the
-  /// wire, and the event stream is byte-identical to the pre-group code.
-  /// >1 instantiates `coordinator_replicas` TxnCoordinator members
-  /// (actor ids kCoordinatorBaseId + r) forming a CFT cluster that
-  /// quorum-replicates the 2PC decision log; a standby takes over
-  /// mid-2PC when the leader crashes.
+  /// Size of each coordinator group (DESIGN.md §10): R TxnCoordinator
+  /// members (actor ids kCoordinatorBaseId + r) forming a CFT cluster
+  /// that quorum-replicates the 2PC decision log; a standby takes over
+  /// mid-2PC when the leader crashes. 1 is a group of one: it runs the
+  /// same protocol as its own majority, so it logs every decision and
+  /// takes over its own log when it recovers, but sends no group message.
   uint32_t coordinator_replicas = 1;
   /// Number of independent coordinator groups the global-txn-id space
-  /// is hash-partitioned over (DESIGN.md §12). 1 keeps today's single
-  /// group and is part of the golden-digest anchor: no partitioning
-  /// machinery runs and the event stream is byte-identical. G > 1
-  /// instantiates G groups of `coordinator_replicas` members each
+  /// is hash-partitioned over (DESIGN.md §12). 1 keeps a single group,
+  /// which owns every gid. G > 1 instantiates G groups of `coordinator_replicas` members each
   /// (group-major actor ids, see CoordGroups in coord_group.h); every
   /// cross-shard transaction is owned by the group its gid hashes to,
   /// so up to G leaders serve 2PC decisions in parallel — each group
@@ -167,13 +163,12 @@ struct SystemConfig {
   /// cross-shard knee (bench_fig13).
   int coordinator_cores = 0;
   /// Leader heartbeat period inside the coordinator group. Heartbeats
-  /// double as lease renewals: follower acks refresh the leader's
-  /// majority-contact lease that gates presumed-abort answers.
+  /// tell the followers the leader is alive and carry its watermark;
+  /// followers do not ack them. Presumed-abort answers need no lease:
+  /// each is quorum-logged before it is sent, like any decision.
   SimDuration coordinator_heartbeat = Millis(100);
   /// Follower silence threshold before it bumps the view and (if it is
-  /// the new view's leader) starts takeover. Also the leader's lease
-  /// window: without majority contact for this long it stops answering
-  /// presumed-abort for unknown transactions.
+  /// the new view's leader) starts takeover.
   SimDuration coordinator_failover_timeout = Millis(500);
 
   // --- clients (C) ---

@@ -9,7 +9,7 @@ namespace sbft::core {
 /// reserved for coordinator-group members (see shard_plane.h for the
 /// other id blocks). Member r of group g lives at
 /// kCoordinatorBaseId + g * replicas + r (group-major, see CoordGroups
-/// below); member (0, 0) is the historical singleton coordinator.
+/// below); member (0, 0) is the default topology's one coordinator.
 /// Declared here so the shard plane and the verifier can compute member
 /// ids without depending on architecture.h.
 constexpr ActorId kCoordinatorBaseId = 890000;
@@ -37,13 +37,6 @@ struct CoordGroups {
 
   /// Total coordinator actors in the topology.
   uint32_t total() const { return groups * replicas; }
-  /// More than one coordinator actor exists: per-group hint/ack state
-  /// and membership-based guards replace the singleton fast paths.
-  bool multi() const { return total() > 1; }
-  /// Groups are replicated (R > 1): views move, leaders announce
-  /// themselves via view stamps and redirects. With R == 1 every group
-  /// is a trusted singleton and no view machinery runs.
-  bool replicated() const { return replicas > 1; }
 
   /// Stable owner group of a global txn id: a pure function of the gid
   /// and the group count — independent of views, leaders, or time — so

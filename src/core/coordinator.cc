@@ -21,16 +21,15 @@ TxnCoordinator::TxnCoordinator(ActorId id,
       sim_(sim),
       net_(net),
       options_(options) {
-  if (GroupMode()) {
-    // Member 0 is the view-0 leader over an empty log, so it starts
-    // synced and heartbeating; everyone else arms the failure detector.
-    if (options_.group_index == 0) {
-      leader_synced_ = true;
-      SendHeartbeat();
-    } else {
-      last_leader_contact_ = sim_->now();
-      ArmFailoverTimer();
-    }
+  if (options_.group.empty()) options_.group.push_back(id);
+  // Member 0 is the view-0 leader over an empty log, so it starts synced
+  // and heartbeating; everyone else arms the failure detector.
+  if (options_.group_index == 0) {
+    leader_synced_ = true;
+    SendHeartbeat();
+  } else {
+    last_leader_contact_ = sim_->now();
+    ArmFailoverTimer();
   }
 }
 
@@ -40,52 +39,29 @@ void TxnCoordinator::SetCrashed(bool crashed) {
   if (crashed_) {
     // Crash-stop: volatile state is gone the moment the process dies.
     // The watermark bookkeeping is volatile too — only the decision log,
-    // the cseq counter, and (group mode) the view number model stable
-    // storage. Unpruned entries whose ack state was lost simply stay in
-    // the log (the safe direction); the watermark itself re-advances
-    // over post-recovery decisions, whose cseqs exceed every pre-crash
-    // cseq.
-    for (auto& [gid, pending] : pending_) {
-      if (pending.timer != 0) sim_->Cancel(pending.timer);
-    }
-    pending_.clear();
-    outstanding_.clear();
-    retention_queue_.clear();
-    pending_appends_.clear();
-    inflight_aborts_.clear();
+    // the cseq counter, and the view number model stable storage.
+    // Unpruned entries whose ack state was lost simply stay in the log
+    // (the safe direction); the watermark itself re-advances over
+    // post-recovery decisions, whose cseqs exceed every pre-crash cseq.
+    ClearLeaderState();
     launches_.clear();
-    sync_replies_.clear();
     stashed_requests_.clear();
-    syncing_ = false;
-    leader_synced_ = false;
-    takeover_reappends_ = 0;
-    if (heartbeat_timer_ != 0) {
-      sim_->Cancel(heartbeat_timer_);
-      heartbeat_timer_ = 0;
-    }
     if (failover_timer_ != 0) {
       sim_->Cancel(failover_timer_);
       failover_timer_ = 0;
     }
-    if (sync_retry_timer_ != 0) {
-      sim_->Cancel(sync_retry_timer_);
-      sync_retry_timer_ = 0;
-    }
     return;
   }
-  // Recovery keeps only the durable decision log (plus view/cseq); in
-  // singleton mode in-doubt transactions resolve through participant
-  // vote retries (answered from the log or presumed-abort). A group
+  // Recovery keeps only the durable decision log (plus view/cseq). The
   // member rejoins as a follower — or restarts takeover if it still
   // leads its (possibly stale) view; peers answer with their higher
-  // view and demote it.
-  if (GroupMode()) {
-    last_leader_contact_ = sim_->now();
-    if (GroupLeader() == id()) {
-      StartTakeover();
-    } else {
-      ArmFailoverTimer();
-    }
+  // view and demote it. A group of one takes over its own log at once,
+  // and its redirect re-aims the shard verifiers' standing votes.
+  last_leader_contact_ = sim_->now();
+  if (GroupLeader() == id()) {
+    StartTakeover();
+  } else {
+    ArmFailoverTimer();
   }
 }
 
@@ -126,23 +102,20 @@ void TxnCoordinator::HandleClientRequest(const sim::Envelope& env) {
 
 void TxnCoordinator::ProcessClientRequest(const sim::MessagePtr& message,
                                           const shim::ClientRequestMsg& msg) {
-  if (options_.num_groups > 1) {
-    // Gid partitioning (DESIGN.md §12): a request for a gid owned by
-    // another group is forwarded to that group's member 0 as-is (the
-    // signed request travels intact; a follower there forwards on to
-    // its own serving leader). Checked before the follower-forward so a
-    // stale router hint never bounces inside the wrong group.
-    uint32_t owner = CoordGroups::GroupOf(msg.txn.id, options_.num_groups);
-    if (owner != options_.group_id) {
-      ++foreign_requests_forwarded_;
-      CoordGroups topo{options_.num_groups,
-                       std::max<uint32_t>(
-                           1, static_cast<uint32_t>(options_.group.size()))};
-      net_->Send(id(), topo.MemberId(owner, 0), message, msg.WireSize());
-      return;
-    }
+  // Gid partitioning (DESIGN.md §12): a request for a gid owned by
+  // another group is forwarded to that group's member 0 as-is (the
+  // signed request travels intact; a follower there forwards on to its
+  // own serving leader). Checked before the follower-forward so a stale
+  // router hint never bounces inside the wrong group.
+  uint32_t owner = CoordGroups::GroupOf(msg.txn.id, options_.num_groups);
+  if (owner != options_.group_id) {
+    ++foreign_requests_forwarded_;
+    CoordGroups topo{options_.num_groups,
+                     static_cast<uint32_t>(options_.group.size())};
+    net_->Send(id(), topo.MemberId(owner, 0), message, msg.WireSize());
+    return;
   }
-  if (GroupMode() && !IsGroupLeader()) {
+  if (!IsGroupLeader()) {
     // Follower: the client's (or router's) leader hint is stale —
     // forward the signed request as-is; the leader verifies it. Keep a
     // parked copy: if the presumed leader is already dead, the forward
@@ -155,7 +128,7 @@ void TxnCoordinator::ProcessClientRequest(const sim::MessagePtr& message,
   }
   // A mid-takeover leader serves nothing yet: park the request and
   // replay it from FinishTakeover.
-  if (GroupMode() && !leader_synced_) {
+  if (!leader_synced_) {
     StashRequest(message);
     return;
   }
@@ -167,10 +140,8 @@ void TxnCoordinator::ProcessClientRequest(const sim::MessagePtr& message,
   TxnId gid = msg.txn.id;
   auto decided = decisions_.find(gid);
   if (decided != decisions_.end()) {
-    // Client retransmission after a COMMIT whose response was lost:
-    // answer from the log. (A lost ABORT response instead falls through
-    // to a relaunch below — the shard verifiers' per-gid dedup turns it
-    // into a vote-timeout abort, converging on the same answer.)
+    // Client retransmission after a decision whose response was lost:
+    // answer from the log.
     RespondToClient(gid, msg.txn.client, decided->second.commit);
     return;
   }
@@ -259,16 +230,14 @@ void TxnCoordinator::LaunchTxn(const workload::Transaction& txn,
   pending.timer = sim_->Schedule(
       options_.vote_timeout, [this, gid]() { OnVoteTimeout(gid); });
   auto [it, inserted] = pending_.emplace(gid, std::move(pending));
-  if (GroupMode()) {
-    // Best-effort launch replication (no quorum, no ack): a standby can
-    // rebuild the pending record — client and participant set — and
-    // judge vote completeness after takeover. A lost launch degrades
-    // safely to presumed abort.
-    launches_[gid] = LaunchRecord{txn.client, it->second.shards};
-    BroadcastAppend(/*append_id=*/0, shim::CoordAppendMsg::kLaunch, gid,
-                    /*commit=*/false, /*cseq=*/0, /*proof=*/nullptr,
-                    txn.client, &it->second.shards);
-  }
+  // Best-effort launch replication (no quorum, no ack): a standby can
+  // rebuild the pending record — client and participant set — and judge
+  // vote completeness after takeover. A lost launch degrades safely to
+  // presumed abort.
+  launches_[gid] = LaunchRecord{txn.client, it->second.shards};
+  BroadcastAppend(/*append_id=*/0, shim::CoordAppendMsg::kLaunch, gid,
+                  /*commit=*/false, /*cseq=*/0, /*proof=*/nullptr,
+                  txn.client, &it->second.shards);
   SendFragments(it->second);
 }
 
@@ -298,7 +267,7 @@ void TxnCoordinator::HandleVoteCert(const sim::Envelope& env) {
       return;
     }
   }
-  if (GroupMode() && (!IsGroupLeader() || !leader_synced_)) {
+  if (!IsGroupLeader() || !leader_synced_) {
     // Votes are never forwarded (that would defeat the sender guard
     // above); a follower bounces a redirect so the verifier re-aims its
     // retransmits, a mid-takeover leader stays silent.
@@ -315,12 +284,10 @@ void TxnCoordinator::HandleVoteCert(const sim::Envelope& env) {
     return;
   }
   ++vote_cert_msgs_;
-  if (msg->has_meta) {
-    // All shares come from one verifier (the guard pinned each share's
-    // shard to env.from), so the piggybacked acks are that one shard's.
-    RecordAcks(msg->cert.shares.front().shard, msg->acked_cseqs);
-    PruneDecisions();
-  }
+  // All shares come from one verifier (the guard pinned each share's
+  // shard to env.from), so the piggybacked acks are that one shard's.
+  RecordAcks(msg->cert.shares.front().shard, msg->acked_cseqs);
+  PruneDecisions();
   for (const crypto::VoteShare& share : msg->cert.shares) {
     ProcessVote(share, env.from);
   }
@@ -329,56 +296,39 @@ void TxnCoordinator::HandleVoteCert(const sim::Envelope& env) {
 void TxnCoordinator::ProcessVote(const crypto::VoteShare& share,
                                  ActorId from) {
   const TxnId gid = share.global_id;
-  if (options_.num_groups > 1 &&
-      CoordGroups::GroupOf(gid, options_.num_groups) != options_.group_id) {
+  if (CoordGroups::GroupOf(gid, options_.num_groups) != options_.group_id) {
     // A misrouted vote must never be answered here: a foreign-group gid
     // is absent from this group's log by construction, so falling
-    // through would presumed-abort (and in group mode quorum-log!) an
-    // outcome the owning group alone is entitled to decide.
+    // through would presumed-abort (and quorum-log!) an outcome the
+    // owning group alone is entitled to decide.
     ++foreign_votes_dropped_;
     return;
   }
   ++votes_received_;
   auto decided = decisions_.find(gid);
   if (decided != decisions_.end()) {
-    // Participant retry after we decided COMMIT (only commits are
-    // logged — presumed abort): answer from the durable log, with the
-    // logged quorum proof.
+    // Participant retry after we decided: answer from the durable log,
+    // with the logged quorum proof for a COMMIT.
     SendDecision(gid, decided->second.commit, decided->second.cseq, from,
                  &decided->second.proof);
     return;
   }
   auto it = pending_.find(gid);
   if (it == pending_.end()) {
-    if (GroupMode()) {
-      // A replicated coordinator's presumed abort must be durable
-      // before it is answered: quorum-log an explicit ABORT record
-      // first, so no later leader — whose sync majority necessarily
-      // intersects this quorum — can resurrect a conflicting COMMIT
-      // for the same transaction.
-      if (inflight_aborts_.contains(gid)) return;  // answer rides quorum
-      inflight_aborts_.insert(gid);
-      PendingAppend pa;
-      pa.global_id = gid;
-      pa.commit = false;
-      pa.presumed = true;
-      pa.answer_to = from;
-      pa.acks.insert(options_.group_index);
-      uint64_t aid = StageAppend(std::move(pa));
-      BroadcastAppend(aid, shim::CoordAppendMsg::kDecision, gid,
-                      /*commit=*/false, /*cseq=*/0, /*proof=*/nullptr,
-                      kInvalidActor, /*shards=*/nullptr);
-      return;
-    }
-    // Vote for a transaction with no pending record and no logged
-    // COMMIT: either a crash lost the volatile state before the
-    // decision, or the transaction was aborted — presumed abort either
-    // way. Nothing is stored and nothing is counted (this is an answer
-    // derived from the log's silence, not a new decision; retries would
-    // otherwise inflate the counter). Presumed answers carry cseq 0:
-    // they are re-derived per retry, so there is no single decision the
-    // watermark could confirm.
-    SendDecision(gid, false, /*cseq=*/0, from, /*proof=*/nullptr);
+    // No pending record and nothing logged: a crash or step-down lost
+    // the volatile state before the decision — presumed abort. The
+    // answer must be durable before it is sent: quorum-log an explicit
+    // ABORT record first, so no later leader — whose sync majority
+    // necessarily intersects this quorum — can resurrect a conflicting
+    // COMMIT for the same transaction. It carries cseq 0: no participant
+    // acks it, so the watermark never covers it.
+    if (inflight_aborts_.contains(gid)) return;  // answer rides quorum
+    inflight_aborts_.insert(gid);
+    PendingAppend pa;
+    pa.global_id = gid;
+    pa.presumed = true;
+    pa.answer_to = from;
+    AppendDecision(std::move(pa), kInvalidActor, /*shards=*/nullptr);
     return;
   }
   PendingTxn& pending = it->second;
@@ -425,32 +375,25 @@ void TxnCoordinator::Decide(TxnId global_id, bool commit) {
       proof.shares.push_back(share);
     }
   }
-  if (GroupMode()) {
-    if (!IsGroupLeader() || !leader_synced_) {
-      // Demoted mid-flight: drop the pending record; the serving leader
-      // re-derives it from launches and retried votes, presumed abort
-      // covers the rest.
-      pending_.erase(it);
-      return;
-    }
-    // Quorum fence: the decision is appended to the group and acted on
-    // only once a majority (including self) holds it. A stale
-    // minority-partitioned leader can therefore never send a decision
-    // that a later leader's sync would contradict. Both outcomes are
-    // fenced — explicit aborts too, so a takeover's sync sees them.
-    pending.deciding = true;
-    PendingAppend pa;
-    pa.global_id = global_id;
-    pa.commit = commit;
-    pa.cseq = cseq;
-    pa.proof = proof;
-    pa.acks.insert(options_.group_index);
-    uint64_t aid = StageAppend(std::move(pa));
-    BroadcastAppend(aid, shim::CoordAppendMsg::kDecision, global_id, commit,
-                    cseq, &proof, pending.client, &pending.shards);
+  if (!IsGroupLeader() || !leader_synced_) {
+    // Demoted mid-flight: drop the pending record; the serving leader
+    // re-derives it from launches and retried votes, presumed abort
+    // covers the rest.
+    pending_.erase(it);
     return;
   }
-  FinishDecide(global_id, commit, cseq, proof);
+  // Quorum fence: the decision is appended to the group and acted on
+  // only once a majority (including self) holds it. A stale
+  // minority-partitioned leader can therefore never send a decision that
+  // a later leader's sync would contradict. Both outcomes are fenced —
+  // explicit aborts too, so a takeover's sync sees them.
+  pending.deciding = true;
+  PendingAppend pa;
+  pa.global_id = global_id;
+  pa.commit = commit;
+  pa.cseq = cseq;
+  pa.proof = std::move(proof);
+  AppendDecision(std::move(pa), pending.client, &pending.shards);
 }
 
 void TxnCoordinator::FinishDecide(TxnId global_id, bool commit,
@@ -459,27 +402,16 @@ void TxnCoordinator::FinishDecide(TxnId global_id, bool commit,
   auto it = pending_.find(global_id);
   if (it == pending_.end()) return;
   PendingTxn& pending = it->second;
-  // COMMIT is logged before telling anyone — the write-ahead rule that
-  // makes it survive a crash between the first and last decision send.
-  // Singleton mode never logs aborts: presumed abort means an unknown
-  // id already answers ABORT, so the log stays bounded by committed
-  // transactions. Group mode logs explicit aborts too (quorum-fenced
-  // above), so sync-time conflict resolution has both outcomes.
-  if (commit) {
-    decisions_[global_id] =
-        DecisionRecord{commit, cseq, sim_->now(), proof, view_};
-    ++commits_decided_;
-  } else {
-    if (GroupMode()) {
-      decisions_[global_id] =
-          DecisionRecord{false, cseq, sim_->now(), {}, view_};
-    }
-    ++aborts_decided_;
-  }
+  // The decision is logged before telling anyone — the write-ahead rule
+  // that makes it survive a crash between the first and last decision
+  // send. Aborts are logged too (quorum-fenced like commits), so
+  // sync-time conflict resolution has both outcomes.
+  decisions_[global_id] =
+      DecisionRecord{commit, cseq, sim_->now(), proof, view_};
+  ++(commit ? commits_decided_ : aborts_decided_);
   launches_.erase(global_id);
   OutstandingDecision outstanding;
   outstanding.global_id = global_id;
-  outstanding.commit = commit;
   outstanding.decided_at = sim_->now();
   for (uint32_t shard : pending.shards) {
     // Only shards that produced a vote hold prepare state; the rest
@@ -504,16 +436,12 @@ void TxnCoordinator::SendDecision(TxnId global_id, bool commit,
   if (proof != nullptr && !proof->shares.empty()) {
     decision->proof = *proof;
   }
-  decision->has_meta = true;
   decision->cseq = cseq;
   decision->watermark = watermark_;
-  if (GroupMode()) {
-    // View stamp: how participants learn the current leader (and where
-    // to aim vote retransmits). Absent on singleton wire bytes.
-    decision->has_view = true;
-    decision->coord_view = view_;
-    decision->coord_leader = id();
-  }
+  // View stamp: how participants learn the current leader (and where to
+  // aim vote retransmits).
+  decision->coord_view = view_;
+  decision->coord_leader = id();
   net_->Send(id(), to, decision, decision->WireSize());
 }
 
@@ -551,16 +479,15 @@ void TxnCoordinator::RecordAcks(uint32_t shard,
   }
   // Advance the watermark over the complete prefix: a decision counts as
   // fully applied once every shard it was sent to acked it. Gaps (cseqs
-  // wiped by a crash) cannot block the advance — their decisions either
-  // live on durably in the log (commits, never pruned after the wipe,
-  // the safe direction) or were presumed aborts. An entry whose acks
-  // never complete within the retention window (lost acks, ack-buffer
-  // overflow at a shard) is expired rather than allowed to stall the
-  // watermark forever: the advance skips it WITHOUT retention-queueing
-  // its COMMIT, so that entry simply never prunes — safety does not
-  // depend on the watermark implying "applied everywhere"; duplicates
-  // are always answered from the retained log and fragments are never
-  // re-driven for decided ids.
+  // wiped by a crash) cannot block the advance — their decisions live on
+  // durably in the log, never pruned after the wipe (the safe
+  // direction). An entry whose acks never complete within the retention
+  // window (lost acks, ack-buffer overflow at a shard) is expired rather
+  // than allowed to stall the watermark forever: the advance skips it
+  // WITHOUT retention-queueing its log entry, so that entry simply never
+  // prunes — safety does not depend on the watermark implying "applied
+  // everywhere"; duplicates are always answered from the retained log
+  // and fragments are never re-driven for decided ids.
   SimTime now = sim_->now();
   auto it = outstanding_.begin();
   while (it != outstanding_.end()) {
@@ -569,21 +496,16 @@ void TxnCoordinator::RecordAcks(uint32_t shard,
         it->second.decided_at + options_.decision_retention <= now;
     if (!fully_acked && !expired) break;
     watermark_ = it->first;
-    // Group mode also logs explicit aborts, so fully-acked aborts enter
-    // the retention pipeline too — otherwise the abort entries would
-    // outlive their usefulness forever.
-    if (fully_acked && (it->second.commit || GroupMode())) {
-      retention_queue_.emplace_back(now, it->second.global_id);
-    }
+    if (fully_acked) retention_queue_.emplace_back(now, it->second.global_id);
     if (!fully_acked) ++outstanding_expired_;
     it = outstanding_.erase(it);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Coordinator-group replication (DESIGN.md §10). Every function below is
-// unreachable when |group| <= 1: no timer is armed, no group message is
-// sent or accepted, and the singleton event stream stays byte-identical.
+// Coordinator-group replication (DESIGN.md §10). A group of one runs the
+// same code: it is its own majority, so its appends and takeover complete
+// without a message, and no group message ever reaches the wire.
 // ---------------------------------------------------------------------------
 
 int TxnCoordinator::GroupIndexOf(ActorId a) const {
@@ -593,10 +515,46 @@ int TxnCoordinator::GroupIndexOf(ActorId a) const {
   return -1;
 }
 
-uint64_t TxnCoordinator::StageAppend(PendingAppend pa) {
+void TxnCoordinator::AppendDecision(PendingAppend pa, ActorId client,
+                                    const std::vector<uint32_t>* shards) {
   uint64_t aid = ++next_append_id_;
-  pending_appends_.emplace(aid, std::move(pa));
-  return aid;
+  pa.acks.insert(options_.group_index);
+  const PendingAppend& staged =
+      pending_appends_.emplace(aid, std::move(pa)).first->second;
+  BroadcastAppend(aid, shim::CoordAppendMsg::kDecision, staged.global_id,
+                  staged.commit, staged.cseq, &staged.proof, client, shards);
+  MaybeCommitAppend(aid);
+}
+
+void TxnCoordinator::MaybeCommitAppend(uint64_t append_id) {
+  auto it = pending_appends_.find(append_id);
+  if (it == pending_appends_.end() ||
+      it->second.acks.size() < GroupMajority()) {
+    return;
+  }
+  PendingAppend pa = std::move(it->second);
+  pending_appends_.erase(it);
+  if (pa.takeover) {
+    if (takeover_reappends_ > 0 && --takeover_reappends_ == 0 &&
+        !leader_synced_) {
+      FinishTakeover();
+    }
+    return;
+  }
+  if (pa.presumed) {
+    // The explicit abort is quorum-durable: log it and answer the vote
+    // that triggered it. Later retries answer straight from the log.
+    inflight_aborts_.erase(pa.global_id);
+    if (!decisions_.contains(pa.global_id)) {
+      decisions_[pa.global_id] =
+          DecisionRecord{false, 0, sim_->now(), {}, view_};
+    }
+    ++presumed_aborts_logged_;
+    SendDecision(pa.global_id, false, /*cseq=*/0, pa.answer_to,
+                 /*proof=*/nullptr);
+    return;
+  }
+  FinishDecide(pa.global_id, pa.commit, pa.cseq, pa.proof);
 }
 
 void TxnCoordinator::BroadcastAppend(uint64_t append_id,
@@ -625,7 +583,6 @@ void TxnCoordinator::BroadcastAppend(uint64_t append_id,
 }
 
 void TxnCoordinator::HandleAppend(const sim::Envelope& env) {
-  if (!GroupMode()) return;
   const auto* msg = shim::MessageAs<shim::CoordAppendMsg>(
       env, shim::MsgKind::kCoordAppend);
   if (msg == nullptr) return;
@@ -685,7 +642,6 @@ void TxnCoordinator::HandleAppend(const sim::Envelope& env) {
 }
 
 void TxnCoordinator::HandleAppendAck(const sim::Envelope& env) {
-  if (!GroupMode()) return;
   const auto* msg =
       shim::MessageAs<shim::CoordAckMsg>(env, shim::MsgKind::kCoordAck);
   if (msg == nullptr) return;
@@ -699,34 +655,10 @@ void TxnCoordinator::HandleAppendAck(const sim::Envelope& env) {
   auto it = pending_appends_.find(msg->append_id);
   if (it == pending_appends_.end()) return;
   it->second.acks.insert(static_cast<uint32_t>(idx));
-  if (it->second.acks.size() < GroupMajority()) return;
-  PendingAppend pa = std::move(it->second);
-  pending_appends_.erase(it);
-  if (pa.takeover) {
-    if (takeover_reappends_ > 0 && --takeover_reappends_ == 0 &&
-        !leader_synced_) {
-      FinishTakeover();
-    }
-    return;
-  }
-  if (pa.presumed) {
-    // The explicit abort is quorum-durable: log it and answer the vote
-    // that triggered it. Later retries answer straight from the log.
-    inflight_aborts_.erase(pa.global_id);
-    if (!decisions_.contains(pa.global_id)) {
-      decisions_[pa.global_id] =
-          DecisionRecord{false, 0, sim_->now(), {}, view_};
-    }
-    ++presumed_aborts_logged_;
-    SendDecision(pa.global_id, false, /*cseq=*/0, pa.answer_to,
-                 /*proof=*/nullptr);
-    return;
-  }
-  FinishDecide(pa.global_id, pa.commit, pa.cseq, pa.proof);
+  MaybeCommitAppend(msg->append_id);
 }
 
 void TxnCoordinator::HandleSyncRequest(const sim::Envelope& env) {
-  if (!GroupMode()) return;
   const auto* msg = shim::MessageAs<shim::CoordSyncRequestMsg>(
       env, shim::MsgKind::kCoordSyncRequest);
   if (msg == nullptr) return;
@@ -755,7 +687,6 @@ void TxnCoordinator::HandleSyncRequest(const sim::Envelope& env) {
 }
 
 void TxnCoordinator::HandleSyncReply(const sim::Envelope& env) {
-  if (!GroupMode()) return;
   const auto* msg = shim::MessageAs<shim::CoordSyncReplyMsg>(
       env, shim::MsgKind::kCoordSyncReply);
   if (msg == nullptr) return;
@@ -795,39 +726,39 @@ void TxnCoordinator::AdoptView(uint64_t view) {
   // Fall back to follower: leader-volatile state is meaningless under
   // the new view. The decision log, cseq counter, watermark frontier,
   // and launch hints survive — they feed the new leader's sync.
-  leader_synced_ = false;
-  syncing_ = false;
-  takeover_reappends_ = 0;
-  sync_replies_.clear();
-  pending_appends_.clear();
-  inflight_aborts_.clear();
+  ClearLeaderState();
+  last_leader_contact_ = sim_->now();
+  if (failover_timer_ == 0) ArmFailoverTimer();
+}
+
+void TxnCoordinator::ClearLeaderState() {
   for (auto& [gid, pending] : pending_) {
     if (pending.timer != 0) sim_->Cancel(pending.timer);
   }
   pending_.clear();
   outstanding_.clear();
   retention_queue_.clear();
-  if (heartbeat_timer_ != 0) {
-    sim_->Cancel(heartbeat_timer_);
-    heartbeat_timer_ = 0;
+  pending_appends_.clear();
+  inflight_aborts_.clear();
+  sync_replies_.clear();
+  syncing_ = false;
+  leader_synced_ = false;
+  takeover_reappends_ = 0;
+  for (sim::EventId* timer : {&heartbeat_timer_, &sync_retry_timer_}) {
+    if (*timer != 0) sim_->Cancel(*timer);
+    *timer = 0;
   }
-  if (sync_retry_timer_ != 0) {
-    sim_->Cancel(sync_retry_timer_);
-    sync_retry_timer_ = 0;
-  }
-  last_leader_contact_ = sim_->now();
-  if (failover_timer_ == 0) ArmFailoverTimer();
 }
 
 void TxnCoordinator::ArmFailoverTimer() {
-  if (!GroupMode() || crashed_ || failover_timer_ != 0) return;
+  if (crashed_ || failover_timer_ != 0) return;
   failover_timer_ = sim_->Schedule(options_.failover_timeout,
                                    [this]() { OnFailoverTimeout(); });
 }
 
 void TxnCoordinator::OnFailoverTimeout() {
   failover_timer_ = 0;
-  if (crashed_ || !GroupMode()) return;
+  if (crashed_) return;
   // A serving leader heartbeats instead; a candidate mid-sync retries
   // via its own timer (bumping views while partitioned into a minority
   // would only thrash).
@@ -850,7 +781,7 @@ void TxnCoordinator::OnFailoverTimeout() {
 }
 
 void TxnCoordinator::StartTakeover() {
-  if (!GroupMode() || crashed_) return;
+  if (crashed_) return;
   SBFT_LOG(kDebug) << name() << " takeover at view " << view_;
   syncing_ = true;
   leader_synced_ = false;
@@ -868,6 +799,8 @@ void TxnCoordinator::StartTakeover() {
         sync_retry_timer_ = 0;
         if (!crashed_ && syncing_) StartTakeover();
       });
+  // A member that is a majority alone has nobody to wait for.
+  if (sync_replies_.size() + 1 >= GroupMajority()) CompleteTakeover();
 }
 
 void TxnCoordinator::CompleteTakeover() {
@@ -881,8 +814,11 @@ void TxnCoordinator::CompleteTakeover() {
   // this view, so it dominates stale records) or this leader never
   // serves. Quorum intersection then guarantees any later takeover sees
   // every entry this leader may act on — the Raft "re-commit prior-term
-  // entries" rule transplanted to the 2PC decision log.
-  takeover_reappends_ = 0;
+  // entries" rule transplanted to the 2PC decision log. The barrier
+  // counts every entry up front: a group of one clears each append as it
+  // is staged, and the last one runs FinishTakeover.
+  takeover_reappends_ = static_cast<uint32_t>(decisions_.size());
+  if (takeover_reappends_ == 0) FinishTakeover();
   for (auto& [gid, rec] : decisions_) {
     rec.view = view_;
     PendingAppend pa;
@@ -891,14 +827,8 @@ void TxnCoordinator::CompleteTakeover() {
     pa.cseq = rec.cseq;
     pa.proof = rec.proof;
     pa.takeover = true;
-    pa.acks.insert(options_.group_index);
-    uint64_t aid = StageAppend(std::move(pa));
-    BroadcastAppend(aid, shim::CoordAppendMsg::kDecision, gid, rec.commit,
-                    rec.cseq, &rec.proof, kInvalidActor,
-                    /*shards=*/nullptr);
-    ++takeover_reappends_;
+    AppendDecision(std::move(pa), kInvalidActor, /*shards=*/nullptr);
   }
-  if (takeover_reappends_ == 0) FinishTakeover();
 }
 
 void TxnCoordinator::FinishTakeover() {
@@ -909,7 +839,7 @@ void TxnCoordinator::FinishTakeover() {
   // outstanding_ map and the synced watermark; every cseq it assigns
   // exceeds every synced one, so advancement stays monotone. Adopted
   // entries simply stay in the log unpruned — the same safe direction
-  // as the singleton's expiry path.
+  // as the expiry path.
   for (const auto& [gid, launch] : launches_) {
     if (decisions_.contains(gid)) continue;
     PendingTxn pending;
@@ -935,7 +865,7 @@ void TxnCoordinator::FinishTakeover() {
 }
 
 void TxnCoordinator::SendHeartbeat() {
-  if (crashed_ || !GroupMode() || !IsGroupLeader()) return;
+  if (crashed_ || !IsGroupLeader()) return;
   BroadcastAppend(/*append_id=*/0, shim::CoordAppendMsg::kHeartbeat,
                   /*global_id=*/0, /*commit=*/false, /*cseq=*/0,
                   /*proof=*/nullptr, kInvalidActor, /*shards=*/nullptr);
@@ -947,7 +877,7 @@ void TxnCoordinator::SendHeartbeat() {
 }
 
 void TxnCoordinator::PruneDecisions() {
-  // Truncate fully-acked COMMITs once the retention window (for late
+  // Truncate fully-acked decisions once the retention window (for late
   // client retransmissions of lost responses) has passed. Ran from the
   // vote handler, so pruning advances exactly with 2PC traffic — no
   // extra timer events.

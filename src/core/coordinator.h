@@ -22,14 +22,13 @@ namespace sbft::core {
 struct CoordinatorOptions {
   /// Vote-collection timeout; expiry without all votes decides ABORT.
   SimDuration vote_timeout = Millis(1500);
-  /// Retention of fully-acked COMMIT entries before truncation (covers
+  /// Retention of fully-acked decision entries before truncation (covers
   /// client retransmissions of lost responses).
   SimDuration decision_retention = Seconds(5);
-  /// Replicated coordinator group (DESIGN.md §10): every member's actor
-  /// id in index order; member 0 is the view-0 leader. Size <= 1 keeps
-  /// the trusted-singleton behaviour — no group machinery runs and no
-  /// group message ever hits the wire, so the event stream is
-  /// byte-identical to the pre-group code.
+  /// Coordinator group (DESIGN.md §10): every member's actor id in index
+  /// order; member 0 is the view-0 leader. Empty means a group of one.
+  /// A group of one is its own majority: it runs the same protocol, and
+  /// its appends and takeover complete at once (no peer to wait for).
   std::vector<ActorId> group;
   /// This member's index in `group`.
   uint32_t group_index = 0;
@@ -41,10 +40,10 @@ struct CoordinatorOptions {
   /// gid's own group.
   uint32_t group_id = 0;
   uint32_t num_groups = 1;
-  /// Leader heartbeat period (group mode only).
+  /// Leader heartbeat period.
   SimDuration heartbeat_interval = Millis(100);
   /// Follower silence threshold before it bumps the view and, if it is
-  /// the new view's leader, starts takeover (group mode only).
+  /// the new view's leader, starts takeover.
   SimDuration failover_timeout = Millis(500);
 };
 
@@ -66,20 +65,20 @@ struct CoordinatorOptions {
 ///
 /// A COMMIT decision carries the participants' YES shares as its quorum
 /// proof. Every decision carries a dense sequence number (cseq);
-/// participants ack applied cseqs on their next votes, the coordinator advances a fully-decided watermark over the
-/// complete ack prefix, piggybacks it on outgoing decisions, and
-/// truncates COMMIT entries below it once the retention window (for
-/// late client retransmissions) has passed — bounding the log by
-/// in-flight transactions instead of total cross-shard count.
+/// participants ack applied cseqs on their next votes, the coordinator
+/// advances a fully-decided watermark over the complete ack prefix,
+/// piggybacks it on outgoing decisions, and truncates log entries below
+/// it once the retention window (for late client retransmissions) has
+/// passed — bounding the log by in-flight transactions instead of total
+/// cross-shard count.
 class TxnCoordinator : public sim::Actor {
  public:
   /// Resolves the current primary of a shard (tracks view changes).
   using ShardPrimaryResolver = std::function<ActorId(uint32_t shard)>;
 
-  /// One durable decision-log entry. Singleton mode stores only COMMITs
-  /// (aborts are presumed, never stored); group mode also stores
-  /// explicit aborts so a takeover's majority sync can see them and
-  /// max-view conflict resolution has both outcomes to compare.
+  /// One durable decision-log entry. Both outcomes are stored — explicit
+  /// and presumed aborts too — so a takeover's majority sync can see them
+  /// and max-view conflict resolution has both outcomes to compare.
   struct DecisionRecord {
     bool commit = false;
     /// Dense decision sequence (0 for a logged presumed abort).
@@ -107,16 +106,14 @@ class TxnCoordinator : public sim::Actor {
 
   /// Crash-stop / recover hook (fault engine). Crashing silences the
   /// actor; recovery wipes the volatile vote state but keeps the
-  /// decision log — the classic 2PC stable-storage split. In group
-  /// mode a recovering member rejoins as a follower (or restarts
-  /// takeover if it is still the nominal leader of the current view —
-  /// peers holding a higher view demote it through their replies).
+  /// decision log — the classic 2PC stable-storage split. A recovering
+  /// member rejoins as a follower, or restarts takeover if it is still
+  /// the nominal leader of the current view (peers holding a higher view
+  /// demote it through their replies; a group of one takes over at once).
   void SetCrashed(bool crashed);
   bool crashed() const { return crashed_; }
 
   // --- coordinator-group replication (DESIGN.md §10) ---
-  /// True when this coordinator is one member of a replicated group.
-  bool GroupMode() const { return options_.group.size() > 1; }
   /// Current group view; the leader of view v is group[v % |group|]
   /// (the shared CoordGroups::LeaderIndexAt rule).
   uint64_t view() const { return view_; }
@@ -124,15 +121,14 @@ class TxnCoordinator : public sim::Actor {
     return options_.group[CoordGroups::LeaderIndexAt(
         view_, static_cast<uint32_t>(options_.group.size()))];
   }
-  bool IsGroupLeader() const { return GroupMode() && GroupLeader() == id(); }
+  bool IsGroupLeader() const { return GroupLeader() == id(); }
   /// A leader serves 2PC traffic only once its takeover sync +
   /// re-replication completed (member 0 starts synced at view 0).
   bool leader_synced() const { return leader_synced_; }
   /// View bumps this member performed or adopted.
   uint64_t view_changes() const { return view_changes_; }
   /// Unknown-gid presumed aborts that were quorum-logged before being
-  /// answered (group mode makes the presumed answer durable so no later
-  /// leader can contradict it).
+  /// answered (the durable answer is one no later leader can contradict).
   uint64_t presumed_aborts_logged() const { return presumed_aborts_logged_; }
 
   // --- gid partitioning (DESIGN.md §12) ---
@@ -147,15 +143,13 @@ class TxnCoordinator : public sim::Actor {
 
   // --- statistics / test evidence ---
   /// Cross-shard launches. A relaunch of the same global id (client
-  /// retransmission after a crash wiped the volatile state or an ABORT
-  /// response was lost) counts again — this meters coordination work,
-  /// not distinct transactions; `decisions()` holds the distinct
-  /// committed set.
+  /// retransmission after a crash wiped the volatile state) counts
+  /// again — this meters coordination work, not distinct transactions;
+  /// `decisions()` holds the distinct decided set.
   uint64_t txns_coordinated() const { return txns_coordinated_; }
   uint64_t commits_decided() const { return commits_decided_; }
   /// Explicit ABORT decisions (vote NO / vote timeout). Presumed-abort
-  /// answers for ids unknown after a crash are not counted — they are
-  /// re-derived per retry, not decided.
+  /// answers for unknown ids count in presumed_aborts_logged() instead.
   uint64_t aborts_decided() const { return aborts_decided_; }
   /// Logical prepare votes processed (one per share of a kShardVoteCert).
   uint64_t votes_received() const { return votes_received_; }
@@ -165,9 +159,11 @@ class TxnCoordinator : public sim::Actor {
   /// Certificate messages dropped whole: a share failed the per-share
   /// sender guard or the batch signature verification.
   uint64_t vote_certs_rejected() const { return vote_certs_rejected_; }
-  /// Durable decision log. Presumed abort: only COMMIT outcomes are
-  /// logged; an id absent here was (or will be) answered ABORT. Entries
-  /// below the watermark are truncated after the retention window.
+  /// Durable decision log: every COMMIT and ABORT, each quorum-logged
+  /// before it is acted on. An id absent here is answered ABORT
+  /// (presumed abort), after logging that answer too. Fully-acked
+  /// entries below the watermark are truncated after the retention
+  /// window.
   const std::map<TxnId, DecisionRecord>& decisions() const {
     return decisions_;
   }
@@ -202,15 +198,14 @@ class TxnCoordinator : public sim::Actor {
     /// takeover (the shards already hold their fragments).
     std::vector<std::shared_ptr<shim::ClientRequestMsg>> fragments;
     sim::EventId timer = 0;
-    /// Group mode: a quorum-fenced decision append is in flight for this
-    /// transaction — late votes are ignored until FinishDecide runs.
+    /// A quorum-fenced decision append is in flight for this transaction
+    /// — late votes are ignored until FinishDecide runs.
     bool deciding = false;
   };
 
   /// Watermark bookkeeping for one decision awaiting participant acks.
   struct OutstandingDecision {
     TxnId global_id = 0;
-    bool commit = false;
     SimTime decided_at = 0;
     /// Shards the decision was sent to (the ack set must cover these).
     std::set<uint32_t> sent_to;
@@ -275,14 +270,19 @@ class TxnCoordinator : public sim::Actor {
   /// Truncates fully-acked COMMIT entries whose retention has passed.
   void PruneDecisions();
 
-  // --- group-mode internals (no-ops when |group| <= 1) ---
+  // --- coordinator-group internals ---
   uint32_t GroupMajority() const {
     return static_cast<uint32_t>(options_.group.size()) / 2 + 1;
   }
   /// Index of `a` in the group, or -1 when it is not a member.
   int GroupIndexOf(ActorId a) const;
-  /// Stages a quorum-fenced append and broadcasts it to the peers.
-  uint64_t StageAppend(PendingAppend pa);
+  /// Stages a quorum-fenced decision append (self-acked), broadcasts it
+  /// to the peers, and completes it at once if self is a majority.
+  void AppendDecision(PendingAppend pa, ActorId client,
+                      const std::vector<uint32_t>* shards);
+  /// Completes a staged append once it holds a majority of acks: runs
+  /// FinishDecide, answers a presumed abort, or counts down takeover.
+  void MaybeCommitAppend(uint64_t append_id);
   void BroadcastAppend(uint64_t append_id, shim::CoordAppendMsg::Entry entry,
                        TxnId global_id, bool commit, uint64_t cseq,
                        const crypto::VoteCertificate* proof,
@@ -292,13 +292,17 @@ class TxnCoordinator : public sim::Actor {
   void HandleAppendAck(const sim::Envelope& env);
   void HandleSyncRequest(const sim::Envelope& env);
   void HandleSyncReply(const sim::Envelope& env);
-  /// Second half of Decide: log (post-quorum in group mode), send shard
-  /// decisions, track acks, answer the client, drop the pending record.
+  /// Second half of Decide: log (post-quorum), send shard decisions,
+  /// track acks, answer the client, drop the pending record.
   void FinishDecide(TxnId global_id, bool commit, uint64_t cseq,
                     const crypto::VoteCertificate& proof);
   /// Adopt a higher view observed on the wire and fall back to
   /// follower: clear leader-volatile state, re-arm the failover timer.
   void AdoptView(uint64_t view);
+  /// Drops the leader-volatile state a crash and a step-down both lose:
+  /// pending txns and their vote timers, watermark bookkeeping, staged
+  /// appends, takeover progress, and the heartbeat / sync-retry timers.
+  void ClearLeaderState();
   void ArmFailoverTimer();
   void OnFailoverTimeout();
   /// New-leader entry: broadcast sync requests and wait for a majority.
@@ -332,11 +336,10 @@ class TxnCoordinator : public sim::Actor {
   bool crashed_ = false;
   /// Volatile 2PC state: lost on crash (presumed abort covers it).
   std::map<TxnId, PendingTxn> pending_;
-  /// Durable COMMIT log: survives crashes; aborts are presumed (never
-  /// stored). Clients learn decided outcomes from their own
-  /// retransmission (the resend carries the transaction, so no client
-  /// map needs to survive). The watermark bounds the log by in-flight
-  /// transactions plus the retention window.
+  /// Durable decision log: survives crashes. Clients learn decided
+  /// outcomes from their own retransmission (the resend carries the
+  /// transaction, so no client map needs to survive). The watermark
+  /// bounds the log by in-flight transactions plus the retention window.
   std::map<TxnId, DecisionRecord> decisions_;
 
   // --- watermark state ---
@@ -347,10 +350,10 @@ class TxnCoordinator : public sim::Actor {
   /// Volatile: decisions awaiting full participant acks, cseq-ordered.
   std::map<uint64_t, OutstandingDecision> outstanding_;
   uint64_t watermark_ = 0;
-  /// Fully-acked COMMITs waiting out the retention window, cseq order.
+  /// Fully-acked decisions waiting out the retention window, cseq order.
   std::deque<std::pair<SimTime, TxnId>> retention_queue_;
 
-  // --- coordinator-group state (inert when |group| <= 1) ---
+  // --- coordinator-group state ---
   /// Current view; leader of view v is group[v % |group|]. Modeled as
   /// stable (survives crashes) like the decision log.
   uint64_t view_ = 0;
@@ -380,7 +383,7 @@ class TxnCoordinator : public sim::Actor {
   uint64_t view_changes_ = 0;
   uint64_t presumed_aborts_logged_ = 0;
 
-  // --- gid-partitioning state (inert when num_groups <= 1) ---
+  // --- gid-partitioning state ---
   uint64_t foreign_requests_forwarded_ = 0;
   uint64_t foreign_votes_dropped_ = 0;
 

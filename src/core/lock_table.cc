@@ -52,19 +52,17 @@ const std::vector<std::string>* LockTable::KeysOf(Owner owner) const {
 }
 
 bool LockTable::Enqueue(const std::string& key, WaiterId waiter) {
-  if (max_queue_depth_ == 0) {
+  auto it = queues_.find(key);
+  size_t depth = it == queues_.end() ? 0 : it->second.size();
+  if (depth >= max_queue_depth_) {
     ++enqueue_refusals_;
     return false;
   }
-  std::deque<WaiterId>& queue = queues_[key];
-  if (queue.size() >= max_queue_depth_) {
-    ++enqueue_refusals_;
-    return false;
-  }
-  queue.push_back(waiter);
+  if (it == queues_.end()) it = queues_.try_emplace(key).first;
+  it->second.push_back(waiter);
   ++total_waiters_;
-  peak_queue_depth_ = std::max(peak_queue_depth_,
-                               static_cast<uint32_t>(queue.size()));
+  peak_queue_depth_ =
+      std::max(peak_queue_depth_, static_cast<uint32_t>(depth + 1));
   return true;
 }
 

@@ -45,9 +45,8 @@ class LockTable {
   explicit LockTable(uint32_t max_queue_depth)
       : max_queue_depth_(max_queue_depth) {}
 
-  /// Per-key FIFO cap; 0 disables queueing (Enqueue always refuses).
+  /// Per-key FIFO cap (a cap of 0 makes Enqueue always refuse).
   void set_max_queue_depth(uint32_t depth) { max_queue_depth_ = depth; }
-  uint32_t max_queue_depth() const { return max_queue_depth_; }
 
   /// Whether `key` is held by an owner other than `self`.
   bool LockedByOther(const std::string& key, Owner self) const {
@@ -78,7 +77,7 @@ class LockTable {
   const std::vector<std::string>* KeysOf(Owner owner) const;
 
   /// Appends `waiter` to `key`'s FIFO queue. Refuses (returns false)
-  /// when queueing is disabled or the queue is at the configured cap.
+  /// when the queue is at the configured cap, creating no queue.
   bool Enqueue(const std::string& key, WaiterId waiter);
 
   /// Pops the whole FIFO queue of `key` (possibly empty). The caller

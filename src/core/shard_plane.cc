@@ -214,9 +214,7 @@ void ShardPlane::BuildVerifierAndStorage() {
   vconfig.prepare_lock_queue_depth = config_.prepare_lock_queue_depth;
   // Coordinator topology (DESIGN.md §10/§12). The Architecture clamps
   // coordinator_groups/replicas into config_ before any plane is built,
-  // so this view matches what BuildCoordinator constructs. A sharded
-  // 1x1 topology leaves the default {1, 1} — multi() is false and the
-  // singleton fast paths (and wire bytes) are untouched.
+  // so this view matches what BuildCoordinator constructs.
   if (config_.shard_count > 1) {
     vconfig.coord_groups = core::CoordGroups{
         std::min(std::max(config_.coordinator_groups, 1u), 64u),

@@ -601,30 +601,23 @@ void LinearCertMsg::BuildWire(Encoder* enc) const {
 }
 
 size_t ShardVoteCertMsg::PayloadWireBytes() const {
-  size_t n = cert.WireSize() + 1;
-  if (has_meta) n += VarintLen(acked_cseqs.size()) + 8 * acked_cseqs.size();
-  if (has_view) n += 8;
-  return n;
+  return cert.WireSize() + VarintLen(acked_cseqs.size()) +
+         8 * acked_cseqs.size() + 8;
 }
 
 void ShardVoteCertMsg::BuildWire(Encoder* enc) const {
   PutPacked(enc, PackedFor<wire::ShardVoteCertHeader>(*this));
   cert.EncodeTo(enc);
-  enc->PutBool(has_meta);
-  if (has_meta) {
-    enc->PutVarint(acked_cseqs.size());
-    for (uint64_t cseq : acked_cseqs) {
-      enc->PutU64(cseq);
-    }
+  enc->PutVarint(acked_cseqs.size());
+  for (uint64_t cseq : acked_cseqs) {
+    enc->PutU64(cseq);
   }
-  if (has_view) enc->PutU64(coord_view);
+  enc->PutU64(coord_view);
 }
 
 size_t ShardCommitDecisionMsg::PayloadWireBytes() const {
-  size_t n = 8 + 1;
+  size_t n = 8 + 1 + 16 + 8 + 4;
   if (!proof.shares.empty()) n += proof.WireSize();
-  if (has_meta) n += 16;
-  if (has_view) n += 8 + 4;
   return n;
 }
 
@@ -633,20 +626,13 @@ void ShardCommitDecisionMsg::BuildWire(Encoder* enc) const {
   h.global_id.set(global_id);
   h.commit.set(commit);
   PutPacked(enc, h);
-  // The quorum proof is a trailing section present only on COMMITs (an
-  // empty proof adds no bytes), like the has_meta watermark section
-  // after it.
+  // The quorum proof is present only on COMMITs (an empty proof adds no
+  // bytes); the watermark piggyback and the view stamp follow it.
   if (!proof.shares.empty()) proof.EncodeTo(enc);
-  if (has_meta) {
-    enc->PutU64(cseq);
-    enc->PutU64(watermark);
-  }
-  // View stamp: set only by a replicated coordinator group, so the
-  // singleton decision wire bytes (and golden digests) are untouched.
-  if (has_view) {
-    enc->PutU64(coord_view);
-    enc->PutU32(coord_leader);
-  }
+  enc->PutU64(cseq);
+  enc->PutU64(watermark);
+  enc->PutU64(coord_view);
+  enc->PutU32(coord_leader);
 }
 
 size_t CoordAppendMsg::PayloadWireBytes() const {

@@ -490,15 +490,11 @@ struct ShardVoteCertMsg : Message {
 
   crypto::VoteCertificate cert;
   /// Watermark piggyback: decision cseqs this shard has applied but not
-  /// yet seen confirmed by the coordinator's watermark. A presence bit
-  /// on the wire; verifiers always set it.
-  bool has_meta = false;
+  /// yet seen confirmed by the coordinator's watermark.
   std::vector<uint64_t> acked_cseqs;
-  /// View stamp (coordinator_replicas > 1): the coordinator-group view
-  /// this participant believes is current when it votes — a stale stamp
-  /// is answered with a view-stamped decision the participant learns the
-  /// real leader from. Trailing section, absent on singleton wire bytes.
-  bool has_view = false;
+  /// View stamp: the coordinator-group view this participant believes is
+  /// current when it votes — a stale stamp is answered with a
+  /// view-stamped decision the participant learns the real leader from.
   uint64_t coord_view = 0;
 
   size_t PayloadWireBytes() const override;
@@ -523,16 +519,12 @@ struct ShardCommitDecisionMsg : Message {
   /// decision sequence number for this outcome (0 for presumed-abort
   /// answers) and its fully-decided watermark — every decision with
   /// cseq <= watermark is applied at all its participants, so dedup
-  /// state below it can be truncated. Trailing section, emitted only
-  /// when `has_meta` is set (legacy decisions keep their wire bytes).
-  bool has_meta = false;
+  /// state below it can be truncated.
   uint64_t cseq = 0;
   uint64_t watermark = 0;
-  /// View stamp (coordinator_replicas > 1): the deciding group view and
-  /// the leader's actor id — how participants learn the current leader
-  /// and where to redirect vote retransmits. Trailing section, absent on
-  /// singleton wire bytes.
-  bool has_view = false;
+  /// View stamp: the deciding group view and the leader's actor id — how
+  /// participants learn the current leader and where to redirect vote
+  /// retransmits.
   uint64_t coord_view = 0;
   ActorId coord_leader = kInvalidActor;
 
@@ -541,9 +533,9 @@ struct ShardCommitDecisionMsg : Message {
 };
 
 // ---------------------------------------------------------------------------
-// Coordinator-group replication (DESIGN.md §10). None of these kinds is
-// emitted when coordinator_replicas == 1 — the singleton configuration's
-// wire traffic (and thereby the golden scenario digests) is untouched.
+// Coordinator-group replication (DESIGN.md §10). Appends, acks and syncs
+// travel between group members, so a group of one never sends them; a
+// redirect follows every takeover, a recovering group of one's included.
 // ---------------------------------------------------------------------------
 
 /// Coordinator leader -> followers: one replicated-log record. Serves
@@ -580,7 +572,7 @@ struct CoordAppendMsg : Message {
 };
 
 /// Coordinator follower -> leader: quorum ack for one decision append
-/// (and for heartbeats, which maintain the leader's lease).
+/// (heartbeats and launch records are not acked).
 struct CoordAckMsg : Message {
   explicit CoordAckMsg(ActorId s) : Message(MsgKind::kCoordAck, s) {}
 

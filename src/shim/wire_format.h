@@ -262,8 +262,8 @@ struct LinearCertHeader {
 };
 static_assert(sizeof(LinearCertHeader) == 6, "wire layout changed");
 
-/// kShardCommitDecision prefix: optional (cseq, watermark) follows when
-/// has_meta.
+/// kShardCommitDecision prefix: the quorum proof (COMMITs only), the
+/// (cseq, watermark) piggyback and the view stamp follow.
 struct ShardCommitDecisionHeader {
   MsgHeader hdr;
   U64Field global_id;
@@ -271,8 +271,8 @@ struct ShardCommitDecisionHeader {
 };
 static_assert(sizeof(ShardCommitDecisionHeader) == 14, "wire layout changed");
 
-/// kShardVoteCert prefix: the share list and optional watermark piggyback
-/// follow (share-based quorum certificate, DESIGN.md §8).
+/// kShardVoteCert prefix: the share list, the watermark piggyback and the
+/// view stamp follow (share-based quorum certificate, DESIGN.md §8).
 struct ShardVoteCertHeader {
   MsgHeader hdr;
 };
@@ -280,9 +280,8 @@ static_assert(sizeof(ShardVoteCertHeader) == 5, "wire layout changed");
 
 // --- coordinator-group replication (DESIGN.md §10) ---
 //
-// These kinds only ever hit the wire when `coordinator_replicas > 1`; a
-// singleton deployment emits none of them, which is what keeps the golden
-// scenario digests byte-identical at the default configuration.
+// Appends, acks and syncs travel between group members, so a group of one
+// never sends them; redirects go to the shard verifiers after a takeover.
 
 /// kCoordAppend prefix: the sent-to/participant shard list and an
 /// optional quorum proof follow. One header serves heartbeats (entry 0),

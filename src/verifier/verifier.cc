@@ -269,7 +269,6 @@ void Verifier::SettleConflictQuorums(SeqNum seq, SeqState& state) {
 void Verifier::SettlePerTxn(SeqNum seq, const shim::VerifyMsg& sample,
                             const std::vector<SettleItem>& items) {
   static const storage::RwSet kEmptyRw;
-  const bool queueing = config_.prepare_lock_queue_depth > 0;
   // One settle round = one vote-certificate flush per coordinator: every
   // fragment vote cast below lands in the same aggregate message.
   const bool outer_batching = vote_batching_;
@@ -283,7 +282,7 @@ void Verifier::SettlePerTxn(SeqNum seq, const shim::VerifyMsg& sample,
     // the ref carries the routing metadata.
     if (item.ref.global_id != 0) {
       TxnId gid = item.ref.global_id;
-      if (queueing && item.rw != nullptr && !prepared_.contains(gid) &&
+      if (item.rw != nullptr && !prepared_.contains(gid) &&
           !applied_global_.contains(gid) && !aborted_global_.contains(gid) &&
           !queued_fragment_gids_.contains(gid)) {
         // A fresh fragment blocked on a foreign prepare lock waits its
@@ -312,7 +311,7 @@ void Verifier::SettlePerTxn(SeqNum seq, const shim::VerifyMsg& sample,
     bool ok = false;
     if (item.rw != nullptr) {
       const std::string* blocked = FirstBlockedKey(*item.rw, 0);
-      if (blocked != nullptr && queueing &&
+      if (blocked != nullptr &&
           TryQueueBehindLock(*blocked, seq, item.ref, *item.rw,
                              sample.batch_digest, sample.result,
                              /*is_fragment=*/false)) {
@@ -458,16 +457,11 @@ void Verifier::FlushVoteCerts() {
     // Piggyback the applied-decision acks (cumulative, re-sent until the
     // owning group's watermark confirms them) once per certificate — no
     // extra message round. Acks are per group: the cseq spaces of
-    // different groups are independent.
-    msg->has_meta = true;
+    // different groups are independent. The view stamp is wire realism
+    // only; the coordinator group resolves leadership from its own state.
     msg->acked_cseqs.assign(gs.unconfirmed_acks.begin(),
                             gs.unconfirmed_acks.end());
-    if (config_.coord_groups.replicated()) {
-      // View stamp (wire realism only; the coordinator group resolves
-      // leadership from its own state). Absent on singleton wire bytes.
-      msg->has_view = true;
-      msg->coord_view = gs.view;
-    }
+    msg->coord_view = gs.view;
     ++vote_certs_sent_;
     net_->Send(id(), coordinator, msg, msg->WireSize());
   }
@@ -478,31 +472,23 @@ void Verifier::HandleDecision(const sim::Envelope& env) {
   const auto* msg = shim::MessageAs<shim::ShardCommitDecisionMsg>(
       env, shim::MsgKind::kShardCommitDecision);
   if (msg == nullptr) return;
-  // Only the coordinator this fragment voted to may resolve it — a
-  // forged decision from anyone else must not release prepare state.
-  // With more than one member the guard generalizes to membership in
-  // the gid's *own* group (any member of it may have become leader —
-  // but a member of another group must never resolve a foreign gid),
-  // and view-stamped decisions teach this verifier where to aim the
-  // sender's group's vote retransmits.
-  const bool multi = config_.coord_groups.multi();
-  if (multi) {
-    if (!config_.coord_groups.IsMember(env.from)) return;
-    CoordGroupState& gs =
-        coord_groups_[config_.coord_groups.GroupOfMember(env.from)];
-    if (msg->has_view && msg->coord_view >= gs.view) {
-      gs.view = msg->coord_view;
-      gs.leader = msg->coord_leader;
-    }
+  // Only a member of the gid's own coordinator group may resolve it — a
+  // forged decision from anyone else must not release prepare state. Any
+  // member of that group may have become its leader, but a member of
+  // another group must never resolve a foreign gid. (For a 1x1 topology
+  // the one member is exactly the launching coordinator.) View-stamped
+  // decisions teach this verifier where to aim the sender's group's vote
+  // retransmits.
+  const core::CoordGroups& topology = config_.coord_groups;
+  if (!topology.IsMember(env.from)) return;
+  const uint32_t group = topology.GroupOfMember(env.from);
+  CoordGroupState& gs = coord_groups_[group];
+  if (msg->coord_view >= gs.view) {
+    gs.view = msg->coord_view;
+    gs.leader = msg->coord_leader;
   }
-  auto it = prepared_.find(msg->global_id);
-  if (it == prepared_.end()) return;
-  if (multi) {
-    if (config_.coord_groups.GroupOfMember(env.from) !=
-        config_.coord_groups.GroupOf(msg->global_id)) {
-      return;
-    }
-  } else if (env.from != it->second.ref.coordinator) {
+  if (!prepared_.contains(msg->global_id) ||
+      topology.GroupOf(msg->global_id) != group) {
     return;
   }
   if (msg->commit) {
@@ -521,12 +507,10 @@ void Verifier::HandleDecision(const sim::Envelope& env) {
       return;
     }
   }
-  ApplyDecision(msg->global_id, msg->commit, msg->has_meta ? msg->cseq : 0,
-                msg->has_meta ? msg->watermark : 0);
+  ApplyDecision(msg->global_id, msg->commit, msg->cseq, msg->watermark);
 }
 
 void Verifier::HandleCoordRedirect(const sim::Envelope& env) {
-  if (!config_.coord_groups.replicated()) return;
   const auto* msg = shim::MessageAs<shim::CoordRedirectMsg>(
       env, shim::MsgKind::kCoordRedirect);
   if (msg == nullptr) return;

@@ -48,13 +48,11 @@ struct VerifierConfig {
   /// key before it falls back to the abort rule (livelock guard).
   uint32_t prepare_lock_max_requeues = 16;
   /// Coordinator topology (DESIGN.md §10/§12): G gid-partitioned groups
-  /// of R members each. The default {1, 1} singleton keeps the decision
-  /// sender guard pinned to the fragment's launching coordinator and
-  /// votes carry no view stamp (byte-identical wire traffic). With more
-  /// than one member, decisions must come from a member of the gid's
-  /// own group, and per-group leader hints (view-stamped decisions and
-  /// kCoordRedirect, R > 1 only) re-aim that group's vote retransmits —
-  /// one group's failover never moves another group's votes.
+  /// of R members each (default one group of one). Decisions must come
+  /// from a member of the gid's own group, and per-group leader hints
+  /// (view-stamped decisions and kCoordRedirect) re-aim that group's
+  /// vote retransmits — one group's failover never moves another
+  /// group's votes.
   core::CoordGroups coord_groups;
 };
 
@@ -284,11 +282,8 @@ class Verifier : public sim::Actor {
   /// Where this shard's votes go: the gid's group's learned leader if
   /// any, otherwise the fragment's launching coordinator.
   ActorId CoordTarget(const PreparedFragment& frag) const {
-    if (config_.coord_groups.multi()) {
-      ActorId leader = GroupStateOf(frag.ref.global_id).leader;
-      if (leader != kInvalidActor) return leader;
-    }
-    return frag.ref.coordinator;
+    ActorId leader = GroupStateOf(frag.ref.global_id).leader;
+    return leader != kInvalidActor ? leader : frag.ref.coordinator;
   }
 
   /// Drains validated/aborted sequences in k_max order (Fig. 3 lines
@@ -328,8 +323,9 @@ class Verifier : public sim::Actor {
                                      TxnId self) const;
 
   // --- prepare-lock queueing ---
-  /// True when queueing is on and the transaction was parked behind the
-  /// blocking key (the caller must then skip the abort/response path).
+  /// True when the transaction was parked behind the blocking key (the
+  /// caller must then skip the abort/response path); false when the
+  /// key's queue is at its cap, which a cap of 0 always is.
   bool TryQueueBehindLock(const std::string& blocked_key, SeqNum seq,
                           const shim::VerifyMsg::TxnRef& ref,
                           const storage::RwSet& rw,

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 
 #include "core/serverless_bft.h"
 #include "faults/controller.h"
@@ -250,6 +252,88 @@ TEST(CoordinatorFailoverTest, WatermarkRederivedAfterTakeover) {
   EXPECT_GT(serving->watermark(), watermark_at_crash)
       << "watermark stalled after takeover";
   ExpectAtomicAcrossGroup(arch);
+}
+
+// R = 1 is a group of one: it runs the group protocol as its own
+// majority. It logs explicit ABORTs and prunes them through the same
+// retention queue as COMMITs; on recovery it takes over its own log at
+// once (no view change, no peer to sync with) and redirects every shard
+// verifier exactly once; and it never sends a group message.
+TEST(CoordinatorFailoverTest, GroupOfOneRecoversThroughItsOwnTakeover) {
+  SystemConfig config = FailoverConfig(42, 1);
+  // Hot cross-shard traffic with no lock queue: a fragment that meets a
+  // foreign prepare lock votes NO, so explicit ABORTs are frequent.
+  config.workload.record_count = 200;
+  config.workload.cross_shard_percentage = 50.0;
+  config.prepare_lock_queue_depth = 0;
+  config.twopc_decision_retention = Millis(500);
+  Architecture arch(config);
+  TxnCoordinator* coordinator = arch.coordinator();
+  std::map<ActorId, int> redirects;
+  int group_messages = 0;
+  arch.network()->SetDeliveryObserver([&](const sim::Envelope& env) {
+    const auto* msg = static_cast<const shim::Message*>(env.message.get());
+    switch (msg->kind) {
+      case shim::MsgKind::kCoordRedirect:
+        if (env.from == coordinator->id()) ++redirects[env.to];
+        break;
+      case shim::MsgKind::kCoordAppend:
+      case shim::MsgKind::kCoordAck:
+      case shim::MsgKind::kCoordSyncRequest:
+      case shim::MsgKind::kCoordSyncReply:
+        ++group_messages;
+        break;
+      default:
+        break;
+    }
+  });
+  auto schedule = faults::FaultSchedule::Parse(
+      "at 1s crash coordinator\n"
+      "at 1.5s recover coordinator\n");
+  ASSERT_TRUE(schedule.ok());
+  faults::FaultController controller(&arch);
+  ASSERT_TRUE(controller.Install(*schedule).ok());
+  arch.Start();
+
+  // Explicit ABORTs (vote NO or vote timeout) carry a cseq and are logged;
+  // the gids seen logged are later pruned at the watermark.
+  std::set<TxnId> logged_aborts;
+  auto sample_aborts = [&]() {
+    for (const auto& [gid, rec] : coordinator->decisions()) {
+      if (!rec.commit && rec.cseq > 0) logged_aborts.insert(gid);
+    }
+  };
+  for (SimTime t = Millis(50); t < Millis(1500); t += Millis(50)) {
+    arch.simulator()->RunUntil(t);
+    sample_aborts();
+  }
+  arch.simulator()->RunUntil(Millis(1501));
+  EXPECT_FALSE(coordinator->crashed());
+  EXPECT_TRUE(coordinator->leader_synced())
+      << "a recovered group of one serves at once";
+  EXPECT_EQ(coordinator->view_changes(), 0u);
+  for (SimTime t = Millis(1550); t <= Seconds(5); t += Millis(50)) {
+    arch.simulator()->RunUntil(t);
+    sample_aborts();
+  }
+
+  EXPECT_GT(coordinator->aborts_decided(), 0u);
+  EXPECT_FALSE(logged_aborts.empty()) << "explicit ABORTs are not logged";
+  EXPECT_GT(coordinator->decisions_pruned(), 0u);
+  size_t pruned_aborts = 0;
+  for (TxnId gid : logged_aborts) {
+    if (!coordinator->decisions().contains(gid)) ++pruned_aborts;
+  }
+  EXPECT_GT(pruned_aborts, 0u) << "logged ABORTs never prune";
+  EXPECT_LT(coordinator->decisions().size(),
+            coordinator->commits_decided() + coordinator->aborts_decided());
+
+  for (uint32_t s = 0; s < arch.shard_count(); ++s) {
+    EXPECT_EQ(redirects[ShardPlane::VerifierId(s)], 1) << "shard " << s;
+  }
+  EXPECT_EQ(redirects.size(), arch.shard_count());
+  EXPECT_EQ(group_messages, 0);
+  EXPECT_TRUE(CollectTwoPcEvidence(arch).SplitOutcomes().empty());
 }
 
 // Workflow chains keep their exactly-once guarantee across a failover:

@@ -177,7 +177,7 @@ struct SinkActor : sim::Actor {
 
 TEST(VoteCertTest, ProoflessCommitDecisionNeverAppliesAtVerifier) {
   constexpr ActorId kVerifier = 999;
-  constexpr ActorId kCoordinator = 888;
+  constexpr ActorId kCoordinator = kCoordinatorBaseId;
   constexpr ActorId kExec1 = 200;
   constexpr ActorId kExec2 = 201;
   constexpr TxnId kGid = 777;

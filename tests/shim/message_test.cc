@@ -173,40 +173,40 @@ TEST(MessageTest, PreparedProofRoundTrip) {
   EXPECT_EQ(parsed.batch->Hash(), proof.batch->Hash());
 }
 
-TEST(MessageTest, TwoPcWatermarkSectionsAreGatedOnHasMeta) {
-  // The watermark piggyback rides in trailing sections gated on the
-  // `has_meta` presence bit; without it the messages keep their exact
-  // bare wire bytes (transmission delay is size-dependent and the golden
-  // scenario digests pin the event stream).
+TEST(MessageTest, TwoPcWatermarkAndViewSectionsAreAlwaysPresent) {
+  // Every vote certificate carries its ack list (count marker included)
+  // and an 8-byte view stamp; every decision carries (cseq, watermark)
+  // and a 12-byte view stamp. No presence bit gates either, so the wire
+  // size depends only on how many acks and proof shares there are.
   crypto::VoteShare share{42, 1, 7, true, 9, ToBytes("sig")};
-  ShardVoteCertMsg bare_cert(9);
-  bare_cert.cert.shares.push_back(share);
+  ShardVoteCertMsg no_acks(9);
+  no_acks.cert.shares.push_back(share);
+  EXPECT_EQ(no_acks.WireSize(), sizeof(wire::ShardVoteCertHeader) +
+                                    no_acks.cert.WireSize() + 1 + 8);
 
-  ShardVoteCertMsg meta_cert(9);
-  meta_cert.cert.shares.push_back(share);
-  meta_cert.has_meta = true;
-  meta_cert.acked_cseqs = {3, 4, 9};
+  ShardVoteCertMsg acks(9);
+  acks.cert.shares.push_back(share);
+  acks.acked_cseqs = {3, 4, 9};
+  acks.coord_view = 5;
+  EXPECT_EQ(acks.WireSize(), no_acks.WireSize() + 3 * 8);
 
-  EXPECT_GT(meta_cert.WireSize(), bare_cert.WireSize());
-  // An empty ack list still differs (the count marker) so the encoding
-  // stays injective between the meta and bare forms at the sender.
-  ShardVoteCertMsg empty_meta_cert(9);
-  empty_meta_cert.cert.shares.push_back(share);
-  empty_meta_cert.has_meta = true;
-  EXPECT_GT(empty_meta_cert.WireSize(), bare_cert.WireSize());
+  ShardCommitDecisionMsg zero_decision(9);
+  zero_decision.global_id = 42;
+  zero_decision.commit = true;
+  EXPECT_EQ(zero_decision.WireSize(),
+            sizeof(wire::ShardCommitDecisionHeader) + 16 + 12);
 
-  ShardCommitDecisionMsg legacy_decision(9);
-  legacy_decision.global_id = 42;
-  legacy_decision.commit = true;
-
-  ShardCommitDecisionMsg meta_decision(9);
-  meta_decision.global_id = 42;
-  meta_decision.commit = true;
-  meta_decision.has_meta = true;
-  meta_decision.cseq = 11;
-  meta_decision.watermark = 8;
-
-  EXPECT_EQ(meta_decision.WireSize(), legacy_decision.WireSize() + 16);
+  ShardCommitDecisionMsg stamped_decision(9);
+  stamped_decision.global_id = 42;
+  stamped_decision.commit = true;
+  stamped_decision.cseq = 11;
+  stamped_decision.watermark = 8;
+  stamped_decision.coord_view = 3;
+  stamped_decision.coord_leader = 890001;
+  EXPECT_EQ(stamped_decision.WireSize(), zero_decision.WireSize());
+  stamped_decision.proof.shares.push_back(share);
+  EXPECT_EQ(stamped_decision.WireSize(),
+            zero_decision.WireSize() + stamped_decision.proof.WireSize());
 }
 
 TEST(MessageTest, AllKindsEncodeNonEmpty) {

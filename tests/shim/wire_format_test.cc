@@ -386,45 +386,59 @@ TEST(WireFormatTest, LinearMessagesMatchLegacyBytes) {
 }
 
 TEST(WireFormatTest, ShardMessagesMatchLegacyBytes) {
+  // Vote certificate: shares, ack count + acks, view stamp.
   ShardVoteCertMsg vc(9);
   vc.cert = MakeVoteCert();
   ExpectLegacyBytes(vc, [&](Encoder* e) {
     vc.cert.EncodeTo(e);
-    e->PutBool(false);
+    e->PutVarint(0);
+    e->PutU64(0);
   });
 
-  ShardVoteCertMsg meta_vc(9);
-  meta_vc.cert = MakeVoteCert();
-  meta_vc.has_meta = true;
-  meta_vc.acked_cseqs = {3, 4};
-  ExpectLegacyBytes(meta_vc, [&](Encoder* e) {
-    meta_vc.cert.EncodeTo(e);
-    e->PutBool(true);
-    e->PutVarint(meta_vc.acked_cseqs.size());
-    for (uint64_t c : meta_vc.acked_cseqs) e->PutU64(c);
+  ShardVoteCertMsg acked_vc(9);
+  acked_vc.cert = MakeVoteCert();
+  acked_vc.acked_cseqs = {3, 4};
+  acked_vc.coord_view = 6;
+  ExpectLegacyBytes(acked_vc, [&](Encoder* e) {
+    acked_vc.cert.EncodeTo(e);
+    e->PutVarint(acked_vc.acked_cseqs.size());
+    for (uint64_t c : acked_vc.acked_cseqs) e->PutU64(c);
+    e->PutU64(acked_vc.coord_view);
   });
 
+  // Decision: header, proof (COMMITs only), cseq, watermark, view stamp.
   ShardCommitDecisionMsg decision(9);
   decision.global_id = 42;
   decision.commit = true;
   decision.proof = MakeVoteCert();
-  decision.has_meta = true;
   decision.cseq = 11;
   decision.watermark = 8;
+  decision.coord_view = 2;
+  decision.coord_leader = 890002;
   ExpectLegacyBytes(decision, [&](Encoder* e) {
     e->PutU64(decision.global_id);
     e->PutBool(decision.commit);
     decision.proof.EncodeTo(e);
     e->PutU64(decision.cseq);
     e->PutU64(decision.watermark);
+    e->PutU64(decision.coord_view);
+    e->PutU32(decision.coord_leader);
   });
 
-  // Legacy form (no proof, no meta) is exactly the old 14-byte message.
-  ShardCommitDecisionMsg legacy(9);
-  legacy.global_id = 42;
-  legacy.commit = true;
-  EXPECT_EQ(legacy.Serialized().size(),
-            sizeof(wire::ShardCommitDecisionHeader));
+  // A proofless decision adds no proof bytes: the 14-byte header, then
+  // the 16-byte watermark piggyback and the 12-byte view stamp.
+  ShardCommitDecisionMsg abort(9);
+  abort.global_id = 42;
+  ExpectLegacyBytes(abort, [&](Encoder* e) {
+    e->PutU64(abort.global_id);
+    e->PutBool(false);
+    e->PutU64(0);
+    e->PutU64(0);
+    e->PutU64(0);
+    e->PutU32(kInvalidActor);
+  });
+  EXPECT_EQ(abort.Serialized().size(),
+            sizeof(wire::ShardCommitDecisionHeader) + 16 + 12);
 }
 
 // ---------------------------------------------------------------------------

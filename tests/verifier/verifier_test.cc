@@ -413,7 +413,7 @@ TEST_F(VerifierTest, TamperedTxnRwsOnFragmentBatchNeverPrepareOrApply) {
   // sets. A quorum-completing VERIFY with the honest signed rw but
   // tampered per-txn sets must not get its unmatched write prepared —
   // and, on COMMIT, applied.
-  constexpr ActorId kCoordinator = 888;
+  constexpr ActorId kCoordinator = core::kCoordinatorBaseId;
   constexpr TxnId kGid = 777;
   keys_.RegisterNode(999);  // The verifier signs its vote share.
   RecorderActor coordinator(kCoordinator);
