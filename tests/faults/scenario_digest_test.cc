@@ -55,17 +55,24 @@ const std::vector<std::pair<std::string, std::string>> kGoldenDigests = {
     // byte without cross-shard fragments in play.
     {"shard_partition",
      "035410f1f217be03bded30ee6d0ab34a62e633e0ddb7dcbbb0a4884234e27539"},
+    //
+    // Regenerated with lock_contention_2pc below when the coordinator
+    // became a group of one: it logs presumed aborts before answering
+    // them, and on recovery takes over its own log and redirects the
+    // shard verifiers, which re-send their standing votes at once.
     {"coordinator_crash_2pc",
-     "a071f304056716a29a1ce895934a2bc9aee2966080764b680d49ebe569e39900"},
+     "f42e1410f692a89d43fb76f04eee4be02f5d1caba7173bb466fb481d92fd2d8c"},
     // ISSUE-5 unified-commit-path scenario: bounded prepare-lock queueing
     // + fully-decided watermark + calibrated 2PC costs, coordinator crash
     // mid-queue. Pins the queueing/watermark machinery end to end.
     //
     // Regenerated with thundering_herd_retry below when the spawner
     // stopped respawning executors for sequences the verifier had already
-    // settled (their VERIFYs were dropped as flooding anyway).
+    // settled (their VERIFYs were dropped as flooding anyway), and again
+    // when the group of one began logging explicit aborts and
+    // redirecting the verifiers after its recovery.
     {"lock_contention_2pc",
-     "d7840d3c10fc3b09a2643ab7ccd50ee647607593786376c6e98c1f3f54e38591"},
+     "8543201d69bfa60c17fa197d952d6e7e9268df17c3bdad97a4e493c567b38ef8"},
     // ISSUE-7 open-loop traffic scenarios: TrafficSource actors inject at
     // the configured rate regardless of completion (bursty above
     // capacity / diurnal peak), with the per-source retry cap bounding
@@ -77,11 +84,10 @@ const std::vector<std::pair<std::string, std::string>> kGoldenDigests = {
     {"gray_straggler_peak",
      "feacd3c7af9c0e5ecac93dd9d62de5a9cfcc1d9563a59b77b7aa7ce92d842007"},
     // ISSUE-8 replicated-coordinator scenarios (coordinator_replicas=3).
-    // Group replication only changes behaviour when configured on, so
-    // the thirteen digests above — all coordinator_replicas=1 — are
-    // untouched; these two pin the failover machinery itself (leader
-    // crash mid-2PC, minority-partitioned leader fenced by the append
-    // quorum).
+    // These two pin the failover machinery itself (leader crash mid-2PC,
+    // minority-partitioned leader fenced by the append quorum). They
+    // stayed byte-identical when R=1 became a group of one: the group
+    // path itself did not change.
     {"coordinator_leader_crash_2pc",
      "b38e48cffe5897eecd1972ea17f353be534d713c42458479e1fd7f1afed8a4cd"},
     {"coordinator_partition_minority",
