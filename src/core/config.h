@@ -148,13 +148,13 @@ struct SystemConfig {
   uint32_t coordinator_replicas = 1;
   /// Number of independent coordinator groups the global-txn-id space
   /// is hash-partitioned over (DESIGN.md §12). 1 keeps a single group,
-  /// which owns every gid. G > 1 instantiates G groups of `coordinator_replicas` members each
-  /// (group-major actor ids, see CoordGroups in coord_group.h); every
-  /// cross-shard transaction is owned by the group its gid hashes to,
-  /// so up to G leaders serve 2PC decisions in parallel — each group
-  /// with its own quorum-fenced log, presumed-abort path, watermark,
-  /// and failover timers. Capped at 64 (64 x 9 members fit the
-  /// reserved actor-id block).
+  /// which owns every gid. G > 1 instantiates G groups of
+  /// `coordinator_replicas` members each (group-major actor ids, see
+  /// CoordGroups in coord_group.h); every cross-shard transaction is
+  /// owned by the group its gid hashes to, so up to G leaders serve 2PC
+  /// decisions in parallel — each group with its own quorum-fenced log,
+  /// presumed-abort path, watermark, and failover timers. Capped at 64
+  /// (64 x 9 members fit the reserved actor-id block).
   uint32_t coordinator_groups = 1;
   /// Core count of each coordinator member's machine. 0 (the default)
   /// inherits `verifier_cores` — the historical sizing, part of the

@@ -267,7 +267,7 @@ class TxnCoordinator : public sim::Actor {
   /// Applies the acks piggybacked on a vote and advances the watermark
   /// over the complete prefix of outstanding decisions.
   void RecordAcks(uint32_t shard, const std::vector<uint64_t>& cseqs);
-  /// Truncates fully-acked COMMIT entries whose retention has passed.
+  /// Truncates fully-acked log entries whose retention has passed.
   void PruneDecisions();
 
   // --- coordinator-group internals ---
