@@ -263,7 +263,6 @@ ActorId Architecture::CurrentCoordinatorId(uint32_t group) const {
   uint32_t replicas = coord_topology_.replicas;
   size_t base = static_cast<size_t>(group) * replicas;
   if (base >= coordinators_.size()) return coordinators_[0]->id();
-  if (replicas == 1) return coordinators_[base]->id();
   // Nominal leader of the highest view any live member of the group
   // holds; if that member is itself down, any live member of the group
   // works (it forwards client requests and bounces redirects for

@@ -42,7 +42,7 @@ enum class MsgKind : uint8_t {
   kLinearCert = 18,
   kShardCommitDecision = 20,
   kShardVoteCert = 21,
-  // Coordinator-group replication (coordinator_replicas > 1 only).
+  // Coordinator-group replication (DESIGN.md §10).
   kCoordAppend = 22,
   kCoordAck = 23,
   kCoordSyncRequest = 24,
