@@ -91,11 +91,7 @@ Architecture::Architecture(const SystemConfig& config)
     sim::Simulator* plane_sim = parallel_ ? plane_sims_[s].get() : &sim_;
     auto plane = std::make_unique<ShardPlane>(s, config_, plane_sim,
                                               net_.get(), &keys_);
-    if (config_.shard_count == 1) {
-      loader->LoadInto(plane->store());
-    } else {
-      loader->LoadInto(plane->store(), router_, s);
-    }
+    loader->LoadInto(plane->store(), router_, s);
     plane->Build();
     planes_.push_back(std::move(plane));
   }

@@ -2,8 +2,9 @@
 #define SBFT_STORAGE_KV_STORE_H_
 
 #include <cstdint>
-#include <memory>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/bytes.h"
@@ -26,22 +27,25 @@ struct VersionedValue {
 /// value of rw the same as in the data-store", Fig. 3 line 32) by
 /// comparing versions instead of full values.
 ///
-/// Values are copy-on-write: a load phase shares one immutable image
-/// across all its records, and a record gets a buffer of its own on its
-/// first Put. Memory is bounded by the record count plus the keys written
-/// since the load, not by records times value size.
+/// The load phase is implicit: a load base (one value image and a
+/// predicate over keys) stands for every record, and the table holds only
+/// the keys written since. A key missing from the table that the
+/// predicate accepts reads as the image at version 1; its first Put gives
+/// it version 2. Memory is bounded by the keys written since the load,
+/// not by the record count.
 class KvStore {
  public:
-  /// An immutable value shared by the records of one load phase.
-  using Image = std::shared_ptr<const Bytes>;
+  /// Accepts exactly the record keys of a load phase. It must own
+  /// everything it reads: the store keeps it for its whole life.
+  using RecordPredicate = std::function<bool(std::string_view key)>;
 
-  KvStore() = default;
+  KvStore();
 
   /// Reads a key. Returns NotFound for absent keys.
   Status Get(const std::string& key, VersionedValue* out) const;
 
   /// Current version of a key; 0 when absent (version numbering starts
-  /// at 1 on first write).
+  /// at 1 on first write, or on the load phase for a record).
   uint64_t VersionOf(const std::string& key) const;
 
   /// True when the key exists.
@@ -50,27 +54,25 @@ class KvStore {
   /// Writes a key, bumping its version.
   void Put(const std::string& key, Bytes value);
 
-  /// Load phase: writes `key` like Put, sharing `image` instead of owning
-  /// a copy of the value.
-  void Load(std::string key, const Image& image);
+  /// Load phase: every key `is_record` accepts holds `image` at version 1
+  /// until its first Put. Meant for a fresh store; replaces any earlier
+  /// base.
+  void SetLoadBase(Bytes image, RecordPredicate is_record);
 
-  /// Pre-sizes the table for `records` keys (before a load phase).
-  void Reserve(size_t records) { map_.reserve(records); }
-
-  /// Removes a key (used by tests; the YCSB workloads only read/update).
-  void Delete(const std::string& key);
-
-  size_t size() const { return map_.size(); }
   uint64_t reads() const { return reads_; }
+  /// Puts since construction; the load phase writes nothing.
   uint64_t writes() const { return writes_; }
 
  private:
-  struct Record {
-    Image value;
-    uint64_t version = 0;
-  };
+  /// True when `key` is a record of the load phase.
+  bool IsRecord(std::string_view key) const {
+    return is_record_ && is_record_(key);
+  }
 
-  std::unordered_map<std::string, Record> map_;
+  /// Keys written since the load phase.
+  std::unordered_map<std::string, VersionedValue> written_;
+  Bytes image_;
+  RecordPredicate is_record_;
   mutable uint64_t reads_ = 0;
   uint64_t writes_ = 0;
 };

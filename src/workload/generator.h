@@ -1,10 +1,9 @@
 #ifndef SBFT_WORKLOAD_GENERATOR_H_
 #define SBFT_WORKLOAD_GENERATOR_H_
 
-#include <functional>
-#include <memory>
-#include <string>
+#include <string_view>
 
+#include "common/bytes.h"
 #include "common/ids.h"
 #include "storage/kv_store.h"
 #include "storage/shard_router.h"
@@ -31,31 +30,32 @@ class TxnGenerator {
     LoadInto(store, storage::ShardRouter(1), 0);
   }
 
-  /// Sharded load phase: loads only the records whose key hashes to
-  /// `shard` under `router`. Every record starts at version 1 and shares
-  /// the generator's one value image (KvStore::Load).
+  /// Sharded load phase: the store's records are the family's record keys
+  /// that hash to `shard` under `router`, each holding the generator's
+  /// value image at version 1 (KvStore::SetLoadBase). No record is
+  /// materialised, and the predicate the store keeps holds copies of the
+  /// router and the family's bounds, so it outlives the generator.
   void LoadInto(storage::KvStore* store, const storage::ShardRouter& router,
                 uint32_t shard) const {
-    store->Reserve(records_ / router.shard_count());
-    ForEachRecordKey([&](std::string key) {
-      if (router.ShardOf(key) == shard) store->Load(std::move(key), image_);
-    });
+    store->SetLoadBase(
+        image_, [router, shard, is_record = RecordKeyPredicate()](
+                    std::string_view key) {
+          return is_record(key) && router.ShardOf(key) == shard;
+        });
   }
 
  protected:
-  /// The load phase has about `records` records, each with the same
-  /// `value_size`-byte value of `fill`.
-  TxnGenerator(uint64_t records, size_t value_size, uint8_t fill)
-      : records_(records),
-        image_(std::make_shared<const Bytes>(value_size, fill)) {}
+  /// Every record of the load phase holds the same `value_size`-byte
+  /// value of `fill`.
+  TxnGenerator(size_t value_size, uint8_t fill) : image_(value_size, fill) {}
 
-  /// Calls `emit` once per record key of the load phase.
-  virtual void ForEachRecordKey(
-      const std::function<void(std::string)>& emit) const = 0;
+  /// Accepts exactly the record keys of the load phase: the in-range keys
+  /// the family's formatters produce (workload/key_parse.h). It must not
+  /// refer to the generator.
+  virtual storage::KvStore::RecordPredicate RecordKeyPredicate() const = 0;
 
  private:
-  uint64_t records_;
-  storage::KvStore::Image image_;
+  Bytes image_;
 };
 
 }  // namespace sbft::workload

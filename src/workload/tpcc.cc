@@ -2,13 +2,12 @@
 
 #include <algorithm>
 
+#include "workload/key_parse.h"
+
 namespace sbft::workload {
 
 TpccGenerator::TpccGenerator(const TpccConfig& config, Rng rng)
-    : TxnGenerator(uint64_t{config.warehouses} *
-                           (1 + config.districts_per_warehouse + config.items) +
-                       config.items,
-                   config.value_size, 't'),
+    : TxnGenerator(config.value_size, 't'),
       config_(config),
       rng_(rng),
       warehouses_(MakeKeyDistribution(std::max<uint32_t>(config.warehouses, 1),
@@ -27,20 +26,25 @@ std::string TpccGenerator::StockKey(uint32_t w, uint32_t i) {
   return "ts" + std::to_string(w) + "_" + std::to_string(i);
 }
 
-void TpccGenerator::ForEachRecordKey(
-    const std::function<void(std::string)>& emit) const {
-  for (uint32_t w = 0; w < config_.warehouses; ++w) {
-    emit(WarehouseKey(w));
-    for (uint32_t d = 0; d < config_.districts_per_warehouse; ++d) {
-      emit(DistrictKey(w, d));
+storage::KvStore::RecordPredicate TpccGenerator::RecordKeyPredicate() const {
+  // The inverse of the four formatters above.
+  return [warehouses = config_.warehouses,
+          districts = config_.districts_per_warehouse,
+          items = config_.items](std::string_view key) {
+    bool row = false;
+    if (ConsumeLiteral(&key, "tw")) {
+      row = ConsumeIndex(&key, warehouses);
+    } else if (ConsumeLiteral(&key, "td")) {
+      row = ConsumeIndex(&key, warehouses) && ConsumeLiteral(&key, "_") &&
+            ConsumeIndex(&key, districts);
+    } else if (ConsumeLiteral(&key, "ti")) {
+      row = ConsumeIndex(&key, items);
+    } else if (ConsumeLiteral(&key, "ts")) {
+      row = ConsumeIndex(&key, warehouses) && ConsumeLiteral(&key, "_") &&
+            ConsumeIndex(&key, items);
     }
-    for (uint32_t i = 0; i < config_.items; ++i) {
-      emit(StockKey(w, i));
-    }
-  }
-  for (uint32_t i = 0; i < config_.items; ++i) {
-    emit(ItemKey(i));
-  }
+    return row && key.empty();
+  };
 }
 
 Transaction TpccGenerator::Next(ActorId client) {

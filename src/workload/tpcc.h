@@ -57,8 +57,7 @@ class TpccGenerator : public TxnGenerator {
 
  protected:
   /// Every warehouse, district, stock and item row.
-  void ForEachRecordKey(
-      const std::function<void(std::string)>& emit) const override;
+  storage::KvStore::RecordPredicate RecordKeyPredicate() const override;
 
  private:
   TpccConfig config_;

@@ -3,12 +3,12 @@
 #include <algorithm>
 
 #include "storage/shard_router.h"
+#include "workload/key_parse.h"
 
 namespace sbft::workload {
 
 WorkflowGenerator::WorkflowGenerator(const WorkflowConfig& config, Rng rng)
-    : TxnGenerator(uint64_t{config.functions} * config.state_keys_per_function,
-                   config.value_size, 'f'),
+    : TxnGenerator(config.value_size, 'f'),
       config_(config),
       rng_(rng) {
   config_.functions = std::max<uint32_t>(config_.functions, 1);
@@ -26,13 +26,15 @@ uint32_t WorkflowGenerator::NextSlot() {
   return static_cast<uint32_t>(slots_->NextIndex(&rng_));
 }
 
-void WorkflowGenerator::ForEachRecordKey(
-    const std::function<void(std::string)>& emit) const {
-  for (uint32_t fn = 0; fn < config_.functions; ++fn) {
-    for (uint32_t s = 0; s < config_.state_keys_per_function; ++s) {
-      emit(StateKey(fn, s));
-    }
-  }
+storage::KvStore::RecordPredicate WorkflowGenerator::RecordKeyPredicate()
+    const {
+  // The inverse of StateKey.
+  return [functions = config_.functions,
+          slots = config_.state_keys_per_function](std::string_view key) {
+    return ConsumeLiteral(&key, "wf") && ConsumeIndex(&key, functions) &&
+           ConsumeLiteral(&key, "_s") && ConsumeIndex(&key, slots) &&
+           key.empty();
+  };
 }
 
 Transaction WorkflowGenerator::HopTxn(ActorId source, uint64_t chain_id,

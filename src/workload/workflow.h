@@ -65,8 +65,7 @@ class WorkflowGenerator : public TxnGenerator {
 
  protected:
   /// Every state slot of every function.
-  void ForEachRecordKey(
-      const std::function<void(std::string)>& emit) const override;
+  storage::KvStore::RecordPredicate RecordKeyPredicate() const override;
 
  private:
   uint32_t NextSlot();

@@ -3,12 +3,13 @@
 #include <cmath>
 
 #include "storage/shard_router.h"
+#include "workload/key_parse.h"
 #include "workload/ycsb_key.h"
 
 namespace sbft::workload {
 
 YcsbGenerator::YcsbGenerator(const YcsbConfig& config, Rng rng)
-    : TxnGenerator(config.record_count, config.value_size, 'v'),
+    : TxnGenerator(config.value_size, 'v'),
       config_(config),
       rng_(rng),
       // The 100k cap bounds the zipfian harmonic-sum precomputation;
@@ -17,12 +18,13 @@ YcsbGenerator::YcsbGenerator(const YcsbConfig& config, Rng rng)
       keys_(MakeKeyDistribution(config.record_count, config.zipf_theta,
                                 100000)) {}
 
-void YcsbGenerator::ForEachRecordKey(
-    const std::function<void(std::string)>& emit) const {
-  for (uint64_t i = 0; i < config_.record_count; ++i) emit(YcsbKey(i));
+storage::KvStore::RecordPredicate YcsbGenerator::RecordKeyPredicate() const {
+  // The inverse of YcsbKey.
+  return [records = config_.record_count](std::string_view key) {
+    return ConsumeLiteral(&key, "user") && ConsumeIndex(&key, records) &&
+           key.empty();
+  };
 }
-
-std::string YcsbGenerator::KeyFor(uint64_t index) { return YcsbKey(index); }
 
 uint64_t YcsbGenerator::NextKeyIndex() { return keys_->NextIndex(&rng_); }
 
@@ -46,7 +48,7 @@ Transaction YcsbGenerator::Next(ActorId client) {
     } else {
       index = NextKeyIndex();
     }
-    op.key = KeyFor(index);
+    op.key = YcsbKey(index);
     if (is_write) {
       op.type = OpType::kWrite;
       op.value.assign(config_.value_size, static_cast<uint8_t>('w'));

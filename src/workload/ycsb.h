@@ -67,15 +67,11 @@ class YcsbGenerator : public TxnGenerator {
   /// Generates the next transaction on behalf of `client`.
   Transaction Next(ActorId client) override;
 
-  /// Key for record index i ("user<i>").
-  static std::string KeyFor(uint64_t index);
-
   const YcsbConfig& config() const { return config_; }
 
  protected:
   /// The YCSB load phase: "user0".."user<record_count-1>".
-  void ForEachRecordKey(
-      const std::function<void(std::string)>& emit) const override;
+  storage::KvStore::RecordPredicate RecordKeyPredicate() const override;
 
  private:
   uint64_t NextKeyIndex();

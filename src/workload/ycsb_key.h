@@ -6,14 +6,13 @@
 
 namespace sbft::workload {
 
-/// Canonical record name for YCSB index `i` — the single definition of
-/// the "user<i>" format shared by the store's load phase
-/// (storage/kv_store.cc) and the workload generator (workload/ycsb.cc).
-/// Keys are shard-hashed by storage::ShardRouter, so a silent divergence
-/// between the two call sites would split the loaded records and the
-/// generated accesses across *different* shards; keep exactly one
-/// formatter. Header-only (string-only dependency) so the storage layer
-/// can include it without depending on the workload library.
+/// Canonical record name for YCSB index `i`: the one spelling of the
+/// "user<i>" format. The generator formats every access with it, and
+/// YcsbGenerator::RecordKeyPredicate (workload/ycsb.cc), the load phase's
+/// parser, accepts exactly the strings it returns for i < record_count.
+/// The two must agree; YcsbTest.LoadAcceptsExactlyYcsbKeys pins them
+/// together. A second spelling (a leading zero, say) would read as a
+/// missing record.
 inline std::string YcsbKey(uint64_t index) {
   return "user" + std::to_string(index);
 }

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/serverless_bft.h"
 #include "storage/shard_router.h"
@@ -76,13 +78,20 @@ TEST(ShardRouterTest, SingleShardCollapsesToZero) {
 TEST(CrossShardTest, ShardedStoresPartitionTheKeyspace) {
   SystemConfig config = ShardedConfig(4, 0.0);
   Architecture arch(config);
-  uint64_t total = 0;
-  for (uint32_t s = 0; s < 4; ++s) {
-    uint64_t size = arch.plane(s)->store()->size();
-    EXPECT_GT(size, 0u);
-    total += size;
+  // Every record is on exactly one plane's store, its home shard's.
+  std::vector<uint64_t> held(4, 0);
+  for (uint64_t i = 0; i < config.workload.record_count; ++i) {
+    const std::string key = workload::YcsbKey(i);
+    uint32_t homes = 0;
+    for (uint32_t s = 0; s < 4; ++s) {
+      if (!arch.plane(s)->store()->Contains(key)) continue;
+      ++homes;
+      ++held[s];
+      EXPECT_EQ(s, arch.router().ShardOf(key)) << key;
+    }
+    EXPECT_EQ(homes, 1u) << key;
   }
-  EXPECT_EQ(total, config.workload.record_count);
+  for (uint32_t s = 0; s < 4; ++s) EXPECT_GT(held[s], 0u) << "shard " << s;
 }
 
 TEST(CrossShardTest, SingleShardTransactionsCommitOnAllPlanes) {

@@ -32,8 +32,8 @@ TEST(EndToEndTest, HappyPathCommitsTransactions) {
   // Verifier applied batches in order with a verified audit chain.
   EXPECT_GT(arch.verifier()->applied_batches(), 0u);
   EXPECT_TRUE(arch.verifier()->audit_log().VerifyChain());
-  // Writes actually landed in the store beyond the YCSB load phase.
-  EXPECT_GT(arch.store()->writes(), config.workload.record_count + 50);
+  // Writes actually landed in the store (the load phase writes nothing).
+  EXPECT_GT(arch.store()->writes(), 50u);
 }
 
 TEST(EndToEndTest, ExecutorsSpawnedPerCommittedBatch) {

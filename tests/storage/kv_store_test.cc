@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+#include <string>
+#include <string_view>
+
 namespace sbft::storage {
 namespace {
 
@@ -35,33 +40,28 @@ TEST(KvStoreTest, VersionsIncrementPerKey) {
   EXPECT_EQ(BytesToString(out.value), "3");
 }
 
-TEST(KvStoreTest, DeleteRemovesKey) {
-  KvStore store;
-  store.Put("k", ToBytes("v"));
-  store.Delete("k");
-  EXPECT_FALSE(store.Contains("k"));
-  EXPECT_EQ(store.VersionOf("k"), 0u);
-}
-
 TEST(KvStoreTest, LoadSharesOneImageUntilPut) {
   KvStore store;
   const Bytes fill(100, 'v');
-  KvStore::Image image = std::make_shared<const Bytes>(fill);
-  for (int i = 0; i < 1000; ++i) store.Load("user" + std::to_string(i), image);
-  EXPECT_EQ(store.size(), 1000u);
-  EXPECT_EQ(store.writes(), 1000u);
-  EXPECT_EQ(image.use_count(), 1001);  // One buffer for every record.
+  std::set<std::string, std::less<>> records;
+  for (int i = 0; i < 1000; ++i) records.insert("user" + std::to_string(i));
+  store.SetLoadBase(fill, [records = std::move(records)](std::string_view key) {
+    return records.contains(key);
+  });
+  EXPECT_EQ(store.writes(), 0u);  // Loading writes nothing.
   VersionedValue out;
   ASSERT_TRUE(store.Get("user999", &out).ok());
   EXPECT_EQ(out.value, fill);
   EXPECT_EQ(out.version, 1u);
+  EXPECT_TRUE(store.Contains("user0"));
+  EXPECT_EQ(store.VersionOf("user0"), 1u);
   EXPECT_FALSE(store.Contains("user1000"));
+  EXPECT_TRUE(store.Get("user1000", &out).IsNotFound());
+  EXPECT_EQ(store.VersionOf("user1000"), 0u);
 
-  // The first Put gives a key its own buffer; its neighbours keep the
-  // image and version 1.
+  // The first Put gives a key its own value at version 2; its neighbours
+  // keep the image and version 1.
   store.Put("user7", ToBytes("mine"));
-  EXPECT_EQ(image.use_count(), 1000);
-  EXPECT_EQ(*image, fill);
   ASSERT_TRUE(store.Get("user7", &out).ok());
   EXPECT_EQ(BytesToString(out.value), "mine");
   EXPECT_EQ(out.version, 2u);
@@ -70,15 +70,13 @@ TEST(KvStoreTest, LoadSharesOneImageUntilPut) {
     EXPECT_EQ(out.value, fill) << key;
     EXPECT_EQ(out.version, 1u) << key;
   }
+  store.Put("user7", ToBytes("again"));
+  EXPECT_EQ(store.VersionOf("user7"), 3u);
 
-  // Delete drops the record; a reload starts its versions over.
-  store.Delete("user8");
-  EXPECT_FALSE(store.Contains("user8"));
-  EXPECT_EQ(store.VersionOf("user8"), 0u);
-  store.Load("user8", image);
-  EXPECT_EQ(store.VersionOf("user8"), 1u);
-  store.Put("user8", ToBytes("x"));
-  EXPECT_EQ(store.VersionOf("user8"), 2u);
+  // A key outside the load phase starts at version 1.
+  store.Put("user1000", ToBytes("new"));
+  EXPECT_EQ(store.VersionOf("user1000"), 1u);
+  EXPECT_EQ(store.writes(), 3u);
 }
 
 TEST(KvStoreTest, StatsCountAccesses) {

@@ -84,7 +84,7 @@ TEST(RwSetTest, EmptySet) {
   KvStore store;
   EXPECT_TRUE(rw.ReadsCurrent(store));
   rw.ApplyWrites(&store);  // No-op.
-  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.writes(), 0u);
 
   Encoder enc;
   rw.EncodeTo(&enc);

@@ -7,6 +7,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "storage/kv_store.h"
@@ -16,6 +17,24 @@
 
 namespace sbft::workload {
 namespace {
+
+/// Every row of a TPC-C load phase, spelled by the generator's formatters.
+std::vector<std::string> TpccRows(const TpccConfig& config) {
+  std::vector<std::string> rows;
+  for (uint32_t w = 0; w < config.warehouses; ++w) {
+    rows.push_back(TpccGenerator::WarehouseKey(w));
+    for (uint32_t d = 0; d < config.districts_per_warehouse; ++d) {
+      rows.push_back(TpccGenerator::DistrictKey(w, d));
+    }
+    for (uint32_t i = 0; i < config.items; ++i) {
+      rows.push_back(TpccGenerator::StockKey(w, i));
+    }
+  }
+  for (uint32_t i = 0; i < config.items; ++i) {
+    rows.push_back(TpccGenerator::ItemKey(i));
+  }
+  return rows;
+}
 
 TEST(TpccGeneratorTest, NewOrderShapeIsDistrictRmwPlusStockRmws) {
   TpccConfig config;
@@ -72,15 +91,54 @@ TEST(TpccGeneratorTest, ShardedLoadPartitionsRows) {
   config.items = 50;
   TpccGenerator gen(config, Rng(6));
   storage::ShardRouter router(2);
-  storage::KvStore shard0;
-  storage::KvStore shard1;
-  gen.LoadInto(&shard0, router, 0);
-  gen.LoadInto(&shard1, router, 1);
-  storage::KvStore full;
-  gen.LoadInto(&full);
-  EXPECT_EQ(shard0.size() + shard1.size(), full.size());
-  EXPECT_GT(shard0.size(), 0u);
-  EXPECT_GT(shard1.size(), 0u);
+  std::vector<storage::KvStore> shards(2);
+  for (uint32_t s = 0; s < 2; ++s) gen.LoadInto(&shards[s], router, s);
+  // Every row is on exactly one shard's store, its home shard's.
+  std::vector<int> held(2, 0);
+  for (const std::string& row : TpccRows(config)) {
+    int homes = 0;
+    for (uint32_t s = 0; s < 2; ++s) {
+      if (!shards[s].Contains(row)) continue;
+      ++homes;
+      ++held[s];
+      EXPECT_EQ(s, router.ShardOf(row)) << row;
+    }
+    EXPECT_EQ(homes, 1) << row;
+  }
+  EXPECT_GT(held[0], 0);
+  EXPECT_GT(held[1], 0);
+}
+
+// The store's rows are exactly the strings the four formatters produce in
+// range: the load-phase parser must reject every other spelling.
+TEST(TpccGeneratorTest, LoadAcceptsExactlyFormattedRows) {
+  TpccConfig config;
+  config.warehouses = 4;
+  config.districts_per_warehouse = 3;
+  config.items = 50;
+  storage::KvStore store;
+  // A temporary generator: the store must not refer back to it.
+  TpccGenerator(config, Rng(6)).LoadInto(&store);
+  for (const std::string& row : TpccRows(config)) {
+    EXPECT_TRUE(store.Contains(row)) << row;
+  }
+  const std::string near_misses[] = {
+      // One past each range.
+      TpccGenerator::WarehouseKey(4),
+      TpccGenerator::DistrictKey(0, 3),
+      TpccGenerator::StockKey(4, 0),
+      TpccGenerator::StockKey(0, 50),
+      TpccGenerator::ItemKey(50),
+      // Leading zeros.
+      "td03_1", "td3_01", "tw00", "ts01_1", "ti07",
+      // Empty or cut-off numbers.
+      "td3_", "td_1", "td3", "tw", "ts1_", "ti",
+      // Bytes after the key, or a wrong separator or prefix.
+      "tw1x", "td1_1_", "ts1-1", "td1 1", "tx1", "Tw1", "w1",
+  };
+  for (const std::string& key : near_misses) {
+    EXPECT_FALSE(store.Contains(key)) << '"' << key << '"';
+  }
 }
 
 TEST(WorkflowGeneratorTest, HopReadsInvokerStateWritesNextFunction) {
@@ -137,12 +195,43 @@ TEST(WorkflowGeneratorTest, LoadCoversEveryStateKey) {
   WorkflowGenerator gen(config, Rng(10));
   storage::KvStore store;
   gen.LoadInto(&store);
-  EXPECT_EQ(store.size(), 3u * 20u);
+  for (uint32_t fn = 0; fn < 3; ++fn) {
+    for (uint32_t slot = 0; slot < 20; ++slot) {
+      EXPECT_TRUE(store.Contains(WorkflowGenerator::StateKey(fn, slot)))
+          << fn << "/" << slot;
+    }
+  }
   for (int i = 0; i < 200; ++i) {
     for (const Operation& op : gen.HopTxn(1, 5, i % 4).ops) {
       storage::VersionedValue value;
       EXPECT_TRUE(store.Get(op.key, &value).ok()) << op.key;
     }
+  }
+}
+
+// The store's state rows are exactly the strings StateKey formats in
+// range (LoadCoversEveryStateKey checks those): the load-phase parser must
+// reject every other spelling.
+TEST(WorkflowGeneratorTest, LoadAcceptsExactlyStateKeys) {
+  WorkflowConfig config;
+  config.functions = 3;
+  config.state_keys_per_function = 20;
+  storage::KvStore store;
+  // A temporary generator: the store must not refer back to it.
+  WorkflowGenerator(config, Rng(10)).LoadInto(&store);
+  const std::string near_misses[] = {
+      // One past each range.
+      WorkflowGenerator::StateKey(3, 0),
+      WorkflowGenerator::StateKey(0, 20),
+      // Leading zeros.
+      "wf0_s01", "wf00_s1", "wf01_s1",
+      // Empty or cut-off numbers.
+      "wf0_", "wf0_s", "wf_s1", "wf0",
+      // Bytes after the key, or a wrong separator or prefix.
+      "wf0_s1x", "wf0_s1 ", "wf0s1", "wf0_t1", "WF0_s1", "f0_s1",
+  };
+  for (const std::string& key : near_misses) {
+    EXPECT_FALSE(store.Contains(key)) << '"' << key << '"';
   }
 }
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+
+#include "workload/ycsb_key.h"
 
 namespace sbft::workload {
 namespace {
@@ -19,7 +22,36 @@ TEST(YcsbTest, LoadPopulatesStore) {
   storage::KvStore store;
   YcsbGenerator gen(SmallConfig(), Rng(1));
   gen.LoadInto(&store);
-  EXPECT_EQ(store.size(), 1000u);
+  EXPECT_EQ(store.writes(), 0u);
+  for (uint64_t i = 0; i < 1000; ++i) {
+    storage::VersionedValue out;
+    ASSERT_TRUE(store.Get(YcsbKey(i), &out).ok()) << i;
+    EXPECT_EQ(out.value, Bytes(100, 'v')) << i;
+    EXPECT_EQ(out.version, 1u) << i;
+  }
+}
+
+// The store's records are exactly the strings YcsbKey formats below
+// record_count (LoadPopulatesStore checks those): the load-phase parser
+// must reject every other spelling.
+TEST(YcsbTest, LoadAcceptsExactlyYcsbKeys) {
+  const YcsbConfig config = SmallConfig();
+  storage::KvStore store;
+  // A temporary generator: the store must not refer back to it.
+  YcsbGenerator(config, Rng(1)).LoadInto(&store);
+  const std::string near_misses[] = {
+      YcsbKey(config.record_count),  // One past the range.
+      "user01", "user00",            // Leading zeros.
+      "user",                        // No number.
+      "user1x", "user1 ",            // Bytes after the key.
+      "User1", "usr1", " user1",     // Wrong prefixes.
+      "user-1", "user+1",            // Signs.
+      "user18446744073709551616",    // 2^64, which must not wrap to 0.
+      std::string("user1\0", 6),     // An embedded NUL.
+  };
+  for (const std::string& key : near_misses) {
+    EXPECT_FALSE(store.Contains(key)) << '"' << key << '"';
+  }
 }
 
 TEST(YcsbTest, TxnIdsUniqueAndIncreasing) {
