@@ -20,7 +20,7 @@
 //
 //   ./build/bench/bench_fig13_parallel_scale              # hw threads
 //   ./build/bench/bench_fig13_parallel_scale --threads 4
-//   ./build/bench/bench_fig13_parallel_scale \
+//   ./build/bench/bench_fig13_parallel_scale
 //       --coord-groups 1,2,4 --cross 33 --json BENCH_fig13.json
 
 #include <chrono>

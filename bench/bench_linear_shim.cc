@@ -3,9 +3,13 @@
 // protocols like PoE and SBFT that guarantee linear communication with
 // the help of advanced cryptographic schemes like threshold signatures."
 //
-// Compares the quadratic PBFT shim against the linear collector-based
-// shim as the shim grows, reporting throughput and messages per
-// transaction.
+// Compares the quadratic PBFT shim against the linear shim as the shim
+// grows, reporting throughput and messages per transaction. Both run
+// shim::PbftReplica and differ only in its vote pattern: all-to-all
+// PREPARE/COMMIT broadcasts, or votes collected by the primary and relayed
+// as certificates. Intake, batching, view change and featherweight
+// checkpoints are the same code, so the linear rows also pay the O(n^2)
+// CHECKPOINT exchange every checkpoint_interval sequences.
 
 #include "bench_util.h"
 

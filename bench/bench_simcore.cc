@@ -4,7 +4,7 @@
 //   ./build/bench/bench_simcore                         # full run
 //   ./build/bench/bench_simcore --quick                 # CI smoke scale
 //   ./build/bench/bench_simcore --json out.json         # emit report
-//   ./build/bench/bench_simcore --baseline bench/ci_baseline.json \
+//   ./build/bench/bench_simcore --baseline bench/ci_baseline.json
 //       --max-regress 0.2                               # gate mode
 //
 // Gate mode compares every `"gate": true` benchmark in the baseline file

@@ -102,9 +102,6 @@ Architecture::Architecture(const SystemConfig& config)
     for (const auto& r : plane->pbft_replicas()) {
       pbft_flat_.push_back(r.get());
     }
-    for (const auto& r : plane->linear_replicas()) {
-      linear_flat_.push_back(r.get());
-    }
     for (const auto& r : plane->paxos_replicas()) {
       paxos_flat_.push_back(r.get());
     }
@@ -415,7 +412,6 @@ Architecture::Route Architecture::RouteOf(
 }
 
 ActorId Architecture::RouteTarget(const workload::Transaction& txn) const {
-  if (planes_.size() == 1) return planes_[0]->CurrentPrimary();
   Route route = RouteOf(txn);
   if (route.cross_shard) {
     return CurrentCoordinatorId(coord_topology_.GroupOf(txn.id));
@@ -428,7 +424,6 @@ ActorId Architecture::RouteTarget(const workload::Transaction& txn) const {
 }
 
 ActorId Architecture::FallbackTarget(const workload::Transaction& txn) const {
-  if (planes_.size() == 1) return planes_[0]->verifier_id();
   Route route = RouteOf(txn);
   if (route.cross_shard) {
     return CurrentCoordinatorId(coord_topology_.GroupOf(txn.id));
@@ -437,7 +432,6 @@ ActorId Architecture::FallbackTarget(const workload::Transaction& txn) const {
 }
 
 Histogram* Architecture::LatencyFor(const workload::Transaction& txn) {
-  if (planes_.size() == 1) return planes_[0]->latency_histogram();
   return planes_[RouteOf(txn).home]->latency_histogram();
 }
 

@@ -150,9 +150,6 @@ class Architecture {
   const std::vector<shim::PbftReplica*>& pbft_replicas() const {
     return pbft_flat_;
   }
-  const std::vector<shim::LinearBftReplica*>& linear_replicas() const {
-    return linear_flat_;
-  }
   const std::vector<shim::MultiPaxosReplica*>& paxos_replicas() const {
     return paxos_flat_;
   }
@@ -270,7 +267,6 @@ class Architecture {
   // architecture's lifetime).
   std::vector<ActorId> shim_ids_;
   std::vector<shim::PbftReplica*> pbft_flat_;
-  std::vector<shim::LinearBftReplica*> linear_flat_;
   std::vector<shim::MultiPaxosReplica*> paxos_flat_;
 };
 

@@ -30,7 +30,9 @@ enum class Protocol {
   kServerlessCft = 1,  ///< Multi-Paxos shim + executors.
   kPbftBaseline = 2,   ///< PBFT shim, replicated local execution, no cloud.
   kNoShim = 3,         ///< Single coordinator, no consensus.
-  kServerlessBftLinear = 4,  ///< PoE/SBFT-style linear shim + executors.
+  /// The PBFT shim with the collector vote pattern (PoE/SBFT-style linear
+  /// communication, §IV-B remark) + executors.
+  kServerlessBftLinear = 4,
 };
 
 /// Where executors are spawned from (paper §VI-B).

@@ -147,11 +147,16 @@ void ShardPlane::BuildShim() {
   switch (config_.protocol) {
     case Protocol::kServerlessBft:
     case Protocol::kPbftBaseline:
+    case Protocol::kServerlessBftLinear: {
+      shim::VotePattern pattern =
+          config_.protocol == Protocol::kServerlessBftLinear
+              ? shim::VotePattern::kCollector
+              : shim::VotePattern::kAllToAll;
       for (uint32_t i = 0; i < config_.shim.n; ++i) {
         shim::ByzantineBehavior behavior = ConfiguredBehavior(i);
         auto replica = std::make_unique<shim::PbftReplica>(
             shim_ids_[i], i, config_.shim, shim_ids_, keys_, sim_, net_,
-            behavior);
+            behavior, pattern);
         auto cpu =
             std::make_unique<sim::ServerResource>(sim_, config_.shim_cores);
         net_->Register(replica.get(), sim::RegionTable::kHomeRegion);
@@ -160,20 +165,7 @@ void ShardPlane::BuildShim() {
         shim_cpus_.push_back(std::move(cpu));
       }
       break;
-    case Protocol::kServerlessBftLinear:
-      for (uint32_t i = 0; i < config_.shim.n; ++i) {
-        shim::ByzantineBehavior behavior = ConfiguredBehavior(i);
-        auto replica = std::make_unique<shim::LinearBftReplica>(
-            shim_ids_[i], i, config_.shim, shim_ids_, keys_, sim_, net_,
-            behavior);
-        auto cpu =
-            std::make_unique<sim::ServerResource>(sim_, config_.shim_cores);
-        net_->Register(replica.get(), sim::RegionTable::kHomeRegion);
-        net_->AttachServer(shim_ids_[i], cpu.get(), ShimCostFn());
-        linear_replicas_.push_back(std::move(replica));
-        shim_cpus_.push_back(std::move(cpu));
-      }
-      break;
+    }
     case Protocol::kServerlessCft:
       for (uint32_t i = 0; i < config_.shim.n; ++i) {
         auto replica = std::make_unique<shim::MultiPaxosReplica>(
@@ -262,31 +254,8 @@ void ShardPlane::BuildCloudAndSpawner() {
 void ShardPlane::WireCommitCallbacks() {
   switch (config_.protocol) {
     case Protocol::kServerlessBft:
-      WirePbftCallbacks();
-      break;
     case Protocol::kServerlessBftLinear:
-      for (uint32_t i = 0; i < linear_replicas_.size(); ++i) {
-        shim::LinearBftReplica* replica = linear_replicas_[i].get();
-        ActorId node = shim_ids_[i];
-        uint32_t index = i;
-        uint32_t n = config_.shim.n;
-        shim::ByzantineBehavior behavior = ConfiguredBehavior(i);
-        replica->SetCommitCallback(
-            [this, node, behavior, index, n](
-                SeqNum seq, ViewNum view,
-                const workload::BatchPtr& batch,
-                const crypto::CommitCertificate& cert) {
-              bool is_primary = (view % n) == index;
-              spawner_->OnCommit(node, is_primary, behavior, seq, view,
-                                 batch, cert);
-            });
-        replica->SetRespawnCallback(
-            [this, node](SeqNum seq) { spawner_->OnRespawn(node, seq); });
-        replica->SetResponseObserver(
-            [this](ActorId from, const shim::ResponseMsg& msg) {
-              OnShimResponse(from, msg);
-            });
-      }
+      WirePbftCallbacks();
       break;
     case Protocol::kPbftBaseline:
       WirePbftBaselineExecution();
@@ -334,7 +303,7 @@ void ShardPlane::WirePbftCallbacks() {
                              cert);
         });
     replica->SetRespawnCallback(
-        [this, node](SeqNum seq) { spawner_->OnRespawn(node, seq); });
+        [this](SeqNum seq) { spawner_->OnRespawn(seq); });
     replica->SetResponseObserver(
         [this](ActorId from, const shim::ResponseMsg& msg) {
           OnShimResponse(from, msg);
@@ -399,16 +368,9 @@ void ShardPlane::WirePbftBaselineExecution() {
 
 ActorId ShardPlane::CurrentPrimary() const {
   switch (config_.protocol) {
-    case Protocol::kServerlessBftLinear: {
-      ViewNum view = 0;
-      for (uint32_t i = 0; i < linear_replicas_.size(); ++i) {
-        if (ConfiguredByzantine(i)) continue;
-        view = std::max(view, linear_replicas_[i]->view());
-      }
-      return shim_ids_[view % shim_ids_.size()];
-    }
     case Protocol::kServerlessBft:
-    case Protocol::kPbftBaseline: {
+    case Protocol::kPbftBaseline:
+    case Protocol::kServerlessBftLinear: {
       // Take the max view among honest replicas (byzantine ones may lag
       // or lie; honest majority decides where clients should send).
       ViewNum view = 0;
@@ -437,9 +399,6 @@ ActorId ShardPlane::CurrentPrimary() const {
 uint64_t ShardPlane::ViewChanges() const {
   uint64_t total = 0;
   for (const auto& replica : pbft_replicas_) {
-    total += replica->view_changes();
-  }
-  for (const auto& replica : linear_replicas_) {
     total += replica->view_changes();
   }
   for (const auto& replica : paxos_replicas_) {

@@ -9,7 +9,6 @@
 #include "core/config.h"
 #include "core/spawner.h"
 #include "serverless/cloud.h"
-#include "shim/linear_replica.h"
 #include "shim/paxos_replica.h"
 #include "shim/pbft_replica.h"
 #include "storage/kv_store.h"
@@ -73,10 +72,6 @@ class ShardPlane {
       const {
     return pbft_replicas_;
   }
-  const std::vector<std::unique_ptr<shim::LinearBftReplica>>&
-  linear_replicas() const {
-    return linear_replicas_;
-  }
   const std::vector<std::unique_ptr<shim::MultiPaxosReplica>>&
   paxos_replicas() const {
     return paxos_replicas_;
@@ -118,7 +113,6 @@ class ShardPlane {
   storage::KvStore store_;
   std::vector<ActorId> shim_ids_;
   std::vector<std::unique_ptr<shim::PbftReplica>> pbft_replicas_;
-  std::vector<std::unique_ptr<shim::LinearBftReplica>> linear_replicas_;
   std::vector<std::unique_ptr<shim::MultiPaxosReplica>> paxos_replicas_;
   std::unique_ptr<shim::NoShimCoordinator> noshim_;
   std::vector<std::unique_ptr<sim::ServerResource>> shim_cpus_;

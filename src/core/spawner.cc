@@ -88,7 +88,6 @@ void Spawner::OnCommit(ActorId node, bool is_primary,
   if (config_.conflict_avoidance && is_primary &&
       config_.workload.rw_sets_known) {
     QueuedBatch queued;
-    queued.node = node;
     queued.seq = seq;
     queued.work = work;
     for (const workload::Transaction& txn : batch->txns) {
@@ -103,7 +102,7 @@ void Spawner::OnCommit(ActorId node, bool is_primary,
     ProcessLockStage();
     return;
   }
-  SpawnSet(node, work, count, behavior);
+  SpawnSet(work, count, behavior);
 }
 
 void Spawner::ProcessLockStage() {
@@ -146,8 +145,7 @@ void Spawner::ProcessLockStage() {
       }
       if (!blocked && lock_stage_.TryAcquire(batch.seq, batch.keys)) {
         shim::ByzantineBehavior honest;
-        SpawnSet(batch.node, batch.work, config_.EffectiveExecutors(),
-                 honest);
+        SpawnSet(batch.work, config_.EffectiveExecutors(), honest);
         it = waiting_.erase(it);
         progress = true;
         continue;
@@ -167,8 +165,7 @@ void Spawner::ProcessLockStage() {
   }
 }
 
-void Spawner::SpawnSet(ActorId node,
-                       std::shared_ptr<const shim::ExecuteMsg> work,
+void Spawner::SpawnSet(std::shared_ptr<const shim::ExecuteMsg> work,
                        uint32_t count,
                        const shim::ByzantineBehavior& behavior) {
   uint32_t effective = count;
@@ -220,11 +217,11 @@ void Spawner::SpawnOne(std::shared_ptr<const shim::ExecuteMsg> work,
   }
 }
 
-void Spawner::OnRespawn(ActorId node, SeqNum seq) {
+void Spawner::OnRespawn(SeqNum seq) {
   auto it = recent_work_.find(seq);
   if (it == recent_work_.end()) return;
   shim::ByzantineBehavior honest;
-  SpawnSet(node, it->second, config_.EffectiveExecutors(), honest);
+  SpawnSet(it->second, config_.EffectiveExecutors(), honest);
 }
 
 bool Spawner::BlockedByPrepareLocks(

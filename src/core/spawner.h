@@ -43,7 +43,7 @@ class Spawner {
 
   /// Re-spawns executors for a sequence (verifier ERROR(kmax) recovery).
   /// A no-op for a sequence the verifier has settled.
-  void OnRespawn(ActorId node, SeqNum seq);
+  void OnRespawn(SeqNum seq);
 
   /// Verifier RESPONSE reached the primary: release §VI-C locks, and
   /// record that every sequence up to `seq` is settled, which prunes the
@@ -95,7 +95,6 @@ class Spawner {
 
  private:
   struct QueuedBatch {
-    ActorId node;
     SeqNum seq = 0;
     std::shared_ptr<const shim::ExecuteMsg> work;
     std::vector<std::string> keys;
@@ -108,8 +107,8 @@ class Spawner {
   /// Executors this node must spawn under the current mode (eq. (1)/(2)).
   uint32_t ExecutorsForNode(bool is_primary) const;
 
-  void SpawnSet(ActorId node, std::shared_ptr<const shim::ExecuteMsg> work,
-                uint32_t count, const shim::ByzantineBehavior& behavior);
+  void SpawnSet(std::shared_ptr<const shim::ExecuteMsg> work, uint32_t count,
+                const shim::ByzantineBehavior& behavior);
 
   /// Spawns one executor, retrying with backoff when the provider
   /// throttles (account concurrency limit) — without retry a burst of

@@ -156,8 +156,6 @@ ActorId FaultController::ShimActor(uint32_t index) const {
 void FaultController::SetReplicaCrashed(uint32_t index, bool crashed) {
   const auto& pbft = arch_->pbft_replicas();
   if (index < pbft.size()) pbft[index]->SetCrashed(crashed);
-  const auto& linear = arch_->linear_replicas();
-  if (index < linear.size()) linear[index]->SetCrashed(crashed);
   const auto& paxos = arch_->paxos_replicas();
   if (index < paxos.size()) paxos[index]->SetCrashed(crashed);
 }
@@ -166,8 +164,6 @@ void FaultController::SetReplicaBehavior(
     uint32_t index, const shim::ByzantineBehavior& behavior) {
   const auto& pbft = arch_->pbft_replicas();
   if (index < pbft.size()) pbft[index]->SetBehavior(behavior);
-  const auto& linear = arch_->linear_replicas();
-  if (index < linear.size()) linear[index]->SetBehavior(behavior);
   // Spawning attacks ride on commit callbacks that captured the
   // configured behaviour; the spawner-side override (of the node's own
   // shard plane) keeps them in sync.

@@ -38,7 +38,7 @@ class FaultController : public sim::Actor {
   /// become a fault-free run.
   Status Install(const FaultSchedule& schedule);
 
-  void OnMessage(const sim::Envelope& env) override {}
+  void OnMessage(const sim::Envelope&) override {}
 
   uint64_t events_applied() const { return events_applied_; }
 

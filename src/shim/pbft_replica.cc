@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <set>
 
 #include "common/logging.h"
 #include "crypto/merkle.h"
@@ -17,12 +18,22 @@ uint64_t ErrorKey(bool has_seq, SeqNum kmax, const crypto::Digest& digest) {
   return Fnv1a64(digest.data(), crypto::Digest::kSize) & ~(1ull << 63);
 }
 
+/// What a collector-pattern vote signs. Commit votes sign the standard
+/// CommitSigningBytes, so 2f+1 of them form the usual certificate C.
+Bytes LinearSigningBytes(LinearPhase phase, ViewNum view, SeqNum seq,
+                         const crypto::Digest& digest) {
+  return phase == LinearPhase::kPrepare
+             ? LinearVoteMsg::PrepareSigningBytes(view, seq, digest)
+             : crypto::CommitSigningBytes(view, seq, digest);
+}
+
 }  // namespace
 
 PbftReplica::PbftReplica(ActorId id, uint32_t index, const ShimConfig& config,
                          std::vector<ActorId> peers,
                          crypto::KeyRegistry* keys, sim::Simulator* sim,
-                         sim::Network* net, ByzantineBehavior behavior)
+                         sim::Network* net, ByzantineBehavior behavior,
+                         VotePattern pattern)
     : Actor(id, "shim-" + std::to_string(index)),
       config_(config),
       index_(index),
@@ -30,7 +41,8 @@ PbftReplica::PbftReplica(ActorId id, uint32_t index, const ShimConfig& config,
       keys_(keys),
       sim_(sim),
       net_(net),
-      behavior_(behavior) {
+      behavior_(behavior),
+      pattern_(pattern) {
   assert(peers_.size() == config_.n);
   assert(peers_[index_] == id);
 }
@@ -56,11 +68,18 @@ void PbftReplica::OnMessage(const sim::Envelope& env) {
     case MsgKind::kPrePrepare:
       HandlePrePrepare(env);
       break;
+    // Each vote pattern hears only its own vote messages.
     case MsgKind::kPrepare:
-      HandlePrepare(env);
+      if (pattern_ == VotePattern::kAllToAll) HandlePrepare(env);
       break;
     case MsgKind::kCommit:
-      HandleCommit(env);
+      if (pattern_ == VotePattern::kAllToAll) HandleCommit(env);
+      break;
+    case MsgKind::kLinearVote:
+      if (pattern_ == VotePattern::kCollector) HandleLinearVote(env);
+      break;
+    case MsgKind::kLinearCert:
+      if (pattern_ == VotePattern::kCollector) HandleLinearCert(env);
       break;
     case MsgKind::kError:
       HandleError(env);
@@ -174,7 +193,7 @@ void PbftReplica::ProposeBatch(workload::TransactionBatch batch) {
   slot.digest = msg->digest;
   slot.batch = msg->batch;
   slot.have_preprepare = true;
-  slot.prepares.insert(id());  // The pre-prepare is the primary's prepare.
+  AddOwnPrepare(seq);
 
   if (behavior_.byzantine && behavior_.equivocate) {
     // §V-B equivocation: half the backups get a different batch at the
@@ -243,17 +262,38 @@ void PbftReplica::HandlePrePrepare(const sim::Envelope& env) {
   slot.digest = msg->digest;
   slot.batch = msg->batch;
   slot.have_preprepare = true;
-  slot.prepares.insert(env.from);  // Primary's implicit prepare.
-  slot.prepares.insert(id());      // Our own.
+  CastPrepare(msg->seq);
+}
+
+void PbftReplica::AddOwnPrepare(SeqNum seq) {
+  // The pre-prepare is the primary's prepare; the collector's prepare
+  // certificate carries it signed like every backup's vote.
+  Slot& slot = GetSlot(seq);
+  slot.prepares[id()] =
+      pattern_ == VotePattern::kCollector
+          ? keys_->Sign(id(), LinearSigningBytes(LinearPhase::kPrepare,
+                                                 slot.view, seq, slot.digest))
+          : Bytes{};
+}
+
+void PbftReplica::CastPrepare(SeqNum seq) {
+  if (pattern_ == VotePattern::kCollector) {
+    StartRequestTimer(seq);
+    SendLinearVote(seq, LinearPhase::kPrepare);
+    return;
+  }
+  Slot& slot = GetSlot(seq);
+  slot.prepares.try_emplace(PrimaryOf(slot.view));  // Implicit prepare.
+  slot.prepares.try_emplace(id());                   // Our own.
 
   auto prepare = std::make_shared<PrepareMsg>(id());
-  prepare->view = msg->view;
-  prepare->seq = msg->seq;
-  prepare->digest = msg->digest;
+  prepare->view = slot.view;
+  prepare->seq = seq;
+  prepare->digest = slot.digest;
   BroadcastToPeers(prepare);
 
-  StartRequestTimer(msg->seq);
-  TryPrepare(msg->seq);
+  StartRequestTimer(seq);
+  TryPrepare(seq);
 }
 
 void PbftReplica::HandlePrepare(const sim::Envelope& env) {
@@ -265,7 +305,7 @@ void PbftReplica::HandlePrepare(const sim::Envelope& env) {
       (slot.view != msg->view || slot.digest != msg->digest)) {
     return;  // Vote for a different proposal.
   }
-  slot.prepares.insert(env.from);
+  slot.prepares.try_emplace(env.from);
   TryPrepare(msg->seq);
 }
 
@@ -275,15 +315,22 @@ void PbftReplica::TryPrepare(SeqNum seq) {
   if (slot.prepares.size() < config_.quorum()) return;
   slot.prepared = true;
 
-  // Broadcast the DS-signed COMMIT (Fig. 3 line 13).
-  auto commit = std::make_shared<CommitMsg>(id());
-  commit->view = slot.view;
-  commit->seq = seq;
-  commit->digest = slot.digest;
-  commit->ds = keys_->Sign(
+  Bytes ds = keys_->Sign(
       id(), crypto::CommitSigningBytes(slot.view, seq, slot.digest));
-  slot.commit_sigs[id()] = commit->ds;
-  BroadcastToPeers(commit);
+  slot.commit_sigs[id()] = ds;
+  if (pattern_ == VotePattern::kCollector) {
+    // Only the collecting primary gets here; backups answer the prepare
+    // certificate with their commit votes.
+    RelayLinearCert(LinearPhase::kPrepare, QuorumCert(seq, slot.prepares));
+  } else {
+    // Broadcast the DS-signed COMMIT (Fig. 3 line 13).
+    auto commit = std::make_shared<CommitMsg>(id());
+    commit->view = slot.view;
+    commit->seq = seq;
+    commit->digest = slot.digest;
+    commit->ds = std::move(ds);
+    BroadcastToPeers(commit);
+  }
   TryCommit(seq);
 }
 
@@ -315,15 +362,110 @@ void PbftReplica::TryCommit(SeqNum seq) {
   slot.committed = true;
 
   // Assemble the commit certificate C (Fig. 3 line 8).
-  slot.cert.view = slot.view;
-  slot.cert.seq = seq;
-  slot.cert.digest = slot.digest;
-  slot.cert.signatures.clear();
-  for (const auto& [signer, sig] : slot.commit_sigs) {
-    if (slot.cert.signatures.size() >= config_.quorum()) break;
-    slot.cert.signatures.push_back({signer, sig});
+  slot.cert = QuorumCert(seq, slot.commit_sigs);
+  if (pattern_ == VotePattern::kCollector) {
+    RelayLinearCert(LinearPhase::kCommit, slot.cert);
   }
   OnCommitted(seq);
+}
+
+crypto::CommitCertificate PbftReplica::QuorumCert(
+    SeqNum seq, const std::map<ActorId, Bytes>& votes) const {
+  const Slot& slot = slots_.at(seq);
+  crypto::CommitCertificate cert;
+  cert.view = slot.view;
+  cert.seq = seq;
+  cert.digest = slot.digest;
+  for (const auto& [signer, sig] : votes) {
+    if (cert.signatures.size() >= config_.quorum()) break;
+    cert.signatures.push_back({signer, sig});
+  }
+  return cert;
+}
+
+// ---------------------------------------------------------------------------
+// Collector vote pattern: votes to the primary, certificates back.
+// ---------------------------------------------------------------------------
+
+void PbftReplica::SendLinearVote(SeqNum seq, LinearPhase phase) {
+  const Slot& slot = GetSlot(seq);
+  auto vote = std::make_shared<LinearVoteMsg>(id());
+  vote->phase = phase;
+  vote->view = slot.view;
+  vote->seq = seq;
+  vote->digest = slot.digest;
+  vote->ds = keys_->Sign(
+      id(), LinearSigningBytes(phase, slot.view, seq, slot.digest));
+  net_->Send(id(), PrimaryOf(slot.view), vote, vote->WireSize());
+}
+
+void PbftReplica::RelayLinearCert(LinearPhase phase,
+                                  crypto::CommitCertificate cert) {
+  auto msg = std::make_shared<LinearCertMsg>(id());
+  msg->phase = phase;
+  msg->cert = std::move(cert);
+  BroadcastToPeers(msg);
+}
+
+void PbftReplica::HandleLinearVote(const sim::Envelope& env) {
+  const auto* msg = MessageAs<LinearVoteMsg>(env, MsgKind::kLinearVote);
+  if (msg == nullptr) return;
+  if (!IsPrimary() || msg->view != view_) return;
+  // Look the slot up without creating it: a vote for a pruned sequence
+  // must not leave an uncommitted slot behind to hold a pipeline place.
+  auto it = slots_.find(msg->seq);
+  if (it == slots_.end()) return;
+  Slot& slot = it->second;
+  if (!slot.have_preprepare || slot.view != msg->view ||
+      slot.digest != msg->digest) {
+    return;  // Vote for a different proposal.
+  }
+  if (!keys_->Verify(env.from,
+                     LinearSigningBytes(msg->phase, msg->view, msg->seq,
+                                        msg->digest),
+                     msg->ds)) {
+    return;
+  }
+  if (msg->phase == LinearPhase::kPrepare) {
+    slot.prepares[env.from] = msg->ds;
+    TryPrepare(msg->seq);
+  } else {
+    slot.commit_sigs[env.from] = msg->ds;
+    TryCommit(msg->seq);
+  }
+}
+
+void PbftReplica::HandleLinearCert(const sim::Envelope& env) {
+  const auto* msg = MessageAs<LinearCertMsg>(env, MsgKind::kLinearCert);
+  if (msg == nullptr) return;
+  const crypto::CommitCertificate& cert = msg->cert;
+  auto it = slots_.find(cert.seq);
+  if (it == slots_.end()) return;
+  Slot& slot = it->second;
+  if (slot.committed || !slot.have_preprepare) return;
+  if (slot.view != cert.view || slot.digest != cert.digest) return;
+
+  if (msg->phase == LinearPhase::kPrepare) {
+    if (slot.prepared) return;
+    // 2f+1 distinct signers over the prepare domain.
+    Bytes signing = LinearSigningBytes(LinearPhase::kPrepare, cert.view,
+                                       cert.seq, cert.digest);
+    std::set<ActorId> valid;
+    for (const crypto::Signature& sig : cert.signatures) {
+      if (keys_->Verify(sig.signer, signing, sig.sig)) {
+        valid.insert(sig.signer);
+      }
+    }
+    if (valid.size() < config_.quorum()) return;
+    slot.prepared = true;
+    SendLinearVote(cert.seq, LinearPhase::kCommit);
+    return;
+  }
+  // The commit certificate is the standard C: validate it in full.
+  if (!cert.Validate(*keys_, config_.quorum()).ok()) return;
+  slot.committed = true;
+  slot.cert = cert;
+  OnCommitted(cert.seq);
 }
 
 void PbftReplica::OnCommitted(SeqNum seq) {
@@ -587,7 +729,7 @@ void PbftReplica::MaybeCompleteViewChange(ViewNum target) {
     slot.prepared = false;
     slot.prepares.clear();
     slot.commit_sigs.clear();
-    slot.prepares.insert(id());
+    AddOwnPrepare(p.seq);
 
     auto pp = std::make_shared<PrePrepareMsg>(id());
     pp->view = target;
@@ -623,16 +765,7 @@ void PbftReplica::HandleNewView(const sim::Envelope& env) {
     slot.prepared = false;
     slot.prepares.clear();
     slot.commit_sigs.clear();
-    slot.prepares.insert(env.from);
-    slot.prepares.insert(id());
-
-    auto prepare = std::make_shared<PrepareMsg>(id());
-    prepare->view = msg->view;
-    prepare->seq = p.seq;
-    prepare->digest = p.digest;
-    BroadcastToPeers(prepare);
-    StartRequestTimer(p.seq);
-    TryPrepare(p.seq);
+    CastPrepare(p.seq);
   }
 }
 
@@ -738,6 +871,14 @@ void PbftReplica::HandleCheckpoint(const sim::Envelope& env) {
     if (cert.seq <= stable_seq_) continue;
     Slot& slot = GetSlot(cert.seq);
     if (slot.committed) continue;
+    // A collector primary's checkpoint can overtake the commit certificate
+    // it relayed just before. A backup that voted to commit waits for that
+    // certificate, so it commits live; other nodes' checkpoints, a hop
+    // later, still cover a lost one.
+    if (pattern_ == VotePattern::kCollector && slot.prepared &&
+        env.from == PrimaryOf(slot.view)) {
+      continue;
+    }
     if (!cert.Validate(*keys_, config_.quorum()).ok()) continue;
     PreparedProof proof;  // Batch content is unknown to a dark node.
     proof.seq = cert.seq;

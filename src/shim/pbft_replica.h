@@ -5,7 +5,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -18,16 +17,29 @@
 
 namespace sbft::shim {
 
+/// How replicas cast and collect their prepare and commit votes.
+enum class VotePattern : uint8_t {
+  /// PBFT: every node broadcasts a MAC'd PREPARE and a DS-signed COMMIT
+  /// to every other node — O(n^2) messages per sequence.
+  kAllToAll,
+  /// Linear, PoE/SBFT style (the paper's §IV-B remark): backups send
+  /// DS-signed LINEAR_VOTEs to the primary, which relays 2f+1 of them as
+  /// a LINEAR_CERT per phase — O(n) messages per sequence. The commit
+  /// certificate is the same C the all-to-all pattern assembles.
+  kCollector,
+};
+
 /// \brief One shim node running PBFT (paper §IV-B, Fig. 3).
 ///
 /// The replica orders client transactions into batches via the standard
-/// three-phase protocol (MAC-authenticated PREPREPARE/PREPARE, DS-signed
-/// COMMIT), pipelines multiple sequence numbers, runs the view-change
-/// protocol on the §V-A timers, exchanges featherweight checkpoints
-/// (§V-B), and reacts to the verifier's ERROR/REPLACE/ACK control
-/// messages (Fig. 4). Execution is *not* done here: when a batch commits,
-/// the commit callback hands (seq, batch, certificate) to the spawner
-/// installed by core::Architecture.
+/// three-phase protocol, pipelines multiple sequence numbers, runs the
+/// view-change protocol on the §V-A timers, exchanges featherweight
+/// checkpoints (§V-B), and reacts to the verifier's ERROR/REPLACE/ACK
+/// control messages (Fig. 4). The VotePattern only decides how the
+/// prepare and commit votes travel; everything else is shared. Execution
+/// is *not* done here: when a batch commits, the commit callback hands
+/// (seq, batch, certificate) to the spawner installed by
+/// core::Architecture.
 class PbftReplica : public sim::Actor {
  public:
   /// Fired exactly once per committed sequence number on every honest
@@ -51,7 +63,8 @@ class PbftReplica : public sim::Actor {
   PbftReplica(ActorId id, uint32_t index, const ShimConfig& config,
               std::vector<ActorId> peers, crypto::KeyRegistry* keys,
               sim::Simulator* sim, sim::Network* net,
-              ByzantineBehavior behavior = {});
+              ByzantineBehavior behavior = {},
+              VotePattern pattern = VotePattern::kAllToAll);
 
   void OnMessage(const sim::Envelope& env) override;
 
@@ -105,7 +118,9 @@ class PbftReplica : public sim::Actor {
     bool have_preprepare = false;
     bool prepared = false;
     bool committed = false;
-    std::set<ActorId> prepares;
+    /// Prepare votes by sender. Only the collector pattern signs them
+    /// (its primary relays the signatures as the prepare certificate).
+    std::map<ActorId, Bytes> prepares;
     std::map<ActorId, Bytes> commit_sigs;
     crypto::CommitCertificate cert;  // Valid once committed.
     sim::EventId request_timer = 0;
@@ -116,6 +131,8 @@ class PbftReplica : public sim::Actor {
   void HandlePrePrepare(const sim::Envelope& env);
   void HandlePrepare(const sim::Envelope& env);
   void HandleCommit(const sim::Envelope& env);
+  void HandleLinearVote(const sim::Envelope& env);
+  void HandleLinearCert(const sim::Envelope& env);
   void HandleError(const sim::Envelope& env);
   void HandleReplace(const sim::Envelope& env);
   void HandleAck(const sim::Envelope& env);
@@ -130,6 +147,15 @@ class PbftReplica : public sim::Actor {
 
   // --- consensus helpers ---
   Slot& GetSlot(SeqNum seq);
+  /// Records the primary's own prepare for a slot it just proposed.
+  void AddOwnPrepare(SeqNum seq);
+  /// A backup accepted the proposal in `seq`'s slot: cast its prepare.
+  void CastPrepare(SeqNum seq);
+  void SendLinearVote(SeqNum seq, LinearPhase phase);
+  void RelayLinearCert(LinearPhase phase, crypto::CommitCertificate cert);
+  /// The first 2f+1 of `votes`, as a certificate for `seq`'s slot.
+  crypto::CommitCertificate QuorumCert(
+      SeqNum seq, const std::map<ActorId, Bytes>& votes) const;
   void TryPrepare(SeqNum seq);
   void TryCommit(SeqNum seq);
   void OnCommitted(SeqNum seq);
@@ -164,6 +190,7 @@ class PbftReplica : public sim::Actor {
   sim::Simulator* sim_;
   sim::Network* net_;
   ByzantineBehavior behavior_;
+  VotePattern pattern_;
   bool crashed_ = false;  // Runtime crash-stop (fault engine).
 
   ViewNum view_ = 0;

@@ -34,7 +34,7 @@ class PoissonArrivals : public ArrivalProcess {
  public:
   explicit PoissonArrivals(double rate_tps);
   SimDuration NextGap(SimTime now, Rng* rng) override;
-  double RateAt(SimTime t) const override { return rate_tps_; }
+  double RateAt(SimTime) const override { return rate_tps_; }
 
  private:
   double rate_tps_;

@@ -31,10 +31,9 @@ SystemConfig BaseConfig() {
   return config;
 }
 
-/// Parses `schedule_text` and installs it on `arch`; the controller must
-/// outlive the run.
-void Install(Architecture& arch, faults::FaultController& controller,
-             const char* schedule_text) {
+/// Parses `schedule_text` and installs it on the controller's
+/// architecture; the controller must outlive the run.
+void Install(faults::FaultController& controller, const char* schedule_text) {
   auto schedule = faults::FaultSchedule::Parse(schedule_text);
   ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
   Status installed = controller.Install(*schedule);
@@ -48,7 +47,7 @@ TEST(AttacksTest, RequestSuppressionRecoversViaViewChange) {
   // replaces the primary.
   Architecture arch(BaseConfig());
   faults::FaultController controller(&arch);
-  Install(arch, controller, "at 0ms byzantine node 0 suppress-requests\n");
+  Install(controller, "at 0ms byzantine node 0 suppress-requests\n");
   arch.Start();
   arch.simulator()->RunUntil(Seconds(6));
 
@@ -62,7 +61,7 @@ TEST(AttacksTest, RequestSuppressionRecoversViaViewChange) {
 TEST(AttacksTest, CrashedPrimaryRecovers) {
   Architecture arch(BaseConfig());
   faults::FaultController controller(&arch);
-  Install(arch, controller, "at 0ms crash node 0\n");
+  Install(controller, "at 0ms crash node 0\n");
   arch.Start();
   arch.simulator()->RunUntil(Seconds(6));
   EXPECT_GT(arch.TotalViewChanges(), 0u);
@@ -75,7 +74,7 @@ TEST(AttacksTest, MidRunPrimaryCrashRecoversAndNodeCatchesUp) {
   // later; the shim replaces it and the run keeps committing.
   Architecture arch(BaseConfig());
   faults::FaultController controller(&arch);
-  Install(arch, controller,
+  Install(controller,
           "at 1s crash node 0\n"
           "at 4s recover node 0\n");
   arch.Start();
@@ -94,7 +93,7 @@ TEST(AttacksTest, FewerExecutorsDetectedAndRespawned) {
   // byzantine) is eventually replaced and the respawn path re-covers.
   Architecture arch(BaseConfig());
   faults::FaultController controller(&arch);
-  Install(arch, controller, "at 0ms byzantine node 0 spawn-count=1\n");
+  Install(controller, "at 0ms byzantine node 0 spawn-count=1\n");
   arch.Start();
   arch.simulator()->RunUntil(Seconds(8));
   EXPECT_GT(arch.TotalCompleted(), 0u);
@@ -107,7 +106,7 @@ TEST(AttacksTest, NodesInDarkRecoverThroughCheckpoints) {
   // the dark node back in sync. Undetectable => no view change expected.
   Architecture arch(BaseConfig());
   faults::FaultController controller(&arch);
-  Install(arch, controller, "at 0ms byzantine node 0 dark=4\n");
+  Install(controller, "at 0ms byzantine node 0 dark=4\n");
   arch.Start();
   arch.simulator()->RunUntil(Seconds(5));
 
@@ -130,7 +129,7 @@ TEST(AttacksTest, DelayedSpawningCausesAbortsNotUnsafety) {
   config.verifier_match_timeout = Millis(250);
   Architecture arch(config);
   faults::FaultController controller(&arch);
-  Install(arch, controller, "at 0ms byzantine node 0 spawn-delay=120ms\n");
+  Install(controller, "at 0ms byzantine node 0 spawn-delay=120ms\n");
   arch.Start();
   arch.simulator()->RunUntil(Seconds(6));
 
@@ -143,7 +142,7 @@ TEST(AttacksTest, DuplicateSpawningIsAbsorbedAndSelfPenalizing) {
   // verifier ignores post-match VERIFYs; the duplicates only cost money.
   Architecture arch(BaseConfig());
   faults::FaultController controller(&arch);
-  Install(arch, controller, "at 0ms byzantine node 0 duplicate-spawns=2\n");
+  Install(controller, "at 0ms byzantine node 0 duplicate-spawns=2\n");
   arch.Start();
   arch.simulator()->RunUntil(Seconds(4));
 
@@ -238,7 +237,7 @@ TEST(AttacksTest, LinearShimRecoversFromCrashedPrimary) {
   config.protocol = Protocol::kServerlessBftLinear;
   Architecture arch(config);
   faults::FaultController controller(&arch);
-  Install(arch, controller, "at 0ms crash node 0\n");
+  Install(controller, "at 0ms crash node 0\n");
   arch.Start();
   arch.simulator()->RunUntil(Seconds(6));
   EXPECT_GT(arch.TotalViewChanges(), 0u);
@@ -263,7 +262,7 @@ TEST(AttacksTest, EquivocatingPrimaryNeverViolatesSafety) {
   SystemConfig config = BaseConfig();
   Architecture arch(config);
   faults::FaultController controller(&arch);
-  Install(arch, controller, "at 0ms byzantine node 0 equivocate\n");
+  Install(controller, "at 0ms byzantine node 0 equivocate\n");
   arch.Start();
   arch.simulator()->RunUntil(Seconds(6));
 

@@ -169,9 +169,9 @@ TEST_F(SpawnerTest, RespawnUsesCachedWork) {
   Spawner spawner = MakeSpawner(config);
   Commit(spawner, 1, {"a"});
   EXPECT_EQ(spawner.executors_spawned(), 3u);
-  spawner.OnRespawn(1, 1);
+  spawner.OnRespawn(1);
   EXPECT_EQ(spawner.executors_spawned(), 6u);
-  spawner.OnRespawn(1, 99);  // Unknown sequence: no-op.
+  spawner.OnRespawn(99);  // Unknown sequence: no-op.
   EXPECT_EQ(spawner.executors_spawned(), 6u);
 }
 
@@ -184,7 +184,7 @@ TEST_F(SpawnerTest, RespawnWorksEvenIfOnlyBackupCommitted) {
   Spawner spawner = MakeSpawner(config);
   Commit(spawner, 5, {"x"}, /*is_primary=*/false);
   EXPECT_EQ(spawner.executors_spawned(), 0u);
-  spawner.OnRespawn(2, 5);
+  spawner.OnRespawn(5);
   EXPECT_EQ(spawner.executors_spawned(), 3u);
 }
 
@@ -200,13 +200,13 @@ TEST_F(SpawnerTest, RespawnSkipsSettledSequences) {
   EXPECT_EQ(spawner.executors_spawned(), 6u);
   spawner.OnResponse(1);  // The verifier settled seq 1.
   EXPECT_EQ(spawner.settled_seq(), 1u);
-  spawner.OnRespawn(2, 2);  // Unsettled: n_E executors.
+  spawner.OnRespawn(2);  // Unsettled: n_E executors.
   EXPECT_EQ(spawner.executors_spawned(), 9u);
-  spawner.OnRespawn(2, 1);  // Settled: none.
+  spawner.OnRespawn(1);  // Settled: none.
   EXPECT_EQ(spawner.executors_spawned(), 9u);
   // A late backup commit of a settled sequence is not cached again.
   Commit(spawner, 1, {"a"}, /*is_primary=*/false);
-  spawner.OnRespawn(2, 1);
+  spawner.OnRespawn(1);
   EXPECT_EQ(spawner.executors_spawned(), 9u);
   EXPECT_EQ(spawner.respawn_cache_size(), 1u);  // Seq 2 only.
 }

@@ -66,7 +66,7 @@ class CloudTest : public ::testing::Test {
     work->cert.seq = seq;
     work->cert.digest = work->digest;
     Bytes to_sign = crypto::CommitSigningBytes(0, seq, work->digest);
-    int signers = valid_cert ? 3 : 1;
+    ActorId signers = valid_cert ? 3 : 1;
     for (ActorId id = 1; id <= signers; ++id) {
       work->cert.signatures.push_back({id, keys_.Sign(id, to_sign)});
     }

@@ -1,88 +1,23 @@
-#include "shim/linear_replica.h"
+// The collector vote pattern of shim::PbftReplica: the linear shim of
+// the paper's §IV-B remark.
 
 #include <gtest/gtest.h>
 
 #include <map>
 
-#include "sim/region.h"
+#include "replica_harness.h"
 
 namespace sbft::shim {
 namespace {
 
-constexpr ActorId kClientId = 600;
-
-class LinearHarness {
+/// A shim of n nodes running the collector (linear) vote pattern.
+class LinearHarness : public PbftHarness {
  public:
   explicit LinearHarness(uint32_t n,
-                         std::map<uint32_t, ByzantineBehavior> byzantine = {})
-      : sim_(77),
-        net_(&sim_, sim::RegionTable::Aws11(), {}),
-        keys_(crypto::CryptoMode::kFast, 11),
-        client_sink_(kClientId) {
-    config_.n = n;
-    config_.batch_size = 1;
-    config_.batch_timeout = Millis(1);
-    config_.request_timeout = Millis(120);
-    for (uint32_t i = 0; i < n; ++i) {
-      ids_.push_back(i + 1);
-      keys_.RegisterNode(i + 1);
-    }
-    keys_.RegisterNode(kClientId);
-    commits_.resize(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      ByzantineBehavior behavior;
-      auto it = byzantine.find(i);
-      if (it != byzantine.end()) behavior = it->second;
-      replicas_.push_back(std::make_unique<LinearBftReplica>(
-          ids_[i], i, config_, ids_, &keys_, &sim_, &net_, behavior));
-      net_.Register(replicas_.back().get(), 0);
-      uint32_t index = i;
-      replicas_.back()->SetCommitCallback(
-          [this, index](SeqNum seq, ViewNum,
-                        const workload::BatchPtr&,
-                        const crypto::CommitCertificate& cert) {
-            commits_[index][seq] = cert;
-          });
-    }
-    net_.Register(&client_sink_, 0);
-  }
-
-  void SendTxn(TxnId id, ActorId to = kInvalidActor) {
-    auto msg = std::make_shared<ClientRequestMsg>(kClientId);
-    msg->txn.id = id;
-    msg->txn.client = kClientId;
-    workload::Operation op;
-    op.type = workload::OpType::kWrite;
-    op.key = "k" + std::to_string(id);
-    op.value = ToBytes("v");
-    msg->txn.ops = {op};
-    msg->client_sig =
-        keys_.Sign(kClientId, ClientRequestMsg::SigningBytes(msg->txn));
-    net_.Send(kClientId, to == kInvalidActor ? ids_[0] : to, msg,
-              msg->WireSize());
-  }
-
-  size_t CommitCount(SeqNum seq) const {
-    size_t count = 0;
-    for (const auto& per_node : commits_) {
-      if (per_node.contains(seq)) ++count;
-    }
-    return count;
-  }
-
-  struct PassiveActor : sim::Actor {
-    explicit PassiveActor(ActorId id) : Actor(id, "sink") {}
-    void OnMessage(const sim::Envelope&) override {}
-  };
-
-  sim::Simulator sim_;
-  sim::Network net_;
-  crypto::KeyRegistry keys_;
-  ShimConfig config_;
-  std::vector<ActorId> ids_;
-  std::vector<std::unique_ptr<LinearBftReplica>> replicas_;
-  std::vector<std::map<SeqNum, crypto::CommitCertificate>> commits_;
-  PassiveActor client_sink_;
+                         std::map<uint32_t, ByzantineBehavior> byzantine = {},
+                         ShimConfig config = DefaultShimConfig())
+      : PbftHarness(n, std::move(byzantine), {}, config,
+                    VotePattern::kCollector) {}
 };
 
 TEST(LinearReplicaTest, CommitsOnAllNodes) {
@@ -93,8 +28,8 @@ TEST(LinearReplicaTest, CommitsOnAllNodes) {
 }
 
 TEST(LinearReplicaTest, CertificateIsStandardCommitCert) {
-  // The linear shim's output certificate must validate exactly like
-  // PbftReplica's — executors/verifier are protocol-agnostic.
+  // The collector's output certificate must validate exactly like the
+  // all-to-all pattern's — executors/verifier are protocol-agnostic.
   LinearHarness h(4);
   h.SendTxn(1);
   h.sim_.RunUntil(Seconds(1));
@@ -149,10 +84,7 @@ TEST(LinearReplicaTest, ToleratesCrashedBackup) {
 
 TEST(LinearReplicaTest, ReplaceTriggersViewChange) {
   LinearHarness h(4);
-  auto replace = std::make_shared<ReplaceMsg>(kClientId);
-  for (ActorId id : h.ids_) {
-    h.net_.Send(kClientId, id, replace, replace->WireSize());
-  }
+  h.SendReplaceToAll();
   h.sim_.RunUntil(Seconds(1));
   EXPECT_TRUE(h.replicas_[1]->IsPrimary());
   h.SendTxn(1, h.ids_[1]);
@@ -182,6 +114,20 @@ TEST(LinearReplicaTest, LargerShims) {
   h.sim_.RunUntil(Seconds(2));
   for (SeqNum s = 1; s <= 5; ++s) {
     EXPECT_EQ(h.CommitCount(s), 10u);
+  }
+}
+
+TEST(LinearReplicaTest, CheckpointsKeepUpOverLongRuns) {
+  // Checkpoints are what prune committed slots; the collector must cut
+  // and stabilise them like the all-to-all pattern does.
+  ShimConfig config = PbftHarness::DefaultShimConfig();
+  config.checkpoint_interval = 128;
+  LinearHarness h(4, {}, config);
+  for (TxnId t = 1; t <= 2000; ++t) h.SendTxn(t);
+  h.sim_.RunUntil(Seconds(5));
+  EXPECT_EQ(h.CommitCount(2000), 4u);
+  for (const auto& replica : h.replicas_) {
+    EXPECT_GE(replica->stable_seq(), 1920u) << replica->name();
   }
 }
 

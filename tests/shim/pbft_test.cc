@@ -4,118 +4,14 @@
 
 #include <map>
 
-#include "shim/shim_config.h"
-#include "sim/region.h"
+#include "replica_harness.h"
 
 namespace sbft::shim {
 namespace {
 
-constexpr ActorId kClientId = 500;
-
-/// Test rig: n replicas on a LAN with a scripted client.
-class PbftHarness {
- public:
-  explicit PbftHarness(uint32_t n,
-                       std::map<uint32_t, ByzantineBehavior> byzantine = {},
-                       sim::NetworkConfig net_config = {},
-                       ShimConfig shim_config = DefaultShimConfig())
-      : sim_(1234),
-        net_(&sim_, sim::RegionTable::Aws11(), net_config),
-        keys_(crypto::CryptoMode::kFast, 77),
-        client_sink_(kClientId) {
-    shim_config.n = n;
-    config_ = shim_config;
-    for (uint32_t i = 0; i < n; ++i) {
-      ids_.push_back(i + 1);
-      keys_.RegisterNode(i + 1);
-    }
-    keys_.RegisterNode(kClientId);
-    commits_.resize(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      ByzantineBehavior behavior;
-      auto it = byzantine.find(i);
-      if (it != byzantine.end()) behavior = it->second;
-      replicas_.push_back(std::make_unique<PbftReplica>(
-          ids_[i], i, config_, ids_, &keys_, &sim_, &net_, behavior));
-      net_.Register(replicas_.back().get(), 0);
-      uint32_t index = i;
-      replicas_.back()->SetCommitCallback(
-          [this, index](SeqNum seq, ViewNum view,
-                        const workload::BatchPtr& batch,
-                        const crypto::CommitCertificate& cert) {
-            commits_[index][seq] = cert.digest;
-            batch_sizes_[seq] = batch->txns.size();
-            (void)view;
-          });
-    }
-    net_.Register(&client_sink_, 0);
-  }
-
-  static ShimConfig DefaultShimConfig() {
-    ShimConfig config;
-    config.batch_size = 1;
-    config.batch_timeout = Millis(1);
-    config.request_timeout = Millis(100);
-    config.retransmit_timeout = Millis(80);
-    config.view_change_timeout = Millis(300);
-    config.checkpoint_interval = 8;
-    return config;
-  }
-
-  void SendTxn(TxnId id, ActorId to = kInvalidActor) {
-    auto msg = std::make_shared<ClientRequestMsg>(kClientId);
-    msg->txn.id = id;
-    msg->txn.client = kClientId;
-    workload::Operation op;
-    op.type = workload::OpType::kWrite;
-    op.key = "user" + std::to_string(id);
-    op.value = ToBytes("v");
-    msg->txn.ops = {op};
-    msg->client_sig =
-        keys_.Sign(kClientId, ClientRequestMsg::SigningBytes(msg->txn));
-    ActorId target = to == kInvalidActor ? ids_[0] : to;
-    net_.Send(kClientId, target, msg, msg->WireSize());
-  }
-
-  /// Count of honest replicas that committed `seq`.
-  size_t CommitCount(SeqNum seq) const {
-    size_t count = 0;
-    for (const auto& per_node : commits_) {
-      if (per_node.contains(seq)) ++count;
-    }
-    return count;
-  }
-
-  /// True iff all replicas that committed `seq` agree on the digest.
-  bool DigestsAgree(SeqNum seq) const {
-    const crypto::Digest* first = nullptr;
-    for (const auto& per_node : commits_) {
-      auto it = per_node.find(seq);
-      if (it == per_node.end()) continue;
-      if (first == nullptr) {
-        first = &it->second;
-      } else if (*first != it->second) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  struct PassiveActor : sim::Actor {
-    explicit PassiveActor(ActorId id) : Actor(id, "client-sink") {}
-    void OnMessage(const sim::Envelope&) override {}
-  };
-
-  sim::Simulator sim_;
-  sim::Network net_;
-  crypto::KeyRegistry keys_;
-  ShimConfig config_;
-  std::vector<ActorId> ids_;
-  std::vector<std::unique_ptr<PbftReplica>> replicas_;
-  std::vector<std::map<SeqNum, crypto::Digest>> commits_;
-  std::map<SeqNum, size_t> batch_sizes_;
-  PassiveActor client_sink_;
-};
+/// Runs under both vote patterns: the view change, checkpoint and
+/// byzantine-behaviour code these tests exercise is shared.
+class PbftPatternTest : public ::testing::TestWithParam<VotePattern> {};
 
 TEST(PbftTest, SingleRequestCommitsOnAllNodes) {
   PbftHarness h(4);
@@ -189,18 +85,15 @@ TEST(PbftTest, ToleratesCrashedBackups) {
   }
 }
 
-TEST(PbftTest, CrashedPrimaryTriggersViewChange) {
+TEST_P(PbftPatternTest, CrashedPrimaryTriggersViewChange) {
   std::map<uint32_t, ByzantineBehavior> byz;
   byz[0].byzantine = true;
   byz[0].crash = true;
-  PbftHarness h(4, byz);
+  PbftHarness h(4, byz, {}, PbftHarness::DefaultShimConfig(), GetParam());
   // Requests go to the dead primary; backups never see PREPREPAREs, so
   // nothing commits — the τ_m path needs an accepted preprepare. Instead
   // the client (or verifier) escalates; here we emulate the REPLACE path.
-  auto replace = std::make_shared<ReplaceMsg>(kClientId);
-  for (ActorId id : h.ids_) {
-    h.net_.Send(kClientId, id, replace, replace->WireSize());
-  }
+  h.SendReplaceToAll();
   h.sim_.RunUntil(Seconds(1));
   // View moved to 1; node 1 is the new primary.
   EXPECT_TRUE(h.replicas_[1]->IsPrimary());
@@ -210,11 +103,28 @@ TEST(PbftTest, CrashedPrimaryTriggersViewChange) {
   EXPECT_GE(h.CommitCount(1), 3u);
 }
 
-TEST(PbftTest, SuppressingPrimaryReplacedViaTimeouts) {
+TEST_P(PbftPatternTest, EscalatesPastTwoCrashedPrimaries) {
+  // The primaries of views 0 and 1 are both down: the view change to 1
+  // can never complete, so the view-change timer must escalate to 2.
+  PbftHarness h(7, {}, {}, PbftHarness::DefaultShimConfig(), GetParam());
+  h.replicas_[0]->SetCrashed(true);
+  h.replicas_[1]->SetCrashed(true);
+  h.SendReplaceToAll();
+  h.sim_.RunUntil(Seconds(2));
+  for (uint32_t i = 2; i < 7; ++i) {
+    EXPECT_EQ(h.replicas_[i]->view(), 2u) << "node " << i;
+  }
+  EXPECT_TRUE(h.replicas_[2]->IsPrimary());
+  h.SendTxn(1, h.ids_[2]);
+  h.sim_.RunUntil(Seconds(3));
+  EXPECT_GE(h.CommitCount(1), 5u);
+}
+
+TEST_P(PbftPatternTest, SuppressingPrimaryReplacedViaTimeouts) {
   std::map<uint32_t, ByzantineBehavior> byz;
   byz[0].byzantine = true;
   byz[0].suppress_requests = true;
-  PbftHarness h(4, byz);
+  PbftHarness h(4, byz, {}, PbftHarness::DefaultShimConfig(), GetParam());
   h.SendTxn(1);
   // No consensus starts; REPLACE from the verifier path resolves it
   // (tested end-to-end in attacks_test); here exercise ERROR handling:
@@ -231,11 +141,11 @@ TEST(PbftTest, SuppressingPrimaryReplacedViaTimeouts) {
   EXPECT_GE(h.CommitCount(1), 3u);
 }
 
-TEST(PbftTest, EquivocationNeverSplitsCommits) {
+TEST_P(PbftPatternTest, EquivocationNeverSplitsCommits) {
   std::map<uint32_t, ByzantineBehavior> byz;
   byz[0].byzantine = true;
   byz[0].equivocate = true;
-  PbftHarness h(4, byz);
+  PbftHarness h(4, byz, {}, PbftHarness::DefaultShimConfig(), GetParam());
   for (TxnId t = 1; t <= 5; ++t) h.SendTxn(t);
   h.sim_.RunUntil(Seconds(3));
   // Safety: no sequence commits two different digests anywhere.
@@ -244,11 +154,11 @@ TEST(PbftTest, EquivocationNeverSplitsCommits) {
   }
 }
 
-TEST(PbftTest, DarkNodeRecoversViaCheckpoint) {
+TEST_P(PbftPatternTest, DarkNodeRecoversViaCheckpoint) {
   std::map<uint32_t, ByzantineBehavior> byz;
   byz[0].byzantine = true;
   byz[0].dark_nodes = {4};  // Node index 3 (id 4) kept in the dark.
-  PbftHarness h(4, byz);
+  PbftHarness h(4, byz, {}, PbftHarness::DefaultShimConfig(), GetParam());
   // Need >= checkpoint_interval commits to trigger a checkpoint.
   for (TxnId t = 1; t <= 12; ++t) h.SendTxn(t);
   h.sim_.RunUntil(Seconds(3));
@@ -263,10 +173,10 @@ TEST(PbftTest, DarkNodeRecoversViaCheckpoint) {
   }
 }
 
-TEST(PbftTest, CheckpointAdvancesStableSeq) {
+TEST_P(PbftPatternTest, CheckpointAdvancesStableSeq) {
   ShimConfig config = PbftHarness::DefaultShimConfig();
   config.checkpoint_interval = 4;
-  PbftHarness h(4, {}, {}, config);
+  PbftHarness h(4, {}, {}, config, GetParam());
   for (TxnId t = 1; t <= 10; ++t) h.SendTxn(t);
   h.sim_.RunUntil(Seconds(2));
   for (const auto& replica : h.replicas_) {
@@ -275,11 +185,11 @@ TEST(PbftTest, CheckpointAdvancesStableSeq) {
   }
 }
 
-TEST(PbftTest, SurvivesLossyNetwork) {
+TEST_P(PbftPatternTest, SurvivesLossyNetwork) {
   sim::NetworkConfig net;
   net.drop_probability = 0.05;
   net.duplicate_probability = 0.05;
-  PbftHarness h(4, {}, net);
+  PbftHarness h(4, {}, net, PbftHarness::DefaultShimConfig(), GetParam());
   for (TxnId t = 1; t <= 10; ++t) h.SendTxn(t);
   h.sim_.RunUntil(Seconds(5));
   for (SeqNum s = 1; s <= 10; ++s) {
@@ -299,19 +209,28 @@ TEST(PbftTest, LargerShimCommits) {
   }
 }
 
-TEST(PbftTest, TwoCrashedOfSevenStillLive) {
+TEST_P(PbftPatternTest, TwoCrashedOfSevenStillLive) {
   std::map<uint32_t, ByzantineBehavior> byz;
   byz[3].byzantine = true;
   byz[3].crash = true;
   byz[5].byzantine = true;
   byz[5].crash = true;
-  PbftHarness h(7, byz);
+  PbftHarness h(7, byz, {}, PbftHarness::DefaultShimConfig(), GetParam());
   for (TxnId t = 1; t <= 5; ++t) h.SendTxn(t);
   h.sim_.RunUntil(Seconds(2));
   for (SeqNum s = 1; s <= 5; ++s) {
     EXPECT_GE(h.CommitCount(s), 5u);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(VotePatterns, PbftPatternTest,
+                         ::testing::Values(VotePattern::kAllToAll,
+                                           VotePattern::kCollector),
+                         [](const auto& info) {
+                           return info.param == VotePattern::kAllToAll
+                                      ? "AllToAll"
+                                      : "Collector";
+                         });
 
 }  // namespace
 }  // namespace sbft::shim
