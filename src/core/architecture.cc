@@ -47,9 +47,9 @@ Architecture::Architecture(const SystemConfig& config)
 
   // Parallel engine: only meaningful with more than one plane (a single
   // plane has nothing to overlap — its one loop would just pay the
-  // synchronization tax). Fault injection is rejected by the network
-  // layer at the first fault-setter call, not here, because faults are
-  // installed at runtime.
+  // synchronization tax). Fault injection is refused by
+  // FaultController::Install, not here, because faults are installed
+  // after construction.
   if (config_.sim_threads < 0) config_.sim_threads = 0;
   if (config_.sim_threads > 0 && config_.shard_count < 2) {
     SBFT_LOG(kError) << "sim_threads > 0 requires shard_count > 1; "
@@ -84,9 +84,9 @@ Architecture::Architecture(const SystemConfig& config)
 
   // Build every shard plane in shard order. For shard_count == 1 this is
   // the exact construction sequence of the pre-sharding Architecture:
-  // load the store, then shim, verifier/storage, cloud/spawner, wiring —
-  // the KeyRegistry and network registration order (and therefore every
-  // derived key and rng draw) is unchanged.
+  // load the store, then shim, verifier/storage, cloud/spawner, wiring.
+  // Keys are a pure function of (seed, id), so registration order does
+  // not derive them.
   for (uint32_t s = 0; s < config_.shard_count; ++s) {
     sim::Simulator* plane_sim = parallel_ ? plane_sims_[s].get() : &sim_;
     auto plane = std::make_unique<ShardPlane>(s, config_, plane_sim,
@@ -169,8 +169,7 @@ int Architecture::LoopOfActor(ActorId id) const {
 
 void Architecture::BuildCoordinator() {
   // Members are built group-major (all of group 0, then group 1, ...),
-  // each as RegisterNode -> construct -> cpu -> Register -> AttachServer:
-  // key derivation and registration order feed the golden digests.
+  // each as RegisterNode -> construct -> cpu -> Register -> AttachServer.
   coord_topology_ =
       CoordGroups{config_.coordinator_groups, config_.coordinator_replicas};
   std::vector<ActorId> shard_verifiers;

@@ -198,8 +198,8 @@ struct SystemConfig {
   /// deterministic for a fixed seed regardless of the thread count, but
   /// differ from the serial engine's event interleaving (the loops'
   /// clocks advance independently within the lookahead window). Requires
-  /// shard_count > 1 and is incompatible with fault injection; ignored
-  /// (with a log) otherwise.
+  /// shard_count > 1, ignored (with a log) otherwise. Fault injection
+  /// refuses it (FaultController::Install returns NotSupported).
   int sim_threads = 0;
 
   /// Effective executor count per batch: honours §VI-B's 3f_E+1 rule.

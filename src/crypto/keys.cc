@@ -17,79 +17,58 @@ KeyRegistry::KeyRegistry(CryptoMode mode, uint64_t seed,
                               : (mode == CryptoMode::kReal
                                      ? &SchnorrGroup::Small()
                                      : nullptr)),
-      seed_(seed),
-      rng_(seed ^ 0xc0ffee) {}
+      seed_(seed) {}
 
 void KeyRegistry::EnableConcurrent() { concurrent_ = true; }
 
+std::shared_lock<std::shared_mutex> KeyRegistry::ReadLock() const {
+  std::shared_lock<std::shared_mutex> lock;
+  if (concurrent_) lock = std::shared_lock(mu_);
+  return lock;
+}
+
+std::unique_lock<std::shared_mutex> KeyRegistry::WriteLock() const {
+  std::unique_lock<std::shared_mutex> lock;
+  if (concurrent_) lock = std::unique_lock(mu_);
+  return lock;
+}
+
 void KeyRegistry::RegisterNode(ActorId id) {
-  if (concurrent_) {
-    {
-      std::shared_lock lock(mu_);
-      if (nodes_.contains(id)) return;
-    }
-    // Parallel-mode derivation: a pure function of (seed, id), so the
-    // key material of runtime-registered executors does not depend on
-    // which plane thread won the rng draw — registrations commute and
-    // every run/thread-count produces identical keys.
-    NodeKeys keys;
-    Sha256 h;
-    uint8_t material[13] = {0xcc};  // Domain tag, then seed, then id.
-    for (int i = 0; i < 8; ++i) {
-      material[1 + i] = static_cast<uint8_t>(seed_ >> (8 * i));
-    }
-    for (int i = 0; i < 4; ++i) {
-      material[9 + i] = static_cast<uint8_t>(id >> (8 * i));
-    }
-    h.Update(material, sizeof(material));
-    keys.secret = h.Finish().ToBytes();
-    if (mode_ == CryptoMode::kReal) {
-      Rng local(seed_ ^ (0x9e3779b97f4a7c15ull * (id + 1)));
-      keys.schnorr = SchnorrGenerateKey(*group_, &local);
-    }
-    std::unique_lock lock(mu_);
-    nodes_.emplace(id, std::move(keys));  // No-op if a racer beat us.
-    return;
-  }
-  if (nodes_.contains(id)) return;
+  if (IsRegistered(id)) return;
+  // Key material is a pure function of (seed, id): registrations
+  // commute, so keys do not depend on registration order, on which plane
+  // thread registers an executor first, or on the thread count.
   NodeKeys keys;
-  // kFast secret: derived from the registry seed and the id.
   Sha256 h;
-  Bytes seed_material;
+  uint8_t material[13] = {0xcc};  // Domain tag, then seed, then id.
   for (int i = 0; i < 8; ++i) {
-    seed_material.push_back(static_cast<uint8_t>(rng_.NextU64()));
+    material[1 + i] = static_cast<uint8_t>(seed_ >> (8 * i));
   }
-  h.Update(seed_material);
-  uint8_t id_bytes[4] = {
-      static_cast<uint8_t>(id), static_cast<uint8_t>(id >> 8),
-      static_cast<uint8_t>(id >> 16), static_cast<uint8_t>(id >> 24)};
-  h.Update(id_bytes, sizeof(id_bytes));
+  for (int i = 0; i < 4; ++i) {
+    material[9 + i] = static_cast<uint8_t>(id >> (8 * i));
+  }
+  h.Update(material, sizeof(material));
   keys.secret = h.Finish().ToBytes();
   if (mode_ == CryptoMode::kReal) {
-    keys.schnorr = SchnorrGenerateKey(*group_, &rng_);
+    Rng local(seed_ ^ (0x9e3779b97f4a7c15ull * (id + 1)));
+    keys.schnorr = SchnorrGenerateKey(*group_, &local);
   }
-  nodes_.emplace(id, std::move(keys));
+  auto lock = WriteLock();
+  nodes_.emplace(id, std::move(keys));  // No-op if a racer beat us.
 }
 
 bool KeyRegistry::IsRegistered(ActorId id) const {
-  if (concurrent_) {
-    std::shared_lock lock(mu_);
-    return nodes_.contains(id);
-  }
+  auto lock = ReadLock();
   return nodes_.contains(id);
 }
 
 void KeyRegistry::Unregister(ActorId id) {
-  std::unique_lock<std::shared_mutex> lock;
-  if (concurrent_) lock = std::unique_lock(mu_);
+  auto lock = WriteLock();
   nodes_.erase(id);
 }
 
 size_t KeyRegistry::size() const {
-  if (concurrent_) {
-    std::shared_lock lock(mu_);
-    return nodes_.size();
-  }
+  auto lock = ReadLock();
   return nodes_.size();
 }
 
@@ -104,11 +83,7 @@ const KeyRegistry::NodeKeys& KeyRegistry::KeysFor(ActorId id) const {
 }
 
 const KeyRegistry::NodeKeys* KeyRegistry::FindKeys(ActorId id) const {
-  if (concurrent_) {
-    std::shared_lock lock(mu_);
-    auto it = nodes_.find(id);
-    return it == nodes_.end() ? nullptr : &it->second;
-  }
+  auto lock = ReadLock();
   auto it = nodes_.find(id);
   return it == nodes_.end() ? nullptr : &it->second;
 }
@@ -178,18 +153,14 @@ constexpr size_t kMaxValidCertMemo = 4096;
 bool KeyRegistry::IsKnownValid(const Digest& fingerprint) const {
   std::string key(reinterpret_cast<const char*>(fingerprint.data()),
                   Digest::kSize);
-  if (concurrent_) {
-    std::shared_lock lock(mu_);
-    return valid_certs_.contains(key);
-  }
+  auto lock = ReadLock();
   return valid_certs_.contains(key);
 }
 
 void KeyRegistry::RecordValid(const Digest& fingerprint) const {
   std::string key(reinterpret_cast<const char*>(fingerprint.data()),
                   Digest::kSize);
-  std::unique_lock<std::shared_mutex> lock;
-  if (concurrent_) lock = std::unique_lock(mu_);
+  auto lock = WriteLock();
   auto [_, inserted] = valid_certs_.insert(key);
   if (!inserted) return;
   valid_certs_order_.push_back(std::move(key));
@@ -203,33 +174,15 @@ const Bytes& KeyRegistry::MacKey(ActorId a, ActorId b) const {
   ActorId lo = std::min(a, b);
   ActorId hi = std::max(a, b);
   uint64_t key = (static_cast<uint64_t>(lo) << 32) | hi;
-  if (concurrent_) {
-    {
-      std::shared_lock lock(mu_);
-      auto it = mac_keys_.find(key);
-      if (it != mac_keys_.end()) return it->second;
-    }
-    // Compute outside the lock (KeysFor re-locks shared); both racers
-    // derive the same bytes, emplace keeps whichever landed first. The
-    // reference stays valid: mac_keys_ is node-based and never erases.
-    // The two KeysFor references are safe for the reason FindKeys gives.
-    Bytes shared;
-    if (mode_ == CryptoMode::kReal) {
-      shared = DiffieHellmanSharedKey(*group_, KeysFor(lo).schnorr.secret,
-                                      KeysFor(hi).schnorr.public_key);
-    } else {
-      Sha256 h;
-      h.Update(KeysFor(lo).secret);
-      h.Update(KeysFor(hi).secret);
-      shared = h.Finish().ToBytes();
-    }
-    std::unique_lock lock(mu_);
-    auto [inserted, _] = mac_keys_.emplace(key, std::move(shared));
-    return inserted->second;
+  {
+    auto lock = ReadLock();
+    auto it = mac_keys_.find(key);
+    if (it != mac_keys_.end()) return it->second;
   }
-  auto it = mac_keys_.find(key);
-  if (it != mac_keys_.end()) return it->second;
-
+  // Computed outside the lock (KeysFor takes it shared); racers derive
+  // the same bytes and emplace keeps whichever landed first. The
+  // reference stays valid: mac_keys_ is node-based and never erases. The
+  // two KeysFor references are safe for the reason FindKeys gives.
   Bytes shared;
   if (mode_ == CryptoMode::kReal) {
     // Diffie–Hellman between the pair's Schnorr keys (§III).
@@ -241,6 +194,7 @@ const Bytes& KeyRegistry::MacKey(ActorId a, ActorId b) const {
     h.Update(KeysFor(hi).secret);
     shared = h.Finish().ToBytes();
   }
+  auto lock = WriteLock();
   auto [inserted, _] = mac_keys_.emplace(key, std::move(shared));
   return inserted->second;
 }

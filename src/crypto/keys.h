@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -11,7 +12,6 @@
 
 #include "common/bytes.h"
 #include "common/ids.h"
-#include "common/rng.h"
 #include "crypto/digest.h"
 #include "crypto/schnorr.h"
 
@@ -48,7 +48,8 @@ class KeyRegistry {
   explicit KeyRegistry(CryptoMode mode, uint64_t seed = 1,
                        const SchnorrGroup* group = nullptr);
 
-  /// Registers an actor and generates its key material (idempotent).
+  /// Registers an actor and derives its key material from (seed, id)
+  /// (idempotent).
   void RegisterNode(ActorId id);
 
   /// Drops `id`'s key material: Verify for `id` fails from then on and
@@ -60,13 +61,10 @@ class KeyRegistry {
 
   /// Switches the registry into thread-safe mode for parallel simulation
   /// runs: the lazily-grown tables (nodes, pairwise MAC keys, the
-  /// validated-certificate memo) go behind a shared mutex, and key
-  /// material for nodes registered *after* this call is derived as a
-  /// pure function of (registry seed, id) instead of the shared rng
-  /// stream — so executor keys are identical across runs and thread
-  /// counts no matter which plane registers first. Call once, after all
-  /// static actors are registered. Serial-mode behaviour (and therefore
-  /// every golden digest) is untouched when this is never called.
+  /// validated-certificate memo) go behind a shared mutex. Key material
+  /// is a pure function of (registry seed, id) in every mode, so this
+  /// only adds the lock; serial runs, which never call it, take none.
+  /// Call once, after all static actors are registered.
   void EnableConcurrent();
 
   /// True when `id` has been registered and not unregistered.
@@ -126,22 +124,24 @@ class KeyRegistry {
   /// Lookup for signing paths: aborts with the id in the message when
   /// `id` is not registered, in every build type.
   const NodeKeys& KeysFor(ActorId id) const;
-  /// Lookup that tolerates unknown ids (Verify paths); locked when
-  /// concurrent_. The returned pointer outlives the lock because the node
-  /// map is node-based (erasing one entry leaves the others in place) and
-  /// the only entries ever erased are executors': a plane's loop retires
-  /// its own finished executors after its last lookup of them, and no
-  /// other loop ever looks a plane's executors up.
+  /// Lookup that tolerates unknown ids (Verify paths). The returned
+  /// pointer outlives the lock because the node map is node-based
+  /// (erasing one entry leaves the others in place) and the only entries
+  /// ever erased are executors': a plane's loop retires its own finished
+  /// executors after its last lookup of them, and no other loop ever
+  /// looks a plane's executors up.
   const NodeKeys* FindKeys(ActorId id) const;
+  /// Take mu_ shared or exclusive when concurrent_; otherwise the
+  /// returned lock is empty, so the serial path never touches the mutex.
+  std::shared_lock<std::shared_mutex> ReadLock() const;
+  std::unique_lock<std::shared_mutex> WriteLock() const;
 
   CryptoMode mode_;
   const SchnorrGroup* group_;
   uint64_t seed_;
   bool concurrent_ = false;
-  /// Guards nodes_/mac_keys_/valid_certs_* — only when concurrent_; the
-  /// serial path never touches it (one branch per lookup).
+  /// Guards nodes_/mac_keys_/valid_certs_* when concurrent_.
   mutable std::shared_mutex mu_;
-  mutable Rng rng_;
   std::unordered_map<ActorId, NodeKeys> nodes_;
   // Pairwise MAC keys, built lazily; key = (min_id << 32) | max_id.
   mutable std::unordered_map<uint64_t, Bytes> mac_keys_;

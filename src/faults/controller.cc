@@ -134,6 +134,12 @@ Status FaultController::Validate(const FaultEvent& event) const {
 
 Status FaultController::Install(const FaultSchedule& schedule) {
   assert(!installed_ && "Install must be called once");
+  // Faults run on the global loop and would flip plane-owned replicas and
+  // network maps from the wrong thread.
+  if (arch_->parallel()) {
+    return Status::NotSupported(
+        "fault injection requires sim_threads = 0 (the parallel engine)");
+  }
   for (const FaultEvent& event : schedule.events()) {
     Status status = Validate(event);
     if (!status.ok()) return status;

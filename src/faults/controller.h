@@ -35,7 +35,8 @@ class FaultController : public sim::Actor {
   /// regions must exist) and schedules every event; call once, before
   /// running. Returns InvalidArgument naming the offending event when a
   /// target does not resolve — a typo'd scenario must not silently
-  /// become a fault-free run.
+  /// become a fault-free run. Returns NotSupported, registering nothing,
+  /// on an architecture that runs the parallel engine (sim_threads > 0).
   Status Install(const FaultSchedule& schedule);
 
   void OnMessage(const sim::Envelope&) override {}

@@ -147,14 +147,6 @@ const Bytes& Message::Serialized() const {
   return serialized_;
 }
 
-const crypto::Digest& Message::WireDigest() const {
-  if (!wire_digest_ready_) {
-    wire_digest_ = crypto::Sha256::Hash(Serialized());
-    wire_digest_ready_ = true;
-  }
-  return wire_digest_;
-}
-
 Bytes ClientRequestMsg::SigningBytes(const workload::Transaction& txn) {
   Encoder enc;
   enc.PutString("sbft-client-request");

@@ -67,8 +67,7 @@ const char* MsgKindName(MsgKind kind);
 ///  - Serialized() materializes the canonical bytes on demand into a
 ///    single pooled owned buffer (returned to the pool when the message
 ///    dies), built by each type's BuildWire — the only
-///    serialization path;
-///  - WireDigest() is SHA-256 over Serialized(), cached.
+///    serialization path.
 /// Messages authenticated by MAC carry a kMacTagBytes allowance in their
 /// size (the pairwise tag itself is recomputed through the KeyRegistry at
 /// validation time, see DESIGN.md §1).
@@ -88,12 +87,6 @@ struct Message : sim::MessageBase {
   /// MessagePtr already implies.
   const Bytes& Serialized() const;
 
-  /// SHA-256 over Serialized(), computed once and cached — the
-  /// message-level identity for dedup/tracing layers. Protocol digests
-  /// stay domain-separated over payload components (batch, txn), so no
-  /// consensus path reads this.
-  const crypto::Digest& WireDigest() const;
-
   /// Serialized size in bytes. Pure arithmetic — no encoding happens.
   size_t WireSize() const {
     return sizeof(wire::MsgHeader) + PayloadWireBytes() + ExtraWireBytes();
@@ -112,9 +105,7 @@ struct Message : sim::MessageBase {
 
  private:
   mutable Bytes serialized_;
-  mutable crypto::Digest wire_digest_;
   mutable bool serialized_ready_ = false;
-  mutable bool wire_digest_ready_ = false;
 };
 
 using MessagePtr = std::shared_ptr<const Message>;

@@ -176,8 +176,8 @@ class PbftReplica : public sim::Actor {
                         const PreparedProof& proof);
 
   ActorId PrimaryOf(ViewNum view) const;
-  /// Sends `msg` to every other replica; the wire size is taken once from
-  /// the message's memoized serialization, not recomputed per call site.
+  /// Sends `msg` to every other replica; the wire size is the message's
+  /// arithmetic WireSize(), taken once for the whole fan-out.
   void BroadcastToPeers(const MessagePtr& msg);
   bool Crashed() const {
     return crashed_ || (behavior_.byzantine && behavior_.crash);

@@ -7,37 +7,35 @@
 namespace sbft::sim {
 
 Network::Network(Simulator* sim, RegionTable regions, NetworkConfig config)
-    : sim_(sim),
-      regions_(std::move(regions)),
-      config_(config),
-      rng_(sim->rng()->Fork(0x4e42)) {}
+    : regions_(std::move(regions)), config_(config) {
+  loops_.emplace_back(sim, sim->rng()->Fork(0x4e42));
+}
+
+int Network::CurrentLoop() const {
+  return psim_ == nullptr ? 0 : psim_->CurrentLoop();
+}
+
+int Network::LoopOf(ActorId id) const {
+  return psim_ == nullptr ? 0 : loop_of_fn_(id);
+}
 
 void Network::Register(Actor* actor, RegionId region) {
   assert(region < regions_.size());
   Endpoint ep;
   ep.actor = actor;
   ep.region = region;
-  if (psim_ != nullptr) {
-    // Runtime registration (executor spawn) happens on the owning loop's
-    // own thread and lands in that loop's private map.
-    loop_endpoints_[loop_of_fn_(actor->id())][actor->id()] = std::move(ep);
-    return;
-  }
-  endpoints_[actor->id()] = std::move(ep);
+  // Runtime registration (executor spawn) happens on the owning loop's
+  // own thread and lands in that loop's map.
+  loops_[LoopOf(actor->id())].endpoints[actor->id()] = std::move(ep);
 }
 
 void Network::Unregister(ActorId id) {
-  if (psim_ != nullptr) {
-    loop_endpoints_[loop_of_fn_(id)].erase(id);
-    return;
-  }
-  endpoints_.erase(id);
+  loops_[LoopOf(id)].endpoints.erase(id);
 }
 
 void Network::AttachServer(ActorId id, ServerResource* server,
                            CostFn cost_fn) {
-  auto& eps =
-      psim_ != nullptr ? loop_endpoints_[loop_of_fn_(id)] : endpoints_;
+  auto& eps = loops_[LoopOf(id)].endpoints;
   auto it = eps.find(id);
   assert(it != eps.end() && "attach server to unregistered actor");
   it->second.server = server;
@@ -48,30 +46,33 @@ void Network::EnableParallel(ParallelSimulator* psim,
                              std::function<int(ActorId)> loop_of,
                              std::vector<Simulator*> loop_sims) {
   assert(psim != nullptr && psim_ == nullptr);
-  // Fault injection mutates shared maps and is excluded from parallel
-  // runs (the chaos engine pins its scenarios on the serial engine).
+  // Fault injection mutates shared maps, and the observer would run on
+  // every loop's thread: both stay on the serial engine (FaultController::
+  // Install refuses a parallel architecture).
   assert(disabled_links_.empty() && isolated_.empty() &&
          link_rules_.empty() && partitioned_regions_.empty() &&
          actor_delays_.empty() && "fault injection requires sim_threads=0");
+  assert(!observer_ && "the delivery observer requires sim_threads=0");
+  LoopNet serial = std::move(loops_.front());
+  assert(serial.sent == 0 && "EnableParallel after the first send");
   psim_ = psim;
   loop_of_fn_ = std::move(loop_of);
-  loop_sims_ = std::move(loop_sims);
   const int n = psim_->num_loops();
-  assert(static_cast<int>(loop_sims_.size()) == n);
-  loop_endpoints_.resize(n);
-  loop_net_.reserve(n);
+  assert(static_cast<int>(loop_sims.size()) == n);
   // Per-loop rng streams forked in loop order from the (so far unused)
-  // serial network rng — deterministic for a fixed seed and loop count.
+  // serial stream — deterministic for a fixed seed and loop count.
+  loops_.clear();
+  loops_.reserve(n);
   for (int i = 0; i < n; ++i) {
-    loop_net_.emplace_back(rng_.Fork(0x9a90 + static_cast<uint64_t>(i)));
+    loops_.emplace_back(loop_sims[i],
+                        serial.rng.Fork(0x9a90 + static_cast<uint64_t>(i)));
   }
   // Shard the statically-registered endpoints by loop and snapshot their
   // regions for cross-loop destination resolution.
-  for (auto& [id, ep] : endpoints_) {
+  for (auto& [id, ep] : serial.endpoints) {
     static_regions_.emplace(id, ep.region);
-    loop_endpoints_[loop_of_fn_(id)][id] = std::move(ep);
+    loops_[loop_of_fn_(id)].endpoints[id] = std::move(ep);
   }
-  endpoints_.clear();
 }
 
 uint64_t Network::LinkKey(ActorId a, ActorId b) {
@@ -105,14 +106,17 @@ void Network::SetIsolated(ActorId id, bool isolated) {
 }
 
 void Network::SetLinkRule(ActorId a, ActorId b, const LinkRule& rule) {
+  assert(psim_ == nullptr && "fault injection requires sim_threads=0");
   link_rules_[LinkKey(a, b)] = rule;
 }
 
 void Network::ClearLinkRule(ActorId a, ActorId b) {
+  assert(psim_ == nullptr && "fault injection requires sim_threads=0");
   link_rules_.erase(LinkKey(a, b));
 }
 
 void Network::SetRegionPartition(RegionId a, RegionId b, bool partitioned) {
+  assert(psim_ == nullptr && "fault injection requires sim_threads=0");
   if (partitioned) {
     partitioned_regions_.insert(RegionKey(a, b));
   } else {
@@ -121,6 +125,7 @@ void Network::SetRegionPartition(RegionId a, RegionId b, bool partitioned) {
 }
 
 void Network::SetActorDelay(ActorId id, SimDuration delay) {
+  assert(psim_ == nullptr && "fault injection requires sim_threads=0");
   if (delay <= 0) {
     actor_delays_.erase(id);
   } else {
@@ -129,18 +134,14 @@ void Network::SetActorDelay(ActorId id, SimDuration delay) {
 }
 
 void Network::SetDeliveryObserver(DeliveryObserver observer) {
+  assert(psim_ == nullptr && "the delivery observer requires sim_threads=0");
   observer_ = std::move(observer);
 }
 
 RegionId Network::RegionOf(ActorId id) const {
-  if (psim_ != nullptr) {
-    const auto& eps = loop_endpoints_[loop_of_fn_(id)];
-    auto it = eps.find(id);
-    assert(it != eps.end());
-    return it->second.region;
-  }
-  auto it = endpoints_.find(id);
-  assert(it != endpoints_.end());
+  const auto& eps = loops_[LoopOf(id)].endpoints;
+  auto it = eps.find(id);
+  assert(it != eps.end());
   return it->second.region;
 }
 
@@ -203,44 +204,34 @@ Network::Verdict Network::DecideDelivery(ActorId from, ActorId to,
 
 void Network::Send(ActorId from, ActorId to, MessagePtr message,
                    size_t wire_bytes) {
-  if (psim_ != nullptr) {
-    // An actor always sends from its own loop's execution context.
-    const int cur = psim_->CurrentLoop();
-    assert(loop_of_fn_(from) == cur && "sender executing on a foreign loop");
-    auto& eps = loop_endpoints_[cur];
-    auto from_it = eps.find(from);
-    if (from_it == eps.end()) {
-      LoopNet& ln = loop_net_[cur];
-      ++ln.sent;
-      ln.bytes += wire_bytes;
-      ++ln.dropped;
-      return;
-    }
-    SendFromParallel(from, from_it->second.region, to, message, wire_bytes);
+  // An actor always sends from its own loop's execution context.
+  const int cur = CurrentLoop();
+  assert(LoopOf(from) == cur && "sender executing on a foreign loop");
+  LoopNet& ln = loops_[cur];
+  auto from_it = ln.endpoints.find(from);
+  if (from_it == ln.endpoints.end()) {
+    ++ln.sent;
+    ln.bytes += wire_bytes;
+    ++ln.dropped;
     return;
   }
-  auto from_it = endpoints_.find(from);
-  if (from_it == endpoints_.end()) {
-    ++messages_sent_;
-    bytes_sent_ += wire_bytes;
-    ++messages_dropped_;
-    return;
-  }
-  SendFrom(from, from_it->second.region, to, message, wire_bytes);
+  SendFrom(cur, from, from_it->second.region, to, message, wire_bytes);
 }
 
-void Network::SendFromParallel(ActorId from, RegionId from_region, ActorId to,
-                               const MessagePtr& message, size_t wire_bytes) {
-  const int cur = psim_->CurrentLoop();
-  LoopNet& ln = loop_net_[cur];
+void Network::SendFrom(int cur, ActorId from, RegionId from_region,
+                       ActorId to, const MessagePtr& message,
+                       size_t wire_bytes) {
+  LoopNet& ln = loops_[cur];
   ++ln.sent;
   ln.bytes += wire_bytes;
 
-  const int dst = loop_of_fn_(to);
+  // The receiving region is resolved at send time; if the receiver
+  // vanishes before arrival the message is dropped at delivery.
+  const int dst = LoopOf(to);
   RegionId to_region;
   if (dst == cur) {
-    auto it = loop_endpoints_[cur].find(to);
-    if (it == loop_endpoints_[cur].end()) {
+    auto it = ln.endpoints.find(to);
+    if (it == ln.endpoints.end()) {
       ++ln.dropped;
       return;
     }
@@ -273,11 +264,10 @@ void Network::SendFromParallel(ActorId from, RegionId from_region, ActorId to,
         ln.rng.Uniform(static_cast<uint64_t>(config_.jitter_max)));
   }
 
-  Simulator* src_sim = loop_sims_[cur];
   Envelope env;
   env.from = from;
   env.to = to;
-  env.sent_at = src_sim->now();
+  env.sent_at = ln.sim->now();
   env.wire_bytes = wire_bytes;
   env.message = message;
 
@@ -287,83 +277,25 @@ void Network::SendFromParallel(ActorId from, RegionId from_region, ActorId to,
       copy_delay += static_cast<SimDuration>(
           ln.rng.Uniform(static_cast<uint64_t>(config_.jitter_max)));
     }
-    Envelope copy_env = c + 1 == verdict.copies ? std::move(env) : env;
-    if (dst == cur) {
-      src_sim->Schedule(
-          copy_delay, [this, src_sim, env = std::move(copy_env)]() mutable {
-            env.delivered_at = src_sim->now();
-            Deliver(std::move(env));
-          });
-    } else {
-      ++ln.cross;
-      // The natural delay already clears the floor (propagation alone is
-      // >= CrossLoopFloor for home-region pairs); the max() makes the
-      // engine's safety contract explicit rather than inferred.
-      if (copy_delay < psim_->lookahead()) copy_delay = psim_->lookahead();
-      Simulator* dst_sim = loop_sims_[dst];
-      psim_->Post(dst, src_sim->now() + copy_delay,
-                  [this, dst_sim, env = std::move(copy_env)]() mutable {
-                    env.delivered_at = dst_sim->now();
-                    Deliver(std::move(env));
-                  });
-    }
-  }
-}
-
-void Network::SendFrom(ActorId from, RegionId from_region, ActorId to,
-                       const MessagePtr& message, size_t wire_bytes) {
-  if (psim_ != nullptr) {
-    SendFromParallel(from, from_region, to, message, wire_bytes);
-    return;
-  }
-  ++messages_sent_;
-  bytes_sent_ += wire_bytes;
-
-  // The receiving region is resolved at send time; if the receiver
-  // vanishes before arrival the message is dropped at delivery.
-  auto to_it = endpoints_.find(to);
-  if (to_it == endpoints_.end()) {
-    ++messages_dropped_;
-    return;
-  }
-  Verdict verdict = DecideDelivery(from, to, from_region,
-                                   to_it->second.region, &rng_);
-  if (!verdict.deliver) {
-    ++messages_dropped_;
-    return;
-  }
-
-  double tx_seconds = static_cast<double>(wire_bytes) * 8.0 /
-                      (config_.bandwidth_gbps * 1e9);
-  SimDuration delay = Seconds(tx_seconds) +
-                      regions_.OneWay(from_region, to_it->second.region) +
-                      verdict.extra_delay;
-  if (config_.jitter_max > 0) {
-    delay += static_cast<SimDuration>(
-        rng_.Uniform(static_cast<uint64_t>(config_.jitter_max)));
-  }
-
-  Envelope env;
-  env.from = from;
-  env.to = to;
-  env.sent_at = sim_->now();
-  env.wire_bytes = wire_bytes;
-  env.message = message;
-
-  for (int c = 0; c < verdict.copies; ++c) {
-    SimDuration copy_delay = delay;
-    if (c > 0 && config_.jitter_max > 0) {
-      copy_delay += static_cast<SimDuration>(
-          rng_.Uniform(static_cast<uint64_t>(config_.jitter_max)));
-    }
     // The last (usually only) copy moves the envelope into the event,
     // saving a shared_ptr refcount round-trip per delivery.
-    Envelope copy_env =
-        c + 1 == verdict.copies ? std::move(env) : env;
-    sim_->Schedule(copy_delay, [this, env = std::move(copy_env)]() mutable {
-      env.delivered_at = sim_->now();
-      Deliver(std::move(env));
-    });
+    Envelope copy_env = c + 1 == verdict.copies ? std::move(env) : env;
+    if (dst == cur) {
+      ln.sim->Schedule(copy_delay,
+                       [this, env = std::move(copy_env)]() mutable {
+                         Deliver(std::move(env));
+                       });
+      continue;
+    }
+    ++ln.cross;
+    // The natural delay already clears the floor (propagation alone is
+    // >= CrossLoopFloor for home-region pairs); the max() makes the
+    // engine's safety contract explicit rather than inferred.
+    if (copy_delay < psim_->lookahead()) copy_delay = psim_->lookahead();
+    psim_->Post(dst, ln.sim->now() + copy_delay,
+                [this, env = std::move(copy_env)]() mutable {
+                  Deliver(std::move(env));
+                });
   }
 }
 
@@ -371,56 +303,39 @@ void Network::Broadcast(ActorId from, const std::vector<ActorId>& targets,
                         ActorId skip, MessagePtr message, size_t wire_bytes) {
   // The sender endpoint (and with it the sending region) is resolved once
   // for the whole fan-out; `wire_bytes` is likewise computed once by the
-  // caller (typically from the message's memoized serialization) instead
-  // of per target.
-  if (psim_ != nullptr) {
-    const int cur = psim_->CurrentLoop();
-    assert(loop_of_fn_(from) == cur && "sender executing on a foreign loop");
-    auto& eps = loop_endpoints_[cur];
-    auto it = eps.find(from);
-    if (it == eps.end()) {
-      LoopNet& ln = loop_net_[cur];
-      for (ActorId to : targets) {
-        if (to == kInvalidActor || to == skip) continue;
-        ++ln.sent;
-        ln.bytes += wire_bytes;
-        ++ln.dropped;
-      }
-      return;
-    }
-    for (ActorId to : targets) {
-      if (to == kInvalidActor || to == skip) continue;
-      SendFromParallel(from, it->second.region, to, message, wire_bytes);
-    }
-    return;
-  }
-  auto from_it = endpoints_.find(from);
-  if (from_it == endpoints_.end()) {
+  // caller (typically the message's arithmetic WireSize()) instead of per
+  // target.
+  const int cur = CurrentLoop();
+  assert(LoopOf(from) == cur && "sender executing on a foreign loop");
+  LoopNet& ln = loops_[cur];
+  auto from_it = ln.endpoints.find(from);
+  if (from_it == ln.endpoints.end()) {
     // Unregistered sender: every copy still counts as sent-and-dropped,
     // matching Send()'s accounting.
     for (ActorId to : targets) {
       if (to == kInvalidActor || to == skip) continue;
-      ++messages_sent_;
-      bytes_sent_ += wire_bytes;
-      ++messages_dropped_;
+      ++ln.sent;
+      ln.bytes += wire_bytes;
+      ++ln.dropped;
     }
     return;
   }
   for (ActorId to : targets) {
     if (to == kInvalidActor || to == skip) continue;
-    SendFrom(from, from_it->second.region, to, message, wire_bytes);
+    SendFrom(cur, from, from_it->second.region, to, message, wire_bytes);
   }
 }
 
-void Network::DeliverParallel(Envelope env) {
+void Network::Deliver(Envelope env) {
   // Delivery executes on the destination loop's thread (same-loop
-  // Schedule or cross-loop mailbox), so the loop-local endpoint map and
+  // Schedule or cross-loop mailbox), so the loop's endpoint map and
   // counters are safe to touch without synchronization.
-  const int cur = psim_->CurrentLoop();
-  LoopNet& ln = loop_net_[cur];
-  auto& eps = loop_endpoints_[cur];
-  auto it = eps.find(env.to);
-  if (it == eps.end()) {
+  const int cur = CurrentLoop();
+  LoopNet& ln = loops_[cur];
+  env.delivered_at = ln.sim->now();
+  auto it = ln.endpoints.find(env.to);
+  if (it == ln.endpoints.end() ||
+      (!isolated_.empty() && isolated_.contains(env.to))) {
     ++ln.dropped;
     return;
   }
@@ -429,70 +344,11 @@ void Network::DeliverParallel(Envelope env) {
 
   if (ep.server != nullptr) {
     SimDuration cost = ep.cost_fn ? ep.cost_fn(env) : 0;
-    ActorId to = env.to;
-    ep.server->Submit(cost, [this, cur, to, env = std::move(env)]() {
+    ep.server->Submit(cost, [this, cur, env = std::move(env)]() {
       // Re-resolve: the actor may have unregistered while queued.
-      auto& eps2 = loop_endpoints_[cur];
-      auto it2 = eps2.find(to);
-      if (it2 == eps2.end()) return;
-      it2->second.actor->OnMessage(env);
-    });
-  } else {
-    ep.actor->OnMessage(env);
-  }
-}
-
-uint64_t Network::messages_sent() const {
-  uint64_t total = messages_sent_;
-  for (const LoopNet& ln : loop_net_) total += ln.sent;
-  return total;
-}
-
-uint64_t Network::messages_delivered() const {
-  uint64_t total = messages_delivered_;
-  for (const LoopNet& ln : loop_net_) total += ln.delivered;
-  return total;
-}
-
-uint64_t Network::messages_dropped() const {
-  uint64_t total = messages_dropped_;
-  for (const LoopNet& ln : loop_net_) total += ln.dropped;
-  return total;
-}
-
-uint64_t Network::bytes_sent() const {
-  uint64_t total = bytes_sent_;
-  for (const LoopNet& ln : loop_net_) total += ln.bytes;
-  return total;
-}
-
-uint64_t Network::cross_loop_messages() const {
-  uint64_t total = 0;
-  for (const LoopNet& ln : loop_net_) total += ln.cross;
-  return total;
-}
-
-void Network::Deliver(Envelope env) {
-  if (psim_ != nullptr) {
-    DeliverParallel(std::move(env));
-    return;
-  }
-  auto it = endpoints_.find(env.to);
-  if (it == endpoints_.end() ||
-      (!isolated_.empty() && isolated_.contains(env.to))) {
-    ++messages_dropped_;
-    return;
-  }
-  Endpoint& ep = it->second;
-  ++messages_delivered_;
-
-  if (ep.server != nullptr) {
-    SimDuration cost = ep.cost_fn ? ep.cost_fn(env) : 0;
-    ActorId to = env.to;
-    ep.server->Submit(cost, [this, to, env = std::move(env)]() {
-      // Re-resolve: the actor may have unregistered while queued.
-      auto it2 = endpoints_.find(to);
-      if (it2 == endpoints_.end()) return;
+      const auto& eps = loops_[cur].endpoints;
+      auto it2 = eps.find(env.to);
+      if (it2 == eps.end()) return;
       it2->second.actor->OnMessage(env);
       if (observer_) observer_(env);
     });
@@ -500,6 +356,12 @@ void Network::Deliver(Envelope env) {
     ep.actor->OnMessage(env);
     if (observer_) observer_(env);
   }
+}
+
+uint64_t Network::Total(uint64_t LoopNet::*counter) const {
+  uint64_t total = 0;
+  for (const LoopNet& ln : loops_) total += ln.*counter;
+  return total;
 }
 
 }  // namespace sbft::sim

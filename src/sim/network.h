@@ -107,7 +107,9 @@ class Network {
   /// the world lags by `delay`). Pass 0 to clear.
   void SetActorDelay(ActorId id, SimDuration delay);
 
-  /// Test/trace hook; pass nullptr to clear.
+  /// Serial-only test/trace hook, called after every delivery's
+  /// OnMessage; pass nullptr to clear. Asserted never to meet the
+  /// parallel engine, whose deliveries run on every loop's thread.
   void SetDeliveryObserver(DeliveryObserver observer);
 
   RegionId RegionOf(ActorId id) const;
@@ -115,14 +117,14 @@ class Network {
 
   // --- parallel-mode wiring (conservative-PDES engine, DESIGN.md §11) ---
 
-  /// Switches the network onto per-loop state: endpoint maps, rng jitter
-  /// streams, and traffic counters are sharded by event loop, same-loop
-  /// sends schedule on the sender's Simulator, and cross-loop sends go
-  /// through the ParallelSimulator's mailboxes. Call once, after every
-  /// static actor is registered and before the first run. `loop_of` maps
-  /// any actor id to its loop index (a pure function of the id blocks);
-  /// `loop_sims[i]` is loop i's Simulator. Fault injection is not
-  /// supported in parallel mode (asserted).
+  /// Splits the network's one per-loop state (endpoint map, rng jitter
+  /// stream, traffic counters) into one per event loop: same-loop sends
+  /// schedule on the sender's Simulator, and cross-loop sends go through
+  /// the ParallelSimulator's mailboxes. Call once, after every static
+  /// actor is registered and before the first send. `loop_of` maps any
+  /// actor id to its loop index (a pure function of the id blocks);
+  /// `loop_sims[i]` is loop i's Simulator. Fault injection and the
+  /// delivery observer are not supported in parallel mode (asserted).
   void EnableParallel(ParallelSimulator* psim,
                       std::function<int(ActorId)> loop_of,
                       std::vector<Simulator*> loop_sims);
@@ -141,12 +143,12 @@ class Network {
 
   bool parallel() const { return psim_ != nullptr; }
   /// Messages that crossed loops through the mailbox mesh.
-  uint64_t cross_loop_messages() const;
+  uint64_t cross_loop_messages() const { return Total(&LoopNet::cross); }
 
-  uint64_t messages_sent() const;
-  uint64_t messages_delivered() const;
-  uint64_t messages_dropped() const;
-  uint64_t bytes_sent() const;
+  uint64_t messages_sent() const { return Total(&LoopNet::sent); }
+  uint64_t messages_delivered() const { return Total(&LoopNet::delivered); }
+  uint64_t messages_dropped() const { return Total(&LoopNet::dropped); }
+  uint64_t bytes_sent() const { return Total(&LoopNet::bytes); }
 
  private:
   struct Endpoint {
@@ -170,18 +172,18 @@ class Network {
 
   static uint64_t LinkKey(ActorId a, ActorId b);
   static uint64_t RegionKey(RegionId a, RegionId b);
-  /// Send with the sender endpoint already resolved — lets Broadcast look
-  /// the sender up once per fan-out instead of once per target.
-  void SendFrom(ActorId from, RegionId from_region, ActorId to,
-                const MessagePtr& message, size_t wire_bytes);
-  void Deliver(Envelope env);
 
-  /// Per-loop network state for parallel mode: one jitter/drop rng stream
-  /// and one set of traffic counters per loop, each touched only by the
-  /// loop's own worker thread (padded so the counters never false-share).
+  /// The network state of one event loop: the endpoints that live on it,
+  /// its Simulator, its jitter/drop rng stream and its traffic counters.
+  /// A serial network has one; EnableParallel splits it into one per
+  /// loop. loops_[i] is written at build time and otherwise only by loop
+  /// i's own thread (executor churn, sends, deliveries), so it needs no
+  /// lock (padded so the counters never false-share).
   struct alignas(64) LoopNet {
-    explicit LoopNet(Rng r) : rng(r) {}
+    LoopNet(Simulator* s, Rng r) : sim(s), rng(r) {}
+    Simulator* sim;
     Rng rng;
+    std::unordered_map<ActorId, Endpoint> endpoints;
     uint64_t sent = 0;
     uint64_t delivered = 0;
     uint64_t dropped = 0;
@@ -189,15 +191,22 @@ class Network {
     uint64_t cross = 0;
   };
 
-  void SendFromParallel(ActorId from, RegionId from_region, ActorId to,
-                        const MessagePtr& message, size_t wire_bytes);
-  void DeliverParallel(Envelope env);
+  /// One traffic counter summed over the loops.
+  uint64_t Total(uint64_t LoopNet::*counter) const;
+  /// The loop the caller executes on (0 on a serial network).
+  int CurrentLoop() const;
+  /// The loop actor `id` lives on (0 on a serial network).
+  int LoopOf(ActorId id) const;
+  /// Send from loop `cur` with the sender's region already resolved —
+  /// lets Broadcast look the sender up once per fan-out instead of once
+  /// per target.
+  void SendFrom(int cur, ActorId from, RegionId from_region, ActorId to,
+                const MessagePtr& message, size_t wire_bytes);
+  void Deliver(Envelope env);
 
-  Simulator* sim_;
   RegionTable regions_;
   NetworkConfig config_;
-  Rng rng_;
-  std::unordered_map<ActorId, Endpoint> endpoints_;
+  std::vector<LoopNet> loops_;
   std::unordered_set<uint64_t> disabled_links_;
   std::unordered_set<ActorId> isolated_;
   std::unordered_map<uint64_t, LinkRule> link_rules_;
@@ -205,26 +214,14 @@ class Network {
   std::unordered_map<ActorId, SimDuration> actor_delays_;
   DeliveryObserver observer_;
 
-  // --- parallel-mode state (untouched, empty, when psim_ == nullptr) ---
+  // --- parallel-mode wiring (null and empty on a serial network) ---
   ParallelSimulator* psim_ = nullptr;
   std::function<int(ActorId)> loop_of_fn_;
-  std::vector<Simulator*> loop_sims_;
-  /// Endpoint maps sharded by loop: loop_endpoints_[i] is written only at
-  /// build time and by loop i's own thread (executor churn), and read
-  /// only by that thread — cross-loop sends resolve the destination
-  /// through static_regions_ instead.
-  std::vector<std::unordered_map<ActorId, Endpoint>> loop_endpoints_;
   /// Read-only snapshot of every statically-placed actor's region, taken
-  /// at EnableParallel. Runtime-registered actors (executors) never
-  /// receive cross-loop traffic, so the static directory suffices for
-  /// remote region resolution.
+  /// at EnableParallel. Cross-loop sends resolve their destination here:
+  /// runtime-registered actors (executors) never receive cross-loop
+  /// traffic, so the static directory suffices.
   std::unordered_map<ActorId, RegionId> static_regions_;
-  std::vector<LoopNet> loop_net_;
-
-  uint64_t messages_sent_ = 0;
-  uint64_t messages_delivered_ = 0;
-  uint64_t messages_dropped_ = 0;
-  uint64_t bytes_sent_ = 0;
 };
 
 }  // namespace sbft::sim

@@ -359,8 +359,8 @@ class Verifier : public sim::Actor {
   void NotifyPrimary(SeqNum seq, const crypto::Digest& digest, bool aborted);
   void StartAbortTimer(SeqNum seq);
   void OnAbortTimer(SeqNum seq);
-  /// Sends `msg` to every shim node; wire size taken once from the
-  /// message's memoized serialization.
+  /// Sends `msg` to every shim node; the wire size is the message's
+  /// arithmetic WireSize(), taken once for the whole fan-out.
   void BroadcastToShim(const shim::MessagePtr& msg);
   void MaybeSendAcks();
 

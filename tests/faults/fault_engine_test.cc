@@ -121,6 +121,23 @@ TEST(FaultEngineTest, InstallRejectsOutOfRangeTargets) {
   EXPECT_TRUE(bad_region.IsInvalidArgument()) << bad_region.ToString();
 }
 
+TEST(FaultEngineTest, InstallRefusesParallelEngine) {
+  // Faults are applied on the global loop; on the parallel engine they
+  // would flip plane-owned state from the wrong thread, so Install must
+  // refuse in every build type rather than rely on asserts.
+  core::SystemConfig config = SmallConfig();
+  config.shard_count = 2;
+  config.sim_threads = 2;
+  core::Architecture arch(config);
+  ASSERT_TRUE(arch.parallel());
+  FaultController controller(&arch);
+  Status status =
+      controller.Install(*FaultSchedule::Parse("at 1s crash node 0\n"));
+  EXPECT_FALSE(status.ok());
+  EXPECT_TRUE(status.IsNotSupported()) << status.ToString();
+  EXPECT_NE(status.ToString().find("sim_threads"), std::string::npos);
+}
+
 // --- recovery properties --------------------------------------------------
 
 TEST(FaultEngineTest, PartitionThenHealTriggersViewChangeAndCommitsResume) {

@@ -63,16 +63,6 @@ TEST(MessageTest, SerializedIsMemoizedPackedEncoding) {
   EXPECT_EQ(&msg.Serialized(), &cached);
 }
 
-TEST(MessageTest, WireDigestIsHashOfSerializedForm) {
-  PrepareMsg msg(3);
-  msg.view = 7;
-  msg.seq = 9;
-  msg.digest = crypto::Sha256::Hash("y");
-  const crypto::Digest& d = msg.WireDigest();
-  EXPECT_EQ(d, crypto::Sha256::Hash(msg.Serialized()));
-  EXPECT_EQ(&msg.WireDigest(), &d);  // Cached, not recomputed.
-}
-
 TEST(MessageTest, MacMessagesIncludeTagAllowance) {
   PrepareMsg msg(3);
   EXPECT_EQ(msg.WireSize(), msg.Serialized().size() + Message::kMacTagBytes);

@@ -166,6 +166,11 @@ struct ArchResult {
   uint64_t completed = 0;
   uint64_t aborted = 0;
   uint64_t cross_loop = 0;
+  // Network totals, summed over the loops' counters.
+  uint64_t messages_sent = 0;
+  uint64_t messages_delivered = 0;
+  uint64_t messages_dropped = 0;
+  uint64_t bytes_sent = 0;
   // Executor key retirement, summed over planes.
   uint64_t executors_spawned = 0;
   size_t executor_keys = 0;  // Registry entries added since construction.
@@ -202,6 +207,10 @@ ArchResult RunShardedParallel(int threads, uint64_t seed) {
   result.completed = arch.TotalCompleted();
   result.aborted = arch.TotalAborted();
   result.cross_loop = arch.network()->cross_loop_messages();
+  result.messages_sent = arch.network()->messages_sent();
+  result.messages_delivered = arch.network()->messages_delivered();
+  result.messages_dropped = arch.network()->messages_dropped();
+  result.bytes_sent = arch.network()->bytes_sent();
   return result;
 }
 
@@ -224,6 +233,13 @@ TEST(ParallelArchitectureTest, DigestsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one.completed, two.completed);
   EXPECT_EQ(one.completed, four.completed);
   EXPECT_EQ(one.aborted, four.aborted);
+  for (const ArchResult* r : {&two, &four}) {
+    EXPECT_EQ(one.messages_sent, r->messages_sent);
+    EXPECT_EQ(one.messages_delivered, r->messages_delivered);
+    EXPECT_EQ(one.messages_dropped, r->messages_dropped);
+    EXPECT_EQ(one.bytes_sent, r->bytes_sent);
+  }
+  EXPECT_GT(one.messages_delivered, 0u);
 }
 
 TEST(ParallelArchitectureTest, RetiresExecutorKeysIdenticallyAcrossThreads) {
