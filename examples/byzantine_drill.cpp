@@ -2,7 +2,8 @@
 // live deployment and reports how each one is absorbed or recovered —
 // request suppression (view change via the Fig. 4 timers), nodes-in-dark
 // (featherweight checkpoints), verifier flooding (ignore-after-match),
-// and byzantine executors (f_E+1 matching).
+// and byzantine executors (f_E+1 matching). Exits 1, naming the drill,
+// when any drill's audit chain breaks.
 //
 //   ./build/examples/byzantine_drill
 
@@ -29,7 +30,9 @@ core::SystemConfig BaseConfig() {
   return config;
 }
 
-void Report(const char* attack, core::Architecture& arch) {
+/// Prints one drill's row and returns whether its audit chain held.
+bool Report(const char* attack, core::Architecture& arch) {
+  const bool intact = arch.verifier()->audit_log().VerifyChain();
   std::printf("%-28s committed=%-6llu view-changes=%-3llu "
               "retransmissions=%-4llu floods-ignored=%-5llu audit=%s\n",
               attack,
@@ -38,7 +41,12 @@ void Report(const char* attack, core::Architecture& arch) {
               static_cast<unsigned long long>(arch.TotalRetransmissions()),
               static_cast<unsigned long long>(
                   arch.verifier()->flooding_ignored()),
-              arch.verifier()->audit_log().VerifyChain() ? "ok" : "BROKEN");
+              intact ? "ok" : "BROKEN");
+  if (!intact) {
+    std::fprintf(stderr, "byzantine_drill: audit chain broken in drill '%s'\n",
+                 attack);
+  }
+  return intact;
 }
 
 }  // namespace
@@ -46,12 +54,13 @@ void Report(const char* attack, core::Architecture& arch) {
 int main() {
   std::printf("ServerlessBFT byzantine drill (paper §V attack catalogue)\n");
   std::printf("4 shim nodes (f_R=1), 3 executors (f_E=1), 12 clients, 6s\n\n");
+  bool intact = true;
 
   {  // Baseline: everyone honest.
     core::Architecture arch(BaseConfig());
     arch.Start();
     arch.simulator()->RunUntil(Seconds(6));
-    Report("baseline (honest)", arch);
+    intact &= Report("baseline (honest)", arch);
   }
   {  // §V-A: the primary drops every client request.
     core::SystemConfig config = BaseConfig();
@@ -60,7 +69,7 @@ int main() {
     core::Architecture arch(config);
     arch.Start();
     arch.simulator()->RunUntil(Seconds(6));
-    Report("request suppression", arch);
+    intact &= Report("request suppression", arch);
   }
   {  // §V-A: primary crash-stops.
     core::SystemConfig config = BaseConfig();
@@ -69,7 +78,7 @@ int main() {
     core::Architecture arch(config);
     arch.Start();
     arch.simulator()->RunUntil(Seconds(6));
-    Report("crashed primary", arch);
+    intact &= Report("crashed primary", arch);
   }
   {  // §V-B: one honest node kept in the dark.
     core::SystemConfig config = BaseConfig();
@@ -78,7 +87,7 @@ int main() {
     core::Architecture arch(config);
     arch.Start();
     arch.simulator()->RunUntil(Seconds(6));
-    Report("nodes in dark", arch);
+    intact &= Report("nodes in dark", arch);
     std::printf("%-28s dark node adopted %llu certificates via "
                 "featherweight checkpoints\n",
                 "",
@@ -92,7 +101,7 @@ int main() {
     core::Architecture arch(config);
     arch.Start();
     arch.simulator()->RunUntil(Seconds(6));
-    Report("equivocation", arch);
+    intact &= Report("equivocation", arch);
   }
   {  // §V-C: duplicate spawning floods the verifier (self-penalizing).
     core::SystemConfig config = BaseConfig();
@@ -101,7 +110,7 @@ int main() {
     core::Architecture arch(config);
     arch.Start();
     arch.simulator()->RunUntil(Seconds(6));
-    Report("duplicate spawning", arch);
+    intact &= Report("duplicate spawning", arch);
     std::printf("%-28s lambda bill %.4f cents (3x the honest work — the "
                 "attacker pays)\n",
                 "", arch.cloud()->cost_meter()->lambda_cents());
@@ -114,7 +123,7 @@ int main() {
     core::Architecture arch(config);
     arch.Start();
     arch.simulator()->RunUntil(Seconds(6));
-    Report("lying executors (f_E)", arch);
+    intact &= Report("lying executors (f_E)", arch);
   }
   {  // §VI-B: delayed spawning to force aborts on conflicting txns.
     core::SystemConfig config = BaseConfig();
@@ -128,10 +137,11 @@ int main() {
     core::Architecture arch(config);
     arch.Start();
     arch.simulator()->RunUntil(Seconds(6));
-    Report("byzantine aborts (§VI-B)", arch);
+    intact &= Report("byzantine aborts (§VI-B)", arch);
     std::printf("%-28s aborted=%llu (aborts, never inconsistency)\n", "",
                 static_cast<unsigned long long>(arch.TotalAborted()));
   }
+  if (!intact) return 1;
   std::printf("\nall drills completed; every audit chain stayed intact.\n");
   return 0;
 }

@@ -96,7 +96,7 @@ struct SystemConfig {
   uint32_t f_e = kVerifierDefaults.f_e;
   /// Executors spawned per batch; honest default 2f_E+1, or 3f_E+1 when
   /// conflicts are possible (§VI-B).
-  uint32_t n_e = kVerifierDefaults.n_e;
+  uint32_t n_e = 3;
   SpawnMode spawn_mode = SpawnMode::kPrimaryOnly;
   /// Number of cloud regions executors round-robin over (1..11).
   uint32_t executor_regions = 3;

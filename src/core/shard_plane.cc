@@ -198,7 +198,6 @@ void ShardPlane::BuildVerifierAndStorage() {
 
   verifier::VerifierConfig vconfig;
   vconfig.f_e = config_.f_e;
-  vconfig.n_e = config_.EffectiveExecutors();
   vconfig.shim_quorum = config_.CertQuorum();
   vconfig.conflicts_possible = config_.conflicts_possible;
   vconfig.match_timeout = config_.verifier_match_timeout;

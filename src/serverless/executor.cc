@@ -158,7 +158,7 @@ void ExecutorFunction::Execute(const shim::StorageReadReplyMsg& reply) {
       }
     }
     max_txn_compute = std::max(max_txn_compute, txn_compute);
-    // Batch-level union for the non-conflict fast path.
+    // Batch-level union: the set this executor signs.
     for (const auto& r : txn_rw.reads) rw.reads.push_back(r);
     for (const auto& w : txn_rw.writes) rw.writes.push_back(w);
     txn_rws.push_back(std::move(txn_rw));

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "crypto/sha256.h"
-
 namespace sbft::shim {
 
 namespace {
@@ -32,38 +30,6 @@ H PackedFor(const Message& m) {
 
 void CopyDigest(wire::DigestField* dst, const crypto::Digest& src) {
   std::memcpy(dst->mutable_data(), src.data(), crypto::Digest::kSize);
-}
-
-// Streaming twins of the Encoder Put* calls, for digests computed
-// without materializing a buffer (MatchKey).
-void HashU64(crypto::Sha256* h, uint64_t v) {
-  uint8_t le[8];
-  for (int i = 0; i < 8; ++i) le[i] = static_cast<uint8_t>(v >> (8 * i));
-  h->Update(le, sizeof(le));
-}
-
-void HashVarint(crypto::Sha256* h, uint64_t v) {
-  uint8_t buf[10];
-  size_t n = 0;
-  while (v >= 0x80) {
-    buf[n++] = static_cast<uint8_t>(v) | 0x80;
-    v >>= 7;
-  }
-  buf[n++] = static_cast<uint8_t>(v);
-  h->Update(buf, n);
-}
-
-void HashSized(crypto::Sha256* h, const uint8_t* data, size_t len) {
-  HashVarint(h, len);
-  h->Update(data, len);
-}
-
-void HashBytes(crypto::Sha256* h, const Bytes& b) {
-  HashSized(h, b.data(), b.size());
-}
-
-void HashString(crypto::Sha256* h, const std::string& s) {
-  HashSized(h, reinterpret_cast<const uint8_t*>(s.data()), s.size());
 }
 
 }  // namespace
@@ -242,42 +208,6 @@ Bytes VerifyMsg::SigningBytes(ViewNum view, SeqNum seq,
   rw.EncodeTo(&enc);
   enc.PutBytes(result);
   return enc.TakeBuffer();
-}
-
-crypto::Digest VerifyMsg::MatchKey(bool include_rw) const {
-  // Streamed straight into SHA-256 — no scratch buffer.
-  crypto::Sha256 h;
-  HashU64(&h, seq);
-  h.Update(batch_digest.data(), crypto::Digest::kSize);
-  if (include_rw) {
-    HashVarint(&h, rw.reads.size());
-    for (const storage::ReadEntry& r : rw.reads) {
-      HashString(&h, r.key);
-      HashU64(&h, r.version);
-    }
-    HashVarint(&h, rw.writes.size());
-    for (const storage::WriteEntry& w : rw.writes) {
-      HashString(&h, w.key);
-      HashBytes(&h, w.value);
-    }
-  } else {
-    // Writes must still agree — they are what the verifier applies.
-    HashVarint(&h, rw.writes.size());
-    for (const storage::WriteEntry& w : rw.writes) {
-      HashString(&h, w.key);
-      HashBytes(&h, w.value);
-    }
-  }
-  // The per-transaction split must agree too: the verifier settles each
-  // transaction's own set, so a match on the concatenation alone would
-  // let the quorum-completing VERIFY move writes across transactions.
-  HashVarint(&h, txn_rws.size());
-  for (const storage::RwSet& txn_rw : txn_rws) {
-    if (include_rw) HashVarint(&h, txn_rw.reads.size());
-    HashVarint(&h, txn_rw.writes.size());
-  }
-  HashBytes(&h, result);
-  return h.Finish();
 }
 
 size_t VerifyMsg::PayloadWireBytes() const {

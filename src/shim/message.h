@@ -215,10 +215,11 @@ struct VerifyMsg : Message {
   crypto::Digest batch_digest;
   crypto::CommitCertificate cert;
   storage::RwSet rw;  ///< Batch-level union of the per-txn sets.
-  /// Per-transaction read/write sets, aligned with `txn_refs`. The
-  /// verifier matches and validates *per transaction* under the §VI
-  /// conflict regime (the paper's Fig. 3 flow is per request), so one
-  /// stale read aborts one transaction, not the whole batch.
+  /// Per-transaction read/write sets, aligned with `txn_refs`; they
+  /// concatenate to `rw`, which is what the executor signs. The verifier
+  /// matches and validates *per transaction* (the paper's Fig. 3 flow is
+  /// per request), so one divergent or stale transaction aborts alone,
+  /// not its whole batch.
   std::vector<storage::RwSet> txn_rws;
   std::vector<TxnRef> txn_refs;
   Bytes result;         ///< Execution result r (opaque bytes).
@@ -227,18 +228,6 @@ struct VerifyMsg : Message {
   static Bytes SigningBytes(ViewNum view, SeqNum seq,
                             const crypto::Digest& batch_digest,
                             const storage::RwSet& rw, const Bytes& result);
-
-  /// Digest identifying this execution outcome for quorum matching at
-  /// the verifier (Fig. 3 line 23: "f_E+1 identical VERIFY messages").
-  ///
-  /// With `include_rw` the read/write sets participate in the match —
-  /// required when transactions may conflict (§VI-B). Without it only
-  /// (seq, batch, result, writes) must agree: per §IV-D, "matching
-  /// read-write sets is only required when the transactions are
-  /// conflicting" — executors legitimately observe different read
-  /// versions when they fetch at different times. Either way the split
-  /// of the sets into `txn_rws` must agree as well.
-  crypto::Digest MatchKey(bool include_rw = true) const;
 
   size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;

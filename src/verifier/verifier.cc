@@ -56,9 +56,9 @@ namespace {
 
 /// True when `msg.txn_rws` holds one set per transaction ref and the sets
 /// concatenate, in order, to exactly the batch-level `rw` — which is how
-/// executors build them. The executor signature and the match key cover
-/// only `rw`, so this check is what binds the per-transaction sets the
-/// settle loop applies to the quorum that matched.
+/// executors build them. The executor signature covers only `rw`, so
+/// this check is what ties the per-transaction sets a VERIFY votes with
+/// to what its executor signed.
 bool TxnRwsConcatenateToRw(const shim::VerifyMsg& msg) {
   if (msg.txn_rws.size() != msg.txn_refs.size()) return false;
   size_t reads = 0;
@@ -78,6 +78,28 @@ bool TxnRwsConcatenateToRw(const shim::VerifyMsg& msg) {
   return reads == msg.rw.reads.size() && writes == msg.rw.writes.size();
 }
 
+/// True when `a` and `b` cast the same vote for transaction `i` (for an
+/// empty batch, `i` = 0 names no transaction): the same batch digest,
+/// result, and read keys and writes of that transaction. Read versions
+/// count only when transactions may conflict: per §IV-D, conflict-free
+/// executors may legitimately read different versions and must still
+/// match. Both VERIFYs have the same shape.
+bool SameVote(const shim::VerifyMsg& a, const shim::VerifyMsg& b, size_t i,
+              bool read_versions) {
+  if (a.batch_digest != b.batch_digest || a.result != b.result) return false;
+  if (i == a.txn_rws.size()) return true;
+  const storage::RwSet& x = a.txn_rws[i];
+  const storage::RwSet& y = b.txn_rws[i];
+  if (x.writes != y.writes || x.reads.size() != y.reads.size()) return false;
+  for (size_t k = 0; k < x.reads.size(); ++k) {
+    if (x.reads[k].key != y.reads[k].key ||
+        (read_versions && x.reads[k].version != y.reads[k].version)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 void Verifier::HandleVerify(const sim::Envelope& env) {
@@ -93,7 +115,7 @@ void Verifier::HandleVerify(const sim::Envelope& env) {
     return;
   }
   SeqState& state = pending_[seq];
-  if (state.matched || state.abort_tag) {
+  if (state.matched) {
     ++flooding_ignored_;
     return;
   }
@@ -125,7 +147,6 @@ void Verifier::HandleVerify(const sim::Envelope& env) {
   }
 
   state.senders.insert(msg->sender);
-  state.any_sample = msg;
   last_seen_view_ = std::max(last_seen_view_, msg->view);
 
   for (const auto& ref : msg->txn_refs) {
@@ -137,60 +158,36 @@ void Verifier::HandleVerify(const sim::Envelope& env) {
   }
 
   if (config_.conflicts_possible) StartAbortTimer(seq);
-  if (config_.conflicts_possible && !msg->txn_refs.empty()) {
-    RecordPerTxnVotes(state, msg);
-    if (state.txns_matched == state.txns.size()) {
-      state.matched = true;
-      if (state.timer != 0) {
-        sim_->Cancel(state.timer);
-        state.timer = 0;
-      }
-      ProcessInOrder();
+  // Vote once per transaction, in the quorums of this VERIFY's shape.
+  const size_t n = msg->txn_refs.size();
+  SeqState::Shape& shape = state.shapes[n];
+  if (shape.txns.empty()) shape.txns.resize(std::max<size_t>(n, 1));
+  ++shape.senders;
+  shape.sample = msg;
+  for (size_t i = 0; i < shape.txns.size(); ++i) {
+    SeqState::TxnQuorum& quorum = shape.txns[i];
+    if (quorum.winner != nullptr) continue;
+    auto vote = std::find_if(
+        quorum.votes.begin(), quorum.votes.end(), [&](const auto& v) {
+          return SameVote(*v.first, *msg, i, config_.conflicts_possible);
+        });
+    if (vote == quorum.votes.end()) {
+      vote = quorum.votes.insert(vote, SeqState::Vote{msg, 0});
     }
-    return;
-  }
-
-  // Whole-batch quorum: always outside the conflict regime, and for an
-  // empty batch (a view-change null request) inside it.
-  SeqState::Bucket& bucket = state.buckets[msg->MatchKey(false)];
-  ++bucket.count;
-  bucket.sample = msg;
-
-  if (bucket.count >= config_.f_e + 1) {
-    // Matched (Fig. 3 line 23): stop collecting for this sequence.
-    state.matched = true;
-    state.winner = bucket.sample;
-    if (state.timer != 0) {
-      sim_->Cancel(state.timer);
-      state.timer = 0;
-    }
-    ProcessInOrder();
-  }
-}
-
-void Verifier::RecordPerTxnVotes(
-    SeqState& state, const std::shared_ptr<const shim::VerifyMsg>& msg) {
-  size_t n = msg->txn_rws.size();
-  if (state.txns.empty()) {
-    state.txns.resize(n);
-  }
-  if (state.txns.size() != n) return;  // Malformed vs. first sample.
-
-  for (size_t i = 0; i < n; ++i) {
-    SeqState::TxnQuorum& quorum = state.txns[i];
-    if (quorum.matched) continue;
-    // Bind the vote to the rw set and the batch result.
-    Encoder enc;
-    msg->txn_rws[i].EncodeTo(&enc);
-    enc.PutBytes(msg->result);
-    crypto::Digest key = crypto::Sha256::Hash(enc.buffer());
-    if (++quorum.counts[key] >= config_.f_e + 1) {
-      quorum.matched = true;
+    if (++vote->count >= config_.f_e + 1) {
       quorum.winner = msg;
-      quorum.winner_index = i;
-      ++state.txns_matched;
+      ++shape.matched;
     }
   }
+  if (shape.matched < shape.txns.size()) return;
+  // Matched (Fig. 3 line 23): stop collecting for this sequence.
+  state.matched = true;
+  state.shape = n;
+  if (state.timer != 0) {
+    sim_->Cancel(state.timer);
+    state.timer = 0;
+  }
+  ProcessInOrder();
 }
 
 void Verifier::ProcessInOrder() {
@@ -198,7 +195,7 @@ void Verifier::ProcessInOrder() {
     auto it = pending_.find(kmax_);
     if (it == pending_.end()) return;
     SeqState& state = it->second;
-    if (!state.matched && !state.abort_tag) return;
+    if (!state.matched) return;
     Settle(kmax_, state);
     pending_.erase(it);
     ++kmax_;
@@ -206,58 +203,22 @@ void Verifier::ProcessInOrder() {
   }
 }
 
-void Verifier::Settle(SeqNum seq, SeqState& state) {
-  // §VI conflict regime: per-transaction quorums feed the settle loop.
-  if (!state.txns.empty()) {
-    SettleConflictQuorums(seq, state);
-    return;
-  }
-  if (state.matched) {
-    // Whole-batch quorum: the matched VERIFY's per-transaction sets
-    // (bound to its signed rw by HandleVerify) settle one by one.
-    const shim::VerifyMsg& winner = *state.winner;
-    std::vector<SettleItem> items;
-    items.reserve(winner.txn_refs.size());
-    for (size_t i = 0; i < winner.txn_refs.size(); ++i) {
-      items.push_back(SettleItem{winner.txn_refs[i], &winner.txn_rws[i]});
-    }
-    SettlePerTxn(seq, winner, items);
-    return;
-  }
-  // Abort-tagged without a match (§VI-B): answer the clients with ABORT
-  // using any received sample for routing.
-  if (state.any_sample != nullptr) {
-    ++aborted_batches_;
-    aborted_txns_ += state.any_sample->txn_refs.size();
-    audit_log_
-        .Append(seq, state.any_sample->batch_digest, crypto::Digest(),
-                storage::AuditLog::Outcome::kAborted, sim_->now())
-        .ok();
-    SendResponses(seq, *state.any_sample, /*aborted=*/true, Bytes{});
-  }
-}
-
-void Verifier::SettleConflictQuorums(SeqNum seq, SeqState& state) {
-  // Locate any sample carrying the txn refs.
-  const shim::VerifyMsg* sample = nullptr;
-  for (const SeqState::TxnQuorum& quorum : state.txns) {
+void Verifier::Settle(SeqNum seq, const SeqState& state) {
+  const SeqState::Shape& shape = state.shapes.at(state.shape);
+  // Digest and result come from the first matched quorum, or, when τ_m
+  // aborts every quorum, from the shape's latest VERIFY.
+  const shim::VerifyMsg* sample = shape.sample.get();
+  for (const SeqState::TxnQuorum& quorum : shape.txns) {
     if (quorum.winner != nullptr) {
       sample = quorum.winner.get();
       break;
     }
   }
-  if (sample == nullptr) sample = state.any_sample.get();
-  if (sample == nullptr) return;  // Nothing to respond to.
-
-  std::vector<SettleItem> items(state.txns.size());
-  for (size_t i = 0; i < state.txns.size(); ++i) {
-    const SeqState::TxnQuorum& quorum = state.txns[i];
-    if (i < sample->txn_refs.size()) {
-      items[i].ref = sample->txn_refs[i];
-    }
-    if (quorum.matched && !quorum.aborted && quorum.winner != nullptr) {
-      items[i].rw = &quorum.winner->txn_rws[quorum.winner_index];
-    }
+  std::vector<SettleItem> items(state.shape);
+  for (size_t i = 0; i < items.size(); ++i) {
+    items[i].ref = sample->txn_refs[i];
+    const auto& winner = shape.txns[i].winner;
+    if (winner != nullptr) items[i].rw = &winner->txn_rws[i];
   }
   SettlePerTxn(seq, *sample, items);
 }
@@ -804,16 +765,6 @@ void Verifier::NotifyPrimary(SeqNum seq, const crypto::Digest& digest,
   net_->Send(id(), primary, resp, resp->WireSize());
 }
 
-void Verifier::SendResponses(SeqNum seq, const shim::VerifyMsg& sample,
-                             bool aborted, const Bytes& result) {
-  for (const auto& ref : sample.txn_refs) {
-    SendOneResponse(ref, seq, sample.batch_digest, aborted, result);
-  }
-  // Notify the shim primary (Fig. 3 line 33) so it can release logical
-  // locks (§VI-C step 4).
-  NotifyPrimary(seq, sample.batch_digest, aborted);
-}
-
 void Verifier::MaybeSendAcks() {
   // Gap ERRORs are acknowledged once k_max moves past them.
   for (auto it = pending_gap_acks_.begin(); it != pending_gap_acks_.end();) {
@@ -845,33 +796,32 @@ void Verifier::OnAbortTimer(SeqNum seq) {
   if (it == pending_.end()) return;
   SeqState& state = it->second;
   state.timer = 0;
-  if (state.matched || state.abort_tag) return;
+  if (state.matched) return;
+  // The shape most executors sent (on a tie, the fewest transactions).
+  // The timer is armed only by an accepted VERIFY, so there is one.
+  auto lead = std::max_element(
+      state.shapes.begin(), state.shapes.end(),
+      [](const auto& a, const auto& b) {
+        return a.second.senders < b.second.senders;
+      });
 
   if (state.senders.size() < 2 * config_.f_e + 1) {
     // |V| < 2f_E+1: the primary either spawned too few executors or the
     // messages were lost — conservatively blame the primary (§VI-B).
     auto replace = std::make_shared<shim::ReplaceMsg>(id());
-    if (state.any_sample != nullptr) {
-      replace->txn_digest = state.any_sample->batch_digest;
-    }
+    replace->txn_digest = lead->second.sample->batch_digest;
     BroadcastToShim(replace);
     ++replace_broadcasts_;
     // Keep waiting: the new primary will re-spawn executors.
     StartAbortTimer(seq);
     return;
   }
-  // |V| >= 2f_E+1 without every transaction matching: at least f_E+1
-  // honest executors tried their best; the remaining divergence is due
-  // to conflicts. Abort the unmatched transactions (per-request, as in
-  // Fig. 3) and settle the sequence.
-  if (!state.txns.empty()) {
-    for (SeqState::TxnQuorum& quorum : state.txns) {
-      if (!quorum.matched) quorum.aborted = true;
-    }
-    state.matched = true;
-  } else {
-    state.abort_tag = true;
-  }
+  // |V| >= 2f_E+1 without a match: at least f_E+1 honest executors tried
+  // their best, and they all sent the lead shape; the remaining
+  // divergence is due to conflicts. Abort that shape's unmatched
+  // transactions (per request, as in Fig. 3) and settle the sequence.
+  state.matched = true;
+  state.shape = lead->first;
   SBFT_LOG(kDebug) << "verifier aborting unmatched txns of seq " << seq
                    << " (" << state.senders.size() << " verifies)";
   ProcessInOrder();

@@ -25,8 +25,6 @@ namespace sbft::verifier {
 struct VerifierConfig {
   /// Byzantine executor bound f_E.
   uint32_t f_e = 1;
-  /// Executors expected per batch (2f_E+1, or 3f_E+1 under conflicts).
-  uint32_t n_e = 3;
   /// Shim commit quorum 2f_R+1, for validating certificates in VERIFY.
   uint32_t shim_quorum = 3;
   /// Unknown-read-write-set mode (§VI-B): activates the abort timer and
@@ -61,7 +59,8 @@ struct VerifierConfig {
 /// §VI-B).
 ///
 /// Responsibilities:
-///  - collect well-formed VERIFY messages and match f_E+1 identical ones;
+///  - collect well-formed VERIFY messages and match f_E+1 identical votes
+///    per transaction;
 ///  - enforce shim order through the k_max cursor and the π list;
 ///  - run the concurrency-control check (read versions current) and apply
 ///    write sets to the store;
@@ -154,31 +153,39 @@ class Verifier : public sim::Actor {
   uint64_t acks_dropped() const { return acks_dropped_; }
 
  private:
-  /// Per-sequence quorum state (the set V of Fig. 3 plus abort tags).
+  /// Per-sequence match state (the set V of Fig. 3). The paper matches
+  /// each request separately (§VI), so every VERIFY votes once per
+  /// transaction, and only in the quorums of its own batch shape
+  /// (transaction count): a VERIFY claiming another shape can neither
+  /// size nor fill the quorums the honest ones vote in.
   struct SeqState {
-    struct Bucket {
+    /// One distinct vote (see SameVote): the first VERIFY that cast it,
+    /// and how many did.
+    struct Vote {
+      std::shared_ptr<const shim::VerifyMsg> first;
       uint32_t count = 0;
-      std::shared_ptr<const shim::VerifyMsg> sample;
     };
-    /// Per-transaction quorum under the §VI conflict regime: the paper's
-    /// flow matches and validates per request, so one divergent or stale
-    /// transaction aborts alone instead of dooming its whole batch.
+    /// One transaction's quorum: its distinct votes, and the VERIFY whose
+    /// vote reached f_E+1 (null until then).
     struct TxnQuorum {
-      std::map<crypto::Digest, uint32_t> counts;  // Keyed by rw_i hash.
-      bool matched = false;
-      bool aborted = false;
+      std::vector<Vote> votes;
       std::shared_ptr<const shim::VerifyMsg> winner;
-      size_t winner_index = 0;
     };
-    std::map<crypto::Digest, Bucket> buckets;  // Keyed by MatchKey().
-    std::vector<TxnQuorum> txns;               // Conflict mode only.
-    size_t txns_matched = 0;
+    /// The quorums of one shape: one per transaction, or a single one on
+    /// digest and result for an empty batch (a view-change null request).
+    struct Shape {
+      std::vector<TxnQuorum> txns;
+      size_t matched = 0;   // Quorums with a winner.
+      uint32_t senders = 0;
+      std::shared_ptr<const shim::VerifyMsg> sample;  // Latest VERIFY.
+    };
+    std::map<size_t, Shape> shapes;  // Keyed by transaction count.
     std::set<ActorId> senders;
-    std::shared_ptr<const shim::VerifyMsg> any_sample;
     sim::EventId timer = 0;
-    bool matched = false;   // f_E+1 identical VERIFYs seen.
-    bool abort_tag = false; // §VI-B: tagged abort while waiting in π.
-    std::shared_ptr<const shim::VerifyMsg> winner;
+    /// Every quorum of `shape` matched, or τ_m fired with |V| >= 2f_E+1
+    /// and the unmatched quorums of `shape` abort (§VI-B).
+    bool matched = false;
+    size_t shape = 0;  // The shape that settles, once matched.
   };
 
   /// Outcome record kept per transaction for client retransmissions.
@@ -209,8 +216,8 @@ class Verifier : public sim::Actor {
   };
 
   /// One transaction settled by the unified per-transaction loop. `rw`
-  /// is null when the transaction has no executable outcome (unmatched
-  /// or abort-tagged quorum).
+  /// is null when the transaction has no executable outcome (its quorum
+  /// was still unmatched when τ_m fired).
   struct SettleItem {
     shim::VerifyMsg::TxnRef ref;
     const storage::RwSet* rw = nullptr;
@@ -290,10 +297,11 @@ class Verifier : public sim::Actor {
   /// 24-29 + ccheck).
   void ProcessInOrder();
 
-  /// Settles sequence `seq`: a matched batch (whole-batch quorum or
-  /// per-transaction conflict quorums) goes through SettlePerTxn; an
-  /// abort-tagged one (§VI-B) answers every client ABORT.
-  void Settle(SeqNum seq, SeqState& state);
+  /// Settles sequence `seq`: builds one item per transaction from the
+  /// quorums of the settled shape (a quorum's winner supplies the
+  /// transaction's set; an unmatched quorum settles as an abort) and
+  /// runs SettlePerTxn.
+  void Settle(SeqNum seq, const SeqState& state);
 
   /// THE settle loop: every matched batch runs through this one
   /// function. Fragments run the prepare/vote step, plain transactions
@@ -342,17 +350,6 @@ class Verifier : public sim::Actor {
   /// Prunes one group's dedup maps at that group's watermark.
   void PruneAtWatermark(CoordGroupState& gs, uint64_t watermark);
 
-  /// Conflict-mode settle adapter: builds the per-transaction items from
-  /// the quorums and runs the unified loop.
-  void SettleConflictQuorums(SeqNum seq, SeqState& state);
-
-  /// Records a VERIFY's votes into the per-transaction quorums, one per
-  /// entry of its `txn_rws`.
-  void RecordPerTxnVotes(SeqState& state,
-                         const std::shared_ptr<const shim::VerifyMsg>& msg);
-
-  void SendResponses(SeqNum seq, const shim::VerifyMsg& sample, bool aborted,
-                     const Bytes& result);
   void SendOneResponse(const shim::VerifyMsg::TxnRef& ref, SeqNum seq,
                        const crypto::Digest& digest, bool aborted,
                        const Bytes& result);

@@ -196,7 +196,6 @@ TEST(VoteCertTest, ProoflessCommitDecisionNeverAppliesAtVerifier) {
 
   verifier::VerifierConfig vconfig;
   vconfig.f_e = 1;
-  vconfig.n_e = 3;
   vconfig.shim_quorum = 3;
   vconfig.shard = 0;
   verifier::Verifier verifier(kVerifier, vconfig, &store, &keys, &sim, &net,

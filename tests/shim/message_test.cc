@@ -107,45 +107,6 @@ TEST(MessageTest, ExecuteSigningBytesBindAllFields) {
   EXPECT_NE(base, ExecuteMsg::SigningBytes(1, 2, crypto::Sha256::Hash("o")));
 }
 
-TEST(MessageTest, VerifyMatchKeyIgnoresExecutorIdentity) {
-  // Two executors producing identical (seq, digest, rw, result) must
-  // match for the f_E+1 quorum.
-  storage::RwSet rw;
-  rw.reads.push_back({"user1", 5});
-  VerifyMsg v1(201);
-  v1.seq = 9;
-  v1.batch_digest = crypto::Sha256::Hash("b");
-  v1.rw = rw;
-  v1.result = ToBytes("r");
-  VerifyMsg v2(202);  // Different sender.
-  v2.seq = 9;
-  v2.batch_digest = v1.batch_digest;
-  v2.rw = rw;
-  v2.result = ToBytes("r");
-  EXPECT_EQ(v1.MatchKey(), v2.MatchKey());
-
-  VerifyMsg v3 = v2;
-  v3.result = ToBytes("different");
-  EXPECT_NE(v1.MatchKey(), v3.MatchKey());
-
-  VerifyMsg v4 = v2;
-  v4.rw.reads[0].version = 6;  // Stale read divergence.
-  EXPECT_NE(v1.MatchKey(), v4.MatchKey());
-
-  // Same concatenation, different per-transaction split.
-  storage::RwSet w1;
-  w1.writes.push_back({"user1", ToBytes("a")});
-  storage::RwSet w2;
-  w2.writes.push_back({"user2", ToBytes("b")});
-  VerifyMsg split = v2;
-  split.rw.writes = {w1.writes[0], w2.writes[0]};
-  split.txn_rws = {w1, w2};
-  VerifyMsg resplit = split;
-  resplit.txn_rws = {split.rw, storage::RwSet{}};
-  resplit.txn_rws[0].reads.clear();
-  EXPECT_NE(split.MatchKey(false), resplit.MatchKey(false));
-}
-
 TEST(MessageTest, PreparedProofRoundTrip) {
   PreparedProof proof;
   proof.view = 2;

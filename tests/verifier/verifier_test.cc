@@ -44,33 +44,39 @@ class VerifierTest : public ::testing::Test {
     store_.Put("user1", ToBytes("a"));  // version 1.
     store_.Put("user2", ToBytes("b"));  // version 1.
 
-    VerifierConfig config;
-    config.f_e = 1;
-    config.n_e = 3;
-    config.shim_quorum = 3;
-    config.conflicts_possible = false;
-    verifier_ = std::make_unique<Verifier>(999, config, &store_, &keys_,
-                                           &sim_, &net_,
-                                           std::vector<ActorId>{1, 2, 3, 4});
-    net_.Register(verifier_.get(), 0);
+    BuildVerifier(/*conflicts=*/false);
     net_.Register(&client_, 0);
     net_.Register(&shim_sink_, 0);
     // Route shim broadcasts to one observable sink by aliasing node 1.
   }
 
-  /// Rebuilds the verifier with conflict handling enabled.
-  void EnableConflicts(SimDuration timeout = Millis(50)) {
-    net_.Unregister(999);
+  /// (Re)builds the verifier; `conflicts` enables the §VI regime with
+  /// abort timer `timeout`.
+  void BuildVerifier(bool conflicts, SimDuration timeout = Millis(50)) {
+    if (verifier_ != nullptr) net_.Unregister(999);
     VerifierConfig config;
     config.f_e = 1;
-    config.n_e = 4;
     config.shim_quorum = 3;
-    config.conflicts_possible = true;
+    config.conflicts_possible = conflicts;
     config.match_timeout = timeout;
     verifier_ = std::make_unique<Verifier>(999, config, &store_, &keys_,
                                            &sim_, &net_,
                                            std::vector<ActorId>{1, 2, 3, 4});
     net_.Register(verifier_.get(), 0);
+  }
+
+  /// Rebuilds the verifier with conflict handling enabled.
+  void EnableConflicts(SimDuration timeout = Millis(50)) {
+    BuildVerifier(/*conflicts=*/true, timeout);
+  }
+
+  /// Re-signs `msg` after a test edits its sets or result.
+  void Resign(shim::VerifyMsg* msg) {
+    msg->rw = Concat(msg->txn_rws);
+    msg->executor_sig = keys_.Sign(
+        msg->sender, shim::VerifyMsg::SigningBytes(msg->view, msg->seq,
+                                                   msg->batch_digest, msg->rw,
+                                                   msg->result));
   }
 
   crypto::CommitCertificate MakeCert(SeqNum seq, const crypto::Digest& digest) {
@@ -506,6 +512,87 @@ TEST_F(VerifierTest, ResplitTxnRwsNeverCompleteAQuorum) {
   EXPECT_EQ(BytesToString(v.value), "updated");
   ASSERT_TRUE(store_.Get("user2", &v).ok());
   EXPECT_EQ(BytesToString(v.value), "b") << "fragment write applied unprepared";
+}
+
+TEST_F(VerifierTest, UnmatchedReadKeysNeverCompleteAQuorum) {
+  // Conflict-free regime: read versions may differ, but read keys and
+  // writes must agree. Otherwise whichever VERIFY completed the quorum
+  // would pick the keys a fragment prepare-locks, or the writes it
+  // prepares. Each input tampers one VERIFY, re-signed, same result.
+  constexpr ActorId kCoordinator = core::kCoordinatorBaseId;
+  constexpr TxnId kGid = 777;
+  keys_.RegisterNode(999);  // The verifier signs its vote share.
+  RecorderActor coordinator(kCoordinator);
+  net_.Register(&coordinator, 0);
+
+  for (bool tamper_write : {false, true}) {
+    SCOPED_TRACE(tamper_write ? "different write value" : "extra read key");
+    BuildVerifier(/*conflicts=*/false);
+    storage::RwSet rw;
+    rw.reads.push_back({"user2", store_.VersionOf("user2")});
+    rw.writes.push_back({"user2", ToBytes("fragment")});
+    auto fragment = [&](ActorId executor) {
+      auto msg = MakeVerify(1, executor, rw, ToBytes("r"));
+      msg->txn_refs[0] = {(kGid << 8) | 1, kCoordinator, kGid, kCoordinator};
+      return msg;
+    };
+    Deliver(fragment(kFirstExecutor));
+    auto tampered = fragment(kFirstExecutor + 1);
+    storage::RwSet& tampered_rw = tampered->txn_rws[0];
+    if (tamper_write) {
+      tampered_rw.writes[0].value = ToBytes("tampered");
+    } else {
+      tampered_rw.reads.push_back({"user9", 1});
+    }
+    Resign(tampered.get());
+    Deliver(tampered);
+    sim_.RunUntil(sim_.now() + Millis(10));
+    EXPECT_EQ(verifier_->rejected_verifies(), 0u);
+    EXPECT_EQ(verifier_->kmax(), 1u) << "tampered VERIFY completed a quorum";
+    EXPECT_EQ(verifier_->twopc_votes_yes(), 0u);
+
+    Deliver(fragment(kFirstExecutor + 2));
+    sim_.RunUntil(sim_.now() + Millis(10));
+    EXPECT_EQ(verifier_->kmax(), 2u);
+    EXPECT_EQ(verifier_->twopc_votes_yes(), 1u);
+    const core::LockTable* locks = verifier_->prepare_lock_table();
+    EXPECT_TRUE(locks->LockedByOther("user2", 0));
+    EXPECT_FALSE(locks->LockedByOther("user9", 0)) << "unmatched read locked";
+  }
+}
+
+TEST_F(VerifierTest, WrongTxnCountFromFirstVerifyCannotAbortBatch) {
+  // A byzantine VERIFY that arrives first claims one extra transaction.
+  // It is signed and its sets concatenate to its rw, so it passes every
+  // check; but it votes only in the quorums of its own batch shape, so
+  // the honest VERIFYs still match their one transaction. In the
+  // conflict regime τ_m (50 ms) fires with |V| = 4 and must abort
+  // nothing; without conflicts nothing else would unstick the sequence.
+  for (bool conflicts : {false, true}) {
+    SCOPED_TRACE(conflicts ? "conflict regime" : "conflict-free");
+    BuildVerifier(conflicts);
+    storage::RwSet rw = CurrentRw();
+    auto byzantine = MakeVerify(1, kFirstExecutor, rw, ToBytes("r"));
+    storage::RwSet extra;
+    extra.writes.push_back({"user2", ToBytes("extra")});
+    byzantine->txn_rws.push_back(extra);
+    byzantine->txn_refs.push_back({101, kClient});
+    Resign(byzantine.get());
+    Deliver(byzantine);
+    for (ActorId executor = kFirstExecutor + 1;
+         executor <= kFirstExecutor + 3; ++executor) {
+      Deliver(MakeVerify(1, executor, rw, ToBytes("r")));
+    }
+    sim_.RunUntil(sim_.now() + Millis(200));
+    EXPECT_EQ(verifier_->rejected_verifies(), 0u);
+    EXPECT_EQ(verifier_->applied_txns(), 1u);
+    EXPECT_EQ(verifier_->aborted_txns(), 0u);
+    EXPECT_EQ(verifier_->aborted_batches(), 0u);
+    EXPECT_EQ(verifier_->kmax(), 2u);
+    storage::VersionedValue v;
+    ASSERT_TRUE(store_.Get("user2", &v).ok());
+    EXPECT_EQ(BytesToString(v.value), "b");
+  }
 }
 
 TEST_F(VerifierTest, ClientResendAfterResponseIsReanswered) {
