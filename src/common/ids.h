@@ -1,6 +1,7 @@
 #ifndef SBFT_COMMON_IDS_H_
 #define SBFT_COMMON_IDS_H_
 
+#include <compare>
 #include <cstdint>
 
 namespace sbft {
@@ -18,8 +19,21 @@ using SeqNum = uint64_t;
 /// PBFT view number v; the primary of view v is node (v mod n).
 using ViewNum = uint64_t;
 
-/// Client-chosen transaction identifier (unique per client).
+/// Client-chosen transaction identifier. It names a transaction only
+/// together with its client (TxnKey): a client signs whatever id it
+/// likes, ids another client will use included, so a table of client
+/// transactions keyed by the bare id lets one client's request stand in
+/// for another's. The cross-shard coordinator still names a transaction
+/// by its bare id (the global id); ROADMAP.md lists that as open.
 using TxnId = uint64_t;
+
+/// The name of a client transaction: its client and that client's id.
+struct TxnKey {
+  ActorId client = kInvalidActor;
+  TxnId id = 0;
+
+  friend auto operator<=>(const TxnKey&, const TxnKey&) = default;
+};
 
 }  // namespace sbft
 

@@ -5,6 +5,15 @@
 
 namespace sbft {
 
+/// splitmix64's finaliser: a bijection on 64-bit values in which every
+/// input bit moves every output bit, the low ones a hash table indexes
+/// by included.
+constexpr uint64_t Mix64(uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
 /// \brief Deterministic pseudo-random generator (xoshiro256** seeded via
 /// SplitMix64).
 ///

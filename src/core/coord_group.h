@@ -2,6 +2,7 @@
 #define SBFT_CORE_COORD_GROUP_H_
 
 #include "common/ids.h"
+#include "common/rng.h"
 
 namespace sbft::core {
 
@@ -46,11 +47,7 @@ struct CoordGroups {
   /// different groups) before the modulo.
   static uint32_t GroupOf(TxnId gid, uint32_t groups) {
     if (groups <= 1) return 0;
-    uint64_t x = gid + 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return static_cast<uint32_t>(x % groups);
+    return static_cast<uint32_t>(Mix64(gid + 0x9e3779b97f4a7c15ull) % groups);
   }
   uint32_t GroupOf(TxnId gid) const { return GroupOf(gid, groups); }
 

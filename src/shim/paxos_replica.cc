@@ -87,8 +87,7 @@ void MultiPaxosReplica::HandleError(const sim::Envelope& env) {
   // arms the leader-liveness check (a dead leader produces no Accepts to
   // drain it) and seeds the propose queue if this node takes over. It is
   // also forwarded so a live-but-unaware leader can propose it.
-  if (!seen_txns_.contains(msg->txn.id)) {
-    seen_txns_.insert(msg->txn.id);
+  if (seen_txns_.FindOrInsert({msg->txn.client, msg->txn.id}).second) {
     pending_.push_back(msg->txn);
   }
   // (Re-)arm the liveness check — a no-op when already armed; repeated
@@ -101,8 +100,7 @@ void MultiPaxosReplica::HandleError(const sim::Envelope& env) {
 }
 
 void MultiPaxosReplica::SubmitTransaction(const workload::Transaction& txn) {
-  if (seen_txns_.contains(txn.id)) return;
-  seen_txns_.insert(txn.id);
+  if (!seen_txns_.FindOrInsert({txn.client, txn.id}).second) return;
   pending_.push_back(txn);
   MaybeProposeBatch();
 }

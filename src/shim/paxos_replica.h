@@ -5,9 +5,9 @@
 #include <functional>
 #include <map>
 #include <set>
-#include <unordered_set>
 #include <vector>
 
+#include "common/paged_table.h"
 #include "shim/message.h"
 #include "shim/shim_config.h"
 #include "sim/network.h"
@@ -126,7 +126,7 @@ class MultiPaxosReplica : public sim::Actor {
   /// re-proposes only slots above this watermark.
   SeqNum commit_frontier_ = 0;
   std::deque<workload::Transaction> pending_;
-  std::unordered_set<TxnId> seen_txns_;
+  TxnKeySet seen_txns_;  // Keyed by (client, id).
   sim::EventId batch_flush_timer_ = 0;
   SimTime last_leader_activity_ = 0;
   bool leader_check_armed_ = false;

@@ -138,8 +138,7 @@ void PbftReplica::HandleClientRequest(const sim::Envelope& env) {
 }
 
 void PbftReplica::SubmitTransaction(const workload::Transaction& txn) {
-  if (seen_txns_.contains(txn.id)) return;
-  seen_txns_.insert(txn.id);
+  if (!seen_txns_.FindOrInsert({txn.client, txn.id}).second) return;
   pending_.push_back(txn);
   MaybeProposeBatch();
 }
@@ -814,7 +813,7 @@ void PbftReplica::ForwardPendingToPrimary() {
     // The forward is a single unacked send; if it is lost (that is the
     // network model here) this node must be able to re-accept the txn
     // from a later verifier ERROR — forget that we saw it.
-    seen_txns_.erase(txn.id);
+    seen_txns_.Erase({txn.client, txn.id});
   }
   pending_.clear();
 }

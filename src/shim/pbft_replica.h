@@ -6,9 +6,9 @@
 #include <map>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/paged_table.h"
 #include "crypto/keys.h"
 #include "shim/message.h"
 #include "shim/shim_config.h"
@@ -200,7 +200,7 @@ class PbftReplica : public sim::Actor {
 
   // Primary batching.
   std::deque<workload::Transaction> pending_;
-  std::unordered_set<TxnId> seen_txns_;
+  TxnKeySet seen_txns_;  // Keyed by (client, id).
   sim::EventId batch_flush_timer_ = 0;
 
   // View change state.

@@ -3,11 +3,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
 #include "common/bytes.h"
+#include "common/paged_table.h"
 #include "common/status.h"
 
 namespace sbft::storage {
@@ -39,8 +40,6 @@ class KvStore {
   /// everything it reads: the store keeps it for its whole life.
   using RecordPredicate = std::function<bool(std::string_view key)>;
 
-  KvStore();
-
   /// Reads a key. Returns NotFound for absent keys.
   Status Get(const std::string& key, VersionedValue* out) const;
 
@@ -64,13 +63,42 @@ class KvStore {
   uint64_t writes() const { return writes_; }
 
  private:
+  /// One written key: its version, key and value in one allocation.
+  struct Record;
+  struct FreeRecord {
+    void operator()(Record* record) const;
+  };
+  using RecordPtr = std::unique_ptr<Record, FreeRecord>;
+
+  /// A slot of the written-key table: the key's hash beside its record,
+  /// so a probe compares hashes without leaving the slot array. Most
+  /// lookups are of records nobody has written, and such a miss never
+  /// touches a record.
+  struct WrittenPolicy {
+    using Key = std::string_view;
+    struct Slot {
+      uint64_t hash = 0;
+      RecordPtr record;
+    };
+    static uint64_t Hash(std::string_view key) {
+      return std::hash<std::string_view>{}(key);
+    }
+    static uint64_t Hash(const Slot& slot) { return slot.hash; }
+    static bool Empty(const Slot& slot) { return slot.record == nullptr; }
+    static bool Matches(const Slot& slot, uint64_t hash,
+                        std::string_view key);
+  };
+
+  static RecordPtr NewRecord(std::string_view key, const Bytes& value,
+                             uint64_t version);
+
   /// True when `key` is a record of the load phase.
   bool IsRecord(std::string_view key) const {
     return is_record_ && is_record_(key);
   }
 
   /// Keys written since the load phase.
-  std::unordered_map<std::string, VersionedValue> written_;
+  PagedTable<WrittenPolicy> written_;
   Bytes image_;
   RecordPredicate is_record_;
   mutable uint64_t reads_ = 0;

@@ -150,11 +150,8 @@ void Verifier::HandleVerify(const sim::Envelope& env) {
   last_seen_view_ = std::max(last_seen_view_, msg->view);
 
   for (const auto& ref : msg->txn_refs) {
-    TxnRecord& rec = txn_records_[ref.id];
-    if (!rec.responded) {
-      rec.seq = seq;
-      rec.client = ref.client;
-    }
+    TxnRecord& rec = *txn_records_.FindOrInsert({ref.client, ref.id}).first;
+    if (!rec.responded) rec.seq = seq;
   }
 
   if (config_.conflicts_possible) StartAbortTimer(seq);
@@ -736,13 +733,12 @@ void Verifier::SendOneResponse(const shim::VerifyMsg::TxnRef& ref, SeqNum seq,
   net_->Send(id(), ref.client, resp, resp->WireSize());
   ++responses_sent_;
 
-  TxnRecord& rec = txn_records_[ref.id];
+  TxnRecord& rec = *txn_records_.FindOrInsert({ref.client, ref.id}).first;
   rec.responded = true;
   rec.aborted = aborted;
   rec.seq = seq;
-  rec.client = ref.client;
 
-  auto ack_it = pending_txn_acks_.find(ref.id);
+  auto ack_it = pending_txn_acks_.find({ref.client, ref.id});
   if (ack_it != pending_txn_acks_.end()) {
     auto ack = std::make_shared<shim::AckMsg>(id());
     ack->has_seq = false;
@@ -841,22 +837,24 @@ void Verifier::HandleClientResend(const sim::Envelope& env) {
     return;
   }
 
-  auto rec_it = txn_records_.find(msg->txn.id);
-  if (rec_it != txn_records_.end() && rec_it->second.responded) {
+  // Only the requesting client's own record answers: ids are unique per
+  // client, so another client's record under the same id says nothing
+  // about this request.
+  const TxnRecord* rec = txn_records_.Find({msg->txn.client, msg->txn.id});
+  if (rec != nullptr && rec->responded) {
     // Case (i): already answered — resend the RESPONSE.
-    const TxnRecord& rec = rec_it->second;
     auto resp = std::make_shared<shim::ResponseMsg>(id());
-    resp->txn_id = msg->txn.id;
-    resp->client = rec.client;
-    resp->seq = rec.seq;
-    resp->aborted = rec.aborted;
-    net_->Send(id(), rec.client, resp, resp->WireSize());
+    resp->txn_id = rec->id;
+    resp->client = rec->client;
+    resp->seq = rec->seq;
+    resp->aborted = rec->aborted;
+    net_->Send(id(), rec->client, resp, resp->WireSize());
     ++responses_sent_;
     return;
   }
 
-  if (rec_it != txn_records_.end()) {
-    SeqNum seq = rec_it->second.seq;
+  if (rec != nullptr) {
+    SeqNum seq = rec->seq;
     auto pending_it = pending_.find(seq);
     bool matched = pending_it != pending_.end() && pending_it->second.matched;
     if (matched) {
@@ -895,7 +893,7 @@ void Verifier::HandleClientResend(const sim::Envelope& env) {
   error->txn = msg->txn;
   BroadcastToShim(error);
   ++error_broadcasts_;
-  pending_txn_acks_[msg->txn.id] = error->txn_digest;
+  pending_txn_acks_[{msg->txn.client, msg->txn.id}] = error->txn_digest;
 }
 
 // ---------------------------------------------------------------------------

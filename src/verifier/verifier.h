@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/paged_table.h"
 #include "core/coord_group.h"
 #include "core/lock_table.h"
 #include "crypto/keys.h"
@@ -188,13 +189,17 @@ class Verifier : public sim::Actor {
     size_t shape = 0;  // The shape that settles, once matched.
   };
 
-  /// Outcome record kept per transaction for client retransmissions.
+  /// Outcome record kept per transaction for client retransmissions,
+  /// keyed by (client, id); 24 bytes.
   struct TxnRecord {
-    bool responded = false;
-    bool aborted = false;
+    TxnId id = 0;
     SeqNum seq = 0;
     ActorId client = kInvalidActor;
+    bool used = false;  // The slot holds a record.
+    bool responded = false;
+    bool aborted = false;
   };
+  static_assert(sizeof(TxnRecord) == 24);
 
   /// One cross-shard fragment between PREPARE-vote and decision: the
   /// buffered write set (the keys it prepare-locks live in the shared
@@ -371,14 +376,14 @@ class Verifier : public sim::Actor {
   SeqNum kmax_ = 1;
   std::map<SeqNum, SeqState> pending_;  // Includes the π list (matched
                                         // entries waiting for k_max).
-  std::unordered_map<TxnId, TxnRecord> txn_records_;
+  PagedTable<TxnKeyPolicy<TxnRecord>> txn_records_;
   storage::AuditLog audit_log_;
   ViewNum last_seen_view_ = 0;  // For routing primary notifications.
 
   // Fig. 4 ACK bookkeeping: gap sequences and missing txns we promised to
   // acknowledge once resolved.
   std::set<SeqNum> pending_gap_acks_;
-  std::map<TxnId, crypto::Digest> pending_txn_acks_;
+  std::map<TxnKey, crypto::Digest> pending_txn_acks_;
 
   // --- cross-shard 2PC state ---
   /// Shared lock table: prepare locks keyed by global txn id, plus the

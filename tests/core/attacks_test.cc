@@ -229,6 +229,42 @@ TEST(AttacksTest, ForgedResponseFromShimNodeIsIgnored) {
   EXPECT_EQ(spawner->respawn_cache_size(), 0u);
 }
 
+TEST(AttacksTest, ByzantineClientCannotSquatTxnIds) {
+  // Clients draw their ids from one shared generator in sequence, so the
+  // ids the others will use are predictable. A byzantine client signs
+  // requests under the next 400 in its own name and delivers them to the
+  // primary before anyone else. A TxnId names a transaction only with
+  // its client, so the primary must not drop the honest requests under
+  // those ids as duplicates, and the verifier must not answer an honest
+  // retransmit from the squatter's outcome.
+  Architecture arch(BaseConfig());
+  const ActorId squatter = arch.clients()[0]->id();
+  shim::PbftReplica* primary = arch.pbft_replicas()[0];
+  ASSERT_TRUE(primary->IsPrimary());
+  for (TxnId id = 1; id <= 400; ++id) {
+    auto request = std::make_shared<shim::ClientRequestMsg>(squatter);
+    request->txn.id = id;
+    request->txn.client = squatter;
+    request->txn.ops.push_back({workload::OpType::kRead, "user1", {}, 0});
+    request->client_sig = arch.keys()->Sign(
+        squatter, shim::ClientRequestMsg::SigningBytes(request->txn));
+    sim::Envelope env;
+    env.from = squatter;
+    env.to = primary->id();
+    env.message = request;
+    primary->OnMessage(env);
+  }
+  arch.Start();
+  arch.simulator()->RunUntil(Seconds(6));
+
+  // Each honest client completes about 140 transactions in 6 s, with or
+  // without the squatter.
+  for (size_t i = 1; i < arch.clients().size(); ++i) {
+    EXPECT_GT(arch.clients()[i]->completed(), 100u) << "client " << i;
+  }
+  EXPECT_TRUE(arch.verifier()->audit_log().VerifyChain());
+}
+
 TEST(AttacksTest, LinearShimRecoversFromCrashedPrimary) {
   // The §IV-B linear shim must survive the same faults: a crashed
   // primary is replaced via the τ_m timers and the coordinated view

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <set>
 #include <string>
 #include <string_view>
@@ -77,6 +78,88 @@ TEST(KvStoreTest, LoadSharesOneImageUntilPut) {
   store.Put("user1000", ToBytes("new"));
   EXPECT_EQ(store.VersionOf("user1000"), 1u);
   EXPECT_EQ(store.writes(), 3u);
+}
+
+TEST(KvStoreTest, OverwriteWithAnotherSizeAndEmptyValues) {
+  KvStore store;
+  store.Put("k", ToBytes("short"));
+  store.Put("k", ToBytes("a much longer value than before"));
+  VersionedValue out;
+  ASSERT_TRUE(store.Get("k", &out).ok());
+  EXPECT_EQ(BytesToString(out.value), "a much longer value than before");
+  EXPECT_EQ(out.version, 2u);
+  store.Put("k", ToBytes("tiny"));
+  ASSERT_TRUE(store.Get("k", &out).ok());
+  EXPECT_EQ(BytesToString(out.value), "tiny");
+  EXPECT_EQ(out.version, 3u);
+  store.Put("k", Bytes());
+  ASSERT_TRUE(store.Get("k", &out).ok());
+  EXPECT_TRUE(out.value.empty());
+  EXPECT_EQ(out.version, 4u);
+
+  // An empty value is a value: the key exists.
+  store.Put("empty", Bytes());
+  EXPECT_TRUE(store.Contains("empty"));
+  ASSERT_TRUE(store.Get("empty", &out).ok());
+  EXPECT_TRUE(out.value.empty());
+  EXPECT_EQ(out.version, 1u);
+  store.Put("empty", Bytes());
+  EXPECT_EQ(store.VersionOf("empty"), 2u);
+  store.Put("", ToBytes("empty key"));
+  ASSERT_TRUE(store.Get("", &out).ok());
+  EXPECT_EQ(BytesToString(out.value), "empty key");
+}
+
+TEST(KvStoreTest, WrittenKeysSurviveGrowthBesideTheImage) {
+  KvStore store;
+  const Bytes fill(100, 'v');
+  constexpr int kRecords = 3000;
+  store.SetLoadBase(fill, [](std::string_view key) {
+    if (!key.starts_with("user")) return false;
+    const std::string digits(key.substr(4));
+    return !digits.empty() && digits.size() <= 4 &&
+           digits.find_first_not_of("0123456789") == std::string::npos &&
+           std::stoi(digits) < kRecords;
+  });
+  // Write every third record, then rewrite every sixth and every ninth
+  // with values of other sizes (some empty), and add keys outside the
+  // load phase in each round. The table grows through several doublings
+  // between the writes.
+  std::map<std::string, VersionedValue> expected;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < kRecords; i += 3 * (round + 1)) {
+      const std::string key = "user" + std::to_string(i);
+      Bytes value(static_cast<size_t>((i * 7 + round) % 150), 'a' + round);
+      store.Put(key, value);
+      auto [it, first] = expected.try_emplace(key, VersionedValue{{}, 1});
+      it->second.value = value;
+      ++it->second.version;  // A record sits at version 1 before its Put.
+    }
+    for (int i = 0; i < 200 * (round + 1); ++i) {
+      const std::string key = "extra" + std::to_string(i);
+      Bytes value(static_cast<size_t>((i + round) % 9), 'x');
+      store.Put(key, value);
+      auto [it, first] = expected.try_emplace(key, VersionedValue{{}, 0});
+      it->second.value = value;
+      ++it->second.version;
+    }
+  }
+  VersionedValue out;
+  for (const auto& [key, value] : expected) {
+    ASSERT_TRUE(store.Get(key, &out).ok()) << key;
+    EXPECT_EQ(out.value, value.value) << key;
+    EXPECT_EQ(out.version, value.version) << key;
+    EXPECT_EQ(store.VersionOf(key), value.version) << key;
+  }
+  for (int i = 0; i < kRecords; ++i) {
+    const std::string key = "user" + std::to_string(i);
+    if (expected.contains(key)) continue;
+    ASSERT_TRUE(store.Get(key, &out).ok()) << key;
+    EXPECT_EQ(out.value, fill) << key;
+    EXPECT_EQ(out.version, 1u) << key;
+  }
+  EXPECT_FALSE(store.Contains("user" + std::to_string(kRecords)));
+  EXPECT_FALSE(store.Contains("extra600"));
 }
 
 TEST(KvStoreTest, StatsCountAccesses) {
