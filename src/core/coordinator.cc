@@ -406,8 +406,7 @@ void TxnCoordinator::FinishDecide(TxnId global_id, bool commit,
   // that makes it survive a crash between the first and last decision
   // send. Aborts are logged too (quorum-fenced like commits), so
   // sync-time conflict resolution has both outcomes.
-  decisions_[global_id] =
-      DecisionRecord{commit, cseq, sim_->now(), proof, view_};
+  decisions_[global_id] = DecisionRecord{commit, cseq, proof, view_};
   ++(commit ? commits_decided_ : aborts_decided_);
   launches_.erase(global_id);
   OutstandingDecision outstanding;
@@ -546,8 +545,7 @@ void TxnCoordinator::MaybeCommitAppend(uint64_t append_id) {
     // that triggered it. Later retries answer straight from the log.
     inflight_aborts_.erase(pa.global_id);
     if (!decisions_.contains(pa.global_id)) {
-      decisions_[pa.global_id] =
-          DecisionRecord{false, 0, sim_->now(), {}, view_};
+      decisions_[pa.global_id] = DecisionRecord{false, 0, {}, view_};
     }
     ++presumed_aborts_logged_;
     SendDecision(pa.global_id, false, /*cseq=*/0, pa.answer_to,
@@ -618,8 +616,8 @@ void TxnCoordinator::HandleAppend(const sim::Envelope& env) {
       // takeover entry overwrites any stale minority record.
       auto it = decisions_.find(msg->global_id);
       if (it == decisions_.end() || it->second.view <= msg->view) {
-        decisions_[msg->global_id] = DecisionRecord{
-            msg->commit, msg->cseq, sim_->now(), msg->proof, msg->view};
+        decisions_[msg->global_id] =
+            DecisionRecord{msg->commit, msg->cseq, msg->proof, msg->view};
       }
       launches_.erase(msg->global_id);
       next_cseq_ = std::max(next_cseq_, msg->cseq + 1);
@@ -703,7 +701,7 @@ void TxnCoordinator::HandleSyncReply(const sim::Envelope& env) {
     auto it = decisions_.find(d.global_id);
     if (it == decisions_.end() || it->second.view < d.view) {
       decisions_[d.global_id] =
-          DecisionRecord{d.commit, d.cseq, sim_->now(), d.proof, d.view};
+          DecisionRecord{d.commit, d.cseq, d.proof, d.view};
     }
     launches_.erase(d.global_id);
   }

@@ -83,7 +83,6 @@ class TxnCoordinator : public sim::Actor {
     bool commit = false;
     /// Dense decision sequence (0 for a logged presumed abort).
     uint64_t cseq = 0;
-    SimTime decided_at = 0;
     /// Quorum proof for COMMITs: the signed YES shares of every
     /// participant shard. Kept in the log so
     /// re-answers to retried votes carry the same proof; truncated with

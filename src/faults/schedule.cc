@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 namespace sbft::faults {
@@ -48,8 +51,13 @@ bool ParseUint(const std::string& token, uint32_t* out) {
 bool ParseInt(const std::string& token, int* out) {
   if (token.empty()) return false;
   char* end = nullptr;
+  errno = 0;
   long value = std::strtol(token.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
+  if (end == nullptr || *end != '\0' || errno == ERANGE ||
+      value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return false;
+  }
   *out = static_cast<int>(value);
   return true;
 }
@@ -152,7 +160,14 @@ Result<SimDuration> ParseDurationLiteral(std::string_view token) {
     return Status::InvalidArgument("bad duration unit: " +
                                    std::string(token));
   }
-  return static_cast<SimDuration>(value * scale);
+  // 2^63 ns (~292 years) is the first value a SimDuration cannot hold;
+  // the cast of anything at or past it, or of inf, is undefined.
+  double ns = value * scale;
+  if (!std::isfinite(ns) || ns >= 0x1p63) {
+    return Status::InvalidArgument("duration out of range: " +
+                                   std::string(token));
+  }
+  return static_cast<SimDuration>(ns);
 }
 
 void FaultSchedule::Add(FaultEvent event) {

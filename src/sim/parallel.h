@@ -143,7 +143,13 @@ class ParallelSimulator {
   uint64_t cross_events() const {
     return sent_.load(std::memory_order_relaxed);
   }
-  /// Synchronization rounds executed across all workers (diagnostics).
+  /// Worker passes over a loop (RunRound calls) summed across all
+  /// workers, idle passes that found no work included (diagnostics). It
+  /// is not a count of synchronization rounds: it depends on the thread
+  /// count and on timing. The 4-plane architecture of
+  /// ParallelArchitectureTest (seed 2023, 1 s, 10,486 events) makes
+  /// 18,330 passes on 1 thread in every run, but made 184k-344k on 2
+  /// threads and 133k-2.07M on 4 over a few runs.
   uint64_t rounds() const { return rounds_.load(std::memory_order_relaxed); }
 
  private:

@@ -151,5 +151,40 @@ TEST(LockQueueTest, QueueingCutsAbortRateVersusAbortOnLock) {
       << "queueing failed to cut the cross-shard-induced abort rate";
 }
 
+TEST(LockQueueTest, AbortRateUnderCeilingOnHotCrossShardWorkload) {
+  // Hot-key conflicts on a third of the transactions and half of them
+  // cross-shard, at batch 50 and 400 clients: ccheck conflicts and
+  // prepare-lock collisions both bind. Queueing at depth 8 keeps the
+  // abort rate at or below 45% and under the abort-on-lock rate.
+  auto abort_rate = [](uint32_t queue_depth) {
+    SystemConfig config;
+    config.shard_count = 2;
+    config.shim.n = 4;
+    config.shim.batch_size = 50;
+    config.shim.pipeline_width = 96;
+    config.n_e = 4;  // 3f_E + 1 (§VI-B).
+    config.f_e = 1;
+    config.num_clients = 400;
+    config.client_timeout = Seconds(12);
+    config.shim.request_timeout = Seconds(4);
+    config.shim.retransmit_timeout = Seconds(3);
+    config.shim.view_change_timeout = Seconds(6);
+    config.workload.record_count = 2000;
+    config.workload.conflict_percentage = 30.0;
+    config.workload.hot_keys = 8;
+    config.workload.cross_shard_percentage = 50.0;
+    config.conflicts_possible = true;
+    config.verifier_match_timeout = Millis(400);
+    config.prepare_lock_queue_depth = queue_depth;
+    config.crypto_mode = crypto::CryptoMode::kFast;
+    config.seed = 2023;
+    return RunExperiment(config, Seconds(0.4), Seconds(1.0)).abort_rate;
+  };
+  const double queueing = abort_rate(8);
+  const double abort_on_lock = abort_rate(0);
+  EXPECT_LE(queueing, 0.45);
+  EXPECT_LT(queueing, abort_on_lock);
+}
+
 }  // namespace
 }  // namespace sbft::core

@@ -12,7 +12,7 @@
 namespace sbft::core {
 namespace {
 
-SystemConfig OpenLoopConfig(double offered_tps) {
+SystemConfig OpenLoopConfig(double offered_tps, uint64_t seed = 21) {
   SystemConfig config;
   config.shim.n = 4;
   config.shim.batch_size = 2;
@@ -21,7 +21,7 @@ SystemConfig OpenLoopConfig(double offered_tps) {
   config.f_e = 1;
   config.workload.record_count = 1000;
   config.crypto_mode = crypto::CryptoMode::kFast;
-  config.seed = 21;
+  config.seed = seed;
   config.traffic.open_loop = true;
   config.traffic.sources = 2;
   config.traffic.offered_tps = offered_tps;
@@ -62,11 +62,18 @@ TEST(OpenLoopTest, PastTheKneeGoodputCollapsesAndTailInflects) {
   // closed-loop client cannot reach at any client count it runs here.
   RunReport below =
       RunExperiment(OpenLoopConfig(5000.0), Seconds(0.5), Seconds(2.0));
+  RunReport below_2023 =
+      RunExperiment(OpenLoopConfig(5000.0, 2023), Seconds(0.5), Seconds(2.0));
   RunReport over =
       RunExperiment(OpenLoopConfig(12000.0), Seconds(0.5), Seconds(2.0));
 
-  EXPECT_GT(below.goodput_tps, below.offered_tps * 0.9);
-  EXPECT_EQ(below.dropped_txns, 0u);
+  // Below the knee the sources realize their rate and the system commits
+  // nearly all of it, at a second seed too.
+  for (const RunReport* report : {&below, &below_2023}) {
+    EXPECT_NEAR(report->offered_tps, 5000.0, 5000.0 * 0.05);
+    EXPECT_GT(report->goodput_tps, report->offered_tps * 0.9);
+    EXPECT_EQ(report->dropped_txns, 0u);
+  }
 
   // Offered load kept rising; goodput did not follow it.
   EXPECT_GT(over.offered_tps, below.offered_tps * 2);

@@ -41,6 +41,13 @@ TEST(FaultScheduleTest, ParsesDurations) {
   EXPECT_FALSE(ParseDurationLiteral("12").ok());
   EXPECT_FALSE(ParseDurationLiteral("fast").ok());
   EXPECT_FALSE(ParseDurationLiteral("-3ms").ok());
+  // A SimDuration holds less than 2^63 ns (~9223372036.85 s); a literal
+  // at or past that, or not finite, is rejected instead of wrapping.
+  EXPECT_EQ(*ParseDurationLiteral("9223372036s"), Seconds(9223372036));
+  EXPECT_FALSE(ParseDurationLiteral("9223372037s").ok());
+  EXPECT_FALSE(ParseDurationLiteral("1e30s").ok());
+  EXPECT_FALSE(ParseDurationLiteral("1e300ms").ok());
+  EXPECT_FALSE(ParseDurationLiteral("1e400ns").ok());
 }
 
 TEST(FaultScheduleTest, ParsesEveryEventKind) {
@@ -95,6 +102,18 @@ TEST(FaultScheduleTest, RejectsMalformedLines) {
   EXPECT_FALSE(FaultSchedule::Parse("at 1s partition nodes 0 1\n").ok());
   EXPECT_FALSE(FaultSchedule::Parse("at 1s link 1 2 drop 1.5\n").ok());
   EXPECT_FALSE(FaultSchedule::Parse("at 1s byzantine node 0 vibes\n").ok());
+  // Out-of-range numbers are rejected, not wrapped.
+  EXPECT_FALSE(FaultSchedule::Parse("at 1e30s crash node 0\n").ok());
+  EXPECT_FALSE(FaultSchedule::Parse("at 9223372037s crash node 0\n").ok());
+  EXPECT_FALSE(
+      FaultSchedule::Parse("at 1s byzantine node 0 spawn-delay=1e300ms\n")
+          .ok());
+  EXPECT_FALSE(
+      FaultSchedule::Parse("at 1s byzantine node 0 spawn-count=4294967297\n")
+          .ok());
+  EXPECT_FALSE(FaultSchedule::Parse(
+                   "at 1s byzantine node 0 duplicate-spawns=4294967298\n")
+                   .ok());
   // Errors carry the line number.
   auto bad = FaultSchedule::Parse("at 1s crash node 0\nat 2s nonsense\n");
   ASSERT_FALSE(bad.ok());
