@@ -208,6 +208,8 @@ struct VerifyMsg : Message {
     ActorId client = kInvalidActor;
     TxnId global_id = 0;
     ActorId coordinator = kInvalidActor;
+
+    friend bool operator==(const TxnRef&, const TxnRef&) = default;
   };
 
   ViewNum view = 0;

@@ -17,31 +17,32 @@ crypto::Digest AuditLog::ChainHash(const crypto::Digest& prev,
 }
 
 Status AuditLog::Append(SeqNum seq, const crypto::Digest& txn_digest,
-                        const crypto::Digest& result_digest, Outcome outcome,
-                        SimTime now) {
+                        const crypto::Digest& result_digest,
+                        Outcome outcome) {
   if (!entries_.empty() && seq <= entries_.back().seq) {
     return Status::InvalidArgument("audit log sequence must increase");
+  }
+  if (entries_.size() == kRetained) {
+    const Entry& oldest = entries_.front();
+    if (ChainHash(anchor_, oldest) != oldest.chain) broken_ = true;
+    anchor_ = oldest.chain;
+    entries_.pop_front();
   }
   Entry entry;
   entry.seq = seq;
   entry.txn_digest = txn_digest;
   entry.result_digest = result_digest;
   entry.outcome = outcome;
-  entry.applied_at = now;
   entry.chain = ChainHash(head(), entry);
-  entries_.push_back(std::move(entry));
+  entries_.push_back(entry);
+  ++appended_;
+  if (sink_) sink_(entry);
   return Status::Ok();
 }
 
-std::optional<AuditLog::Entry> AuditLog::Find(SeqNum seq) const {
-  for (const Entry& e : entries_) {
-    if (e.seq == seq) return e;
-  }
-  return std::nullopt;
-}
-
 bool AuditLog::VerifyChain() const {
-  crypto::Digest prev;
+  if (broken_) return false;
+  crypto::Digest prev = anchor_;
   for (const Entry& e : entries_) {
     if (ChainHash(prev, e) != e.chain) return false;
     prev = e.chain;
@@ -50,7 +51,7 @@ bool AuditLog::VerifyChain() const {
 }
 
 crypto::Digest AuditLog::head() const {
-  return entries_.empty() ? crypto::Digest() : entries_.back().chain;
+  return entries_.empty() ? anchor_ : entries_.back().chain;
 }
 
 }  // namespace sbft::storage

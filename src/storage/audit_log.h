@@ -1,12 +1,12 @@
 #ifndef SBFT_STORAGE_AUDIT_LOG_H_
 #define SBFT_STORAGE_AUDIT_LOG_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <optional>
+#include <functional>
 
 #include "common/ids.h"
-#include "common/sim_time.h"
 #include "common/status.h"
 #include "crypto/digest.h"
 
@@ -20,9 +20,13 @@ namespace sbft::storage {
 /// each entry commits to its predecessor, so any retro-active tampering or
 /// order divergence is detectable by VerifyChain().
 ///
-/// The log keeps its whole history (VerifyChain walks all of it), in a
-/// deque: growth allocates fixed blocks, with neither a vector's up-to-2x
-/// capacity slack nor a full copy at each reallocation.
+/// Only the newest kRetained entries stay in memory. When an entry leaves
+/// that suffix its link is checked against the anchor (the chain value
+/// just below the suffix), the anchor moves up to it, and a broken link
+/// is latched. So VerifyChain() covers every entry ever appended while the
+/// log holds a fixed number of them: the head commits to the whole
+/// history. The whole history goes to the optional sink, which stands for
+/// a deployment's durable trail.
 class AuditLog {
  public:
   enum class Outcome : uint8_t { kApplied = 0, kAborted = 1 };
@@ -32,9 +36,14 @@ class AuditLog {
     crypto::Digest txn_digest;     ///< Digest of the ordered batch.
     crypto::Digest result_digest;  ///< Digest of the execution result.
     Outcome outcome = Outcome::kApplied;
-    SimTime applied_at = 0;
     crypto::Digest chain;  ///< H(prev_chain || this entry).
   };
+
+  /// Receives every appended entry, in append order.
+  using Sink = std::function<void(const Entry&)>;
+
+  /// Entries kept in memory: the newest ones.
+  static constexpr size_t kRetained = 64;
 
   AuditLog() = default;
 
@@ -42,26 +51,35 @@ class AuditLog {
   /// strictly increasing sequence order; returns InvalidArgument
   /// otherwise.
   Status Append(SeqNum seq, const crypto::Digest& txn_digest,
-                const crypto::Digest& result_digest, Outcome outcome,
-                SimTime now);
+                const crypto::Digest& result_digest, Outcome outcome);
 
-  /// Entry for a sequence number, if recorded.
-  std::optional<Entry> Find(SeqNum seq) const;
-
-  /// Recomputes the hash chain; false if any link is inconsistent.
+  /// False if any link of the chain, retained or evicted, is
+  /// inconsistent.
   bool VerifyChain() const;
 
   /// Head of the chain (all-zero when empty).
   crypto::Digest head() const;
 
-  size_t size() const { return entries_.size(); }
+  /// Entries appended over the log's lifetime.
+  size_t size() const { return appended_; }
+  /// The retained suffix, oldest first: at most kRetained entries.
   const std::deque<Entry>& entries() const { return entries_; }
+
+  /// Streams every later append to `sink`.
+  void set_sink(Sink sink) { sink_ = std::move(sink); }
 
  private:
   static crypto::Digest ChainHash(const crypto::Digest& prev,
                                   const Entry& entry);
 
   std::deque<Entry> entries_;
+  /// Chain value of the newest evicted entry (all-zero before the first
+  /// eviction): the first retained entry links to it.
+  crypto::Digest anchor_;
+  size_t appended_ = 0;
+  /// An evicted entry failed its link check.
+  bool broken_ = false;
+  Sink sink_;
 };
 
 }  // namespace sbft::storage

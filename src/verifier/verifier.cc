@@ -79,15 +79,18 @@ bool TxnRwsConcatenateToRw(const shim::VerifyMsg& msg) {
 }
 
 /// True when `a` and `b` cast the same vote for transaction `i` (for an
-/// empty batch, `i` = 0 names no transaction): the same batch digest,
-/// result, and read keys and writes of that transaction. Read versions
-/// count only when transactions may conflict: per §IV-D, conflict-free
-/// executors may legitimately read different versions and must still
-/// match. Both VERIFYs have the same shape.
+/// empty batch, `i` = 0 names no transaction): the same batch digest and
+/// result, and the same ref, read keys and writes of that transaction.
+/// The ref is unsigned, so only the match vouches for it: it names the
+/// client a RESPONSE goes to and whether the transaction is a 2PC
+/// fragment. Read versions count only when transactions may conflict:
+/// per §IV-D, conflict-free executors may legitimately read different
+/// versions and must still match. Both VERIFYs have the same shape.
 bool SameVote(const shim::VerifyMsg& a, const shim::VerifyMsg& b, size_t i,
               bool read_versions) {
   if (a.batch_digest != b.batch_digest || a.result != b.result) return false;
   if (i == a.txn_rws.size()) return true;
+  if (a.txn_refs[i] != b.txn_refs[i]) return false;
   const storage::RwSet& x = a.txn_rws[i];
   const storage::RwSet& y = b.txn_rws[i];
   if (x.writes != y.writes || x.reads.size() != y.reads.size()) return false;
@@ -211,10 +214,12 @@ void Verifier::Settle(SeqNum seq, const SeqState& state) {
       break;
     }
   }
+  // A matched transaction takes its ref and set from its own quorum's
+  // winner; one that τ_m aborts takes its ref from `sample`.
   std::vector<SettleItem> items(state.shape);
   for (size_t i = 0; i < items.size(); ++i) {
-    items[i].ref = sample->txn_refs[i];
     const auto& winner = shape.txns[i].winner;
+    items[i].ref = (winner != nullptr ? *winner : *sample).txn_refs[i];
     if (winner != nullptr) items[i].rw = &winner->txn_rws[i];
   }
   SettlePerTxn(seq, *sample, items);
@@ -307,8 +312,7 @@ void Verifier::SettlePerTxn(SeqNum seq, const shim::VerifyMsg& sample,
   audit_log_
       .Append(seq, sample.batch_digest, crypto::Sha256::Hash(sample.result),
               batch_alive ? storage::AuditLog::Outcome::kApplied
-                          : storage::AuditLog::Outcome::kAborted,
-              sim_->now())
+                          : storage::AuditLog::Outcome::kAborted)
       .ok();
   NotifyPrimary(seq, sample.batch_digest, !batch_alive);
 }
@@ -533,8 +537,7 @@ void Verifier::ApplyDecision(TxnId global_id, bool commit, uint64_t cseq,
       .Append(++decision_seq_, crypto::Sha256::Hash(enc->buffer()),
               crypto::Digest(),
               apply ? storage::AuditLog::Outcome::kApplied
-                    : storage::AuditLog::Outcome::kAborted,
-              sim_->now())
+                    : storage::AuditLog::Outcome::kAborted)
       .ok();
   std::vector<std::string> released = prepare_locks_.ReleaseOwner(global_id);
   prepared_.erase(it);

@@ -84,7 +84,20 @@ class Verifier : public sim::Actor {
   /// Sequence number of the next request to be verified (paper's k_max).
   SeqNum kmax() const { return kmax_; }
 
+  /// Hash-chained log of settled sequences. It keeps the newest
+  /// AuditLog::kRetained entries; VerifyChain() and head() still cover
+  /// the whole history, which SetLogSinks streams out.
   const storage::AuditLog& audit_log() const { return audit_log_; }
+
+  /// Streams every entry of audit_log() to `audit` and of decision_log()
+  /// to `decisions`, in append order: the durable trail of a deployment.
+  /// Install before the run starts. A sink must touch neither the RNG
+  /// nor the event order.
+  void SetLogSinks(storage::AuditLog::Sink audit,
+                   storage::AuditLog::Sink decisions) {
+    audit_log_.set_sink(std::move(audit));
+    decision_log_.set_sink(std::move(decisions));
+  }
 
   // --- statistics ---
   uint64_t applied_batches() const { return applied_batches_; }
@@ -126,7 +139,7 @@ class Verifier : public sim::Actor {
   /// outcome was a presumed-abort answer). Both maps are truncated at the
   /// coordinator's fully-decided watermark, bounding them by in-flight
   /// transactions instead of total cross-shard count; decision_log()
-  /// keeps the full history.
+  /// chains the full history.
   const std::map<TxnId, uint64_t>& applied_global() const {
     return applied_global_;
   }
@@ -135,8 +148,11 @@ class Verifier : public sim::Actor {
   }
   /// Hash-chained log of 2PC decisions applied at this shard (chained
   /// separately from the batch audit log, which stays byte-compatible
-  /// with single-plane runs). Never pruned; each entry's txn digest is
-  /// Sha256 over the little-endian u64 global id.
+  /// with single-plane runs), one entry per decision from seq 1; each
+  /// entry's txn digest is Sha256 over the little-endian u64 global id.
+  /// Like audit_log(), it keeps a bounded suffix in memory, its chain
+  /// covers the whole history, and the whole history goes to the sink
+  /// SetLogSinks installs.
   const storage::AuditLog& decision_log() const { return decision_log_; }
 
   // --- prepare-lock queueing statistics ---

@@ -5,6 +5,8 @@
 
 #include "core/serverless_bft.h"
 
+#include "log_trail.h"
+
 namespace sbft::core {
 namespace {
 
@@ -100,11 +102,13 @@ TEST(ConflictsTest, ConflictAvoidanceQueuesConflictingBatches) {
 TEST(ConflictsTest, AbortedTransactionsStillAdvanceKmax) {
   SystemConfig config = ConflictConfig(60, /*rw_known=*/false);
   Architecture arch(config);
+  LogTrail trail(arch);
   arch.Start();
   arch.simulator()->RunUntil(Seconds(3));
-  // k_max never stalls behind aborted sequences: the audit log holds one
-  // entry per settled sequence with no gaps at the front.
-  const auto& entries = arch.verifier()->audit_log().entries();
+  // k_max never stalls behind aborted sequences: the audit log's history
+  // holds one entry per settled sequence with no gaps at the front.
+  const LogTrail::Entries& entries = trail.audit[0];
+  ASSERT_EQ(entries.size(), arch.verifier()->audit_log().size());
   ASSERT_GT(entries.size(), 0u);
   EXPECT_EQ(entries.front().seq, 1u);
   for (size_t i = 1; i < entries.size(); ++i) {

@@ -152,6 +152,7 @@ TEST(CoordGroupTest, LeaderArithmeticConsistentAcrossLayers) {
 TEST(CoordGroupTest, PerGroupFailoverIsolation) {
   SystemConfig config = GroupedConfig(23, 4, 3);
   Architecture arch(config);
+  LogTrail trail(arch);
   arch.Start();
   arch.simulator()->RunUntil(Seconds(1));
 
@@ -191,7 +192,7 @@ TEST(CoordGroupTest, PerGroupFailoverIsolation) {
     EXPECT_TRUE(v->audit_log().VerifyChain());
     EXPECT_TRUE(v->decision_log().VerifyChain());
   }
-  const TwoPcEvidence evidence = CollectTwoPcEvidence(arch);
+  const TwoPcEvidence evidence = CollectTwoPcEvidence(arch, trail);
   EXPECT_TRUE(evidence.SplitOutcomes().empty());
   for (TxnId gid : evidence.applied_gids) {
     uint32_t owner = arch.coord_topology().GroupOf(gid);

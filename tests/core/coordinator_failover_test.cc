@@ -61,8 +61,8 @@ TxnCoordinator* ServingCoordinator(Architecture& arch) {
 /// is COMMIT-logged on some group member, and members never hold
 /// *conflicting* outcomes at the same maximum view (the quorum fence
 /// plus max-view sync resolution must keep the logs reconcilable).
-void ExpectAtomicAcrossGroup(Architecture& arch) {
-  const TwoPcEvidence evidence = CollectTwoPcEvidence(arch);
+void ExpectAtomicAcrossGroup(Architecture& arch, const LogTrail& trail) {
+  const TwoPcEvidence evidence = CollectTwoPcEvidence(arch, trail);
   for (const crypto::Digest& key : evidence.SplitOutcomes()) {
     ADD_FAILURE() << "global txn " << key.ToHex()
                   << " applied on one shard, aborted on another";
@@ -112,6 +112,7 @@ TEST(CoordinatorFailoverTest, LeaderCrashMidVoteCollectionAcrossSeeds) {
     uint64_t baseline_aborts = baseline.TotalAborted();
 
     Architecture arch(config);
+    LogTrail trail(arch);
     auto schedule = faults::FaultSchedule::Parse(
         "at 1s crash coordinator leader\n");
     ASSERT_TRUE(schedule.ok());
@@ -140,7 +141,7 @@ TEST(CoordinatorFailoverTest, LeaderCrashMidVoteCollectionAcrossSeeds) {
       EXPECT_TRUE(arch.plane(s)->verifier()->audit_log().VerifyChain());
       EXPECT_TRUE(arch.plane(s)->verifier()->decision_log().VerifyChain());
     }
-    ExpectAtomicAcrossGroup(arch);
+    ExpectAtomicAcrossGroup(arch, trail);
 
     // Bounded abort inflation: only transactions caught in the crash
     // window may abort beyond the baseline.
@@ -190,6 +191,7 @@ TEST(CoordinatorFailoverTest, MidDecisionBroadcastCrashAndRejoin) {
   for (uint64_t seed : {7u, 11u, 23u, 42u, 91u}) {
     SystemConfig config = FailoverConfig(seed, 3);
     Architecture arch(config);
+    LogTrail trail(arch);
     auto schedule = faults::FaultSchedule::Parse(
         "at 1250ms crash coordinator leader\n"
         "at 3s recover coordinator 0\n");
@@ -206,7 +208,7 @@ TEST(CoordinatorFailoverTest, MidDecisionBroadcastCrashAndRejoin) {
     // the successor's (or a later) view.
     EXPECT_FALSE(arch.coordinator(0)->crashed()) << "seed " << seed;
     EXPECT_GE(arch.coordinator(0)->view(), 1u) << "seed " << seed;
-    ExpectAtomicAcrossGroup(arch);
+    ExpectAtomicAcrossGroup(arch, trail);
     for (uint32_t s = 0; s < arch.shard_count(); ++s) {
       EXPECT_LE(arch.plane(s)->verifier()->prepare_locks_held(), 64u)
           << "seed " << seed << " shard " << s;
@@ -233,6 +235,7 @@ TEST(CoordinatorFailoverTest, SingletonStallsWhereGroupFailsOver) {
 
   SystemConfig group_config = FailoverConfig(42, 3);
   Architecture group(group_config);
+  LogTrail group_trail(group);
   auto group_schedule =
       faults::FaultSchedule::Parse("at 1s crash coordinator leader\n");
   ASSERT_TRUE(group_schedule.ok());
@@ -243,7 +246,7 @@ TEST(CoordinatorFailoverTest, SingletonStallsWhereGroupFailsOver) {
 
   EXPECT_GT(GroupCommits(group), 2 * singleton_commits)
       << "replicated group did not outlive its leader";
-  ExpectAtomicAcrossGroup(group);
+  ExpectAtomicAcrossGroup(group, group_trail);
 }
 
 // Satellite: the watermark/cseq bookkeeping is re-derivable. The
@@ -255,6 +258,7 @@ TEST(CoordinatorFailoverTest, WatermarkRederivedAfterTakeover) {
   SystemConfig config = FailoverConfig(23, 3);
   config.twopc_decision_retention = Millis(1500);
   Architecture arch(config);
+  LogTrail trail(arch);
   arch.Start();
   arch.simulator()->RunUntil(Seconds(1));
 
@@ -283,7 +287,7 @@ TEST(CoordinatorFailoverTest, WatermarkRederivedAfterTakeover) {
       << "successor never decided (or reused cseqs)";
   EXPECT_GT(serving->watermark(), watermark_at_crash)
       << "watermark stalled after takeover";
-  ExpectAtomicAcrossGroup(arch);
+  ExpectAtomicAcrossGroup(arch, trail);
 }
 
 // R = 1 is a group of one: it runs the group protocol as its own
@@ -300,6 +304,7 @@ TEST(CoordinatorFailoverTest, GroupOfOneRecoversThroughItsOwnTakeover) {
   config.prepare_lock_queue_depth = 0;
   config.twopc_decision_retention = Millis(500);
   Architecture arch(config);
+  LogTrail trail(arch);
   TxnCoordinator* coordinator = arch.coordinator();
   std::map<ActorId, int> redirects;
   int group_messages = 0;
@@ -365,7 +370,7 @@ TEST(CoordinatorFailoverTest, GroupOfOneRecoversThroughItsOwnTakeover) {
   }
   EXPECT_EQ(redirects.size(), arch.shard_count());
   EXPECT_EQ(group_messages, 0);
-  EXPECT_TRUE(CollectTwoPcEvidence(arch).SplitOutcomes().empty());
+  EXPECT_TRUE(CollectTwoPcEvidence(arch, trail).SplitOutcomes().empty());
 }
 
 // Workflow chains keep their exactly-once guarantee across a failover:
@@ -397,6 +402,7 @@ TEST(CoordinatorFailoverTest, WorkflowHopsExactlyOnceAcrossFailover) {
   config.traffic.retry_inflight_cap = 32;
 
   Architecture arch(config);
+  LogTrail trail(arch);
   auto schedule = faults::FaultSchedule::Parse(
       "at 1s crash coordinator leader\n");
   ASSERT_TRUE(schedule.ok());
@@ -407,8 +413,8 @@ TEST(CoordinatorFailoverTest, WorkflowHopsExactlyOnceAcrossFailover) {
   for (const auto& source : arch.sources()) source->Pause();
   arch.simulator()->RunUntil(Seconds(9));
 
-  // Exactly-once is audited from the shards' never-pruned decision logs.
-  const TwoPcEvidence evidence = CollectTwoPcEvidence(arch);
+  // Exactly-once is audited from the shards' whole decision logs.
+  const TwoPcEvidence evidence = CollectTwoPcEvidence(arch, trail);
   EXPECT_TRUE(evidence.SplitOutcomes().empty());
 
   uint64_t chains_completed = 0;

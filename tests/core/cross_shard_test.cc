@@ -37,8 +37,8 @@ SystemConfig ShardedConfig(uint32_t shards, double cross_pct) {
 /// The acceptance property: every 2PC decision is atomic across shards —
 /// a global transaction id never appears in one shard's applied set and
 /// another shard's aborted set.
-void ExpectAtomicCommit(Architecture& arch) {
-  const TwoPcEvidence evidence = CollectTwoPcEvidence(arch);
+void ExpectAtomicCommit(Architecture& arch, const LogTrail& trail) {
+  const TwoPcEvidence evidence = CollectTwoPcEvidence(arch, trail);
   for (const crypto::Digest& key : evidence.SplitOutcomes()) {
     ADD_FAILURE() << "global txn " << key.ToHex()
                   << " was applied on one shard and aborted on another";
@@ -109,6 +109,7 @@ TEST(CrossShardTest, SingleShardTransactionsCommitOnAllPlanes) {
 TEST(CrossShardTest, TenPercentCrossShardCommitsAtomically) {
   // The ISSUE-4 acceptance setup: shard_count=4, 10% cross-shard YCSB.
   Architecture arch(ShardedConfig(4, 10.0));
+  LogTrail trail(arch);
   arch.Start();
   arch.simulator()->RunUntil(Seconds(3));
 
@@ -124,7 +125,7 @@ TEST(CrossShardTest, TenPercentCrossShardCommitsAtomically) {
     EXPECT_TRUE(arch.plane(s)->verifier()->decision_log().VerifyChain());
   }
   EXPECT_GT(committed_fragments, 0u);
-  ExpectAtomicCommit(arch);
+  ExpectAtomicCommit(arch, trail);
 }
 
 TEST(CrossShardTest, PerShardLatencyHistogramsMergeIntoReport) {
@@ -139,6 +140,7 @@ TEST(CrossShardTest, PerShardLatencyHistogramsMergeIntoReport) {
 
 TEST(CrossShardTest, NoPrepareLockLeaksAfterQuiescence) {
   Architecture arch(ShardedConfig(2, 20.0));
+  LogTrail trail(arch);
   arch.Start();
   arch.simulator()->RunUntil(Seconds(3));
   // Freeze the workload and let in-flight 2PC rounds settle: every
@@ -149,7 +151,7 @@ TEST(CrossShardTest, NoPrepareLockLeaksAfterQuiescence) {
     // rounds; locks held right at the horizon are in-flight, not leaked.
     EXPECT_LE(arch.plane(s)->verifier()->prepare_locks_held(), 64u);
   }
-  ExpectAtomicCommit(arch);
+  ExpectAtomicCommit(arch, trail);
 }
 
 TEST(CrossShardTest, DeterministicAcrossRuns) {

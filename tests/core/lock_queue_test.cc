@@ -48,6 +48,7 @@ struct QueueStats {
 
 QueueStats RunContended(const SystemConfig& config, SimDuration duration) {
   Architecture arch(config);
+  LogTrail trail(arch);
   arch.Start();
   arch.simulator()->RunUntil(duration);
   QueueStats stats;
@@ -67,7 +68,7 @@ QueueStats RunContended(const SystemConfig& config, SimDuration duration) {
 
   // Atomicity must survive queueing: no gid applied on one shard and
   // aborted on another.
-  EXPECT_TRUE(CollectTwoPcEvidence(arch).SplitOutcomes().empty());
+  EXPECT_TRUE(CollectTwoPcEvidence(arch, trail).SplitOutcomes().empty());
   return stats;
 }
 

@@ -6,6 +6,8 @@
 
 #include "core/serverless_bft.h"
 
+#include "log_trail.h"
+
 namespace sbft::core {
 namespace {
 
@@ -62,6 +64,7 @@ TEST_P(SafetyPropertyTest, InvariantsHold) {
   const PropertyCase& param = GetParam();
   SystemConfig config = ConfigFor(param);
   Architecture arch(config);
+  LogTrail trail(arch);
   arch.Start();
   arch.simulator()->RunUntil(Seconds(4));
 
@@ -87,8 +90,11 @@ TEST_P(SafetyPropertyTest, InvariantsHold) {
   }
 
   // --- Verifier Non-Divergence: storage updates strictly follow shim
-  // order (audit log is gap-free from seq 1 and hash-chain intact).
-  const auto& entries = arch.verifier()->audit_log().entries();
+  // order (audit log history is gap-free from seq 1 and hash-chain
+  // intact).
+  const LogTrail::Entries& entries = trail.audit[0];
+  ASSERT_EQ(entries.size(), arch.verifier()->audit_log().size())
+      << param.name;
   ASSERT_TRUE(arch.verifier()->audit_log().VerifyChain()) << param.name;
   for (size_t i = 1; i < entries.size(); ++i) {
     ASSERT_EQ(entries[i].seq, entries[i - 1].seq + 1)

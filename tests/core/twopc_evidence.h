@@ -2,12 +2,14 @@
 // any feature off. Each shard verifier keeps two records of the decisions
 // it applied: applied_global()/aborted_global(), keyed by global id but
 // truncated at the coordinator's fully-decided watermark, and
-// decision_log(), which is never pruned and names each global id by its
-// txn digest Sha256(LE64 gid). The evidence below unions both, keyed by
-// that digest.
+// decision_log(), whose whole history is read from the sink (LogTrail)
+// and names each global id by its txn digest Sha256(LE64 gid). The
+// evidence below unions both, keyed by that digest.
 
 #ifndef SBFT_TESTS_CORE_TWOPC_EVIDENCE_H_
 #define SBFT_TESTS_CORE_TWOPC_EVIDENCE_H_
+
+#include <gtest/gtest.h>
 
 #include <set>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "common/codec.h"
 #include "core/serverless_bft.h"
 #include "crypto/sha256.h"
+#include "log_trail.h"
 
 namespace sbft::core {
 
@@ -48,7 +51,9 @@ struct TwoPcEvidence {
   }
 };
 
-inline TwoPcEvidence CollectTwoPcEvidence(Architecture& arch) {
+/// `trail` must have been installed on `arch` before Start().
+inline TwoPcEvidence CollectTwoPcEvidence(Architecture& arch,
+                                          const LogTrail& trail) {
   TwoPcEvidence evidence;
   for (uint32_t s = 0; s < arch.shard_count(); ++s) {
     const verifier::Verifier* v = arch.plane(s)->verifier();
@@ -59,7 +64,9 @@ inline TwoPcEvidence CollectTwoPcEvidence(Architecture& arch) {
     for (const auto& [gid, cseq] : v->aborted_global()) {
       evidence.aborted.insert(GidKey(gid));
     }
-    for (const storage::AuditLog::Entry& entry : v->decision_log().entries()) {
+    EXPECT_EQ(trail.decisions[s].size(), v->decision_log().size())
+        << "shard " << s << ": the trail missed decisions";
+    for (const storage::AuditLog::Entry& entry : trail.decisions[s]) {
       if (entry.outcome == storage::AuditLog::Outcome::kApplied) {
         evidence.applied.insert(entry.txn_digest);
       } else {

@@ -2,10 +2,11 @@
 // cross-shard transaction driven by an open-loop source (Beldi-style —
 // hop k+1 only after hop k commits, aborted hops reissued as fresh
 // transactions, timeouts retransmitting the same signed request). Under
-// a coordinator crash mid-run, the verifiers' 2PC evidence (their
-// never-pruned decision logs) must show: at most one attempt per hop ever applied, applied
-// hops atomic across shards, and completed chains with exactly one
-// applied attempt for every hop.
+// a coordinator crash mid-run, the verifiers' 2PC evidence (the whole
+// history of their decision logs, read from the logs' sinks) must show:
+// at most one attempt per hop ever applied, applied hops atomic across
+// shards, and completed chains with exactly one applied attempt for
+// every hop.
 
 #include <gtest/gtest.h>
 
@@ -44,6 +45,7 @@ SystemConfig WorkflowChainConfig() {
 TEST(WorkflowChainTest, HopsCommitExactlyOnceAcrossCoordinatorCrash) {
   SystemConfig config = WorkflowChainConfig();
   Architecture arch(config);
+  LogTrail trail(arch);
 
   // Crash the coordinator mid-protocol — prepare locks held, decisions
   // in doubt — and recover it while sources keep injecting and
@@ -63,7 +65,7 @@ TEST(WorkflowChainTest, HopsCommitExactlyOnceAcrossCoordinatorCrash) {
   arch.simulator()->RunUntil(Seconds(9.0));
 
   // Union the per-shard 2PC evidence.
-  const TwoPcEvidence evidence = CollectTwoPcEvidence(arch);
+  const TwoPcEvidence evidence = CollectTwoPcEvidence(arch, trail);
   // Atomicity: no hop attempt applied on one shard, aborted on another.
   EXPECT_TRUE(evidence.SplitOutcomes().empty());
 

@@ -561,6 +561,103 @@ TEST_F(VerifierTest, UnmatchedReadKeysNeverCompleteAQuorum) {
   }
 }
 
+TEST_F(VerifierTest, UnmatchedTxnRefsNeverCompleteAQuorum) {
+  // A transaction's ref (client, id, global id, coordinator) is not
+  // signed, so only the match vouches for it. A VERIFY that arrives
+  // second of f_E+1 with the honest sets and result but another ref
+  // must not complete the quorum: its ref would pick where the RESPONSE
+  // goes, or turn a 2PC fragment into a plain transaction that applies
+  // without 2PC. Neither input needs re-signing.
+  constexpr ActorId kCoordinator = core::kCoordinatorBaseId;
+  constexpr ActorId kThief = kClient + 1;
+  constexpr TxnId kGid = 777;
+  keys_.RegisterNode(999);  // The verifier signs its vote share.
+  RecorderActor coordinator(kCoordinator);
+  RecorderActor thief(kThief);
+  net_.Register(&coordinator, 0);
+  net_.Register(&thief, 0);
+
+  {
+    SCOPED_TRACE("redirected client");
+    BuildVerifier(/*conflicts=*/false);
+    storage::RwSet rw = CurrentRw();
+    Deliver(MakeVerify(1, kFirstExecutor, rw, ToBytes("r")));
+    auto redirected = MakeVerify(1, kFirstExecutor + 1, rw, ToBytes("r"));
+    redirected->txn_refs[0].client = kThief;
+    Deliver(redirected);
+    sim_.RunUntil(sim_.now() + Millis(10));
+    EXPECT_EQ(verifier_->rejected_verifies(), 0u);
+    EXPECT_EQ(verifier_->kmax(), 1u) << "redirected VERIFY completed a quorum";
+    EXPECT_EQ(thief.CountKind(shim::MsgKind::kResponse), 0u);
+
+    Deliver(MakeVerify(1, kFirstExecutor + 2, rw, ToBytes("r")));
+    sim_.RunUntil(sim_.now() + Millis(10));
+    EXPECT_EQ(verifier_->kmax(), 2u);
+    EXPECT_EQ(client_.CountKind(shim::MsgKind::kResponse), 1u);
+    EXPECT_EQ(thief.CountKind(shim::MsgKind::kResponse), 0u)
+        << "RESPONSE redirected";
+  }
+  {
+    SCOPED_TRACE("cleared global id");
+    BuildVerifier(/*conflicts=*/false);
+    storage::RwSet rw;
+    rw.reads.push_back({"user2", store_.VersionOf("user2")});
+    rw.writes.push_back({"user2", ToBytes("fragment")});
+    auto fragment = [&](ActorId executor) {
+      auto msg = MakeVerify(1, executor, rw, ToBytes("r"));
+      msg->txn_refs[0] = {(kGid << 8) | 1, kCoordinator, kGid, kCoordinator};
+      return msg;
+    };
+    Deliver(fragment(kFirstExecutor));
+    auto plain = fragment(kFirstExecutor + 1);
+    plain->txn_refs[0].global_id = 0;
+    Deliver(plain);
+    sim_.RunUntil(sim_.now() + Millis(10));
+    EXPECT_EQ(verifier_->rejected_verifies(), 0u);
+    EXPECT_EQ(verifier_->kmax(), 1u) << "plain VERIFY completed a quorum";
+    EXPECT_EQ(verifier_->applied_txns(), 0u);
+
+    Deliver(fragment(kFirstExecutor + 2));
+    sim_.RunUntil(sim_.now() + Millis(10));
+    EXPECT_EQ(verifier_->kmax(), 2u);
+    EXPECT_EQ(verifier_->twopc_votes_yes(), 1u);
+    EXPECT_EQ(verifier_->applied_txns(), 0u);
+    storage::VersionedValue v;
+    ASSERT_TRUE(store_.Get("user2", &v).ok());
+    EXPECT_EQ(BytesToString(v.value), "b") << "fragment applied without 2PC";
+  }
+  {
+    // Two transactions: the redirecting VERIFY completes transaction 0's
+    // quorum honestly, so it supplies the batch's digest and result, but
+    // transaction 1 must still take its ref from its own quorum.
+    SCOPED_TRACE("redirected second transaction");
+    BuildVerifier(/*conflicts=*/false);
+    client_.msgs.clear();
+    crypto::Digest digest = crypto::Sha256::Hash("batch-1");
+    auto make = [&](ActorId executor, ActorId second_client) {
+      auto msg = std::make_shared<shim::VerifyMsg>(executor);
+      msg->seq = 1;
+      msg->batch_digest = digest;
+      msg->cert = MakeCert(1, digest);
+      msg->txn_rws = {storage::RwSet{}, storage::RwSet{}};
+      msg->txn_refs = {{101, kClient}, {102, second_client}};
+      msg->result = ToBytes("r");
+      Resign(msg.get());
+      return msg;
+    };
+    Deliver(make(kFirstExecutor, kClient));
+    Deliver(make(kFirstExecutor + 1, kThief));
+    sim_.RunUntil(sim_.now() + Millis(10));
+    EXPECT_EQ(verifier_->kmax(), 1u);
+    Deliver(make(kFirstExecutor + 2, kClient));
+    sim_.RunUntil(sim_.now() + Millis(10));
+    EXPECT_EQ(verifier_->kmax(), 2u);
+    EXPECT_EQ(client_.CountKind(shim::MsgKind::kResponse), 2u);
+    EXPECT_EQ(thief.CountKind(shim::MsgKind::kResponse), 0u)
+        << "RESPONSE redirected";
+  }
+}
+
 TEST_F(VerifierTest, WrongTxnCountFromFirstVerifyCannotAbortBatch) {
   // A byzantine VERIFY that arrives first claims one extra transaction.
   // It is signed and its sets concatenate to its rw, so it passes every
