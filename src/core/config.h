@@ -6,6 +6,7 @@
 
 #include "common/ids.h"
 #include "core/coord_group.h"
+#include "core/coordinator.h"
 #include "crypto/keys.h"
 #include "serverless/cloud.h"
 #include "shim/shim_config.h"
@@ -19,9 +20,11 @@ namespace sbft::core {
 // kCoordinatorBaseId and the CoordGroups topology helper (member id
 // layout, gid->group hash, leader arithmetic) live in coord_group.h.
 
-/// The verifier defaults SystemConfig's verifier fields start from, so
-/// each default is written once (in verifier::VerifierConfig).
+/// The verifier and coordinator defaults SystemConfig's fields start
+/// from, so each default is written once (in verifier::VerifierConfig
+/// and CoordinatorOptions).
 inline constexpr verifier::VerifierConfig kVerifierDefaults{};
+inline constexpr CoordinatorOptions kCoordinatorDefaults{};
 
 /// Which consensus/execution stack the shim runs (paper §IX-H baselines,
 /// plus the §IV-B linear-communication extension).
@@ -129,7 +132,7 @@ struct SystemConfig {
   uint32_t shard_count = 1;
   /// Coordinator's 2PC vote-collection timeout; expiry without all votes
   /// logs a presumed ABORT.
-  SimDuration coordinator_vote_timeout = Millis(1500);
+  SimDuration coordinator_vote_timeout = kCoordinatorDefaults.vote_timeout;
   /// Per-key FIFO cap for transactions queueing behind a 2PC prepare
   /// lock at shard verifiers (bounded prepare-lock queueing); see
   /// verifier::VerifierConfig.
@@ -140,7 +143,8 @@ struct SystemConfig {
   /// retransmissions of lost responses (the standard presumed-abort GC
   /// assumption). The shard verifiers' applied/aborted dedup maps are
   /// truncated at the watermark itself.
-  SimDuration twopc_decision_retention = Seconds(5);
+  SimDuration twopc_decision_retention =
+      kCoordinatorDefaults.decision_retention;
   /// Size of each coordinator group (DESIGN.md §10): R TxnCoordinator
   /// members (actor ids kCoordinatorBaseId + r) forming a CFT cluster
   /// that quorum-replicates the 2PC decision log; a standby takes over
@@ -168,10 +172,11 @@ struct SystemConfig {
   /// tell the followers the leader is alive and carry its watermark;
   /// followers do not ack them. Presumed-abort answers need no lease:
   /// each is quorum-logged before it is sent, like any decision.
-  SimDuration coordinator_heartbeat = Millis(100);
+  SimDuration coordinator_heartbeat = kCoordinatorDefaults.heartbeat_interval;
   /// Follower silence threshold before it bumps the view and (if it is
   /// the new view's leader) starts takeover.
-  SimDuration coordinator_failover_timeout = Millis(500);
+  SimDuration coordinator_failover_timeout =
+      kCoordinatorDefaults.failover_timeout;
 
   // --- clients (C) ---
   uint32_t num_clients = 400;

@@ -207,9 +207,8 @@ void ShardPlane::BuildVerifierAndStorage() {
   // coordinator_groups/replicas into config_ before any plane is built,
   // so this view matches what BuildCoordinator constructs.
   if (config_.shard_count > 1) {
-    vconfig.coord_groups = core::CoordGroups{
-        std::min(std::max(config_.coordinator_groups, 1u), 64u),
-        std::min(std::max(config_.coordinator_replicas, 1u), 9u)};
+    vconfig.coord_groups = core::CoordGroups{config_.coordinator_groups,
+                                             config_.coordinator_replicas};
   }
 
   std::vector<ActorId> shim_for_verifier = shim_ids_;
