@@ -321,11 +321,6 @@ void Verifier::SettlePerTxn(SeqNum seq, const shim::VerifyMsg& sample,
 // Cross-shard 2PC participant role (sharded data plane).
 // ---------------------------------------------------------------------------
 
-bool Verifier::TouchesPreparedKey(const storage::RwSet& rw,
-                                  TxnId self) const {
-  return FirstBlockedKey(rw, self) != nullptr;
-}
-
 const std::string* Verifier::FirstBlockedKey(const storage::RwSet& rw,
                                              TxnId self) const {
   if (prepare_locks_.size() == 0) return nullptr;
@@ -352,7 +347,7 @@ bool Verifier::PrepareFragment(SeqNum seq,
   frag.rw = rw;
   frag.seq = seq;
   frag.ref = ref;
-  bool ok = executable && !TouchesPreparedKey(rw, gid);
+  bool ok = executable && FirstBlockedKey(rw, gid) == nullptr;
   if (ok && config_.conflicts_possible) ok = rw.ReadsCurrent(*store_);
   frag.vote_commit = ok;
   if (ok) {
@@ -654,27 +649,30 @@ void Verifier::DrainLockWaiters(const std::string& key) {
   }
 }
 
+bool Verifier::Repark(uint64_t waiter_id, LockWaiter& waiter,
+                      const std::string* blocked) {
+  if (blocked == nullptr) return false;
+  // Still blocked: re-park. A re-park on the same key is free (the key
+  // was re-taken by a waiter ahead in this drain — bounded by the depth
+  // cap); a hop to a different key burns the budget. Each wait ends at a
+  // lock a future decision releases.
+  if (*blocked != waiter.waiting_key) {
+    if (waiter.requeues_left == 0) return false;
+    --waiter.requeues_left;
+    waiter.waiting_key = *blocked;
+  }
+  if (!prepare_locks_.Enqueue(*blocked, waiter_id)) return false;
+  lock_waiters_.emplace(waiter_id, std::move(waiter));
+  return true;
+}
+
 void Verifier::ResolveWaiter(uint64_t waiter_id, LockWaiter waiter) {
   if (waiter.is_fragment) {
     TxnId gid = waiter.ref.global_id;
     if (!prepared_.contains(gid) && !applied_global_.contains(gid) &&
-        !aborted_global_.contains(gid)) {
-      const std::string* blocked = FirstBlockedKey(waiter.rw, gid);
-      bool same_key = blocked != nullptr && *blocked == waiter.waiting_key;
-      if (blocked != nullptr && (same_key || waiter.requeues_left > 0)) {
-        // Still blocked: re-park. A re-park on the same key is free
-        // (the key was re-taken by a waiter ahead in this drain —
-        // bounded by the depth cap); a hop to a different key burns the
-        // budget. Each wait ends at a lock a future decision releases.
-        if (!same_key) {
-          --waiter.requeues_left;
-          waiter.waiting_key = *blocked;
-        }
-        if (prepare_locks_.Enqueue(*blocked, waiter_id)) {
-          lock_waiters_.emplace(waiter_id, std::move(waiter));
-          return;
-        }
-      }
+        !aborted_global_.contains(gid) &&
+        Repark(waiter_id, waiter, FirstBlockedKey(waiter.rw, gid))) {
+      return;
     }
     queued_fragment_gids_.erase(gid);
     ++lock_waits_voted_;
@@ -683,18 +681,8 @@ void Verifier::ResolveWaiter(uint64_t waiter_id, LockWaiter waiter) {
     return;
   }
   const std::string* blocked = FirstBlockedKey(waiter.rw, 0);
+  if (Repark(waiter_id, waiter, blocked)) return;
   if (blocked != nullptr) {
-    bool same_key = *blocked == waiter.waiting_key;
-    if (same_key || waiter.requeues_left > 0) {
-      if (!same_key) {
-        --waiter.requeues_left;
-        waiter.waiting_key = *blocked;
-      }
-      if (prepare_locks_.Enqueue(*blocked, waiter_id)) {
-        lock_waiters_.emplace(waiter_id, std::move(waiter));
-        return;
-      }
-    }
     // Queue exhausted: fall back to the abort rule.
     ++aborted_txns_;
     ++lock_waits_aborted_;

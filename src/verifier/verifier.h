@@ -345,7 +345,6 @@ class Verifier : public sim::Actor {
   void FlushVoteCerts();
   void ApplyDecision(TxnId global_id, bool commit, uint64_t cseq,
                      uint64_t watermark);
-  bool TouchesPreparedKey(const storage::RwSet& rw, TxnId self) const;
   /// First key of `rw` prepare-locked by a foreign transaction (nullptr
   /// when unblocked).
   const std::string* FirstBlockedKey(const storage::RwSet& rw,
@@ -365,6 +364,12 @@ class Verifier : public sim::Actor {
   /// Finishes one drained waiter: re-queue behind the next blocking key,
   /// apply/vote, or abort.
   void ResolveWaiter(uint64_t waiter_id, LockWaiter waiter);
+  /// Parks `waiter` again behind `blocked` (free on its current key, one
+  /// of its requeues on another) and takes ownership of it. False, with
+  /// `waiter` still the caller's, when `blocked` is null, the budget is
+  /// spent or the key's queue is full.
+  bool Repark(uint64_t waiter_id, LockWaiter& waiter,
+              const std::string* blocked);
 
   /// Records a decided global id (and watermark-prunes the maps).
   void RecordGlobalOutcome(TxnId global_id, bool applied, uint64_t cseq);
