@@ -59,20 +59,23 @@ int main() {
   execute.cert = cert;
   execute.spawner_sig = keys.Sign(0, shim::ExecuteMsg::SigningBytes(0, 1, digest));
 
-  storage::RwSet rw;
-  for (const workload::Transaction& txn : shared_batch->txns) {
-    for (const std::string& key : txn.ReadKeys()) rw.reads.push_back({key, 1});
-    for (const std::string& key : txn.WriteKeys()) {
-      rw.writes.push_back({key, Bytes(8, 'w')});
-    }
-  }
+  // One read/write set per transaction, aligned with txn_refs, as
+  // ExecutorFunction::Execute records them: every read and write op reads
+  // its key, and a write also buffers its value.
   shim::VerifyMsg verify(9);
   verify.seq = 1;
   verify.batch_digest = digest;
   verify.cert = cert;
-  verify.rw = rw;
   verify.result = Bytes(32, 'r');
   for (const workload::Transaction& txn : shared_batch->txns) {
+    storage::RwSet& rw = verify.txn_rws.emplace_back();
+    for (const workload::Operation& op : txn.ops) {
+      if (op.type == workload::OpType::kCompute) continue;
+      rw.reads.push_back({op.key, 1});
+      if (op.type == workload::OpType::kWrite) {
+        rw.writes.push_back({op.key, op.value});
+      }
+    }
     verify.txn_refs.push_back({txn.id, txn.client});
   }
   verify.executor_sig = Bytes(32, 's');

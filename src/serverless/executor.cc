@@ -98,13 +98,12 @@ void ExecutorFunction::Execute(const shim::StorageReadReplyMsg& reply) {
     fetched[item.key] = &item;
   }
 
-  storage::RwSet rw;
   // The canonical result r covers the state transition (batch + write
   // set), which honest executors compute identically regardless of when
-  // they fetched their reads; read versions are carried separately in rw
-  // and matched only under the §VI conflict regime. A byzantine executor
-  // corrupting either the writes or the result bytes breaks the f_E+1
-  // match.
+  // they fetched their reads; read versions are carried separately in
+  // each transaction's read/write set and matched only under the §VI
+  // conflict regime. A byzantine executor corrupting either the writes
+  // or the result bytes breaks the f_E+1 match.
   crypto::Sha256 result_hash;
   result_hash.Update(work_->digest.data(), crypto::Digest::kSize);
   SimDuration compute = 0;
@@ -158,21 +157,17 @@ void ExecutorFunction::Execute(const shim::StorageReadReplyMsg& reply) {
       }
     }
     max_txn_compute = std::max(max_txn_compute, txn_compute);
-    // Batch-level union: the set this executor signs.
-    for (const auto& r : txn_rw.reads) rw.reads.push_back(r);
-    for (const auto& w : txn_rw.writes) rw.writes.push_back(w);
     txn_rws.push_back(std::move(txn_rw));
   }
   compute += max_txn_compute;
 
   Bytes result = result_hash.Finish().ToBytes();
   // Step (iv): execute (charge the compute time), then send the result.
-  cpu_->Submit(compute, [this, rw = std::move(rw),
-                         txn_rws = std::move(txn_rws),
+  cpu_->Submit(compute, [this, txn_rws = std::move(txn_rws),
                          result = std::move(result)]() mutable {
     if (killed_) return;
     if (behavior_ == ExecutorBehavior::kWrongResult) {
-      // Arbitrary fault: flip the result. The rw set stays plausible, so
+      // Arbitrary fault: flip the result. The rw sets stay plausible, so
       // only the f_E+1 matching rule at the verifier filters this out.
       result[0] ^= 0xff;
     }
@@ -180,19 +175,17 @@ void ExecutorFunction::Execute(const shim::StorageReadReplyMsg& reply) {
       Finish();  // Omission fault: never report.
       return;
     }
-    SendVerify(rw, txn_rws, result);
+    SendVerify(txn_rws, result);
   });
 }
 
-void ExecutorFunction::SendVerify(const storage::RwSet& rw,
-                                  const std::vector<storage::RwSet>& txn_rws,
+void ExecutorFunction::SendVerify(const std::vector<storage::RwSet>& txn_rws,
                                   const Bytes& result) {
   auto verify = std::make_shared<shim::VerifyMsg>(id());
   verify->view = work_->view;
   verify->seq = work_->seq;
   verify->batch_digest = work_->digest;
   verify->cert = work_->cert;
-  verify->rw = rw;
   verify->txn_rws = txn_rws;
   verify->result = result;
   for (const workload::Transaction& txn : work_->batch->txns) {
@@ -201,7 +194,7 @@ void ExecutorFunction::SendVerify(const storage::RwSet& rw,
   }
   verify->executor_sig = keys_->Sign(
       id(), shim::VerifyMsg::SigningBytes(work_->view, work_->seq,
-                                          work_->digest, rw, result));
+                                          work_->digest, txn_rws, result));
   int copies = behavior_ == ExecutorBehavior::kDuplicateVerify ? 4 : 1;
   for (int i = 0; i < copies; ++i) {
     net_->Send(id(), verifier_, verify, verify->WireSize());

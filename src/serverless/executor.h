@@ -39,8 +39,10 @@ struct ExecutorCostModel {
 ///
 /// Lifecycle: spawn (cloud start latency) -> validate certificate C ->
 /// fetch read-set state from storage (Fig. 3 lines 17-18) -> execute the
-/// batch locally -> send VERIFY to the verifier -> terminate. Executors
-/// never write to storage and never talk to each other.
+/// batch locally, recording one read/write set per transaction -> send
+/// VERIFY, signed over those sets and the result, to the verifier ->
+/// terminate. Executors never write to storage and never talk to each
+/// other.
 class ExecutorFunction : public sim::Actor {
  public:
   /// Invoked when the function finishes (or would have, for byzantine
@@ -70,8 +72,7 @@ class ExecutorFunction : public sim::Actor {
  private:
   void FetchReadSet();
   void Execute(const shim::StorageReadReplyMsg& reply);
-  void SendVerify(const storage::RwSet& rw,
-                  const std::vector<storage::RwSet>& txn_rws,
+  void SendVerify(const std::vector<storage::RwSet>& txn_rws,
                   const Bytes& result);
   void Finish();
 

@@ -199,19 +199,21 @@ void ExecuteMsg::BuildWire(Encoder* enc) const {
 
 Bytes VerifyMsg::SigningBytes(ViewNum view, SeqNum seq,
                               const crypto::Digest& batch_digest,
-                              const storage::RwSet& rw, const Bytes& result) {
+                              const std::vector<storage::RwSet>& txn_rws,
+                              const Bytes& result) {
   Encoder enc;
   enc.PutString("sbft-verify");
   enc.PutU64(view);
   enc.PutU64(seq);
   enc.PutRaw(batch_digest.data(), crypto::Digest::kSize);
-  rw.EncodeTo(&enc);
+  enc.PutVarint(txn_rws.size());
+  for (const storage::RwSet& txn_rw : txn_rws) txn_rw.EncodeTo(&enc);
   enc.PutBytes(result);
   return enc.TakeBuffer();
 }
 
 size_t VerifyMsg::PayloadWireBytes() const {
-  size_t n = 8 + 8 + crypto::Digest::kSize + cert.WireSize() + rw.WireSize();
+  size_t n = 8 + 8 + crypto::Digest::kSize + cert.WireSize();
   n += VarintLen(txn_rws.size());
   for (const storage::RwSet& txn_rw : txn_rws) n += txn_rw.WireSize();
   n += VarintLen(txn_refs.size()) + (8 + 4) * txn_refs.size();
@@ -234,11 +236,8 @@ void VerifyMsg::BuildWire(Encoder* enc) const {
   CopyDigest(&h.batch_digest, batch_digest);
   PutPacked(enc, h);
   cert.EncodeTo(enc);
-  rw.EncodeTo(enc);
   enc->PutVarint(txn_rws.size());
-  for (const storage::RwSet& txn_rw : txn_rws) {
-    txn_rw.EncodeTo(enc);
-  }
+  for (const storage::RwSet& txn_rw : txn_rws) txn_rw.EncodeTo(enc);
   enc->PutVarint(txn_refs.size());
   for (const TxnRef& ref : txn_refs) {
     enc->PutU64(ref.id);

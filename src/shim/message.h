@@ -216,20 +216,23 @@ struct VerifyMsg : Message {
   SeqNum seq = 0;
   crypto::Digest batch_digest;
   crypto::CommitCertificate cert;
-  storage::RwSet rw;  ///< Batch-level union of the per-txn sets.
-  /// Per-transaction read/write sets, aligned with `txn_refs`; they
-  /// concatenate to `rw`, which is what the executor signs. The verifier
-  /// matches and validates *per transaction* (the paper's Fig. 3 flow is
-  /// per request), so one divergent or stale transaction aborts alone,
-  /// not its whole batch.
+  /// The paper's rw, one read/write set per transaction, aligned with
+  /// `txn_refs`. The executor signs exactly these sets, and the verifier
+  /// matches, prepare-locks and applies them *per transaction* (the
+  /// paper's Fig. 3 flow is per request), so one divergent or stale
+  /// transaction aborts alone, not its whole batch.
   std::vector<storage::RwSet> txn_rws;
   std::vector<TxnRef> txn_refs;
   Bytes result;         ///< Execution result r (opaque bytes).
-  Bytes executor_sig;   ///< DS by the executor over the result binding.
+  Bytes executor_sig;   ///< DS by the executor over SigningBytes.
 
+  /// What the executor signs: view, sequence, batch digest, the number
+  /// of per-transaction sets and each set in order, then the result. The
+  /// refs are not signed; only the verifier's match vouches for them.
   static Bytes SigningBytes(ViewNum view, SeqNum seq,
                             const crypto::Digest& batch_digest,
-                            const storage::RwSet& rw, const Bytes& result);
+                            const std::vector<storage::RwSet>& txn_rws,
+                            const Bytes& result);
 
   size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;

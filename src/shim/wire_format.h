@@ -146,7 +146,7 @@ struct ExecuteHeader {
 };
 static_assert(sizeof(ExecuteHeader) == 21, "wire layout changed");
 
-/// kVerify prefix: certificate, rw sets, refs, result, DS follow.
+/// kVerify prefix: certificate, per-txn rw sets, refs, result, DS follow.
 struct VerifyHeader {
   MsgHeader hdr;
   U64Field view;

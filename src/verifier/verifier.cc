@@ -54,30 +54,6 @@ void Verifier::BroadcastToShim(const shim::MessagePtr& msg) {
 
 namespace {
 
-/// True when `msg.txn_rws` holds one set per transaction ref and the sets
-/// concatenate, in order, to exactly the batch-level `rw` — which is how
-/// executors build them. The executor signature covers only `rw`, so
-/// this check is what ties the per-transaction sets a VERIFY votes with
-/// to what its executor signed.
-bool TxnRwsConcatenateToRw(const shim::VerifyMsg& msg) {
-  if (msg.txn_rws.size() != msg.txn_refs.size()) return false;
-  size_t reads = 0;
-  size_t writes = 0;
-  for (const storage::RwSet& txn_rw : msg.txn_rws) {
-    for (const storage::ReadEntry& r : txn_rw.reads) {
-      if (reads == msg.rw.reads.size() || !(msg.rw.reads[reads++] == r)) {
-        return false;
-      }
-    }
-    for (const storage::WriteEntry& w : txn_rw.writes) {
-      if (writes == msg.rw.writes.size() || !(msg.rw.writes[writes++] == w)) {
-        return false;
-      }
-    }
-  }
-  return reads == msg.rw.reads.size() && writes == msg.rw.writes.size();
-}
-
 /// True when `a` and `b` cast the same vote for transaction `i` (for an
 /// empty batch, `i` = 0 names no transaction): the same batch digest and
 /// result, and the same ref, read keys and writes of that transaction.
@@ -128,14 +104,15 @@ void Verifier::HandleVerify(const sim::Envelope& env) {
     return;
   }
 
-  // Well-formedness: executor signature, then the certificate C — this is
+  // Well-formedness: one set per transaction ref, the executor's
+  // signature over exactly those sets, then the certificate C — this is
   // how spawns from stale certificates are rejected (§V-C attack ii).
-  if (!keys_->Verify(msg->sender,
+  if (msg->txn_rws.size() != msg->txn_refs.size() ||
+      !keys_->Verify(msg->sender,
                      shim::VerifyMsg::SigningBytes(msg->view, msg->seq,
-                                                   msg->batch_digest, msg->rw,
-                                                   msg->result),
-                     msg->executor_sig) ||
-      !TxnRwsConcatenateToRw(*msg)) {
+                                                   msg->batch_digest,
+                                                   msg->txn_rws, msg->result),
+                     msg->executor_sig)) {
     ++rejected_verifies_;
     return;
   }

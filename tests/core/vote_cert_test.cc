@@ -225,13 +225,12 @@ TEST(VoteCertTest, ProoflessCommitDecisionNeverAppliesAtVerifier) {
     msg->seq = 1;
     msg->batch_digest = digest;
     msg->cert = cert;
-    msg->rw = rw;
     msg->txn_refs.push_back({frag_id, kCoordinator, kGid, kCoordinator});
     msg->txn_rws.push_back(rw);
     msg->result = ToBytes("r");
     msg->executor_sig = keys.Sign(
         executor,
-        shim::VerifyMsg::SigningBytes(0, 1, digest, rw, msg->result));
+        shim::VerifyMsg::SigningBytes(0, 1, digest, msg->txn_rws, msg->result));
     sim::Envelope env;
     env.from = executor;
     env.to = kVerifier;

@@ -91,18 +91,22 @@ TEST_F(CloudTest, SpawnedExecutorProducesVerify) {
   ASSERT_EQ(sink_.verifies.size(), 1u);
   const auto& verify = *sink_.verifies[0];
   EXPECT_EQ(verify.seq, 1u);
-  // The executor read user1@1 and buffered a write.
-  ASSERT_EQ(verify.rw.reads.size(), 2u);  // Read + write-read.
-  EXPECT_EQ(verify.rw.reads[0].version, 1u);
-  ASSERT_EQ(verify.rw.writes.size(), 1u);
-  EXPECT_EQ(BytesToString(verify.rw.writes[0].value), "new");
+  // The executor read user1@1 and buffered a write, in the one set of
+  // its one transaction.
+  ASSERT_EQ(verify.txn_rws.size(), 1u);
+  ASSERT_EQ(verify.txn_refs.size(), 1u);
+  const storage::RwSet& rw = verify.txn_rws[0];
+  ASSERT_EQ(rw.reads.size(), 2u);  // Read + write-read.
+  EXPECT_EQ(rw.reads[0].version, 1u);
+  ASSERT_EQ(rw.writes.size(), 1u);
+  EXPECT_EQ(BytesToString(rw.writes[0].value), "new");
   // Executors never write the store themselves.
   EXPECT_EQ(store_.VersionOf("user1"), 1u);
   // Executor signature verifies.
   EXPECT_TRUE(keys_.Verify(
       verify.sender,
       shim::VerifyMsg::SigningBytes(verify.view, verify.seq,
-                                    verify.batch_digest, verify.rw,
+                                    verify.batch_digest, verify.txn_rws,
                                     verify.result),
       verify.executor_sig));
 }
@@ -227,7 +231,7 @@ TEST_F(CloudTest, ExecutorRunningAtSettleKeepsKeyUntilItFinishes) {
   EXPECT_TRUE(witness.Verify(
       id,
       shim::VerifyMsg::SigningBytes(verify.view, verify.seq,
-                                    verify.batch_digest, verify.rw,
+                                    verify.batch_digest, verify.txn_rws,
                                     verify.result),
       verify.executor_sig));
 }

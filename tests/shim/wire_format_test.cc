@@ -145,10 +145,9 @@ TEST(WireFormatTest, VerifyMatchesLegacyBytesWithAndWithoutFragments) {
   m.seq = 4;
   m.batch_digest = crypto::Sha256::Hash("b");
   m.cert = MakeCert();
-  m.rw.reads.push_back({"alpha", 3});
-  m.rw.writes.push_back({"beta", ToBytes("v")});
   storage::RwSet txn_rw;
   txn_rw.reads.push_back({"alpha", 3});
+  txn_rw.writes.push_back({"beta", ToBytes("v")});
   m.txn_rws.push_back(txn_rw);
   m.txn_refs.push_back({21, 100, 0, kInvalidActor});
   m.result = ToBytes("r");
@@ -159,7 +158,6 @@ TEST(WireFormatTest, VerifyMatchesLegacyBytesWithAndWithoutFragments) {
     e->PutU64(m.seq);
     e->PutRaw(m.batch_digest.data(), crypto::Digest::kSize);
     m.cert.EncodeTo(e);
-    m.rw.EncodeTo(e);
     e->PutVarint(m.txn_rws.size());
     for (const storage::RwSet& r : m.txn_rws) r.EncodeTo(e);
     e->PutVarint(m.txn_refs.size());
@@ -191,7 +189,6 @@ TEST(WireFormatTest, VerifyMatchesLegacyBytesWithAndWithoutFragments) {
   frag.seq = m.seq;
   frag.batch_digest = m.batch_digest;
   frag.cert = m.cert;
-  frag.rw = m.rw;
   frag.txn_rws = m.txn_rws;
   frag.txn_refs = m.txn_refs;
   frag.txn_refs.push_back({22, 101, 9001, 77});

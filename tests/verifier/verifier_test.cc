@@ -72,11 +72,10 @@ class VerifierTest : public ::testing::Test {
 
   /// Re-signs `msg` after a test edits its sets or result.
   void Resign(shim::VerifyMsg* msg) {
-    msg->rw = Concat(msg->txn_rws);
     msg->executor_sig = keys_.Sign(
-        msg->sender, shim::VerifyMsg::SigningBytes(msg->view, msg->seq,
-                                                   msg->batch_digest, msg->rw,
-                                                   msg->result));
+        msg->sender,
+        shim::VerifyMsg::SigningBytes(msg->view, msg->seq, msg->batch_digest,
+                                      msg->txn_rws, msg->result));
   }
 
   crypto::CommitCertificate MakeCert(SeqNum seq, const crypto::Digest& digest) {
@@ -101,13 +100,10 @@ class VerifierTest : public ::testing::Test {
     msg->seq = seq;
     msg->batch_digest = digest;
     msg->cert = MakeCert(seq, digest);
-    msg->rw = rw;
     msg->txn_rws = {rw};
     msg->txn_refs.push_back({txn_id == 0 ? seq * 100 : txn_id, kClient});
     msg->result = result;
-    msg->executor_sig = keys_.Sign(
-        executor,
-        shim::VerifyMsg::SigningBytes(0, seq, digest, rw, result));
+    Resign(msg.get());
     return msg;
   }
 
@@ -122,8 +118,7 @@ class VerifierTest : public ::testing::Test {
     sim_.Schedule(0, [this, env]() { verifier_->OnMessage(env); });
   }
 
-  /// The batch-level rw an executor signs: the per-transaction sets,
-  /// concatenated in order.
+  /// The per-transaction sets merged into one, in order.
   static storage::RwSet Concat(const std::vector<storage::RwSet>& txn_rws) {
     storage::RwSet rw;
     for (const storage::RwSet& t : txn_rws) {
@@ -262,10 +257,7 @@ TEST_F(VerifierTest, SubQuorumCertificateRejected) {
   auto msg = MakeVerify(1, kFirstExecutor, rw, ToBytes("r"));
   auto mutated = std::make_shared<shim::VerifyMsg>(*msg);
   mutated->cert.signatures.pop_back();  // 2 < 2f_R+1 = 3.
-  mutated->executor_sig = keys_.Sign(
-      kFirstExecutor,
-      shim::VerifyMsg::SigningBytes(0, 1, mutated->batch_digest, rw,
-                                    mutated->result));
+  Resign(mutated.get());
   Deliver(mutated);
   sim_.RunUntil(Millis(10));
   EXPECT_EQ(verifier_->rejected_verifies(), 1u);
@@ -338,13 +330,10 @@ TEST_F(VerifierTest, PerTxnSettleAbortsOnlyStaleTransactions) {
     stale.reads.push_back({"user2", store_.VersionOf("user2") + 7});
     stale.writes.push_back({"user2", ToBytes("stale-write")});
     msg->txn_rws = {fresh, stale};
-    msg->rw = Concat(msg->txn_rws);
     msg->txn_refs.push_back({101, kClient});
     msg->txn_refs.push_back({102, kClient});
     msg->result = ToBytes("r");
-    msg->executor_sig = keys_.Sign(
-        executor, shim::VerifyMsg::SigningBytes(0, 1, digest, msg->rw,
-                                                msg->result));
+    Resign(msg.get());
     return msg;
   };
   Deliver(make(kFirstExecutor));
@@ -381,13 +370,10 @@ TEST_F(VerifierTest, PerTxnTimerAbortsOnlyDivergentTransactions) {
     storage::RwSet divergent;
     divergent.reads.push_back({"user2", divergent_version});
     msg->txn_rws = {agreed, divergent};
-    msg->rw = Concat(msg->txn_rws);
     msg->txn_refs.push_back({201, kClient});
     msg->txn_refs.push_back({202, kClient});
     msg->result = ToBytes("r");
-    msg->executor_sig = keys_.Sign(
-        executor, shim::VerifyMsg::SigningBytes(0, 1, digest, msg->rw,
-                                                msg->result));
+    Resign(msg.get());
     return msg;
   };
   Deliver(make(kFirstExecutor, 1));
@@ -400,12 +386,14 @@ TEST_F(VerifierTest, PerTxnTimerAbortsOnlyDivergentTransactions) {
   EXPECT_EQ(verifier_->kmax(), 2u);
 }
 
-TEST_F(VerifierTest, TxnRwsNotConcatenatingToRwRejected) {
-  // The executor signature covers only the batch-level rw; per-txn sets
-  // that do not concatenate to it (or miscount the refs) are rejected.
+TEST_F(VerifierTest, TxnRwsMiscountedOrNotSignedRejected) {
+  // A VERIFY must carry one set per transaction ref, and its executor
+  // must have signed exactly those sets. The extra set is signed, so only
+  // the count rejects it; the cleared write is not.
   storage::RwSet rw = CurrentRw();
   auto extra = MakeVerify(1, kFirstExecutor, rw, ToBytes("r"));
   extra->txn_rws.push_back(storage::RwSet{});
+  Resign(extra.get());
   Deliver(extra);
   auto missing_write = MakeVerify(1, kFirstExecutor + 1, rw, ToBytes("r"));
   missing_write->txn_rws[0].writes.clear();
@@ -416,9 +404,9 @@ TEST_F(VerifierTest, TxnRwsNotConcatenatingToRwRejected) {
 
 TEST_F(VerifierTest, TamperedTxnRwsOnFragmentBatchNeverPrepareOrApply) {
   // A sharded fragment batch settles from the matched VERIFY's per-txn
-  // sets. A quorum-completing VERIFY with the honest signed rw but
-  // tampered per-txn sets must not get its unmatched write prepared —
-  // and, on COMMIT, applied.
+  // sets. A quorum-completing VERIFY whose sets were tampered with after
+  // its executor signed them is rejected, so its unmatched write is
+  // never prepared — and, on COMMIT, never applied.
   constexpr ActorId kCoordinator = core::kCoordinatorBaseId;
   constexpr TxnId kGid = 777;
   keys_.RegisterNode(999);  // The verifier signs its vote share.
@@ -467,9 +455,10 @@ TEST_F(VerifierTest, TamperedTxnRwsOnFragmentBatchNeverPrepareOrApply) {
 }
 
 TEST_F(VerifierTest, ResplitTxnRwsNeverCompleteAQuorum) {
-  // Same signed rw, same concatenation — but the quorum-completing
-  // VERIFY moves the fragment's write into the plain transaction's set,
-  // which would apply it directly instead of preparing it.
+  // Same concatenation, signed by its executor — but the
+  // quorum-completing VERIFY moves the fragment's write into the plain
+  // transaction's set, which would apply it directly instead of
+  // preparing it. Only the per-transaction match stops it.
   constexpr ActorId kCoordinator = 888;
   constexpr TxnId kGid = 777;
   keys_.RegisterNode(999);
@@ -487,13 +476,10 @@ TEST_F(VerifierTest, ResplitTxnRwsNeverCompleteAQuorum) {
     msg->batch_digest = digest;
     msg->cert = MakeCert(1, digest);
     msg->txn_rws = std::move(txn_rws);
-    msg->rw = Concat(msg->txn_rws);
     msg->txn_refs.push_back({101, kClient});
     msg->txn_refs.push_back({(kGid << 8) | 1, kCoordinator, kGid, kCoordinator});
     msg->result = ToBytes("r");
-    msg->executor_sig = keys_.Sign(
-        executor, shim::VerifyMsg::SigningBytes(0, 1, digest, msg->rw,
-                                                msg->result));
+    Resign(msg.get());
     return msg;
   };
   Deliver(make(kFirstExecutor, {plain, frag}));
@@ -512,6 +498,54 @@ TEST_F(VerifierTest, ResplitTxnRwsNeverCompleteAQuorum) {
   EXPECT_EQ(BytesToString(v.value), "updated");
   ASSERT_TRUE(store_.Get("user2", &v).ok());
   EXPECT_EQ(BytesToString(v.value), "b") << "fragment write applied unprepared";
+}
+
+TEST_F(VerifierTest, SignatureBindsEachTxnRw) {
+  // The executor signs each transaction's set, not their concatenation.
+  // Moving the fragment's write into the plain transaction's set after
+  // signing keeps the concatenation but breaks the signature, so the
+  // VERIFY is rejected before it votes.
+  constexpr ActorId kCoordinator = core::kCoordinatorBaseId;
+  constexpr TxnId kGid = 777;
+  keys_.RegisterNode(999);
+  RecorderActor coordinator(kCoordinator);
+  net_.Register(&coordinator, 0);
+
+  storage::RwSet plain = CurrentRw();
+  storage::RwSet frag;
+  frag.reads.push_back({"user2", store_.VersionOf("user2")});
+  frag.writes.push_back({"user2", ToBytes("fragment")});
+  crypto::Digest digest = crypto::Sha256::Hash("batch-1");
+  auto honest = [&](ActorId executor) {
+    auto msg = std::make_shared<shim::VerifyMsg>(executor);
+    msg->seq = 1;
+    msg->batch_digest = digest;
+    msg->cert = MakeCert(1, digest);
+    msg->txn_rws = {plain, frag};
+    msg->txn_refs.push_back({101, kClient});
+    msg->txn_refs.push_back(
+        {(kGid << 8) | 1, kCoordinator, kGid, kCoordinator});
+    msg->result = ToBytes("r");
+    Resign(msg.get());
+    return msg;
+  };
+  Deliver(honest(kFirstExecutor));
+  auto moved = honest(kFirstExecutor + 1);
+  moved->txn_rws[0].writes.push_back(moved->txn_rws[1].writes[0]);
+  moved->txn_rws[1].writes.clear();
+  ASSERT_EQ(Concat(moved->txn_rws), Concat({plain, frag}));
+  Deliver(moved);
+  sim_.RunUntil(Millis(10));
+  EXPECT_EQ(verifier_->rejected_verifies(), 1u);
+  EXPECT_EQ(verifier_->kmax(), 1u);
+  EXPECT_EQ(verifier_->applied_txns(), 0u);
+  EXPECT_EQ(verifier_->twopc_votes_yes(), 0u);
+  EXPECT_EQ(verifier_->prepare_locks_held(), 0u);
+  storage::VersionedValue v;
+  ASSERT_TRUE(store_.Get("user1", &v).ok());
+  EXPECT_EQ(BytesToString(v.value), "a");
+  ASSERT_TRUE(store_.Get("user2", &v).ok());
+  EXPECT_EQ(BytesToString(v.value), "b");
 }
 
 TEST_F(VerifierTest, UnmatchedReadKeysNeverCompleteAQuorum) {
@@ -660,8 +694,8 @@ TEST_F(VerifierTest, UnmatchedTxnRefsNeverCompleteAQuorum) {
 
 TEST_F(VerifierTest, WrongTxnCountFromFirstVerifyCannotAbortBatch) {
   // A byzantine VERIFY that arrives first claims one extra transaction.
-  // It is signed and its sets concatenate to its rw, so it passes every
-  // check; but it votes only in the quorums of its own batch shape, so
+  // It carries one signed set per ref, so it passes every check; but it
+  // votes only in the quorums of its own batch shape, so
   // the honest VERIFYs still match their one transaction. In the
   // conflict regime τ_m (50 ms) fires with |V| = 4 and must abort
   // nothing; without conflicts nothing else would unstick the sequence.
