@@ -6,9 +6,11 @@
 // must preserve.
 //
 // If a change *intentionally* alters scheduling or encoding semantics,
-// regenerate with:
-//   ./build/tools/scenario_runner --all --seed 42
-// and update the table below, explaining why in the commit message.
+// run this test: its failure message prints each moved scenario's full
+// 64-digit digest (`scenario_runner --all --seed 42` prints only the
+// first 16). Update the table below from it, in a commit of its own
+// whose message lists the parent's and the change's scenario_runner
+// lines and explains why the digests moved.
 
 #include <gtest/gtest.h>
 
@@ -26,23 +28,27 @@ constexpr uint64_t kGoldenSeed = 42;
 
 // Captured from the pre-refactor (PR 2) engine; the allocation-free
 // simulator core reproduces them bit-for-bit.
+//
+// Every digest but gray_straggler_peak's was regenerated when VERIFY
+// stopped carrying the batch-level union of its per-transaction
+// read/write sets: the smaller message arrives sooner.
 const std::vector<std::pair<std::string, std::string>> kGoldenDigests = {
     {"primary_crash",
-     "e3ab0d75bf51ea9f8182d05cd7fc68ee8201da32c05bf72b48d2484fc220d836"},
+     "28c0ae355bb74d390495f5d92ad1fe1f7642b81b625641af9f25818604aef160"},
     {"rolling_shim_crashes",
-     "bf4da5ac41a20adec32d055ce1dcc78b09e6fe01dbab3db5dd6103e5fabb701f"},
+     "7021175b4321779f93fcdb769ba498a818dfc2815487607bb9f106ed0aa0eee6"},
     {"partition_heal",
-     "6bbb204aed32f8345d9f164e33d9688f254497db7ccf9cf4c65d35bb904b9ffe"},
+     "49d77446969c3f72702543eaf775f3a415660960bf742e72f3eaac0409eaff59"},
     {"equivocating_primary",
-     "adb074925503779ff43a6742641c3cf6ee5158b7781d0ffe82a91f2d029a9b05"},
+     "a062f2439d6dd444a66e2a5d2fde1f7202c3478f07753ce84ccf8a61d4c7f08a"},
     {"executor_starvation",
-     "2908c287ed6d83a0174bd5965b7bb7a3ebb1c2b79625610872e893bcc16849ab"},
+     "3564b9a859f9d6b4195ac5039f7074644528b5bbb4ceb6a8f7330a050c8107c8"},
     {"lossy_wan",
-     "e894ff04faf796bd4e2615035f828c98f3e6719b9b2b3cb260de151e53e06a80"},
+     "17ee08a66a41f64c6809c48bdc49a24c3783cbaf2dcd97d95d058cd458fe5aad"},
     {"executor_massacre",
-     "d0669fdfe4ca2e67a7200057b440d36e09a3d1fadbe119f8ff7bdd26ec9742dd"},
+     "7bcc5ef63ceec3fa3e1cf19c0e6eafaaf07a023d9116a25884b46c734308d377"},
     {"skewed_clocks",
-     "fbd6dd63f7f9b4220387d68c10fd345433bd4c7fa74cef1c4731f4f12872f999"},
+     "2a6702ffd82cd48eb7a5853fb1209f880de2de4c586bfaa38d2f8218a2be8fc4"},
     // ISSUE-4 sharded-plane scenarios (2 shards, cross-shard 2PC). Their
     // digest commits to every shard's batch audit chain *and* 2PC
     // decision chain, in shard order (see faults/runner.cc).
@@ -54,14 +60,14 @@ const std::vector<std::pair<std::string, std::string>> kGoldenDigests = {
     // digests above are untouched — none of the flipped features emits a
     // byte without cross-shard fragments in play.
     {"shard_partition",
-     "035410f1f217be03bded30ee6d0ab34a62e633e0ddb7dcbbb0a4884234e27539"},
+     "fc10190805d3c12479c74b3aa3d6fa0695f3c3d12307f4e08fad943854e1315f"},
     //
     // Regenerated with lock_contention_2pc below when the coordinator
     // became a group of one: it logs presumed aborts before answering
     // them, and on recovery takes over its own log and redirects the
     // shard verifiers, which re-send their standing votes at once.
     {"coordinator_crash_2pc",
-     "f42e1410f692a89d43fb76f04eee4be02f5d1caba7173bb466fb481d92fd2d8c"},
+     "d2ad68df05bfcf965b28d8ad5035b8960adc80f4add88a4a845f3ba559c4aaee"},
     // ISSUE-5 unified-commit-path scenario: bounded prepare-lock queueing
     // + fully-decided watermark + calibrated 2PC costs, coordinator crash
     // mid-queue. Pins the queueing/watermark machinery end to end.
@@ -72,7 +78,7 @@ const std::vector<std::pair<std::string, std::string>> kGoldenDigests = {
     // when the group of one began logging explicit aborts and
     // redirecting the verifiers after its recovery.
     {"lock_contention_2pc",
-     "8543201d69bfa60c17fa197d952d6e7e9268df17c3bdad97a4e493c567b38ef8"},
+     "47b77b3ee6482ceedd5ddcf72306c5c8e25dfa5f74e2b67652b11516765e97a7"},
     // ISSUE-7 open-loop traffic scenarios: TrafficSource actors inject at
     // the configured rate regardless of completion (bursty above
     // capacity / diurnal peak), with the per-source retry cap bounding
@@ -80,7 +86,7 @@ const std::vector<std::pair<std::string, std::string>> kGoldenDigests = {
     // so these have their own draw sequences; the eleven closed-loop
     // digests above are untouched.
     {"thundering_herd_retry",
-     "b09ccfc7fc985e254b741452e6e4c092bf070764ffccdc3db809596042f31917"},
+     "7fbc8a7ceb6171e63b61bdf36b44b2a43e743a0c9b8b9f594e74b8f7b5dd0439"},
     {"gray_straggler_peak",
      "feacd3c7af9c0e5ecac93dd9d62de5a9cfcc1d9563a59b77b7aa7ce92d842007"},
     // ISSUE-8 replicated-coordinator scenarios (coordinator_replicas=3).
@@ -89,9 +95,9 @@ const std::vector<std::pair<std::string, std::string>> kGoldenDigests = {
     // stayed byte-identical when R=1 became a group of one: the group
     // path itself did not change.
     {"coordinator_leader_crash_2pc",
-     "b38e48cffe5897eecd1972ea17f353be534d713c42458479e1fd7f1afed8a4cd"},
+     "92a5ac2d92361aa4cb505bbe5314674bc02378229095d4ad0c61b423f2be39e2"},
     {"coordinator_partition_minority",
-     "482cf68aeb20d53564ef908cfcaf01936fdd09b61f907c71811288b5a4aad084"},
+     "3195e42426483dc8ed01b498149cea282d335b0d2caf7122c9d9e7c1e213b3af"},
 };
 
 TEST(ScenarioDigestTest, AllBundledScenariosMatchGoldenDigests) {
