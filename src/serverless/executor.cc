@@ -175,26 +175,27 @@ void ExecutorFunction::Execute(const shim::StorageReadReplyMsg& reply) {
       Finish();  // Omission fault: never report.
       return;
     }
-    SendVerify(txn_rws, result);
+    SendVerify(std::move(txn_rws), std::move(result));
   });
 }
 
-void ExecutorFunction::SendVerify(const std::vector<storage::RwSet>& txn_rws,
-                                  const Bytes& result) {
+void ExecutorFunction::SendVerify(std::vector<storage::RwSet> txn_rws,
+                                  Bytes result) {
   auto verify = std::make_shared<shim::VerifyMsg>(id());
   verify->view = work_->view;
   verify->seq = work_->seq;
   verify->batch_digest = work_->digest;
   verify->cert = work_->cert;
-  verify->txn_rws = txn_rws;
-  verify->result = result;
+  verify->txn_rws = std::move(txn_rws);
+  verify->result = std::move(result);
   for (const workload::Transaction& txn : work_->batch->txns) {
     verify->txn_refs.push_back(
         {txn.id, txn.client, txn.global_id, txn.coordinator});
   }
   verify->executor_sig = keys_->Sign(
-      id(), shim::VerifyMsg::SigningBytes(work_->view, work_->seq,
-                                          work_->digest, txn_rws, result));
+      id(), shim::VerifyMsg::SigningBytes(verify->view, verify->seq,
+                                          verify->batch_digest,
+                                          verify->txn_rws, verify->result));
   int copies = behavior_ == ExecutorBehavior::kDuplicateVerify ? 4 : 1;
   for (int i = 0; i < copies; ++i) {
     net_->Send(id(), verifier_, verify, verify->WireSize());

@@ -72,8 +72,7 @@ class ExecutorFunction : public sim::Actor {
  private:
   void FetchReadSet();
   void Execute(const shim::StorageReadReplyMsg& reply);
-  void SendVerify(const std::vector<storage::RwSet>& txn_rws,
-                  const Bytes& result);
+  void SendVerify(std::vector<storage::RwSet> txn_rws, Bytes result);
   void Finish();
 
   std::shared_ptr<const shim::ExecuteMsg> work_;
