@@ -237,7 +237,9 @@ void VerifyMsg::BuildWire(Encoder* enc) const {
   PutPacked(enc, h);
   cert.EncodeTo(enc);
   enc->PutVarint(txn_rws.size());
-  for (const storage::RwSet& txn_rw : txn_rws) txn_rw.EncodeTo(enc);
+  for (const storage::RwSet& txn_rw : txn_rws) {
+    txn_rw.EncodeTo(enc);
+  }
   enc->PutVarint(txn_refs.size());
   for (const TxnRef& ref : txn_refs) {
     enc->PutU64(ref.id);

@@ -695,10 +695,10 @@ TEST_F(VerifierTest, UnmatchedTxnRefsNeverCompleteAQuorum) {
 TEST_F(VerifierTest, WrongTxnCountFromFirstVerifyCannotAbortBatch) {
   // A byzantine VERIFY that arrives first claims one extra transaction.
   // It carries one signed set per ref, so it passes every check; but it
-  // votes only in the quorums of its own batch shape, so
-  // the honest VERIFYs still match their one transaction. In the
-  // conflict regime τ_m (50 ms) fires with |V| = 4 and must abort
-  // nothing; without conflicts nothing else would unstick the sequence.
+  // votes only in the quorums of its own batch shape, so the honest
+  // VERIFYs still match their one transaction. In the conflict regime
+  // τ_m (50 ms) fires with |V| = 4 and must abort nothing; without
+  // conflicts nothing else would unstick the sequence.
   for (bool conflicts : {false, true}) {
     SCOPED_TRACE(conflicts ? "conflict regime" : "conflict-free");
     BuildVerifier(conflicts);
