@@ -311,7 +311,7 @@ double WireParse(const Options& opt, RepClock& clock) {
   prepare.digest = crypto::Sha256::Hash("wire-parse");
   const Bytes prepare_bytes = prepare.Serialized();
   shim::ShardCommitDecisionMsg decision(9);
-  decision.global_id = 424242;
+  decision.global_id = {1000000, 424242};
   decision.commit = true;
   const Bytes decision_bytes = decision.Serialized();
   clock.Start();
@@ -342,12 +342,13 @@ double CertAggregate(const Options& opt, RepClock& clock) {
     keys.RegisterNode(signer);
     crypto::VoteShare share;
     share.global_id = 1000 + i;
+    share.client = 1000000;
     share.shard = static_cast<uint32_t>(i);
     share.seq = 7;
     share.commit = true;
     share.signer = signer;
     share.sig = keys.Sign(signer, crypto::VoteSigningBytes(
-                                      share.global_id, share.shard, 7, true));
+                                      share.gid(), share.shard, 7, true));
     pool.push_back(std::move(share));
   }
   clock.Start();
@@ -378,8 +379,8 @@ double BatchVerify(const Options& opt, RepClock& clock) {
   for (size_t i = 0; i < kBatchSigs; ++i) {
     ActorId signer = static_cast<ActorId>(100 + i);
     keys.RegisterNode(signer);
-    msgs.push_back(crypto::VoteSigningBytes(1000 + i, static_cast<uint32_t>(i),
-                                            7, true));
+    msgs.push_back(crypto::VoteSigningBytes({1000000, 1000 + i},
+                                            static_cast<uint32_t>(i), 7, true));
     sigs.push_back(keys.Sign(signer, msgs.back()));
   }
   std::vector<crypto::KeyRegistry::BatchItem> items;

@@ -23,11 +23,12 @@ using ViewNum = uint64_t;
 /// together with its client (TxnKey): a client signs whatever id it
 /// likes, ids another client will use included, so a table of client
 /// transactions keyed by the bare id lets one client's request stand in
-/// for another's. The cross-shard coordinator still names a transaction
-/// by its bare id (the global id); ROADMAP.md lists that as open.
+/// for another's.
 using TxnId = uint64_t;
 
 /// The name of a client transaction: its client and that client's id.
+/// A cross-shard transaction's global id (gid) is its TxnKey too, so the
+/// client named in a gid is the one whose floor truncates it.
 struct TxnKey {
   ActorId client = kInvalidActor;
   TxnId id = 0;

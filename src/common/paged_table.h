@@ -7,9 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/ids.h"
-#include "common/rng.h"
-
 namespace sbft {
 
 /// \brief Open-addressing hash table: linear probing over a power-of-two
@@ -153,44 +150,6 @@ class PagedTable {
   std::vector<Page> pages_;
   size_t size_ = 0;
 };
-
-/// Policy for a PagedTable keyed by TxnKey. The slot type `S` holds the
-/// key in its `client` and `id` fields and marks an occupied slot with
-/// its `used` flag, so any key, kInvalidActor and id 0 included, can be
-/// stored.
-template <typename S>
-struct TxnKeyPolicy {
-  using Key = TxnKey;
-  using Slot = S;
-  static uint64_t Hash(const TxnKey& key) {
-    return Mix64(key.id ^ Mix64(key.client));
-  }
-  static uint64_t Hash(const S& slot) {
-    return Hash(TxnKey{slot.client, slot.id});
-  }
-  static bool Empty(const S& slot) { return !slot.used; }
-  static bool Matches(const S& slot, uint64_t /*hash*/, const TxnKey& key) {
-    return slot.id == key.id && slot.client == key.client;
-  }
-  /// An occupied slot for `key`, its other fields value-initialised.
-  static S Make(const TxnKey& key) {
-    S slot{};
-    slot.id = key.id;
-    slot.client = key.client;
-    slot.used = true;
-    return slot;
-  }
-};
-
-/// A slot that holds a TxnKey alone: a set of client transactions at 16
-/// bytes a member.
-struct TxnKeySlot {
-  TxnId id = 0;
-  ActorId client = kInvalidActor;
-  bool used = false;
-};
-static_assert(sizeof(TxnKeySlot) == 16);
-using TxnKeySet = PagedTable<TxnKeyPolicy<TxnKeySlot>>;
 
 }  // namespace sbft
 

@@ -178,7 +178,6 @@ void Architecture::BuildCoordinator() {
   }
   CoordinatorOptions base_options;
   base_options.vote_timeout = config_.coordinator_vote_timeout;
-  base_options.decision_retention = config_.twopc_decision_retention;
   base_options.num_groups = coord_topology_.groups;
   base_options.heartbeat_interval = config_.coordinator_heartbeat;
   base_options.failover_timeout = config_.coordinator_failover_timeout;
@@ -413,7 +412,7 @@ Architecture::Route Architecture::RouteOf(
 ActorId Architecture::RouteTarget(const workload::Transaction& txn) const {
   Route route = RouteOf(txn);
   if (route.cross_shard) {
-    return CurrentCoordinatorId(coord_topology_.GroupOf(txn.id));
+    return CurrentCoordinatorId(coord_topology_.GroupOf({txn.client, txn.id}));
   }
   // Clients run on the global loop; a plane's live view state belongs to
   // its own thread in parallel mode, so route by the build-time snapshot
@@ -425,7 +424,7 @@ ActorId Architecture::RouteTarget(const workload::Transaction& txn) const {
 ActorId Architecture::FallbackTarget(const workload::Transaction& txn) const {
   Route route = RouteOf(txn);
   if (route.cross_shard) {
-    return CurrentCoordinatorId(coord_topology_.GroupOf(txn.id));
+    return CurrentCoordinatorId(coord_topology_.GroupOf({txn.client, txn.id}));
   }
   return planes_[route.home]->verifier_id();
 }

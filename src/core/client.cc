@@ -21,6 +21,8 @@ void Client::Start() { SendNext(); }
 void Client::SendNext() {
   current_ = std::make_shared<shim::ClientRequestMsg>(id());
   current_->txn = generator_->Next(id());
+  // One request outstanding at a time: every earlier one was answered.
+  current_->txn.floor = current_->txn.id - 1;
   current_->client_sig =
       keys_->Sign(id(), shim::ClientRequestMsg::SigningBytes(current_->txn));
   sent_at_ = sim_->now();

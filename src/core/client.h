@@ -16,8 +16,9 @@ namespace sbft::core {
 /// \brief A closed-loop client C (paper §IV-A, §IX setup: "each client
 /// waits for a response prior to sending its next request").
 ///
-/// The client signs each transaction with its DS and sends it to the
-/// transaction's routing target — its home shard's current primary, or
+/// The client signs each transaction with its DS, and with its floor
+/// (the id just below it: every earlier request was answered), and sends
+/// it to the transaction's routing target — its home shard's current primary, or
 /// the cross-shard coordinator — and arms the timer τ_m. On RESPONSE the
 /// latency is recorded and the next transaction follows. On timeout the
 /// client retransmits to the transaction's *fallback* target (the home

@@ -138,13 +138,6 @@ struct SystemConfig {
   /// verifier::VerifierConfig.
   uint32_t prepare_lock_queue_depth =
       kVerifierDefaults.prepare_lock_queue_depth;
-  /// How long the coordinator retains a fully-acked decision entry before
-  /// truncating it below the fully-decided watermark, covering client
-  /// retransmissions of lost responses (the standard presumed-abort GC
-  /// assumption). The shard verifiers' applied/aborted dedup maps are
-  /// truncated at the watermark itself.
-  SimDuration twopc_decision_retention =
-      kCoordinatorDefaults.decision_retention;
   /// Size of each coordinator group (DESIGN.md §10): R TxnCoordinator
   /// members (actor ids kCoordinatorBaseId + r) forming a CFT cluster
   /// that quorum-replicates the 2PC decision log; a standby takes over
@@ -169,8 +162,8 @@ struct SystemConfig {
   /// cross-shard knee (bench_fig13).
   int coordinator_cores = 0;
   /// Leader heartbeat period inside the coordinator group. Heartbeats
-  /// tell the followers the leader is alive and carry its watermark;
-  /// followers do not ack them. Presumed-abort answers need no lease:
+  /// tell the followers the leader is alive and carry its watermark and
+  /// the gids it truncated; followers do not ack them. Presumed-abort answers need no lease:
   /// each is quorum-logged before it is sent, like any decision.
   SimDuration coordinator_heartbeat = kCoordinatorDefaults.heartbeat_interval;
   /// Follower silence threshold before it bumps the view and (if it is

@@ -39,17 +39,19 @@ struct CoordGroups {
   /// Total coordinator actors in the topology.
   uint32_t total() const { return groups * replicas; }
 
-  /// Stable owner group of a global txn id: a pure function of the gid
-  /// and the group count — independent of views, leaders, or time — so
-  /// every router, verifier, and coordinator resolves the same owner
-  /// for the lifetime of the transaction. Sequential client gids are
-  /// spread by a splitmix64 finalizer (consecutive ids land on
-  /// different groups) before the modulo.
-  static uint32_t GroupOf(TxnId gid, uint32_t groups) {
+  /// Stable owner group of a gid (client, id): a pure function of the
+  /// gid and the group count — independent of views, leaders, or time —
+  /// so every router, verifier, and coordinator resolves the same owner
+  /// for the lifetime of the transaction. Sequential ids are spread by a
+  /// splitmix64 finalizer (consecutive ids land on different groups)
+  /// before the modulo.
+  static uint32_t GroupOf(const TxnKey& gid, uint32_t groups) {
     if (groups <= 1) return 0;
-    return static_cast<uint32_t>(Mix64(gid + 0x9e3779b97f4a7c15ull) % groups);
+    return static_cast<uint32_t>(
+        Mix64((gid.id + 0x9e3779b97f4a7c15ull) ^ Mix64(gid.client)) %
+        groups);
   }
-  uint32_t GroupOf(TxnId gid) const { return GroupOf(gid, groups); }
+  uint32_t GroupOf(const TxnKey& gid) const { return GroupOf(gid, groups); }
 
   /// THE leader-resolution rule: the leader of view v is member
   /// (v mod R) of its group. Shared by the coordinator's own

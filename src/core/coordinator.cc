@@ -38,11 +38,12 @@ void TxnCoordinator::SetCrashed(bool crashed) {
   crashed_ = crashed;
   if (crashed_) {
     // Crash-stop: volatile state is gone the moment the process dies.
-    // The watermark bookkeeping is volatile too — only the decision log,
-    // the cseq counter, and the view number model stable storage.
-    // Unpruned entries whose ack state was lost simply stay in the log
-    // (the safe direction); the watermark itself re-advances over
-    // post-recovery decisions, whose cseqs exceed every pre-crash cseq.
+    // The watermark bookkeeping is volatile too — only the decision log
+    // with its client floors, the cseq and launch counters, and the view
+    // number model stable storage. Entries whose ack state was lost
+    // never settle and stay in the log (the safe direction); the
+    // watermark itself re-advances over post-recovery decisions, whose
+    // cseqs exceed every pre-crash cseq.
     ClearLeaderState();
     launches_.clear();
     stashed_requests_.clear();
@@ -107,7 +108,8 @@ void TxnCoordinator::ProcessClientRequest(const sim::MessagePtr& message,
   // signed request travels intact; a follower there forwards on to its
   // own serving leader). Checked before the follower-forward so a stale
   // router hint never bounces inside the wrong group.
-  uint32_t owner = CoordGroups::GroupOf(msg.txn.id, options_.num_groups);
+  const TxnKey gid{msg.txn.client, msg.txn.id};
+  uint32_t owner = CoordGroups::GroupOf(gid, options_.num_groups);
   if (owner != options_.group_id) {
     ++foreign_requests_forwarded_;
     CoordGroups topo{options_.num_groups,
@@ -137,12 +139,12 @@ void TxnCoordinator::ProcessClientRequest(const sim::MessagePtr& message,
                      msg.client_sig)) {
     return;
   }
-  TxnId gid = msg.txn.id;
+  RaiseFloor(gid.client, msg.txn.floor);
   auto decided = decisions_.find(gid);
   if (decided != decisions_.end()) {
     // Client retransmission after a decision whose response was lost:
     // answer from the log.
-    RespondToClient(gid, msg.txn.client, decided->second.commit);
+    RespondToClient(gid, decided->second.commit);
     return;
   }
   auto pending_it = pending_.find(gid);
@@ -152,6 +154,9 @@ void TxnCoordinator::ProcessClientRequest(const sim::MessagePtr& message,
     SendFragments(pending_it->second);
     return;
   }
+  // At or below the client's floor the client was answered or gave up,
+  // and the log may have truncated the decision: never relaunch.
+  if (gid.id <= client_floor(gid.client)) return;
   std::vector<uint32_t> shards = router_->ShardsOf(msg.txn.TouchedKeys());
   if (shards.size() <= 1) {
     // Degenerate routing (e.g. the generator's cross-shard forcing hit
@@ -198,18 +203,26 @@ void TxnCoordinator::DrainStash() {
 
 void TxnCoordinator::LaunchTxn(const workload::Transaction& txn,
                                std::vector<uint32_t> shards) {
-  TxnId gid = txn.id;
+  const TxnKey gid{txn.client, txn.id};
   ++txns_coordinated_;
   PendingTxn pending;
-  pending.client = txn.client;
   pending.shards = std::move(shards);
+  // This member is the fragments' client. A launch's fragments share one
+  // id from its durable counter (each shard sees at most one of them),
+  // and their floor is below this member's oldest launch still pending.
+  pending.launch = next_launch_++;
+  const TxnId floor =
+      (open_launches_.empty() ? pending.launch : *open_launches_.begin()) -
+      1;
+  open_launches_.insert(pending.launch);
 
   // Split the operations by home shard; compute ops ride with the first
   // involved shard (they have no key to route on).
   for (uint32_t shard : pending.shards) {
     workload::Transaction fragment;
-    fragment.id = FragmentId(gid, shard);
+    fragment.id = pending.launch;
     fragment.client = id();
+    fragment.floor = floor;
     fragment.rw_sets_known = txn.rw_sets_known;
     fragment.global_id = gid;
     fragment.coordinator = id();
@@ -231,13 +244,13 @@ void TxnCoordinator::LaunchTxn(const workload::Transaction& txn,
       options_.vote_timeout, [this, gid]() { OnVoteTimeout(gid); });
   auto [it, inserted] = pending_.emplace(gid, std::move(pending));
   // Best-effort launch replication (no quorum, no ack): a standby can
-  // rebuild the pending record — client and participant set — and judge
-  // vote completeness after takeover. A lost launch degrades safely to
-  // presumed abort.
-  launches_[gid] = LaunchRecord{txn.client, it->second.shards};
+  // rebuild the pending record — the gid names the client — and judge
+  // vote completeness from the participant set after takeover. A lost
+  // launch degrades safely to presumed abort.
+  launches_[gid] = it->second.shards;
   BroadcastAppend(/*append_id=*/0, shim::CoordAppendMsg::kLaunch, gid,
                   /*commit=*/false, /*cseq=*/0, /*proof=*/nullptr,
-                  txn.client, &it->second.shards);
+                  &it->second.shards);
   SendFragments(it->second);
 }
 
@@ -287,7 +300,6 @@ void TxnCoordinator::HandleVoteCert(const sim::Envelope& env) {
   // All shares come from one verifier (the guard pinned each share's
   // shard to env.from), so the piggybacked acks are that one shard's.
   RecordAcks(msg->cert.shares.front().shard, msg->acked_cseqs);
-  PruneDecisions();
   for (const crypto::VoteShare& share : msg->cert.shares) {
     ProcessVote(share, env.from);
   }
@@ -295,7 +307,7 @@ void TxnCoordinator::HandleVoteCert(const sim::Envelope& env) {
 
 void TxnCoordinator::ProcessVote(const crypto::VoteShare& share,
                                  ActorId from) {
-  const TxnId gid = share.global_id;
+  const TxnKey gid = share.gid();
   if (CoordGroups::GroupOf(gid, options_.num_groups) != options_.group_id) {
     // A misrouted vote must never be answered here: a foreign-group gid
     // is absent from this group's log by construction, so falling
@@ -328,7 +340,7 @@ void TxnCoordinator::ProcessVote(const crypto::VoteShare& share,
     pa.global_id = gid;
     pa.presumed = true;
     pa.answer_to = from;
-    AppendDecision(std::move(pa), kInvalidActor, /*shards=*/nullptr);
+    AppendDecision(std::move(pa), /*shards=*/nullptr);
     return;
   }
   PendingTxn& pending = it->second;
@@ -356,7 +368,7 @@ void TxnCoordinator::ProcessVote(const crypto::VoteShare& share,
   }
 }
 
-void TxnCoordinator::Decide(TxnId global_id, bool commit) {
+void TxnCoordinator::Decide(const TxnKey& global_id, bool commit) {
   auto it = pending_.find(global_id);
   if (it == pending_.end()) return;
   PendingTxn& pending = it->second;
@@ -379,6 +391,7 @@ void TxnCoordinator::Decide(TxnId global_id, bool commit) {
     // Demoted mid-flight: drop the pending record; the serving leader
     // re-derives it from launches and retried votes, presumed abort
     // covers the rest.
+    open_launches_.erase(pending.launch);
     pending_.erase(it);
     return;
   }
@@ -393,10 +406,10 @@ void TxnCoordinator::Decide(TxnId global_id, bool commit) {
   pa.commit = commit;
   pa.cseq = cseq;
   pa.proof = std::move(proof);
-  AppendDecision(std::move(pa), pending.client, &pending.shards);
+  AppendDecision(std::move(pa), &pending.shards);
 }
 
-void TxnCoordinator::FinishDecide(TxnId global_id, bool commit,
+void TxnCoordinator::FinishDecide(const TxnKey& global_id, bool commit,
                                   uint64_t cseq,
                                   const crypto::VoteCertificate& proof) {
   auto it = pending_.find(global_id);
@@ -406,7 +419,7 @@ void TxnCoordinator::FinishDecide(TxnId global_id, bool commit,
   // that makes it survive a crash between the first and last decision
   // send. Aborts are logged too (quorum-fenced like commits), so
   // sync-time conflict resolution has both outcomes.
-  decisions_[global_id] = DecisionRecord{commit, cseq, proof, view_};
+  LogDecision(global_id, DecisionRecord{commit, cseq, proof, view_});
   ++(commit ? commits_decided_ : aborts_decided_);
   launches_.erase(global_id);
   OutstandingDecision outstanding;
@@ -422,11 +435,12 @@ void TxnCoordinator::FinishDecide(TxnId global_id, bool commit,
     }
   }
   outstanding_.emplace(cseq, std::move(outstanding));
-  RespondToClient(global_id, pending.client, commit);
+  RespondToClient(global_id, commit);
+  open_launches_.erase(pending.launch);
   pending_.erase(it);
 }
 
-void TxnCoordinator::SendDecision(TxnId global_id, bool commit,
+void TxnCoordinator::SendDecision(const TxnKey& global_id, bool commit,
                                   uint64_t cseq, ActorId to,
                                   const crypto::VoteCertificate* proof) {
   auto decision = std::make_shared<shim::ShardCommitDecisionMsg>(id());
@@ -444,28 +458,27 @@ void TxnCoordinator::SendDecision(TxnId global_id, bool commit,
   net_->Send(id(), to, decision, decision->WireSize());
 }
 
-void TxnCoordinator::RespondToClient(TxnId global_id, ActorId client,
-                                     bool commit) {
-  if (client == kInvalidActor) return;
+void TxnCoordinator::RespondToClient(const TxnKey& global_id, bool commit) {
   auto resp = std::make_shared<shim::ResponseMsg>(id());
-  resp->txn_id = global_id;
-  resp->client = client;
+  resp->txn_id = global_id.id;
+  resp->client = global_id.client;
   resp->aborted = !commit;
-  net_->Send(id(), client, resp, resp->WireSize());
+  net_->Send(id(), global_id.client, resp, resp->WireSize());
 }
 
-void TxnCoordinator::OnVoteTimeout(TxnId global_id) {
+void TxnCoordinator::OnVoteTimeout(const TxnKey& global_id) {
   if (crashed_) return;
   auto it = pending_.find(global_id);
   if (it == pending_.end()) return;
   it->second.timer = 0;
-  SBFT_LOG(kDebug) << name() << " vote timeout, aborting gtxn "
-                   << global_id;
+  SBFT_LOG(kDebug) << name() << " vote timeout, aborting gtxn ("
+                   << global_id.client << ", " << global_id.id << ")";
   Decide(global_id, false);
 }
 
 // ---------------------------------------------------------------------------
-// Fully-decided watermark: ack collection, advance, truncation.
+// Two watermarks: the cseq watermark over participant acks, and each
+// client's floor. A log entry leaves once both have passed it.
 // ---------------------------------------------------------------------------
 
 void TxnCoordinator::RecordAcks(uint32_t shard,
@@ -477,28 +490,65 @@ void TxnCoordinator::RecordAcks(uint32_t shard,
     it->second.acked.insert(shard);
   }
   // Advance the watermark over the complete prefix: a decision counts as
-  // fully applied once every shard it was sent to acked it. Gaps (cseqs
-  // wiped by a crash) cannot block the advance — their decisions live on
-  // durably in the log, never pruned after the wipe (the safe
-  // direction). An entry whose acks never complete within the retention
-  // window (lost acks, ack-buffer overflow at a shard) is expired rather
-  // than allowed to stall the watermark forever: the advance skips it
-  // WITHOUT retention-queueing its log entry, so that entry simply never
-  // prunes — safety does not depend on the watermark implying "applied
-  // everywhere"; duplicates are always answered from the retained log
-  // and fragments are never re-driven for decided ids.
+  // fully applied once every shard it was sent to acked it, and only
+  // then is its entry settled. Gaps (cseqs wiped by a crash) cannot
+  // block the advance — their decisions live on durably in the log,
+  // never settled after the wipe (the safe direction). An entry whose
+  // acks are still incomplete a vote timeout after it was decided (lost
+  // acks, ack-buffer overflow at a shard) is expired rather than allowed
+  // to stall the watermark forever: the advance skips it WITHOUT
+  // settling it, so its entry never leaves the log. A shard that never
+  // applied the decision may still ask for it, and it must not get a
+  // presumed abort; duplicates are always answered from the log and
+  // fragments are never re-driven for decided gids.
   SimTime now = sim_->now();
   auto it = outstanding_.begin();
   while (it != outstanding_.end()) {
     bool fully_acked = it->second.acked.size() == it->second.sent_to.size();
-    bool expired =
-        it->second.decided_at + options_.decision_retention <= now;
+    bool expired = it->second.decided_at + options_.vote_timeout <= now;
     if (!fully_acked && !expired) break;
     watermark_ = it->first;
-    if (fully_acked) retention_queue_.emplace_back(now, it->second.global_id);
-    if (!fully_acked) ++outstanding_expired_;
+    if (fully_acked) {
+      auto entry = decisions_.find(it->second.global_id);
+      if (entry != decisions_.end() && entry->second.cseq == it->first) {
+        entry->second.settled = true;
+        MaybeTruncate(entry);
+      }
+    } else {
+      ++outstanding_expired_;
+    }
     it = outstanding_.erase(it);
   }
+}
+
+void TxnCoordinator::RaiseFloor(ActorId client, TxnId floor) {
+  TxnId& known = floors_[client];
+  if (floor <= known) return;
+  known = floor;
+  auto it = decisions_.lower_bound(TxnKey{client, 0});
+  while (it != decisions_.end() && it->first.client == client &&
+         it->first.id <= floor) {
+    MaybeTruncate(it++);
+  }
+}
+
+std::map<TxnKey, TxnCoordinator::DecisionRecord>::iterator
+TxnCoordinator::LogDecision(const TxnKey& gid, const DecisionRecord& record) {
+  auto it = decisions_.insert_or_assign(gid, record).first;
+  if (decision_sink_) decision_sink_(gid, record);
+  return it;
+}
+
+void TxnCoordinator::MaybeTruncate(
+    std::map<TxnKey, DecisionRecord>::iterator it) {
+  // Settled: no participant will ask for the decision again. At or below
+  // the floor: neither will the client. Nothing else reads the entry.
+  if (!it->second.settled || it->first.id > client_floor(it->first.client)) {
+    return;
+  }
+  truncated_.push_back(it->first);
+  decisions_.erase(it);
+  ++decisions_pruned_;
 }
 
 // ---------------------------------------------------------------------------
@@ -514,14 +564,14 @@ int TxnCoordinator::GroupIndexOf(ActorId a) const {
   return -1;
 }
 
-void TxnCoordinator::AppendDecision(PendingAppend pa, ActorId client,
+void TxnCoordinator::AppendDecision(PendingAppend pa,
                                     const std::vector<uint32_t>* shards) {
   uint64_t aid = ++next_append_id_;
   pa.acks.insert(options_.group_index);
   const PendingAppend& staged =
       pending_appends_.emplace(aid, std::move(pa)).first->second;
   BroadcastAppend(aid, shim::CoordAppendMsg::kDecision, staged.global_id,
-                  staged.commit, staged.cseq, &staged.proof, client, shards);
+                  staged.commit, staged.cseq, &staged.proof, shards);
   MaybeCommitAppend(aid);
 }
 
@@ -542,14 +592,18 @@ void TxnCoordinator::MaybeCommitAppend(uint64_t append_id) {
   }
   if (pa.presumed) {
     // The explicit abort is quorum-durable: log it and answer the vote
-    // that triggered it. Later retries answer straight from the log.
+    // that triggered it. Later retries answer straight from the log. No
+    // shard acks a presumed abort, so it is settled at once.
     inflight_aborts_.erase(pa.global_id);
-    if (!decisions_.contains(pa.global_id)) {
-      decisions_[pa.global_id] = DecisionRecord{false, 0, {}, view_};
+    auto entry = decisions_.find(pa.global_id);
+    if (entry == decisions_.end()) {
+      entry = LogDecision(pa.global_id,
+                          DecisionRecord{false, 0, {}, view_, true});
     }
     ++presumed_aborts_logged_;
     SendDecision(pa.global_id, false, /*cseq=*/0, pa.answer_to,
                  /*proof=*/nullptr);
+    MaybeTruncate(entry);
     return;
   }
   FinishDecide(pa.global_id, pa.commit, pa.cseq, pa.proof);
@@ -557,11 +611,14 @@ void TxnCoordinator::MaybeCommitAppend(uint64_t append_id) {
 
 void TxnCoordinator::BroadcastAppend(uint64_t append_id,
                                      shim::CoordAppendMsg::Entry entry,
-                                     TxnId global_id, bool commit,
+                                     const TxnKey& global_id, bool commit,
                                      uint64_t cseq,
                                      const crypto::VoteCertificate* proof,
-                                     ActorId client,
                                      const std::vector<uint32_t>* shards) {
+  if (options_.group.size() <= 1) {
+    truncated_.clear();  // No follower to tell.
+    return;
+  }
   auto msg = std::make_shared<shim::CoordAppendMsg>(id());
   msg->view = view_;
   msg->append_id = append_id;
@@ -570,9 +627,9 @@ void TxnCoordinator::BroadcastAppend(uint64_t append_id,
   msg->commit = commit;
   msg->cseq = cseq;
   msg->watermark = watermark_;
-  msg->client = client;
   if (shards != nullptr) msg->shards = *shards;
   if (proof != nullptr) msg->proof = *proof;
+  msg->truncated.swap(truncated_);
   size_t wire = msg->WireSize();
   for (ActorId peer : options_.group) {
     if (peer == id()) continue;
@@ -606,6 +663,14 @@ void TxnCoordinator::HandleAppend(const sim::Envelope& env) {
   // Proof of a serving leader: replay any requests parked while the
   // previous one was a suspected black hole.
   DrainStash();
+  // The leader truncated these: settled, and at or below their client's
+  // floor, which this member now knows is at least that high.
+  for (const TxnKey& gid : msg->truncated) {
+    TxnId& floor = floors_[gid.client];
+    floor = std::max(floor, gid.id);
+    launches_.erase(gid);
+    decisions_pruned_ += decisions_.erase(gid);
+  }
   switch (msg->entry) {
     case shim::CoordAppendMsg::kHeartbeat:
       break;
@@ -616,8 +681,8 @@ void TxnCoordinator::HandleAppend(const sim::Envelope& env) {
       // takeover entry overwrites any stale minority record.
       auto it = decisions_.find(msg->global_id);
       if (it == decisions_.end() || it->second.view <= msg->view) {
-        decisions_[msg->global_id] =
-            DecisionRecord{msg->commit, msg->cseq, msg->proof, msg->view};
+        LogDecision(msg->global_id, DecisionRecord{msg->commit, msg->cseq,
+                                                   msg->proof, msg->view});
       }
       launches_.erase(msg->global_id);
       next_cseq_ = std::max(next_cseq_, msg->cseq + 1);
@@ -630,8 +695,7 @@ void TxnCoordinator::HandleAppend(const sim::Envelope& env) {
     }
     case shim::CoordAppendMsg::kLaunch:
       if (!decisions_.contains(msg->global_id)) {
-        launches_[msg->global_id] =
-            LaunchRecord{msg->client, msg->shards};
+        launches_[msg->global_id] = msg->shards;
       }
       break;
     default:
@@ -678,8 +742,11 @@ void TxnCoordinator::HandleSyncRequest(const sim::Envelope& env) {
     reply->decisions.push_back(
         {gid, rec.commit, rec.cseq, rec.view, rec.proof});
   }
-  for (const auto& [gid, launch] : launches_) {
-    reply->launches.push_back({gid, launch.client, launch.shards});
+  for (const auto& [gid, shards] : launches_) {
+    reply->launches.push_back({gid, shards});
+  }
+  for (const auto& [client, floor] : floors_) {
+    reply->floors.push_back({client, floor});
   }
   net_->Send(id(), env.from, reply, reply->WireSize());
 }
@@ -700,17 +767,19 @@ void TxnCoordinator::HandleSyncReply(const sim::Envelope& env) {
   for (const auto& d : msg->decisions) {
     auto it = decisions_.find(d.global_id);
     if (it == decisions_.end() || it->second.view < d.view) {
-      decisions_[d.global_id] =
-          DecisionRecord{d.commit, d.cseq, d.proof, d.view};
+      LogDecision(d.global_id,
+                  DecisionRecord{d.commit, d.cseq, d.proof, d.view});
     }
     launches_.erase(d.global_id);
   }
   for (const auto& launch : msg->launches) {
-    if (!decisions_.contains(launch.global_id) &&
-        !launches_.contains(launch.global_id)) {
-      launches_[launch.global_id] =
-          LaunchRecord{launch.client, launch.shards};
+    if (!decisions_.contains(launch.global_id)) {
+      launches_.try_emplace(launch.global_id, launch.shards);
     }
+  }
+  for (const TxnKey& f : msg->floors) {
+    TxnId& floor = floors_[f.client];
+    floor = std::max(floor, f.id);
   }
   next_cseq_ = std::max(next_cseq_, msg->next_cseq);
   watermark_ = std::max(watermark_, msg->watermark);
@@ -734,8 +803,9 @@ void TxnCoordinator::ClearLeaderState() {
     if (pending.timer != 0) sim_->Cancel(pending.timer);
   }
   pending_.clear();
+  open_launches_.clear();
   outstanding_.clear();
-  retention_queue_.clear();
+  truncated_.clear();
   pending_appends_.clear();
   inflight_aborts_.clear();
   sync_replies_.clear();
@@ -825,7 +895,7 @@ void TxnCoordinator::CompleteTakeover() {
     pa.cseq = rec.cseq;
     pa.proof = rec.proof;
     pa.takeover = true;
-    AppendDecision(std::move(pa), kInvalidActor, /*shards=*/nullptr);
+    AppendDecision(std::move(pa), /*shards=*/nullptr);
   }
 }
 
@@ -836,14 +906,13 @@ void TxnCoordinator::FinishTakeover() {
   // are deliberately volatile. The new leader starts with an empty
   // outstanding_ map and the synced watermark; every cseq it assigns
   // exceeds every synced one, so advancement stays monotone. Adopted
-  // entries simply stay in the log unpruned — the same safe direction
-  // as the expiry path.
-  for (const auto& [gid, launch] : launches_) {
+  // entries it did not settle itself stay in the log — the same safe
+  // direction as the expiry path.
+  for (const auto& [gid, shards] : launches_) {
     if (decisions_.contains(gid)) continue;
     PendingTxn pending;
-    pending.client = launch.client;
-    pending.shards = launch.shards;
-    TxnId g = gid;
+    pending.shards = shards;
+    TxnKey g = gid;
     pending.timer = sim_->Schedule(options_.vote_timeout,
                                    [this, g]() { OnVoteTimeout(g); });
     pending_.emplace(gid, std::move(pending));
@@ -865,28 +934,13 @@ void TxnCoordinator::FinishTakeover() {
 void TxnCoordinator::SendHeartbeat() {
   if (crashed_ || !IsGroupLeader()) return;
   BroadcastAppend(/*append_id=*/0, shim::CoordAppendMsg::kHeartbeat,
-                  /*global_id=*/0, /*commit=*/false, /*cseq=*/0,
-                  /*proof=*/nullptr, kInvalidActor, /*shards=*/nullptr);
+                  /*global_id=*/TxnKey{}, /*commit=*/false, /*cseq=*/0,
+                  /*proof=*/nullptr, /*shards=*/nullptr);
   heartbeat_timer_ =
       sim_->Schedule(options_.heartbeat_interval, [this]() {
         heartbeat_timer_ = 0;
         SendHeartbeat();
       });
-}
-
-void TxnCoordinator::PruneDecisions() {
-  // Truncate fully-acked decisions once the retention window (for late
-  // client retransmissions of lost responses) has passed. Ran from the
-  // vote handler, so pruning advances exactly with 2PC traffic — no
-  // extra timer events.
-  SimTime now = sim_->now();
-  while (!retention_queue_.empty() &&
-         retention_queue_.front().first + options_.decision_retention <=
-             now) {
-    decisions_.erase(retention_queue_.front().second);
-    ++decisions_pruned_;
-    retention_queue_.pop_front();
-  }
 }
 
 }  // namespace sbft::core

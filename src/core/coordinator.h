@@ -20,11 +20,10 @@ namespace sbft::core {
 
 /// Runtime options of the TxnCoordinator (2PC layer knobs).
 struct CoordinatorOptions {
-  /// Vote-collection timeout; expiry without all votes decides ABORT.
+  /// Vote-collection timeout; expiry without all votes decides ABORT. A
+  /// sent decision that is still not fully acked this long after it was
+  /// decided stops holding back the watermark (RecordAcks).
   SimDuration vote_timeout = Millis(1500);
-  /// Retention of fully-acked decision entries before truncation (covers
-  /// client retransmissions of lost responses).
-  SimDuration decision_retention = Seconds(5);
   /// Coordinator group (DESIGN.md §10): every member's actor id in index
   /// order; member 0 is the view-0 leader. Empty means a group of one.
   /// A group of one is its own majority: it runs the same protocol, and
@@ -65,12 +64,14 @@ struct CoordinatorOptions {
 ///
 /// A COMMIT decision carries the participants' YES shares as its quorum
 /// proof. Every decision carries a dense sequence number (cseq);
-/// participants ack applied cseqs on their next votes, the coordinator
-/// advances a fully-decided watermark over the complete ack prefix,
-/// piggybacks it on outgoing decisions, and truncates log entries below
-/// it once the retention window (for late client retransmissions) has
-/// passed — bounding the log by in-flight transactions instead of total
-/// cross-shard count.
+/// participants ack applied cseqs on their next votes, and the
+/// coordinator advances a fully-decided watermark over the complete ack
+/// prefix and piggybacks it on outgoing decisions. A transaction is named
+/// by its gid, (client, id) of the client's request, and every client
+/// request carries the client's signed floor. A log entry is truncated
+/// once every participant acked it (it is *settled*) and its client's
+/// floor has passed it, so no participant and no client can ask for it
+/// again: the log holds in-flight transactions at any run length.
 class TxnCoordinator : public sim::Actor {
  public:
   /// Resolves the current primary of a shard (tracks view changes).
@@ -93,7 +94,18 @@ class TxnCoordinator : public sim::Actor {
     /// safe because an acted-on decision is quorum-logged first and
     /// quorum intersection puts it in every later majority sync.
     uint64_t view = 0;
+    /// Every shard the decision was sent to acked it under this member's
+    /// leadership (a presumed abort is settled when logged: no shard acks
+    /// it). Only a settled entry is ever truncated; an entry a leader
+    /// adopted at takeover, or one the watermark passed unacked, stays.
+    bool settled = false;
   };
+
+  /// Receives every entry this member writes to its decision log, in
+  /// write order: the durable trail of a deployment, whose log in memory
+  /// truncates. It must touch neither the RNG nor the event order.
+  using DecisionSink =
+      std::function<void(const TxnKey& gid, const DecisionRecord& record)>;
 
   TxnCoordinator(ActorId id, const storage::ShardRouter* router,
                  std::vector<ActorId> shard_verifiers,
@@ -102,6 +114,9 @@ class TxnCoordinator : public sim::Actor {
                  const CoordinatorOptions& options);
 
   void OnMessage(const sim::Envelope& env) override;
+
+  /// Install before the run starts.
+  void SetDecisionSink(DecisionSink sink) { decision_sink_ = std::move(sink); }
 
   /// Crash-stop / recover hook (fault engine). Crashing silences the
   /// actor; recovery wipes the volatile vote state but keeps the
@@ -159,36 +174,42 @@ class TxnCoordinator : public sim::Actor {
   /// sender guard or the batch signature verification.
   uint64_t vote_certs_rejected() const { return vote_certs_rejected_; }
   /// Durable decision log: every COMMIT and ABORT, each quorum-logged
-  /// before it is acted on. An id absent here is answered ABORT
-  /// (presumed abort), after logging that answer too. Fully-acked
-  /// entries below the watermark are truncated after the retention
-  /// window.
-  const std::map<TxnId, DecisionRecord>& decisions() const {
+  /// before it is acted on. A gid absent here is answered ABORT
+  /// (presumed abort), after logging that answer too. A settled entry
+  /// leaves once its client's floor passes it; a leader carries the gids
+  /// it truncated on its next append or heartbeat, and each follower
+  /// drops them too.
+  const std::map<TxnKey, DecisionRecord>& decisions() const {
     return decisions_;
+  }
+  /// The highest floor this member learned for `client`: from the
+  /// client's signed requests on a leader, from truncated gids and sync
+  /// replies on the others. A request at or below it is never launched.
+  TxnId client_floor(ActorId client) const {
+    auto it = floors_.find(client);
+    return it == floors_.end() ? 0 : it->second;
   }
   /// Fully-decided watermark: every decision with cseq <= this has been
   /// applied by all its participant shards.
   uint64_t watermark() const { return watermark_; }
+  /// Log entries truncated here (settled and below the client's floor).
   uint64_t decisions_pruned() const { return decisions_pruned_; }
   /// Outstanding decisions the watermark advanced past without a full
-  /// ack set (lost acks / ack-buffer overflow at a shard): their COMMIT
-  /// entries stay in the log unpruned — the safe direction — instead of
+  /// ack set (lost acks / ack-buffer overflow at a shard): their entries
+  /// stay in the log, never settled — the safe direction — instead of
   /// stalling the watermark forever.
   uint64_t outstanding_expired() const { return outstanding_expired_; }
   /// Decisions sent but not yet covered by the watermark (bounded by
   /// in-flight traffic; the boundedness tests assert on it).
   size_t outstanding_decisions() const { return outstanding_.size(); }
 
-  /// Deterministic fragment id for (global txn, shard): high bit tagged
-  /// so fragment ids can never collide with client-generated txn ids.
-  static TxnId FragmentId(TxnId global_id, uint32_t shard) {
-    return (1ull << 63) | (global_id << 8) | (shard & 0xff);
-  }
-
  private:
   struct PendingTxn {
-    ActorId client = kInvalidActor;
     std::vector<uint32_t> shards;
+    /// This member's launch number, the id of every fragment it signed
+    /// for the launch (0 on a pending rebuilt at takeover: another
+    /// member launched it).
+    TxnId launch = 0;
     /// Signed vote share by shard: an all-YES set becomes the COMMIT
     /// decision's quorum proof.
     std::map<uint32_t, crypto::VoteShare> votes;
@@ -204,7 +225,7 @@ class TxnCoordinator : public sim::Actor {
 
   /// Watermark bookkeeping for one decision awaiting participant acks.
   struct OutstandingDecision {
-    TxnId global_id = 0;
+    TxnKey global_id;
     SimTime decided_at = 0;
     /// Shards the decision was sent to (the ack set must cover these).
     std::set<uint32_t> sent_to;
@@ -216,7 +237,7 @@ class TxnCoordinator : public sim::Actor {
   /// retried vote instead; `takeover` entries are re-replications of
   /// adopted log entries and only count down the takeover barrier.
   struct PendingAppend {
-    TxnId global_id = 0;
+    TxnKey global_id;
     bool commit = false;
     uint64_t cseq = 0;
     crypto::VoteCertificate proof;
@@ -225,15 +246,6 @@ class TxnCoordinator : public sim::Actor {
     bool presumed = false;
     ActorId answer_to = kInvalidActor;
     bool takeover = false;
-  };
-
-  /// Best-effort replicated launch hint {client, participant shards}: a
-  /// standby rebuilds PendingTxn records from these at takeover so it
-  /// can judge vote completeness and answer the client. Lost launches
-  /// degrade safely to presumed abort.
-  struct LaunchRecord {
-    ActorId client = kInvalidActor;
-    std::vector<uint32_t> shards;
   };
 
   void HandleClientRequest(const sim::Envelope& env);
@@ -255,19 +267,27 @@ class TxnCoordinator : public sim::Actor {
   void LaunchTxn(const workload::Transaction& txn,
                  std::vector<uint32_t> shards);
   void SendFragments(const PendingTxn& pending);
-  void Decide(TxnId global_id, bool commit);
+  void Decide(const TxnKey& global_id, bool commit);
   /// `proof` is the quorum certificate to attach (null / empty sends a
   /// proofless decision — aborts).
-  void SendDecision(TxnId global_id, bool commit, uint64_t cseq,
+  void SendDecision(const TxnKey& global_id, bool commit, uint64_t cseq,
                     ActorId to, const crypto::VoteCertificate* proof);
-  void RespondToClient(TxnId global_id, ActorId client, bool commit);
-  void OnVoteTimeout(TxnId global_id);
+  void RespondToClient(const TxnKey& global_id, bool commit);
+  void OnVoteTimeout(const TxnKey& global_id);
 
-  /// Applies the acks piggybacked on a vote and advances the watermark
-  /// over the complete prefix of outstanding decisions.
+  /// Applies the acks piggybacked on a vote, settles each fully-acked
+  /// decision, and advances the watermark over the complete prefix of
+  /// outstanding decisions.
   void RecordAcks(uint32_t shard, const std::vector<uint64_t>& cseqs);
-  /// Truncates fully-acked log entries whose retention has passed.
-  void PruneDecisions();
+  /// Raises `client`'s floor (a leader learns it from the client's
+  /// signed requests) and truncates the settled entries it passes.
+  void RaiseFloor(ActorId client, TxnId floor);
+  /// Writes `record` to the decision log and the sink.
+  std::map<TxnKey, DecisionRecord>::iterator LogDecision(
+      const TxnKey& gid, const DecisionRecord& record);
+  /// Truncates the entry when it is settled and its client's floor has
+  /// passed it, and queues its gid for the followers.
+  void MaybeTruncate(std::map<TxnKey, DecisionRecord>::iterator it);
 
   // --- coordinator-group internals ---
   uint32_t GroupMajority() const {
@@ -277,15 +297,15 @@ class TxnCoordinator : public sim::Actor {
   int GroupIndexOf(ActorId a) const;
   /// Stages a quorum-fenced decision append (self-acked), broadcasts it
   /// to the peers, and completes it at once if self is a majority.
-  void AppendDecision(PendingAppend pa, ActorId client,
-                      const std::vector<uint32_t>* shards);
+  void AppendDecision(PendingAppend pa, const std::vector<uint32_t>* shards);
   /// Completes a staged append once it holds a majority of acks: runs
   /// FinishDecide, answers a presumed abort, or counts down takeover.
   void MaybeCommitAppend(uint64_t append_id);
+  /// Sends one append to the peers; it also carries (and clears) the
+  /// gids truncated since the previous one.
   void BroadcastAppend(uint64_t append_id, shim::CoordAppendMsg::Entry entry,
-                       TxnId global_id, bool commit, uint64_t cseq,
+                       const TxnKey& global_id, bool commit, uint64_t cseq,
                        const crypto::VoteCertificate* proof,
-                       ActorId client,
                        const std::vector<uint32_t>* shards);
   void HandleAppend(const sim::Envelope& env);
   void HandleAppendAck(const sim::Envelope& env);
@@ -293,7 +313,7 @@ class TxnCoordinator : public sim::Actor {
   void HandleSyncReply(const sim::Envelope& env);
   /// Second half of Decide: log (post-quorum), send shard decisions,
   /// track acks, answer the client, drop the pending record.
-  void FinishDecide(TxnId global_id, bool commit, uint64_t cseq,
+  void FinishDecide(const TxnKey& global_id, bool commit, uint64_t cseq,
                     const crypto::VoteCertificate& proof);
   /// Adopt a higher view observed on the wire and fall back to
   /// follower: clear leader-volatile state, re-arm the failover timer.
@@ -334,12 +354,24 @@ class TxnCoordinator : public sim::Actor {
 
   bool crashed_ = false;
   /// Volatile 2PC state: lost on crash (presumed abort covers it).
-  std::map<TxnId, PendingTxn> pending_;
+  std::map<TxnKey, PendingTxn> pending_;
   /// Durable decision log: survives crashes. Clients learn decided
   /// outcomes from their own retransmission (the resend carries the
-  /// transaction, so no client map needs to survive). The watermark
-  /// bounds the log by in-flight transactions plus the retention window.
-  std::map<TxnId, DecisionRecord> decisions_;
+  /// transaction, so no client map needs to survive). Settled entries
+  /// leave at their client's floor, so the log holds in-flight work.
+  std::map<TxnKey, DecisionRecord> decisions_;
+  DecisionSink decision_sink_;
+  /// Durable, like the log it truncates: each client's floor.
+  std::map<ActorId, TxnId> floors_;
+  /// Leader: gids truncated since the last append or heartbeat.
+  std::vector<TxnKey> truncated_;
+  /// Durable launch counter: this member signs fragments as their
+  /// client, and a launch's fragments take the next id. Kept across
+  /// crashes so no fragment id is signed twice.
+  TxnId next_launch_ = 1;
+  /// Volatile: this member's launches still pending. The smallest one
+  /// bounds the floor signed into its fragments.
+  std::set<TxnId> open_launches_;
 
   // --- watermark state ---
   /// Dense decision counter. Durable (like the log): it must stay
@@ -349,8 +381,6 @@ class TxnCoordinator : public sim::Actor {
   /// Volatile: decisions awaiting full participant acks, cseq-ordered.
   std::map<uint64_t, OutstandingDecision> outstanding_;
   uint64_t watermark_ = 0;
-  /// Fully-acked decisions waiting out the retention window, cseq order.
-  std::deque<std::pair<SimTime, TxnId>> retention_queue_;
 
   // --- coordinator-group state ---
   /// Current view; leader of view v is group[v % |group|]. Modeled as
@@ -365,11 +395,14 @@ class TxnCoordinator : public sim::Actor {
   uint64_t next_append_id_ = 0;
   std::map<uint64_t, PendingAppend> pending_appends_;
   /// Gids with an unknown-gid abort append in flight (dedup).
-  std::set<TxnId> inflight_aborts_;
+  std::set<TxnKey> inflight_aborts_;
   /// Member indices that answered the current takeover sync.
   std::set<uint32_t> sync_replies_;
-  /// Replicated launch hints, erased when the gid's decision lands.
-  std::map<TxnId, LaunchRecord> launches_;
+  /// Best-effort replicated launch hints, gid -> participant shards: a
+  /// standby rebuilds pending records from these at takeover so it can
+  /// judge vote completeness and answer the client. Erased when the
+  /// gid's decision lands; a lost launch degrades to presumed abort.
+  std::map<TxnKey, std::vector<uint32_t>> launches_;
   uint32_t takeover_reappends_ = 0;
   /// Client requests parked while no serving leader is known (see
   /// StashRequest / DrainStash). FIFO, capped at kMaxStashedRequests.

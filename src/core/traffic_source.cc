@@ -62,6 +62,12 @@ void TrafficSource::Inject(workload::Transaction txn, size_t chain,
   ++offered_;
   auto msg = std::make_shared<shim::ClientRequestMsg>(id());
   msg->txn = std::move(txn);
+  // The floor: below the oldest request still pending (every earlier one
+  // was answered or dropped), or just below this one.
+  msg->txn.floor =
+      (pending_.empty() ? msg->txn.id
+                        : std::min(msg->txn.id, pending_.begin()->first)) -
+      1;
   msg->client_sig =
       keys_->Sign(id(), shim::ClientRequestMsg::SigningBytes(msg->txn));
 

@@ -3,7 +3,7 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "common/histogram.h"
@@ -42,9 +42,10 @@ struct InflightGauge {
 /// sits on the left side of the saturation knee. This actor is the other
 /// half of the evaluation story: arrivals keep coming when the system
 /// falls behind, in-flight grows, retransmissions compete with fresh
-/// work, and goodput vs offered load becomes measurable. Timeouts
-/// retransmit the *same* signed request to the fallback target (dedup /
-/// decision-log answers duplicates); the number of transactions being
+/// work, and goodput vs offered load becomes measurable. Each request
+/// carries the source's floor, just below its oldest pending request.
+/// Timeouts retransmit the *same* signed request to the fallback target
+/// (dedup / decision-log answers duplicates); the number of transactions being
 /// retried concurrently is capped — beyond the cap a timed-out
 /// transaction is dropped and counted, bounding retry amplification.
 ///
@@ -145,7 +146,9 @@ class TrafficSource : public sim::Actor {
   workload::TrafficConfig traffic_;
   InflightGauge* gauge_;
 
-  std::unordered_map<TxnId, Pending> pending_;
+  /// Requests awaiting an answer, in id order: the first bounds the
+  /// floor signed into the next request.
+  std::map<TxnId, Pending> pending_;
   /// Transactions currently in the retrying state (retries > 0).
   uint32_t retrying_ = 0;
 

@@ -1,5 +1,6 @@
 #include "crypto/certificate.h"
 
+#include <set>
 #include <unordered_set>
 
 #include "crypto/sha256.h"
@@ -193,11 +194,12 @@ Status CompactCertificate::Validate(const KeyRegistry& registry,
   return Status::Ok();
 }
 
-Bytes VoteSigningBytes(TxnId global_id, uint32_t shard, SeqNum seq,
+Bytes VoteSigningBytes(const TxnKey& global_id, uint32_t shard, SeqNum seq,
                        bool commit) {
   Encoder enc;
   enc.PutString("sbft-2pc-vote");
-  enc.PutU64(global_id);
+  enc.PutU64(global_id.id);
+  enc.PutU32(global_id.client);
   enc.PutU32(shard);
   enc.PutU64(seq);
   enc.PutBool(commit);
@@ -206,6 +208,7 @@ Bytes VoteSigningBytes(TxnId global_id, uint32_t shard, SeqNum seq,
 
 void VoteShare::EncodeTo(Encoder* enc) const {
   enc->PutU64(global_id);
+  enc->PutU32(client);
   enc->PutU32(shard);
   enc->PutU64(seq);
   enc->PutBool(commit);
@@ -215,6 +218,8 @@ void VoteShare::EncodeTo(Encoder* enc) const {
 
 Status VoteShare::DecodeFrom(Decoder* dec, VoteShare* out) {
   Status st = dec->GetU64(&out->global_id);
+  if (!st.ok()) return st;
+  st = dec->GetU32(&out->client);
   if (!st.ok()) return st;
   st = dec->GetU32(&out->shard);
   if (!st.ok()) return st;
@@ -228,7 +233,7 @@ Status VoteShare::DecodeFrom(Decoder* dec, VoteShare* out) {
 }
 
 size_t VoteShare::WireSize() const {
-  return 8 + 4 + 8 + 1 + 4 + SizedLen(sig.size());
+  return 8 + 4 + 4 + 8 + 1 + 4 + SizedLen(sig.size());
 }
 
 void VoteCertificate::EncodeTo(Encoder* enc) const {
@@ -261,19 +266,17 @@ Status VoteCertificate::Validate(const KeyRegistry& registry) const {
   Digest fp = CertFingerprint("vote-cert", 0, *this);
   if (registry.IsKnownValid(fp)) return Status::Ok();
 
-  std::unordered_set<uint64_t> seen_slots;
+  std::set<std::pair<TxnKey, uint32_t>> seen_slots;
   std::vector<Bytes> signed_bytes;
   signed_bytes.reserve(shares.size());
   std::vector<KeyRegistry::BatchItem> items;
   items.reserve(shares.size());
   for (const VoteShare& s : shares) {
-    // One vote per (global_id, shard): the slot hash folds both ids.
-    uint64_t slot = s.global_id * 0x9e3779b97f4a7c15ULL ^ s.shard;
-    if (!seen_slots.insert(slot).second) {
+    // One vote per (gid, shard).
+    if (!seen_slots.insert({s.gid(), s.shard}).second) {
       return Status::InvalidArgument("duplicate vote share");
     }
-    signed_bytes.push_back(
-        VoteSigningBytes(s.global_id, s.shard, s.seq, s.commit));
+    signed_bytes.push_back(VoteSigningBytes(s.gid(), s.shard, s.seq, s.commit));
     items.push_back({s.signer, &signed_bytes.back(), &s.sig});
   }
   if (!registry.BatchVerify(items)) {

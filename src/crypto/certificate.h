@@ -78,21 +78,24 @@ struct CompactCertificate {
   Status Validate(const KeyRegistry& registry, size_t quorum) const;
 };
 
-/// Canonical bytes a shard verifier signs when voting on a 2PC fragment.
-Bytes VoteSigningBytes(TxnId global_id, uint32_t shard, SeqNum seq,
+/// Canonical bytes a shard verifier signs when voting on a 2PC fragment:
+/// the gid (id, then client), the shard, the sequence and the vote.
+Bytes VoteSigningBytes(const TxnKey& global_id, uint32_t shard, SeqNum seq,
                        bool commit);
 
 /// One shard verifier's signed prepare-vote: the (signer, signature)
 /// share that certificates aggregate instead of sending as its own
-/// message.
+/// message. The gid is (client, global_id).
 struct VoteShare {
   TxnId global_id = 0;
+  ActorId client = kInvalidActor;
   uint32_t shard = 0;
   SeqNum seq = 0;
   bool commit = false;
   ActorId signer = kInvalidActor;
   Bytes sig;
 
+  TxnKey gid() const { return {client, global_id}; }
   void EncodeTo(Encoder* enc) const;
   static Status DecodeFrom(Decoder* dec, VoteShare* out);
   size_t WireSize() const;
@@ -105,7 +108,7 @@ struct VoteShare {
 /// kShardVoteCert message per coordinator; a coordinator attaches the
 /// full set of shares for a transaction to its commit decision as the
 /// quorum proof. Validation verifies every share in one BatchVerify pass
-/// and rejects duplicate (global_id, shard) pairs.
+/// and rejects duplicate (gid, shard) pairs.
 struct VoteCertificate {
   std::vector<VoteShare> shares;
 

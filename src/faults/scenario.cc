@@ -206,7 +206,6 @@ std::vector<Scenario> BuiltinScenarios(uint64_t seed) {
     s.config.n_e = 4;  // 3f_E + 1 under conflicts (§VI-B).
     s.config.coordinator_vote_timeout = Millis(600);
     s.config.prepare_lock_queue_depth = 8;
-    s.config.twopc_decision_retention = Millis(1500);
     s.schedule_text =
         "at 1s crash coordinator\n"
         "at 2s recover coordinator\n";

@@ -190,7 +190,7 @@ void ExecutorFunction::SendVerify(std::vector<storage::RwSet> txn_rws,
   verify->result = std::move(result);
   for (const workload::Transaction& txn : work_->batch->txns) {
     verify->txn_refs.push_back(
-        {txn.id, txn.client, txn.global_id, txn.coordinator});
+        {txn.id, txn.client, txn.floor, txn.global_id, txn.coordinator});
   }
   verify->executor_sig = keys_->Sign(
       id(), shim::VerifyMsg::SigningBytes(verify->view, verify->seq,

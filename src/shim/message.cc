@@ -216,14 +216,15 @@ size_t VerifyMsg::PayloadWireBytes() const {
   size_t n = 8 + 8 + crypto::Digest::kSize + cert.WireSize();
   n += VarintLen(txn_rws.size());
   for (const storage::RwSet& txn_rw : txn_rws) n += txn_rw.WireSize();
-  n += VarintLen(txn_refs.size()) + (8 + 4) * txn_refs.size();
+  n += VarintLen(txn_refs.size());
+  for (const TxnRef& ref : txn_refs) n += 8 + 4 + VarintLen(ref.id - ref.floor);
   n += SizedLen(result.size()) + SizedLen(executor_sig.size());
   size_t fragments = 0;
   size_t fragment_bytes = 0;
   for (size_t i = 0; i < txn_refs.size(); ++i) {
-    if (txn_refs[i].global_id == 0) continue;
+    if (!txn_refs[i].IsFragment()) continue;
     ++fragments;
-    fragment_bytes += VarintLen(i) + 8 + 4;
+    fragment_bytes += VarintLen(i) + 8 + 4 + 4;
   }
   if (fragments > 0) n += VarintLen(fragments) + fragment_bytes;
   return n;
@@ -244,25 +245,27 @@ void VerifyMsg::BuildWire(Encoder* enc) const {
   for (const TxnRef& ref : txn_refs) {
     enc->PutU64(ref.id);
     enc->PutU32(ref.client);
+    enc->PutVarint(ref.id - ref.floor);
   }
   enc->PutBytes(result);
   enc->PutBytes(executor_sig);
   // Fragment metadata rides in a trailing *indexed* section, emitted
-  // only when at least one ref is a cross-shard fragment: pre-sharding
-  // messages keep their exact wire bytes, and carrying the ref index
-  // explicitly keeps the encoding injective (a per-ref conditional
-  // field would let two different ref lists collide on the same bytes).
+  // only when at least one ref is a cross-shard fragment: batches without
+  // fragments carry none of it, and carrying the ref index explicitly
+  // keeps the encoding injective (a per-ref conditional field would let
+  // two different ref lists collide on the same bytes).
   size_t fragments = 0;
   for (const TxnRef& ref : txn_refs) {
-    if (ref.global_id != 0) ++fragments;
+    if (ref.IsFragment()) ++fragments;
   }
   if (fragments > 0) {
     enc->PutVarint(fragments);
     for (size_t i = 0; i < txn_refs.size(); ++i) {
       const TxnRef& ref = txn_refs[i];
-      if (ref.global_id == 0) continue;
+      if (!ref.IsFragment()) continue;
       enc->PutVarint(i);
-      enc->PutU64(ref.global_id);
+      enc->PutU64(ref.global_id.id);
+      enc->PutU32(ref.global_id.client);
       enc->PutU32(ref.coordinator);
     }
   }
@@ -539,14 +542,15 @@ void ShardVoteCertMsg::BuildWire(Encoder* enc) const {
 }
 
 size_t ShardCommitDecisionMsg::PayloadWireBytes() const {
-  size_t n = 8 + 1 + 16 + 8 + 4;
+  size_t n = 8 + 4 + 1 + 16 + 8 + 4;
   if (!proof.shares.empty()) n += proof.WireSize();
   return n;
 }
 
 void ShardCommitDecisionMsg::BuildWire(Encoder* enc) const {
   auto h = PackedFor<wire::ShardCommitDecisionHeader>(*this);
-  h.global_id.set(global_id);
+  h.global_id.set(global_id.id);
+  h.global_client.set(global_id.client);
   h.commit.set(commit);
   PutPacked(enc, h);
   // The quorum proof is present only on COMMITs (an empty proof adds no
@@ -562,6 +566,7 @@ size_t CoordAppendMsg::PayloadWireBytes() const {
   size_t n = sizeof(wire::CoordAppendHeader) - sizeof(wire::MsgHeader);
   n += VarintLen(shards.size()) + 4 * shards.size() + 1;
   if (!proof.shares.empty()) n += proof.WireSize();
+  n += VarintLen(truncated.size()) + (8 + 4) * truncated.size();
   return n;
 }
 
@@ -570,16 +575,21 @@ void CoordAppendMsg::BuildWire(Encoder* enc) const {
   h.view.set(view);
   h.append_id.set(append_id);
   h.entry.set(entry);
-  h.global_id.set(global_id);
+  h.global_id.set(global_id.id);
   h.commit.set(commit);
   h.cseq.set(cseq);
   h.watermark.set(watermark);
-  h.client.set(client);
+  h.client.set(global_id.client);
   PutPacked(enc, h);
   enc->PutVarint(shards.size());
   for (uint32_t s : shards) enc->PutU32(s);
   enc->PutBool(!proof.shares.empty());
   if (!proof.shares.empty()) proof.EncodeTo(enc);
+  enc->PutVarint(truncated.size());
+  for (const TxnKey& gid : truncated) {
+    enc->PutU64(gid.id);
+    enc->PutU32(gid.client);
+  }
 }
 
 size_t CoordAckMsg::PayloadWireBytes() const { return 8 + 8; }
@@ -602,13 +612,14 @@ void CoordSyncRequestMsg::BuildWire(Encoder* enc) const {
 size_t CoordSyncReplyMsg::PayloadWireBytes() const {
   size_t n = 8 + 8 + 8 + VarintLen(decisions.size());
   for (const DecisionEntry& d : decisions) {
-    n += 8 + 1 + 8 + 8 + 1;
+    n += 8 + 4 + 1 + 8 + 8 + 1;
     if (!d.proof.shares.empty()) n += d.proof.WireSize();
   }
   n += VarintLen(launches.size());
   for (const LaunchEntry& l : launches) {
     n += 8 + 4 + VarintLen(l.shards.size()) + 4 * l.shards.size();
   }
+  n += VarintLen(floors.size()) + (8 + 4) * floors.size();
   return n;
 }
 
@@ -620,7 +631,8 @@ void CoordSyncReplyMsg::BuildWire(Encoder* enc) const {
   PutPacked(enc, h);
   enc->PutVarint(decisions.size());
   for (const DecisionEntry& d : decisions) {
-    enc->PutU64(d.global_id);
+    enc->PutU64(d.global_id.id);
+    enc->PutU32(d.global_id.client);
     enc->PutBool(d.commit);
     enc->PutU64(d.cseq);
     enc->PutU64(d.view);
@@ -629,10 +641,15 @@ void CoordSyncReplyMsg::BuildWire(Encoder* enc) const {
   }
   enc->PutVarint(launches.size());
   for (const LaunchEntry& l : launches) {
-    enc->PutU64(l.global_id);
-    enc->PutU32(l.client);
+    enc->PutU64(l.global_id.id);
+    enc->PutU32(l.global_id.client);
     enc->PutVarint(l.shards.size());
     for (uint32_t s : l.shards) enc->PutU32(s);
+  }
+  enc->PutVarint(floors.size());
+  for (const TxnKey& floor : floors) {
+    enc->PutU64(floor.id);
+    enc->PutU32(floor.client);
   }
 }
 

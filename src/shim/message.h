@@ -198,17 +198,20 @@ struct VerifyMsg : Message {
   explicit VerifyMsg(ActorId s) : Message(MsgKind::kVerify, s) {}
 
   /// Identity of one transaction in the batch, so the verifier can route
-  /// per-transaction RESPONSE messages back to the right clients. For
-  /// cross-shard fragments the ref also carries the global transaction id
-  /// and the coordinator the shard verifier votes to (encoded as a
-  /// trailing indexed section, present only when any ref is a fragment,
-  /// so legacy messages stay byte-identical).
+  /// per-transaction RESPONSE messages back to the right clients and
+  /// learn the client's floor. For cross-shard fragments the ref also
+  /// carries the global transaction id and the coordinator the shard
+  /// verifier votes to (encoded as a trailing indexed section, present
+  /// only when any ref is a fragment).
   struct TxnRef {
     TxnId id = 0;
     ActorId client = kInvalidActor;
-    TxnId global_id = 0;
+    /// The transaction's signed floor (workload::Transaction::floor).
+    TxnId floor = 0;
+    TxnKey global_id{};
     ActorId coordinator = kInvalidActor;
 
+    bool IsFragment() const { return global_id.client != kInvalidActor; }
     friend bool operator==(const TxnRef&, const TxnRef&) = default;
   };
 
@@ -494,7 +497,7 @@ struct ShardCommitDecisionMsg : Message {
   explicit ShardCommitDecisionMsg(ActorId s)
       : Message(MsgKind::kShardCommitDecision, s) {}
 
-  TxnId global_id = 0;
+  TxnKey global_id;
   bool commit = false;
   /// Quorum proof: the full set of signed vote shares the coordinator
   /// decided on (COMMITs only). Participants batch-verify it before
@@ -527,7 +530,8 @@ struct ShardCommitDecisionMsg : Message {
 /// three entry kinds: heartbeats (leadership liveness + watermark
 /// propagation), decision records (the quorum-fenced write-ahead log),
 /// and launch records (best-effort in-flight txn metadata so a standby
-/// can re-derive pending 2PC state after takeover).
+/// can re-derive pending 2PC state after takeover). Every kind also
+/// carries the gids the leader truncated since its previous append.
 struct CoordAppendMsg : Message {
   enum Entry : uint8_t {
     kHeartbeat = 0,
@@ -540,17 +544,20 @@ struct CoordAppendMsg : Message {
   uint64_t view = 0;
   uint64_t append_id = 0;
   uint8_t entry = kHeartbeat;
-  TxnId global_id = 0;
+  TxnKey global_id;
   bool commit = false;
   uint64_t cseq = 0;
   uint64_t watermark = 0;
-  ActorId client = kInvalidActor;
   /// kDecision: the shards the decision is sent to. kLaunch: the
   /// participant set (what a standby needs to judge vote completeness).
   std::vector<uint32_t> shards;
   /// kDecision COMMITs: the quorum proof, so a standby can re-answer
   /// retried votes with a provable decision.
   crypto::VoteCertificate proof;
+  /// Gids the leader truncated since its previous append: each one's
+  /// client floor passed it and every participant acked it. A follower
+  /// drops them and raises the client's floor to at least the id.
+  std::vector<TxnKey> truncated;
 
   size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
@@ -579,22 +586,21 @@ struct CoordSyncRequestMsg : Message {
   void BuildWire(Encoder* enc) const override;
 };
 
-/// Coordinator member -> takeover candidate: the member's decision log
-/// and launch records, plus its cseq/watermark frontier.
+/// Coordinator member -> takeover candidate: the member's decision log,
+/// launch records and client floors, plus its cseq/watermark frontier.
 struct CoordSyncReplyMsg : Message {
   explicit CoordSyncReplyMsg(ActorId s)
       : Message(MsgKind::kCoordSyncReply, s) {}
 
   struct DecisionEntry {
-    TxnId global_id = 0;
+    TxnKey global_id;
     bool commit = false;
     uint64_t cseq = 0;
     uint64_t view = 0;  ///< Group view the decision was fenced in.
     crypto::VoteCertificate proof;
   };
   struct LaunchEntry {
-    TxnId global_id = 0;
-    ActorId client = kInvalidActor;
+    TxnKey global_id;
     std::vector<uint32_t> shards;
   };
 
@@ -603,6 +609,8 @@ struct CoordSyncReplyMsg : Message {
   uint64_t watermark = 0;
   std::vector<DecisionEntry> decisions;
   std::vector<LaunchEntry> launches;
+  /// Each client's floor as this member knows it, as (client, floor).
+  std::vector<TxnKey> floors;
 
   size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;

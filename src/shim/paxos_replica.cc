@@ -87,6 +87,7 @@ void MultiPaxosReplica::HandleError(const sim::Envelope& env) {
   // arms the leader-liveness check (a dead leader produces no Accepts to
   // drain it) and seeds the propose queue if this node takes over. It is
   // also forwarded so a live-but-unaware leader can propose it.
+  seen_txns_.Raise(msg->txn.client, msg->txn.floor);
   if (seen_txns_.FindOrInsert({msg->txn.client, msg->txn.id}).second) {
     pending_.push_back(msg->txn);
   }
@@ -100,6 +101,9 @@ void MultiPaxosReplica::HandleError(const sim::Envelope& env) {
 }
 
 void MultiPaxosReplica::SubmitTransaction(const workload::Transaction& txn) {
+  // As PbftReplica::SubmitTransaction: once per request, never at or
+  // below its client's floor.
+  seen_txns_.Raise(txn.client, txn.floor);
   if (!seen_txns_.FindOrInsert({txn.client, txn.id}).second) return;
   pending_.push_back(txn);
   MaybeProposeBatch();

@@ -7,7 +7,7 @@
 #include <set>
 #include <vector>
 
-#include "common/paged_table.h"
+#include "common/client_floor.h"
 #include "shim/message.h"
 #include "shim/shim_config.h"
 #include "sim/network.h"
@@ -67,6 +67,8 @@ class MultiPaxosReplica : public sim::Actor {
 
   uint64_t committed_batches() const { return committed_batches_; }
   uint64_t committed_txns() const { return committed_txns_; }
+  /// Client requests remembered for dedup (above each client's floor).
+  size_t seen_txns() const { return seen_txns_.size(); }
 
  private:
   struct Slot {
@@ -126,7 +128,8 @@ class MultiPaxosReplica : public sim::Actor {
   /// re-proposes only slots above this watermark.
   SeqNum commit_frontier_ = 0;
   std::deque<workload::Transaction> pending_;
-  TxnKeySet seen_txns_;  // Keyed by (client, id).
+  /// Seen requests, keyed by (client, id) above each client's floor.
+  FloorTable<> seen_txns_;
   sim::EventId batch_flush_timer_ = 0;
   SimTime last_leader_activity_ = 0;
   bool leader_check_armed_ = false;

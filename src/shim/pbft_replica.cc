@@ -138,6 +138,10 @@ void PbftReplica::HandleClientRequest(const sim::Envelope& env) {
 }
 
 void PbftReplica::SubmitTransaction(const workload::Transaction& txn) {
+  // Each request is proposed once. One at or below its client's floor
+  // was answered or abandoned, and its seen id may be gone: it is never
+  // proposed again.
+  seen_txns_.Raise(txn.client, txn.floor);
   if (!seen_txns_.FindOrInsert({txn.client, txn.id}).second) return;
   pending_.push_back(txn);
   MaybeProposeBatch();

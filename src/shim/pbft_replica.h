@@ -8,7 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/paged_table.h"
+#include "common/client_floor.h"
 #include "crypto/keys.h"
 #include "shim/message.h"
 #include "shim/shim_config.h"
@@ -108,6 +108,8 @@ class PbftReplica : public sim::Actor {
   uint64_t view_changes() const { return view_changes_completed_; }
   uint64_t checkpoints_taken() const { return checkpoints_taken_; }
   uint64_t dark_recoveries() const { return dark_recoveries_; }
+  /// Client requests remembered for dedup (above each client's floor).
+  size_t seen_txns() const { return seen_txns_.size(); }
   SeqNum stable_seq() const { return stable_seq_; }
 
  private:
@@ -200,7 +202,8 @@ class PbftReplica : public sim::Actor {
 
   // Primary batching.
   std::deque<workload::Transaction> pending_;
-  TxnKeySet seen_txns_;  // Keyed by (client, id).
+  /// Seen requests, keyed by (client, id) above each client's floor.
+  FloorTable<> seen_txns_;
   sim::EventId batch_flush_timer_ = 0;
 
   // View change state.

@@ -262,14 +262,16 @@ struct LinearCertHeader {
 };
 static_assert(sizeof(LinearCertHeader) == 6, "wire layout changed");
 
-/// kShardCommitDecision prefix: the quorum proof (COMMITs only), the
-/// (cseq, watermark) piggyback and the view stamp follow.
+/// kShardCommitDecision prefix: the gid (id, then client), the outcome;
+/// the quorum proof (COMMITs only), the (cseq, watermark) piggyback and
+/// the view stamp follow.
 struct ShardCommitDecisionHeader {
   MsgHeader hdr;
   U64Field global_id;
+  U32Field global_client;
   BoolField commit;
 };
-static_assert(sizeof(ShardCommitDecisionHeader) == 14, "wire layout changed");
+static_assert(sizeof(ShardCommitDecisionHeader) == 18, "wire layout changed");
 
 /// kShardVoteCert prefix: the share list, the watermark piggyback and the
 /// view stamp follow (share-based quorum certificate, DESIGN.md §8).
@@ -283,8 +285,9 @@ static_assert(sizeof(ShardVoteCertHeader) == 5, "wire layout changed");
 // Appends, acks and syncs travel between group members, so a group of one
 // never sends them; redirects go to the shard verifiers after a takeover.
 
-/// kCoordAppend prefix: the sent-to/participant shard list and an
-/// optional quorum proof follow. One header serves heartbeats (entry 0),
+/// kCoordAppend prefix: the gid is (global_id, client); the
+/// sent-to/participant shard list, an optional quorum proof and the
+/// truncated gids follow. One header serves heartbeats (entry 0),
 /// decision records (entry 1), and launch records (entry 2).
 struct CoordAppendHeader {
   MsgHeader hdr;

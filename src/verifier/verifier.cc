@@ -58,8 +58,8 @@ namespace {
 /// empty batch, `i` = 0 names no transaction): the same batch digest and
 /// result, and the same ref, read keys and writes of that transaction.
 /// The ref is unsigned, so only the match vouches for it: it names the
-/// client a RESPONSE goes to and whether the transaction is a 2PC
-/// fragment. Read versions count only when transactions may conflict:
+/// client a RESPONSE goes to, the client's floor, and whether the
+/// transaction is a 2PC fragment. Read versions count only when transactions may conflict:
 /// per §IV-D, conflict-free executors may legitimately read different
 /// versions and must still match. Both VERIFYs have the same shape.
 bool SameVote(const shim::VerifyMsg& a, const shim::VerifyMsg& b, size_t i,
@@ -129,11 +129,6 @@ void Verifier::HandleVerify(const sim::Envelope& env) {
   state.senders.insert(msg->sender);
   last_seen_view_ = std::max(last_seen_view_, msg->view);
 
-  for (const auto& ref : msg->txn_refs) {
-    TxnRecord& rec = *txn_records_.FindOrInsert({ref.client, ref.id}).first;
-    if (!rec.responded) rec.seq = seq;
-  }
-
   if (config_.conflicts_possible) StartAbortTimer(seq);
   // Vote once per transaction, in the quorums of this VERIFY's shape.
   const size_t n = msg->txn_refs.size();
@@ -154,6 +149,7 @@ void Verifier::HandleVerify(const sim::Envelope& env) {
     if (++vote->count >= config_.f_e + 1) {
       quorum.winner = msg;
       ++shape.matched;
+      if (i < n) RecordMatchedRef(msg->txn_refs[i], seq);
     }
   }
   if (shape.matched < shape.txns.size()) return;
@@ -165,6 +161,16 @@ void Verifier::HandleVerify(const sim::Envelope& env) {
     state.timer = 0;
   }
   ProcessInOrder();
+}
+
+void Verifier::RecordMatchedRef(const shim::VerifyMsg::TxnRef& ref,
+                                SeqNum seq) {
+  // A fragment's client is a coordinator member, which never sends a
+  // retransmit here: only plain transactions keep a record.
+  if (ref.IsFragment()) return;
+  txn_records_.Raise(ref.client, ref.floor);
+  TxnRecord* rec = txn_records_.FindOrInsert({ref.client, ref.id}).first;
+  if (rec != nullptr && !rec->responded) rec->seq = seq;
 }
 
 void Verifier::ProcessInOrder() {
@@ -220,14 +226,14 @@ void Verifier::SettlePerTxn(SeqNum seq, const shim::VerifyMsg& sample,
   for (const SettleItem& item : items) {
     // Cross-shard fragments vote to the coordinator instead of applying;
     // the ref carries the routing metadata.
-    if (item.ref.global_id != 0) {
-      TxnId gid = item.ref.global_id;
+    if (item.ref.IsFragment()) {
+      const TxnKey& gid = item.ref.global_id;
       if (item.rw != nullptr && !prepared_.contains(gid) &&
           !applied_global_.contains(gid) && !aborted_global_.contains(gid) &&
           !queued_fragment_gids_.contains(gid)) {
         // A fresh fragment blocked on a foreign prepare lock waits its
-        // turn instead of voting NO.
-        const std::string* blocked = FirstBlockedKey(*item.rw, gid);
+        // turn instead of voting NO (it holds no lock yet: owner 0).
+        const std::string* blocked = FirstBlockedKey(*item.rw, 0);
         if (blocked != nullptr &&
             TryQueueBehindLock(*blocked, seq, item.ref, *item.rw,
                                sample.batch_digest, sample.result,
@@ -298,8 +304,8 @@ void Verifier::SettlePerTxn(SeqNum seq, const shim::VerifyMsg& sample,
 // Cross-shard 2PC participant role (sharded data plane).
 // ---------------------------------------------------------------------------
 
-const std::string* Verifier::FirstBlockedKey(const storage::RwSet& rw,
-                                             TxnId self) const {
+const std::string* Verifier::FirstBlockedKey(
+    const storage::RwSet& rw, core::LockTable::Owner self) const {
   if (prepare_locks_.size() == 0) return nullptr;
   for (const storage::ReadEntry& r : rw.reads) {
     if (prepare_locks_.LockedByOther(r.key, self)) return &r.key;
@@ -313,9 +319,9 @@ const std::string* Verifier::FirstBlockedKey(const storage::RwSet& rw,
 bool Verifier::PrepareFragment(SeqNum seq,
                                const shim::VerifyMsg::TxnRef& ref,
                                const storage::RwSet& rw, bool executable) {
-  TxnId gid = ref.global_id;
-  // Duplicate fragment instances (coordinator re-drive, respawns) vote
-  // at most once and never re-apply after a decision.
+  const TxnKey& gid = ref.global_id;
+  // Duplicate fragment instances (coordinator re-drive, relaunch,
+  // respawns) vote at most once and never re-apply after a decision.
   auto dup = prepared_.find(gid);
   if (dup != prepared_.end()) return dup->second.vote_commit;
   if (applied_global_.contains(gid)) return true;
@@ -324,15 +330,16 @@ bool Verifier::PrepareFragment(SeqNum seq,
   frag.rw = rw;
   frag.seq = seq;
   frag.ref = ref;
-  bool ok = executable && FirstBlockedKey(rw, gid) == nullptr;
+  bool ok = executable && FirstBlockedKey(rw, 0) == nullptr;
   if (ok && config_.conflicts_possible) ok = rw.ReadsCurrent(*store_);
   frag.vote_commit = ok;
   if (ok) {
+    frag.lock_owner = next_lock_owner_++;
     for (const storage::ReadEntry& r : rw.reads) {
-      prepare_locks_.AcquireOne(gid, r.key);
+      prepare_locks_.AcquireOne(frag.lock_owner, r.key);
     }
     for (const storage::WriteEntry& w : rw.writes) {
-      prepare_locks_.AcquireOne(gid, w.key);
+      prepare_locks_.AcquireOne(frag.lock_owner, w.key);
     }
     ++twopc_votes_yes_;
   } else {
@@ -343,13 +350,14 @@ bool Verifier::PrepareFragment(SeqNum seq,
   return it->second.vote_commit;
 }
 
-void Verifier::SendVote(TxnId global_id, PreparedFragment& frag) {
+void Verifier::SendVote(const TxnKey& global_id, PreparedFragment& frag) {
   // The vote is a signed share, buffered per coordinator. A batched
   // section (settle loop, decision drain) flushes all its shares as one
   // kShardVoteCert afterwards; outside one (retry timers) the share
   // flushes alone.
   crypto::VoteShare share;
-  share.global_id = global_id;
+  share.global_id = global_id.id;
+  share.client = global_id.client;
   share.shard = config_.shard;
   share.seq = frag.seq;
   share.commit = frag.vote_commit;
@@ -374,7 +382,7 @@ void Verifier::SendVote(TxnId global_id, PreparedFragment& frag) {
     auto it = prepared_.find(global_id);
     if (it == prepared_.end()) return;
     it->second.retry_timer = 0;
-    SendVote(global_id, it->second);
+    SendVote(it->first, it->second);
   });
   frag.retry_interval = std::min<SimDuration>(frag.retry_interval * 2,
                                               Seconds(2));
@@ -432,7 +440,7 @@ void Verifier::HandleDecision(const sim::Envelope& env) {
     // dropped — the vote retry timer re-solicits one.
     bool covers_us = false;
     for (const crypto::VoteShare& share : msg->proof.shares) {
-      covers_us = covers_us || (share.global_id == msg->global_id &&
+      covers_us = covers_us || (share.gid() == msg->global_id &&
                                 share.shard == config_.shard &&
                                 share.commit);
     }
@@ -483,8 +491,8 @@ void Verifier::HandleCoordRedirect(const sim::Envelope& env) {
   if (!vote_batching_) FlushVoteCerts();
 }
 
-void Verifier::ApplyDecision(TxnId global_id, bool commit, uint64_t cseq,
-                             uint64_t watermark) {
+void Verifier::ApplyDecision(const TxnKey& global_id, bool commit,
+                             uint64_t cseq, uint64_t watermark) {
   auto it = prepared_.find(global_id);
   if (it == prepared_.end()) return;  // Duplicate or never prepared here.
   PreparedFragment& frag = it->second;
@@ -504,16 +512,20 @@ void Verifier::ApplyDecision(TxnId global_id, bool commit, uint64_t cseq,
   }
   RecordGlobalOutcome(global_id, apply, cseq);
   ScratchEncoder enc;
-  enc->PutU64(global_id);
+  enc->PutU64(global_id.id);
+  enc->PutU32(global_id.client);
   decision_log_
       .Append(++decision_seq_, crypto::Sha256::Hash(enc->buffer()),
               crypto::Digest(),
               apply ? storage::AuditLog::Outcome::kApplied
                     : storage::AuditLog::Outcome::kAborted)
       .ok();
-  std::vector<std::string> released = prepare_locks_.ReleaseOwner(global_id);
+  std::vector<std::string> released =
+      frag.lock_owner != 0 ? prepare_locks_.ReleaseOwner(frag.lock_owner)
+                           : std::vector<std::string>{};
+  CoordGroupState& gs = GroupStateOf(global_id);
   prepared_.erase(it);
-  PruneAtWatermark(GroupStateOf(global_id), watermark);
+  PruneAtWatermark(gs, watermark);
   // Hand each released key to its FIFO waiters before anything else can
   // contend for it, then let the spawner's conflict-avoidance stage
   // re-drive batches that were held back by these prepare locks. Votes
@@ -530,13 +542,9 @@ void Verifier::ApplyDecision(TxnId global_id, bool commit, uint64_t cseq,
   }
 }
 
-void Verifier::RecordGlobalOutcome(TxnId global_id, bool applied,
+void Verifier::RecordGlobalOutcome(const TxnKey& global_id, bool applied,
                                    uint64_t cseq) {
-  if (applied) {
-    applied_global_[global_id] = cseq;
-  } else {
-    aborted_global_[global_id] = cseq;
-  }
+  (applied ? applied_global_ : aborted_global_)[OutcomeKey{global_id}] = cseq;
   if (cseq > 0) {
     CoordGroupState& gs = GroupStateOf(global_id);
     gs.decided_by_cseq[cseq] = {global_id, applied};
@@ -544,10 +552,10 @@ void Verifier::RecordGlobalOutcome(TxnId global_id, bool applied,
     if (gs.unconfirmed_acks.size() > 1024) {
       // An overflowing ack buffer means the watermark is lagging the
       // decision rate badly; dropping the oldest ack can stall the
-      // coordinator's advance over that cseq until its expiry window
-      // (the coordinator expires unacked entries after the retention
-      // period, so this degrades pruning latency, never safety). The
-      // counter makes the degradation observable.
+      // coordinator's advance over that cseq until it expires the entry
+      // (a vote timeout after the decision). The entry then never
+      // settles and stays in the coordinator's log: this degrades
+      // truncation, never safety. The counter makes it observable.
       gs.unconfirmed_acks.pop_front();
       ++acks_dropped_;
     }
@@ -569,18 +577,16 @@ void Verifier::PruneAtWatermark(CoordGroupState& gs, uint64_t watermark) {
   if (watermark == 0) return;
   // Every decision with cseq <= watermark is applied at every participant
   // (the group's coordinator advanced its watermark over full ack sets),
-  // so the dedup entries for them can never be needed again: the
-  // coordinator answers duplicates from its own retained log without
-  // re-driving fragments. Watermarks are per group — this only walks the
-  // owning group's cseq index, never another group's.
+  // or its log entry stays unsettled. So the dedup entries for them can
+  // never be needed again: the coordinator answers duplicates from its
+  // log without re-driving fragments, and never relaunches a gid at or
+  // below its client's floor once the log has truncated it. Watermarks
+  // are per group — this only walks the owning group's cseq index, never
+  // another group's.
   auto it = gs.decided_by_cseq.begin();
   while (it != gs.decided_by_cseq.end() && it->first <= watermark) {
     const auto& [gid, applied] = it->second;
-    if (applied) {
-      applied_global_.erase(gid);
-    } else {
-      aborted_global_.erase(gid);
-    }
+    (applied ? applied_global_ : aborted_global_).erase(OutcomeKey{gid});
     it = gs.decided_by_cseq.erase(it);
   }
   while (!gs.unconfirmed_acks.empty() &&
@@ -645,10 +651,10 @@ bool Verifier::Repark(uint64_t waiter_id, LockWaiter& waiter,
 
 void Verifier::ResolveWaiter(uint64_t waiter_id, LockWaiter waiter) {
   if (waiter.is_fragment) {
-    TxnId gid = waiter.ref.global_id;
+    const TxnKey gid = waiter.ref.global_id;
     if (!prepared_.contains(gid) && !applied_global_.contains(gid) &&
         !aborted_global_.contains(gid) &&
-        Repark(waiter_id, waiter, FirstBlockedKey(waiter.rw, gid))) {
+        Repark(waiter_id, waiter, FirstBlockedKey(waiter.rw, 0))) {
       return;
     }
     queued_fragment_gids_.erase(gid);
@@ -701,10 +707,13 @@ void Verifier::SendOneResponse(const shim::VerifyMsg::TxnRef& ref, SeqNum seq,
   net_->Send(id(), ref.client, resp, resp->WireSize());
   ++responses_sent_;
 
-  TxnRecord& rec = *txn_records_.FindOrInsert({ref.client, ref.id}).first;
-  rec.responded = true;
-  rec.aborted = aborted;
-  rec.seq = seq;
+  // Only a matched ref left a record (a τ_m abort answers an unvouched
+  // one, which must not).
+  if (TxnRecord* rec = txn_records_.Find({ref.client, ref.id})) {
+    rec->responded = true;
+    rec->aborted = aborted;
+    rec->seq = seq;
+  }
 
   auto ack_it = pending_txn_acks_.find({ref.client, ref.id});
   if (ack_it != pending_txn_acks_.end()) {
@@ -805,6 +814,9 @@ void Verifier::HandleClientResend(const sim::Envelope& env) {
     return;
   }
 
+  // At or below the client's floor the client was answered or gave up:
+  // nothing to answer, and the request must never be proposed again.
+  if (msg->txn.id <= txn_records_.floor(msg->txn.client)) return;
   // Only the requesting client's own record answers: ids are unique per
   // client, so another client's record under the same id says nothing
   // about this request.
@@ -812,11 +824,11 @@ void Verifier::HandleClientResend(const sim::Envelope& env) {
   if (rec != nullptr && rec->responded) {
     // Case (i): already answered — resend the RESPONSE.
     auto resp = std::make_shared<shim::ResponseMsg>(id());
-    resp->txn_id = rec->id;
-    resp->client = rec->client;
+    resp->txn_id = msg->txn.id;
+    resp->client = msg->txn.client;
     resp->seq = rec->seq;
     resp->aborted = rec->aborted;
-    net_->Send(id(), rec->client, resp, resp->WireSize());
+    net_->Send(id(), msg->txn.client, resp, resp->WireSize());
     ++responses_sent_;
     return;
   }
@@ -852,8 +864,24 @@ void Verifier::HandleClientResend(const sim::Envelope& env) {
     return;
   }
 
-  // No VERIFY ever mentioned this txn — missing request (Fig. 4 line 12).
-  // Attach ⟨T⟩C so an honest (possibly new) primary can propose it.
+  // No matched VERIFY vouches for this txn. Refs below quorum are
+  // unvouched, so none of them may steer this retransmit, but the settle
+  // cursor itself may be stuck on a sequence whose VERIFYs are below
+  // quorum (too few executors): announce it (Fig. 4 line 10), so an
+  // honest primary re-spawns its executors and one that does not is
+  // replaced when Υ expires.
+  auto stuck = pending_.find(kmax_);
+  if (stuck != pending_.end() && !stuck->second.matched &&
+      !stuck->second.senders.empty()) {
+    auto gap = std::make_shared<shim::ErrorMsg>(id());
+    gap->reason = shim::ErrorMsg::Reason::kGap;
+    gap->kmax = kmax_;
+    BroadcastToShim(gap);
+    ++error_broadcasts_;
+    pending_gap_acks_.insert(kmax_);
+  }
+  // Missing request (Fig. 4 line 12): attach ⟨T⟩C so an honest
+  // (possibly new) primary can propose it.
   auto error = std::make_shared<shim::ErrorMsg>(id());
   error->reason = shim::ErrorMsg::Reason::kMissingRequest;
   error->txn_digest = msg->txn.Hash();

@@ -9,7 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/paged_table.h"
+#include "common/client_floor.h"
 #include "core/coord_group.h"
 #include "core/lock_table.h"
 #include "crypto/keys.h"
@@ -109,6 +109,13 @@ class Verifier : public sim::Actor {
   uint64_t replace_broadcasts() const { return replace_broadcasts_; }
   uint64_t error_broadcasts() const { return error_broadcasts_; }
   uint64_t responses_sent() const { return responses_sent_; }
+  /// Outcome records held for client retransmissions: per client, the
+  /// transactions above its floor whose quorum matched here.
+  size_t txn_records() const { return txn_records_.size(); }
+  /// The highest floor a matched ref carried for `client`.
+  TxnId client_floor(ActorId client) const {
+    return txn_records_.floor(client);
+  }
 
   // --- cross-shard 2PC (sharded data plane) ---
   uint64_t twopc_votes_yes() const { return twopc_votes_yes_; }
@@ -134,22 +141,26 @@ class Verifier : public sim::Actor {
     lock_release_callback_ = std::move(cb);
   }
 
-  /// Global txn ids this shard applied / aborted a fragment write set
-  /// for, each with the coordinator decision sequence (cseq; 0 when the
-  /// outcome was a presumed-abort answer). Both maps are truncated at the
+  /// A gid as the key of the 2PC outcome maps. It orders and compares as
+  /// the whole (client, id); where a number is wanted, as when a report
+  /// prints it with std::to_string, it reads as the bare id.
+  struct OutcomeKey : TxnKey {
+    operator TxnId() const { return id; }
+  };
+  using OutcomeMap = std::map<OutcomeKey, uint64_t, std::less<>>;
+  /// Gids this shard applied / aborted a fragment write set for, each
+  /// with the coordinator decision sequence (cseq; 0 when the outcome was
+  /// a presumed-abort answer). Both maps are truncated at the
   /// coordinator's fully-decided watermark, bounding them by in-flight
   /// transactions instead of total cross-shard count; decision_log()
   /// chains the full history.
-  const std::map<TxnId, uint64_t>& applied_global() const {
-    return applied_global_;
-  }
-  const std::map<TxnId, uint64_t>& aborted_global() const {
-    return aborted_global_;
-  }
+  const OutcomeMap& applied_global() const { return applied_global_; }
+  const OutcomeMap& aborted_global() const { return aborted_global_; }
   /// Hash-chained log of 2PC decisions applied at this shard (chained
   /// separately from the batch audit log, which stays byte-compatible
   /// with single-plane runs), one entry per decision from seq 1; each
-  /// entry's txn digest is Sha256 over the little-endian u64 global id.
+  /// entry's txn digest is Sha256 over the gid: its id as little-endian
+  /// u64, then its client as little-endian u32.
   /// Like audit_log(), it keeps a bounded suffix in memory, its chain
   /// covers the whole history, and the whole history goes to the sink
   /// SetLogSinks installs.
@@ -206,24 +217,23 @@ class Verifier : public sim::Actor {
   };
 
   /// Outcome record kept per transaction for client retransmissions,
-  /// keyed by (client, id); 24 bytes.
+  /// keyed by (client, id) above the client's floor.
   struct TxnRecord {
-    TxnId id = 0;
     SeqNum seq = 0;
-    ActorId client = kInvalidActor;
-    bool used = false;  // The slot holds a record.
     bool responded = false;
     bool aborted = false;
   };
-  static_assert(sizeof(TxnRecord) == 24);
 
   /// One cross-shard fragment between PREPARE-vote and decision: the
   /// buffered write set (the keys it prepare-locks live in the shared
-  /// lock table keyed by global id).
+  /// lock table under `lock_owner`).
   struct PreparedFragment {
     storage::RwSet rw;
     SeqNum seq = 0;
     shim::VerifyMsg::TxnRef ref;
+    /// This fragment's owner id in the prepare-lock table, dense from 1
+    /// (0 owns nothing).
+    core::LockTable::Owner lock_owner = 0;
     bool vote_commit = false;
     /// Memoized share signature: the vote is immutable once cast, so
     /// retries re-send the same signature instead of re-signing.
@@ -277,7 +287,7 @@ class Verifier : public sim::Actor {
     ActorId leader = kInvalidActor;
     /// cseq-ordered index over applied_global_/aborted_global_, so
     /// watermark pruning is a prefix erase instead of a scan.
-    std::map<uint64_t, std::pair<TxnId, bool>> decided_by_cseq;
+    std::map<uint64_t, std::pair<TxnKey, bool>> decided_by_cseq;
     /// Decision cseqs applied here but not yet confirmed (by a
     /// piggybacked watermark >= cseq); re-sent on every outgoing vote
     /// to this group. Bounded.
@@ -292,11 +302,11 @@ class Verifier : public sim::Actor {
   /// certificates) instead of waiting out the capped retry backoff.
   void HandleCoordRedirect(const sim::Envelope& env);
   /// The gid's owning group's bookkeeping.
-  CoordGroupState& GroupStateOf(TxnId gid) {
+  CoordGroupState& GroupStateOf(const TxnKey& gid) {
     return coord_groups_[config_.coord_groups.GroupOf(gid) %
                          coord_groups_.size()];
   }
-  const CoordGroupState& GroupStateOf(TxnId gid) const {
+  const CoordGroupState& GroupStateOf(const TxnKey& gid) const {
     return coord_groups_[config_.coord_groups.GroupOf(gid) %
                          coord_groups_.size()];
   }
@@ -313,6 +323,12 @@ class Verifier : public sim::Actor {
     ActorId leader = GroupStateOf(frag.ref.global_id).leader;
     return leader != kInvalidActor ? leader : frag.ref.coordinator;
   }
+
+  /// A plain transaction's quorum matched on `ref` at `seq`: learn the
+  /// client's floor from it and keep the transaction's outcome record.
+  /// Only matched refs get here, so an unvouched ref can neither raise a
+  /// floor nor leave a record.
+  void RecordMatchedRef(const shim::VerifyMsg::TxnRef& ref, SeqNum seq);
 
   /// Drains validated/aborted sequences in k_max order (Fig. 3 lines
   /// 24-29 + ccheck).
@@ -338,17 +354,17 @@ class Verifier : public sim::Actor {
   /// which is what batch-outcome accounting keys on.
   bool PrepareFragment(SeqNum seq, const shim::VerifyMsg::TxnRef& ref,
                        const storage::RwSet& rw, bool executable);
-  void SendVote(TxnId global_id, PreparedFragment& frag);
+  void SendVote(const TxnKey& global_id, PreparedFragment& frag);
   /// Flushes the shares buffered by SendVote during a batched section
   /// (settle loop, decision-drain) as one kShardVoteCert message per
   /// coordinator. No-op when nothing is buffered.
   void FlushVoteCerts();
-  void ApplyDecision(TxnId global_id, bool commit, uint64_t cseq,
+  void ApplyDecision(const TxnKey& global_id, bool commit, uint64_t cseq,
                      uint64_t watermark);
-  /// First key of `rw` prepare-locked by a foreign transaction (nullptr
-  /// when unblocked).
+  /// First key of `rw` prepare-locked by an owner other than `self`
+  /// (nullptr when unblocked); 0 for a transaction that holds no locks.
   const std::string* FirstBlockedKey(const storage::RwSet& rw,
-                                     TxnId self) const;
+                                     core::LockTable::Owner self) const;
 
   // --- prepare-lock queueing ---
   /// True when the transaction was parked behind the blocking key (the
@@ -372,7 +388,8 @@ class Verifier : public sim::Actor {
               const std::string* blocked);
 
   /// Records a decided global id (and watermark-prunes the maps).
-  void RecordGlobalOutcome(TxnId global_id, bool applied, uint64_t cseq);
+  void RecordGlobalOutcome(const TxnKey& global_id, bool applied,
+                           uint64_t cseq);
   /// Prunes one group's dedup maps at that group's watermark.
   void PruneAtWatermark(CoordGroupState& gs, uint64_t watermark);
 
@@ -397,7 +414,7 @@ class Verifier : public sim::Actor {
   SeqNum kmax_ = 1;
   std::map<SeqNum, SeqState> pending_;  // Includes the π list (matched
                                         // entries waiting for k_max).
-  PagedTable<TxnKeyPolicy<TxnRecord>> txn_records_;
+  FloorTable<TxnRecord> txn_records_;
   storage::AuditLog audit_log_;
   ViewNum last_seen_view_ = 0;  // For routing primary notifications.
 
@@ -407,16 +424,17 @@ class Verifier : public sim::Actor {
   std::map<TxnKey, crypto::Digest> pending_txn_acks_;
 
   // --- cross-shard 2PC state ---
-  /// Shared lock table: prepare locks keyed by global txn id, plus the
-  /// bounded per-key waiter queues.
+  /// Shared lock table: prepare locks keyed by each prepared fragment's
+  /// lock owner, plus the bounded per-key waiter queues.
   core::LockTable prepare_locks_;
-  std::map<TxnId, PreparedFragment> prepared_;
-  std::map<TxnId, uint64_t> applied_global_;
-  std::map<TxnId, uint64_t> aborted_global_;
+  core::LockTable::Owner next_lock_owner_ = 1;
+  std::map<TxnKey, PreparedFragment> prepared_;
+  OutcomeMap applied_global_;
+  OutcomeMap aborted_global_;
   /// Bounded dedup window for presumed-abort answers (cseq 0: nothing to
   /// prune them against). Global: presumed answers carry no cseq, so no
   /// group's watermark is involved.
-  std::deque<TxnId> presumed_order_;
+  std::deque<TxnKey> presumed_order_;
   storage::AuditLog decision_log_;
   SeqNum decision_seq_ = 0;
   std::function<void()> lock_release_callback_;
@@ -425,7 +443,7 @@ class Verifier : public sim::Actor {
   std::unordered_map<uint64_t, LockWaiter> lock_waiters_;
   /// Global ids with a parked fragment waiter, so duplicate fragment
   /// instances never queue twice.
-  std::set<TxnId> queued_fragment_gids_;
+  std::set<TxnKey> queued_fragment_gids_;
   uint64_t next_waiter_id_ = 1;
   /// Per-group hint/ack/prune state, indexed by coordinator group id
   /// (size >= 1; index 0 is the whole state when groups == 1).

@@ -56,20 +56,21 @@ bool Transaction::Conflicts(const Transaction& a, const Transaction& b) {
 
 // Wire format note: the byte after (id, client) is a *flags* byte, not a
 // plain bool. Bit 0 is rw_sets_known; bit 1 marks the presence of the
-// cross-shard 2PC fields (global_id, coordinator). Ordinary transactions
-// therefore encode byte-identically to the pre-sharding format — the
-// invariant the golden scenario digests pin — while fragments append
-// their metadata behind the flag.
+// cross-shard 2PC fields (global_id, coordinator), which fragments append
+// behind the flag. The floor follows as the varint `id - floor` (mod
+// 2^64), one byte for a closed-loop client, whose floor is id - 1.
 void Transaction::EncodeTo(Encoder* enc) const {
   uint8_t flags = static_cast<uint8_t>(rw_sets_known ? 1 : 0);
-  if (global_id != 0) flags |= 2;
+  if (IsFragment()) flags |= 2;
   enc->PutU64(id);
   enc->PutU32(client);
   enc->PutU8(flags);
-  if (global_id != 0) {
-    enc->PutU64(global_id);
+  if (IsFragment()) {
+    enc->PutU64(global_id.id);
+    enc->PutU32(global_id.client);
     enc->PutU32(coordinator);
   }
+  enc->PutVarint(id - floor);
   enc->PutVarint(ops.size());
   for (const Operation& op : ops) {
     enc->PutU8(static_cast<uint8_t>(op.type));
@@ -89,14 +90,23 @@ Status Transaction::DecodeFrom(Decoder* dec, Transaction* out) {
   if (!st.ok()) return st;
   if (flags > 3) return Status::Corruption("bad txn flags");
   out->rw_sets_known = (flags & 1) != 0;
-  out->global_id = 0;
+  out->global_id = TxnKey{};
   out->coordinator = kInvalidActor;
   if ((flags & 2) != 0) {
-    st = dec->GetU64(&out->global_id);
+    st = dec->GetU64(&out->global_id.id);
     if (!st.ok()) return st;
+    st = dec->GetU32(&out->global_id.client);
+    if (!st.ok()) return st;
+    if (out->global_id.client == kInvalidActor) {
+      return Status::Corruption("fragment without a global client");
+    }
     st = dec->GetU32(&out->coordinator);
     if (!st.ok()) return st;
   }
+  uint64_t below;
+  st = dec->GetVarint(&below);
+  if (!st.ok()) return st;
+  out->floor = out->id - below;
   uint64_t n;
   st = dec->GetVarint(&n);
   if (!st.ok()) return st;
@@ -124,8 +134,8 @@ Status Transaction::DecodeFrom(Decoder* dec, Transaction* out) {
 
 size_t Transaction::WireSize() const {
   size_t n = 8 + 4 + 1;  // id, client, flags.
-  if (global_id != 0) n += 8 + 4;
-  n += VarintLen(ops.size());
+  if (IsFragment()) n += 8 + 4 + 4;
+  n += VarintLen(id - floor) + VarintLen(ops.size());
   for (const Operation& op : ops) {
     n += 1 + SizedLen(op.key.size()) + SizedLen(op.value.size()) + 8;
   }

@@ -44,20 +44,27 @@ struct Operation {
 struct Transaction {
   TxnId id = 0;
   ActorId client = kInvalidActor;
+  /// The client's floor when it signed: the highest id at or below which
+  /// it had nothing outstanding (every earlier request answered or
+  /// abandoned). Below `id` for an honest signer. The signature covers
+  /// it, and the tables that remember client requests drop the client's
+  /// entries at or below it (common/client_floor.h).
+  TxnId floor = 0;
   std::vector<Operation> ops;
   bool rw_sets_known = true;
 
   // --- cross-shard 2PC metadata (sharded data plane) ---
-  /// Non-zero marks this transaction as one shard-local *fragment* of a
-  /// cross-shard transaction with this global id. The shard verifier then
-  /// runs the prepare/vote protocol for it instead of applying directly.
-  TxnId global_id = 0;
+  /// A set client marks this transaction as one shard-local *fragment*
+  /// of the cross-shard transaction with this global id, (client, id) of
+  /// the client's request. The shard verifier then runs the
+  /// prepare/vote protocol for it instead of applying directly.
+  TxnKey global_id{};
   /// Coordinator actor the shard verifier votes to (fragments only).
   ActorId coordinator = kInvalidActor;
 
   /// True when this transaction is a 2PC fragment of a cross-shard
   /// transaction (coordinated commit instead of direct apply).
-  bool IsFragment() const { return global_id != 0; }
+  bool IsFragment() const { return global_id.client != kInvalidActor; }
 
   /// Keys read / written (declared sets; exact for this workload).
   std::vector<std::string> ReadKeys() const;

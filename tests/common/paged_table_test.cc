@@ -9,6 +9,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/rng.h"
+
 namespace sbft {
 namespace {
 
@@ -132,36 +134,6 @@ TEST(PagedTableTest, StartsEmptyAndGrowsAtThreeQuarterLoad) {
   table.FindOrInsert(page, [&](uint64_t) { return IntSlot{page, 1, true}; });
   EXPECT_EQ(table.capacity(), 2 * page);
   EXPECT_EQ(table.size(), 3 * page / 4 + 1);
-}
-
-TEST(PagedTableTest, TxnKeysIncludingEdgeValues) {
-  constexpr TxnId kMaxId = std::numeric_limits<TxnId>::max();
-  // The first key equals a value-initialised slot's fields: only the
-  // `used` flag tells it from an empty slot.
-  const std::vector<TxnKey> keys = {
-      {kInvalidActor, 0}, {0, 0},          {0, kMaxId},
-      {kInvalidActor, kMaxId}, {1, 0},     {0, 1},
-      {kInvalidActor - 1, kMaxId - 1},
-  };
-  TxnKeySet set;
-  for (const TxnKey& key : keys) {
-    EXPECT_EQ(set.Find(key), nullptr);
-    EXPECT_TRUE(set.FindOrInsert(key).second);
-  }
-  for (const TxnKey& key : keys) {
-    EXPECT_FALSE(set.FindOrInsert(key).second);
-    const TxnKeySlot* slot = set.Find(key);
-    ASSERT_NE(slot, nullptr);
-    EXPECT_EQ(slot->client, key.client);
-    EXPECT_EQ(slot->id, key.id);
-  }
-  EXPECT_EQ(set.size(), keys.size());
-  // The same id under another client is another transaction.
-  EXPECT_EQ(set.Find({2, 0}), nullptr);
-  EXPECT_TRUE(set.Erase({kInvalidActor, 0}));
-  EXPECT_FALSE(set.Erase({kInvalidActor, 0}));
-  EXPECT_NE(set.Find({0, 0}), nullptr);
-  EXPECT_EQ(set.size(), keys.size() - 1);
 }
 
 }  // namespace

@@ -12,6 +12,10 @@
 #include "core/serverless_bft.h"
 #include "faults/controller.h"
 #include "faults/schedule.h"
+#include "storage/shard_router.h"
+#include "workload/ycsb_key.h"
+
+#include "log_trail.h"
 
 namespace sbft::core {
 namespace {
@@ -263,6 +267,71 @@ TEST(AttacksTest, ByzantineClientCannotSquatTxnIds) {
     EXPECT_GT(arch.clients()[i]->completed(), 100u) << "client " << i;
   }
   EXPECT_TRUE(arch.verifier()->audit_log().VerifyChain());
+}
+
+TEST(AttacksTest, ByzantineClientCannotSquatGids) {
+  // The same squat against the cross-shard coordinator: the byzantine
+  // client signs the next 400 ids as cross-shard transactions in its own
+  // name and hands them to the coordinator before anyone else. A gid is
+  // (client, id), so each decision answers only its own client: an
+  // honest client may never be answered from the squatter's decision,
+  // nor receive a COMMIT for a transaction that never ran.
+  SystemConfig config = BaseConfig();
+  config.shard_count = 2;
+  config.workload.cross_shard_percentage = 100.0;
+  Architecture arch(config);
+  core::LogTrail trail(arch);
+  const ActorId squatter = arch.clients()[0]->id();
+  storage::ShardRouter router(2);
+  std::string keys[2];
+  for (uint64_t i = 0; keys[0].empty() || keys[1].empty(); ++i) {
+    std::string key = workload::YcsbKey(i);
+    keys[router.ShardOf(key)] = key;
+  }
+  core::TxnCoordinator* coordinator = arch.coordinator();
+  for (TxnId id = 1; id <= 400; ++id) {
+    auto request = std::make_shared<shim::ClientRequestMsg>(squatter);
+    request->txn.id = id;
+    request->txn.client = squatter;
+    request->txn.floor = id - 1;
+    for (const std::string& key : keys) {
+      request->txn.ops.push_back({workload::OpType::kRead, key, {}, 0});
+    }
+    request->client_sig = arch.keys()->Sign(
+        squatter, shim::ClientRequestMsg::SigningBytes(request->txn));
+    sim::Envelope env;
+    env.from = squatter;
+    env.to = coordinator->id();
+    env.message = request;
+    coordinator->OnMessage(env);
+  }
+  // Every RESPONSE the coordinator sends an honest client, checked
+  // against the decision the coordinator logged for that client's gid.
+  std::vector<std::pair<TxnKey, bool>> answers;  // (gid, committed)
+  arch.network()->SetDeliveryObserver([&](const sim::Envelope& env) {
+    const auto* msg = static_cast<const shim::Message*>(env.message.get());
+    if (env.from != coordinator->id() || env.to == squatter ||
+        msg->kind != shim::MsgKind::kResponse) {
+      return;
+    }
+    const auto& response = static_cast<const shim::ResponseMsg&>(*msg);
+    answers.push_back({{env.to, response.txn_id}, !response.aborted});
+  });
+  arch.Start();
+  arch.simulator()->RunUntil(Seconds(6));
+
+  ASSERT_GT(answers.size(), 100u);
+  size_t foreign = 0;
+  for (const auto& [gid, committed] : answers) {
+    const core::LogTrail::CoordOutcome* logged =
+        trail.CoordinatorOutcome(0, gid);
+    if (logged == nullptr || logged->commit != committed) ++foreign;
+  }
+  EXPECT_EQ(foreign, 0u)
+      << "honest clients answered from another client's decision";
+  for (size_t i = 1; i < arch.clients().size(); ++i) {
+    EXPECT_GT(arch.clients()[i]->completed(), 10u) << "client " << i;
+  }
 }
 
 TEST(AttacksTest, LinearShimRecoversFromCrashedPrimary) {

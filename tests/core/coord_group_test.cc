@@ -65,8 +65,10 @@ TxnCoordinator* ServingMember(Architecture& arch, uint32_t group) {
 // member-id arithmetic round-trips across the whole topology.
 TEST(CoordGroupTest, GidRoutingStableSpreadAndViewIndependent) {
   constexpr uint32_t kGroups = 4;
+  constexpr ActorId kClient = 7;
   std::array<uint64_t, kGroups> counts{};
-  for (TxnId gid = 1; gid <= 20000; ++gid) {
+  for (TxnId id = 1; id <= 20000; ++id) {
+    const TxnKey gid{kClient, id};
     uint32_t owner = CoordGroups::GroupOf(gid, kGroups);
     ASSERT_LT(owner, kGroups);
     // Stable: re-resolving yields the same owner.
@@ -82,13 +84,20 @@ TEST(CoordGroupTest, GidRoutingStableSpreadAndViewIndependent) {
   // Consecutive gids do not all land on the same group (the modulo
   // alone would stripe them; the finalizer scatters them).
   std::set<uint32_t> first_eight;
-  for (TxnId gid = 1; gid <= 8; ++gid) {
-    first_eight.insert(CoordGroups::GroupOf(gid, kGroups));
+  for (TxnId id = 1; id <= 8; ++id) {
+    first_eight.insert(CoordGroups::GroupOf({kClient, id}, kGroups));
   }
   EXPECT_GE(first_eight.size(), 2u);
+  // The client is part of the gid: one id under different clients does
+  // not all land on one group.
+  std::set<uint32_t> one_id;
+  for (ActorId client = 1; client <= 8; ++client) {
+    one_id.insert(CoordGroups::GroupOf({client, 42}, kGroups));
+  }
+  EXPECT_GE(one_id.size(), 2u);
 
   // G == 1 degenerates to the singleton owner.
-  EXPECT_EQ(CoordGroups::GroupOf(12345, 1), 0u);
+  EXPECT_EQ(CoordGroups::GroupOf({kClient, 12345}, 1), 0u);
 
   // Member-id arithmetic round-trips group-major.
   CoordGroups topo{4, 3};
@@ -194,13 +203,13 @@ TEST(CoordGroupTest, PerGroupFailoverIsolation) {
   }
   const TwoPcEvidence evidence = CollectTwoPcEvidence(arch, trail);
   EXPECT_TRUE(evidence.SplitOutcomes().empty());
-  for (TxnId gid : evidence.applied_gids) {
+  for (const TxnKey& gid : evidence.applied_gids) {
     uint32_t owner = arch.coord_topology().GroupOf(gid);
     bool commit_logged = false;
     for (uint32_t r = 0; r < 3; ++r) {
-      const auto& log = arch.coordinator_member(owner, r)->decisions();
-      auto it = log.find(gid);
-      if (it != log.end() && it->second.commit) commit_logged = true;
+      const LogTrail::CoordOutcome* logged =
+          trail.CoordinatorOutcome(owner * 3 + r, gid);
+      if (logged != nullptr && logged->commit) commit_logged = true;
     }
     EXPECT_TRUE(commit_logged)
         << "applied gid " << gid << " not COMMIT-logged in owner group "
@@ -235,8 +244,9 @@ TEST(CoordGroupTest, DecisionsStayGroupLocalAndForeignVotesDropped) {
   // Inject a vote for a gid owned by some other group directly at
   // group 0 (spoofed from shard 0's verifier). Group 0 must drop it
   // without creating any state: no decision, no presumed abort.
-  TxnId foreign_gid = 0;
-  for (TxnId gid = 1u << 20; gid < (1u << 20) + 64; ++gid) {
+  TxnKey foreign_gid;
+  for (TxnId id = 1u << 20; id < (1u << 20) + 64; ++id) {
+    const TxnKey gid{Architecture::kFirstClientId, id};
     if (topo.GroupOf(gid) != 0 &&
         !arch.coordinator_member(topo.GroupOf(gid), 0)
              ->decisions()
@@ -245,7 +255,7 @@ TEST(CoordGroupTest, DecisionsStayGroupLocalAndForeignVotesDropped) {
       break;
     }
   }
-  ASSERT_NE(foreign_gid, 0u);
+  ASSERT_NE(foreign_gid.id, 0u);
 
   TxnCoordinator* group0 = arch.coordinator_member(0, 0);
   const uint64_t dropped_before = group0->foreign_votes_dropped();
@@ -253,7 +263,8 @@ TEST(CoordGroupTest, DecisionsStayGroupLocalAndForeignVotesDropped) {
   auto vote =
       std::make_shared<shim::ShardVoteCertMsg>(ShardPlane::VerifierId(0));
   crypto::VoteShare share;
-  share.global_id = foreign_gid;
+  share.global_id = foreign_gid.id;
+  share.client = foreign_gid.client;
   share.shard = 0;
   share.seq = 1;
   share.commit = true;

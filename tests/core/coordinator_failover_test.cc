@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/serverless_bft.h"
 #include "faults/controller.h"
@@ -57,8 +59,9 @@ TxnCoordinator* ServingCoordinator(Architecture& arch) {
 }
 
 /// Group-aware atomicity audit. Fragment evidence: no global id applied
-/// on one shard and aborted on another. Log evidence: every applied id
-/// is COMMIT-logged on some group member, and members never hold
+/// on one shard and aborted on another. Log evidence, read from the
+/// members' trails because the logs truncate: every applied id is
+/// COMMIT-logged on some group member, and members never hold
 /// *conflicting* outcomes at the same maximum view (the quorum fence
 /// plus max-view sync resolution must keep the logs reconcilable).
 void ExpectAtomicAcrossGroup(Architecture& arch, const LogTrail& trail) {
@@ -67,18 +70,17 @@ void ExpectAtomicAcrossGroup(Architecture& arch, const LogTrail& trail) {
     ADD_FAILURE() << "global txn " << key.ToHex()
                   << " applied on one shard, aborted on another";
   }
-  for (TxnId gid : evidence.applied_gids) {
+  for (const TxnKey& gid : evidence.applied_gids) {
     bool commit_logged = false;
     uint64_t best_view = 0;
     bool best_commit = false;
     for (uint32_t r = 0; r < arch.coordinator_replicas(); ++r) {
-      const auto& log = arch.coordinator(r)->decisions();
-      auto it = log.find(gid);
-      if (it == log.end()) continue;
-      if (it->second.commit) commit_logged = true;
-      if (it->second.view >= best_view) {
-        best_view = it->second.view;
-        best_commit = it->second.commit;
+      const LogTrail::CoordOutcome* logged = trail.CoordinatorOutcome(r, gid);
+      if (logged == nullptr) continue;
+      if (logged->commit) commit_logged = true;
+      if (logged->view >= best_view) {
+        best_view = logged->view;
+        best_commit = logged->commit;
       }
     }
     EXPECT_TRUE(commit_logged)
@@ -256,18 +258,22 @@ TEST(CoordinatorFailoverTest, SingletonStallsWhereGroupFailsOver) {
 // monotonicity the pruning machinery depends on.
 TEST(CoordinatorFailoverTest, WatermarkRederivedAfterTakeover) {
   SystemConfig config = FailoverConfig(23, 3);
-  config.twopc_decision_retention = Millis(1500);
   Architecture arch(config);
   LogTrail trail(arch);
   arch.Start();
   arch.simulator()->RunUntil(Seconds(1));
 
+  // The logs truncate, so the cseqs logged so far come from the trail.
+  auto max_cseq_logged = [&](uint32_t member) {
+    uint64_t max_cseq = 0;
+    for (const auto& [gid, logged] : trail.coordinator_decisions[member]) {
+      max_cseq = std::max(max_cseq, logged.cseq);
+    }
+    return max_cseq;
+  };
   TxnCoordinator* old_leader = arch.coordinator(0);
   uint64_t watermark_at_crash = old_leader->watermark();
-  uint64_t max_cseq_at_crash = 0;
-  for (const auto& [gid, rec] : old_leader->decisions()) {
-    max_cseq_at_crash = std::max(max_cseq_at_crash, rec.cseq);
-  }
+  uint64_t max_cseq_at_crash = max_cseq_logged(0);
   old_leader->SetCrashed(true);
   arch.simulator()->RunUntil(Seconds(4));
 
@@ -280,8 +286,8 @@ TEST(CoordinatorFailoverTest, WatermarkRederivedAfterTakeover) {
   // the watermark kept advancing over them (acks re-derived from the
   // successor's own decision traffic).
   uint64_t max_cseq_after = 0;
-  for (const auto& [gid, rec] : serving->decisions()) {
-    max_cseq_after = std::max(max_cseq_after, rec.cseq);
+  for (uint32_t r = 0; r < arch.coordinator_replicas(); ++r) {
+    if (arch.coordinator(r) == serving) max_cseq_after = max_cseq_logged(r);
   }
   EXPECT_GT(max_cseq_after, max_cseq_at_crash)
       << "successor never decided (or reused cseqs)";
@@ -291,8 +297,9 @@ TEST(CoordinatorFailoverTest, WatermarkRederivedAfterTakeover) {
 }
 
 // R = 1 is a group of one: it runs the group protocol as its own
-// majority. It logs explicit ABORTs and prunes them through the same
-// retention queue as COMMITs; on recovery it takes over its own log at
+// majority. It logs explicit ABORTs and truncates them by the same rule
+// as COMMITs (settled, and below the client's floor); on recovery it
+// takes over its own log at
 // once (no view change, no peer to sync with) and redirects every shard
 // verifier exactly once; and it never sends a group message.
 TEST(CoordinatorFailoverTest, GroupOfOneRecoversThroughItsOwnTakeover) {
@@ -302,7 +309,6 @@ TEST(CoordinatorFailoverTest, GroupOfOneRecoversThroughItsOwnTakeover) {
   config.workload.record_count = 200;
   config.workload.cross_shard_percentage = 50.0;
   config.prepare_lock_queue_depth = 0;
-  config.twopc_decision_retention = Millis(500);
   Architecture arch(config);
   LogTrail trail(arch);
   TxnCoordinator* coordinator = arch.coordinator();
@@ -333,8 +339,8 @@ TEST(CoordinatorFailoverTest, GroupOfOneRecoversThroughItsOwnTakeover) {
   arch.Start();
 
   // Explicit ABORTs (vote NO or vote timeout) carry a cseq and are logged;
-  // the gids seen logged are later pruned at the watermark.
-  std::set<TxnId> logged_aborts;
+  // the gids seen logged are later truncated.
+  std::set<TxnKey> logged_aborts;
   auto sample_aborts = [&]() {
     for (const auto& [gid, rec] : coordinator->decisions()) {
       if (!rec.commit && rec.cseq > 0) logged_aborts.insert(gid);
@@ -358,7 +364,7 @@ TEST(CoordinatorFailoverTest, GroupOfOneRecoversThroughItsOwnTakeover) {
   EXPECT_FALSE(logged_aborts.empty()) << "explicit ABORTs are not logged";
   EXPECT_GT(coordinator->decisions_pruned(), 0u);
   size_t pruned_aborts = 0;
-  for (TxnId gid : logged_aborts) {
+  for (const TxnKey& gid : logged_aborts) {
     if (!coordinator->decisions().contains(gid)) ++pruned_aborts;
   }
   EXPECT_GT(pruned_aborts, 0u) << "logged ABORTs never prune";
@@ -370,6 +376,126 @@ TEST(CoordinatorFailoverTest, GroupOfOneRecoversThroughItsOwnTakeover) {
   }
   EXPECT_EQ(redirects.size(), arch.shard_count());
   EXPECT_EQ(group_messages, 0);
+  EXPECT_TRUE(CollectTwoPcEvidence(arch, trail).SplitOutcomes().empty());
+}
+
+// Followers truncate with their leader. The leader carries the gids it
+// truncated (settled, and at or below the client's floor) on its next
+// append or heartbeat, and each follower drops them, so no member's log
+// grows with the run and a takeover's sync reply stays small.
+TEST(CoordinatorFailoverTest, FollowersTruncateWithTheLeader) {
+  SystemConfig config = FailoverConfig(1, 3);
+  config.workload.cross_shard_percentage = 20.0;
+  Architecture arch(config);
+  arch.Start();
+  uint64_t decided = 0;
+  for (SimTime until : {Seconds(2), Seconds(8)}) {
+    SCOPED_TRACE("at " + std::to_string(until / Seconds(1)) + " s");
+    arch.simulator()->RunUntil(until);
+    const TxnCoordinator* leader = arch.coordinator(0);
+    ASSERT_TRUE(leader->leader_synced());
+    EXPECT_GT(leader->commits_decided() + leader->aborts_decided(),
+              decided + 64);
+    decided = leader->commits_decided() + leader->aborts_decided();
+    for (uint32_t r = 0; r < arch.coordinator_replicas(); ++r) {
+      const TxnCoordinator* member = arch.coordinator(r);
+      EXPECT_LE(member->decisions().size(), 48u) << "member " << r;
+      EXPECT_GT(member->decisions_pruned(), decided / 2) << "member " << r;
+    }
+  }
+}
+
+// Exactly-once across a long client partition: a cross-shard
+// transaction commits, but its source is cut off from the coordinator
+// before the RESPONSE lands, for longer than the 5 s retention window the
+// log used to truncate by, and then healed. The source issues nothing
+// new while it waits, so its floor stays below the transaction and the
+// decision is still logged: the retransmit is answered from the log with
+// the logged outcome, the gid applies at most once on every shard, and
+// nothing is relaunched. The other source keeps traffic running through
+// the partition, so the watermark advances and the shards prune.
+TEST(CoordinatorFailoverTest, ExactlyOnceAcrossALongClientPartition) {
+  SystemConfig config = FailoverConfig(5, 1);
+  config.workload.cross_shard_percentage = 30.0;
+  config.traffic.open_loop = true;
+  config.traffic.sources = 2;
+  config.traffic.offered_tps = 200.0;
+  config.traffic.retry_timeout = Millis(400);
+  config.traffic.retry_inflight_cap = 64;
+  Architecture arch(config);
+  LogTrail trail(arch);
+  TxnCoordinator* coordinator = arch.coordinator();
+  TxnKey gid;
+  SimTime cut_at = 0;
+  std::vector<bool> answers;  // RESPONSE outcomes for gid: committed?
+  std::map<TxnKey, std::set<TxnId>> launches;  // gid -> launch numbers
+  arch.network()->SetDeliveryObserver([&](const sim::Envelope& env) {
+    const auto* msg = static_cast<const shim::Message*>(env.message.get());
+    if (cut_at == 0 && env.to == coordinator->id() &&
+        msg->kind == shim::MsgKind::kClientRequest &&
+        env.from >= Architecture::kFirstSourceId &&
+        arch.simulator()->now() >= Seconds(1)) {
+      // The coordinator just launched this request: cut its source off.
+      const auto& request = static_cast<const shim::ClientRequestMsg&>(*msg);
+      gid = {request.txn.client, request.txn.id};
+      cut_at = arch.simulator()->now();
+      arch.network()->SetLinkEnabled(gid.client, coordinator->id(), false);
+      for (const auto& source : arch.sources()) {
+        if (source->id() == gid.client) source->Pause();
+      }
+    }
+    if (env.from == coordinator->id() &&
+        msg->kind == shim::MsgKind::kClientRequest) {
+      // A fragment: its id is the coordinator's launch number.
+      const auto& fragment = static_cast<const shim::ClientRequestMsg&>(*msg);
+      launches[fragment.txn.global_id].insert(fragment.txn.id);
+    }
+    if (cut_at != 0 && env.to == gid.client && env.from == coordinator->id() &&
+        msg->kind == shim::MsgKind::kResponse &&
+        static_cast<const shim::ResponseMsg&>(*msg).txn_id == gid.id) {
+      answers.push_back(!static_cast<const shim::ResponseMsg&>(*msg).aborted);
+    }
+  });
+  arch.Start();
+  arch.simulator()->RunUntil(Seconds(2));
+  ASSERT_NE(cut_at, 0);
+  // The source retransmits 0.4, 1.2, 2.8 and 6.0 s after its request
+  // (the timeout doubles); the partition outlasts 5 s, and the other
+  // source's traffic stops in time to drain before the heal.
+  arch.simulator()->RunUntil(cut_at + Millis(5300));
+  for (const auto& source : arch.sources()) source->Pause();
+  arch.simulator()->RunUntil(cut_at + Millis(5800));
+  EXPECT_TRUE(answers.empty()) << "the partition let the RESPONSE through";
+  const LogTrail::CoordOutcome* logged = trail.CoordinatorOutcome(0, gid);
+  ASSERT_NE(logged, nullptr) << "gid " << gid << " was never decided";
+  EXPECT_TRUE(logged->commit);
+  EXPECT_TRUE(coordinator->decisions().contains(gid))
+      << "the decision left the log while its client still waited";
+  arch.network()->SetLinkEnabled(gid.client, coordinator->id(), true);
+  arch.simulator()->RunUntil(cut_at + Seconds(16));
+
+  ASSERT_FALSE(answers.empty()) << "the retransmit was never answered";
+  for (bool committed : answers) EXPECT_EQ(committed, logged->commit);
+  // Nothing is relaunched: the gid went out in one launch, and every
+  // launch the coordinator counted is a distinct gid's first one (the
+  // other source's requests that the partition held back launch after
+  // the heal, for the first time).
+  EXPECT_EQ(launches[gid].size(), 1u) << "gid " << gid << " relaunched";
+  EXPECT_EQ(coordinator->txns_coordinated(), launches.size());
+  for (const auto& [launched_gid, numbers] : launches) {
+    EXPECT_EQ(numbers.size(), 1u) << "gid " << launched_gid << " relaunched";
+  }
+  const crypto::Digest key = GidKey(gid);
+  for (uint32_t s = 0; s < arch.shard_count(); ++s) {
+    int applied = 0;
+    for (const storage::AuditLog::Entry& entry : trail.decisions[s]) {
+      if (entry.txn_digest == key &&
+          entry.outcome == storage::AuditLog::Outcome::kApplied) {
+        ++applied;
+      }
+    }
+    EXPECT_LE(applied, 1) << "gid applied twice on shard " << s;
+  }
   EXPECT_TRUE(CollectTwoPcEvidence(arch, trail).SplitOutcomes().empty());
 }
 
@@ -427,7 +553,7 @@ TEST(CoordinatorFailoverTest, WorkflowHopsExactlyOnceAcrossFailover) {
         const auto& attempts = chain.hop_attempts[hop];
         int applied_attempts = 0;
         for (TxnId id : attempts) {
-          if (evidence.Applied(id)) ++applied_attempts;
+          if (evidence.Applied({source->id(), id})) ++applied_attempts;
         }
         EXPECT_LE(applied_attempts, 1)
             << "chain " << chain.chain_id << " hop " << hop

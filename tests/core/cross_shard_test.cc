@@ -43,14 +43,14 @@ void ExpectAtomicCommit(Architecture& arch, const LogTrail& trail) {
     ADD_FAILURE() << "global txn " << key.ToHex()
                   << " was applied on one shard and aborted on another";
   }
-  // Cross-check against the coordinator's durable decision log: an
-  // applied fragment must correspond to a logged COMMIT.
+  // Cross-check against the coordinator's durable decision log, read
+  // from its trail: an applied fragment must correspond to a logged
+  // COMMIT.
   ASSERT_NE(arch.coordinator(), nullptr);
-  const auto& decisions = arch.coordinator()->decisions();
-  for (TxnId gid : evidence.applied_gids) {
-    auto it = decisions.find(gid);
-    ASSERT_NE(it, decisions.end()) << "applied gtxn " << gid << " undecided";
-    EXPECT_TRUE(it->second.commit)
+  for (const TxnKey& gid : evidence.applied_gids) {
+    const LogTrail::CoordOutcome* logged = trail.CoordinatorOutcome(0, gid);
+    ASSERT_NE(logged, nullptr) << "applied gtxn " << gid << " undecided";
+    EXPECT_TRUE(logged->commit)
         << "applied gtxn " << gid << " logged as abort";
   }
 }

@@ -3,14 +3,15 @@
 // it applied: applied_global()/aborted_global(), keyed by global id but
 // truncated at the coordinator's fully-decided watermark, and
 // decision_log(), whose whole history is read from the sink (LogTrail)
-// and names each global id by its txn digest Sha256(LE64 gid). The
-// evidence below unions both, keyed by that digest.
+// and names each global id by its txn digest Sha256(LE64 id || LE32
+// client). The evidence below unions both, keyed by that digest.
 
 #ifndef SBFT_TESTS_CORE_TWOPC_EVIDENCE_H_
 #define SBFT_TESTS_CORE_TWOPC_EVIDENCE_H_
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -19,12 +20,23 @@
 #include "crypto/sha256.h"
 #include "log_trail.h"
 
+namespace sbft {
+
+/// Prints a gid (or any TxnKey) as (client, id) in failure messages.
+inline std::ostream& operator<<(std::ostream& os, const TxnKey& key) {
+  return os << "(" << key.client << ", " << key.id << ")";
+}
+
+}  // namespace sbft
+
 namespace sbft::core {
 
-/// Decision-log key of a global transaction id: Sha256(LE64 gid).
-inline crypto::Digest GidKey(TxnId gid) {
+/// Decision-log key of a global transaction id: Sha256(LE64 id || LE32
+/// client).
+inline crypto::Digest GidKey(const TxnKey& gid) {
   Encoder enc;
-  enc.PutU64(gid);
+  enc.PutU64(gid.id);
+  enc.PutU32(gid.client);
   return crypto::Sha256::Hash(enc.buffer());
 }
 
@@ -34,11 +46,14 @@ struct TwoPcEvidence {
   std::set<crypto::Digest> applied;
   std::set<crypto::Digest> aborted;
   /// Applied global ids that can be named: those still in a shard's
-  /// applied_global() map or in some coordinator member's decision log.
-  /// Older applied entries survive only as keys in `applied`.
-  std::set<TxnId> applied_gids;
+  /// applied_global() map or in some coordinator member's decision log,
+  /// read from the trail. Gids no member logged survive only as keys in
+  /// `applied`.
+  std::set<TxnKey> applied_gids;
 
-  bool Applied(TxnId gid) const { return applied.contains(GidKey(gid)); }
+  bool Applied(const TxnKey& gid) const {
+    return applied.contains(GidKey(gid));
+  }
 
   /// Keys applied on one shard and aborted on another. Atomic commit
   /// means this is empty.
@@ -74,8 +89,8 @@ inline TwoPcEvidence CollectTwoPcEvidence(Architecture& arch,
       }
     }
   }
-  for (uint32_t r = 0; r < arch.coordinator_replicas(); ++r) {
-    for (const auto& [gid, rec] : arch.coordinator(r)->decisions()) {
+  for (const auto& member_log : trail.coordinator_decisions) {
+    for (const auto& [gid, outcome] : member_log) {
       if (evidence.applied.contains(GidKey(gid))) {
         evidence.applied_gids.insert(gid);
       }

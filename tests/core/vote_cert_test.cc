@@ -50,10 +50,11 @@ TEST(VoteCertTest, CommitDecisionsCarryValidatedQuorumProof) {
     if (!rec.commit) continue;
     ++commits_checked;
     ASSERT_FALSE(rec.proof.shares.empty())
-        << "COMMIT for gtxn " << gid << " logged without a quorum proof";
+        << "COMMIT for gtxn " << gid.id << " logged without a quorum proof";
     EXPECT_TRUE(rec.proof.Validate(*arch.keys()).ok());
     for (const crypto::VoteShare& share : rec.proof.shares) {
-      EXPECT_EQ(share.global_id, gid);
+      EXPECT_EQ(share.global_id, gid.id);
+      EXPECT_EQ(share.client, gid.client);
       EXPECT_TRUE(share.commit) << "a NO share inside a COMMIT proof";
     }
   }
@@ -111,7 +112,7 @@ TEST(VoteCertTest, MisattributedShareRejectsWholeCertificate) {
   share.signer = ShardPlane::VerifierId(0);
   share.sig = arch.keys()->Sign(
       ShardPlane::VerifierId(0),
-      crypto::VoteSigningBytes(424242, 0, 1, true));
+      crypto::VoteSigningBytes(share.gid(), 0, 1, true));
   msg->cert.shares.push_back(share);
   sim::Envelope env;
   env.from = ShardPlane::VerifierId(1);
@@ -180,8 +181,8 @@ TEST(VoteCertTest, ProoflessCommitDecisionNeverAppliesAtVerifier) {
   constexpr ActorId kCoordinator = kCoordinatorBaseId;
   constexpr ActorId kExec1 = 200;
   constexpr ActorId kExec2 = 201;
-  constexpr TxnId kGid = 777;
-  const TxnId frag_id = TxnCoordinator::FragmentId(kGid, 0);
+  constexpr TxnKey kGid{Architecture::kFirstClientId, 777};
+  constexpr TxnId kFragId = 1;  // The coordinator's first launch.
 
   sim::Simulator sim(7);
   sim::Network net(&sim, sim::RegionTable::Aws11(), {});
@@ -225,7 +226,8 @@ TEST(VoteCertTest, ProoflessCommitDecisionNeverAppliesAtVerifier) {
     msg->seq = 1;
     msg->batch_digest = digest;
     msg->cert = cert;
-    msg->txn_refs.push_back({frag_id, kCoordinator, kGid, kCoordinator});
+    msg->txn_refs.push_back(
+        {kFragId, kCoordinator, kFragId - 1, kGid, kCoordinator});
     msg->txn_rws.push_back(rw);
     msg->result = ToBytes("r");
     msg->executor_sig = keys.Sign(
@@ -266,7 +268,8 @@ TEST(VoteCertTest, ProoflessCommitDecisionNeverAppliesAtVerifier) {
   // 2. COMMIT with a proof whose share signature is forged: dropped.
   crypto::VoteCertificate forged;
   crypto::VoteShare bad;
-  bad.global_id = kGid;
+  bad.global_id = kGid.id;
+  bad.client = kGid.client;
   bad.shard = 0;
   bad.seq = 1;
   bad.commit = true;

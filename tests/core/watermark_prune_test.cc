@@ -1,11 +1,12 @@
 // Long-run boundedness of 2PC bookkeeping under the fully-decided
-// watermark (unified commit path): the coordinator COMMIT log and the
-// shard verifiers' applied/aborted global-txn maps must be bounded by
-// in-flight transactions (plus the retention window), not by the total
+// watermark and the client floors (unified commit path): the coordinator
+// decision log and the shard verifiers' applied/aborted global-txn maps
+// must be bounded by in-flight transactions, not by the total
 // cross-shard transaction count — the same unbounded-growth class PR 3
-// eliminated from the event loop. The verifiers' audit and decision logs
-// hold a fixed suffix at any run length, while their chains and sinks
-// cover the whole history.
+// eliminated from the event loop. So must the primaries' seen ids and
+// the verifiers' outcome records. The verifiers' audit and decision
+// logs hold a fixed suffix at any run length, while their chains and
+// sinks cover the whole history.
 
 #include <gtest/gtest.h>
 
@@ -32,7 +33,6 @@ SystemConfig WatermarkConfig() {
   config.workload.cross_shard_percentage = 30.0;
   config.crypto_mode = crypto::CryptoMode::kFast;
   config.seed = 13;
-  config.twopc_decision_retention = Millis(500);
   return config;
 }
 
@@ -49,8 +49,8 @@ TEST(WatermarkPruneTest, CommitLogAndDedupMapsStayBounded) {
   EXPECT_GT(coordinator->watermark(), 0u);
   EXPECT_GT(coordinator->decisions_pruned(), 200u);
 
-  // COMMIT log: bounded by in-flight decisions + the 500 ms retention
-  // window at the commit rate — two orders below total commits.
+  // Decision log: bounded by in-flight decisions, each client's newest
+  // ones above its floor — two orders below total commits.
   EXPECT_LT(coordinator->decisions().size(),
             coordinator->commits_decided() / 4);
   EXPECT_LE(coordinator->decisions().size(), 192u);
@@ -68,12 +68,13 @@ TEST(WatermarkPruneTest, CommitLogAndDedupMapsStayBounded) {
 }
 
 TEST(WatermarkPruneTest, AtomicityHoldsWhilePruning) {
-  // While the shards prune their dedup maps at the watermark, the
+  // While the shards prune their dedup maps at the watermark and the
+  // coordinator truncates its log at the client floors, the
   // atomic-commit property must hold over the full decision-log
   // history: no gid applied on one shard and aborted on another, and
-  // every applied gid matches a logged COMMIT still inside retention.
+  // every applied gid matches a logged COMMIT in the coordinator's
+  // trail.
   SystemConfig config = WatermarkConfig();
-  config.twopc_decision_retention = Seconds(30);  // Keep the COMMITs.
   Architecture arch(config);
   LogTrail trail(arch);
   arch.Start();
@@ -84,10 +85,10 @@ TEST(WatermarkPruneTest, AtomicityHoldsWhilePruning) {
   EXPECT_GT(evidence.applied_gids.size(), 0u);
   EXPECT_EQ(evidence.applied_gids.size(), evidence.applied.size())
       << "applied evidence without a logged decision";
-  for (TxnId gid : evidence.applied_gids) {
-    auto it = arch.coordinator()->decisions().find(gid);
-    ASSERT_NE(it, arch.coordinator()->decisions().end()) << "gid " << gid;
-    EXPECT_TRUE(it->second.commit) << "gid " << gid;
+  for (const TxnKey& gid : evidence.applied_gids) {
+    const LogTrail::CoordOutcome* logged = trail.CoordinatorOutcome(0, gid);
+    ASSERT_NE(logged, nullptr) << "gid " << gid;
+    EXPECT_TRUE(logged->commit) << "gid " << gid;
   }
 }
 
@@ -136,6 +137,46 @@ TEST(LogBoundTest, VerifierLogsHoldTheirSuffixAtAnyRunLength) {
       ExpectTrailReplaysToHead(trail.decisions[s], v->decision_log());
     }
   }
+}
+
+// Every table that remembers client requests keeps, per client, only the
+// ids above the floor the client signed: each primary's seen ids, each
+// verifier's outcome records and each coordinator member's decision log.
+// So at 2 s and at 8 s alike none holds more than the sources ever had
+// in flight at once, while the committed totals grow.
+TEST(ClientWatermarkTest, TablesHoldInFlightAtAnyRunLength) {
+  SystemConfig config = WatermarkConfig();
+  config.shard_count = 4;
+  config.traffic.open_loop = true;
+  config.traffic.sources = 4;
+  config.traffic.offered_tps = 800.0;
+  Architecture arch(config);
+  arch.Start();
+  uint64_t completed = 0;
+  uint64_t decided = 0;
+  for (SimTime until : {Seconds(2), Seconds(8)}) {
+    SCOPED_TRACE("at " + std::to_string(until / Seconds(1)) + " s");
+    arch.simulator()->RunUntil(until);
+    // Each table holds at most what was ever in flight at once (about
+    // 125 here); at 8 s some 6,000 transactions have completed.
+    const uint64_t bound = arch.PeakInflight();
+    ASSERT_GT(bound, 0u);
+    EXPECT_GT(arch.TotalCompleted(), completed + bound);
+    completed = arch.TotalCompleted();
+    for (const shim::PbftReplica* replica : arch.pbft_replicas()) {
+      EXPECT_LE(replica->seen_txns(), bound) << replica->name();
+    }
+    for (uint32_t s = 0; s < config.shard_count; ++s) {
+      EXPECT_LE(arch.plane(s)->verifier()->txn_records(), bound)
+          << "shard " << s;
+    }
+    const TxnCoordinator* leader = arch.coordinator();
+    EXPECT_GT(leader->commits_decided() + leader->aborts_decided(), decided);
+    decided = leader->commits_decided() + leader->aborts_decided();
+    EXPECT_LE(leader->decisions().size(), bound);
+  }
+  // The log truncated most of what it decided.
+  EXPECT_GT(decided, 4 * arch.PeakInflight());
 }
 
 }  // namespace

@@ -86,7 +86,7 @@ TEST(WorkflowChainTest, HopsCommitExactlyOnceAcrossCoordinatorCrash) {
         // guards) would double-run the function.
         int applied_attempts = 0;
         for (TxnId id : attempts) {
-          if (evidence.Applied(id)) ++applied_attempts;
+          if (evidence.Applied({source->id(), id})) ++applied_attempts;
         }
         EXPECT_LE(applied_attempts, 1)
             << "chain " << chain.chain_id << " hop " << hop

@@ -129,7 +129,7 @@ TEST(MessageTest, TwoPcWatermarkAndViewSectionsAreAlwaysPresent) {
   // and an 8-byte view stamp; every decision carries (cseq, watermark)
   // and a 12-byte view stamp. No presence bit gates either, so the wire
   // size depends only on how many acks and proof shares there are.
-  crypto::VoteShare share{42, 1, 7, true, 9, ToBytes("sig")};
+  crypto::VoteShare share{42, 1000000, 1, 7, true, 9, ToBytes("sig")};
   ShardVoteCertMsg no_acks(9);
   no_acks.cert.shares.push_back(share);
   EXPECT_EQ(no_acks.WireSize(), sizeof(wire::ShardVoteCertHeader) +
@@ -142,13 +142,13 @@ TEST(MessageTest, TwoPcWatermarkAndViewSectionsAreAlwaysPresent) {
   EXPECT_EQ(acks.WireSize(), no_acks.WireSize() + 3 * 8);
 
   ShardCommitDecisionMsg zero_decision(9);
-  zero_decision.global_id = 42;
+  zero_decision.global_id = {1000000, 42};
   zero_decision.commit = true;
   EXPECT_EQ(zero_decision.WireSize(),
             sizeof(wire::ShardCommitDecisionHeader) + 16 + 12);
 
   ShardCommitDecisionMsg stamped_decision(9);
-  stamped_decision.global_id = 42;
+  stamped_decision.global_id = {1000000, 42};
   stamped_decision.commit = true;
   stamped_decision.cseq = 11;
   stamped_decision.watermark = 8;

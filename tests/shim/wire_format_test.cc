@@ -47,8 +47,8 @@ crypto::CommitCertificate MakeCert() {
 
 crypto::VoteCertificate MakeVoteCert() {
   crypto::VoteCertificate cert;
-  cert.shares.push_back({91, 0, 5, true, 31, ToBytes("share-a")});
-  cert.shares.push_back({91, 1, 6, false, 32, ToBytes("share-b")});
+  cert.shares.push_back({91, 1000000, 0, 5, true, 31, ToBytes("share-a")});
+  cert.shares.push_back({91, 1000000, 1, 6, false, 32, ToBytes("share-b")});
   return cert;
 }
 
@@ -149,7 +149,7 @@ TEST(WireFormatTest, VerifyMatchesLegacyBytesWithAndWithoutFragments) {
   txn_rw.reads.push_back({"alpha", 3});
   txn_rw.writes.push_back({"beta", ToBytes("v")});
   m.txn_rws.push_back(txn_rw);
-  m.txn_refs.push_back({21, 100, 0, kInvalidActor});
+  m.txn_refs.push_back({21, 100, 20, {}, kInvalidActor});
   m.result = ToBytes("r");
   m.executor_sig = ToBytes("exec-ds");
 
@@ -164,19 +164,21 @@ TEST(WireFormatTest, VerifyMatchesLegacyBytesWithAndWithoutFragments) {
     for (const VerifyMsg::TxnRef& ref : m.txn_refs) {
       e->PutU64(ref.id);
       e->PutU32(ref.client);
+      e->PutVarint(ref.id - ref.floor);
     }
     e->PutBytes(m.result);
     e->PutBytes(m.executor_sig);
     size_t fragments = 0;
     for (const VerifyMsg::TxnRef& ref : m.txn_refs) {
-      if (ref.global_id != 0) ++fragments;
+      if (ref.IsFragment()) ++fragments;
     }
     if (fragments > 0) {
       e->PutVarint(fragments);
       for (size_t i = 0; i < m.txn_refs.size(); ++i) {
-        if (m.txn_refs[i].global_id == 0) continue;
+        if (!m.txn_refs[i].IsFragment()) continue;
         e->PutVarint(i);
-        e->PutU64(m.txn_refs[i].global_id);
+        e->PutU64(m.txn_refs[i].global_id.id);
+        e->PutU32(m.txn_refs[i].global_id.client);
         e->PutU32(m.txn_refs[i].coordinator);
       }
     }
@@ -191,11 +193,35 @@ TEST(WireFormatTest, VerifyMatchesLegacyBytesWithAndWithoutFragments) {
   frag.cert = m.cert;
   frag.txn_rws = m.txn_rws;
   frag.txn_refs = m.txn_refs;
-  frag.txn_refs.push_back({22, 101, 9001, 77});
+  frag.txn_refs.push_back({22, 890000, 21, {101, 9001}, 890000});
   frag.result = m.result;
   frag.executor_sig = m.executor_sig;
   EXPECT_GT(frag.WireSize(), m.WireSize());
   EXPECT_EQ(frag.Serialized().size(), frag.WireSize());
+  // Each ref carries `id - floor` as a varint; the fragment section names
+  // the gid by id, then client, then the coordinator.
+  ExpectLegacyBytes(frag, [&](Encoder* e) {
+    e->PutU64(frag.view);
+    e->PutU64(frag.seq);
+    e->PutRaw(frag.batch_digest.data(), crypto::Digest::kSize);
+    frag.cert.EncodeTo(e);
+    e->PutVarint(frag.txn_rws.size());
+    for (const storage::RwSet& r : frag.txn_rws) r.EncodeTo(e);
+    e->PutVarint(2);
+    e->PutU64(21);
+    e->PutU32(100);
+    e->PutVarint(1);
+    e->PutU64(22);
+    e->PutU32(890000);
+    e->PutVarint(1);
+    e->PutBytes(frag.result);
+    e->PutBytes(frag.executor_sig);
+    e->PutVarint(1);
+    e->PutVarint(1);
+    e->PutU64(9001);
+    e->PutU32(101);
+    e->PutU32(890000);
+  });
 }
 
 TEST(WireFormatTest, ResponseMatchesLegacyBytes) {
@@ -405,7 +431,7 @@ TEST(WireFormatTest, ShardMessagesMatchLegacyBytes) {
 
   // Decision: header, proof (COMMITs only), cseq, watermark, view stamp.
   ShardCommitDecisionMsg decision(9);
-  decision.global_id = 42;
+  decision.global_id = {1000000, 42};
   decision.commit = true;
   decision.proof = MakeVoteCert();
   decision.cseq = 11;
@@ -413,7 +439,8 @@ TEST(WireFormatTest, ShardMessagesMatchLegacyBytes) {
   decision.coord_view = 2;
   decision.coord_leader = 890002;
   ExpectLegacyBytes(decision, [&](Encoder* e) {
-    e->PutU64(decision.global_id);
+    e->PutU64(decision.global_id.id);
+    e->PutU32(decision.global_id.client);
     e->PutBool(decision.commit);
     decision.proof.EncodeTo(e);
     e->PutU64(decision.cseq);
@@ -422,12 +449,13 @@ TEST(WireFormatTest, ShardMessagesMatchLegacyBytes) {
     e->PutU32(decision.coord_leader);
   });
 
-  // A proofless decision adds no proof bytes: the 14-byte header, then
+  // A proofless decision adds no proof bytes: the 18-byte header, then
   // the 16-byte watermark piggyback and the 12-byte view stamp.
   ShardCommitDecisionMsg abort(9);
-  abort.global_id = 42;
+  abort.global_id = {1000000, 42};
   ExpectLegacyBytes(abort, [&](Encoder* e) {
-    e->PutU64(abort.global_id);
+    e->PutU64(abort.global_id.id);
+    e->PutU32(abort.global_id.client);
     e->PutBool(false);
     e->PutU64(0);
     e->PutU64(0);
@@ -580,13 +608,14 @@ TEST(WireFormatTest, PackedFieldsRoundTripValues) {
 
 TEST(WireFormatTest, ParsedViewFieldsMatchMessage) {
   ShardCommitDecisionMsg decision(12);
-  decision.global_id = 0x1122334455667788ULL;
+  decision.global_id = {0xaabbccddu, 0x1122334455667788ULL};
   decision.commit = false;
   const auto* h = wire::TryFrom<wire::ShardCommitDecisionHeader>(
       decision.Serialized(), MsgKind::kShardCommitDecision);
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->hdr.sender.get(), 12u);
   EXPECT_EQ(h->global_id.get(), 0x1122334455667788ULL);
+  EXPECT_EQ(h->global_client.get(), 0xaabbccddu);
   EXPECT_FALSE(h->commit.get());
   EXPECT_TRUE(h->commit.valid());
 }

@@ -107,6 +107,12 @@ class VerifierTest : public ::testing::Test {
     return msg;
   }
 
+  /// The ref of a fragment of `gid`: the coordinator's first launch.
+  static shim::VerifyMsg::TxnRef FragmentRef(const TxnKey& gid,
+                                             ActorId coordinator) {
+    return {1, coordinator, 0, gid, coordinator};
+  }
+
   void Deliver(std::shared_ptr<shim::VerifyMsg> msg) {
     // Executors are ephemeral and not registered on the test network;
     // inject the envelope directly, as the network would deliver it.
@@ -408,7 +414,7 @@ TEST_F(VerifierTest, TamperedTxnRwsOnFragmentBatchNeverPrepareOrApply) {
   // its executor signed them is rejected, so its unmatched write is
   // never prepared — and, on COMMIT, never applied.
   constexpr ActorId kCoordinator = core::kCoordinatorBaseId;
-  constexpr TxnId kGid = 777;
+  constexpr TxnKey kGid{kClient, 777};
   keys_.RegisterNode(999);  // The verifier signs its vote share.
   RecorderActor coordinator(kCoordinator);
   net_.Register(&coordinator, 0);
@@ -416,7 +422,7 @@ TEST_F(VerifierTest, TamperedTxnRwsOnFragmentBatchNeverPrepareOrApply) {
   storage::RwSet rw = CurrentRw();
   auto fragment = [&](ActorId executor) {
     auto msg = MakeVerify(1, executor, rw, ToBytes("r"));
-    msg->txn_refs[0] = {(kGid << 8) | 1, kCoordinator, kGid, kCoordinator};
+    msg->txn_refs[0] = FragmentRef(kGid, kCoordinator);
     return msg;
   };
   Deliver(fragment(kFirstExecutor));
@@ -437,7 +443,7 @@ TEST_F(VerifierTest, TamperedTxnRwsOnFragmentBatchNeverPrepareOrApply) {
   decision->global_id = kGid;
   decision->commit = true;
   decision->proof.shares.push_back(
-      {kGid, 0, 1, true, 999,
+      {kGid.id, kGid.client, 0, 1, true, 999,
        keys_.Sign(999, crypto::VoteSigningBytes(kGid, 0, 1, true))});
   sim::Envelope env;
   env.from = kCoordinator;
@@ -460,7 +466,7 @@ TEST_F(VerifierTest, ResplitTxnRwsNeverCompleteAQuorum) {
   // transaction's set, which would apply it directly instead of
   // preparing it. Only the per-transaction match stops it.
   constexpr ActorId kCoordinator = 888;
-  constexpr TxnId kGid = 777;
+  constexpr TxnKey kGid{kClient, 777};
   keys_.RegisterNode(999);
   RecorderActor coordinator(kCoordinator);
   net_.Register(&coordinator, 0);
@@ -477,7 +483,7 @@ TEST_F(VerifierTest, ResplitTxnRwsNeverCompleteAQuorum) {
     msg->cert = MakeCert(1, digest);
     msg->txn_rws = std::move(txn_rws);
     msg->txn_refs.push_back({101, kClient});
-    msg->txn_refs.push_back({(kGid << 8) | 1, kCoordinator, kGid, kCoordinator});
+    msg->txn_refs.push_back(FragmentRef(kGid, kCoordinator));
     msg->result = ToBytes("r");
     Resign(msg.get());
     return msg;
@@ -506,7 +512,7 @@ TEST_F(VerifierTest, SignatureBindsEachTxnRw) {
   // signing keeps the concatenation but breaks the signature, so the
   // VERIFY is rejected before it votes.
   constexpr ActorId kCoordinator = core::kCoordinatorBaseId;
-  constexpr TxnId kGid = 777;
+  constexpr TxnKey kGid{kClient, 777};
   keys_.RegisterNode(999);
   RecorderActor coordinator(kCoordinator);
   net_.Register(&coordinator, 0);
@@ -524,7 +530,7 @@ TEST_F(VerifierTest, SignatureBindsEachTxnRw) {
     msg->txn_rws = {plain, frag};
     msg->txn_refs.push_back({101, kClient});
     msg->txn_refs.push_back(
-        {(kGid << 8) | 1, kCoordinator, kGid, kCoordinator});
+        FragmentRef(kGid, kCoordinator));
     msg->result = ToBytes("r");
     Resign(msg.get());
     return msg;
@@ -554,7 +560,7 @@ TEST_F(VerifierTest, UnmatchedReadKeysNeverCompleteAQuorum) {
   // would pick the keys a fragment prepare-locks, or the writes it
   // prepares. Each input tampers one VERIFY, re-signed, same result.
   constexpr ActorId kCoordinator = core::kCoordinatorBaseId;
-  constexpr TxnId kGid = 777;
+  constexpr TxnKey kGid{kClient, 777};
   keys_.RegisterNode(999);  // The verifier signs its vote share.
   RecorderActor coordinator(kCoordinator);
   net_.Register(&coordinator, 0);
@@ -567,7 +573,7 @@ TEST_F(VerifierTest, UnmatchedReadKeysNeverCompleteAQuorum) {
     rw.writes.push_back({"user2", ToBytes("fragment")});
     auto fragment = [&](ActorId executor) {
       auto msg = MakeVerify(1, executor, rw, ToBytes("r"));
-      msg->txn_refs[0] = {(kGid << 8) | 1, kCoordinator, kGid, kCoordinator};
+      msg->txn_refs[0] = FragmentRef(kGid, kCoordinator);
       return msg;
     };
     Deliver(fragment(kFirstExecutor));
@@ -604,7 +610,7 @@ TEST_F(VerifierTest, UnmatchedTxnRefsNeverCompleteAQuorum) {
   // without 2PC. Neither input needs re-signing.
   constexpr ActorId kCoordinator = core::kCoordinatorBaseId;
   constexpr ActorId kThief = kClient + 1;
-  constexpr TxnId kGid = 777;
+  constexpr TxnKey kGid{kClient, 777};
   keys_.RegisterNode(999);  // The verifier signs its vote share.
   RecorderActor coordinator(kCoordinator);
   RecorderActor thief(kThief);
@@ -639,12 +645,12 @@ TEST_F(VerifierTest, UnmatchedTxnRefsNeverCompleteAQuorum) {
     rw.writes.push_back({"user2", ToBytes("fragment")});
     auto fragment = [&](ActorId executor) {
       auto msg = MakeVerify(1, executor, rw, ToBytes("r"));
-      msg->txn_refs[0] = {(kGid << 8) | 1, kCoordinator, kGid, kCoordinator};
+      msg->txn_refs[0] = FragmentRef(kGid, kCoordinator);
       return msg;
     };
     Deliver(fragment(kFirstExecutor));
     auto plain = fragment(kFirstExecutor + 1);
-    plain->txn_refs[0].global_id = 0;
+    plain->txn_refs[0].global_id = TxnKey{};
     Deliver(plain);
     sim_.RunUntil(sim_.now() + Millis(10));
     EXPECT_EQ(verifier_->rejected_verifies(), 0u);
@@ -753,6 +759,43 @@ TEST_F(VerifierTest, ClientResendUnknownTxnBroadcastsMissingError) {
   net_.Send(kClient, 999, resend, resend->WireSize());
   sim_.RunUntil(Millis(10));
   EXPECT_EQ(verifier_->error_broadcasts(), 1u);
+}
+
+TEST_F(VerifierTest, OnlyMatchedRefsLeaveRecordsAndRaiseFloors) {
+  // Refs are unsigned: only a quorum vouches for one. A byzantine
+  // executor's VERIFY that no quorum matches names the honest client's id
+  // 555 under sequence 7. It must leave no outcome record, so the
+  // client's retransmit of 555 reads as a request no VERIFY vouched for
+  // (Fig. 4 line 12), not as case (iii), which broadcasts REPLACE and
+  // accuses an honest primary.
+  storage::RwSet rw;
+  Deliver(MakeVerify(7, kFirstExecutor, rw, ToBytes("r"), /*txn_id=*/555));
+  sim_.RunUntil(Millis(10));
+  EXPECT_EQ(verifier_->txn_records(), 0u);
+
+  auto resend = std::make_shared<shim::ClientRequestMsg>(kClient);
+  resend->txn.id = 555;
+  resend->txn.client = kClient;
+  resend->txn.floor = 554;
+  resend->client_sig =
+      keys_.Sign(kClient, shim::ClientRequestMsg::SigningBytes(resend->txn));
+  net_.Send(kClient, 999, resend, resend->WireSize());
+  sim_.RunUntil(Millis(20));
+  EXPECT_EQ(verifier_->replace_broadcasts(), 0u);
+  EXPECT_EQ(verifier_->error_broadcasts(), 1u);
+
+  // A matched ref leaves a record and teaches the client's floor; an
+  // unmatched one with a higher floor changes neither.
+  Deliver(MakeVerify(1, kFirstExecutor, rw, ToBytes("r"), /*txn_id=*/100));
+  Deliver(MakeVerify(1, kFirstExecutor + 1, rw, ToBytes("r"), /*txn_id=*/100));
+  sim_.RunUntil(Millis(30));
+  EXPECT_EQ(verifier_->txn_records(), 1u);
+  auto lying = MakeVerify(2, kFirstExecutor, rw, ToBytes("r"), 900);
+  lying->txn_refs[0].floor = 899;
+  Deliver(lying);
+  sim_.RunUntil(Millis(40));
+  EXPECT_EQ(verifier_->client_floor(kClient), 0u);
+  EXPECT_EQ(verifier_->txn_records(), 1u);
 }
 
 TEST_F(VerifierTest, ClientResendForPiEntryBroadcastsGapError) {
