@@ -32,23 +32,28 @@ constexpr uint64_t kGoldenSeed = 42;
 // Every digest but gray_straggler_peak's was regenerated when VERIFY
 // stopped carrying the batch-level union of its per-transaction
 // read/write sets: the smaller message arrives sooner.
+//
+// All fifteen were regenerated again when every signed transaction
+// began carrying its client's floor and gids became (client, id): the
+// floor and the gid's client add bytes to requests, batches, VERIFYs,
+// votes and decisions, and records now come only from matched refs.
 const std::vector<std::pair<std::string, std::string>> kGoldenDigests = {
     {"primary_crash",
-     "28c0ae355bb74d390495f5d92ad1fe1f7642b81b625641af9f25818604aef160"},
+     "31eef78af65f1155d1763d8e690e407e141d44d892e2b3e429b1f70957ceb8e7"},
     {"rolling_shim_crashes",
-     "7021175b4321779f93fcdb769ba498a818dfc2815487607bb9f106ed0aa0eee6"},
+     "76c97a3a0f304ed34fdf2b8ee5fdf71ec56339ce388d29de7bbd563a1b0eb7cb"},
     {"partition_heal",
-     "49d77446969c3f72702543eaf775f3a415660960bf742e72f3eaac0409eaff59"},
+     "13910280d11d54f79c9f0082481cb13e793bc1f9465c206a3cc8c700fa35f609"},
     {"equivocating_primary",
-     "a062f2439d6dd444a66e2a5d2fde1f7202c3478f07753ce84ccf8a61d4c7f08a"},
+     "4f50832fadfda41a0f899a07a6be52614216dd6ca63edd27cf3d8f9e18732a6b"},
     {"executor_starvation",
-     "3564b9a859f9d6b4195ac5039f7074644528b5bbb4ceb6a8f7330a050c8107c8"},
+     "deae431f5fa94f2d9e05940c47634c5471e9a7ec908b1ccf42484e914c59e070"},
     {"lossy_wan",
-     "17ee08a66a41f64c6809c48bdc49a24c3783cbaf2dcd97d95d058cd458fe5aad"},
+     "1cb3ff329517bcef4aca606d427f52ae5c2e6348fe9bcb064aa103d6da466d40"},
     {"executor_massacre",
-     "7bcc5ef63ceec3fa3e1cf19c0e6eafaaf07a023d9116a25884b46c734308d377"},
+     "9f3cc164d70edc039659004a94e3ff14fed9cb47705b5e7f5bbc1641367f09b0"},
     {"skewed_clocks",
-     "2a6702ffd82cd48eb7a5853fb1209f880de2de4c586bfaa38d2f8218a2be8fc4"},
+     "9b1179450487e369ad319412e0a9812443298bc44fdd2b1ec127a24da6916d89"},
     // ISSUE-4 sharded-plane scenarios (2 shards, cross-shard 2PC). Their
     // digest commits to every shard's batch audit chain *and* 2PC
     // decision chain, in shard order (see faults/runner.cc).
@@ -60,14 +65,14 @@ const std::vector<std::pair<std::string, std::string>> kGoldenDigests = {
     // digests above are untouched — none of the flipped features emits a
     // byte without cross-shard fragments in play.
     {"shard_partition",
-     "fc10190805d3c12479c74b3aa3d6fa0695f3c3d12307f4e08fad943854e1315f"},
+     "029ff2877de080639493a51bcb6e068ad4e53f2a155015fbe15e0ab6e57513e6"},
     //
     // Regenerated with lock_contention_2pc below when the coordinator
     // became a group of one: it logs presumed aborts before answering
     // them, and on recovery takes over its own log and redirects the
     // shard verifiers, which re-send their standing votes at once.
     {"coordinator_crash_2pc",
-     "d2ad68df05bfcf965b28d8ad5035b8960adc80f4add88a4a845f3ba559c4aaee"},
+     "5ec27fa8866b62157b878519a6fe1c9fecd106172a30e904509c88acf6b0343e"},
     // ISSUE-5 unified-commit-path scenario: bounded prepare-lock queueing
     // + fully-decided watermark + calibrated 2PC costs, coordinator crash
     // mid-queue. Pins the queueing/watermark machinery end to end.
@@ -78,7 +83,7 @@ const std::vector<std::pair<std::string, std::string>> kGoldenDigests = {
     // when the group of one began logging explicit aborts and
     // redirecting the verifiers after its recovery.
     {"lock_contention_2pc",
-     "47b77b3ee6482ceedd5ddcf72306c5c8e25dfa5f74e2b67652b11516765e97a7"},
+     "b90c6b856b3e1e912220eeedb3c6c46b77b96d1fbacb5e0843d849eedcee3b30"},
     // ISSUE-7 open-loop traffic scenarios: TrafficSource actors inject at
     // the configured rate regardless of completion (bursty above
     // capacity / diurnal peak), with the per-source retry cap bounding
@@ -86,18 +91,18 @@ const std::vector<std::pair<std::string, std::string>> kGoldenDigests = {
     // so these have their own draw sequences; the eleven closed-loop
     // digests above are untouched.
     {"thundering_herd_retry",
-     "7fbc8a7ceb6171e63b61bdf36b44b2a43e743a0c9b8b9f594e74b8f7b5dd0439"},
+     "0825363fdc78e9bbf8404b659c2a8ae4ceced641c2565625438d564fada40bea"},
     {"gray_straggler_peak",
-     "feacd3c7af9c0e5ecac93dd9d62de5a9cfcc1d9563a59b77b7aa7ce92d842007"},
+     "fdda39e5ddf9729bed2bdfdf4ae5857a804a59f35cbe096919350184e953d135"},
     // ISSUE-8 replicated-coordinator scenarios (coordinator_replicas=3).
     // These two pin the failover machinery itself (leader crash mid-2PC,
     // minority-partitioned leader fenced by the append quorum). They
     // stayed byte-identical when R=1 became a group of one: the group
     // path itself did not change.
     {"coordinator_leader_crash_2pc",
-     "92a5ac2d92361aa4cb505bbe5314674bc02378229095d4ad0c61b423f2be39e2"},
+     "43b468c09d2c4ffda3725db00ecdbb708c826dae56542513a68a9c5775ae0524"},
     {"coordinator_partition_minority",
-     "3195e42426483dc8ed01b498149cea282d335b0d2caf7122c9d9e7c1e213b3af"},
+     "37230e71a4d86d3418b0c2b4ab7a100dfb1f31a52b00421c59174b575c09c3f9"},
 };
 
 TEST(ScenarioDigestTest, AllBundledScenariosMatchGoldenDigests) {
