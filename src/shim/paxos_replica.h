@@ -67,8 +67,6 @@ class MultiPaxosReplica : public sim::Actor {
 
   uint64_t committed_batches() const { return committed_batches_; }
   uint64_t committed_txns() const { return committed_txns_; }
-  /// Client requests remembered for dedup (above each client's floor).
-  size_t seen_txns() const { return seen_txns_.size(); }
 
  private:
   struct Slot {
