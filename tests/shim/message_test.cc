@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "crypto/sha256.h"
 
 namespace sbft::shim {
@@ -34,7 +36,7 @@ TEST(MessageTest, KindNames) {
   EXPECT_STREQ(MsgKindName(MsgKind::kViewChange), "VIEWCHANGE");
 }
 
-TEST(MessageTest, WireSizeIsCachedAndStable) {
+TEST(MessageTest, WireSizeIsStableAcrossCalls) {
   PrepareMsg msg(3);
   msg.view = 1;
   msg.seq = 2;
@@ -161,7 +163,6 @@ TEST(MessageTest, TwoPcWatermarkAndViewSectionsAreAlwaysPresent) {
 }
 
 TEST(MessageTest, AllKindsEncodeNonEmpty) {
-  crypto::Digest d = crypto::Sha256::Hash("d");
   std::vector<std::unique_ptr<Message>> msgs;
   msgs.push_back(std::make_unique<ClientRequestMsg>(1));
   msgs.push_back(std::make_unique<PrePrepareMsg>(1));
@@ -184,17 +185,26 @@ TEST(MessageTest, AllKindsEncodeNonEmpty) {
   msgs.push_back(std::make_unique<LinearCertMsg>(1));
   msgs.push_back(std::make_unique<ShardVoteCertMsg>(1));
   msgs.push_back(std::make_unique<ShardCommitDecisionMsg>(1));
+  msgs.push_back(std::make_unique<CoordAppendMsg>(1));
+  msgs.push_back(std::make_unique<CoordAckMsg>(1));
+  msgs.push_back(std::make_unique<CoordSyncRequestMsg>(1));
+  msgs.push_back(std::make_unique<CoordSyncReplyMsg>(1));
+  msgs.push_back(std::make_unique<CoordRedirectMsg>(1));
+  msgs.push_back(std::make_unique<PaxosPrepareMsg>(1));
+  msgs.push_back(std::make_unique<PaxosPromiseMsg>(1));
+  std::set<MsgKind> kinds;
   for (const auto& msg : msgs) {
-    EXPECT_GT(msg->WireSize(), 0u) << MsgKindName(msg->kind);
-    // The arithmetic size contract: what BuildWire emits plus the MAC
-    // allowance must equal WireSize, for every kind.
-    EXPECT_LE(msg->Serialized().size(), msg->WireSize())
-        << MsgKindName(msg->kind);
-    EXPECT_GE(msg->Serialized().size() + Message::kMacTagBytes,
-              msg->WireSize())
+    kinds.insert(msg->kind);
+    EXPECT_GT(msg->Serialized().size(), 0u) << MsgKindName(msg->kind);
+    // The size the network charges is exactly the encoded bytes plus the
+    // MAC allowance of the two MAC-authenticated kinds.
+    const bool mac =
+        msg->kind == MsgKind::kPrePrepare || msg->kind == MsgKind::kPrepare;
+    EXPECT_EQ(msg->WireSize(),
+              msg->Serialized().size() + (mac ? Message::kMacTagBytes : 0))
         << MsgKindName(msg->kind);
   }
-  (void)d;
+  EXPECT_EQ(kinds.size(), 28u);
 }
 
 }  // namespace

@@ -62,9 +62,21 @@ Bytes Legacy(const Message& m, const std::function<void(Encoder*)>& payload) {
   return enc.TakeBuffer();
 }
 
+/// The bytes WireSize charges beyond the encoding: a MAC tag on the two
+/// MAC-authenticated kinds.
+size_t Allowance(MsgKind kind) {
+  return kind == MsgKind::kPrePrepare || kind == MsgKind::kPrepare
+             ? Message::kMacTagBytes
+             : 0;
+}
+
+/// The bytes match the legacy form, and the size the network charges is
+/// exactly those bytes plus the allowance.
 void ExpectLegacyBytes(const Message& m,
                        const std::function<void(Encoder*)>& payload) {
   EXPECT_EQ(m.Serialized(), Legacy(m, payload)) << MsgKindName(m.kind);
+  EXPECT_EQ(m.WireSize(), m.Serialized().size() + Allowance(m.kind))
+      << MsgKindName(m.kind);
 }
 
 // ---------------------------------------------------------------------------
@@ -464,6 +476,157 @@ TEST(WireFormatTest, ShardMessagesMatchLegacyBytes) {
   });
   EXPECT_EQ(abort.Serialized().size(),
             sizeof(wire::ShardCommitDecisionHeader) + 16 + 12);
+}
+
+TEST(WireFormatTest, CoordAppendMatchesLegacyBytes) {
+  // A decision record: the 51-byte header names the gid by id and keeps
+  // its client last; the sent-to shards, a presence flag and the quorum
+  // proof, then the gids truncated since the previous append follow.
+  CoordAppendMsg decision(890001);
+  decision.view = 2;
+  decision.append_id = 14;
+  decision.entry = CoordAppendMsg::kDecision;
+  decision.global_id = {101, 9001};
+  decision.commit = true;
+  decision.cseq = 7;
+  decision.watermark = 5;
+  decision.shards = {0, 2};
+  decision.proof = MakeVoteCert();
+  decision.truncated = {{101, 8990}, {102, 17}};
+  ExpectLegacyBytes(decision, [&](Encoder* e) {
+    e->PutU64(2);
+    e->PutU64(14);
+    e->PutU8(CoordAppendMsg::kDecision);
+    e->PutU64(9001);
+    e->PutBool(true);
+    e->PutU64(7);
+    e->PutU64(5);
+    e->PutU32(101);
+    e->PutVarint(2);
+    e->PutU32(0);
+    e->PutU32(2);
+    e->PutBool(true);
+    decision.proof.EncodeTo(e);
+    e->PutVarint(2);
+    e->PutU64(8990);
+    e->PutU32(101);
+    e->PutU64(17);
+    e->PutU32(102);
+  });
+
+  // A heartbeat carries no shards, no proof and no truncated gids: each
+  // section is its empty marker.
+  CoordAppendMsg heartbeat(890001);
+  heartbeat.view = 2;
+  heartbeat.append_id = 15;
+  heartbeat.watermark = 6;
+  ExpectLegacyBytes(heartbeat, [&](Encoder* e) {
+    e->PutU64(2);
+    e->PutU64(15);
+    e->PutU8(CoordAppendMsg::kHeartbeat);
+    e->PutU64(0);
+    e->PutBool(false);
+    e->PutU64(0);
+    e->PutU64(6);
+    e->PutU32(kInvalidActor);
+    e->PutVarint(0);
+    e->PutBool(false);
+    e->PutVarint(0);
+  });
+}
+
+TEST(WireFormatTest, CoordGroupControlMessagesMatchLegacyBytes) {
+  CoordAckMsg ack(890002);
+  ack.view = 3;
+  ack.append_id = 41;
+  ExpectLegacyBytes(ack, [&](Encoder* e) {
+    e->PutU64(3);
+    e->PutU64(41);
+  });
+
+  CoordSyncRequestMsg sync(890002);
+  sync.view = 4;
+  ExpectLegacyBytes(sync, [&](Encoder* e) { e->PutU64(4); });
+
+  CoordRedirectMsg redirect(890002);
+  redirect.view = 4;
+  redirect.leader = 890001;
+  ExpectLegacyBytes(redirect, [&](Encoder* e) {
+    e->PutU64(4);
+    e->PutU32(890001);
+  });
+}
+
+TEST(WireFormatTest, CoordSyncReplyMatchesLegacyBytes) {
+  // Decisions with and without a proof (each behind a presence flag),
+  // launch records with their participant shards, and client floors.
+  CoordSyncReplyMsg m(890003);
+  m.view = 5;
+  m.next_cseq = 12;
+  m.watermark = 9;
+  m.decisions.push_back({{101, 9001}, true, 10, 4, MakeVoteCert()});
+  m.decisions.push_back({{102, 33}, false, 11, 5, {}});
+  m.launches.push_back({{103, 7}, {1, 3}});
+  m.floors = {{101, 8999}, {102, 30}};
+  ExpectLegacyBytes(m, [&](Encoder* e) {
+    e->PutU64(5);
+    e->PutU64(12);
+    e->PutU64(9);
+    e->PutVarint(2);
+    e->PutU64(9001);
+    e->PutU32(101);
+    e->PutBool(true);
+    e->PutU64(10);
+    e->PutU64(4);
+    e->PutBool(true);
+    m.decisions[0].proof.EncodeTo(e);
+    e->PutU64(33);
+    e->PutU32(102);
+    e->PutBool(false);
+    e->PutU64(11);
+    e->PutU64(5);
+    e->PutBool(false);
+    e->PutVarint(1);
+    e->PutU64(7);
+    e->PutU32(103);
+    e->PutVarint(2);
+    e->PutU32(1);
+    e->PutU32(3);
+    e->PutVarint(2);
+    e->PutU64(8999);
+    e->PutU32(101);
+    e->PutU64(30);
+    e->PutU32(102);
+  });
+}
+
+TEST(WireFormatTest, PaxosPhaseOneMessagesMatchLegacyBytes) {
+  PaxosPrepareMsg prepare(1);
+  prepare.ballot = 6;
+  prepare.from_slot = 20;
+  ExpectLegacyBytes(prepare, [&](Encoder* e) {
+    e->PutU64(6);
+    e->PutU64(20);
+  });
+
+  // A promise lists every accepted value above the frontier: slot, then
+  // the accepting ballot, then the batch.
+  PaxosPromiseMsg promise(2);
+  promise.ballot = 6;
+  promise.commit_frontier = 20;
+  promise.entries.push_back({21, 5, MakeBatch(2)});
+  promise.entries.push_back({22, 4, workload::EmptyBatch()});
+  ExpectLegacyBytes(promise, [&](Encoder* e) {
+    e->PutU64(6);
+    e->PutU64(20);
+    e->PutVarint(2);
+    e->PutU64(21);
+    e->PutU64(5);
+    promise.entries[0].batch->EncodeTo(e);
+    e->PutU64(22);
+    e->PutU64(4);
+    e->PutVarint(0);
+  });
 }
 
 // ---------------------------------------------------------------------------
