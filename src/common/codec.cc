@@ -176,4 +176,11 @@ Status Decoder::GetString(std::string* out) {
   return Status::Ok();
 }
 
+Status Decoder::GetCount(uint64_t* out) {
+  Status s = GetVarint(out);
+  if (!s.ok()) return s;
+  if (*out > remaining()) return Status::Corruption("count exceeds buffer");
+  return Status::Ok();
+}
+
 }  // namespace sbft

@@ -128,6 +128,10 @@ class Decoder {
   Status GetDouble(double* out);
   Status GetBytes(Bytes* out);
   Status GetString(std::string* out);
+  /// Reads a varint element count. Every element takes at least one
+  /// byte, so a count above remaining() is Corruption — checked before
+  /// the caller sizes anything by it.
+  Status GetCount(uint64_t* out);
 
   /// Bytes not yet consumed.
   size_t remaining() const { return size_ - pos_; }

@@ -50,7 +50,7 @@ Status CommitCertificate::DecodeFrom(Decoder* dec, CommitCertificate* out) {
   }
   out->digest = Digest::FromRaw(digest_bytes.data());
   uint64_t count;
-  st = dec->GetVarint(&count);
+  st = dec->GetCount(&count);
   if (!st.ok()) return st;
   out->signatures.clear();
   out->signatures.reserve(count);
@@ -148,7 +148,7 @@ Status CompactCertificate::DecodeFrom(Decoder* dec, CompactCertificate* out) {
   }
   out->digest = Digest::FromRaw(buf.data());
   uint64_t count;
-  st = dec->GetVarint(&count);
+  st = dec->GetCount(&count);
   if (!st.ok()) return st;
   out->signers.clear();
   for (uint64_t i = 0; i < count; ++i) {
@@ -243,7 +243,7 @@ void VoteCertificate::EncodeTo(Encoder* enc) const {
 
 Status VoteCertificate::DecodeFrom(Decoder* dec, VoteCertificate* out) {
   uint64_t count;
-  Status st = dec->GetVarint(&count);
+  Status st = dec->GetCount(&count);
   if (!st.ok()) return st;
   out->shares.clear();
   out->shares.reserve(count);

@@ -19,7 +19,7 @@ void RwSet::EncodeTo(Encoder* enc) const {
 
 Status RwSet::DecodeFrom(Decoder* dec, RwSet* out) {
   uint64_t n;
-  Status st = dec->GetVarint(&n);
+  Status st = dec->GetCount(&n);
   if (!st.ok()) return st;
   out->reads.clear();
   out->reads.reserve(n);
@@ -31,7 +31,7 @@ Status RwSet::DecodeFrom(Decoder* dec, RwSet* out) {
     if (!st.ok()) return st;
     out->reads.push_back(std::move(r));
   }
-  st = dec->GetVarint(&n);
+  st = dec->GetCount(&n);
   if (!st.ok()) return st;
   out->writes.clear();
   out->writes.reserve(n);

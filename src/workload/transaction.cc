@@ -108,7 +108,7 @@ Status Transaction::DecodeFrom(Decoder* dec, Transaction* out) {
   if (!st.ok()) return st;
   out->floor = out->id - below;
   uint64_t n;
-  st = dec->GetVarint(&n);
+  st = dec->GetCount(&n);
   if (!st.ok()) return st;
   out->ops.clear();
   out->ops.reserve(n);
@@ -157,7 +157,7 @@ void TransactionBatch::EncodeTo(Encoder* enc) const {
 
 Status TransactionBatch::DecodeFrom(Decoder* dec, TransactionBatch* out) {
   uint64_t n;
-  Status st = dec->GetVarint(&n);
+  Status st = dec->GetCount(&n);
   if (!st.ok()) return st;
   *out = TransactionBatch();  // Reset memoized hash/size with the content.
   out->txns.clear();

@@ -125,6 +125,30 @@ TEST(CodecTest, VarintOverflowRejected) {
   EXPECT_TRUE(dec.GetVarint(&v).IsCorruption());
 }
 
+TEST(CodecTest, CountAboveRemainingBytesRejected) {
+  // Every element takes at least one byte: a count of the bytes left is
+  // accepted, one more is Corruption, and so is 2^62 in a 9-byte buffer.
+  Encoder enc;
+  enc.PutVarint(2);
+  enc.PutU8(0);
+  enc.PutU8(0);
+  uint64_t n = 0;
+  Decoder fits(enc.buffer());
+  ASSERT_TRUE(fits.GetCount(&n).ok());
+  EXPECT_EQ(n, 2u);
+
+  Bytes short_buf = enc.buffer();
+  short_buf.pop_back();
+  Decoder over(short_buf);
+  EXPECT_TRUE(over.GetCount(&n).IsCorruption());
+
+  Encoder hostile;
+  hostile.PutVarint(uint64_t{1} << 62);
+  ASSERT_EQ(hostile.size(), 9u);
+  Decoder huge(hostile.buffer());
+  EXPECT_TRUE(huge.GetCount(&n).IsCorruption());
+}
+
 TEST(CodecTest, EmptyDecoderReportsDone) {
   Bytes empty;
   Decoder dec(empty);

@@ -92,6 +92,27 @@ TEST_F(CertificateTest, DecodeTruncatedFails) {
   EXPECT_FALSE(CommitCertificate::DecodeFrom(&dec, &parsed).ok());
 }
 
+TEST_F(CertificateTest, DecodeRejectsHostileSignatureCount) {
+  // A valid (view, seq, digest) head, then a count of 2^62 signatures.
+  Encoder enc;
+  enc.PutU64(1);
+  enc.PutU64(2);
+  Digest d = Sha256::Hash("x");
+  enc.PutRaw(d.data(), Digest::kSize);
+  enc.PutVarint(uint64_t{1} << 62);
+  Decoder dec(enc.buffer());
+  CommitCertificate parsed;
+  EXPECT_TRUE(CommitCertificate::DecodeFrom(&dec, &parsed).IsCorruption());
+}
+
+TEST(VoteCertificateTest, DecodeRejectsHostileShareCount) {
+  Encoder enc;
+  enc.PutVarint(uint64_t{1} << 62);
+  Decoder dec(enc.buffer());
+  VoteCertificate parsed;
+  EXPECT_TRUE(VoteCertificate::DecodeFrom(&dec, &parsed).IsCorruption());
+}
+
 TEST_F(CertificateTest, WireSizeMatchesEncoding) {
   CommitCertificate cert = MakeCert(5);
   Encoder enc;

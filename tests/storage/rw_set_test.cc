@@ -33,6 +33,19 @@ TEST(RwSetTest, WireSizeMatchesEncoding) {
   EXPECT_EQ(rw.WireSize(), enc.size());
 }
 
+TEST(RwSetTest, DecodeRejectsHostileCounts) {
+  // A read count of 2^62, then a write count of 2^62 behind zero reads.
+  for (bool writes : {false, true}) {
+    Encoder enc;
+    if (writes) enc.PutVarint(0);
+    enc.PutVarint(uint64_t{1} << 62);
+    Decoder dec(enc.buffer());
+    RwSet parsed;
+    EXPECT_TRUE(RwSet::DecodeFrom(&dec, &parsed).IsCorruption())
+        << (writes ? "writes" : "reads");
+  }
+}
+
 TEST(RwSetTest, HashDistinguishesContent) {
   RwSet a = MakeSet();
   RwSet b = MakeSet();

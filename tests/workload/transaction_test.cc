@@ -69,6 +69,19 @@ TEST(TransactionTest, DecodeRejectsBadOpType) {
   EXPECT_FALSE(Transaction::DecodeFrom(&dec, &parsed).ok());
 }
 
+TEST(TransactionTest, DecodeRejectsHostileOpCount) {
+  // A valid fixed head, then an op count of 2^62 with no op behind it.
+  Encoder enc;
+  enc.PutU64(42);
+  enc.PutU32(7);
+  enc.PutU8(1);
+  enc.PutVarint(1);
+  enc.PutVarint(uint64_t{1} << 62);
+  Decoder dec(enc.buffer());
+  Transaction parsed;
+  EXPECT_TRUE(Transaction::DecodeFrom(&dec, &parsed).IsCorruption());
+}
+
 TEST(TransactionTest, HashChangesWithContent) {
   Transaction a = MakeTxn();
   Transaction b = MakeTxn();
@@ -117,6 +130,16 @@ TEST(TransactionBatchTest, RoundTripAndHash) {
   EXPECT_EQ(parsed.size(), 5u);
   EXPECT_EQ(parsed.Hash(), batch.Hash());
   EXPECT_EQ(parsed.WireSize(), batch.WireSize());
+}
+
+TEST(TransactionBatchTest, DecodeRejectsHostileCount) {
+  // A 9-byte buffer: a transaction count of 2^62 and nothing else.
+  Encoder enc;
+  enc.PutVarint(uint64_t{1} << 62);
+  ASSERT_EQ(enc.size(), 9u);
+  Decoder dec(enc.buffer());
+  TransactionBatch parsed;
+  EXPECT_TRUE(TransactionBatch::DecodeFrom(&dec, &parsed).IsCorruption());
 }
 
 TEST(TransactionBatchTest, EmptyBatch) {
