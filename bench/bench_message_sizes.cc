@@ -99,7 +99,7 @@ int main() {
   // Threshold-signature remark (§IV-C): compact certificates shrink C.
   crypto::CompactCertificate compact = crypto::CompactCertificate::FromFull(cert);
   std::printf("\ncertificate C: full=%zu B, threshold-style compact=%zu B\n",
-              cert.WireSize(), compact.WireSize());
+              EncodedSize(cert), EncodedSize(compact));
 
   // Featherweight checkpoints (§V-B): the paper's point is that classic
   // checkpoints carry "all the client requests and the proof that they
@@ -110,7 +110,7 @@ int main() {
   feather.upto_seq = kInterval;
   size_t full_bytes = 0;
   {
-    Encoder full_enc;
+    Encoder full_enc = Encoder::Counter();
     for (int i = 0; i < kInterval; ++i) {
       feather.certs.push_back(compact);
       // Full variant: the batch itself plus the full commit certificate.

@@ -1,5 +1,6 @@
 #include "common/codec.h"
 
+#include <cassert>
 #include <cstring>
 #include <vector>
 
@@ -39,34 +40,45 @@ void ScratchEncoder::ReleaseScratchBuffer(Bytes buf) {
   ReleasePooledBuffer(std::move(buf));
 }
 
-void Encoder::PutU8(uint8_t v) { buf_.push_back(v); }
+void Encoder::Count(size_t len) {
+  assert(counting_ && "Count on a writing encoder");
+  counted_ += len;
+}
+
+void Encoder::PutU8(uint8_t v) {
+  if (counting_) {
+    ++counted_;
+    return;
+  }
+  buf_.push_back(v);
+}
 
 void Encoder::PutU16(uint16_t v) {
   uint8_t le[2] = {static_cast<uint8_t>(v), static_cast<uint8_t>(v >> 8)};
-  buf_.insert(buf_.end(), le, le + sizeof(le));
+  PutRaw(le, sizeof(le));
 }
 
 void Encoder::PutU32(uint32_t v) {
   uint8_t le[4];
   for (int i = 0; i < 4; ++i) le[i] = static_cast<uint8_t>(v >> (8 * i));
-  buf_.insert(buf_.end(), le, le + sizeof(le));
+  PutRaw(le, sizeof(le));
 }
 
 void Encoder::PutU64(uint64_t v) {
   uint8_t le[8];
   for (int i = 0; i < 8; ++i) le[i] = static_cast<uint8_t>(v >> (8 * i));
-  buf_.insert(buf_.end(), le, le + sizeof(le));
+  PutRaw(le, sizeof(le));
 }
 
 void Encoder::PutVarint(uint64_t v) {
   while (v >= 0x80) {
-    buf_.push_back(static_cast<uint8_t>(v) | 0x80);
+    PutU8(static_cast<uint8_t>(v) | 0x80);
     v >>= 7;
   }
-  buf_.push_back(static_cast<uint8_t>(v));
+  PutU8(static_cast<uint8_t>(v));
 }
 
-void Encoder::PutBool(bool v) { buf_.push_back(v ? 1 : 0); }
+void Encoder::PutBool(bool v) { PutU8(v ? 1 : 0); }
 
 void Encoder::PutDouble(double v) {
   uint64_t bits;
@@ -76,15 +88,19 @@ void Encoder::PutDouble(double v) {
 
 void Encoder::PutBytes(const Bytes& b) {
   PutVarint(b.size());
-  buf_.insert(buf_.end(), b.begin(), b.end());
+  PutRaw(b.data(), b.size());
 }
 
 void Encoder::PutString(std::string_view s) {
   PutVarint(s.size());
-  buf_.insert(buf_.end(), s.begin(), s.end());
+  PutRaw(reinterpret_cast<const uint8_t*>(s.data()), s.size());
 }
 
 void Encoder::PutRaw(const uint8_t* data, size_t len) {
+  if (counting_) {
+    counted_ += len;
+    return;
+  }
   buf_.insert(buf_.end(), data, data + len);
 }
 

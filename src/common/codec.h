@@ -10,23 +10,6 @@
 
 namespace sbft {
 
-/// Encoded length of a LEB128 varint — the arithmetic twin of
-/// Encoder::PutVarint, so wire sizes can be computed without encoding.
-constexpr size_t VarintLen(uint64_t v) {
-  size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
-/// Encoded length of a length-prefixed byte/string field (PutBytes /
-/// PutString): varint prefix plus the payload.
-constexpr size_t SizedLen(size_t payload) {
-  return VarintLen(payload) + payload;
-}
-
 /// Checks out / returns a recycled buffer from the per-thread pool that
 /// also backs ScratchEncoder. Messages use this for their single owned
 /// wire buffer so steady-state serialization never hits the allocator.
@@ -39,6 +22,10 @@ void ReleasePooledBuffer(Bytes buf);
 /// little-endian integers, LEB128 varints, and length-prefixed byte strings.
 /// Every message type in shim/message.h serializes through this class so
 /// that digests, signatures, and the reported message sizes are stable.
+///
+/// A count-only encoder (Counter()) owns no buffer: every Put* only
+/// advances size(). Wire sizes are counted by running the same EncodeTo /
+/// BuildWire that writes the bytes, so each layout is written once.
 class Encoder {
  public:
   Encoder() = default;
@@ -47,8 +34,20 @@ class Encoder {
   /// hook ScratchEncoder uses to recycle allocations across encodes.
   explicit Encoder(Bytes&& reuse) : buf_(std::move(reuse)) { buf_.clear(); }
 
-  /// Pre-grows the buffer to at least `total` bytes.
-  void Reserve(size_t total) { buf_.reserve(total); }
+  /// A count-only encoder: it writes nothing and allocates nothing.
+  static Encoder Counter() {
+    Encoder enc;
+    enc.counting_ = true;
+    return enc;
+  }
+
+  /// True for a count-only encoder.
+  bool counting() const { return counting_; }
+
+  /// Counts `len` bytes without producing them, for a part whose encoded
+  /// size is already known (a batch's memoised size). Count-only
+  /// encoders only.
+  void Count(size_t len);
 
   /// Appends one byte.
   void PutU8(uint8_t v);
@@ -68,13 +67,15 @@ class Encoder {
   void PutBytes(const Bytes& b);
   /// Appends varint length followed by the string's characters.
   void PutString(std::string_view s);
-  /// Appends `len` raw bytes with no length prefix.
+  /// Appends `len` raw bytes with no length prefix. Every other Put*
+  /// ends here or in PutU8, so those two are where a count-only encoder
+  /// only counts.
   void PutRaw(const uint8_t* data, size_t len);
 
-  /// Number of bytes encoded so far.
-  size_t size() const { return buf_.size(); }
+  /// Number of bytes encoded (or counted) so far.
+  size_t size() const { return counting_ ? counted_ : buf_.size(); }
 
-  /// Read-only view of the buffer.
+  /// Read-only view of the buffer (empty on a count-only encoder).
   const Bytes& buffer() const { return buf_; }
 
   /// Moves the buffer out of the encoder.
@@ -82,17 +83,26 @@ class Encoder {
 
  private:
   Bytes buf_;
+  bool counting_ = false;
+  size_t counted_ = 0;
 };
+
+/// Encoded size of `x`, counted through its own EncodeTo.
+template <typename T>
+size_t EncodedSize(const T& x) {
+  Encoder counter = Encoder::Counter();
+  x.EncodeTo(&counter);
+  return counter.size();
+}
 
 /// \brief An Encoder whose buffer is checked out of a thread-local pool.
 ///
-/// The hot paths (WireSize, content digests, signing-bytes builders)
-/// encode into a buffer only to measure or hash it and then throw it away;
-/// with a plain Encoder that is one heap allocation per call. A
-/// ScratchEncoder returns the buffer — capacity intact — to the pool on
-/// destruction, so steady-state encodes are allocation-free. The pool is a
-/// small stack, so nested scratch encodes (e.g. a message encode that
-/// sizes a sub-object) each get their own buffer.
+/// The hot paths (content digests, certificate fingerprints) encode into
+/// a buffer only to hash it and then throw it away; with a plain Encoder
+/// that is one heap allocation per call. A ScratchEncoder returns the
+/// buffer — capacity intact — to the pool on destruction, so steady-state
+/// encodes are allocation-free. The pool is a small stack, so nested
+/// scratch encodes each get their own buffer.
 class ScratchEncoder {
  public:
   ScratchEncoder() : enc_(AcquireScratchBuffer()) {}

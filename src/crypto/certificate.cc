@@ -63,12 +63,6 @@ Status CommitCertificate::DecodeFrom(Decoder* dec, CommitCertificate* out) {
   return Status::Ok();
 }
 
-size_t CommitCertificate::WireSize() const {
-  size_t n = 8 + 8 + Digest::kSize + VarintLen(signatures.size());
-  for (const Signature& s : signatures) n += 4 + SizedLen(s.sig.size());
-  return n;
-}
-
 namespace {
 
 /// Fingerprint binding a validation verdict to the exact certificate
@@ -165,11 +159,6 @@ Status CompactCertificate::DecodeFrom(Decoder* dec, CompactCertificate* out) {
   return Status::Ok();
 }
 
-size_t CompactCertificate::WireSize() const {
-  return 8 + 8 + Digest::kSize + VarintLen(signers.size()) +
-         4 * signers.size() + Digest::kSize;
-}
-
 Status CompactCertificate::Validate(const KeyRegistry& registry,
                                     size_t quorum) const {
   std::unordered_set<ActorId> seen;
@@ -232,10 +221,6 @@ Status VoteShare::DecodeFrom(Decoder* dec, VoteShare* out) {
   return dec->GetBytes(&out->sig);
 }
 
-size_t VoteShare::WireSize() const {
-  return 8 + 4 + 4 + 8 + 1 + 4 + SizedLen(sig.size());
-}
-
 void VoteCertificate::EncodeTo(Encoder* enc) const {
   enc->PutVarint(shares.size());
   for (const VoteShare& s : shares) s.EncodeTo(enc);
@@ -254,12 +239,6 @@ Status VoteCertificate::DecodeFrom(Decoder* dec, VoteCertificate* out) {
     out->shares.push_back(std::move(s));
   }
   return Status::Ok();
-}
-
-size_t VoteCertificate::WireSize() const {
-  size_t n = VarintLen(shares.size());
-  for (const VoteShare& s : shares) n += s.WireSize();
-  return n;
 }
 
 Status VoteCertificate::Validate(const KeyRegistry& registry) const {

@@ -41,9 +41,6 @@ struct CommitCertificate {
   void EncodeTo(Encoder* enc) const;
   static Status DecodeFrom(Decoder* dec, CommitCertificate* out);
 
-  /// Serialized size in bytes (for message-size accounting).
-  size_t WireSize() const;
-
   /// Checks that the certificate carries at least `quorum` valid
   /// signatures from distinct registered signers over
   /// CommitSigningBytes(view, seq, digest).
@@ -72,8 +69,6 @@ struct CompactCertificate {
   void EncodeTo(Encoder* enc) const;
   static Status DecodeFrom(Decoder* dec, CompactCertificate* out);
 
-  size_t WireSize() const;
-
   /// Recomputes member signatures and the aggregate tag.
   Status Validate(const KeyRegistry& registry, size_t quorum) const;
 };
@@ -98,7 +93,6 @@ struct VoteShare {
   TxnKey gid() const { return {client, global_id}; }
   void EncodeTo(Encoder* enc) const;
   static Status DecodeFrom(Decoder* dec, VoteShare* out);
-  size_t WireSize() const;
 };
 
 /// \brief Share-based vote certificate: N (signer, signature) shares in
@@ -114,7 +108,6 @@ struct VoteCertificate {
 
   void EncodeTo(Encoder* enc) const;
   static Status DecodeFrom(Decoder* dec, VoteCertificate* out);
-  size_t WireSize() const;
 
   /// All shares carry valid signatures from distinct (global_id, shard)
   /// slots. Memoized through the registry's validated-certificate cache.

@@ -1,6 +1,5 @@
 #include "shim/message.h"
 
-#include <cassert>
 #include <cstring>
 
 namespace sbft::shim {
@@ -103,14 +102,17 @@ Message::~Message() {
 const Bytes& Message::Serialized() const {
   if (!serialized_ready_) {
     Encoder enc(AcquirePooledBuffer());
-    enc.Reserve(sizeof(wire::MsgHeader) + PayloadWireBytes());
     BuildWire(&enc);
-    assert(enc.size() == sizeof(wire::MsgHeader) + PayloadWireBytes() &&
-           "BuildWire and PayloadWireBytes disagree");
     serialized_ = enc.TakeBuffer();
     serialized_ready_ = true;
   }
   return serialized_;
+}
+
+size_t Message::WireSize() const {
+  Encoder counter = Encoder::Counter();
+  BuildWire(&counter);
+  return counter.size() + ExtraWireBytes();
 }
 
 Bytes ClientRequestMsg::SigningBytes(const workload::Transaction& txn) {
@@ -118,10 +120,6 @@ Bytes ClientRequestMsg::SigningBytes(const workload::Transaction& txn) {
   enc.PutString("sbft-client-request");
   txn.EncodeTo(&enc);
   return enc.TakeBuffer();
-}
-
-size_t ClientRequestMsg::PayloadWireBytes() const {
-  return txn.WireSize() + SizedLen(client_sig.size());
 }
 
 void ClientRequestMsg::BuildWire(Encoder* enc) const {
@@ -133,10 +131,6 @@ void ClientRequestMsg::BuildWire(Encoder* enc) const {
   enc->PutBytes(client_sig);
 }
 
-size_t PrePrepareMsg::PayloadWireBytes() const {
-  return 8 + 8 + batch->WireSize() + crypto::Digest::kSize;
-}
-
 void PrePrepareMsg::BuildWire(Encoder* enc) const {
   auto h = PackedFor<wire::PrePrepareHeader>(*this);
   h.view.set(view);
@@ -146,20 +140,12 @@ void PrePrepareMsg::BuildWire(Encoder* enc) const {
   enc->PutRaw(digest.data(), crypto::Digest::kSize);
 }
 
-size_t PrepareMsg::PayloadWireBytes() const {
-  return 8 + 8 + crypto::Digest::kSize;
-}
-
 void PrepareMsg::BuildWire(Encoder* enc) const {
   auto h = PackedFor<wire::PrepareHeader>(*this);
   h.view.set(view);
   h.seq.set(seq);
   CopyDigest(&h.digest, digest);
   PutPacked(enc, h);
-}
-
-size_t CommitMsg::PayloadWireBytes() const {
-  return 8 + 8 + crypto::Digest::kSize + SizedLen(ds.size());
 }
 
 void CommitMsg::BuildWire(Encoder* enc) const {
@@ -179,11 +165,6 @@ Bytes ExecuteMsg::SigningBytes(ViewNum view, SeqNum seq,
   enc.PutU64(seq);
   enc.PutRaw(digest.data(), crypto::Digest::kSize);
   return enc.TakeBuffer();
-}
-
-size_t ExecuteMsg::PayloadWireBytes() const {
-  return 8 + 8 + batch->WireSize() + crypto::Digest::kSize +
-         cert.WireSize() + SizedLen(spawner_sig.size());
 }
 
 void ExecuteMsg::BuildWire(Encoder* enc) const {
@@ -210,24 +191,6 @@ Bytes VerifyMsg::SigningBytes(ViewNum view, SeqNum seq,
   for (const storage::RwSet& txn_rw : txn_rws) txn_rw.EncodeTo(&enc);
   enc.PutBytes(result);
   return enc.TakeBuffer();
-}
-
-size_t VerifyMsg::PayloadWireBytes() const {
-  size_t n = 8 + 8 + crypto::Digest::kSize + cert.WireSize();
-  n += VarintLen(txn_rws.size());
-  for (const storage::RwSet& txn_rw : txn_rws) n += txn_rw.WireSize();
-  n += VarintLen(txn_refs.size());
-  for (const TxnRef& ref : txn_refs) n += 8 + 4 + VarintLen(ref.id - ref.floor);
-  n += SizedLen(result.size()) + SizedLen(executor_sig.size());
-  size_t fragments = 0;
-  size_t fragment_bytes = 0;
-  for (size_t i = 0; i < txn_refs.size(); ++i) {
-    if (!txn_refs[i].IsFragment()) continue;
-    ++fragments;
-    fragment_bytes += VarintLen(i) + 8 + 4 + 4;
-  }
-  if (fragments > 0) n += VarintLen(fragments) + fragment_bytes;
-  return n;
 }
 
 void VerifyMsg::BuildWire(Encoder* enc) const {
@@ -271,10 +234,6 @@ void VerifyMsg::BuildWire(Encoder* enc) const {
   }
 }
 
-size_t ResponseMsg::PayloadWireBytes() const {
-  return 8 + 4 + 8 + crypto::Digest::kSize + SizedLen(result.size()) + 1;
-}
-
 void ResponseMsg::BuildWire(Encoder* enc) const {
   auto h = PackedFor<wire::ResponseHeader>(*this);
   h.txn_id.set(txn_id);
@@ -284,10 +243,6 @@ void ResponseMsg::BuildWire(Encoder* enc) const {
   PutPacked(enc, h);
   enc->PutBytes(result);
   enc->PutBool(aborted);
-}
-
-size_t ErrorMsg::PayloadWireBytes() const {
-  return 1 + 8 + crypto::Digest::kSize + 1 + (has_txn ? txn.WireSize() : 0);
 }
 
 void ErrorMsg::BuildWire(Encoder* enc) const {
@@ -302,16 +257,10 @@ void ErrorMsg::BuildWire(Encoder* enc) const {
   }
 }
 
-size_t ReplaceMsg::PayloadWireBytes() const { return crypto::Digest::kSize; }
-
 void ReplaceMsg::BuildWire(Encoder* enc) const {
   auto h = PackedFor<wire::ReplaceHeader>(*this);
   CopyDigest(&h.txn_digest, txn_digest);
   PutPacked(enc, h);
-}
-
-size_t AckMsg::PayloadWireBytes() const {
-  return 1 + 8 + crypto::Digest::kSize;
 }
 
 void AckMsg::BuildWire(Encoder* enc) const {
@@ -347,22 +296,12 @@ Status PreparedProof::DecodeFrom(Decoder* dec, PreparedProof* out) {
   return Status::Ok();
 }
 
-size_t PreparedProof::WireSize() const {
-  return 8 + 8 + crypto::Digest::kSize + batch->WireSize();
-}
-
 Bytes ViewChangeMsg::SigningBytes(ViewNum new_view, SeqNum stable_seq) {
   Encoder enc;
   enc.PutString("sbft-viewchange");
   enc.PutU64(new_view);
   enc.PutU64(stable_seq);
   return enc.TakeBuffer();
-}
-
-size_t ViewChangeMsg::PayloadWireBytes() const {
-  size_t n = 8 + 8 + VarintLen(prepared.size());
-  for (const PreparedProof& p : prepared) n += p.WireSize();
-  return n + SizedLen(ds.size());
 }
 
 void ViewChangeMsg::BuildWire(Encoder* enc) const {
@@ -385,13 +324,6 @@ Bytes NewViewMsg::SigningBytes(ViewNum view, size_t reproposal_count) {
   return enc.TakeBuffer();
 }
 
-size_t NewViewMsg::PayloadWireBytes() const {
-  size_t n = 8 + VarintLen(view_change_senders.size()) +
-             4 * view_change_senders.size() + VarintLen(reproposals.size());
-  for (const PreparedProof& p : reproposals) n += p.WireSize();
-  return n + SizedLen(ds.size());
-}
-
 void NewViewMsg::BuildWire(Encoder* enc) const {
   auto h = PackedFor<wire::NewViewHeader>(*this);
   h.view.set(view);
@@ -405,14 +337,6 @@ void NewViewMsg::BuildWire(Encoder* enc) const {
     p.EncodeTo(enc);
   }
   enc->PutBytes(ds);
-}
-
-size_t CheckpointMsg::PayloadWireBytes() const {
-  size_t n = 8 + crypto::Digest::kSize + VarintLen(certs.size());
-  for (const crypto::CompactCertificate& c : certs) n += c.WireSize();
-  n += VarintLen(batches.size());
-  for (const PreparedProof& p : batches) n += p.WireSize();
-  return n;
 }
 
 void CheckpointMsg::BuildWire(Encoder* enc) const {
@@ -430,12 +354,6 @@ void CheckpointMsg::BuildWire(Encoder* enc) const {
   }
 }
 
-size_t StorageReadMsg::PayloadWireBytes() const {
-  size_t n = 8 + VarintLen(keys.size());
-  for (const std::string& k : keys) n += SizedLen(k.size());
-  return n;
-}
-
 void StorageReadMsg::BuildWire(Encoder* enc) const {
   auto h = PackedFor<wire::StorageReadHeader>(*this);
   h.request_id.set(request_id);
@@ -444,14 +362,6 @@ void StorageReadMsg::BuildWire(Encoder* enc) const {
   for (const std::string& k : keys) {
     enc->PutString(k);
   }
-}
-
-size_t StorageReadReplyMsg::PayloadWireBytes() const {
-  size_t n = 8 + VarintLen(items.size());
-  for (const Item& item : items) {
-    n += SizedLen(item.key.size()) + SizedLen(item.value.size()) + 8 + 1;
-  }
-  return n;
 }
 
 void StorageReadReplyMsg::BuildWire(Encoder* enc) const {
@@ -467,10 +377,6 @@ void StorageReadReplyMsg::BuildWire(Encoder* enc) const {
   }
 }
 
-size_t PaxosAcceptMsg::PayloadWireBytes() const {
-  return 8 + 8 + batch->WireSize() + crypto::Digest::kSize + 8;
-}
-
 void PaxosAcceptMsg::BuildWire(Encoder* enc) const {
   auto h = PackedFor<wire::PaxosAcceptHeader>(*this);
   h.ballot.set(ballot);
@@ -479,10 +385,6 @@ void PaxosAcceptMsg::BuildWire(Encoder* enc) const {
   batch->EncodeTo(enc);
   enc->PutRaw(digest.data(), crypto::Digest::kSize);
   enc->PutU64(committed_upto);
-}
-
-size_t PaxosAcceptedMsg::PayloadWireBytes() const {
-  return 8 + 8 + crypto::Digest::kSize;
 }
 
 void PaxosAcceptedMsg::BuildWire(Encoder* enc) const {
@@ -503,10 +405,6 @@ Bytes LinearVoteMsg::PrepareSigningBytes(ViewNum view, SeqNum seq,
   return enc.TakeBuffer();
 }
 
-size_t LinearVoteMsg::PayloadWireBytes() const {
-  return 1 + 8 + 8 + crypto::Digest::kSize + SizedLen(ds.size());
-}
-
 void LinearVoteMsg::BuildWire(Encoder* enc) const {
   auto h = PackedFor<wire::LinearVoteHeader>(*this);
   h.phase.set(static_cast<uint8_t>(phase));
@@ -517,18 +415,11 @@ void LinearVoteMsg::BuildWire(Encoder* enc) const {
   enc->PutBytes(ds);
 }
 
-size_t LinearCertMsg::PayloadWireBytes() const { return 1 + cert.WireSize(); }
-
 void LinearCertMsg::BuildWire(Encoder* enc) const {
   auto h = PackedFor<wire::LinearCertHeader>(*this);
   h.phase.set(static_cast<uint8_t>(phase));
   PutPacked(enc, h);
   cert.EncodeTo(enc);
-}
-
-size_t ShardVoteCertMsg::PayloadWireBytes() const {
-  return cert.WireSize() + VarintLen(acked_cseqs.size()) +
-         8 * acked_cseqs.size() + 8;
 }
 
 void ShardVoteCertMsg::BuildWire(Encoder* enc) const {
@@ -539,12 +430,6 @@ void ShardVoteCertMsg::BuildWire(Encoder* enc) const {
     enc->PutU64(cseq);
   }
   enc->PutU64(coord_view);
-}
-
-size_t ShardCommitDecisionMsg::PayloadWireBytes() const {
-  size_t n = 8 + 4 + 1 + 16 + 8 + 4;
-  if (!proof.shares.empty()) n += proof.WireSize();
-  return n;
 }
 
 void ShardCommitDecisionMsg::BuildWire(Encoder* enc) const {
@@ -560,14 +445,6 @@ void ShardCommitDecisionMsg::BuildWire(Encoder* enc) const {
   enc->PutU64(watermark);
   enc->PutU64(coord_view);
   enc->PutU32(coord_leader);
-}
-
-size_t CoordAppendMsg::PayloadWireBytes() const {
-  size_t n = sizeof(wire::CoordAppendHeader) - sizeof(wire::MsgHeader);
-  n += VarintLen(shards.size()) + 4 * shards.size() + 1;
-  if (!proof.shares.empty()) n += proof.WireSize();
-  n += VarintLen(truncated.size()) + (8 + 4) * truncated.size();
-  return n;
 }
 
 void CoordAppendMsg::BuildWire(Encoder* enc) const {
@@ -592,8 +469,6 @@ void CoordAppendMsg::BuildWire(Encoder* enc) const {
   }
 }
 
-size_t CoordAckMsg::PayloadWireBytes() const { return 8 + 8; }
-
 void CoordAckMsg::BuildWire(Encoder* enc) const {
   auto h = PackedFor<wire::CoordAckHeader>(*this);
   h.view.set(view);
@@ -601,26 +476,10 @@ void CoordAckMsg::BuildWire(Encoder* enc) const {
   PutPacked(enc, h);
 }
 
-size_t CoordSyncRequestMsg::PayloadWireBytes() const { return 8; }
-
 void CoordSyncRequestMsg::BuildWire(Encoder* enc) const {
   auto h = PackedFor<wire::CoordSyncRequestHeader>(*this);
   h.view.set(view);
   PutPacked(enc, h);
-}
-
-size_t CoordSyncReplyMsg::PayloadWireBytes() const {
-  size_t n = 8 + 8 + 8 + VarintLen(decisions.size());
-  for (const DecisionEntry& d : decisions) {
-    n += 8 + 4 + 1 + 8 + 8 + 1;
-    if (!d.proof.shares.empty()) n += d.proof.WireSize();
-  }
-  n += VarintLen(launches.size());
-  for (const LaunchEntry& l : launches) {
-    n += 8 + 4 + VarintLen(l.shards.size()) + 4 * l.shards.size();
-  }
-  n += VarintLen(floors.size()) + (8 + 4) * floors.size();
-  return n;
 }
 
 void CoordSyncReplyMsg::BuildWire(Encoder* enc) const {
@@ -653,8 +512,6 @@ void CoordSyncReplyMsg::BuildWire(Encoder* enc) const {
   }
 }
 
-size_t CoordRedirectMsg::PayloadWireBytes() const { return 8 + 4; }
-
 void CoordRedirectMsg::BuildWire(Encoder* enc) const {
   auto h = PackedFor<wire::CoordRedirectHeader>(*this);
   h.view.set(view);
@@ -662,19 +519,11 @@ void CoordRedirectMsg::BuildWire(Encoder* enc) const {
   PutPacked(enc, h);
 }
 
-size_t PaxosPrepareMsg::PayloadWireBytes() const { return 8 + 8; }
-
 void PaxosPrepareMsg::BuildWire(Encoder* enc) const {
   auto h = PackedFor<wire::PaxosPrepareHeader>(*this);
   h.ballot.set(ballot);
   h.from_slot.set(from_slot);
   PutPacked(enc, h);
-}
-
-size_t PaxosPromiseMsg::PayloadWireBytes() const {
-  size_t n = 8 + 8 + VarintLen(entries.size());
-  for (const AcceptedEntry& e : entries) n += 8 + 8 + e.batch->WireSize();
-  return n;
 }
 
 void PaxosPromiseMsg::BuildWire(Encoder* enc) const {

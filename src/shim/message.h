@@ -59,15 +59,15 @@ const char* MsgKindName(MsgKind kind);
 /// \brief Base class of all wire messages.
 ///
 /// Structured payloads travel by shared pointer inside the simulation.
-/// The wire contract is split so the hot path never serializes:
-///  - WireSize() is pure arithmetic (packed-header sizes from
-///    shim/wire_format.h plus per-field length terms) — it is called on
-///    every send for the size-dependent delay model and touches no
-///    buffer;
+/// Each type's BuildWire is the one definition of its byte layout, and
+/// both halves of the wire contract run it:
+///  - WireSize() runs BuildWire through a count-only Encoder, so it
+///    writes no byte and allocates nothing; it is called on every send
+///    for the size-dependent delay model, and a batch inside adds its
+///    memoised size rather than walking its transactions;
 ///  - Serialized() materializes the canonical bytes on demand into a
 ///    single pooled owned buffer (returned to the pool when the message
-///    dies), built by each type's BuildWire — the only
-///    serialization path.
+///    dies).
 /// Messages authenticated by MAC carry a kMacTagBytes allowance in their
 /// size (the pairwise tag itself is recomputed through the KeyRegistry at
 /// validation time, see DESIGN.md §1).
@@ -87,18 +87,13 @@ struct Message : sim::MessageBase {
   /// MessagePtr already implies.
   const Bytes& Serialized() const;
 
-  /// Serialized size in bytes. Pure arithmetic — no encoding happens.
-  size_t WireSize() const {
-    return sizeof(wire::MsgHeader) + PayloadWireBytes() + ExtraWireBytes();
-  }
+  /// Size the network charges: the serialized size, counted by running
+  /// BuildWire without writing, plus ExtraWireBytes().
+  size_t WireSize() const;
 
  protected:
-  /// Arithmetic size of the payload (everything after the MsgHeader,
-  /// excluding ExtraWireBytes). Must equal what BuildWire writes —
-  /// Serialized() asserts the two agree.
-  virtual size_t PayloadWireBytes() const = 0;
   /// Appends the payload bytes (packed fixed prefix, then variable
-  /// sections) to `enc`. Called at most once per message.
+  /// sections) to `enc`, or only counts them when `enc` is count-only.
   virtual void BuildWire(Encoder* enc) const = 0;
   /// Extra non-encoded wire bytes (e.g. MAC tag allowance).
   virtual size_t ExtraWireBytes() const { return 0; }
@@ -129,7 +124,6 @@ struct ClientRequestMsg : Message {
   /// Bytes the client signs.
   static Bytes SigningBytes(const workload::Transaction& txn);
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -143,7 +137,6 @@ struct PrePrepareMsg : Message {
   workload::BatchPtr batch = workload::EmptyBatch();
   crypto::Digest digest;  ///< ∆ = H(batch).
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
   size_t ExtraWireBytes() const override { return kMacTagBytes; }
 };
@@ -156,7 +149,6 @@ struct PrepareMsg : Message {
   SeqNum seq = 0;
   crypto::Digest digest;
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
   size_t ExtraWireBytes() const override { return kMacTagBytes; }
 };
@@ -171,7 +163,6 @@ struct CommitMsg : Message {
   crypto::Digest digest;
   Bytes ds;  ///< DS over CommitSigningBytes(view, seq, digest).
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -189,7 +180,6 @@ struct ExecuteMsg : Message {
   static Bytes SigningBytes(ViewNum view, SeqNum seq,
                             const crypto::Digest& digest);
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -237,7 +227,6 @@ struct VerifyMsg : Message {
                             const std::vector<storage::RwSet>& txn_rws,
                             const Bytes& result);
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -253,7 +242,6 @@ struct ResponseMsg : Message {
   Bytes result;
   bool aborted = false;
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -275,7 +263,6 @@ struct ErrorMsg : Message {
   bool has_txn = false;         ///< For kMissingRequest: ⟨T⟩C attached.
   workload::Transaction txn;
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -286,7 +273,6 @@ struct ReplaceMsg : Message {
 
   crypto::Digest txn_digest;
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -300,7 +286,6 @@ struct AckMsg : Message {
   SeqNum kmax = 0;
   crypto::Digest txn_digest;
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -314,7 +299,6 @@ struct PreparedProof {
 
   void EncodeTo(Encoder* enc) const;
   static Status DecodeFrom(Decoder* dec, PreparedProof* out);
-  size_t WireSize() const;
 };
 
 /// Node -> nodes: VIEWCHANGE to view v+1 (§V-A4, PBFT-style).
@@ -328,7 +312,6 @@ struct ViewChangeMsg : Message {
 
   static Bytes SigningBytes(ViewNum new_view, SeqNum stable_seq);
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -344,7 +327,6 @@ struct NewViewMsg : Message {
 
   static Bytes SigningBytes(ViewNum view, size_t reproposal_count);
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -360,7 +342,6 @@ struct CheckpointMsg : Message {
   /// Batches for the certified sequences so dark nodes can adopt them.
   std::vector<PreparedProof> batches;
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -371,7 +352,6 @@ struct StorageReadMsg : Message {
   uint64_t request_id = 0;
   std::vector<std::string> keys;
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -390,7 +370,6 @@ struct StorageReadReplyMsg : Message {
   uint64_t request_id = 0;
   std::vector<Item> items;
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -407,7 +386,6 @@ struct PaxosAcceptMsg : Message {
   /// bound what a failover must re-propose (slots <= this are settled).
   SeqNum committed_upto = 0;
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -420,7 +398,6 @@ struct PaxosAcceptedMsg : Message {
   SeqNum slot = 0;
   crypto::Digest digest;
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -448,7 +425,6 @@ struct LinearVoteMsg : Message {
   static Bytes PrepareSigningBytes(ViewNum view, SeqNum seq,
                                    const crypto::Digest& digest);
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -461,7 +437,6 @@ struct LinearCertMsg : Message {
   LinearPhase phase = LinearPhase::kPrepare;
   crypto::CommitCertificate cert;  // Full form (validated by recipients).
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -485,7 +460,6 @@ struct ShardVoteCertMsg : Message {
   /// view-stamped decision the participant learns the real leader from.
   uint64_t coord_view = 0;
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -516,7 +490,6 @@ struct ShardCommitDecisionMsg : Message {
   uint64_t coord_view = 0;
   ActorId coord_leader = kInvalidActor;
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -559,7 +532,6 @@ struct CoordAppendMsg : Message {
   /// drops them and raises the client's floor to at least the id.
   std::vector<TxnKey> truncated;
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -571,7 +543,6 @@ struct CoordAckMsg : Message {
   uint64_t view = 0;
   uint64_t append_id = 0;
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -582,7 +553,6 @@ struct CoordSyncRequestMsg : Message {
 
   uint64_t view = 0;
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -612,7 +582,6 @@ struct CoordSyncReplyMsg : Message {
   /// Each client's floor as this member knows it, as (client, floor).
   std::vector<TxnKey> floors;
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -626,7 +595,6 @@ struct CoordRedirectMsg : Message {
   uint64_t view = 0;
   ActorId leader = kInvalidActor;
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -644,7 +612,6 @@ struct PaxosPrepareMsg : Message {
   uint64_t ballot = 0;
   SeqNum from_slot = 0;
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 
@@ -664,7 +631,6 @@ struct PaxosPromiseMsg : Message {
   SeqNum commit_frontier = 0;
   std::vector<AcceptedEntry> entries;
 
-  size_t PayloadWireBytes() const override;
   void BuildWire(Encoder* enc) const override;
 };
 

@@ -179,7 +179,7 @@ class PbftReplica : public sim::Actor {
 
   ActorId PrimaryOf(ViewNum view) const;
   /// Sends `msg` to every other replica; the wire size is the message's
-  /// arithmetic WireSize(), taken once for the whole fan-out.
+  /// counted WireSize(), taken once for the whole fan-out.
   void BroadcastToPeers(const MessagePtr& msg);
   bool Crashed() const {
     return crashed_ || (behavior_.byzantine && behavior_.crash);

@@ -24,12 +24,13 @@ enum class MsgKind : uint8_t;
 ///    field added without updating the wire contract fails the build.
 ///
 /// Writing goes through the same structs (BuildWire packs a header on the
-/// stack and appends it raw), so there is exactly one definition of each
-/// message's byte layout. Parsing uses `TryFrom`, which bounds-checks the
-/// buffer and the kind byte and returns nullptr instead of reading out of
-/// bounds. Variable-length sections (batches, certificates, length-
-/// prefixed byte strings) follow the fixed prefix and keep the
-/// varint/length-prefixed encoding.
+/// stack and appends it raw), and WireSize() counts that same BuildWire
+/// instead of summing field widths, so there is exactly one definition
+/// of each message's byte layout. Parsing uses `TryFrom`, which
+/// bounds-checks the buffer and the kind byte and returns nullptr instead
+/// of reading out of bounds. Variable-length sections (batches,
+/// certificates, length-prefixed byte strings) follow the fixed prefix
+/// and keep the varint/length-prefixed encoding.
 namespace wire {
 
 struct U8Field {

@@ -303,7 +303,7 @@ void Network::Broadcast(ActorId from, const std::vector<ActorId>& targets,
                         ActorId skip, MessagePtr message, size_t wire_bytes) {
   // The sender endpoint (and with it the sending region) is resolved once
   // for the whole fan-out; `wire_bytes` is likewise computed once by the
-  // caller (typically the message's arithmetic WireSize()) instead of per
+  // caller (typically the message's counted WireSize()) instead of per
   // target.
   const int cur = CurrentLoop();
   assert(LoopOf(from) == cur && "sender executing on a foreign loop");

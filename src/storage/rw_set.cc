@@ -46,15 +46,6 @@ Status RwSet::DecodeFrom(Decoder* dec, RwSet* out) {
   return Status::Ok();
 }
 
-size_t RwSet::WireSize() const {
-  size_t n = VarintLen(reads.size()) + VarintLen(writes.size());
-  for (const ReadEntry& r : reads) n += SizedLen(r.key.size()) + 8;
-  for (const WriteEntry& w : writes) {
-    n += SizedLen(w.key.size()) + SizedLen(w.value.size());
-  }
-  return n;
-}
-
 crypto::Digest RwSet::Hash() const {
   ScratchEncoder enc;
   EncodeTo(&enc.enc());

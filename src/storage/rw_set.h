@@ -42,7 +42,6 @@ struct RwSet {
 
   void EncodeTo(Encoder* enc) const;
   static Status DecodeFrom(Decoder* dec, RwSet* out);
-  size_t WireSize() const;
 
   /// Digest over the canonical encoding; lets the verifier compare VERIFY
   /// messages for equality cheaply.

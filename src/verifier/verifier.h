@@ -400,7 +400,7 @@ class Verifier : public sim::Actor {
   void StartAbortTimer(SeqNum seq);
   void OnAbortTimer(SeqNum seq);
   /// Sends `msg` to every shim node; the wire size is the message's
-  /// arithmetic WireSize(), taken once for the whole fan-out.
+  /// counted WireSize(), taken once for the whole fan-out.
   void BroadcastToShim(const shim::MessagePtr& msg);
   void MaybeSendAcks();
 

@@ -132,16 +132,6 @@ Status Transaction::DecodeFrom(Decoder* dec, Transaction* out) {
   return Status::Ok();
 }
 
-size_t Transaction::WireSize() const {
-  size_t n = 8 + 4 + 1;  // id, client, flags.
-  if (IsFragment()) n += 8 + 4 + 4;
-  n += VarintLen(id - floor) + VarintLen(ops.size());
-  for (const Operation& op : ops) {
-    n += 1 + SizedLen(op.key.size()) + SizedLen(op.value.size()) + 8;
-  }
-  return n;
-}
-
 crypto::Digest Transaction::Hash() const {
   ScratchEncoder enc;
   EncodeTo(&enc.enc());
@@ -149,6 +139,14 @@ crypto::Digest Transaction::Hash() const {
 }
 
 void TransactionBatch::EncodeTo(Encoder* enc) const {
+  if (enc->counting()) {
+    enc->Count(WireSize());
+    return;
+  }
+  EncodeTxns(enc);
+}
+
+void TransactionBatch::EncodeTxns(Encoder* enc) const {
   enc->PutVarint(txns.size());
   for (const Transaction& t : txns) {
     t.EncodeTo(enc);
@@ -173,9 +171,9 @@ Status TransactionBatch::DecodeFrom(Decoder* dec, TransactionBatch* out) {
 
 size_t TransactionBatch::WireSize() const {
   if (memo_wire_size_ == kNoMemo) {
-    size_t n = VarintLen(txns.size());
-    for (const Transaction& t : txns) n += t.WireSize();
-    memo_wire_size_ = n;
+    Encoder counter = Encoder::Counter();
+    EncodeTxns(&counter);
+    memo_wire_size_ = counter.size();
   }
   return memo_wire_size_;
 }

@@ -82,7 +82,6 @@ struct Transaction {
 
   void EncodeTo(Encoder* enc) const;
   static Status DecodeFrom(Decoder* dec, Transaction* out);
-  size_t WireSize() const;
   crypto::Digest Hash() const;
 };
 
@@ -108,8 +107,12 @@ struct TransactionBatch {
   }
   TransactionBatch& operator=(TransactionBatch&& o) noexcept = default;
 
+  /// On a count-only encoder this adds WireSize() rather than walking
+  /// the transactions, so sizing a message that carries a batch stays
+  /// O(1) after the first count.
   void EncodeTo(Encoder* enc) const;
   static Status DecodeFrom(Decoder* dec, TransactionBatch* out);
+  /// Encoded size, counted once and memoised.
   size_t WireSize() const;
   const crypto::Digest& Hash() const;
 
@@ -118,6 +121,9 @@ struct TransactionBatch {
   size_t size() const { return txns.size(); }
 
  private:
+  /// The encoding itself: the count, then each transaction.
+  void EncodeTxns(Encoder* enc) const;
+
   static constexpr size_t kNoMemo = static_cast<size_t>(-1);
   mutable size_t memo_wire_size_ = kNoMemo;
   mutable crypto::Digest memo_hash_{};

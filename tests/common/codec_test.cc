@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "common/rng.h"
 
 namespace sbft {
@@ -68,6 +71,68 @@ TEST(CodecTest, VarintEncodingSizes) {
   Encoder e10;
   e10.PutVarint(0xffffffffffffffffull);
   EXPECT_EQ(e10.size(), 10u);
+}
+
+TEST(CodecTest, CounterCountsWhatAWriterEmits) {
+  // Each Put* on a count-only encoder advances size() by exactly the
+  // bytes it appends on a writing one, and the counter owns no buffer.
+  const std::vector<std::function<void(Encoder*)>> puts = {
+      [](Encoder* e) { e->PutU8(0xab); },
+      [](Encoder* e) { e->PutU16(0xbeef); },
+      [](Encoder* e) { e->PutU32(0xdeadbeef); },
+      [](Encoder* e) { e->PutU64(0x0123456789abcdefull); },
+      [](Encoder* e) { e->PutVarint(0); },
+      [](Encoder* e) { e->PutVarint(0x7f); },
+      [](Encoder* e) { e->PutVarint(0x80); },
+      [](Encoder* e) { e->PutVarint(uint64_t{1} << 63); },
+      [](Encoder* e) { e->PutBool(true); },
+      [](Encoder* e) { e->PutDouble(3.14159); },
+      [](Encoder* e) { e->PutBytes(Bytes{}); },
+      [](Encoder* e) { e->PutBytes(Bytes(200, 7)); },
+      [](Encoder* e) { e->PutString(""); },
+      [](Encoder* e) { e->PutString("serverless"); },
+      [](Encoder* e) {
+        const uint8_t raw[3] = {1, 2, 3};
+        e->PutRaw(raw, sizeof(raw));
+      },
+  };
+  Encoder all_writer;
+  Encoder all_counter = Encoder::Counter();
+  for (size_t i = 0; i < puts.size(); ++i) {
+    Encoder writer;
+    Encoder counter = Encoder::Counter();
+    puts[i](&writer);
+    puts[i](&counter);
+    EXPECT_FALSE(writer.counting());
+    EXPECT_TRUE(counter.counting());
+    EXPECT_EQ(counter.size(), writer.buffer().size()) << "put " << i;
+    EXPECT_TRUE(counter.buffer().empty()) << "put " << i;
+    puts[i](&all_writer);
+    puts[i](&all_counter);
+  }
+  EXPECT_EQ(all_counter.size(), all_writer.buffer().size());
+  EXPECT_TRUE(all_counter.buffer().empty());
+}
+
+TEST(CodecTest, CounterCountsKnownSizesAndEncodedSizeCountsEncodeTo) {
+  Encoder counter = Encoder::Counter();
+  counter.PutU32(1);
+  counter.Count(100);
+  EXPECT_EQ(counter.size(), 104u);
+
+  struct Pair {
+    uint64_t a;
+    std::string b;
+    void EncodeTo(Encoder* enc) const {
+      enc->PutVarint(a);
+      enc->PutString(b);
+    }
+  };
+  Pair p{300, "edge"};
+  Encoder writer;
+  p.EncodeTo(&writer);
+  EXPECT_EQ(EncodedSize(p), writer.size());
+  EXPECT_EQ(EncodedSize(p), 2u + 1u + 4u);
 }
 
 TEST(CodecTest, BytesAndStringRoundTrip) {

@@ -117,7 +117,7 @@ TEST_F(CertificateTest, WireSizeMatchesEncoding) {
   CommitCertificate cert = MakeCert(5);
   Encoder enc;
   cert.EncodeTo(&enc);
-  EXPECT_EQ(cert.WireSize(), enc.size());
+  EXPECT_EQ(EncodedSize(cert), enc.size());
 }
 
 TEST_F(CertificateTest, CompactCertificateValidates) {
@@ -129,7 +129,7 @@ TEST_F(CertificateTest, CompactCertificateValidates) {
 TEST_F(CertificateTest, CompactCertificateIsSmaller) {
   CommitCertificate full = MakeCert(5);
   CompactCertificate compact = CompactCertificate::FromFull(full);
-  EXPECT_LT(compact.WireSize(), full.WireSize());
+  EXPECT_LT(EncodedSize(compact), EncodedSize(full));
 }
 
 TEST_F(CertificateTest, CompactRejectsTamperedAggregate) {
@@ -159,7 +159,7 @@ TEST_F(CertificateTest, CompactSerializationRoundTrip) {
   CompactCertificate parsed;
   ASSERT_TRUE(CompactCertificate::DecodeFrom(&dec, &parsed).ok());
   EXPECT_TRUE(parsed.Validate(registry_, 5).ok());
-  EXPECT_EQ(parsed.WireSize(), compact.WireSize());
+  EXPECT_EQ(EncodedSize(parsed), wire.size());
 }
 
 TEST_F(CertificateTest, SigningBytesBindAllFields) {

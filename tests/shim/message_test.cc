@@ -135,7 +135,7 @@ TEST(MessageTest, TwoPcWatermarkAndViewSectionsAreAlwaysPresent) {
   ShardVoteCertMsg no_acks(9);
   no_acks.cert.shares.push_back(share);
   EXPECT_EQ(no_acks.WireSize(), sizeof(wire::ShardVoteCertHeader) +
-                                    no_acks.cert.WireSize() + 1 + 8);
+                                    EncodedSize(no_acks.cert) + 1 + 8);
 
   ShardVoteCertMsg acks(9);
   acks.cert.shares.push_back(share);
@@ -159,7 +159,7 @@ TEST(MessageTest, TwoPcWatermarkAndViewSectionsAreAlwaysPresent) {
   EXPECT_EQ(stamped_decision.WireSize(), zero_decision.WireSize());
   stamped_decision.proof.shares.push_back(share);
   EXPECT_EQ(stamped_decision.WireSize(),
-            zero_decision.WireSize() + stamped_decision.proof.WireSize());
+            zero_decision.WireSize() + EncodedSize(stamped_decision.proof));
 }
 
 TEST(MessageTest, AllKindsEncodeNonEmpty) {

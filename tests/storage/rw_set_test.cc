@@ -30,7 +30,7 @@ TEST(RwSetTest, WireSizeMatchesEncoding) {
   RwSet rw = MakeSet();
   Encoder enc;
   rw.EncodeTo(&enc);
-  EXPECT_EQ(rw.WireSize(), enc.size());
+  EXPECT_EQ(EncodedSize(rw), enc.size());
 }
 
 TEST(RwSetTest, DecodeRejectsHostileCounts) {

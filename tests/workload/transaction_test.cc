@@ -130,6 +130,9 @@ TEST(TransactionBatchTest, RoundTripAndHash) {
   EXPECT_EQ(parsed.size(), 5u);
   EXPECT_EQ(parsed.Hash(), batch.Hash());
   EXPECT_EQ(parsed.WireSize(), batch.WireSize());
+  // The memoised size is the encoding's, and a counting pass adds it.
+  EXPECT_EQ(batch.WireSize(), enc.size());
+  EXPECT_EQ(EncodedSize(batch), enc.size());
 }
 
 TEST(TransactionBatchTest, DecodeRejectsHostileCount) {
