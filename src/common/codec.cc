@@ -45,62 +45,13 @@ void Encoder::Count(size_t len) {
   counted_ += len;
 }
 
-void Encoder::PutU8(uint8_t v) {
-  if (counting_) {
-    ++counted_;
-    return;
-  }
-  buf_.push_back(v);
-}
-
-void Encoder::PutU16(uint16_t v) {
-  uint8_t le[2] = {static_cast<uint8_t>(v), static_cast<uint8_t>(v >> 8)};
-  PutRaw(le, sizeof(le));
-}
-
-void Encoder::PutU32(uint32_t v) {
-  uint8_t le[4];
-  for (int i = 0; i < 4; ++i) le[i] = static_cast<uint8_t>(v >> (8 * i));
-  PutRaw(le, sizeof(le));
-}
-
-void Encoder::PutU64(uint64_t v) {
-  uint8_t le[8];
-  for (int i = 0; i < 8; ++i) le[i] = static_cast<uint8_t>(v >> (8 * i));
-  PutRaw(le, sizeof(le));
-}
-
-void Encoder::PutVarint(uint64_t v) {
-  while (v >= 0x80) {
-    PutU8(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  PutU8(static_cast<uint8_t>(v));
-}
-
-void Encoder::PutBool(bool v) { PutU8(v ? 1 : 0); }
-
 void Encoder::PutDouble(double v) {
   uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
   PutU64(bits);
 }
 
-void Encoder::PutBytes(const Bytes& b) {
-  PutVarint(b.size());
-  PutRaw(b.data(), b.size());
-}
-
-void Encoder::PutString(std::string_view s) {
-  PutVarint(s.size());
-  PutRaw(reinterpret_cast<const uint8_t*>(s.data()), s.size());
-}
-
-void Encoder::PutRaw(const uint8_t* data, size_t len) {
-  if (counting_) {
-    counted_ += len;
-    return;
-  }
+void Encoder::Append(const uint8_t* data, size_t len) {
   buf_.insert(buf_.end(), data, data + len);
 }
 

@@ -49,28 +49,53 @@ class Encoder {
   /// encoders only.
   void Count(size_t len);
 
+  // The Put* bodies sit in the header: a WireSize() call runs one per
+  // field, and the count-only branch costs nothing once inlined.
+
   /// Appends one byte.
-  void PutU8(uint8_t v);
+  void PutU8(uint8_t v) {
+    if (counting_) {
+      ++counted_;
+    } else {
+      buf_.push_back(v);
+    }
+  }
   /// Appends a 16-bit little-endian integer.
-  void PutU16(uint16_t v);
+  void PutU16(uint16_t v) { PutLittleEndian(v, 2); }
   /// Appends a 32-bit little-endian integer.
-  void PutU32(uint32_t v);
+  void PutU32(uint32_t v) { PutLittleEndian(v, 4); }
   /// Appends a 64-bit little-endian integer.
-  void PutU64(uint64_t v);
+  void PutU64(uint64_t v) { PutLittleEndian(v, 8); }
   /// Appends a 64-bit integer as LEB128 (1-10 bytes).
-  void PutVarint(uint64_t v);
+  void PutVarint(uint64_t v) {
+    while (v >= 0x80) {
+      PutU8(static_cast<uint8_t>(v) | 0x80);
+      v >>= 7;
+    }
+    PutU8(static_cast<uint8_t>(v));
+  }
   /// Appends a bool as one byte (0/1).
-  void PutBool(bool v);
+  void PutBool(bool v) { PutU8(v ? 1 : 0); }
   /// Appends an IEEE-754 double (8 bytes, bit pattern).
   void PutDouble(double v);
   /// Appends varint length followed by the raw bytes.
-  void PutBytes(const Bytes& b);
+  void PutBytes(const Bytes& b) {
+    PutVarint(b.size());
+    PutRaw(b.data(), b.size());
+  }
   /// Appends varint length followed by the string's characters.
-  void PutString(std::string_view s);
-  /// Appends `len` raw bytes with no length prefix. Every other Put*
-  /// ends here or in PutU8, so those two are where a count-only encoder
-  /// only counts.
-  void PutRaw(const uint8_t* data, size_t len);
+  void PutString(std::string_view s) {
+    PutVarint(s.size());
+    PutRaw(reinterpret_cast<const uint8_t*>(s.data()), s.size());
+  }
+  /// Appends `len` raw bytes with no length prefix.
+  void PutRaw(const uint8_t* data, size_t len) {
+    if (counting_) {
+      counted_ += len;
+    } else {
+      Append(data, len);
+    }
+  }
 
   /// Number of bytes encoded (or counted) so far.
   size_t size() const { return counting_ ? counted_ : buf_.size(); }
@@ -82,6 +107,21 @@ class Encoder {
   Bytes TakeBuffer() { return std::move(buf_); }
 
  private:
+  /// Appends the low `width` bytes of `v`, least significant first.
+  void PutLittleEndian(uint64_t v, size_t width) {
+    if (counting_) {
+      counted_ += width;
+      return;
+    }
+    uint8_t le[8];
+    for (size_t i = 0; i < width; ++i) {
+      le[i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+    Append(le, width);
+  }
+  /// The writing half of PutRaw, kept out of line.
+  void Append(const uint8_t* data, size_t len);
+
   Bytes buf_;
   bool counting_ = false;
   size_t counted_ = 0;
