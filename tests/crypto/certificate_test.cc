@@ -113,7 +113,7 @@ TEST(VoteCertificateTest, DecodeRejectsHostileShareCount) {
   EXPECT_TRUE(VoteCertificate::DecodeFrom(&dec, &parsed).IsCorruption());
 }
 
-TEST_F(CertificateTest, WireSizeMatchesEncoding) {
+TEST_F(CertificateTest, EncodedSizeMatchesEncoding) {
   CommitCertificate cert = MakeCert(5);
   Encoder enc;
   cert.EncodeTo(&enc);

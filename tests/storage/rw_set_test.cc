@@ -26,7 +26,7 @@ TEST(RwSetTest, EncodeDecodeRoundTrip) {
   EXPECT_TRUE(dec.Done());
 }
 
-TEST(RwSetTest, WireSizeMatchesEncoding) {
+TEST(RwSetTest, EncodedSizeMatchesEncoding) {
   RwSet rw = MakeSet();
   Encoder enc;
   rw.EncodeTo(&enc);
