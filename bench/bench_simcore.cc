@@ -1,8 +1,10 @@
 // Wall-clock microbenchmarks of the simulator core, the message pipeline
-// and the substrates under them (crypto, codec, store, workload
-// generator), plus the CI regression gate. The figure benches and
-// bench/e2e measure simulated time; this measures how fast the host
-// pushes the engine's building blocks.
+// (the counting pass that sizes every send, and a consensus round's
+// digests and MACs) and the substrates under them (crypto, codec, store,
+// workload generator), plus the CI regression gate. Messages travel as
+// shared pointers and are never parsed, so no case times a message
+// parse. The figure benches and bench/e2e measure simulated time; this
+// measures how fast the host pushes the engine's building blocks.
 //
 //   ./build/bench/bench_simcore                         # full run
 //   ./build/bench/bench_simcore --quick                 # CI smoke scale
@@ -37,7 +39,6 @@
 #include "crypto/schnorr.h"
 #include "crypto/sha256.h"
 #include "shim/message.h"
-#include "shim/wire_format.h"
 #include "sim/actor.h"
 #include "sim/network.h"
 #include "sim/parallel.h"
@@ -299,33 +300,96 @@ double DigestRounds(const Options& opt, RepClock& clock) {
   return clock.Stop(rounds);
 }
 
-/// Zero-copy wire parsing: packed-header messages serialized once, then
-/// re-parsed as bounds-and-kind-checked views (wire::TryFrom) with every
-/// header field read back — a pointer check plus shift-based field
-/// loads, no allocation.
-double WireParse(const Options& opt, RepClock& clock) {
-  const uint64_t total = Scaled(opt, 40'000'000);
-  shim::PrepareMsg prepare(3);
-  prepare.view = 7;
-  prepare.seq = 12345;
-  prepare.digest = crypto::Sha256::Hash("wire-parse");
-  const Bytes prepare_bytes = prepare.Serialized();
-  shim::ShardCommitDecisionMsg decision(9);
-  decision.global_id = {1000000, 424242};
-  decision.commit = true;
-  const Bytes decision_bytes = decision.Serialized();
-  clock.Start();
-  for (uint64_t i = 0; i < total; i += 2) {
-    const auto* p = shim::wire::TryFrom<shim::wire::PrepareHeader>(
-        prepare_bytes, shim::MsgKind::kPrepare);
-    Consume(p->view.get() + p->seq.get() + p->hdr.sender.get() +
-            p->digest.data()[0]);
-    const auto* d = shim::wire::TryFrom<shim::wire::ShardCommitDecisionHeader>(
-        decision_bytes, shim::MsgKind::kShardCommitDecision);
-    Consume(d->global_id.get() + d->hdr.sender.get() +
-            static_cast<uint64_t>(d->commit.get()));
+/// Message sizing: WireSize() of seven messages a transaction's trip
+/// through a plane sends — a 4-op CLIENT_REQUEST, a 2-transaction
+/// PREPREPARE, EXECUTE and VERIFY (with rw sets), a PREPARE, a COMMIT and
+/// a RESPONSE. Every send pays one such counting pass; a batch inside
+/// adds its memoised size. Counted in messages sized.
+double WireSizing(const Options& opt, RepClock& clock) {
+  const uint64_t rounds = Scaled(opt, 1'000'000);
+  workload::BatchPtr batch = workload::ShareBatch(MakeBatch(2, opt.seed));
+  const crypto::Digest digest = batch->Hash();
+  crypto::KeyRegistry keys(crypto::CryptoMode::kFast, opt.seed);
+  crypto::CommitCertificate cert;
+  cert.view = 1;
+  cert.seq = 7;
+  cert.digest = digest;
+  const Bytes signing = crypto::CommitSigningBytes(1, 7, digest);
+  for (ActorId id = 1; id <= 3; ++id) {
+    keys.RegisterNode(id);
+    cert.signatures.push_back({id, keys.Sign(id, signing)});
   }
-  return clock.Stop(total);
+  const Bytes ds = cert.signatures[0].sig;
+
+  auto request = std::make_shared<shim::ClientRequestMsg>(1000);
+  request->txn.id = 42;
+  request->txn.client = 1000;
+  request->txn.floor = 41;
+  for (const workload::Transaction& t : batch->txns) {
+    request->txn.ops.insert(request->txn.ops.end(), t.ops.begin(),
+                            t.ops.end());
+  }
+  request->client_sig = ds;
+
+  auto preprepare = std::make_shared<shim::PrePrepareMsg>(1);
+  preprepare->view = 1;
+  preprepare->seq = 7;
+  preprepare->batch = batch;
+  preprepare->digest = digest;
+
+  auto execute = std::make_shared<shim::ExecuteMsg>(1);
+  execute->view = 1;
+  execute->seq = 7;
+  execute->batch = batch;
+  execute->digest = digest;
+  execute->cert = cert;
+  execute->spawner_sig = ds;
+
+  auto prepare = std::make_shared<shim::PrepareMsg>(2);
+  prepare->view = 1;
+  prepare->seq = 7;
+  prepare->digest = digest;
+
+  auto commit = std::make_shared<shim::CommitMsg>(2);
+  commit->view = 1;
+  commit->seq = 7;
+  commit->digest = digest;
+  commit->ds = ds;
+
+  auto verify = std::make_shared<shim::VerifyMsg>(500);
+  verify->view = 1;
+  verify->seq = 7;
+  verify->batch_digest = digest;
+  verify->cert = cert;
+  for (const workload::Transaction& t : batch->txns) {
+    storage::RwSet rw;
+    for (const workload::Operation& op : t.ops) {
+      if (op.type == workload::OpType::kRead) {
+        rw.reads.push_back({op.key, 3});
+      } else {
+        rw.writes.push_back({op.key, op.value});
+      }
+    }
+    verify->txn_rws.push_back(std::move(rw));
+    verify->txn_refs.push_back({t.id, t.client, t.id - 1, {}, kInvalidActor});
+  }
+  verify->result = ToBytes("ok");
+  verify->executor_sig = ds;
+
+  auto response = std::make_shared<shim::ResponseMsg>(600);
+  response->txn_id = 42;
+  response->client = 1000;
+  response->seq = 7;
+  response->batch_digest = digest;
+  response->result = ToBytes("ok");
+
+  const std::vector<shim::MessagePtr> msgs = {
+      request, preprepare, execute, prepare, commit, verify, response};
+  clock.Start();
+  for (uint64_t round = 0; round < rounds; ++round) {
+    for (const shim::MessagePtr& m : msgs) Consume(m->WireSize());
+  }
+  return clock.Stop(static_cast<double>(rounds * msgs.size()));
 }
 
 /// Certificate aggregation: assemble an 8-share VoteCertificate from
@@ -603,7 +667,7 @@ const Case kCases[] = {
     {"cancel_storm", "ops/s", true, CancelStorm},
     {"broadcast_fanout", "deliveries/s", true, BroadcastFanout},
     {"digest_rounds", "rounds/s", true, DigestRounds},
-    {"wire_parse", "parses/s", false, WireParse},
+    {"wire_size", "msgs/s", false, WireSizing},
     {"cert_aggregate", "certs/s", false, CertAggregate},
     {"batch_verify", "sigs/s", false, BatchVerify},
     {"schnorr_sign", "sigs/s", false, SchnorrSign},

@@ -96,8 +96,11 @@ Status Decoder::GetVarint(uint64_t* out) {
   int shift = 0;
   while (true) {
     if (remaining() < 1) return Status::Corruption("truncated varint");
-    if (shift >= 64) return Status::Corruption("varint overflow");
     uint8_t byte = data_[pos_++];
+    // The tenth byte holds bit 63 alone, and a last byte of 0 after the
+    // first is overlong: each value has exactly one encoding.
+    if (shift == 63 && byte > 1) return Status::Corruption("varint overflow");
+    if (byte == 0 && shift > 0) return Status::Corruption("overlong varint");
     v |= static_cast<uint64_t>(byte & 0x7f) << shift;
     if ((byte & 0x80) == 0) break;
     shift += 7;

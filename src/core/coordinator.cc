@@ -630,11 +630,7 @@ void TxnCoordinator::BroadcastAppend(uint64_t append_id,
   if (shards != nullptr) msg->shards = *shards;
   if (proof != nullptr) msg->proof = *proof;
   msg->truncated.swap(truncated_);
-  size_t wire = msg->WireSize();
-  for (ActorId peer : options_.group) {
-    if (peer == id()) continue;
-    net_->Send(id(), peer, msg, wire);
-  }
+  net_->Broadcast(id(), options_.group, id(), msg, msg->WireSize());
 }
 
 void TxnCoordinator::HandleAppend(const sim::Envelope& env) {
@@ -857,10 +853,7 @@ void TxnCoordinator::StartTakeover() {
   takeover_reappends_ = 0;
   auto req = std::make_shared<shim::CoordSyncRequestMsg>(id());
   req->view = view_;
-  for (ActorId peer : options_.group) {
-    if (peer == id()) continue;
-    net_->Send(id(), peer, req, req->WireSize());
-  }
+  net_->Broadcast(id(), options_.group, id(), req, req->WireSize());
   if (sync_retry_timer_ != 0) sim_->Cancel(sync_retry_timer_);
   sync_retry_timer_ =
       sim_->Schedule(options_.failover_timeout, [this]() {

@@ -345,6 +345,8 @@ void Sha256::ProcessBlocks(const uint8_t* data, size_t nblocks) {
 #undef SBFT_SHA256_ROUND
 
 void Sha256::Update(const uint8_t* data, size_t len) {
+  // An empty input may come with a null `data`, which memcpy must not get.
+  if (len == 0) return;
   length_ += len;
   if (buffered_ > 0) {
     size_t take = std::min(len, sizeof(buffer_) - buffered_);

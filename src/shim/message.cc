@@ -1,37 +1,6 @@
 #include "shim/message.h"
 
-#include <cstring>
-
 namespace sbft::shim {
-
-namespace {
-
-/// Appends a packed wire struct verbatim.
-template <typename H>
-void PutPacked(Encoder* enc, const H& h) {
-  enc->PutRaw(reinterpret_cast<const uint8_t*>(&h), sizeof(h));
-}
-
-wire::MsgHeader HeaderFor(const Message& m) {
-  wire::MsgHeader h{};
-  h.kind.set(static_cast<uint8_t>(m.kind));
-  h.sender.set(m.sender);
-  return h;
-}
-
-/// Constructs a packed header with the common MsgHeader fields filled.
-template <typename H>
-H PackedFor(const Message& m) {
-  H h{};
-  h.hdr = HeaderFor(m);
-  return h;
-}
-
-void CopyDigest(wire::DigestField* dst, const crypto::Digest& src) {
-  std::memcpy(dst->mutable_data(), src.data(), crypto::Digest::kSize);
-}
-
-}  // namespace
 
 const char* MsgKindName(MsgKind kind) {
   switch (kind) {
@@ -102,7 +71,7 @@ Message::~Message() {
 const Bytes& Message::Serialized() const {
   if (!serialized_ready_) {
     Encoder enc(AcquirePooledBuffer());
-    BuildWire(&enc);
+    Encode(&enc);
     serialized_ = enc.TakeBuffer();
     serialized_ready_ = true;
   }
@@ -111,8 +80,14 @@ const Bytes& Message::Serialized() const {
 
 size_t Message::WireSize() const {
   Encoder counter = Encoder::Counter();
-  BuildWire(&counter);
+  Encode(&counter);
   return counter.size() + ExtraWireBytes();
+}
+
+void Message::Encode(Encoder* enc) const {
+  enc->PutU8(static_cast<uint8_t>(kind));
+  enc->PutU32(sender);
+  BuildWire(enc);
 }
 
 Bytes ClientRequestMsg::SigningBytes(const workload::Transaction& txn) {
@@ -123,37 +98,27 @@ Bytes ClientRequestMsg::SigningBytes(const workload::Transaction& txn) {
 }
 
 void ClientRequestMsg::BuildWire(Encoder* enc) const {
-  // The ClientRequestHeader covers the transaction's fixed head, whose
-  // flags byte depends on the txn contents; the txn's own encoder keeps
-  // authority over that layout, so the header here is parse-side only.
-  PutPacked(enc, HeaderFor(*this));
   txn.EncodeTo(enc);
   enc->PutBytes(client_sig);
 }
 
 void PrePrepareMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::PrePrepareHeader>(*this);
-  h.view.set(view);
-  h.seq.set(seq);
-  PutPacked(enc, h);
+  enc->PutU64(view);
+  enc->PutU64(seq);
   batch->EncodeTo(enc);
   enc->PutRaw(digest.data(), crypto::Digest::kSize);
 }
 
 void PrepareMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::PrepareHeader>(*this);
-  h.view.set(view);
-  h.seq.set(seq);
-  CopyDigest(&h.digest, digest);
-  PutPacked(enc, h);
+  enc->PutU64(view);
+  enc->PutU64(seq);
+  enc->PutRaw(digest.data(), crypto::Digest::kSize);
 }
 
 void CommitMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::CommitHeader>(*this);
-  h.view.set(view);
-  h.seq.set(seq);
-  CopyDigest(&h.digest, digest);
-  PutPacked(enc, h);
+  enc->PutU64(view);
+  enc->PutU64(seq);
+  enc->PutRaw(digest.data(), crypto::Digest::kSize);
   enc->PutBytes(ds);
 }
 
@@ -168,10 +133,8 @@ Bytes ExecuteMsg::SigningBytes(ViewNum view, SeqNum seq,
 }
 
 void ExecuteMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::ExecuteHeader>(*this);
-  h.view.set(view);
-  h.seq.set(seq);
-  PutPacked(enc, h);
+  enc->PutU64(view);
+  enc->PutU64(seq);
   batch->EncodeTo(enc);
   enc->PutRaw(digest.data(), crypto::Digest::kSize);
   cert.EncodeTo(enc);
@@ -194,11 +157,9 @@ Bytes VerifyMsg::SigningBytes(ViewNum view, SeqNum seq,
 }
 
 void VerifyMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::VerifyHeader>(*this);
-  h.view.set(view);
-  h.seq.set(seq);
-  CopyDigest(&h.batch_digest, batch_digest);
-  PutPacked(enc, h);
+  enc->PutU64(view);
+  enc->PutU64(seq);
+  enc->PutRaw(batch_digest.data(), crypto::Digest::kSize);
   cert.EncodeTo(enc);
   enc->PutVarint(txn_rws.size());
   for (const storage::RwSet& txn_rw : txn_rws) {
@@ -235,40 +196,32 @@ void VerifyMsg::BuildWire(Encoder* enc) const {
 }
 
 void ResponseMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::ResponseHeader>(*this);
-  h.txn_id.set(txn_id);
-  h.client.set(client);
-  h.seq.set(seq);
-  CopyDigest(&h.batch_digest, batch_digest);
-  PutPacked(enc, h);
+  enc->PutU64(txn_id);
+  enc->PutU32(client);
+  enc->PutU64(seq);
+  enc->PutRaw(batch_digest.data(), crypto::Digest::kSize);
   enc->PutBytes(result);
   enc->PutBool(aborted);
 }
 
 void ErrorMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::ErrorHeader>(*this);
-  h.reason.set(static_cast<uint8_t>(reason));
-  h.kmax.set(kmax);
-  CopyDigest(&h.txn_digest, txn_digest);
-  h.has_txn.set(has_txn);
-  PutPacked(enc, h);
+  enc->PutU8(static_cast<uint8_t>(reason));
+  enc->PutU64(kmax);
+  enc->PutRaw(txn_digest.data(), crypto::Digest::kSize);
+  enc->PutBool(has_txn);
   if (has_txn) {
     txn.EncodeTo(enc);
   }
 }
 
 void ReplaceMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::ReplaceHeader>(*this);
-  CopyDigest(&h.txn_digest, txn_digest);
-  PutPacked(enc, h);
+  enc->PutRaw(txn_digest.data(), crypto::Digest::kSize);
 }
 
 void AckMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::AckHeader>(*this);
-  h.has_seq.set(has_seq);
-  h.kmax.set(kmax);
-  CopyDigest(&h.txn_digest, txn_digest);
-  PutPacked(enc, h);
+  enc->PutBool(has_seq);
+  enc->PutU64(kmax);
+  enc->PutRaw(txn_digest.data(), crypto::Digest::kSize);
 }
 
 void PreparedProof::EncodeTo(Encoder* enc) const {
@@ -305,10 +258,8 @@ Bytes ViewChangeMsg::SigningBytes(ViewNum new_view, SeqNum stable_seq) {
 }
 
 void ViewChangeMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::ViewChangeHeader>(*this);
-  h.new_view.set(new_view);
-  h.stable_seq.set(stable_seq);
-  PutPacked(enc, h);
+  enc->PutU64(new_view);
+  enc->PutU64(stable_seq);
   enc->PutVarint(prepared.size());
   for (const PreparedProof& p : prepared) {
     p.EncodeTo(enc);
@@ -325,9 +276,7 @@ Bytes NewViewMsg::SigningBytes(ViewNum view, size_t reproposal_count) {
 }
 
 void NewViewMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::NewViewHeader>(*this);
-  h.view.set(view);
-  PutPacked(enc, h);
+  enc->PutU64(view);
   enc->PutVarint(view_change_senders.size());
   for (ActorId id : view_change_senders) {
     enc->PutU32(id);
@@ -340,10 +289,8 @@ void NewViewMsg::BuildWire(Encoder* enc) const {
 }
 
 void CheckpointMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::CheckpointHeader>(*this);
-  h.upto_seq.set(upto_seq);
-  CopyDigest(&h.cert_log_root, cert_log_root);
-  PutPacked(enc, h);
+  enc->PutU64(upto_seq);
+  enc->PutRaw(cert_log_root.data(), crypto::Digest::kSize);
   enc->PutVarint(certs.size());
   for (const crypto::CompactCertificate& c : certs) {
     c.EncodeTo(enc);
@@ -355,9 +302,7 @@ void CheckpointMsg::BuildWire(Encoder* enc) const {
 }
 
 void StorageReadMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::StorageReadHeader>(*this);
-  h.request_id.set(request_id);
-  PutPacked(enc, h);
+  enc->PutU64(request_id);
   enc->PutVarint(keys.size());
   for (const std::string& k : keys) {
     enc->PutString(k);
@@ -365,9 +310,7 @@ void StorageReadMsg::BuildWire(Encoder* enc) const {
 }
 
 void StorageReadReplyMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::StorageReadReplyHeader>(*this);
-  h.request_id.set(request_id);
-  PutPacked(enc, h);
+  enc->PutU64(request_id);
   enc->PutVarint(items.size());
   for (const Item& item : items) {
     enc->PutString(item.key);
@@ -378,21 +321,17 @@ void StorageReadReplyMsg::BuildWire(Encoder* enc) const {
 }
 
 void PaxosAcceptMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::PaxosAcceptHeader>(*this);
-  h.ballot.set(ballot);
-  h.slot.set(slot);
-  PutPacked(enc, h);
+  enc->PutU64(ballot);
+  enc->PutU64(slot);
   batch->EncodeTo(enc);
   enc->PutRaw(digest.data(), crypto::Digest::kSize);
   enc->PutU64(committed_upto);
 }
 
 void PaxosAcceptedMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::PaxosAcceptedHeader>(*this);
-  h.ballot.set(ballot);
-  h.slot.set(slot);
-  CopyDigest(&h.digest, digest);
-  PutPacked(enc, h);
+  enc->PutU64(ballot);
+  enc->PutU64(slot);
+  enc->PutRaw(digest.data(), crypto::Digest::kSize);
 }
 
 Bytes LinearVoteMsg::PrepareSigningBytes(ViewNum view, SeqNum seq,
@@ -406,24 +345,19 @@ Bytes LinearVoteMsg::PrepareSigningBytes(ViewNum view, SeqNum seq,
 }
 
 void LinearVoteMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::LinearVoteHeader>(*this);
-  h.phase.set(static_cast<uint8_t>(phase));
-  h.view.set(view);
-  h.seq.set(seq);
-  CopyDigest(&h.digest, digest);
-  PutPacked(enc, h);
+  enc->PutU8(static_cast<uint8_t>(phase));
+  enc->PutU64(view);
+  enc->PutU64(seq);
+  enc->PutRaw(digest.data(), crypto::Digest::kSize);
   enc->PutBytes(ds);
 }
 
 void LinearCertMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::LinearCertHeader>(*this);
-  h.phase.set(static_cast<uint8_t>(phase));
-  PutPacked(enc, h);
+  enc->PutU8(static_cast<uint8_t>(phase));
   cert.EncodeTo(enc);
 }
 
 void ShardVoteCertMsg::BuildWire(Encoder* enc) const {
-  PutPacked(enc, PackedFor<wire::ShardVoteCertHeader>(*this));
   cert.EncodeTo(enc);
   enc->PutVarint(acked_cseqs.size());
   for (uint64_t cseq : acked_cseqs) {
@@ -433,11 +367,9 @@ void ShardVoteCertMsg::BuildWire(Encoder* enc) const {
 }
 
 void ShardCommitDecisionMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::ShardCommitDecisionHeader>(*this);
-  h.global_id.set(global_id.id);
-  h.global_client.set(global_id.client);
-  h.commit.set(commit);
-  PutPacked(enc, h);
+  enc->PutU64(global_id.id);
+  enc->PutU32(global_id.client);
+  enc->PutBool(commit);
   // The quorum proof is present only on COMMITs (an empty proof adds no
   // bytes); the watermark piggyback and the view stamp follow it.
   if (!proof.shares.empty()) proof.EncodeTo(enc);
@@ -448,16 +380,16 @@ void ShardCommitDecisionMsg::BuildWire(Encoder* enc) const {
 }
 
 void CoordAppendMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::CoordAppendHeader>(*this);
-  h.view.set(view);
-  h.append_id.set(append_id);
-  h.entry.set(entry);
-  h.global_id.set(global_id.id);
-  h.commit.set(commit);
-  h.cseq.set(cseq);
-  h.watermark.set(watermark);
-  h.client.set(global_id.client);
-  PutPacked(enc, h);
+  // The gid's client is written after the watermark, not next to its id:
+  // the layout the goldens were recorded with.
+  enc->PutU64(view);
+  enc->PutU64(append_id);
+  enc->PutU8(entry);
+  enc->PutU64(global_id.id);
+  enc->PutBool(commit);
+  enc->PutU64(cseq);
+  enc->PutU64(watermark);
+  enc->PutU32(global_id.client);
   enc->PutVarint(shards.size());
   for (uint32_t s : shards) enc->PutU32(s);
   enc->PutBool(!proof.shares.empty());
@@ -470,24 +402,18 @@ void CoordAppendMsg::BuildWire(Encoder* enc) const {
 }
 
 void CoordAckMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::CoordAckHeader>(*this);
-  h.view.set(view);
-  h.append_id.set(append_id);
-  PutPacked(enc, h);
+  enc->PutU64(view);
+  enc->PutU64(append_id);
 }
 
 void CoordSyncRequestMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::CoordSyncRequestHeader>(*this);
-  h.view.set(view);
-  PutPacked(enc, h);
+  enc->PutU64(view);
 }
 
 void CoordSyncReplyMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::CoordSyncReplyHeader>(*this);
-  h.view.set(view);
-  h.next_cseq.set(next_cseq);
-  h.watermark.set(watermark);
-  PutPacked(enc, h);
+  enc->PutU64(view);
+  enc->PutU64(next_cseq);
+  enc->PutU64(watermark);
   enc->PutVarint(decisions.size());
   for (const DecisionEntry& d : decisions) {
     enc->PutU64(d.global_id.id);
@@ -513,24 +439,18 @@ void CoordSyncReplyMsg::BuildWire(Encoder* enc) const {
 }
 
 void CoordRedirectMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::CoordRedirectHeader>(*this);
-  h.view.set(view);
-  h.leader.set(leader);
-  PutPacked(enc, h);
+  enc->PutU64(view);
+  enc->PutU32(leader);
 }
 
 void PaxosPrepareMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::PaxosPrepareHeader>(*this);
-  h.ballot.set(ballot);
-  h.from_slot.set(from_slot);
-  PutPacked(enc, h);
+  enc->PutU64(ballot);
+  enc->PutU64(from_slot);
 }
 
 void PaxosPromiseMsg::BuildWire(Encoder* enc) const {
-  auto h = PackedFor<wire::PaxosPromiseHeader>(*this);
-  h.ballot.set(ballot);
-  h.commit_frontier.set(commit_frontier);
-  PutPacked(enc, h);
+  enc->PutU64(ballot);
+  enc->PutU64(commit_frontier);
   enc->PutVarint(entries.size());
   for (const AcceptedEntry& e : entries) {
     enc->PutU64(e.slot);

@@ -11,7 +11,6 @@
 #include "common/sim_time.h"
 #include "crypto/certificate.h"
 #include "crypto/digest.h"
-#include "shim/wire_format.h"
 #include "sim/actor.h"
 #include "storage/rw_set.h"
 #include "workload/transaction.h"
@@ -58,13 +57,15 @@ const char* MsgKindName(MsgKind kind);
 
 /// \brief Base class of all wire messages.
 ///
-/// Structured payloads travel by shared pointer inside the simulation.
-/// Each type's BuildWire is the one definition of its byte layout, and
-/// both halves of the wire contract run it:
-///  - WireSize() runs BuildWire through a count-only Encoder, so it
-///    writes no byte and allocates nothing; it is called on every send
-///    for the size-dependent delay model, and a batch inside adds its
-///    memoised size rather than walking its transactions;
+/// Structured payloads travel by shared pointer inside the simulation;
+/// nothing parses a message back from bytes. Every message starts with a
+/// kind byte and its sender as a u32, and each type's BuildWire writes
+/// the rest with Encoder Put* calls. That is the one definition of its
+/// byte layout, and both halves of the wire contract run it:
+///  - WireSize() runs it through a count-only Encoder, so it writes no
+///    byte and allocates nothing; it is called on every send for the
+///    size-dependent delay model, and a batch inside adds its memoised
+///    size rather than walking its transactions;
 ///  - Serialized() materializes the canonical bytes on demand into a
 ///    single pooled owned buffer (returned to the pool when the message
 ///    dies).
@@ -81,8 +82,8 @@ struct Message : sim::MessageBase {
   MsgKind kind;
   ActorId sender;
 
-  /// Canonical serialized form: packed headers + variable sections,
-  /// built once into a pooled buffer and cached. Valid only after the
+  /// Canonical serialized form: kind, sender, then the payload, built
+  /// once into a pooled buffer and cached. Valid only after the
   /// message's fields stop changing — the same immutability contract
   /// MessagePtr already implies.
   const Bytes& Serialized() const;
@@ -92,13 +93,16 @@ struct Message : sim::MessageBase {
   size_t WireSize() const;
 
  protected:
-  /// Appends the payload bytes (packed fixed prefix, then variable
-  /// sections) to `enc`, or only counts them when `enc` is count-only.
+  /// Appends the payload, everything after the kind and sender, to
+  /// `enc`, or only counts it when `enc` is count-only.
   virtual void BuildWire(Encoder* enc) const = 0;
   /// Extra non-encoded wire bytes (e.g. MAC tag allowance).
   virtual size_t ExtraWireBytes() const { return 0; }
 
  private:
+  /// Writes (or counts) the kind byte and the sender, then BuildWire.
+  void Encode(Encoder* enc) const;
+
   mutable Bytes serialized_;
   mutable bool serialized_ready_ = false;
 };

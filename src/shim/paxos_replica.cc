@@ -163,10 +163,7 @@ void MultiPaxosReplica::ProposeAtSlot(SeqNum slot_num,
   msg->batch = slot.batch;
   msg->digest = slot.digest;
   msg->committed_upto = commit_frontier_;
-  for (ActorId peer : peers_) {
-    if (peer == id()) continue;
-    net_->Send(id(), peer, msg, msg->WireSize());
-  }
+  net_->Broadcast(id(), peers_, id(), msg, msg->WireSize());
 }
 
 void MultiPaxosReplica::HandleAccept(const sim::Envelope& env) {
@@ -299,10 +296,7 @@ void MultiPaxosReplica::TakeOverLeadership() {
   auto msg = std::make_shared<PaxosPrepareMsg>(id());
   msg->ballot = ballot_;
   msg->from_slot = commit_frontier_ + 1;
-  for (ActorId peer : peers_) {
-    if (peer == id()) continue;
-    net_->Send(id(), peer, msg, msg->WireSize());
-  }
+  net_->Broadcast(id(), peers_, id(), msg, msg->WireSize());
   if (peers_.size() == 1 || Majority() == 1) {
     FinishPhaseOne();
     return;

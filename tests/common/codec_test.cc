@@ -190,6 +190,42 @@ TEST(CodecTest, VarintOverflowRejected) {
   EXPECT_TRUE(dec.GetVarint(&v).IsCorruption());
 }
 
+TEST(CodecTest, OverlongVarintRejected) {
+  // A last byte of 0 after the first adds nothing: {0x80, 0x00} would be
+  // a second encoding of 0, and ff×9 00 a second one of 2^63 - 1.
+  const Bytes overlong[] = {{0x80, 0x00},
+                            {0xff, 0x80, 0x00},
+                            {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+                             0xff, 0x00}};
+  for (const Bytes& buf : overlong) {
+    Decoder dec(buf);
+    uint64_t v;
+    EXPECT_TRUE(dec.GetVarint(&v).IsCorruption()) << buf.size() << " bytes";
+  }
+  // A single zero byte is the one encoding of 0.
+  const Bytes zero = {0x00};
+  Decoder dec(zero);
+  uint64_t v = 1;
+  ASSERT_TRUE(dec.GetVarint(&v).ok());
+  EXPECT_EQ(v, 0u);
+}
+
+TEST(CodecTest, TenthVarintByteAboveOneRejected) {
+  // The tenth byte carries bit 63 alone: 1 sets it, and anything above
+  // would be dropped bits (ff×9 7e would decode to 2^63 - 1).
+  Bytes buf(9, 0xff);
+  buf.push_back(0x01);
+  Decoder max(buf);
+  uint64_t v = 0;
+  ASSERT_TRUE(max.GetVarint(&v).ok());
+  EXPECT_EQ(v, ~uint64_t{0});
+  for (uint8_t last : {0x02, 0x7e, 0x7f}) {
+    buf.back() = last;
+    Decoder dec(buf);
+    EXPECT_TRUE(dec.GetVarint(&v).IsCorruption()) << int{last};
+  }
+}
+
 TEST(CodecTest, CountAboveRemainingBytesRejected) {
   // Every element takes at least one byte: a count of the bytes left is
   // accepted, one more is Corruption, and so is 2^62 in a 9-byte buffer.

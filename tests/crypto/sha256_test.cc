@@ -35,13 +35,15 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
       "the quick brown fox jumps over the lazy dog multiple times to cross "
       "block boundaries in interesting ways 0123456789";
   Digest oneshot = Sha256::Hash(msg);
-  // Feed in awkward chunk sizes.
+  // Feed in awkward chunk sizes, each followed by an empty update (an
+  // empty Bytes has a null data pointer), which must change nothing.
   for (size_t chunk : {1u, 3u, 7u, 31u, 63u, 64u, 65u, 100u}) {
     Sha256 h;
     size_t pos = 0;
     while (pos < msg.size()) {
       size_t take = std::min(chunk, msg.size() - pos);
       h.Update(msg.substr(pos, take));
+      h.Update(Bytes{});
       pos += take;
     }
     EXPECT_EQ(h.Finish(), oneshot) << "chunk size " << chunk;

@@ -46,21 +46,14 @@ TEST(MessageTest, WireSizeIsStableAcrossCalls) {
   EXPECT_GT(first, 0u);
 }
 
-TEST(MessageTest, SerializedIsMemoizedPackedEncoding) {
+TEST(MessageTest, SerializedIsMemoizedEncoding) {
   PrepareMsg msg(3);
   msg.view = 1;
   msg.seq = 2;
   msg.digest = crypto::Sha256::Hash("x");
   const Bytes& cached = msg.Serialized();
-  // The serialized form IS the packed header: a zero-copy view parses
-  // back every field.
-  ASSERT_EQ(cached.size(), sizeof(wire::PrepareHeader));
-  const auto* h = wire::TryFrom<wire::PrepareHeader>(cached, MsgKind::kPrepare);
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->hdr.sender.get(), 3u);
-  EXPECT_EQ(h->view.get(), 1u);
-  EXPECT_EQ(h->seq.get(), 2u);
-  EXPECT_EQ(crypto::Digest::FromRaw(h->digest.data()), msg.digest);
+  // Kind and sender (5 bytes), view and seq (16), the digest (32).
+  ASSERT_EQ(cached.size(), 53u);
   // Same buffer object on every call — the memoization contract.
   EXPECT_EQ(&msg.Serialized(), &cached);
 }
@@ -134,8 +127,7 @@ TEST(MessageTest, TwoPcWatermarkAndViewSectionsAreAlwaysPresent) {
   crypto::VoteShare share{42, 1000000, 1, 7, true, 9, ToBytes("sig")};
   ShardVoteCertMsg no_acks(9);
   no_acks.cert.shares.push_back(share);
-  EXPECT_EQ(no_acks.WireSize(), sizeof(wire::ShardVoteCertHeader) +
-                                    EncodedSize(no_acks.cert) + 1 + 8);
+  EXPECT_EQ(no_acks.WireSize(), 5 + EncodedSize(no_acks.cert) + 1 + 8);
 
   ShardVoteCertMsg acks(9);
   acks.cert.shares.push_back(share);
@@ -146,8 +138,7 @@ TEST(MessageTest, TwoPcWatermarkAndViewSectionsAreAlwaysPresent) {
   ShardCommitDecisionMsg zero_decision(9);
   zero_decision.global_id = {1000000, 42};
   zero_decision.commit = true;
-  EXPECT_EQ(zero_decision.WireSize(),
-            sizeof(wire::ShardCommitDecisionHeader) + 16 + 12);
+  EXPECT_EQ(zero_decision.WireSize(), 18u + 16 + 12);
 
   ShardCommitDecisionMsg stamped_decision(9);
   stamped_decision.global_id = {1000000, 42};
