@@ -1,10 +1,11 @@
 // Wall-clock microbenchmarks of the simulator core, the message pipeline
 // (the counting pass that sizes every send, and a consensus round's
-// digests and MACs) and the substrates under them (crypto, codec, store,
-// workload generator), plus the CI regression gate. Messages travel as
-// shared pointers and are never parsed, so no case times a message
-// parse. The figure benches and bench/e2e measure simulated time; this
-// measures how fast the host pushes the engine's building blocks.
+// digests and signatures) and the substrates under them (crypto, codec,
+// store, workload generator), plus the CI regression gate. Messages
+// travel as shared pointers and are never parsed, so no case times a
+// message parse. The figure benches and bench/e2e measure simulated
+// time; this measures how fast the host pushes the engine's building
+// blocks.
 //
 //   ./build/bench/bench_simcore                         # full run
 //   ./build/bench/bench_simcore --quick                 # CI smoke scale
@@ -36,7 +37,6 @@
 #include "crypto/hmac.h"
 #include "crypto/keys.h"
 #include "crypto/merkle.h"
-#include "crypto/schnorr.h"
 #include "crypto/sha256.h"
 #include "shim/message.h"
 #include "sim/actor.h"
@@ -267,34 +267,41 @@ double BroadcastFanout(const Options& opt, RepClock& clock) {
   return clock.Stop(net.messages_delivered());
 }
 
-/// Digest-heavy PBFT rounds: per round, a 100-txn batch is digested, a
-/// PREPREPARE is sized, 7 PREPAREs and COMMIT signing bytes are produced,
-/// and 8 pairwise MACs are computed — the crypto/codec work of one
-/// consensus instance at n=8.
+/// Digest-heavy PBFT rounds at n = 8: per round, the proposer digests a
+/// new 100-txn batch, a PREPREPARE and seven PREPAREs are sized, the
+/// seven backups sign their COMMITs and the spawner signs the EXECUTE —
+/// the crypto and codec work one consensus instance does in a run.
 double DigestRounds(const Options& opt, RepClock& clock) {
   const uint64_t rounds = Scaled(opt, 2'500);
   workload::BatchPtr batch = workload::ShareBatch(MakeBatch(100, opt.seed));
   crypto::KeyRegistry keys(crypto::CryptoMode::kFast, opt.seed);
-  for (ActorId id = 1; id <= 9; ++id) keys.RegisterNode(id);
+  for (ActorId id = 1; id <= 8; ++id) keys.RegisterNode(id);
   clock.Start();
   uint64_t sink = 0;
   for (uint64_t round = 0; round < rounds; ++round) {
+    // What TransactionBatch::Hash() computes before it memoises: the
+    // shared batch's own Hash() would be memoised from round 1 on.
+    crypto::Digest digest;
+    {
+      ScratchEncoder enc;
+      batch->EncodeTo(&enc.enc());
+      digest = crypto::Sha256::Hash(enc->buffer());
+    }
     auto pp = std::make_shared<shim::PrePrepareMsg>(1);
     pp->view = 1;
     pp->seq = round;
     pp->batch = batch;
-    pp->digest = pp->batch->Hash();
+    pp->digest = digest;
     sink += pp->WireSize();
     for (ActorId node = 2; node <= 8; ++node) {
       auto prep = std::make_shared<shim::PrepareMsg>(node);
       prep->view = 1;
       prep->seq = round;
-      prep->digest = pp->digest;
+      prep->digest = digest;
       sink += prep->WireSize();
-      Bytes signing = shim::ExecuteMsg::SigningBytes(1, round, pp->digest);
-      sink += keys.Mac(node, 9, signing).data()[0];
+      sink += keys.Sign(node, crypto::CommitSigningBytes(1, round, digest))[0];
     }
-    sink += keys.Mac(1, 9, pp->Serialized()).data()[0];
+    sink += keys.Sign(1, shim::ExecuteMsg::SigningBytes(1, round, digest))[0];
   }
   Consume(sink);
   return clock.Stop(rounds);
@@ -395,7 +402,7 @@ double WireSizing(const Options& opt, RepClock& clock) {
 /// Certificate aggregation: assemble an 8-share VoteCertificate from
 /// pre-signed shares and run it through the wire (EncodeTo + DecodeFrom)
 /// — the coordinator-side cost of the vote transport, signature
-/// verification excluded (that is batch_verify).
+/// verification excluded.
 double CertAggregate(const Options& opt, RepClock& clock) {
   const uint64_t total = Scaled(opt, 120'000);
   const size_t kShares = 8;
@@ -426,64 +433,6 @@ double CertAggregate(const Options& opt, RepClock& clock) {
     crypto::VoteCertificate parsed;
     if (!crypto::VoteCertificate::DecodeFrom(&dec, &parsed).ok()) std::abort();
     Consume(parsed.shares.size() + parsed.shares[0].sig.size());
-  }
-  return clock.Stop(total);
-}
-
-/// Schnorr batch verification: 8-signature batches through
-/// KeyRegistry::BatchVerify in kReal mode — one random-linear-combination
-/// multi-exponentiation in place of 8 verifications (DESIGN.md §8).
-/// Counted in signatures, so it compares with schnorr_verify.
-double BatchVerify(const Options& opt, RepClock& clock) {
-  const uint64_t batches = Scaled(opt, 600);
-  const size_t kBatchSigs = 8;
-  crypto::KeyRegistry keys(crypto::CryptoMode::kReal, opt.seed);
-  std::vector<Bytes> msgs;
-  std::vector<Bytes> sigs;
-  for (size_t i = 0; i < kBatchSigs; ++i) {
-    ActorId signer = static_cast<ActorId>(100 + i);
-    keys.RegisterNode(signer);
-    msgs.push_back(crypto::VoteSigningBytes({1000000, 1000 + i},
-                                            static_cast<uint32_t>(i), 7, true));
-    sigs.push_back(keys.Sign(signer, msgs.back()));
-  }
-  std::vector<crypto::KeyRegistry::BatchItem> items;
-  for (size_t i = 0; i < kBatchSigs; ++i) {
-    items.push_back({static_cast<ActorId>(100 + i), &msgs[i], &sigs[i]});
-  }
-  clock.Start();
-  for (uint64_t b = 0; b < batches; ++b) {
-    if (!keys.BatchVerify(items)) std::abort();
-  }
-  return clock.Stop(batches * kBatchSigs);
-}
-
-const Bytes kSchnorrMsg = ToBytes("commit view=1 seq=42 digest=...");
-
-double SchnorrSign(const Options& opt, RepClock& clock) {
-  const uint64_t total = Scaled(opt, 200);
-  const crypto::SchnorrGroup& group = crypto::SchnorrGroup::Small();
-  Rng rng(opt.seed);
-  crypto::SchnorrKeyPair kp = crypto::SchnorrGenerateKey(group, &rng);
-  clock.Start();
-  for (uint64_t i = 0; i < total; ++i) {
-    Consume(crypto::SchnorrSign(group, kp.secret, kSchnorrMsg));
-  }
-  return clock.Stop(total);
-}
-
-double SchnorrVerify(const Options& opt, RepClock& clock) {
-  const uint64_t total = Scaled(opt, 80);
-  const crypto::SchnorrGroup& group = crypto::SchnorrGroup::Small();
-  Rng rng(opt.seed);
-  crypto::SchnorrKeyPair kp = crypto::SchnorrGenerateKey(group, &rng);
-  crypto::SchnorrSignature sig =
-      crypto::SchnorrSign(group, kp.secret, kSchnorrMsg);
-  clock.Start();
-  for (uint64_t i = 0; i < total; ++i) {
-    if (!crypto::SchnorrVerify(group, kp.public_key, kSchnorrMsg, sig)) {
-      std::abort();
-    }
   }
   return clock.Stop(total);
 }
@@ -669,9 +618,6 @@ const Case kCases[] = {
     {"digest_rounds", "rounds/s", true, DigestRounds},
     {"wire_size", "msgs/s", false, WireSizing},
     {"cert_aggregate", "certs/s", false, CertAggregate},
-    {"batch_verify", "sigs/s", false, BatchVerify},
-    {"schnorr_sign", "sigs/s", false, SchnorrSign},
-    {"schnorr_verify", "sigs/s", false, SchnorrVerify},
     {"cert_validate_3", "certs/s", false,
      [](const Options& o, RepClock& c) { return CertValidate(o, c, 3); }},
     {"cert_validate_22", "certs/s", false,

@@ -18,7 +18,7 @@ thread_local std::vector<Bytes> scratch_pool;
 
 }  // namespace
 
-Bytes AcquirePooledBuffer() {
+Bytes ScratchEncoder::AcquireScratchBuffer() {
   if (scratch_pool.empty()) return Bytes();
   Bytes buf = std::move(scratch_pool.back());
   scratch_pool.pop_back();
@@ -26,18 +26,12 @@ Bytes AcquirePooledBuffer() {
   return buf;
 }
 
-void ReleasePooledBuffer(Bytes buf) {
+void ScratchEncoder::ReleaseScratchBuffer(Bytes buf) {
   if (scratch_pool.size() >= kMaxScratchBuffers ||
       buf.capacity() > kMaxRetainedCapacity) {
     return;
   }
   scratch_pool.push_back(std::move(buf));
-}
-
-Bytes ScratchEncoder::AcquireScratchBuffer() { return AcquirePooledBuffer(); }
-
-void ScratchEncoder::ReleaseScratchBuffer(Bytes buf) {
-  ReleasePooledBuffer(std::move(buf));
 }
 
 void Encoder::Count(size_t len) {

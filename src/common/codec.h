@@ -10,12 +10,6 @@
 
 namespace sbft {
 
-/// Checks out / returns a recycled buffer from the per-thread pool that
-/// also backs ScratchEncoder. Messages use this for their single owned
-/// wire buffer so steady-state serialization never hits the allocator.
-Bytes AcquirePooledBuffer();
-void ReleasePooledBuffer(Bytes buf);
-
 /// \brief Little-endian binary encoder used for all wire messages.
 ///
 /// The encoding is deliberately simple and deterministic: fixed-width

@@ -229,8 +229,9 @@ void Architecture::BuildCoordinatorMember(
         }
         if (msg != nullptr && msg->kind == shim::MsgKind::kShardVoteCert) {
           // Full verification charge for the first share, half for each
-          // further one — batch verification shares the random-linear-
-          // combination multi-exponentiation across the certificate
+          // further one. This models batch verification of real
+          // signatures, which shares one multi-exponentiation across the
+          // certificate; the simulator computes no such signature
           // (DESIGN.md §8). The decision signing is charged per decision
           // *message* on the receiving participant (kCommit convention:
           // sender-side signing folds into the receiver charge) —

@@ -915,9 +915,7 @@ void TxnCoordinator::FinishTakeover() {
   auto redirect = std::make_shared<shim::CoordRedirectMsg>(id());
   redirect->view = view_;
   redirect->leader = id();
-  for (ActorId verifier : shard_verifiers_) {
-    net_->Send(id(), verifier, redirect, redirect->WireSize());
-  }
+  net_->Broadcast(id(), shard_verifiers_, redirect, redirect->WireSize());
   SendHeartbeat();
   // Serve the requests parked during the leaderless window (own
   // mid-takeover arrivals plus stashes handed over by followers).

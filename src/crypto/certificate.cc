@@ -83,22 +83,20 @@ Status CommitCertificate::Validate(const KeyRegistry& registry,
   Digest fp = CertFingerprint("commit-cert", quorum, *this);
   if (registry.IsKnownValid(fp)) return Status::Ok();
 
-  Bytes signed_bytes = CommitSigningBytes(view, seq, digest);
   std::unordered_set<ActorId> seen;
-  std::vector<KeyRegistry::BatchItem> items;
-  items.reserve(signatures.size());
   for (const Signature& s : signatures) {
-    if (seen.contains(s.signer)) {
+    if (!seen.insert(s.signer).second) {
       return Status::InvalidArgument("duplicate signer in certificate");
     }
-    seen.insert(s.signer);
-    items.push_back({s.signer, &signed_bytes, &s.sig});
   }
   if (seen.size() < quorum) {
     return Status::InvalidArgument("certificate below quorum");
   }
-  if (!registry.BatchVerify(items)) {
-    return Status::PermissionDenied("bad signature in certificate");
+  Bytes signed_bytes = CommitSigningBytes(view, seq, digest);
+  for (const Signature& s : signatures) {
+    if (!registry.Verify(s.signer, signed_bytes, s.sig)) {
+      return Status::PermissionDenied("bad signature in certificate");
+    }
   }
   registry.RecordValid(fp);
   return Status::Ok();
@@ -246,20 +244,18 @@ Status VoteCertificate::Validate(const KeyRegistry& registry) const {
   if (registry.IsKnownValid(fp)) return Status::Ok();
 
   std::set<std::pair<TxnKey, uint32_t>> seen_slots;
-  std::vector<Bytes> signed_bytes;
-  signed_bytes.reserve(shares.size());
-  std::vector<KeyRegistry::BatchItem> items;
-  items.reserve(shares.size());
   for (const VoteShare& s : shares) {
     // One vote per (gid, shard).
     if (!seen_slots.insert({s.gid(), s.shard}).second) {
       return Status::InvalidArgument("duplicate vote share");
     }
-    signed_bytes.push_back(VoteSigningBytes(s.gid(), s.shard, s.seq, s.commit));
-    items.push_back({s.signer, &signed_bytes.back(), &s.sig});
   }
-  if (!registry.BatchVerify(items)) {
-    return Status::PermissionDenied("bad vote share signature");
+  for (const VoteShare& s : shares) {
+    if (!registry.Verify(s.signer,
+                         VoteSigningBytes(s.gid(), s.shard, s.seq, s.commit),
+                         s.sig)) {
+      return Status::PermissionDenied("bad vote share signature");
+    }
   }
   registry.RecordValid(fp);
   return Status::Ok();

@@ -101,8 +101,8 @@ struct VoteShare {
 /// A shard verifier batches the shares of one settle round into a single
 /// kShardVoteCert message per coordinator; a coordinator attaches the
 /// full set of shares for a transaction to its commit decision as the
-/// quorum proof. Validation verifies every share in one BatchVerify pass
-/// and rejects duplicate (gid, shard) pairs.
+/// quorum proof. Validation rejects duplicate (gid, shard) pairs, then
+/// verifies every share's signature.
 struct VoteCertificate {
   std::vector<VoteShare> shares;
 

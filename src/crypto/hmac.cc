@@ -8,9 +8,9 @@ namespace sbft::crypto {
 
 Digest HmacSha256(const Bytes& key, const uint8_t* message, size_t len) {
   constexpr size_t kBlock = 64;
-  // Key normalization and pads live on the stack: HMAC is called once per
-  // MAC-authenticated message, so the three Bytes allocations the naive
-  // version made per call were pure overhead.
+  // Key normalization and pads live on the stack: HMAC runs once per
+  // kFast signature and verification, so the three Bytes allocations the
+  // naive version made per call were pure overhead.
   uint8_t k[kBlock];
   if (key.size() > kBlock) {
     Digest kd = Sha256::Hash(key);

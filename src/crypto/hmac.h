@@ -8,8 +8,9 @@ namespace sbft::crypto {
 
 /// Computes HMAC-SHA256(key, message) per RFC 2104.
 ///
-/// MACs are the cheap authenticator the shim uses for PREPREPARE/PREPARE
-/// (paper §III); pairwise keys come from Diffie–Hellman (see keys.h).
+/// The paper's shim authenticates PREPREPARE/PREPARE with MACs (§III);
+/// here the cost model charges those, and HMAC is the kFast signature
+/// stand-in (see keys.h).
 Digest HmacSha256(const Bytes& key, const Bytes& message);
 
 /// Variant taking a raw message range.

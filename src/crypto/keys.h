@@ -8,26 +8,22 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "common/bytes.h"
 #include "common/ids.h"
 #include "crypto/digest.h"
-#include "crypto/schnorr.h"
 
 namespace sbft::crypto {
 
-/// Selects how expensive the authenticators are to *compute* (simulated
-/// protocol time is governed by the cost model either way, see
-/// core/config.h).
+/// Selects how expensive the signatures are to *compute*. Simulated
+/// protocol time is governed by the cost model either way (see
+/// core/config.h): it charges the paper's DS and MAC costs, and no run
+/// computes a MAC.
 enum class CryptoMode {
-  /// Schnorr digital signatures + DH-derived HMAC keys. Cryptographically
-  /// unforgeable; used by crypto tests and available everywhere.
-  kReal,
-  /// HMAC-based stand-ins for signatures (still real HMAC-SHA256, keyed on
+  /// HMAC-based stand-ins for signatures (real HMAC-SHA256, keyed on
   /// per-node secrets held by this registry). Byzantine actors in the
   /// simulation cannot forge them because secrets never leave the
-  /// registry; used by protocol tests for wall-clock speed.
+  /// registry; used by every test, golden and example.
   kFast,
   /// Structural tokens with no cryptography at all: a fixed-size tag
   /// binding the signer id. Used by the largest benchmark sweeps, where
@@ -39,14 +35,10 @@ enum class CryptoMode {
 /// \brief Key directory for all actors in the architecture.
 ///
 /// Plays the role of the public-key certificate infrastructure the paper
-/// assumes (§III): every component can verify every other component's DS,
-/// and any pair shares a MAC key (via Diffie–Hellman in kReal mode).
+/// assumes (§III): every component can verify every other component's DS.
 class KeyRegistry {
  public:
-  /// Creates a registry. `group` selects the Schnorr group for kReal mode
-  /// (defaults to SchnorrGroup::Small() — fast to sign/verify in tests).
-  explicit KeyRegistry(CryptoMode mode, uint64_t seed = 1,
-                       const SchnorrGroup* group = nullptr);
+  explicit KeyRegistry(CryptoMode mode, uint64_t seed = 1);
 
   /// Registers an actor and derives its key material from (seed, id)
   /// (idempotent).
@@ -60,11 +52,11 @@ class KeyRegistry {
   void Unregister(ActorId id);
 
   /// Switches the registry into thread-safe mode for parallel simulation
-  /// runs: the lazily-grown tables (nodes, pairwise MAC keys, the
-  /// validated-certificate memo) go behind a shared mutex. Key material
-  /// is a pure function of (registry seed, id) in every mode, so this
-  /// only adds the lock; serial runs, which never call it, take none.
-  /// Call once, after all static actors are registered.
+  /// runs: the lazily-grown tables (nodes and the validated-certificate
+  /// memo) go behind a shared mutex. Key material is a pure function of
+  /// (registry seed, id) in every mode, so this only adds the lock;
+  /// serial runs, which never call it, take none. Call once, after all
+  /// static actors are registered.
   void EnableConcurrent();
 
   /// True when `id` has been registered and not unregistered.
@@ -81,19 +73,6 @@ class KeyRegistry {
   /// Verifies a digital signature. Returns false for unknown signers.
   bool Verify(ActorId signer, const Bytes& msg, const Bytes& sig) const;
 
-  /// One (signer, message, signature) triple for BatchVerify. Pointed-to
-  /// bytes must outlive the call.
-  struct BatchItem {
-    ActorId signer = kInvalidActor;
-    const Bytes* msg = nullptr;
-    const Bytes* sig = nullptr;
-  };
-
-  /// Verifies all triples, or reports that at least one is invalid. In
-  /// kReal mode the whole batch goes through SchnorrBatchVerify (one
-  /// multi-exponentiation pass); kFast/kNone fall back to per-item Verify.
-  bool BatchVerify(const std::vector<BatchItem>& items) const;
-
   /// Bounded memo of certificate fingerprints this registry has already
   /// validated. Crypto validity is a pure function of (registry contents,
   /// certificate bytes), so every actor sharing the PKI can reuse one
@@ -102,49 +81,25 @@ class KeyRegistry {
   bool IsKnownValid(const Digest& fingerprint) const;
   void RecordValid(const Digest& fingerprint) const;
 
-  /// Computes the MAC tag on `msg` for the (from, to) channel.
-  Digest Mac(ActorId from, ActorId to, const Bytes& msg) const;
-
-  /// Verifies a MAC tag for the (from, to) channel.
-  bool VerifyMac(ActorId from, ActorId to, const Bytes& msg,
-                 const Digest& tag) const;
-
-  /// Wire size of one DS, used for message-size accounting.
-  size_t SignatureSize() const;
-
-  CryptoMode mode() const { return mode_; }
-
  private:
-  struct NodeKeys {
-    Bytes secret;              // kFast signing secret (32 bytes).
-    SchnorrKeyPair schnorr;    // kReal key pair.
-  };
-
-  const Bytes& MacKey(ActorId a, ActorId b) const;
-  /// Lookup for signing paths: aborts with the id in the message when
-  /// `id` is not registered, in every build type.
-  const NodeKeys& KeysFor(ActorId id) const;
-  /// Lookup that tolerates unknown ids (Verify paths). The returned
-  /// pointer outlives the lock because the node map is node-based
+  /// Signing secret (32 bytes) of a registered actor. The pointer a
+  /// lookup returns outlives the lock because the node map is node-based
   /// (erasing one entry leaves the others in place) and the only entries
   /// ever erased are executors': a plane's loop retires its own finished
   /// executors after its last lookup of them, and no other loop ever
   /// looks a plane's executors up.
-  const NodeKeys* FindKeys(ActorId id) const;
+  const Bytes* FindSecret(ActorId id) const;
   /// Take mu_ shared or exclusive when concurrent_; otherwise the
   /// returned lock is empty, so the serial path never touches the mutex.
   std::shared_lock<std::shared_mutex> ReadLock() const;
   std::unique_lock<std::shared_mutex> WriteLock() const;
 
   CryptoMode mode_;
-  const SchnorrGroup* group_;
   uint64_t seed_;
   bool concurrent_ = false;
-  /// Guards nodes_/mac_keys_/valid_certs_* when concurrent_.
+  /// Guards nodes_/valid_certs_* when concurrent_.
   mutable std::shared_mutex mu_;
-  std::unordered_map<ActorId, NodeKeys> nodes_;
-  // Pairwise MAC keys, built lazily; key = (min_id << 32) | max_id.
-  mutable std::unordered_map<uint64_t, Bytes> mac_keys_;
+  std::unordered_map<ActorId, Bytes> nodes_;
   // Validated-certificate memo (FIFO-bounded).
   mutable std::unordered_set<std::string> valid_certs_;
   mutable std::deque<std::string> valid_certs_order_;

@@ -64,18 +64,10 @@ const char* MsgKindName(MsgKind kind) {
   return "UNKNOWN";
 }
 
-Message::~Message() {
-  if (serialized_ready_) ReleasePooledBuffer(std::move(serialized_));
-}
-
-const Bytes& Message::Serialized() const {
-  if (!serialized_ready_) {
-    Encoder enc(AcquirePooledBuffer());
-    Encode(&enc);
-    serialized_ = enc.TakeBuffer();
-    serialized_ready_ = true;
-  }
-  return serialized_;
+Bytes Message::Serialized() const {
+  Encoder enc;
+  Encode(&enc);
+  return enc.TakeBuffer();
 }
 
 size_t Message::WireSize() const {

@@ -66,27 +66,22 @@ const char* MsgKindName(MsgKind kind);
 ///    byte and allocates nothing; it is called on every send for the
 ///    size-dependent delay model, and a batch inside adds its memoised
 ///    size rather than walking its transactions;
-///  - Serialized() materializes the canonical bytes on demand into a
-///    single pooled owned buffer (returned to the pool when the message
-///    dies).
+///  - Serialized() writes the canonical bytes into a fresh buffer; only
+///    tests call it, as the layout oracle.
 /// Messages authenticated by MAC carry a kMacTagBytes allowance in their
-/// size (the pairwise tag itself is recomputed through the KeyRegistry at
-/// validation time, see DESIGN.md §1).
+/// size. No tag is computed: the cost model charges MAC time
+/// (core/config.h).
 struct Message : sim::MessageBase {
   /// Size allowance for a MAC tag on MAC-authenticated messages.
   static constexpr size_t kMacTagBytes = 32;
 
   explicit Message(MsgKind k, ActorId s) : kind(k), sender(s) {}
-  ~Message() override;
 
   MsgKind kind;
   ActorId sender;
 
-  /// Canonical serialized form: kind, sender, then the payload, built
-  /// once into a pooled buffer and cached. Valid only after the
-  /// message's fields stop changing — the same immutability contract
-  /// MessagePtr already implies.
-  const Bytes& Serialized() const;
+  /// Canonical serialized form: kind, sender, then the payload.
+  Bytes Serialized() const;
 
   /// Size the network charges: the serialized size, counted by running
   /// BuildWire without writing, plus ExtraWireBytes().
@@ -102,9 +97,6 @@ struct Message : sim::MessageBase {
  private:
   /// Writes (or counts) the kind byte and the sender, then BuildWire.
   void Encode(Encoder* enc) const;
-
-  mutable Bytes serialized_;
-  mutable bool serialized_ready_ = false;
 };
 
 using MessagePtr = std::shared_ptr<const Message>;

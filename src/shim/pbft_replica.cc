@@ -210,26 +210,30 @@ void PbftReplica::ProposeBatch(workload::TransactionBatch batch) {
     }
     alt->batch = std::move(alt_batch);
     alt->digest = alt->batch->Hash();
+    const size_t msg_bytes = msg->WireSize();
+    const size_t alt_bytes = alt->WireSize();
     bool flip = false;
     for (ActorId peer : peers_) {
       if (peer == id()) continue;
       if (flip) {
-        net_->Send(id(), peer, alt, alt->WireSize());
+        net_->Send(id(), peer, alt, alt_bytes);
       } else {
-        net_->Send(id(), peer, msg, msg->WireSize());
+        net_->Send(id(), peer, msg, msg_bytes);
       }
       flip = !flip;
     }
-  } else {
+  } else if (behavior_.byzantine && !behavior_.dark_nodes.empty()) {
+    const size_t msg_bytes = msg->WireSize();
     for (ActorId peer : peers_) {
       if (peer == id()) continue;
-      if (behavior_.byzantine &&
-          std::find(behavior_.dark_nodes.begin(), behavior_.dark_nodes.end(),
+      if (std::find(behavior_.dark_nodes.begin(), behavior_.dark_nodes.end(),
                     peer) != behavior_.dark_nodes.end()) {
         continue;  // §V-B nodes-in-dark: exclude from consensus.
       }
-      net_->Send(id(), peer, msg, msg->WireSize());
+      net_->Send(id(), peer, msg, msg_bytes);
     }
+  } else {
+    BroadcastToPeers(msg);
   }
   StartRequestTimer(seq);
   TryPrepare(seq);

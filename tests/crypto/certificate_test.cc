@@ -44,7 +44,13 @@ TEST_F(CertificateTest, BelowQuorumRejected) {
 TEST_F(CertificateTest, DuplicateSignerRejected) {
   CommitCertificate cert = MakeCert(3);
   cert.signatures.push_back(cert.signatures[0]);
-  EXPECT_FALSE(cert.Validate(registry_, 3).ok());
+  EXPECT_TRUE(cert.Validate(registry_, 3).IsInvalidArgument());
+}
+
+TEST_F(CertificateTest, BelowQuorumCheckedBeforeSignatures) {
+  CommitCertificate cert = MakeCert(4);
+  cert.signatures[0].sig[0] ^= 0xff;
+  EXPECT_TRUE(cert.Validate(registry_, 5).IsInvalidArgument());
 }
 
 TEST_F(CertificateTest, ForgedSignatureRejected) {
@@ -105,7 +111,61 @@ TEST_F(CertificateTest, DecodeRejectsHostileSignatureCount) {
   EXPECT_TRUE(CommitCertificate::DecodeFrom(&dec, &parsed).IsCorruption());
 }
 
-TEST(VoteCertificateTest, DecodeRejectsHostileShareCount) {
+class VoteCertificateTest : public ::testing::Test {
+ protected:
+  VoteCertificateTest() : registry_(CryptoMode::kFast, 3) {
+    for (ActorId id = 0; id < 7; ++id) registry_.RegisterNode(id);
+  }
+
+  /// One commit share per shard in [0, shards) for one gid, each signed
+  /// by the node whose id is the shard.
+  VoteCertificate MakeVoteCert(uint32_t shards) {
+    VoteCertificate cert;
+    for (uint32_t shard = 0; shard < shards; ++shard) {
+      VoteShare share;
+      share.global_id = 42;
+      share.client = 1000;
+      share.shard = shard;
+      share.seq = 9;
+      share.commit = true;
+      share.signer = shard;
+      share.sig = registry_.Sign(
+          shard, VoteSigningBytes(share.gid(), shard, share.seq, true));
+      cert.shares.push_back(std::move(share));
+    }
+    return cert;
+  }
+
+  KeyRegistry registry_;
+};
+
+TEST_F(VoteCertificateTest, ValidCertificatePasses) {
+  EXPECT_TRUE(MakeVoteCert(3).Validate(registry_).ok());
+}
+
+TEST_F(VoteCertificateTest, DuplicateShareCheckedBeforeSignatures) {
+  // A forged share comes first and the duplicate is forged too: the
+  // duplicate still decides the verdict.
+  VoteCertificate cert = MakeVoteCert(3);
+  cert.shares[0].sig[0] ^= 0xff;
+  cert.shares.push_back(cert.shares[2]);
+  cert.shares.back().sig[0] ^= 0xff;
+  EXPECT_TRUE(cert.Validate(registry_).IsInvalidArgument());
+}
+
+TEST_F(VoteCertificateTest, ForgedShareRejected) {
+  VoteCertificate cert = MakeVoteCert(3);
+  cert.shares[1].sig[0] ^= 0xff;
+  EXPECT_TRUE(cert.Validate(registry_).IsPermissionDenied());
+}
+
+TEST_F(VoteCertificateTest, UnknownSignerRejected) {
+  VoteCertificate cert = MakeVoteCert(3);
+  cert.shares[1].signer = 1234;  // Never registered.
+  EXPECT_TRUE(cert.Validate(registry_).IsPermissionDenied());
+}
+
+TEST_F(VoteCertificateTest, DecodeRejectsHostileShareCount) {
   Encoder enc;
   enc.PutVarint(uint64_t{1} << 62);
   Decoder dec(enc.buffer());

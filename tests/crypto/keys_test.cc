@@ -44,25 +44,6 @@ TEST_P(KeysTestP, VerifyUnknownSignerFails) {
   EXPECT_FALSE(registry_.Verify(99, msg, sig));
 }
 
-TEST_P(KeysTestP, MacRoundTripBothDirections) {
-  Bytes msg = ToBytes("preprepare");
-  Digest tag = registry_.Mac(0, 1, msg);
-  EXPECT_TRUE(registry_.VerifyMac(0, 1, msg, tag));
-  // MAC keys are per unordered pair, so the reverse channel verifies too.
-  EXPECT_TRUE(registry_.VerifyMac(1, 0, msg, tag));
-}
-
-TEST_P(KeysTestP, MacRejectsOtherPair) {
-  Bytes msg = ToBytes("preprepare");
-  Digest tag = registry_.Mac(0, 1, msg);
-  EXPECT_FALSE(registry_.VerifyMac(0, 2, msg, tag));
-}
-
-TEST_P(KeysTestP, MacRejectsTamperedMessage) {
-  Digest tag = registry_.Mac(0, 1, ToBytes("a"));
-  EXPECT_FALSE(registry_.VerifyMac(0, 1, ToBytes("b"), tag));
-}
-
 TEST_P(KeysTestP, SignIsDeterministic) {
   Bytes msg = ToBytes("replay");
   EXPECT_EQ(registry_.Sign(3, msg), registry_.Sign(3, msg));
@@ -89,23 +70,12 @@ TEST_P(KeysTestP, UnregisterDropsOnlyThatActor) {
   EXPECT_EQ(registry_.size(), 3u);
   EXPECT_FALSE(registry_.Verify(3, msg, sig));
   EXPECT_TRUE(registry_.Verify(2, msg, other));
-  KeyRegistry::BatchItem item{3, &msg, &sig};
-  EXPECT_FALSE(registry_.BatchVerify({item}));
-}
-
-TEST_P(KeysTestP, SignatureSizeIsPositiveAndStable) {
-  size_t size = registry_.SignatureSize();
-  EXPECT_GT(size, 0u);
-  Bytes msg = ToBytes("size probe");
-  // kFast signatures are exactly the advertised size; kReal are bounded
-  // by it (length-prefixed scalars may shed a leading zero byte).
-  EXPECT_LE(registry_.Sign(0, msg).size(), size);
 }
 
 TEST_P(KeysTestP, KeysIndependentOfRegistrationOrder) {
   // Keys are a pure function of (seed, id): a serial registry and a
   // concurrent one that registers in the opposite order agree on every
-  // signature and every pairwise MAC.
+  // signature.
   KeyRegistry a(GetParam(), /*seed=*/11);
   KeyRegistry b(GetParam(), /*seed=*/11);
   b.EnableConcurrent();
@@ -114,24 +84,16 @@ TEST_P(KeysTestP, KeysIndependentOfRegistrationOrder) {
   Bytes msg = ToBytes("order");
   for (ActorId id = 0; id < 8; ++id) {
     EXPECT_EQ(a.Sign(id, msg), b.Sign(id, msg)) << "signer " << id;
-    for (ActorId peer = 0; peer < 8; ++peer) {
-      if (peer == id) continue;
-      EXPECT_EQ(a.Mac(id, peer, msg), b.Mac(id, peer, msg))
-          << "pair " << id << "," << peer;
-    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, KeysTestP,
                          ::testing::Values(CryptoMode::kFast,
-                                           CryptoMode::kReal,
                                            CryptoMode::kNone),
                          [](const auto& info) {
                            switch (info.param) {
                              case CryptoMode::kFast:
                                return "Fast";
-                             case CryptoMode::kReal:
-                               return "Real";
                              case CryptoMode::kNone:
                                return "None";
                            }
