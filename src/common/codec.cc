@@ -1,7 +1,6 @@
 #include "common/codec.h"
 
 #include <cassert>
-#include <cstring>
 #include <vector>
 
 namespace sbft {
@@ -39,12 +38,6 @@ void Encoder::Count(size_t len) {
   counted_ += len;
 }
 
-void Encoder::PutDouble(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits);
-}
-
 void Encoder::Append(const uint8_t* data, size_t len) {
   buf_.insert(buf_.end(), data, data + len);
 }
@@ -52,14 +45,6 @@ void Encoder::Append(const uint8_t* data, size_t len) {
 Status Decoder::GetU8(uint8_t* out) {
   if (remaining() < 1) return Status::Corruption("truncated u8");
   *out = data_[pos_++];
-  return Status::Ok();
-}
-
-Status Decoder::GetU16(uint16_t* out) {
-  if (remaining() < 2) return Status::Corruption("truncated u16");
-  *out = static_cast<uint16_t>(data_[pos_]) |
-         static_cast<uint16_t>(data_[pos_ + 1]) << 8;
-  pos_ += 2;
   return Status::Ok();
 }
 
@@ -100,23 +85,6 @@ Status Decoder::GetVarint(uint64_t* out) {
     shift += 7;
   }
   *out = v;
-  return Status::Ok();
-}
-
-Status Decoder::GetBool(bool* out) {
-  uint8_t v;
-  Status s = GetU8(&v);
-  if (!s.ok()) return s;
-  if (v > 1) return Status::Corruption("invalid bool");
-  *out = (v == 1);
-  return Status::Ok();
-}
-
-Status Decoder::GetDouble(double* out) {
-  uint64_t bits;
-  Status s = GetU64(&bits);
-  if (!s.ok()) return s;
-  std::memcpy(out, &bits, sizeof(*out));
   return Status::Ok();
 }
 

@@ -54,8 +54,6 @@ class Encoder {
       buf_.push_back(v);
     }
   }
-  /// Appends a 16-bit little-endian integer.
-  void PutU16(uint16_t v) { PutLittleEndian(v, 2); }
   /// Appends a 32-bit little-endian integer.
   void PutU32(uint32_t v) { PutLittleEndian(v, 4); }
   /// Appends a 64-bit little-endian integer.
@@ -70,8 +68,6 @@ class Encoder {
   }
   /// Appends a bool as one byte (0/1).
   void PutBool(bool v) { PutU8(v ? 1 : 0); }
-  /// Appends an IEEE-754 double (8 bytes, bit pattern).
-  void PutDouble(double v);
   /// Appends varint length followed by the raw bytes.
   void PutBytes(const Bytes& b) {
     PutVarint(b.size());
@@ -131,12 +127,12 @@ size_t EncodedSize(const T& x) {
 
 /// \brief An Encoder whose buffer is checked out of a thread-local pool.
 ///
-/// The hot paths (content digests, certificate fingerprints) encode into
-/// a buffer only to hash it and then throw it away; with a plain Encoder
-/// that is one heap allocation per call. A ScratchEncoder returns the
-/// buffer — capacity intact — to the pool on destruction, so steady-state
-/// encodes are allocation-free. The pool is a small stack, so nested
-/// scratch encodes each get their own buffer.
+/// The hot paths (content digests) encode into a buffer only to hash it
+/// and then throw it away; with a plain Encoder that is one heap
+/// allocation per call. A ScratchEncoder returns the buffer — capacity
+/// intact — to the pool on destruction, so steady-state encodes are
+/// allocation-free. The pool is a small stack, so nested scratch encodes
+/// each get their own buffer.
 class ScratchEncoder {
  public:
   ScratchEncoder() : enc_(AcquireScratchBuffer()) {}
@@ -164,12 +160,9 @@ class Decoder {
   Decoder(const uint8_t* data, size_t size) : data_(data), size_(size) {}
 
   Status GetU8(uint8_t* out);
-  Status GetU16(uint16_t* out);
   Status GetU32(uint32_t* out);
   Status GetU64(uint64_t* out);
   Status GetVarint(uint64_t* out);
-  Status GetBool(bool* out);
-  Status GetDouble(double* out);
   Status GetBytes(Bytes* out);
   Status GetString(std::string* out);
   /// Reads a varint element count. Every element takes at least one

@@ -50,7 +50,7 @@ enum class SpawnMode {
 /// These parameters substitute for the real CryptoPP/ResilientDB
 /// per-message costs of the paper's testbed; the defaults are calibrated
 /// so the simulated throughput/latency curves land in the paper's regime
-/// (DESIGN.md §1). Simulated crypto cost is decoupled from the wall-clock
+/// (DESIGN.md §15). Simulated crypto cost is decoupled from the wall-clock
 /// CryptoMode so the biggest sweeps can run with kNone.
 struct CostModel {
   /// Producing one digital signature.

@@ -12,12 +12,6 @@ void Signature::EncodeTo(Encoder* enc) const {
   enc->PutBytes(sig);
 }
 
-Status Signature::DecodeFrom(Decoder* dec, Signature* out) {
-  Status st = dec->GetU32(&out->signer);
-  if (!st.ok()) return st;
-  return dec->GetBytes(&out->sig);
-}
-
 Bytes CommitSigningBytes(ViewNum view, SeqNum seq, const Digest& digest) {
   Encoder enc;
   enc.PutString("sbft-commit");
@@ -37,52 +31,8 @@ void CommitCertificate::EncodeTo(Encoder* enc) const {
   }
 }
 
-Status CommitCertificate::DecodeFrom(Decoder* dec, CommitCertificate* out) {
-  Status st = dec->GetU64(&out->view);
-  if (!st.ok()) return st;
-  st = dec->GetU64(&out->seq);
-  if (!st.ok()) return st;
-  Bytes digest_bytes;
-  digest_bytes.resize(Digest::kSize);
-  for (size_t i = 0; i < Digest::kSize; ++i) {
-    st = dec->GetU8(&digest_bytes[i]);
-    if (!st.ok()) return st;
-  }
-  out->digest = Digest::FromRaw(digest_bytes.data());
-  uint64_t count;
-  st = dec->GetCount(&count);
-  if (!st.ok()) return st;
-  out->signatures.clear();
-  out->signatures.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    Signature s;
-    st = Signature::DecodeFrom(dec, &s);
-    if (!st.ok()) return st;
-    out->signatures.push_back(std::move(s));
-  }
-  return Status::Ok();
-}
-
-namespace {
-
-/// Fingerprint binding a validation verdict to the exact certificate
-/// bytes, the check parameters, and a domain tag.
-Digest CertFingerprint(std::string_view domain, size_t quorum,
-                       const auto& cert) {
-  ScratchEncoder enc;
-  enc->PutString(domain);
-  enc->PutU64(quorum);
-  cert.EncodeTo(&enc.enc());
-  return Sha256::Hash(enc->buffer());
-}
-
-}  // namespace
-
 Status CommitCertificate::Validate(const KeyRegistry& registry,
                                    size_t quorum) const {
-  Digest fp = CertFingerprint("commit-cert", quorum, *this);
-  if (registry.IsKnownValid(fp)) return Status::Ok();
-
   std::unordered_set<ActorId> seen;
   for (const Signature& s : signatures) {
     if (!seen.insert(s.signer).second) {
@@ -98,7 +48,6 @@ Status CommitCertificate::Validate(const KeyRegistry& registry,
       return Status::PermissionDenied("bad signature in certificate");
     }
   }
-  registry.RecordValid(fp);
   return Status::Ok();
 }
 
@@ -126,35 +75,6 @@ void CompactCertificate::EncodeTo(Encoder* enc) const {
     enc->PutU32(id);
   }
   enc->PutRaw(aggregate.data(), Digest::kSize);
-}
-
-Status CompactCertificate::DecodeFrom(Decoder* dec, CompactCertificate* out) {
-  Status st = dec->GetU64(&out->view);
-  if (!st.ok()) return st;
-  st = dec->GetU64(&out->seq);
-  if (!st.ok()) return st;
-  Bytes buf(Digest::kSize);
-  for (size_t i = 0; i < Digest::kSize; ++i) {
-    st = dec->GetU8(&buf[i]);
-    if (!st.ok()) return st;
-  }
-  out->digest = Digest::FromRaw(buf.data());
-  uint64_t count;
-  st = dec->GetCount(&count);
-  if (!st.ok()) return st;
-  out->signers.clear();
-  for (uint64_t i = 0; i < count; ++i) {
-    uint32_t id;
-    st = dec->GetU32(&id);
-    if (!st.ok()) return st;
-    out->signers.push_back(id);
-  }
-  for (size_t i = 0; i < Digest::kSize; ++i) {
-    st = dec->GetU8(&buf[i]);
-    if (!st.ok()) return st;
-  }
-  out->aggregate = Digest::FromRaw(buf.data());
-  return Status::Ok();
 }
 
 Status CompactCertificate::Validate(const KeyRegistry& registry,
@@ -203,46 +123,12 @@ void VoteShare::EncodeTo(Encoder* enc) const {
   enc->PutBytes(sig);
 }
 
-Status VoteShare::DecodeFrom(Decoder* dec, VoteShare* out) {
-  Status st = dec->GetU64(&out->global_id);
-  if (!st.ok()) return st;
-  st = dec->GetU32(&out->client);
-  if (!st.ok()) return st;
-  st = dec->GetU32(&out->shard);
-  if (!st.ok()) return st;
-  st = dec->GetU64(&out->seq);
-  if (!st.ok()) return st;
-  st = dec->GetBool(&out->commit);
-  if (!st.ok()) return st;
-  st = dec->GetU32(&out->signer);
-  if (!st.ok()) return st;
-  return dec->GetBytes(&out->sig);
-}
-
 void VoteCertificate::EncodeTo(Encoder* enc) const {
   enc->PutVarint(shares.size());
   for (const VoteShare& s : shares) s.EncodeTo(enc);
 }
 
-Status VoteCertificate::DecodeFrom(Decoder* dec, VoteCertificate* out) {
-  uint64_t count;
-  Status st = dec->GetCount(&count);
-  if (!st.ok()) return st;
-  out->shares.clear();
-  out->shares.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    VoteShare s;
-    st = VoteShare::DecodeFrom(dec, &s);
-    if (!st.ok()) return st;
-    out->shares.push_back(std::move(s));
-  }
-  return Status::Ok();
-}
-
 Status VoteCertificate::Validate(const KeyRegistry& registry) const {
-  Digest fp = CertFingerprint("vote-cert", 0, *this);
-  if (registry.IsKnownValid(fp)) return Status::Ok();
-
   std::set<std::pair<TxnKey, uint32_t>> seen_slots;
   for (const VoteShare& s : shares) {
     // One vote per (gid, shard).
@@ -257,7 +143,6 @@ Status VoteCertificate::Validate(const KeyRegistry& registry) const {
       return Status::PermissionDenied("bad vote share signature");
     }
   }
-  registry.RecordValid(fp);
   return Status::Ok();
 }
 

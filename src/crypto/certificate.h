@@ -19,7 +19,6 @@ struct Signature {
   Bytes sig;
 
   void EncodeTo(Encoder* enc) const;
-  static Status DecodeFrom(Decoder* dec, Signature* out);
 };
 
 /// Canonical byte string that shim nodes sign in their COMMIT messages
@@ -39,11 +38,11 @@ struct CommitCertificate {
   std::vector<Signature> signatures;
 
   void EncodeTo(Encoder* enc) const;
-  static Status DecodeFrom(Decoder* dec, CommitCertificate* out);
 
   /// Checks that the certificate carries at least `quorum` valid
   /// signatures from distinct registered signers over
-  /// CommitSigningBytes(view, seq, digest).
+  /// CommitSigningBytes(view, seq, digest). Every call checks every
+  /// signature against the registry as it is then.
   Status Validate(const KeyRegistry& registry, size_t quorum) const;
 };
 
@@ -67,7 +66,6 @@ struct CompactCertificate {
   static CompactCertificate FromFull(const CommitCertificate& full);
 
   void EncodeTo(Encoder* enc) const;
-  static Status DecodeFrom(Decoder* dec, CompactCertificate* out);
 
   /// Recomputes member signatures and the aggregate tag.
   Status Validate(const KeyRegistry& registry, size_t quorum) const;
@@ -92,7 +90,6 @@ struct VoteShare {
 
   TxnKey gid() const { return {client, global_id}; }
   void EncodeTo(Encoder* enc) const;
-  static Status DecodeFrom(Decoder* dec, VoteShare* out);
 };
 
 /// \brief Share-based vote certificate: N (signer, signature) shares in
@@ -107,10 +104,9 @@ struct VoteCertificate {
   std::vector<VoteShare> shares;
 
   void EncodeTo(Encoder* enc) const;
-  static Status DecodeFrom(Decoder* dec, VoteCertificate* out);
 
   /// All shares carry valid signatures from distinct (global_id, shard)
-  /// slots. Memoized through the registry's validated-certificate cache.
+  /// slots.
   Status Validate(const KeyRegistry& registry) const;
 };
 

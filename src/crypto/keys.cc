@@ -5,6 +5,7 @@
 #include <mutex>
 #include <shared_mutex>
 
+#include "crypto/digest.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
 
@@ -100,30 +101,6 @@ bool KeyRegistry::Verify(ActorId signer, const Bytes& msg,
   if (!IsRegistered(signer)) return false;
   Bytes expected = Sign(signer, msg);
   return ConstantTimeEquals(expected, sig);  // Both modes recompute.
-}
-
-namespace {
-constexpr size_t kMaxValidCertMemo = 4096;
-}  // namespace
-
-bool KeyRegistry::IsKnownValid(const Digest& fingerprint) const {
-  std::string key(reinterpret_cast<const char*>(fingerprint.data()),
-                  Digest::kSize);
-  auto lock = ReadLock();
-  return valid_certs_.contains(key);
-}
-
-void KeyRegistry::RecordValid(const Digest& fingerprint) const {
-  std::string key(reinterpret_cast<const char*>(fingerprint.data()),
-                  Digest::kSize);
-  auto lock = WriteLock();
-  auto [_, inserted] = valid_certs_.insert(key);
-  if (!inserted) return;
-  valid_certs_order_.push_back(std::move(key));
-  while (valid_certs_order_.size() > kMaxValidCertMemo) {
-    valid_certs_.erase(valid_certs_order_.front());
-    valid_certs_order_.pop_front();
-  }
 }
 
 }  // namespace sbft::crypto

@@ -2,16 +2,12 @@
 #define SBFT_CRYPTO_KEYS_H_
 
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <shared_mutex>
-#include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/bytes.h"
 #include "common/ids.h"
-#include "crypto/digest.h"
 
 namespace sbft::crypto {
 
@@ -28,7 +24,7 @@ enum class CryptoMode {
   /// Structural tokens with no cryptography at all: a fixed-size tag
   /// binding the signer id. Used by the largest benchmark sweeps, where
   /// authenticator *cost* is charged in simulated time by the cost model
-  /// and real hashing would only burn wall-clock (DESIGN.md §1).
+  /// and real hashing would only burn wall-clock (DESIGN.md §15).
   kNone,
 };
 
@@ -52,11 +48,10 @@ class KeyRegistry {
   void Unregister(ActorId id);
 
   /// Switches the registry into thread-safe mode for parallel simulation
-  /// runs: the lazily-grown tables (nodes and the validated-certificate
-  /// memo) go behind a shared mutex. Key material is a pure function of
-  /// (registry seed, id) in every mode, so this only adds the lock;
-  /// serial runs, which never call it, take none. Call once, after all
-  /// static actors are registered.
+  /// runs: the lazily-grown node table goes behind a shared mutex. Key
+  /// material is a pure function of (registry seed, id) in every mode, so
+  /// this only adds the lock; serial runs, which never call it, take none.
+  /// Call once, after all static actors are registered.
   void EnableConcurrent();
 
   /// True when `id` has been registered and not unregistered.
@@ -72,14 +67,6 @@ class KeyRegistry {
 
   /// Verifies a digital signature. Returns false for unknown signers.
   bool Verify(ActorId signer, const Bytes& msg, const Bytes& sig) const;
-
-  /// Bounded memo of certificate fingerprints this registry has already
-  /// validated. Crypto validity is a pure function of (registry contents,
-  /// certificate bytes), so every actor sharing the PKI can reuse one
-  /// verdict — a commit certificate travels through three executors and
-  /// the verifier and would otherwise be re-verified at each hop.
-  bool IsKnownValid(const Digest& fingerprint) const;
-  void RecordValid(const Digest& fingerprint) const;
 
  private:
   /// Signing secret (32 bytes) of a registered actor. The pointer a
@@ -97,12 +84,9 @@ class KeyRegistry {
   CryptoMode mode_;
   uint64_t seed_;
   bool concurrent_ = false;
-  /// Guards nodes_/valid_certs_* when concurrent_.
+  /// Guards nodes_ when concurrent_.
   mutable std::shared_mutex mu_;
   std::unordered_map<ActorId, Bytes> nodes_;
-  // Validated-certificate memo (FIFO-bounded).
-  mutable std::unordered_set<std::string> valid_certs_;
-  mutable std::deque<std::string> valid_certs_order_;
 };
 
 }  // namespace sbft::crypto

@@ -29,39 +29,4 @@ Digest MerkleTree::ComputeRoot(const std::vector<Digest>& leaves) {
   return level[0];
 }
 
-MerkleTree::Proof MerkleTree::BuildProof(const std::vector<Digest>& leaves,
-                                         uint64_t index) {
-  Proof proof;
-  proof.index = index;
-  std::vector<Digest> level = leaves;
-  uint64_t pos = index;
-  while (level.size() > 1) {
-    uint64_t sibling = (pos % 2 == 0) ? pos + 1 : pos - 1;
-    if (sibling >= level.size()) sibling = pos;  // Odd tail pairs itself.
-    proof.siblings.push_back(level[sibling]);
-    std::vector<Digest> next;
-    next.reserve((level.size() + 1) / 2);
-    for (size_t i = 0; i < level.size(); i += 2) {
-      const Digest& left = level[i];
-      const Digest& right = (i + 1 < level.size()) ? level[i + 1] : level[i];
-      next.push_back(HashPair(left, right));
-    }
-    level = std::move(next);
-    pos /= 2;
-  }
-  return proof;
-}
-
-bool MerkleTree::VerifyProof(const Digest& root, const Digest& leaf,
-                             const Proof& proof) {
-  Digest current = leaf;
-  uint64_t pos = proof.index;
-  for (const Digest& sibling : proof.siblings) {
-    current = (pos % 2 == 0) ? HashPair(current, sibling)
-                             : HashPair(sibling, current);
-    pos /= 2;
-  }
-  return current == root;
-}
-
 }  // namespace sbft::crypto

@@ -1,36 +1,24 @@
 #ifndef SBFT_CRYPTO_MERKLE_H_
 #define SBFT_CRYPTO_MERKLE_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "crypto/digest.h"
 
 namespace sbft::crypto {
 
-/// \brief Binary Merkle tree over a list of digests.
+/// \brief Binary Merkle root over a list of digests.
 ///
 /// Featherweight checkpoints (paper §V-B) exchange only signed proofs of
-/// committed requests; nodes summarize their certificate log with a Merkle
-/// root so a node in the dark can verify which certificates it is missing.
+/// committed requests: each CHECKPOINT carries the Merkle root over the
+/// digests of its window, and 2f+1 matching roots make the window stable.
+/// A node in the dark runs Validate on each compact certificate a
+/// CHECKPOINT carries before adopting it; no inclusion proof is built.
 class MerkleTree {
  public:
-  /// Inclusion proof: sibling hashes from leaf to root.
-  struct Proof {
-    uint64_t index = 0;               ///< Leaf position.
-    std::vector<Digest> siblings;     ///< Bottom-up sibling digests.
-  };
-
   /// Root of the tree; odd nodes are paired with themselves. Empty input
   /// produces the all-zero digest.
   static Digest ComputeRoot(const std::vector<Digest>& leaves);
-
-  /// Builds the inclusion proof for `index`. Requires index < leaves.size().
-  static Proof BuildProof(const std::vector<Digest>& leaves, uint64_t index);
-
-  /// Verifies that `leaf` is included under `root` via `proof`.
-  static bool VerifyProof(const Digest& root, const Digest& leaf,
-                          const Proof& proof);
 
  private:
   static Digest HashPair(const Digest& left, const Digest& right);

@@ -12,7 +12,8 @@ namespace sbft::crypto {
 /// \brief Incremental SHA-256 (FIPS 180-4).
 ///
 /// The collision-resistant hash H(·) assumed by the paper (§III); used for
-/// transaction digests, certificate fingerprints, Merkle trees, and HMAC.
+/// transaction digests, compact-certificate tags, audit-log chains, Merkle
+/// trees, and HMAC.
 class Sha256 {
  public:
   Sha256();

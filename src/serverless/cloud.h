@@ -35,7 +35,7 @@ struct CloudConfig {
 };
 
 /// \brief Simulated multi-region serverless provider (AWS-Lambda stand-in,
-/// DESIGN.md §1).
+/// DESIGN.md §15).
 ///
 /// Spawning allocates a fresh ExecutorFunction actor in the requested
 /// region after the cold/warm start latency, subject to the account

@@ -223,24 +223,6 @@ void PreparedProof::EncodeTo(Encoder* enc) const {
   batch->EncodeTo(enc);
 }
 
-Status PreparedProof::DecodeFrom(Decoder* dec, PreparedProof* out) {
-  Status st = dec->GetU64(&out->view);
-  if (!st.ok()) return st;
-  st = dec->GetU64(&out->seq);
-  if (!st.ok()) return st;
-  Bytes buf(crypto::Digest::kSize);
-  for (size_t i = 0; i < crypto::Digest::kSize; ++i) {
-    st = dec->GetU8(&buf[i]);
-    if (!st.ok()) return st;
-  }
-  out->digest = crypto::Digest::FromRaw(buf.data());
-  workload::TransactionBatch batch;
-  st = workload::TransactionBatch::DecodeFrom(dec, &batch);
-  if (!st.ok()) return st;
-  out->batch = workload::ShareBatch(std::move(batch));
-  return Status::Ok();
-}
-
 Bytes ViewChangeMsg::SigningBytes(ViewNum new_view, SeqNum stable_seq) {
   Encoder enc;
   enc.PutString("sbft-viewchange");

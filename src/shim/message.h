@@ -294,7 +294,6 @@ struct PreparedProof {
   workload::BatchPtr batch = workload::EmptyBatch();
 
   void EncodeTo(Encoder* enc) const;
-  static Status DecodeFrom(Decoder* dec, PreparedProof* out);
 };
 
 /// Node -> nodes: VIEWCHANGE to view v+1 (§V-A4, PBFT-style).

@@ -1,7 +1,5 @@
 #include "storage/rw_set.h"
 
-#include "crypto/sha256.h"
-
 namespace sbft::storage {
 
 void RwSet::EncodeTo(Encoder* enc) const {
@@ -44,12 +42,6 @@ Status RwSet::DecodeFrom(Decoder* dec, RwSet* out) {
     out->writes.push_back(std::move(w));
   }
   return Status::Ok();
-}
-
-crypto::Digest RwSet::Hash() const {
-  ScratchEncoder enc;
-  EncodeTo(&enc.enc());
-  return crypto::Sha256::Hash(enc->buffer());
 }
 
 bool RwSet::ReadsCurrent(const KvStore& store) const {

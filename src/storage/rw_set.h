@@ -6,7 +6,6 @@
 
 #include "common/codec.h"
 #include "common/status.h"
-#include "crypto/digest.h"
 #include "storage/kv_store.h"
 
 namespace sbft::storage {
@@ -42,10 +41,6 @@ struct RwSet {
 
   void EncodeTo(Encoder* enc) const;
   static Status DecodeFrom(Decoder* dec, RwSet* out);
-
-  /// Digest over the canonical encoding; lets the verifier compare VERIFY
-  /// messages for equality cheaply.
-  crypto::Digest Hash() const;
 
   /// The paper's ccheck (Fig. 3 line 32): every read version still matches
   /// the store.

@@ -8,6 +8,17 @@
 
 namespace sbft::verifier {
 
+namespace {
+
+/// Re-send interval for unanswered 2PC prepare votes (covers lost
+/// decisions and coordinator crash/recovery).
+constexpr SimDuration kDecisionRetry = Millis(250);
+/// Bound on how many times one waiter may hop to a different blocking
+/// key before it falls back to the abort rule (livelock guard).
+constexpr uint32_t kPrepareLockMaxRequeues = 16;
+
+}  // namespace
+
 Verifier::Verifier(ActorId id, const VerifierConfig& config,
                    storage::KvStore* store, crypto::KeyRegistry* keys,
                    sim::Simulator* sim, sim::Network* net,
@@ -377,7 +388,7 @@ void Verifier::SendVote(const TxnKey& global_id, PreparedFragment& frag) {
   // but never stop: the prepare locks this fragment holds can only be
   // released by a decision, so giving up would leak them for the rest
   // of the run no matter how late the coordinator recovers.
-  if (frag.retry_interval <= 0) frag.retry_interval = config_.decision_retry;
+  if (frag.retry_interval <= 0) frag.retry_interval = kDecisionRetry;
   frag.retry_timer = sim_->Schedule(frag.retry_interval, [this, global_id]() {
     auto it = prepared_.find(global_id);
     if (it == prepared_.end()) return;
@@ -484,7 +495,7 @@ void Verifier::HandleCoordRedirect(const sim::Envelope& env) {
       sim_->Cancel(frag.retry_timer);
       frag.retry_timer = 0;
     }
-    frag.retry_interval = config_.decision_retry;
+    frag.retry_interval = kDecisionRetry;
     SendVote(gid, frag);
   }
   vote_batching_ = outer_batching;
@@ -615,7 +626,7 @@ bool Verifier::TryQueueBehindLock(const std::string& blocked_key, SeqNum seq,
   waiter.result = result;
   waiter.is_fragment = is_fragment;
   waiter.waiting_key = blocked_key;
-  waiter.requeues_left = config_.prepare_lock_max_requeues;
+  waiter.requeues_left = kPrepareLockMaxRequeues;
   lock_waiters_.emplace(waiter_id, std::move(waiter));
   if (is_fragment) queued_fragment_gids_.insert(ref.global_id);
   ++lock_waits_queued_;

@@ -35,17 +35,11 @@ struct VerifierConfig {
   SimDuration match_timeout = Millis(700);
   /// Shard-plane index this verifier serves (sharded data plane).
   uint32_t shard = 0;
-  /// Re-send interval for unanswered 2PC prepare votes (covers lost
-  /// decisions and coordinator crash/recovery).
-  SimDuration decision_retry = Millis(250);
   /// Per-key FIFO cap for transactions queueing behind a 2PC prepare
   /// lock. A full queue (or a cap of 0) falls back to the abort rule.
   /// Queueing is deadlock-free because prepare locks are only held
   /// between vote and decision and waiters hold no locks.
   uint32_t prepare_lock_queue_depth = 8;
-  /// Bound on how many times one waiter may hop to a different blocking
-  /// key before it falls back to the abort rule (livelock guard).
-  uint32_t prepare_lock_max_requeues = 16;
   /// Coordinator topology (DESIGN.md §10/§12): G gid-partitioned groups
   /// of R members each (default one group of one). Decisions must come
   /// from a member of the gid's own group, and per-group leader hints

@@ -41,54 +41,6 @@ TEST(MerkleTest, RootDependsOnOrder) {
   EXPECT_NE(MerkleTree::ComputeRoot(leaves), MerkleTree::ComputeRoot(swapped));
 }
 
-class MerkleProofTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(MerkleProofTest, AllProofsVerify) {
-  int n = GetParam();
-  auto leaves = MakeLeaves(n);
-  Digest root = MerkleTree::ComputeRoot(leaves);
-  for (int i = 0; i < n; ++i) {
-    auto proof = MerkleTree::BuildProof(leaves, i);
-    EXPECT_TRUE(MerkleTree::VerifyProof(root, leaves[i], proof))
-        << "n=" << n << " leaf=" << i;
-  }
-}
-
-TEST_P(MerkleProofTest, ProofFailsForWrongLeaf) {
-  int n = GetParam();
-  if (n < 2) return;
-  auto leaves = MakeLeaves(n);
-  Digest root = MerkleTree::ComputeRoot(leaves);
-  auto proof = MerkleTree::BuildProof(leaves, 0);
-  EXPECT_FALSE(MerkleTree::VerifyProof(root, leaves[1], proof));
-}
-
-TEST_P(MerkleProofTest, ProofFailsForWrongRoot) {
-  int n = GetParam();
-  auto leaves = MakeLeaves(n);
-  auto proof = MerkleTree::BuildProof(leaves, n - 1);
-  Digest wrong_root = Sha256::Hash("not the root");
-  EXPECT_FALSE(MerkleTree::VerifyProof(wrong_root, leaves[n - 1], proof));
-}
-
-// Sweep tree sizes including odd counts and powers of two.
-INSTANTIATE_TEST_SUITE_P(TreeSizes, MerkleProofTest,
-                         ::testing::Values(1, 2, 3, 4, 5, 7, 8, 9, 16, 31, 33));
-
-TEST(MerkleTest, ProofSizeIsLogarithmic) {
-  auto leaves = MakeLeaves(64);
-  auto proof = MerkleTree::BuildProof(leaves, 17);
-  EXPECT_EQ(proof.siblings.size(), 6u);  // log2(64).
-}
-
-TEST(MerkleTest, TamperedProofPathRejected) {
-  auto leaves = MakeLeaves(16);
-  Digest root = MerkleTree::ComputeRoot(leaves);
-  auto proof = MerkleTree::BuildProof(leaves, 5);
-  proof.siblings[2] = Sha256::Hash("evil");
-  EXPECT_FALSE(MerkleTree::VerifyProof(root, leaves[5], proof));
-}
-
 TEST(MerkleTest, LeafRootDomainSeparated) {
   // A two-leaf root must differ from hashing the concatenation directly
   // (interior nodes are domain-separated).

@@ -99,23 +99,6 @@ TEST(MessageTest, ExecuteSigningBytesBindAllFields) {
   EXPECT_NE(base, ExecuteMsg::SigningBytes(1, 2, crypto::Sha256::Hash("o")));
 }
 
-TEST(MessageTest, PreparedProofRoundTrip) {
-  PreparedProof proof;
-  proof.view = 2;
-  proof.seq = 17;
-  proof.batch = workload::ShareBatch(MakeBatch(3));
-  proof.digest = proof.batch->Hash();
-  Encoder enc;
-  proof.EncodeTo(&enc);
-  Decoder dec(enc.buffer());
-  PreparedProof parsed;
-  ASSERT_TRUE(PreparedProof::DecodeFrom(&dec, &parsed).ok());
-  EXPECT_EQ(parsed.view, 2u);
-  EXPECT_EQ(parsed.seq, 17u);
-  EXPECT_EQ(parsed.digest, proof.digest);
-  EXPECT_EQ(parsed.batch->Hash(), proof.batch->Hash());
-}
-
 TEST(MessageTest, TwoPcWatermarkAndViewSectionsAreAlwaysPresent) {
   // Every vote certificate carries its ack list (count marker included)
   // and an 8-byte view stamp; every decision carries (cseq, watermark)

@@ -46,17 +46,6 @@ TEST(RwSetTest, DecodeRejectsHostileCounts) {
   }
 }
 
-TEST(RwSetTest, HashDistinguishesContent) {
-  RwSet a = MakeSet();
-  RwSet b = MakeSet();
-  EXPECT_EQ(a.Hash(), b.Hash());
-  b.reads[0].version = 4;
-  EXPECT_NE(a.Hash(), b.Hash());
-  RwSet c = MakeSet();
-  c.writes[0].value = ToBytes("other");
-  EXPECT_NE(a.Hash(), c.Hash());
-}
-
 TEST(RwSetTest, ReadsCurrentChecksVersions) {
   KvStore store;
   store.Put("user1", ToBytes("a"));  // version 1
