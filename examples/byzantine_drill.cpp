@@ -8,8 +8,11 @@
 //   ./build/examples/byzantine_drill
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "core/serverless_bft.h"
+#include "faults/controller.h"
+#include "faults/schedule.h"
 
 namespace {
 
@@ -28,6 +31,23 @@ core::SystemConfig BaseConfig() {
   config.crypto_mode = crypto::CryptoMode::kFast;
   config.seed = 99;
   return config;
+}
+
+/// Runs `arch` for 6 s with `attack`, a fault schedule ("" for none)
+/// installed before Start(); a shim node's attack that starts with the
+/// run is an `at 0ms` line.
+void Run(core::Architecture& arch, const char* attack) {
+  faults::FaultController controller(&arch);
+  auto schedule = faults::FaultSchedule::Parse(attack);
+  Status installed = schedule.ok() ? controller.Install(*schedule)
+                                   : schedule.status();
+  if (!installed.ok()) {
+    std::fprintf(stderr, "byzantine_drill: %s\n",
+                 installed.ToString().c_str());
+    std::exit(1);
+  }
+  arch.Start();
+  arch.simulator()->RunUntil(Seconds(6));
 }
 
 /// Prints one drill's row and returns whether its audit chain held.
@@ -58,35 +78,22 @@ int main() {
 
   {  // Baseline: everyone honest.
     core::Architecture arch(BaseConfig());
-    arch.Start();
-    arch.simulator()->RunUntil(Seconds(6));
+    Run(arch, "");
     intact &= Report("baseline (honest)", arch);
   }
   {  // §V-A: the primary drops every client request.
-    core::SystemConfig config = BaseConfig();
-    config.byzantine_nodes[0].byzantine = true;
-    config.byzantine_nodes[0].suppress_requests = true;
-    core::Architecture arch(config);
-    arch.Start();
-    arch.simulator()->RunUntil(Seconds(6));
+    core::Architecture arch(BaseConfig());
+    Run(arch, "at 0ms byzantine node 0 suppress-requests\n");
     intact &= Report("request suppression", arch);
   }
   {  // §V-A: primary crash-stops.
-    core::SystemConfig config = BaseConfig();
-    config.byzantine_nodes[0].byzantine = true;
-    config.byzantine_nodes[0].crash = true;
-    core::Architecture arch(config);
-    arch.Start();
-    arch.simulator()->RunUntil(Seconds(6));
+    core::Architecture arch(BaseConfig());
+    Run(arch, "at 0ms crash node 0\n");
     intact &= Report("crashed primary", arch);
   }
-  {  // §V-B: one honest node kept in the dark.
-    core::SystemConfig config = BaseConfig();
-    config.byzantine_nodes[0].byzantine = true;
-    config.byzantine_nodes[0].dark_nodes = {4};
-    core::Architecture arch(config);
-    arch.Start();
-    arch.simulator()->RunUntil(Seconds(6));
+  {  // §V-B: one honest node (actor id 4) kept in the dark.
+    core::Architecture arch(BaseConfig());
+    Run(arch, "at 0ms byzantine node 0 dark=4\n");
     intact &= Report("nodes in dark", arch);
     std::printf("%-28s dark node adopted %llu certificates via "
                 "featherweight checkpoints\n",
@@ -95,21 +102,13 @@ int main() {
                     arch.pbft_replicas()[3]->dark_recoveries()));
   }
   {  // §V-B: equivocating primary (safety must hold).
-    core::SystemConfig config = BaseConfig();
-    config.byzantine_nodes[0].byzantine = true;
-    config.byzantine_nodes[0].equivocate = true;
-    core::Architecture arch(config);
-    arch.Start();
-    arch.simulator()->RunUntil(Seconds(6));
+    core::Architecture arch(BaseConfig());
+    Run(arch, "at 0ms byzantine node 0 equivocate\n");
     intact &= Report("equivocation", arch);
   }
   {  // §V-C: duplicate spawning floods the verifier (self-penalizing).
-    core::SystemConfig config = BaseConfig();
-    config.byzantine_nodes[0].byzantine = true;
-    config.byzantine_nodes[0].duplicate_spawns = 2;
-    core::Architecture arch(config);
-    arch.Start();
-    arch.simulator()->RunUntil(Seconds(6));
+    core::Architecture arch(BaseConfig());
+    Run(arch, "at 0ms byzantine node 0 duplicate-spawns=2\n");
     intact &= Report("duplicate spawning", arch);
     std::printf("%-28s lambda bill %.4f cents (3x the honest work — the "
                 "attacker pays)\n",
@@ -121,8 +120,7 @@ int main() {
     config.byzantine_executor_behavior =
         serverless::ExecutorBehavior::kWrongResult;
     core::Architecture arch(config);
-    arch.Start();
-    arch.simulator()->RunUntil(Seconds(6));
+    Run(arch, "");
     intact &= Report("lying executors (f_E)", arch);
   }
   {  // §VI-B: delayed spawning to force aborts on conflicting txns.
@@ -132,11 +130,8 @@ int main() {
     config.workload.conflict_percentage = 30;
     config.n_e = 4;  // 3f_E+1.
     config.verifier_match_timeout = Millis(250);
-    config.byzantine_nodes[0].byzantine = true;
-    config.byzantine_nodes[0].spawn_delay = Millis(120);
     core::Architecture arch(config);
-    arch.Start();
-    arch.simulator()->RunUntil(Seconds(6));
+    Run(arch, "at 0ms byzantine node 0 spawn-delay=120ms\n");
     intact &= Report("byzantine aborts (§VI-B)", arch);
     std::printf("%-28s aborted=%llu (aborts, never inconsistency)\n", "",
                 static_cast<unsigned long long>(arch.TotalAborted()));

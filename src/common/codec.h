@@ -157,7 +157,6 @@ class Decoder {
  public:
   /// The decoder borrows `data`; the caller keeps it alive while decoding.
   explicit Decoder(const Bytes& data) : data_(data.data()), size_(data.size()) {}
-  Decoder(const uint8_t* data, size_t size) : data_(data), size_(size) {}
 
   Status GetU8(uint8_t* out);
   Status GetU32(uint32_t* out);

@@ -217,15 +217,14 @@ void Architecture::BuildCoordinatorMember(
       &sim_, config_.coordinator_cores > 0 ? config_.coordinator_cores
                                            : config_.verifier_cores);
   net_->Register(coordinator.get(), sim::RegionTable::kHomeRegion);
-  CostModel costs = config_.costs;
   net_->AttachServer(
       member_id, cpu.get(),
-      [costs](const sim::Envelope& env) -> SimDuration {
+      [](const sim::Envelope& env) -> SimDuration {
         const auto* msg =
             static_cast<const shim::Message*>(env.message.get());
         if (msg != nullptr && msg->kind == shim::MsgKind::kClientRequest) {
           // Verify the client's DS + sign each fragment (amortized).
-          return costs.per_message + costs.ds_verify + costs.ds_sign;
+          return kCosts.per_message + kCosts.ds_verify + kCosts.ds_sign;
         }
         if (msg != nullptr && msg->kind == shim::MsgKind::kShardVoteCert) {
           // Full verification charge for the first share, half for each
@@ -240,11 +239,11 @@ void Architecture::BuildCoordinatorMember(
           const auto* cert = static_cast<const shim::ShardVoteCertMsg*>(msg);
           auto shares =
               static_cast<SimDuration>(cert->cert.shares.size());
-          if (shares <= 1) return costs.twopc_vote_verify;
-          return costs.twopc_vote_verify +
-                 (shares - 1) * (costs.twopc_vote_verify / 2);
+          if (shares <= 1) return kCosts.twopc_vote_verify;
+          return kCosts.twopc_vote_verify +
+                 (shares - 1) * (kCosts.twopc_vote_verify / 2);
         }
-        return costs.per_message;
+        return kCosts.per_message;
       });
   coordinators_.push_back(std::move(coordinator));
   coordinator_cpus_.push_back(std::move(cpu));

@@ -1,7 +1,6 @@
 #ifndef SBFT_CORE_CONFIG_H_
 #define SBFT_CORE_CONFIG_H_
 
-#include <map>
 #include <vector>
 
 #include "common/ids.h"
@@ -47,9 +46,9 @@ enum class SpawnMode {
 /// \brief CPU cost model for the protocol-processing work at shim nodes,
 /// the verifier, and clients.
 ///
-/// These parameters substitute for the real CryptoPP/ResilientDB
-/// per-message costs of the paper's testbed; the defaults are calibrated
-/// so the simulated throughput/latency curves land in the paper's regime
+/// These constants substitute for the real CryptoPP/ResilientDB
+/// per-message costs of the paper's testbed; they are calibrated so the
+/// simulated throughput/latency curves land in the paper's regime
 /// (DESIGN.md §15). Simulated crypto cost is decoupled from the wall-clock
 /// CryptoMode so the biggest sweeps can run with kNone.
 struct CostModel {
@@ -81,6 +80,9 @@ struct CostModel {
   SimDuration twopc_decision_verify = Micros(4);
 };
 
+/// The one cost table every network cost function reads.
+inline constexpr CostModel kCosts{};
+
 /// \brief Full description of one architecture instance
 /// A = {C, R, E, S, V} plus workload and infrastructure.
 struct SystemConfig {
@@ -91,8 +93,6 @@ struct SystemConfig {
   shim::ShimConfig shim;
   /// Cores per shim node (paper setup: 16; Fig. 6(ix,x) varies this).
   int shim_cores = 16;
-  /// Byzantine behaviour per node index (absent = honest).
-  std::map<uint32_t, shim::ByzantineBehavior> byzantine_nodes;
 
   // --- executors (E) ---
   /// Executor fault bound f_E.
@@ -183,7 +183,6 @@ struct SystemConfig {
   workload::TrafficConfig traffic;
 
   // --- infrastructure ---
-  CostModel costs;
   sim::NetworkConfig network;
   crypto::CryptoMode crypto_mode = crypto::CryptoMode::kFast;
   uint64_t seed = 1;

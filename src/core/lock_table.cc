@@ -46,11 +46,6 @@ std::vector<std::string> LockTable::ReleaseOwner(Owner owner) {
   return released;
 }
 
-const std::vector<std::string>* LockTable::KeysOf(Owner owner) const {
-  auto it = held_.find(owner);
-  return it == held_.end() ? nullptr : &it->second;
-}
-
 bool LockTable::Enqueue(const std::string& key, WaiterId waiter) {
   auto it = queues_.find(key);
   size_t depth = it == queues_.end() ? 0 : it->second.size();

@@ -73,9 +73,6 @@ class LockTable {
   /// (so the caller can drain their wait queues in order).
   std::vector<std::string> ReleaseOwner(Owner owner);
 
-  /// Keys currently held by `owner` (empty when none).
-  const std::vector<std::string>* KeysOf(Owner owner) const;
-
   /// Appends `waiter` to `key`'s FIFO queue. Refuses (returns false)
   /// when the queue is at the configured cap, creating no queue.
   bool Enqueue(const std::string& key, WaiterId waiter);

@@ -13,17 +13,6 @@ ShardPlane::ShardPlane(uint32_t shard, const SystemConfig& config,
 
 ShardPlane::~ShardPlane() = default;
 
-shim::ByzantineBehavior ShardPlane::ConfiguredBehavior(
-    uint32_t index) const {
-  auto it = config_.byzantine_nodes.find(shard_ * config_.shim.n + index);
-  return it != config_.byzantine_nodes.end() ? it->second
-                                             : shim::ByzantineBehavior{};
-}
-
-bool ShardPlane::ConfiguredByzantine(uint32_t index) const {
-  return config_.byzantine_nodes.contains(shard_ * config_.shim.n + index);
-}
-
 void ShardPlane::Build() {
   BuildShim();
   BuildVerifierAndStorage();
@@ -38,100 +27,97 @@ void ShardPlane::Build() {
 // ---------------------------------------------------------------------------
 
 sim::Network::CostFn ShardPlane::ShimCostFn() const {
-  CostModel costs = config_.costs;
   // CFT and NoShim carry no signatures anywhere (§IX-H): authenticating a
   // client request costs a MAC check, not a DS verification.
   bool crypto_free = config_.protocol == Protocol::kServerlessCft ||
                      config_.protocol == Protocol::kNoShim;
-  return [costs, crypto_free](const sim::Envelope& env) -> SimDuration {
+  return [crypto_free](const sim::Envelope& env) -> SimDuration {
     const auto* msg = static_cast<const shim::Message*>(env.message.get());
-    if (msg == nullptr) return costs.per_message;
+    if (msg == nullptr) return kCosts.per_message;
     switch (msg->kind) {
       case shim::MsgKind::kClientRequest:
-        return costs.per_message +
-               (crypto_free ? costs.mac : costs.ds_verify);
+        return kCosts.per_message +
+               (crypto_free ? kCosts.mac : kCosts.ds_verify);
       case shim::MsgKind::kPrePrepare: {
         const auto* pp = static_cast<const shim::PrePrepareMsg*>(msg);
-        return costs.per_message + costs.mac +
-               costs.per_txn *
+        return kCosts.per_message + kCosts.mac +
+               kCosts.per_txn *
                    static_cast<SimDuration>(pp->batch->txns.size());
       }
       case shim::MsgKind::kPrepare:
-        return costs.per_message + costs.mac;
+        return kCosts.per_message + kCosts.mac;
       case shim::MsgKind::kCommit:
         // Verify the sender's DS + sign our own (amortized here).
-        return costs.per_message + costs.ds_verify + costs.ds_sign;
+        return kCosts.per_message + kCosts.ds_verify + kCosts.ds_sign;
       case shim::MsgKind::kViewChange:
       case shim::MsgKind::kNewView:
-        return costs.per_message + costs.ds_verify;
+        return kCosts.per_message + kCosts.ds_verify;
       case shim::MsgKind::kCheckpoint: {
         const auto* cp = static_cast<const shim::CheckpointMsg*>(msg);
-        return costs.per_message +
-               costs.ds_verify *
+        return kCosts.per_message +
+               kCosts.ds_verify *
                    static_cast<SimDuration>(cp->certs.size() + 1);
       }
       case shim::MsgKind::kPaxosAccept: {
         const auto* pa = static_cast<const shim::PaxosAcceptMsg*>(msg);
-        return costs.per_message +
-               costs.per_txn *
+        return kCosts.per_message +
+               kCosts.per_txn *
                    static_cast<SimDuration>(pa->batch->txns.size());
       }
       case shim::MsgKind::kPaxosAccepted:
-        return costs.per_message;
+        return kCosts.per_message;
       case shim::MsgKind::kLinearVote:
         // Collector verifies the vote and will sign/emit certificates.
-        return costs.per_message + costs.ds_verify;
+        return kCosts.per_message + kCosts.ds_verify;
       case shim::MsgKind::kLinearCert: {
         const auto* lc = static_cast<const shim::LinearCertMsg*>(msg);
-        return costs.per_message +
-               costs.ds_verify *
+        return kCosts.per_message +
+               kCosts.ds_verify *
                    static_cast<SimDuration>(lc->cert.signatures.size()) +
-               costs.ds_sign;
+               kCosts.ds_sign;
       }
       default:
-        return costs.per_message;
+        return kCosts.per_message;
     }
   };
 }
 
 sim::Network::CostFn ShardPlane::VerifierCostFn() const {
-  CostModel costs = config_.costs;
-  return [costs](const sim::Envelope& env) -> SimDuration {
+  return [](const sim::Envelope& env) -> SimDuration {
     const auto* msg = static_cast<const shim::Message*>(env.message.get());
-    if (msg == nullptr) return costs.per_message;
+    if (msg == nullptr) return kCosts.per_message;
     if (msg->kind == shim::MsgKind::kShardCommitDecision) {
       // The coordinator's per-recipient decision signing (amortized onto
       // the receiver, kCommit convention) plus the participant's MAC
       // check + buffered write-set lookup, instead of the generic
       // dispatch charge. Charged per decision message — re-answers to
       // retried votes are real re-signs.
-      return costs.twopc_decision_sign + costs.twopc_decision_verify;
+      return kCosts.twopc_decision_sign + kCosts.twopc_decision_verify;
     }
     if (msg->kind == shim::MsgKind::kVerify) {
       const auto* v = static_cast<const shim::VerifyMsg*>(msg);
       // Executor sig + certificate sigs + per-transaction bookkeeping.
-      return costs.per_message + costs.ds_verify +
-             costs.ds_verify *
+      return kCosts.per_message + kCosts.ds_verify +
+             kCosts.ds_verify *
                  static_cast<SimDuration>(v->cert.signatures.size()) +
-             costs.per_txn * static_cast<SimDuration>(v->txn_refs.size());
+             kCosts.per_txn * static_cast<SimDuration>(v->txn_refs.size());
     }
     if (msg->kind == shim::MsgKind::kClientRequest) {
-      return costs.per_message + costs.ds_verify;
+      return kCosts.per_message + kCosts.ds_verify;
     }
-    return costs.per_message;
+    return kCosts.per_message;
   };
 }
 
 sim::Network::CostFn ShardPlane::StorageCostFn() const {
-  CostModel costs = config_.costs;
-  return [costs](const sim::Envelope& env) -> SimDuration {
+  return [](const sim::Envelope& env) -> SimDuration {
     const auto* msg = static_cast<const shim::Message*>(env.message.get());
     if (msg != nullptr && msg->kind == shim::MsgKind::kStorageRead) {
       const auto* read = static_cast<const shim::StorageReadMsg*>(msg);
-      return costs.per_message +
+      return kCosts.per_message +
              Micros(1) * static_cast<SimDuration>(read->keys.size());
     }
-    return costs.per_message;
+    return kCosts.per_message;
   };
 }
 
@@ -153,10 +139,9 @@ void ShardPlane::BuildShim() {
               ? shim::VotePattern::kCollector
               : shim::VotePattern::kAllToAll;
       for (uint32_t i = 0; i < config_.shim.n; ++i) {
-        shim::ByzantineBehavior behavior = ConfiguredBehavior(i);
         auto replica = std::make_unique<shim::PbftReplica>(
             shim_ids_[i], i, config_.shim, shim_ids_, keys_, sim_, net_,
-            behavior, pattern);
+            pattern);
         auto cpu =
             std::make_unique<sim::ServerResource>(sim_, config_.shim_cores);
         net_->Register(replica.get(), sim::RegionTable::kHomeRegion);
@@ -287,18 +272,17 @@ void ShardPlane::WirePbftCallbacks() {
   for (uint32_t i = 0; i < pbft_replicas_.size(); ++i) {
     shim::PbftReplica* replica = pbft_replicas_[i].get();
     ActorId node = shim_ids_[i];
-    shim::ByzantineBehavior behavior = ConfiguredBehavior(i);
     uint32_t index = i;
     uint32_t n = config_.shim.n;
 
     replica->SetCommitCallback(
-        [this, node, behavior, index, n](
+        [this, replica, node, index, n](
             SeqNum seq, ViewNum view,
             const workload::BatchPtr& batch,
             const crypto::CommitCertificate& cert) {
           bool is_primary = (view % n) == index;
-          spawner_->OnCommit(node, is_primary, behavior, seq, view, batch,
-                             cert);
+          spawner_->OnCommit(node, is_primary, replica->behavior(), seq,
+                             view, batch, cert);
         });
     replica->SetRespawnCallback(
         [this](SeqNum seq) { spawner_->OnRespawn(seq); });
@@ -369,12 +353,13 @@ ActorId ShardPlane::CurrentPrimary() const {
     case Protocol::kServerlessBft:
     case Protocol::kPbftBaseline:
     case Protocol::kServerlessBftLinear: {
-      // Take the max view among honest replicas (byzantine ones may lag
-      // or lie; honest majority decides where clients should send).
+      // Take the max view among the replicas that are honest right now
+      // (byzantine ones may lag or lie; the honest majority decides where
+      // clients should send).
       ViewNum view = 0;
-      for (uint32_t i = 0; i < pbft_replicas_.size(); ++i) {
-        if (ConfiguredByzantine(i)) continue;
-        view = std::max(view, pbft_replicas_[i]->view());
+      for (const auto& replica : pbft_replicas_) {
+        if (replica->behavior().byzantine) continue;
+        view = std::max(view, replica->view());
       }
       return shim_ids_[view % shim_ids_.size()];
     }

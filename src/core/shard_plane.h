@@ -77,20 +77,15 @@ class ShardPlane {
     return paxos_replicas_;
   }
 
-  /// The shim node clients (or the coordinator) should currently talk to.
+  /// The shim node clients (or the coordinator) should currently talk to:
+  /// for PBFT, the primary of the highest view among the replicas that
+  /// are not byzantine when it is called.
   ActorId CurrentPrimary() const;
 
   /// Completed view changes across this plane's replicas.
   uint64_t ViewChanges() const;
 
  private:
-  /// Configured byzantine behaviour of plane-local node `index`.
-  /// SystemConfig::byzantine_nodes is keyed by *global* shard-major
-  /// index (s*n+i), matching the fault-schedule convention; shard 0 of a
-  /// single-plane system keeps the familiar 0..n-1 keys.
-  shim::ByzantineBehavior ConfiguredBehavior(uint32_t index) const;
-  bool ConfiguredByzantine(uint32_t index) const;
-
   void BuildShim();
   void BuildVerifierAndStorage();
   void BuildCloudAndSpawner();

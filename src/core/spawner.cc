@@ -59,15 +59,9 @@ std::shared_ptr<const shim::ExecuteMsg> Spawner::BuildWork(
 }
 
 void Spawner::OnCommit(ActorId node, bool is_primary,
-                       const shim::ByzantineBehavior& configured_behavior,
-                       SeqNum seq, ViewNum view,
-                       const workload::BatchPtr& batch,
+                       const shim::ByzantineBehavior& behavior, SeqNum seq,
+                       ViewNum view, const workload::BatchPtr& batch,
                        const crypto::CommitCertificate& cert) {
-  // Fault-engine overrides beat the behaviour captured at wiring time.
-  auto override_it = behavior_overrides_.find(node);
-  const shim::ByzantineBehavior& behavior =
-      override_it != behavior_overrides_.end() ? override_it->second
-                                               : configured_behavior;
   // Record the EXECUTE payload on every node's commit so a *new* primary
   // can satisfy respawn requests for sequences the old primary spawned
   // short (§V-A recovery) — unless the verifier already settled it (a

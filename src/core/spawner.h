@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.h"
@@ -34,8 +33,8 @@ class Spawner {
           ActorId verifier, ActorId storage);
 
   /// Called from a shim node's commit callback. `node` identifies the
-  /// spawning node, `is_primary` its role at commit time, `behavior` its
-  /// byzantine policy.
+  /// spawning node, `is_primary` its role at commit time, `behavior` the
+  /// byzantine policy its replica holds at commit time.
   void OnCommit(ActorId node, bool is_primary,
                 const shim::ByzantineBehavior& behavior, SeqNum seq,
                 ViewNum view, const workload::BatchPtr& batch,
@@ -65,17 +64,6 @@ class Spawner {
   /// re-drive the lock stage in conflict-avoidance mode.
   void OnPrepareLocksReleased() {
     if (config_.conflict_avoidance) ProcessLockStage();
-  }
-
-  /// Overrides the byzantine spawning policy of `node` at runtime (fault
-  /// engine). The Architecture captures each node's configured behaviour
-  /// at wiring time; this override takes precedence on later commits.
-  void SetNodeBehaviorOverride(ActorId node,
-                               const shim::ByzantineBehavior& behavior) {
-    behavior_overrides_[node] = behavior;
-  }
-  void ClearNodeBehaviorOverride(ActorId node) {
-    behavior_overrides_.erase(node);
   }
 
   uint64_t batches_spawned() const { return batches_spawned_; }
@@ -152,9 +140,6 @@ class Spawner {
   // is bounded by how far the verifier lags behind consensus.
   std::map<SeqNum, std::shared_ptr<const shim::ExecuteMsg>> recent_work_;
   SeqNum settled_seq_ = 0;
-
-  // Runtime byzantine-spawning overrides (fault engine), by node id.
-  std::unordered_map<ActorId, shim::ByzantineBehavior> behavior_overrides_;
 
   // §VI-C logical locks: the shared LockTable keyed by holding sequence.
   LockTable lock_stage_;

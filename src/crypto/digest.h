@@ -22,13 +22,6 @@ class Digest {
   /// All-zero digest.
   Digest() { bytes_.fill(0); }
 
-  /// Builds from exactly kSize raw bytes.
-  static Digest FromRaw(const uint8_t* data) {
-    Digest d;
-    std::memcpy(d.bytes_.data(), data, kSize);
-    return d;
-  }
-
   const std::array<uint8_t, kSize>& bytes() const { return bytes_; }
   uint8_t* mutable_data() { return bytes_.data(); }
   const uint8_t* data() const { return bytes_.data(); }

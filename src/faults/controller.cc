@@ -26,8 +26,6 @@ const char* KindName(FaultKind kind) {
     case FaultKind::kSuspendSpawns: return "suspend spawns";
     case FaultKind::kResumeSpawns: return "resume spawns";
     case FaultKind::kStraggleExecutors: return "straggle executors";
-    case FaultKind::kCrashCoordinator: return "crash coordinator";
-    case FaultKind::kRecoverCoordinator: return "recover coordinator";
     case FaultKind::kCrashCoordinatorMember:
       return "crash coordinator member";
     case FaultKind::kCrashCoordinatorLeader:
@@ -94,8 +92,6 @@ Status FaultController::Validate(const FaultEvent& event) const {
         return Status::InvalidArgument(os.str());
       }
       break;
-    case FaultKind::kCrashCoordinator:
-    case FaultKind::kRecoverCoordinator:
     case FaultKind::kCrashCoordinatorLeader:
     case FaultKind::kHealCoordinators:
       if (arch_->coordinator() == nullptr) {
@@ -170,19 +166,6 @@ void FaultController::SetReplicaBehavior(
     uint32_t index, const shim::ByzantineBehavior& behavior) {
   const auto& pbft = arch_->pbft_replicas();
   if (index < pbft.size()) pbft[index]->SetBehavior(behavior);
-  // Spawning attacks ride on commit callbacks that captured the
-  // configured behaviour; the spawner-side override (of the node's own
-  // shard plane) keeps them in sync.
-  ActorId id = ShimActor(index);
-  if (id != kInvalidActor) {
-    uint32_t shard = index / arch_->config().shim.n;
-    core::Spawner* spawner = arch_->plane(shard)->spawner();
-    if (behavior.byzantine) {
-      spawner->SetNodeBehaviorOverride(id, behavior);
-    } else {
-      spawner->ClearNodeBehaviorOverride(id);
-    }
-  }
 }
 
 void FaultController::Apply(const FaultEvent& event) {
@@ -252,12 +235,6 @@ void FaultController::Apply(const FaultEvent& event) {
         arch_->plane(s)->cloud()->SetExtraStartLatency(event.delay);
       }
       break;
-    case FaultKind::kCrashCoordinator:
-      arch_->coordinator()->SetCrashed(true);
-      break;
-    case FaultKind::kRecoverCoordinator:
-      arch_->coordinator()->SetCrashed(false);
-      break;
     case FaultKind::kCrashCoordinatorMember:
       arch_->coordinator(event.node)->SetCrashed(true);
       break;
@@ -295,11 +272,9 @@ void FaultController::Apply(const FaultEvent& event) {
     }
   }
   ++events_applied_;
-  std::ostringstream os;
-  os << FormatDuration(arch_->simulator()->now()) << " "
-     << KindName(event.kind);
-  applied_log_.push_back(os.str());
-  SBFT_LOG(kInfo) << name() << " applied: " << applied_log_.back();
+  SBFT_LOG(kInfo) << name() << " applied: "
+                  << FormatDuration(arch_->simulator()->now()) << " "
+                  << KindName(event.kind);
 }
 
 }  // namespace sbft::faults

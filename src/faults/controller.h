@@ -1,9 +1,6 @@
 #ifndef SBFT_FAULTS_CONTROLLER_H_
 #define SBFT_FAULTS_CONTROLLER_H_
 
-#include <string>
-#include <vector>
-
 #include "common/status.h"
 #include "core/architecture.h"
 #include "faults/schedule.h"
@@ -18,7 +15,7 @@ namespace sbft::faults {
 /// schedules one simulator event per fault; Apply() maps each FaultKind
 /// onto the corresponding runtime hook: Network link rules / partitions /
 /// skew, replica crash & byzantine toggles, CloudSimulator executor
-/// faults, and Spawner behaviour overrides. Because the simulator fires
+/// faults, and coordinator crashes. Because the simulator fires
 /// equal-time events in scheduling order and every hook is deterministic,
 /// a (scenario, seed) pair replays to an identical run.
 class FaultController : public sim::Actor {
@@ -43,9 +40,6 @@ class FaultController : public sim::Actor {
 
   uint64_t events_applied() const { return events_applied_; }
 
-  /// Human-readable trace of applied events ("1.000s crash node 0", ...).
-  const std::vector<std::string>& applied_log() const { return applied_log_; }
-
  private:
   Status Validate(const FaultEvent& event) const;
   void Apply(const FaultEvent& event);
@@ -61,7 +55,6 @@ class FaultController : public sim::Actor {
   core::Architecture* arch_;
   bool installed_ = false;
   uint64_t events_applied_ = 0;
-  std::vector<std::string> applied_log_;
 };
 
 }  // namespace sbft::faults

@@ -31,15 +31,13 @@ enum class FaultKind : uint8_t {
   kSuspendSpawns,        ///< Provider rejects all spawns (starvation).
   kResumeSpawns,         ///< Provider accepts spawns again.
   kStraggleExecutors,    ///< Extra start latency `delay` on future spawns.
-  kCrashCoordinator,     ///< Crash-stop the cross-shard 2PC coordinator.
-  kRecoverCoordinator,   ///< Recover it (volatile state lost, decision
-                         ///< log kept).
-  // Replicated coordinator group (DESIGN.md §10). `node` is the member
-  // index within the group, not a shim node index.
-  kCrashCoordinatorMember,    ///< Crash-stop group member `node`.
+  // Coordinator members (DESIGN.md §10). `node` is the flat member index,
+  // not a shim node index; `crash coordinator` is member 0.
+  kCrashCoordinatorMember,    ///< Crash-stop member `node`.
   kCrashCoordinatorLeader,    ///< Crash-stop whichever member currently
                               ///< leads (resolved when the event fires).
-  kRecoverCoordinatorMember,  ///< Recover group member `node`.
+  kRecoverCoordinatorMember,  ///< Recover member `node` (volatile state
+                              ///< lost, decision log kept).
   kPartitionCoordinators,     ///< Cut coordinator-to-coordinator links
                               ///< between group_a and group_b (member
                               ///< indexes); shard/client links stay up.

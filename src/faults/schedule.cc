@@ -84,10 +84,6 @@ bool ApplyByzantineFlag(const std::string& flag,
     key = flag.substr(0, eq);
     value = flag.substr(eq + 1);
   }
-  if (key == "crash") {
-    behavior->crash = true;
-    return value.empty();
-  }
   if (key == "equivocate") {
     behavior->equivocate = true;
     return value.empty();
@@ -215,10 +211,10 @@ Result<FaultSchedule> FaultSchedule::Parse(std::string_view text) {
         return LineError(line_no, "bad node index");
       }
     } else if (action == "crash" && arg(0) == "coordinator" && args == 1) {
-      event.kind = FaultKind::kCrashCoordinator;
+      event.kind = FaultKind::kCrashCoordinatorMember;  // Member 0.
     } else if (action == "recover" && arg(0) == "coordinator" &&
                args == 1) {
-      event.kind = FaultKind::kRecoverCoordinator;
+      event.kind = FaultKind::kRecoverCoordinatorMember;
     } else if (action == "crash" && arg(0) == "coordinator" && args == 2 &&
                arg(1) == "leader") {
       event.kind = FaultKind::kCrashCoordinatorLeader;

@@ -41,11 +41,13 @@ namespace sbft::faults {
 ///
 /// Node indexes are global and shard-major: with S shard planes of n
 /// nodes each, index s*n+i names node i of shard s. The coordinator
-/// verbs require a sharded (shard_count > 1) architecture.
+/// verbs require a sharded (shard_count > 1) architecture; `crash
+/// coordinator` and `recover coordinator` name member 0.
 ///
 /// Durations accept ns/us/ms/s suffixes ("250us", "1.5s"). Byzantine
-/// flags: crash, equivocate, suppress-requests, dark=<actorid,...>,
-/// spawn-delay=<dur>, spawn-count=<n>, duplicate-spawns=<n>.
+/// flags: equivocate, suppress-requests, dark=<actorid,...>,
+/// spawn-delay=<dur>, spawn-count=<n>, duplicate-spawns=<n>. An attack
+/// that starts with the run is an `at 0ms` line installed before Start().
 class FaultSchedule {
  public:
   FaultSchedule() = default;

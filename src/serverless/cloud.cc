@@ -25,7 +25,7 @@ ActorId CloudSimulator::Spawn(sim::RegionId region,
                               uint32_t shim_quorum,
                               ExecutorBehavior behavior) {
   ++spawn_requests_;
-  if (spawns_suspended_ || active_ >= config_.max_concurrent) {
+  if (suspended_ || active_ >= config_.max_concurrent) {
     ++spawns_throttled_;
     return kInvalidActor;
   }
@@ -43,7 +43,7 @@ ActorId CloudSimulator::Spawn(sim::RegionId region,
       std::make_unique<sim::ServerResource>(sim_, config_.executor_cores);
   instance.function = std::make_unique<ExecutorFunction>(
       id, std::move(work), verifier, storage, shim_quorum, keys_, sim_, net_,
-      instance.cpu.get(), config_.costs, behavior,
+      instance.cpu.get(), behavior,
       [this](ActorId done_id) { OnExecutorDone(done_id); });
 
   net_->Register(instance.function.get(), region);

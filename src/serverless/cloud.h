@@ -30,8 +30,6 @@ struct CloudConfig {
   /// Executor instance shape.
   int executor_cores = 2;
   double executor_memory_gb = 1.0;
-  /// CPU cost model of the function body.
-  ExecutorCostModel costs;
 };
 
 /// \brief Simulated multi-region serverless provider (AWS-Lambda stand-in,
@@ -84,8 +82,7 @@ class CloudSimulator {
   /// While suspended every Spawn request is rejected as throttled — the
   /// fault engine's model of provider-side capacity exhaustion (executor
   /// starvation). The spawner's retry/backoff loop recovers on resume.
-  void SetSpawnsSuspended(bool suspended) { spawns_suspended_ = suspended; }
-  bool spawns_suspended() const { return spawns_suspended_; }
+  void SetSpawnsSuspended(bool suspended) { suspended_ = suspended; }
 
   /// Adds a fixed extra start latency to every subsequent spawn
   /// (straggler injection). Pass 0 to clear.
@@ -150,7 +147,7 @@ class CloudSimulator {
   // Finished or killed executors by sequence, kept above settled_seq_.
   std::multimap<SeqNum, ActorId> awaiting_settle_;
   int active_ = 0;
-  bool spawns_suspended_ = false;
+  bool suspended_ = false;  // Every spawn throttled (fault engine).
   SimDuration extra_start_latency_ = 0;
   uint64_t spawn_requests_ = 0;
   uint64_t spawns_accepted_ = 0;

@@ -9,8 +9,7 @@ ExecutorFunction::ExecutorFunction(
     ActorId id, std::shared_ptr<const shim::ExecuteMsg> work,
     ActorId verifier, ActorId storage, uint32_t shim_quorum,
     crypto::KeyRegistry* keys, sim::Simulator* sim, sim::Network* net,
-    sim::ServerResource* cpu, ExecutorCostModel costs,
-    ExecutorBehavior behavior, DoneCallback done)
+    sim::ServerResource* cpu, ExecutorBehavior behavior, DoneCallback done)
     : Actor(id, "executor-" + std::to_string(id)),
       work_(std::move(work)),
       verifier_(verifier),
@@ -20,7 +19,6 @@ ExecutorFunction::ExecutorFunction(
       sim_(sim),
       net_(net),
       cpu_(cpu),
-      costs_(costs),
       behavior_(behavior),
       done_(std::move(done)) {}
 
@@ -30,8 +28,8 @@ void ExecutorFunction::Start() {
   // function — this is what defeats spawns from stale/forged EXECUTE
   // messages (§V-C duplicate spawning by non-primary).
   SimDuration validate_cost =
-      costs_.base +
-      costs_.per_sig_verify *
+      kExecutorCosts.base +
+      kExecutorCosts.per_sig_verify *
           static_cast<SimDuration>(work_->cert.signatures.size() + 1);
   cpu_->Submit(validate_cost, [this]() {
     if (killed_) return;
@@ -131,7 +129,7 @@ void ExecutorFunction::Execute(const shim::StorageReadReplyMsg& reply) {
   std::vector<storage::RwSet> txn_rws;
   txn_rws.reserve(work_->batch->txns.size());
   for (const workload::Transaction& txn : work_->batch->txns) {
-    compute += costs_.per_txn;
+    compute += kExecutorCosts.per_txn;
     SimDuration txn_compute = 0;
     storage::RwSet txn_rw;
     for (const workload::Operation& op : txn.ops) {

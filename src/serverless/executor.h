@@ -23,7 +23,7 @@ enum class ExecutorBehavior : uint8_t {
                          ///< (§V-C attack iii).
 };
 
-/// CPU cost parameters of the executor function.
+/// CPU cost constants of the executor function (DESIGN.md §15).
 struct ExecutorCostModel {
   /// Verifying one DS inside the certificate C.
   SimDuration per_sig_verify = Micros(60);
@@ -33,6 +33,9 @@ struct ExecutorCostModel {
   /// Fixed startup work (decode EXECUTE, hash batch).
   SimDuration base = Micros(50);
 };
+
+/// The one cost table every executor reads.
+inline constexpr ExecutorCostModel kExecutorCosts{};
 
 /// \brief One stateless serverless function instance (paper §IV-C, §VIII
 /// "Serverless Function").
@@ -53,8 +56,7 @@ class ExecutorFunction : public sim::Actor {
                    ActorId verifier, ActorId storage, uint32_t shim_quorum,
                    crypto::KeyRegistry* keys, sim::Simulator* sim,
                    sim::Network* net, sim::ServerResource* cpu,
-                   ExecutorCostModel costs, ExecutorBehavior behavior,
-                   DoneCallback done);
+                   ExecutorBehavior behavior, DoneCallback done);
 
   /// Begins the function body (called by the cloud after start latency).
   void Start();
@@ -83,7 +85,6 @@ class ExecutorFunction : public sim::Actor {
   sim::Simulator* sim_;
   sim::Network* net_;
   sim::ServerResource* cpu_;
-  ExecutorCostModel costs_;
   ExecutorBehavior behavior_;
   DoneCallback done_;
   uint64_t read_request_id_ = 0;

@@ -32,8 +32,7 @@ Bytes LinearSigningBytes(LinearPhase phase, ViewNum view, SeqNum seq,
 PbftReplica::PbftReplica(ActorId id, uint32_t index, const ShimConfig& config,
                          std::vector<ActorId> peers,
                          crypto::KeyRegistry* keys, sim::Simulator* sim,
-                         sim::Network* net, ByzantineBehavior behavior,
-                         VotePattern pattern)
+                         sim::Network* net, VotePattern pattern)
     : Actor(id, "shim-" + std::to_string(index)),
       config_(config),
       index_(index),
@@ -41,7 +40,6 @@ PbftReplica::PbftReplica(ActorId id, uint32_t index, const ShimConfig& config,
       keys_(keys),
       sim_(sim),
       net_(net),
-      behavior_(behavior),
       pattern_(pattern) {
   assert(peers_.size() == config_.n);
   assert(peers_[index_] == id);
@@ -58,7 +56,7 @@ void PbftReplica::BroadcastToPeers(const MessagePtr& msg) {
 }
 
 void PbftReplica::OnMessage(const sim::Envelope& env) {
-  if (Crashed()) return;
+  if (crashed_) return;
   const auto* base = static_cast<const Message*>(env.message.get());
   if (base == nullptr) return;
   switch (base->kind) {
@@ -151,7 +149,7 @@ void PbftReplica::ScheduleBatchFlush() {
   if (batch_flush_timer_ != 0 || pending_.empty()) return;
   batch_flush_timer_ = sim_->Schedule(config_.batch_timeout, [this]() {
     batch_flush_timer_ = 0;
-    if (Crashed() || !IsPrimary() || in_view_change_ || pending_.empty()) {
+    if (crashed_ || !IsPrimary() || in_view_change_ || pending_.empty()) {
       return;
     }
     size_t take = std::min(pending_.size(), config_.batch_size);
@@ -164,7 +162,7 @@ void PbftReplica::ScheduleBatchFlush() {
 }
 
 void PbftReplica::MaybeProposeBatch() {
-  if (Crashed() || !IsPrimary() || in_view_change_) return;
+  if (crashed_ || !IsPrimary() || in_view_change_) return;
   // Pipeline bound (§VI-A concurrent consensus): count in-flight slots.
   size_t inflight = 0;
   for (const auto& [seq, slot] : slots_) {
@@ -600,7 +598,7 @@ void PbftReplica::HandleAck(const sim::Envelope& env) {
 // ---------------------------------------------------------------------------
 
 void PbftReplica::StartViewChange(ViewNum target) {
-  if (Crashed()) return;  // A crashed node's timers take no action.
+  if (crashed_) return;  // A crashed node's timers take no action.
   if (target <= view_) return;
   if (in_view_change_ && target <= target_view_) return;
   in_view_change_ = true;

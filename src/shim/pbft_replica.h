@@ -59,11 +59,10 @@ class PbftReplica : public sim::Actor {
       std::function<void(ActorId from, const ResponseMsg& msg)>;
 
   /// `index` is the node's position in `peers` (identifier 0..n-1, §IV-B);
-  /// the primary of view v is peers[v mod n].
+  /// the primary of view v is peers[v mod n]. The node starts honest.
   PbftReplica(ActorId id, uint32_t index, const ShimConfig& config,
               std::vector<ActorId> peers, crypto::KeyRegistry* keys,
               sim::Simulator* sim, sim::Network* net,
-              ByzantineBehavior behavior = {},
               VotePattern pattern = VotePattern::kAllToAll);
 
   void OnMessage(const sim::Envelope& env) override;
@@ -92,8 +91,9 @@ class PbftReplica : public sim::Actor {
   void SetCrashed(bool crashed) { crashed_ = crashed; }
   bool crashed() const { return crashed_; }
 
-  /// Replaces the byzantine behaviour at runtime (fault engine); pass a
+  /// Replaces the byzantine behaviour (fault engine); pass a
   /// default-constructed ByzantineBehavior to return the node to honesty.
+  /// The node's spawner reads it at every commit.
   void SetBehavior(const ByzantineBehavior& behavior) {
     behavior_ = behavior;
   }
@@ -181,9 +181,6 @@ class PbftReplica : public sim::Actor {
   /// Sends `msg` to every other replica; the wire size is the message's
   /// counted WireSize(), taken once for the whole fan-out.
   void BroadcastToPeers(const MessagePtr& msg);
-  bool Crashed() const {
-    return crashed_ || (behavior_.byzantine && behavior_.crash);
-  }
 
   ShimConfig config_;
   uint32_t index_;

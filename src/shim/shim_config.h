@@ -47,13 +47,12 @@ struct ShimConfig {
 };
 
 /// \brief Byzantine behaviour of one shim node. Default-constructed nodes
-/// are honest; the attack drills (§V) flip individual switches.
+/// are honest; a fault schedule's `byzantine node` line (§V attacks) sets
+/// one on the node's PbftReplica, the only holder, and `honest node`
+/// clears it. A crash is not a behaviour: it is `crash node`.
 struct ByzantineBehavior {
   /// Master switch; when false all other fields are ignored.
   bool byzantine = false;
-
-  /// Crash-stop: the node stops participating entirely.
-  bool crash = false;
 
   /// Request suppression (§V-A): as primary, drop client requests.
   bool suppress_requests = false;

@@ -138,13 +138,6 @@ void Network::SetDeliveryObserver(DeliveryObserver observer) {
   observer_ = std::move(observer);
 }
 
-RegionId Network::RegionOf(ActorId id) const {
-  const auto& eps = loops_[LoopOf(id)].endpoints;
-  auto it = eps.find(id);
-  assert(it != eps.end());
-  return it->second.region;
-}
-
 Network::Verdict Network::DecideDelivery(ActorId from, ActorId to,
                                          RegionId from_region,
                                          RegionId to_region, Rng* rng) {

@@ -112,7 +112,6 @@ class Network {
   /// parallel engine, whose deliveries run on every loop's thread.
   void SetDeliveryObserver(DeliveryObserver observer);
 
-  RegionId RegionOf(ActorId id) const;
   const RegionTable& regions() const { return regions_; }
 
   // --- parallel-mode wiring (conservative-PDES engine, DESIGN.md §11) ---

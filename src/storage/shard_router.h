@@ -46,12 +46,6 @@ class ShardRouter {
   /// Sorted, deduplicated list of shards a key set spans.
   std::vector<ShardId> ShardsOf(const std::vector<std::string>& keys) const;
 
-  /// True when every key lives on one shard (also true for empty sets,
-  /// which are homed on shard 0).
-  bool SingleShard(const std::vector<std::string>& keys) const {
-    return ShardsOf(keys).size() <= 1;
-  }
-
  private:
   uint32_t shard_count_;
 };

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "core/serverless_bft.h"
+#include "faults/controller.h"
+#include "faults/schedule.h"
 
 #include "log_trail.h"
 
@@ -36,28 +38,26 @@ SystemConfig ConfigFor(const PropertyCase& param) {
   config.seed = param.seed;
   config.network.drop_probability = param.drop;
   config.network.duplicate_probability = param.duplicate;
-  switch (param.byzantine_kind) {
-    case 1:
-      config.byzantine_nodes[2].byzantine = true;
-      config.byzantine_nodes[2].crash = true;
-      break;
-    case 2:
-      config.byzantine_nodes[0].byzantine = true;
-      config.byzantine_nodes[0].dark_nodes = {3};
-      break;
-    case 3:
-      config.byzantine_executors = 1;
-      config.byzantine_executor_behavior =
-          serverless::ExecutorBehavior::kWrongResult;
-      break;
-    case 4:
-      config.byzantine_nodes[0].byzantine = true;
-      config.byzantine_nodes[0].suppress_requests = true;
-      break;
-    default:
-      break;
+  if (param.byzantine_kind == 3) {
+    config.byzantine_executors = 1;
+    config.byzantine_executor_behavior =
+        serverless::ExecutorBehavior::kWrongResult;
   }
   return config;
+}
+
+/// The shim-node fault of `param`, as a schedule that starts with the run.
+const char* ScheduleFor(const PropertyCase& param) {
+  switch (param.byzantine_kind) {
+    case 1:
+      return "at 0ms crash node 2\n";
+    case 2:
+      return "at 0ms byzantine node 0 dark=3\n";
+    case 4:
+      return "at 0ms byzantine node 0 suppress-requests\n";
+    default:
+      return "";
+  }
 }
 
 TEST_P(SafetyPropertyTest, InvariantsHold) {
@@ -65,6 +65,10 @@ TEST_P(SafetyPropertyTest, InvariantsHold) {
   SystemConfig config = ConfigFor(param);
   Architecture arch(config);
   LogTrail trail(arch);
+  faults::FaultController controller(&arch);
+  auto schedule = faults::FaultSchedule::Parse(ScheduleFor(param));
+  ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
+  ASSERT_TRUE(controller.Install(*schedule).ok()) << param.name;
   arch.Start();
   arch.simulator()->RunUntil(Seconds(4));
 
@@ -77,7 +81,7 @@ TEST_P(SafetyPropertyTest, InvariantsHold) {
   for (SeqNum seq = 1; seq <= max_seq; ++seq) {
     const crypto::Digest* first = nullptr;
     for (uint32_t i = 0; i < config.shim.n; ++i) {
-      if (config.byzantine_nodes.contains(i)) continue;
+      if (arch.pbft_replicas()[i]->behavior().byzantine) continue;
       auto digest = arch.pbft_replicas()[i]->CommittedDigest(seq);
       if (!digest.has_value()) continue;
       if (first == nullptr) {

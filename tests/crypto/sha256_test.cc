@@ -86,13 +86,6 @@ TEST(DigestTest, OrderingAndEquality) {
   EXPECT_EQ(a, a2);
 }
 
-TEST(DigestTest, FromRawRoundTrip) {
-  Digest a = Sha256::Hash("roundtrip");
-  Bytes raw = a.ToBytes();
-  Digest b = Digest::FromRaw(raw.data());
-  EXPECT_EQ(a, b);
-}
-
 TEST(DigestTest, HashFunctorDistinguishes) {
   DigestHash hasher;
   EXPECT_NE(hasher(Sha256::Hash("p")), hasher(Sha256::Hash("q")));

@@ -102,6 +102,8 @@ TEST(FaultScheduleTest, RejectsMalformedLines) {
   EXPECT_FALSE(FaultSchedule::Parse("at 1s partition nodes 0 1\n").ok());
   EXPECT_FALSE(FaultSchedule::Parse("at 1s link 1 2 drop 1.5\n").ok());
   EXPECT_FALSE(FaultSchedule::Parse("at 1s byzantine node 0 vibes\n").ok());
+  // A crash is `crash node i`, not a byzantine flag.
+  EXPECT_FALSE(FaultSchedule::Parse("at 1s byzantine node 0 crash\n").ok());
   // Out-of-range numbers are rejected, not wrapped.
   EXPECT_FALSE(FaultSchedule::Parse("at 1e30s crash node 0\n").ok());
   EXPECT_FALSE(FaultSchedule::Parse("at 9223372037s crash node 0\n").ok());
@@ -118,6 +120,18 @@ TEST(FaultScheduleTest, RejectsMalformedLines) {
   auto bad = FaultSchedule::Parse("at 1s crash node 0\nat 2s nonsense\n");
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.status().message().find("line 2"), std::string::npos);
+}
+
+TEST(FaultScheduleTest, CoordinatorCrashIsMemberZero) {
+  auto schedule = FaultSchedule::Parse(
+      "at 1s crash coordinator\n"
+      "at 2s recover coordinator\n");
+  ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
+  ASSERT_EQ(schedule->size(), 2u);
+  EXPECT_EQ(schedule->events()[0].kind, FaultKind::kCrashCoordinatorMember);
+  EXPECT_EQ(schedule->events()[0].node, 0u);
+  EXPECT_EQ(schedule->events()[1].kind, FaultKind::kRecoverCoordinatorMember);
+  EXPECT_EQ(schedule->events()[1].node, 0u);
 }
 
 TEST(FaultScheduleTest, RejectsNegativeNodeIndex) {
@@ -227,7 +241,7 @@ TEST(FaultEngineTest, SpawnSuspensionStarvesThenRecovers) {
 
 TEST(FaultEngineTest, RuntimeByzantineToggleAffectsSpawning) {
   // Flip the primary to the fewer-executors attack at runtime, then back
-  // to honest: the spawner override must follow both transitions.
+  // to honest: the spawner must follow both transitions.
   core::Architecture arch(SmallConfig());
   auto schedule = FaultSchedule::Parse(
       "at 1s byzantine node 0 spawn-count=1\n"

@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-
 #include "replica_harness.h"
 
 namespace sbft::shim {
@@ -13,11 +11,8 @@ namespace {
 /// A shim of n nodes running the collector (linear) vote pattern.
 class LinearHarness : public PbftHarness {
  public:
-  explicit LinearHarness(uint32_t n,
-                         std::map<uint32_t, ByzantineBehavior> byzantine = {},
-                         ShimConfig config = DefaultShimConfig())
-      : PbftHarness(n, std::move(byzantine), {}, config,
-                    VotePattern::kCollector) {}
+  explicit LinearHarness(uint32_t n, ShimConfig config = DefaultShimConfig())
+      : PbftHarness(n, {}, {}, config, VotePattern::kCollector) {}
 };
 
 TEST(LinearReplicaTest, CommitsOnAllNodes) {
@@ -71,10 +66,8 @@ TEST(LinearReplicaTest, LinearMessageComplexity) {
 }
 
 TEST(LinearReplicaTest, ToleratesCrashedBackup) {
-  std::map<uint32_t, ByzantineBehavior> byz;
-  byz[2].byzantine = true;
-  byz[2].crash = true;
-  LinearHarness h(4, byz);
+  LinearHarness h(4);
+  h.replicas_[2]->SetCrashed(true);
   for (TxnId t = 1; t <= 5; ++t) h.SendTxn(t);
   h.sim_.RunUntil(Seconds(1));
   for (SeqNum s = 1; s <= 5; ++s) {
@@ -122,7 +115,7 @@ TEST(LinearReplicaTest, CheckpointsKeepUpOverLongRuns) {
   // and stabilise them like the all-to-all pattern does.
   ShimConfig config = PbftHarness::DefaultShimConfig();
   config.checkpoint_interval = 128;
-  LinearHarness h(4, {}, config);
+  LinearHarness h(4, config);
   for (TxnId t = 1; t <= 2000; ++t) h.SendTxn(t);
   h.sim_.RunUntil(Seconds(5));
   EXPECT_EQ(h.CommitCount(2000), 4u);

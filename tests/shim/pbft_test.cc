@@ -73,10 +73,8 @@ TEST(PbftTest, RequestToBackupIsForwardedToPrimary) {
 }
 
 TEST(PbftTest, ToleratesCrashedBackups) {
-  std::map<uint32_t, ByzantineBehavior> byz;
-  byz[2].byzantine = true;
-  byz[2].crash = true;
-  PbftHarness h(4, byz);
+  PbftHarness h(4);
+  h.replicas_[2]->SetCrashed(true);
   for (TxnId t = 1; t <= 5; ++t) h.SendTxn(t);
   h.sim_.RunUntil(Seconds(1));
   // 3 of 4 nodes (the quorum) still commit.
@@ -86,10 +84,8 @@ TEST(PbftTest, ToleratesCrashedBackups) {
 }
 
 TEST_P(PbftPatternTest, CrashedPrimaryTriggersViewChange) {
-  std::map<uint32_t, ByzantineBehavior> byz;
-  byz[0].byzantine = true;
-  byz[0].crash = true;
-  PbftHarness h(4, byz, {}, PbftHarness::DefaultShimConfig(), GetParam());
+  PbftHarness h(4, {}, {}, PbftHarness::DefaultShimConfig(), GetParam());
+  h.replicas_[0]->SetCrashed(true);
   // Requests go to the dead primary; backups never see PREPREPAREs, so
   // nothing commits — the τ_m path needs an accepted preprepare. Instead
   // the client (or verifier) escalates; here we emulate the REPLACE path.
@@ -210,12 +206,9 @@ TEST(PbftTest, LargerShimCommits) {
 }
 
 TEST_P(PbftPatternTest, TwoCrashedOfSevenStillLive) {
-  std::map<uint32_t, ByzantineBehavior> byz;
-  byz[3].byzantine = true;
-  byz[3].crash = true;
-  byz[5].byzantine = true;
-  byz[5].crash = true;
-  PbftHarness h(7, byz, {}, PbftHarness::DefaultShimConfig(), GetParam());
+  PbftHarness h(7, {}, {}, PbftHarness::DefaultShimConfig(), GetParam());
+  h.replicas_[3]->SetCrashed(true);
+  h.replicas_[5]->SetCrashed(true);
   for (TxnId t = 1; t <= 5; ++t) h.SendTxn(t);
   h.sim_.RunUntil(Seconds(2));
   for (SeqNum s = 1; s <= 5; ++s) {

@@ -15,7 +15,8 @@ namespace sbft::shim {
 inline constexpr ActorId kClientId = 500;
 
 /// Test rig: n PbftReplicas running `pattern` on a LAN with a scripted
-/// client.
+/// client. Node i starts with `byzantine[i]` when present, else honest; a
+/// test crashes a node with `replicas_[i]->SetCrashed(true)`.
 class PbftHarness {
  public:
   explicit PbftHarness(uint32_t n,
@@ -36,12 +37,10 @@ class PbftHarness {
     keys_.RegisterNode(kClientId);
     commits_.resize(n);
     for (uint32_t i = 0; i < n; ++i) {
-      ByzantineBehavior behavior;
-      auto it = byzantine.find(i);
-      if (it != byzantine.end()) behavior = it->second;
       replicas_.push_back(std::make_unique<PbftReplica>(
-          ids_[i], i, config_, ids_, &keys_, &sim_, &net_, behavior,
-          pattern));
+          ids_[i], i, config_, ids_, &keys_, &sim_, &net_, pattern));
+      auto it = byzantine.find(i);
+      if (it != byzantine.end()) replicas_.back()->SetBehavior(it->second);
       net_.Register(replicas_.back().get(), 0);
       uint32_t index = i;
       replicas_.back()->SetCommitCallback(
