@@ -42,7 +42,7 @@ void PrintSatHeader() {
 
 void PrintSatRow(const sbft::core::RunReport& r) {
   std::printf("%-14.0f %12.0f %12.1f %12.1f %12.1f %10llu %10llu %10llu\n",
-              r.offered_tps, r.goodput_tps, r.latency_p50_s * 1e3,
+              r.offered_tps, r.throughput_tps, r.latency_p50_s * 1e3,
               r.latency_p99_s * 1e3, r.latency_p999_s * 1e3,
               static_cast<unsigned long long>(r.dropped_txns),
               static_cast<unsigned long long>(r.peak_inflight),

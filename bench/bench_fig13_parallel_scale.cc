@@ -157,16 +157,16 @@ int main(int argc, char** argv) {
       double wall = WallSeconds() - t0;
       std::printf("%-14.0f %12.0f %12.1f %12.1f %10llu %10llu %8.2f "
                   "%10.2f\n",
-                  r.offered_tps, r.goodput_tps, r.latency_p50_s * 1e3,
+                  r.offered_tps, r.throughput_tps, r.latency_p50_s * 1e3,
                   r.latency_p99_s * 1e3,
                   static_cast<unsigned long long>(r.dropped_txns),
                   static_cast<unsigned long long>(r.client_retransmissions),
                   r.coord_group_imbalance, wall);
       std::fflush(stdout);
       // The knee: the last rate the system still substantially absorbs.
-      if (r.goodput_tps >= 0.9 * rate) {
+      if (r.throughput_tps >= 0.9 * rate) {
         knee.knee_rate = rate;
-        knee.knee_goodput = r.goodput_tps;
+        knee.knee_goodput = r.throughput_tps;
         knee.imbalance = r.coord_group_imbalance;
         knee.wall_s = wall;
       }
@@ -208,9 +208,9 @@ int main(int argc, char** argv) {
       Seconds(0.5), Seconds(2.0));
   double parallel_wall = WallSeconds() - t0;
   std::printf("serial   (sim_threads=0):  %7.2f s wall, %8.0f goodput t/s\n",
-              serial_wall, serial.goodput_tps);
+              serial_wall, serial.throughput_tps);
   std::printf("parallel (sim_threads=%d): %7.2f s wall, %8.0f goodput t/s\n",
-              threads, parallel_wall, parallel.goodput_tps);
+              threads, parallel_wall, parallel.throughput_tps);
   std::printf("speedup: %.2fx\n",
               parallel_wall > 0 ? serial_wall / parallel_wall : 0.0);
 

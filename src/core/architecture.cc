@@ -77,8 +77,8 @@ Architecture::Architecture(const SystemConfig& config)
   // so closed-loop runs draw the exact historical sequence.
   if (config_.traffic.open_loop) BuildTrafficGenerator();
   // In open-loop mode the stores hold the traffic family's records (no
-  // clients run, so the YCSB rows would be dead weight for other
-  // families).
+  // closed-loop clients run, so the YCSB rows would be dead weight for
+  // other families).
   workload::TxnGenerator* loader = generator_.get();
   if (traffic_generator_ != nullptr) loader = traffic_generator_.get();
 
@@ -117,11 +117,7 @@ Architecture::Architecture(const SystemConfig& config)
   }
 
   if (config_.shard_count > 1) BuildCoordinator();
-  if (config_.traffic.open_loop) {
-    BuildSources();
-  } else {
-    BuildClients();
-  }
+  BuildSources();
 
   if (parallel_) {
     std::vector<sim::Simulator*> loop_sims;
@@ -213,9 +209,8 @@ void Architecture::BuildCoordinatorMember(
                          : planes_[shard]->CurrentPrimary();
       },
       &keys_, &sim_, net_.get(), coordinator_options);
-  auto cpu = std::make_unique<sim::ServerResource>(
-      &sim_, config_.coordinator_cores > 0 ? config_.coordinator_cores
-                                           : config_.verifier_cores);
+  auto cpu =
+      std::make_unique<sim::ServerResource>(&sim_, config_.CoordinatorCores());
   net_->Register(coordinator.get(), sim::RegionTable::kHomeRegion);
   net_->AttachServer(
       member_id, cpu.get(),
@@ -298,26 +293,6 @@ std::vector<uint64_t> Architecture::CoordinatorGroupDecisions() const {
   return per_group;
 }
 
-void Architecture::BuildClients() {
-  auto route = [this](const workload::Transaction& txn) {
-    return RouteTarget(txn);
-  };
-  auto fallback = [this](const workload::Transaction& txn) {
-    return FallbackTarget(txn);
-  };
-  for (uint32_t i = 0; i < config_.num_clients; ++i) {
-    ActorId id = kFirstClientId + i;
-    keys_.RegisterNode(id);
-    auto client = std::make_unique<Client>(
-        id, route, fallback, generator_.get(), &keys_, &sim_, net_.get(),
-        config_.client_timeout);
-    client->SetLatencyResolver(
-        [this](const workload::Transaction& txn) { return LatencyFor(txn); });
-    net_->Register(client.get(), sim::RegionTable::kHomeRegion);
-    clients_.push_back(std::move(client));
-  }
-}
-
 void Architecture::BuildTrafficGenerator() {
   using workload::TrafficFamily;
   switch (config_.traffic.family) {
@@ -341,12 +316,19 @@ void Architecture::BuildTrafficGenerator() {
 }
 
 void Architecture::BuildSources() {
-  auto route = [this](const workload::Transaction& txn) {
-    return RouteTarget(txn);
-  };
-  auto fallback = [this](const workload::Transaction& txn) {
-    return FallbackTarget(txn);
-  };
+  if (!config_.traffic.open_loop) {
+    // Closed loop (paper §IX): each client sends its next request when
+    // the last is answered. With no arrival process, no rng stream is
+    // forked, so the clients draw exactly what the goldens pin; the
+    // retry cap never binds one request.
+    workload::TrafficConfig closed;
+    closed.retry_timeout = config_.client_timeout;
+    for (uint32_t i = 0; i < config_.num_clients; ++i) {
+      AddSource(kFirstClientId + i, generator_.get(), nullptr, Rng(0),
+                closed);
+    }
+    return;
+  }
   if (config_.traffic.sources == 0) config_.traffic.sources = 1;
   uint32_t n = config_.traffic.sources;
   // offered_tps is aggregate: split evenly across the source actors
@@ -356,8 +338,6 @@ void Architecture::BuildSources() {
                                     ? traffic_generator_.get()
                                     : generator_.get();
   for (uint32_t i = 0; i < n; ++i) {
-    ActorId id = kFirstSourceId + i;
-    keys_.RegisterNode(id);
     std::unique_ptr<workload::ArrivalProcess> arrivals;
     switch (config_.traffic.arrival) {
       case workload::ArrivalKind::kPoisson:
@@ -374,15 +354,26 @@ void Architecture::BuildSources() {
             config_.traffic.diurnal_step);
         break;
     }
-    auto source = std::make_unique<TrafficSource>(
-        id, route, fallback, gen, workflow_generator_, &keys_, &sim_,
-        net_.get(), std::move(arrivals), sim_.rng()->Fork(0xa150 + i),
-        config_.traffic, &inflight_);
-    source->SetLatencyResolver(
-        [this](const workload::Transaction& txn) { return LatencyFor(txn); });
-    net_->Register(source.get(), sim::RegionTable::kHomeRegion);
-    sources_.push_back(std::move(source));
+    AddSource(kFirstSourceId + i, gen, std::move(arrivals),
+              sim_.rng()->Fork(0xa150 + i), config_.traffic);
   }
+}
+
+void Architecture::AddSource(
+    ActorId id, workload::TxnGenerator* generator,
+    std::unique_ptr<workload::ArrivalProcess> arrivals, Rng rng,
+    const workload::TrafficConfig& traffic) {
+  keys_.RegisterNode(id);
+  auto source = std::make_unique<TrafficSource>(
+      id,
+      [this](const workload::Transaction& txn) { return RouteTarget(txn); },
+      [this](const workload::Transaction& txn) { return FallbackTarget(txn); },
+      generator, workflow_generator_, &keys_, &sim_, net_.get(),
+      std::move(arrivals), rng, traffic, &inflight_);
+  source->SetLatencyResolver(
+      [this](const workload::Transaction& txn) { return LatencyFor(txn); });
+  net_->Register(source.get(), sim::RegionTable::kHomeRegion);
+  sources_.push_back(std::move(source));
 }
 
 // ---------------------------------------------------------------------------
@@ -438,9 +429,6 @@ Histogram* Architecture::LatencyFor(const workload::Transaction& txn) {
 // ---------------------------------------------------------------------------
 
 void Architecture::Start() {
-  for (auto& client : clients_) {
-    client->Start();
-  }
   for (auto& source : sources_) {
     source->Start();
   }
@@ -461,9 +449,6 @@ void Architecture::ResetLatency() {
 }
 
 void Architecture::SetRecording(bool recording) {
-  for (auto& client : clients_) {
-    client->SetRecording(recording);
-  }
   for (auto& source : sources_) {
     source->SetRecording(recording);
   }
@@ -471,21 +456,18 @@ void Architecture::SetRecording(bool recording) {
 
 uint64_t Architecture::TotalCompleted() const {
   uint64_t total = 0;
-  for (const auto& client : clients_) total += client->completed();
   for (const auto& source : sources_) total += source->completed();
   return total;
 }
 
 uint64_t Architecture::TotalAborted() const {
   uint64_t total = 0;
-  for (const auto& client : clients_) total += client->aborted();
   for (const auto& source : sources_) total += source->aborted();
   return total;
 }
 
 uint64_t Architecture::TotalRetransmissions() const {
   uint64_t total = 0;
-  for (const auto& client : clients_) total += client->retransmissions();
   for (const auto& source : sources_) total += source->retransmissions();
   return total;
 }

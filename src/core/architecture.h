@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/client.h"
 #include "core/config.h"
 #include "core/coordinator.h"
 #include "core/shard_plane.h"
@@ -41,7 +40,8 @@ class Architecture {
   Architecture(const Architecture&) = delete;
   Architecture& operator=(const Architecture&) = delete;
 
-  /// Starts all clients (the stores are loaded at construction).
+  /// Starts every request source (the stores are loaded at
+  /// construction).
   void Start();
 
   /// Advances the simulation to `deadline` on whichever engine is active:
@@ -130,15 +130,12 @@ class Architecture {
   serverless::CloudSimulator* cloud() { return planes_[0]->cloud(); }
   Spawner* spawner() { return planes_[0]->spawner(); }
 
-  const std::vector<std::unique_ptr<Client>>& clients() const {
-    return clients_;
-  }
-
-  /// Open-loop traffic sources (empty unless config.traffic.open_loop).
+  /// The request sources: `num_clients` closed-loop ones at
+  /// kFirstClientId + i, or with `traffic.open_loop` the
+  /// `traffic.sources` open-loop ones at kFirstSourceId + i.
   const std::vector<std::unique_ptr<TrafficSource>>& sources() const {
     return sources_;
   }
-  bool open_loop() const { return !sources_.empty(); }
 
   /// Actor ids of all shim nodes, shard-major: global node index
   /// s * n + i is node i of shard s. Identical to the historical ids for
@@ -171,21 +168,20 @@ class Architecture {
   /// Clears every plane's latency histogram (start of measurement).
   void ResetLatency();
 
-  /// Turns client latency recording on/off (used to skip warmup).
+  /// Turns the sources' latency recording on/off (used to skip warmup).
   void SetRecording(bool recording);
 
-  /// Sum of completed (non-aborted) transactions across clients.
+  /// Sum of completed (non-aborted) transactions across sources.
   uint64_t TotalCompleted() const;
-  /// Sum of aborted transactions across clients.
+  /// Sum of aborted transactions across sources.
   uint64_t TotalAborted() const;
-  /// Sum of client retransmissions (Fig. 4 activity).
+  /// Sum of source retransmissions (Fig. 4 activity).
   uint64_t TotalRetransmissions() const;
   /// Sum of completed view changes across replicas of all shards.
   uint64_t TotalViewChanges() const;
 
-  // --- open-loop metrics (all zero on the closed-loop path) ---
-  /// Units of work offered by the traffic sources (arrivals + workflow
-  /// hops; retries not re-counted).
+  /// Units of work offered by the sources (requests or arrivals, plus
+  /// workflow hops; retries not re-counted).
   uint64_t TotalOffered() const;
   /// Units abandoned (shed at caps or out of retry/hop budget).
   uint64_t TotalDropped() const;
@@ -222,9 +218,11 @@ class Architecture {
   void BuildCoordinatorMember(uint32_t r, const std::vector<ActorId>& group,
                               const std::vector<ActorId>& shard_verifiers,
                               const CoordinatorOptions& base_options);
-  void BuildClients();
   void BuildTrafficGenerator();
   void BuildSources();
+  void AddSource(ActorId id, workload::TxnGenerator* generator,
+                 std::unique_ptr<workload::ArrivalProcess> arrivals, Rng rng,
+                 const workload::TrafficConfig& traffic);
   Route RouteOf(const workload::Transaction& txn) const;
 
   SystemConfig config_;
@@ -246,7 +244,8 @@ class Architecture {
   storage::ShardRouter router_;
   std::unique_ptr<workload::YcsbGenerator> generator_;
   /// Family generator the open-loop sources draw from. Null on the
-  /// closed-loop path; aliases generator_'s family behaviour for kYcsb.
+  /// closed-loop path and for kYcsb, where the sources draw from
+  /// generator_.
   std::unique_ptr<workload::TxnGenerator> traffic_generator_;
   /// Typed view of traffic_generator_ in workflow mode (HopTxn access).
   workload::WorkflowGenerator* workflow_generator_ = nullptr;
@@ -259,7 +258,6 @@ class Architecture {
   /// built; {1, 1} until BuildCoordinator runs.
   CoordGroups coord_topology_;
   std::vector<std::unique_ptr<sim::ServerResource>> coordinator_cpus_;
-  std::vector<std::unique_ptr<Client>> clients_;
   std::vector<std::unique_ptr<TrafficSource>> sources_;
   InflightGauge inflight_;
 

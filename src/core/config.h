@@ -177,9 +177,10 @@ struct SystemConfig {
 
   // --- workload ---
   workload::YcsbConfig workload;
-  /// Open-loop traffic sources (off by default; when `traffic.open_loop`
-  /// is set, TrafficSource actors replace the closed-loop clients and
-  /// inject at the configured offered rate — see workload/traffic.h).
+  /// Traffic discipline of the TrafficSource actors: closed loop by
+  /// default (`num_clients` of them, `client_timeout` each); with
+  /// `traffic.open_loop` set, `traffic.sources` of them inject at the
+  /// configured offered rate instead — see workload/traffic.h.
   workload::TrafficConfig traffic;
 
   // --- infrastructure ---
@@ -198,6 +199,12 @@ struct SystemConfig {
   /// shard_count > 1, ignored (with a log) otherwise. Fault injection
   /// refuses it (FaultController::Install returns NotSupported).
   int sim_threads = 0;
+
+  /// Cores of each coordinator member's machine: `coordinator_cores`, or
+  /// `verifier_cores` when that is 0.
+  int CoordinatorCores() const {
+    return coordinator_cores > 0 ? coordinator_cores : verifier_cores;
+  }
 
   /// Effective executor count per batch: honours §VI-B's 3f_E+1 rule.
   uint32_t EffectiveExecutors() const {

@@ -13,15 +13,12 @@ std::string RunReport::OneLine() const {
                 throughput_tps, latency_mean_s, latency_p50_s, latency_p99_s,
                 abort_rate * 100.0, cents_per_ktxn);
   std::string line = buf;
-  if (offered_txns > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  " offered=%.0f goodput=%.0f p999=%.3fs drops=%llu "
-                  "peak_inflight=%llu",
-                  offered_tps, goodput_tps, latency_p999_s,
-                  static_cast<unsigned long long>(dropped_txns),
-                  static_cast<unsigned long long>(peak_inflight));
-    line += buf;
-  }
+  std::snprintf(buf, sizeof(buf),
+                " offered=%.0f p999=%.3fs drops=%llu peak_inflight=%llu",
+                offered_tps, latency_p999_s,
+                static_cast<unsigned long long>(dropped_txns),
+                static_cast<unsigned long long>(peak_inflight));
+  line += buf;
   if (coord_group_decisions.size() > 1) {
     uint64_t total = 0;
     for (uint64_t d : coord_group_decisions) total += d;
@@ -117,11 +114,9 @@ RunReport RunExperiment(const SystemConfig& config, SimDuration warmup,
   report.latency_p999_s =
       static_cast<double>(latency.p999()) / static_cast<double>(kSecond);
 
-  // Open-loop traffic metrics (all zero when no sources are configured).
   report.offered_txns = arch.TotalOffered() - offered0;
   report.offered_tps =
       static_cast<double>(report.offered_txns) / report.duration_s;
-  report.goodput_tps = report.throughput_tps;
   report.dropped_txns = arch.TotalDropped() - dropped0;
   report.peak_inflight = arch.PeakInflight();
 
@@ -150,10 +145,8 @@ RunReport RunExperiment(const SystemConfig& config, SimDuration warmup,
   int vm_cores = per_plane_cores * static_cast<int>(arch.shard_count());
   if (arch.shard_count() > 1) {
     // One machine per coordinator member (G groups x R replicas).
-    int coord_cores = arch.config().coordinator_cores > 0
-                          ? arch.config().coordinator_cores
-                          : arch.config().verifier_cores;
-    vm_cores += coord_cores * static_cast<int>(arch.coord_topology().total());
+    vm_cores += arch.config().CoordinatorCores() *
+                static_cast<int>(arch.coord_topology().total());
   }
   vm_meter.ChargeVmTime(vm_cores, measure);
   report.vm_cents = vm_meter.vm_cents();

@@ -24,10 +24,10 @@ struct RunReport {
   double latency_p99_s = 0;
   double latency_p999_s = 0;
 
-  // --- open-loop traffic metrics (zero on the closed-loop path) ---
+  // --- traffic: a closed loop offers what it settles, never drops, and
+  // keeps `num_clients` requests in flight ---
   uint64_t offered_txns = 0;   ///< Work units offered by the sources.
   double offered_tps = 0;      ///< Offered per simulated second.
-  double goodput_tps = 0;      ///< Committed txns per second (== tput).
   uint64_t dropped_txns = 0;   ///< Shed / retry-capped / hop-budget.
   uint64_t peak_inflight = 0;  ///< In-flight high-water over the window.
 

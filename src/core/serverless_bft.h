@@ -15,7 +15,6 @@
 /// \endcode
 
 #include "core/architecture.h"
-#include "core/client.h"
 #include "core/config.h"
 #include "core/experiment.h"
 #include "core/spawner.h"

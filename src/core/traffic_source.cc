@@ -24,7 +24,13 @@ TrafficSource::TrafficSource(
       traffic_(traffic),
       gauge_(gauge) {}
 
-void TrafficSource::Start() { ScheduleNextArrival(); }
+void TrafficSource::Start() {
+  if (arrivals_ == nullptr) {
+    Inject(generator_->Next(id()), kNoChain, 0);
+    return;
+  }
+  ScheduleNextArrival();
+}
 
 void TrafficSource::ScheduleNextArrival() {
   if (paused_) return;
@@ -179,7 +185,11 @@ void TrafficSource::OnMessage(const sim::Envelope& env) {
       }
     }
   }
-  if (done.chain != kNoChain) AdvanceChain(done, msg->aborted);
+  if (done.chain != kNoChain) {
+    AdvanceChain(done, msg->aborted);
+  } else if (arrivals_ == nullptr && !paused_) {
+    Inject(generator_->Next(id()), kNoChain, 0);
+  }
 }
 
 }  // namespace sbft::core

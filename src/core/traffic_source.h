@@ -34,20 +34,28 @@ struct InflightGauge {
   void ResetPeak() { peak = inflight; }
 };
 
-/// \brief Open-loop traffic source: injects transactions at the rate its
-/// ArrivalProcess dictates, regardless of completion.
+/// \brief The request actor: signs transactions, sends each to its
+/// routing target, retransmits on timeout, and counts the answers.
 ///
-/// The closed-loop Client (one outstanding request, patient timeout) can
-/// never offer more load than the system absorbs — by construction it
-/// sits on the left side of the saturation knee. This actor is the other
-/// half of the evaluation story: arrivals keep coming when the system
-/// falls behind, in-flight grows, retransmissions compete with fresh
-/// work, and goodput vs offered load becomes measurable. Each request
-/// carries the source's floor, just below its oldest pending request.
-/// Timeouts retransmit the *same* signed request to the fallback target
-/// (dedup / decision-log answers duplicates); the number of transactions being
-/// retried concurrently is capped — beyond the cap a timed-out
-/// transaction is dropped and counted, bounding retry amplification.
+/// Two disciplines share this one actor:
+///
+/// - **Closed loop** (no ArrivalProcess): Start() sends one request, and
+///   each RESPONSE sends the next one — the paper's §IX clients, which
+///   wait for a response before sending the next request. Offered load
+///   never exceeds what the system absorbs.
+/// - **Open loop**: injects transactions at the rate its ArrivalProcess
+///   dictates, regardless of completion. Arrivals keep coming when the
+///   system falls behind, in-flight grows, retransmissions compete with
+///   fresh work, and goodput vs offered load becomes measurable.
+///
+/// Each request carries the source's floor, just below its oldest
+/// pending request (`id - 1` in closed loop, where nothing else is
+/// pending). Timeouts retransmit the *same* signed request to the
+/// fallback target (dedup / decision-log answers duplicates); the number
+/// of transactions being retried concurrently is capped — beyond the cap
+/// a timed-out transaction is dropped and counted, bounding retry
+/// amplification. A closed-loop source has one request to retry, so any
+/// cap of one or more never drops.
 ///
 /// In workflow mode each arrival starts a chain of `chain_hops` function
 /// invocations; hop k+1 is issued only after hop k commits, and an
@@ -72,6 +80,8 @@ class TrafficSource : public sim::Actor {
     bool dropped = false;
   };
 
+  /// `arrivals == nullptr` selects the closed loop; `rng` feeds only the
+  /// arrival process.
   TrafficSource(ActorId id, TargetResolver primary, TargetResolver fallback,
                 workload::TxnGenerator* generator,
                 workload::WorkflowGenerator* workflow,
@@ -81,11 +91,13 @@ class TrafficSource : public sim::Actor {
                 const workload::TrafficConfig& traffic,
                 InflightGauge* gauge);
 
-  /// Schedules the first arrival.
+  /// Closed loop: sends the first request. Open loop: schedules the
+  /// first arrival.
   void Start();
 
-  /// Stops scheduling new arrivals; in-flight work drains normally
-  /// (tests quiesce the system with this before auditing evidence).
+  /// Stops issuing new requests (arrivals, or a closed loop's next
+  /// request); in-flight work drains normally (tests quiesce the system
+  /// with this before auditing evidence).
   void Pause() { paused_ = true; }
 
   void OnMessage(const sim::Envelope& env) override;
@@ -95,8 +107,8 @@ class TrafficSource : public sim::Actor {
   }
   void SetRecording(bool record) { recording_ = record; }
 
-  /// Distinct units of work issued (arrivals, plus workflow hops; retry
-  /// attempts of the same unit are not re-counted).
+  /// Distinct units of work issued (requests or arrivals, plus workflow
+  /// hops; retry attempts of the same unit are not re-counted).
   uint64_t offered() const { return offered_; }
   uint64_t completed() const { return completed_; }
   uint64_t aborted() const { return aborted_; }
@@ -141,6 +153,8 @@ class TrafficSource : public sim::Actor {
   crypto::KeyRegistry* keys_;
   sim::Simulator* sim_;
   sim::Network* net_;
+  /// Null in closed loop: each answer, not a clock, releases the next
+  /// request.
   std::unique_ptr<workload::ArrivalProcess> arrivals_;
   Rng rng_;
   workload::TrafficConfig traffic_;

@@ -49,9 +49,9 @@ void Network::EnableParallel(ParallelSimulator* psim,
   // Fault injection mutates shared maps, and the observer would run on
   // every loop's thread: both stay on the serial engine (FaultController::
   // Install refuses a parallel architecture).
-  assert(disabled_links_.empty() && isolated_.empty() &&
-         link_rules_.empty() && partitioned_regions_.empty() &&
-         actor_delays_.empty() && "fault injection requires sim_threads=0");
+  assert(disabled_links_.empty() && link_rules_.empty() &&
+         partitioned_regions_.empty() && actor_delays_.empty() &&
+         "fault injection requires sim_threads=0");
   assert(!observer_ && "the delivery observer requires sim_threads=0");
   LoopNet serial = std::move(loops_.front());
   assert(serial.sent == 0 && "EnableParallel after the first send");
@@ -93,15 +93,6 @@ void Network::SetLinkEnabled(ActorId a, ActorId b, bool enabled) {
     disabled_links_.erase(LinkKey(a, b));
   } else {
     disabled_links_.insert(LinkKey(a, b));
-  }
-}
-
-void Network::SetIsolated(ActorId id, bool isolated) {
-  assert(psim_ == nullptr && "fault injection requires sim_threads=0");
-  if (isolated) {
-    isolated_.insert(id);
-  } else {
-    isolated_.erase(id);
   }
 }
 
@@ -148,11 +139,6 @@ Network::Verdict Network::DecideDelivery(ActorId from, ActorId to,
   // double-lookup version.
   Verdict verdict;
   const uint64_t link = LinkKey(from, to);
-  if (!isolated_.empty() &&
-      (isolated_.contains(from) || isolated_.contains(to))) {
-    verdict.deliver = false;
-    return verdict;
-  }
   if (!disabled_links_.empty() && disabled_links_.contains(link)) {
     verdict.deliver = false;
     return verdict;
@@ -327,8 +313,7 @@ void Network::Deliver(Envelope env) {
   LoopNet& ln = loops_[cur];
   env.delivered_at = ln.sim->now();
   auto it = ln.endpoints.find(env.to);
-  if (it == ln.endpoints.end() ||
-      (!isolated_.empty() && isolated_.contains(env.to))) {
+  if (it == ln.endpoints.end()) {
     ++ln.dropped;
     return;
   }

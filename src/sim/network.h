@@ -88,9 +88,6 @@ class Network {
   /// Cuts or restores the link between two actors (both directions).
   void SetLinkEnabled(ActorId a, ActorId b, bool enabled);
 
-  /// Isolates an actor entirely (drops everything to and from it).
-  void SetIsolated(ActorId id, bool isolated);
-
   /// Installs a per-link drop/duplicate/delay rule (both directions),
   /// layered on top of the global NetworkConfig knobs.
   void SetLinkRule(ActorId a, ActorId b, const LinkRule& rule);
@@ -207,7 +204,6 @@ class Network {
   NetworkConfig config_;
   std::vector<LoopNet> loops_;
   std::unordered_set<uint64_t> disabled_links_;
-  std::unordered_set<ActorId> isolated_;
   std::unordered_map<uint64_t, LinkRule> link_rules_;
   std::unordered_set<uint64_t> partitioned_regions_;
   std::unordered_map<ActorId, SimDuration> actor_delays_;

@@ -26,12 +26,14 @@ enum class TrafficFamily {
 
 /// \brief Open-loop traffic configuration.
 ///
-/// Off by default: `open_loop == false` leaves the architecture on the
-/// closed-loop Client path (the golden-digest path) with zero change to
-/// construction order or rng draws. When on, `sources` TrafficSource
-/// actors replace the clients and inject transactions at `offered_tps`
-/// aggregate regardless of completion — the open-loop regime where
-/// saturation, retry storms, and overload shedding are observable.
+/// Off by default: `open_loop == false` runs `SystemConfig::num_clients`
+/// closed-loop TrafficSource actors, each sending its next request when
+/// the last one is answered. They have no arrival process, fork no rng
+/// stream and read none of the fields below, so they replay the golden
+/// digests. When on, `sources` TrafficSource actors inject transactions
+/// at `offered_tps` aggregate regardless of completion — the open-loop
+/// regime where saturation, retry storms, and overload shedding are
+/// observable.
 struct TrafficConfig {
   bool open_loop = false;
 
@@ -57,9 +59,8 @@ struct TrafficConfig {
   TpccConfig tpcc;
   WorkflowConfig workflow;
 
-  /// Retransmission timer per in-flight transaction (τ_m for sources;
-  /// open-loop sources time out much tighter than the patient
-  /// closed-loop client).
+  /// Retransmission timer per in-flight transaction (τ_m); the closed
+  /// loop uses `SystemConfig::client_timeout` instead.
   SimDuration retry_timeout = Millis(400);
   /// Cap on transactions a source keeps *retrying* concurrently; once
   /// the cap is full, further timeouts drop the transaction (counted in

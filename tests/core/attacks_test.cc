@@ -242,7 +242,7 @@ TEST(AttacksTest, ByzantineClientCannotSquatTxnIds) {
   // those ids as duplicates, and the verifier must not answer an honest
   // retransmit from the squatter's outcome.
   Architecture arch(BaseConfig());
-  const ActorId squatter = arch.clients()[0]->id();
+  const ActorId squatter = arch.sources()[0]->id();
   shim::PbftReplica* primary = arch.pbft_replicas()[0];
   ASSERT_TRUE(primary->IsPrimary());
   for (TxnId id = 1; id <= 400; ++id) {
@@ -263,8 +263,8 @@ TEST(AttacksTest, ByzantineClientCannotSquatTxnIds) {
 
   // Each honest client completes about 140 transactions in 6 s, with or
   // without the squatter.
-  for (size_t i = 1; i < arch.clients().size(); ++i) {
-    EXPECT_GT(arch.clients()[i]->completed(), 100u) << "client " << i;
+  for (size_t i = 1; i < arch.sources().size(); ++i) {
+    EXPECT_GT(arch.sources()[i]->completed(), 100u) << "client " << i;
   }
   EXPECT_TRUE(arch.verifier()->audit_log().VerifyChain());
 }
@@ -281,7 +281,7 @@ TEST(AttacksTest, ByzantineClientCannotSquatGids) {
   config.workload.cross_shard_percentage = 100.0;
   Architecture arch(config);
   core::LogTrail trail(arch);
-  const ActorId squatter = arch.clients()[0]->id();
+  const ActorId squatter = arch.sources()[0]->id();
   storage::ShardRouter router(2);
   std::string keys[2];
   for (uint64_t i = 0; keys[0].empty() || keys[1].empty(); ++i) {
@@ -329,8 +329,8 @@ TEST(AttacksTest, ByzantineClientCannotSquatGids) {
   }
   EXPECT_EQ(foreign, 0u)
       << "honest clients answered from another client's decision";
-  for (size_t i = 1; i < arch.clients().size(); ++i) {
-    EXPECT_GT(arch.clients()[i]->completed(), 10u) << "client " << i;
+  for (size_t i = 1; i < arch.sources().size(); ++i) {
+    EXPECT_GT(arch.sources()[i]->completed(), 10u) << "client " << i;
   }
 }
 

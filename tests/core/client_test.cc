@@ -1,12 +1,13 @@
-// Unit tests for the closed-loop client: τ_m timeout handling, Fig. 4
+// Unit tests for the closed-loop discipline of the request source (a
+// TrafficSource with no arrival process): τ_m timeout handling, Fig. 4
 // retransmission to the verifier with exponential backoff, latency
-// recording, and abort accounting.
-
-#include "core/client.h"
+// recording, abort accounting, and Pause().
 
 #include <gtest/gtest.h>
 
+#include "core/traffic_source.h"
 #include "sim/region.h"
+#include "workload/ycsb.h"
 
 namespace sbft::core {
 namespace {
@@ -19,8 +20,8 @@ struct ScriptedServer : sim::Actor {
   void OnMessage(const sim::Envelope& env) override {
     auto msg = std::static_pointer_cast<const shim::Message>(env.message);
     if (msg->kind != shim::MsgKind::kClientRequest) return;
-    const auto* req = static_cast<const shim::ClientRequestMsg*>(msg.get());
-    requests.push_back(req->txn.id);
+    auto req = std::static_pointer_cast<const shim::ClientRequestMsg>(msg);
+    requests.push_back(req);
     if (respond) {
       auto resp = std::make_shared<shim::ResponseMsg>(id());
       resp->txn_id = req->txn.id;
@@ -32,7 +33,7 @@ struct ScriptedServer : sim::Actor {
 
   sim::Simulator* sim_;
   sim::Network* net_;
-  std::vector<TxnId> requests;
+  std::vector<std::shared_ptr<const shim::ClientRequestMsg>> requests;
   bool respond = true;
   bool abort_next = false;
 };
@@ -49,13 +50,19 @@ class ClientTest : public ::testing::Test {
     keys_.RegisterNode(10);
     keys_.RegisterNode(20);
     keys_.RegisterNode(100);
+    // Another client, whose DS must not pass as 100's.
+    keys_.RegisterNode(101);
     net_.Register(&primary_, 0);
     net_.Register(&verifier_, 0);
-    client_ = std::make_unique<Client>(
+    workload::TrafficConfig traffic;
+    traffic.retry_timeout = Millis(100);
+    client_ = std::make_unique<TrafficSource>(
         100, [this](const workload::Transaction&) { return primary_id_; },
         [](const workload::Transaction&) { return ActorId{20}; },
-        &generator_, &keys_, &sim_, &net_, /*timeout=*/Millis(100));
-    client_->SetLatencyHistogram(&latency_);
+        &generator_, /*workflow=*/nullptr, &keys_, &sim_, &net_,
+        /*arrivals=*/nullptr, Rng(0), traffic, &gauge_);
+    client_->SetLatencyResolver(
+        [this](const workload::Transaction&) { return &latency_; });
     net_.Register(client_.get(), 0);
   }
 
@@ -73,7 +80,8 @@ class ClientTest : public ::testing::Test {
   workload::YcsbGenerator generator_;
   ActorId primary_id_ = 10;
   Histogram latency_;
-  std::unique_ptr<Client> client_;
+  InflightGauge gauge_;
+  std::unique_ptr<TrafficSource> client_;
 };
 
 TEST_F(ClientTest, ClosedLoopSendsNextAfterResponse) {
@@ -88,12 +96,16 @@ TEST_F(ClientTest, RequestsAreSigned) {
   client_->Start();
   sim_.RunUntil(Millis(5));
   ASSERT_GE(primary_.requests.size(), 1u);
-  // The scripted server accepted it; verify the signature path directly.
-  workload::YcsbGenerator gen2(SmallWorkload(), Rng(4));
-  workload::Transaction expected = gen2.Next(100);
-  EXPECT_TRUE(keys_.Verify(
-      100, shim::ClientRequestMsg::SigningBytes(expected),
-      keys_.Sign(100, shim::ClientRequestMsg::SigningBytes(expected))));
+  // Every request the server received carries the client's own DS over
+  // its signed fields, and the floor just below its id: one request is
+  // outstanding at a time, so every earlier one was answered.
+  for (const auto& req : primary_.requests) {
+    EXPECT_EQ(req->txn.client, 100u);
+    EXPECT_TRUE(keys_.Verify(
+        100, shim::ClientRequestMsg::SigningBytes(req->txn),
+        req->client_sig));
+    EXPECT_EQ(req->txn.floor, req->txn.id - 1);
+  }
 }
 
 TEST_F(ClientTest, TimeoutRetransmitsToVerifier) {
@@ -142,17 +154,22 @@ TEST_F(ClientTest, LatencyRecordedOnlyWhenEnabled) {
 }
 
 TEST_F(ClientTest, StaleResponsesIgnored) {
+  // Hold the client on one unanswered request, so nothing but the
+  // injected RESPONSE can move its counters.
+  primary_.respond = false;
+  verifier_.respond = false;
   client_->Start();
   sim_.RunUntil(Millis(10));
-  uint64_t before = client_->completed();
-  // Inject a response for a long-gone transaction id.
+  ASSERT_EQ(client_->inflight(), 1u);
+  // A response for an id the client never issued.
   auto resp = std::make_shared<shim::ResponseMsg>(20);
   resp->txn_id = 999999;
   resp->client = 100;
   net_.Send(20, 100, resp, resp->WireSize());
   sim_.RunUntil(Millis(20));
-  // Completion count advanced only through real responses.
-  EXPECT_GE(client_->completed(), before);
+  EXPECT_EQ(client_->completed(), 0u);
+  EXPECT_EQ(client_->aborted(), 0u);
+  EXPECT_EQ(client_->inflight(), 1u);
 }
 
 TEST_F(ClientTest, PrimaryResolverFollowsViewChanges) {
@@ -166,6 +183,23 @@ TEST_F(ClientTest, PrimaryResolverFollowsViewChanges) {
   sim_.RunUntil(Millis(50));
   EXPECT_GT(new_primary.requests.size(), 0u);
   EXPECT_LE(primary_.requests.size(), old_count + 1);
+}
+
+TEST_F(ClientTest, PauseStopsTheClosedLoop) {
+  client_->Start();
+  sim_.RunUntil(Millis(10));
+  client_->Pause();
+  // The request in flight at the pause is still answered; no new one
+  // follows it.
+  sim_.RunUntil(Millis(30));
+  const uint64_t settled = client_->completed();
+  EXPECT_GT(settled, 0u);
+  EXPECT_EQ(client_->inflight(), 0u);
+  EXPECT_EQ(client_->offered(), settled);
+  EXPECT_EQ(primary_.requests.size(), settled);
+  sim_.RunUntil(Millis(100));
+  EXPECT_EQ(client_->completed(), settled);
+  EXPECT_EQ(primary_.requests.size(), settled);
 }
 
 }  // namespace

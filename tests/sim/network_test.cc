@@ -113,19 +113,6 @@ TEST_F(NetworkTest, DisabledLinkDropsBothDirections) {
   EXPECT_EQ(b_.received.size(), 1u);
 }
 
-TEST_F(NetworkTest, IsolationSilencesActor) {
-  net_.SetIsolated(2, true);
-  net_.Send(1, 2, Msg(1), 10);
-  net_.Send(2, 1, Msg(2), 10);
-  sim_.RunToCompletion();
-  EXPECT_TRUE(a_.received.empty());
-  EXPECT_TRUE(b_.received.empty());
-  net_.SetIsolated(2, false);
-  net_.Send(1, 2, Msg(3), 10);
-  sim_.RunToCompletion();
-  EXPECT_EQ(b_.received.size(), 1u);
-}
-
 TEST_F(NetworkTest, DropProbabilityDropsRoughlyThatFraction) {
   NetworkConfig config;
   config.drop_probability = 0.5;
