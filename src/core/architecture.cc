@@ -27,6 +27,9 @@ Architecture::Architecture(const SystemConfig& config)
     SBFT_LOG(kError) << "shard_count capped at 64 (actor-id blocks)";
     config_.shard_count = 64;
   }
+  // No shim is the crash-fault shim on one node (§IX-H), whatever the
+  // configured node count.
+  if (config_.protocol == Protocol::kNoShim) config_.shim.n = 1;
   // Coordinator topology clamps live here — before the shard planes are
   // built — because the verifiers' CoordGroups view (shard_plane.cc) is
   // derived from config_ and must match what BuildCoordinator builds.
@@ -153,7 +156,7 @@ int Architecture::LoopOfActor(ActorId id) const {
   }
   if (id >= kFirstSourceId) return global;  // Traffic sources.
   if (id >= kFirstClientId) return global;  // Clients.
-  if (id >= kVerifierId) {  // Verifier / storage / noshim blocks.
+  if (id >= kVerifierId) {  // Verifier and storage blocks.
     return static_cast<int>((id - kVerifierId) / 1000);
   }
   if (id >= kCoordinatorId) return global;  // Coordinator group.

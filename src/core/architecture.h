@@ -196,7 +196,6 @@ class Architecture {
   // ShardPlane for the per-shard id blocks).
   static constexpr ActorId kVerifierId = 900000;
   static constexpr ActorId kStorageId = 900001;
-  static constexpr ActorId kNoShimId = 900002;
   /// Alias of core::kCoordinatorBaseId (config.h): group member r lives
   /// at kCoordinatorId + r.
   static constexpr ActorId kCoordinatorId = kCoordinatorBaseId;

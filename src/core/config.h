@@ -31,7 +31,9 @@ enum class Protocol {
   kServerlessBft = 0,  ///< The paper's protocol: PBFT shim + executors.
   kServerlessCft = 1,  ///< Multi-Paxos shim + executors.
   kPbftBaseline = 2,   ///< PBFT shim, replicated local execution, no cloud.
-  kNoShim = 3,         ///< Single coordinator, no consensus.
+  /// The Multi-Paxos shim on one node (shim.n is set to 1): it commits
+  /// each batch as it proposes it, with no consensus message.
+  kNoShim = 3,
   /// The PBFT shim with the collector vote pattern (PoE/SBFT-style linear
   /// communication, §IV-B remark) + executors.
   kServerlessBftLinear = 4,
@@ -49,7 +51,7 @@ enum class SpawnMode {
 /// These constants substitute for the real CryptoPP/ResilientDB
 /// per-message costs of the paper's testbed; they are calibrated so the
 /// simulated throughput/latency curves land in the paper's regime
-/// (DESIGN.md §15). Simulated crypto cost is decoupled from the wall-clock
+/// (DESIGN.md §16). Simulated crypto cost is decoupled from the wall-clock
 /// CryptoMode so the biggest sweeps can run with kNone.
 struct CostModel {
   /// Producing one digital signature.
@@ -214,8 +216,9 @@ struct SystemConfig {
     return std::max<uint32_t>(n_e, 2 * f_e + 1);
   }
 
-  /// Commit-certificate quorum executors/verifier demand. CFT and NoShim
-  /// carry no signatures (paper §IX-H), so their quorum is zero.
+  /// Commit-certificate quorum executors/verifier demand. The crash-fault
+  /// shim (CFT, and no shim, its group of one) carries no signatures
+  /// (paper §IX-H), so its quorum is zero.
   uint32_t CertQuorum() const {
     switch (protocol) {
       case Protocol::kServerlessBft:

@@ -59,7 +59,7 @@ struct RunReport {
 
 /// Runs one configuration: build, warm up, measure, report deltas over
 /// the measurement window only (the paper uses 60 s warmup + 180 s
-/// measurement; the simulated windows are scaled down, see DESIGN.md §15).
+/// measurement; the simulated windows are scaled down, see DESIGN.md §16).
 RunReport RunExperiment(const SystemConfig& config,
                         SimDuration warmup = Seconds(1.0),
                         SimDuration measure = Seconds(3.0));

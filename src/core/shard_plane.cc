@@ -27,10 +27,10 @@ void ShardPlane::Build() {
 // ---------------------------------------------------------------------------
 
 sim::Network::CostFn ShardPlane::ShimCostFn() const {
-  // CFT and NoShim carry no signatures anywhere (§IX-H): authenticating a
+  // The crash-fault shim (CFT, and no shim, its group of one) signs
+  // nothing, so its certificates need no quorum (§IX-H): authenticating a
   // client request costs a MAC check, not a DS verification.
-  bool crypto_free = config_.protocol == Protocol::kServerlessCft ||
-                     config_.protocol == Protocol::kNoShim;
+  bool crypto_free = config_.CertQuorum() == 0;
   return [crypto_free](const sim::Envelope& env) -> SimDuration {
     const auto* msg = static_cast<const shim::Message*>(env.message.get());
     if (msg == nullptr) return kCosts.per_message;
@@ -152,6 +152,7 @@ void ShardPlane::BuildShim() {
       break;
     }
     case Protocol::kServerlessCft:
+    case Protocol::kNoShim:
       for (uint32_t i = 0; i < config_.shim.n; ++i) {
         auto replica = std::make_unique<shim::MultiPaxosReplica>(
             shim_ids_[i], i, config_.shim, shim_ids_, sim_, net_);
@@ -163,17 +164,6 @@ void ShardPlane::BuildShim() {
         shim_cpus_.push_back(std::move(cpu));
       }
       break;
-    case Protocol::kNoShim: {
-      keys_->RegisterNode(NoShimId(shard_));
-      noshim_ = std::make_unique<shim::NoShimCoordinator>(
-          NoShimId(shard_), config_.shim, sim_, net_);
-      auto cpu =
-          std::make_unique<sim::ServerResource>(sim_, config_.shim_cores);
-      net_->Register(noshim_.get(), sim::RegionTable::kHomeRegion);
-      net_->AttachServer(NoShimId(shard_), cpu.get(), ShimCostFn());
-      shim_cpus_.push_back(std::move(cpu));
-      break;
-    }
   }
 }
 
@@ -196,13 +186,8 @@ void ShardPlane::BuildVerifierAndStorage() {
                                              config_.coordinator_replicas};
   }
 
-  std::vector<ActorId> shim_for_verifier = shim_ids_;
-  if (config_.protocol == Protocol::kNoShim) {
-    shim_for_verifier = {NoShimId(shard_)};
-  }
   verifier_ = std::make_unique<verifier::Verifier>(
-      VerifierId(shard_), vconfig, &store_, keys_, sim_, net_,
-      shim_for_verifier);
+      VerifierId(shard_), vconfig, &store_, keys_, sim_, net_, shim_ids_);
   verifier_cpu_ =
       std::make_unique<sim::ServerResource>(sim_, config_.verifier_cores);
   net_->Register(verifier_.get(), sim::RegionTable::kHomeRegion);
@@ -219,12 +204,8 @@ void ShardPlane::BuildVerifierAndStorage() {
 void ShardPlane::BuildCloudAndSpawner() {
   cloud_ = std::make_unique<serverless::CloudSimulator>(
       sim_, net_, keys_, config_.cloud, FirstExecutorId(shard_));
-  SystemConfig spawner_config = config_;
-  spawner_config.shim.n =
-      config_.protocol == Protocol::kNoShim ? 1 : config_.shim.n;
-  spawner_ = std::make_unique<Spawner>(spawner_config, cloud_.get(), keys_,
-                                       sim_, VerifierId(shard_),
-                                       StorageId(shard_));
+  spawner_ = std::make_unique<Spawner>(config_, cloud_.get(), keys_, sim_,
+                                       VerifierId(shard_), StorageId(shard_));
   // Unified commit path: the spawner's §VI-C lock stage reads the
   // verifier's prepare-lock table (one shared LockTable per tier) so the
   // primary stops proposing batches that would collide with in-flight
@@ -244,26 +225,20 @@ void ShardPlane::WireCommitCallbacks() {
       WirePbftBaselineExecution();
       break;
     case Protocol::kServerlessCft:
-      for (auto& replica : paxos_replicas_) {
-        shim::MultiPaxosReplica* r = replica.get();
-        r->SetCommitCallback([this](SeqNum seq, ViewNum view,
-                                    const workload::BatchPtr& batch,
-                                    const crypto::CommitCertificate& cert) {
-          shim::ByzantineBehavior honest;
-          spawner_->OnCommit(shim_ids_[0], /*is_primary=*/true, honest, seq,
-                             view, batch, cert);
-        });
-      }
-      break;
     case Protocol::kNoShim:
-      noshim_->SetCommitCallback(
-          [this](SeqNum seq, ViewNum view,
-                 const workload::BatchPtr& batch,
-                 const crypto::CommitCertificate& cert) {
-            shim::ByzantineBehavior honest;
-            spawner_->OnCommit(NoShimId(shard_), /*is_primary=*/true,
-                               honest, seq, view, batch, cert);
-          });
+      for (auto& replica : paxos_replicas_) {
+        replica->SetCommitCallback(
+            [this](SeqNum seq, ViewNum view, const workload::BatchPtr& batch,
+                   const crypto::CommitCertificate& cert) {
+              shim::ByzantineBehavior honest;
+              spawner_->OnCommit(shim_ids_[0], /*is_primary=*/true, honest,
+                                 seq, view, batch, cert);
+            });
+        replica->SetResponseObserver(
+            [this](ActorId from, const shim::ResponseMsg& msg) {
+              OnShimResponse(from, msg);
+            });
+      }
       break;
   }
 }
@@ -363,7 +338,8 @@ ActorId ShardPlane::CurrentPrimary() const {
       }
       return shim_ids_[view % shim_ids_.size()];
     }
-    case Protocol::kServerlessCft: {
+    case Protocol::kServerlessCft:
+    case Protocol::kNoShim: {
       // Leader-stable multi-Paxos with crash failover: the highest view
       // among live replicas names the leader.
       ViewNum view = 0;
@@ -373,8 +349,6 @@ ActorId ShardPlane::CurrentPrimary() const {
       }
       return shim_ids_[view % shim_ids_.size()];
     }
-    case Protocol::kNoShim:
-      return NoShimId(shard_);
   }
   return shim_ids_[0];
 }

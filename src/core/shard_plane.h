@@ -38,9 +38,6 @@ class ShardPlane {
   static constexpr ActorId StorageId(uint32_t shard) {
     return 900001 + shard * 1000;
   }
-  static constexpr ActorId NoShimId(uint32_t shard) {
-    return 900002 + shard * 1000;
-  }
   static constexpr ActorId FirstExecutorId(uint32_t shard) {
     return 5000000 + shard * 50000000;
   }
@@ -92,7 +89,7 @@ class ShardPlane {
   void WireCommitCallbacks();
   void WirePbftCallbacks();
   void WirePbftBaselineExecution();
-  /// A RESPONSE reached one of this plane's BFT shim nodes.
+  /// A RESPONSE reached one of this plane's shim nodes.
   void OnShimResponse(ActorId from, const shim::ResponseMsg& msg);
 
   sim::Network::CostFn ShimCostFn() const;
@@ -109,7 +106,6 @@ class ShardPlane {
   std::vector<ActorId> shim_ids_;
   std::vector<std::unique_ptr<shim::PbftReplica>> pbft_replicas_;
   std::vector<std::unique_ptr<shim::MultiPaxosReplica>> paxos_replicas_;
-  std::unique_ptr<shim::NoShimCoordinator> noshim_;
   std::vector<std::unique_ptr<sim::ServerResource>> shim_cpus_;
   // Execution pools for the PBFT baseline (Fig. 8 "ET" threads).
   std::vector<std::unique_ptr<sim::ServerResource>> exec_cpus_;

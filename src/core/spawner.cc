@@ -26,9 +26,6 @@ Spawner::Spawner(const SystemConfig& config,
     regions_.push_back(r);
   }
   if (regions_.empty()) regions_.push_back(1);
-  // The BFT shims report settles (OnResponse), so the cloud can retire
-  // executor keys at the settle point; the others keep them.
-  if (respawns_) cloud_->RetireKeysAtSettle();
 }
 
 uint32_t Spawner::ExecutorsForNode(bool is_primary) const {

@@ -133,7 +133,8 @@ class Spawner {
   size_t next_region_ = 0;
 
   // Whether the shim can ask for respawns (the BFT shims' ERROR(kmax)).
-  // The same shims deliver the verifier's RESPONSE to OnResponse.
+  // Every shim delivers the verifier's RESPONSE to OnResponse, but only
+  // these need the payloads kept for a respawn.
   bool respawns_;
   // EXECUTE payloads for respawn requests, kept only above settled_seq_:
   // the verifier drops VERIFYs of settled sequences (§V-C), so the cache

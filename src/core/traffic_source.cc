@@ -5,6 +5,10 @@
 
 namespace sbft::core {
 
+/// Workflow chains: attempts per hop before the chain is dropped (each
+/// attempt after an abort is a fresh transaction).
+constexpr size_t kMaxHopAttempts = 16;
+
 TrafficSource::TrafficSource(
     ActorId id, TargetResolver primary, TargetResolver fallback,
     workload::TxnGenerator* generator, workload::WorkflowGenerator* workflow,
@@ -146,8 +150,7 @@ void TrafficSource::AdvanceChain(const Pending& done, bool aborted) {
     // Atomic abort: nothing of the failed attempt is visible, so the hop
     // is retried as a fresh transaction (a retransmit of the old id
     // would be answered with the logged ABORT forever).
-    if (chain.hop_attempts[done.hop].size() >=
-        static_cast<size_t>(traffic_.max_hop_attempts)) {
+    if (chain.hop_attempts[done.hop].size() >= kMaxHopAttempts) {
       chain.dropped = true;
       ++dropped_;
       return;

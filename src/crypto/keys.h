@@ -24,7 +24,7 @@ enum class CryptoMode {
   /// Structural tokens with no cryptography at all: a fixed-size tag
   /// binding the signer id. Used by the largest benchmark sweeps, where
   /// authenticator *cost* is charged in simulated time by the cost model
-  /// and real hashing would only burn wall-clock (DESIGN.md §15).
+  /// and real hashing would only burn wall-clock (DESIGN.md §16).
   kNone,
 };
 

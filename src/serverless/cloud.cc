@@ -4,6 +4,11 @@
 
 namespace sbft::serverless {
 
+/// Executor instance shape: the cores its function body runs on, and the
+/// memory each invocation is billed for.
+constexpr int kExecutorCores = 2;
+constexpr double kExecutorMemoryGb = 1.0;
+
 CloudSimulator::CloudSimulator(sim::Simulator* sim, sim::Network* net,
                                crypto::KeyRegistry* keys, CloudConfig config,
                                ActorId first_executor_id)
@@ -40,7 +45,7 @@ ActorId CloudSimulator::Spawn(sim::RegionId region,
   instance.started_at = sim_->now();
   instance.seq = work->seq;
   instance.cpu =
-      std::make_unique<sim::ServerResource>(sim_, config_.executor_cores);
+      std::make_unique<sim::ServerResource>(sim_, kExecutorCores);
   instance.function = std::make_unique<ExecutorFunction>(
       id, std::move(work), verifier, storage, shim_quorum, keys_, sim_, net_,
       instance.cpu.get(), behavior,
@@ -95,7 +100,7 @@ void CloudSimulator::OnExecutorDone(ActorId id) {
   // below cannot release this instance's slot a second time.
   it->second.killed = true;
   SimDuration lifetime = sim_->now() - it->second.started_at;
-  costs_.ChargeInvocation(lifetime, config_.executor_memory_gb);
+  costs_.ChargeInvocation(lifetime, kExecutorMemoryGb);
   ++warm_available_[it->second.region];  // Container stays warm.
   --active_;
   net_->Unregister(id);
@@ -107,7 +112,6 @@ void CloudSimulator::OnExecutorDone(ActorId id) {
 }
 
 void CloudSimulator::RetireWhenSettled(ActorId id, SeqNum seq) {
-  if (!retire_keys_) return;
   if (seq <= settled_seq_) {
     keys_->Unregister(id);
   } else {

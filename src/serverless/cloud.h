@@ -27,13 +27,10 @@ struct CloudConfig {
   /// paper's "could not scale further due to limits by cloud provider"
   /// remark (§I).
   int max_concurrent = 1000;
-  /// Executor instance shape.
-  int executor_cores = 2;
-  double executor_memory_gb = 1.0;
 };
 
 /// \brief Simulated multi-region serverless provider (AWS-Lambda stand-in,
-/// DESIGN.md §15).
+/// DESIGN.md §16).
 ///
 /// Spawning allocates a fresh ExecutorFunction actor in the requested
 /// region after the cold/warm start latency, subject to the account
@@ -42,16 +39,17 @@ struct CloudConfig {
 /// function body finishes (stateless executors, §IV-C remark).
 ///
 /// An executor's identity (§III-A) outlives its body only until its batch
-/// settles. With RetireKeysAtSettle() the cloud drops an executor's keys
-/// once both hold: the executor has finished or been killed, and
-/// OnSettled() has reached its sequence. From then on every VERIFY it
-/// sent or could send falls below the verifier's k_max and is dropped as
-/// flooding (§V-C) before any signature lookup. Finishing alone is not
-/// enough (an honest VERIFY may still be in flight to an unsettled
-/// sequence), nor is settling alone (a slow executor may still have to
-/// sign). So the registry holds the keys of live executors plus those of
-/// finished ones whose sequence the verifier has not settled: on
-/// `xshard_2pc` (seed 1, 2 s) the run peaks at 37 MB instead of 51 MB.
+/// settles. The cloud drops an executor's keys once both hold: the
+/// executor has finished or been killed, and OnSettled() has reached its
+/// sequence; the spawner reports every settle the verifier sends any
+/// shim. From then on every VERIFY it sent or could send falls below the
+/// verifier's k_max and is dropped as flooding (§V-C) before any
+/// signature lookup. Finishing alone is not enough (an honest VERIFY may
+/// still be in flight to an unsettled sequence), nor is settling alone (a
+/// slow executor may still have to sign). So the registry holds the keys
+/// of live executors plus those of finished ones whose sequence the
+/// verifier has not settled: on `xshard_2pc` (seed 1, 2 s) the run peaks
+/// at 37 MB instead of 51 MB.
 class CloudSimulator {
  public:
   CloudSimulator(sim::Simulator* sim, sim::Network* net,
@@ -93,11 +91,6 @@ class CloudSimulator {
   uint64_t executors_killed() const { return executors_killed_; }
 
   // --- key retirement ---
-
-  /// Turns on key retirement at the settle point. Called by a spawner
-  /// that reports settles through OnSettled(); without it (CFT and no-shim
-  /// planes have no settle signal) executor keys stay registered.
-  void RetireKeysAtSettle() { retire_keys_ = true; }
 
   /// Every sequence up to `seq` has settled at the verifier: retires the
   /// keys of finished executors of those sequences. Executors still
@@ -142,7 +135,6 @@ class CloudSimulator {
 
   std::unordered_map<ActorId, Instance> instances_;
   std::unordered_map<sim::RegionId, int> warm_available_;
-  bool retire_keys_ = false;
   SeqNum settled_seq_ = 0;
   // Finished or killed executors by sequence, kept above settled_seq_.
   std::multimap<SeqNum, ActorId> awaiting_settle_;

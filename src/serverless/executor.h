@@ -23,7 +23,7 @@ enum class ExecutorBehavior : uint8_t {
                          ///< (§V-C attack iii).
 };
 
-/// CPU cost constants of the executor function (DESIGN.md §15).
+/// CPU cost constants of the executor function (DESIGN.md §16).
 struct ExecutorCostModel {
   /// Verifying one DS inside the certificate C.
   SimDuration per_sig_verify = Micros(60);

@@ -27,12 +27,10 @@ void MultiPaxosReplica::SetCrashed(bool crashed) {
     phase1_merged_.clear();
     return;
   }
-  if (!crashed_) {
-    last_leader_activity_ = sim_->now();
-    // Evidence queued from before (or during) the outage still needs
-    // the liveness check running.
-    ScheduleLeaderCheck();
-  }
+  last_leader_activity_ = sim_->now();
+  // Evidence queued from before (or during) the outage still needs the
+  // liveness check running.
+  ScheduleLeaderCheck();
 }
 
 void MultiPaxosReplica::OnMessage(const sim::Envelope& env) {
@@ -58,6 +56,13 @@ void MultiPaxosReplica::OnMessage(const sim::Envelope& env) {
     case MsgKind::kPaxosPromise:
       HandlePromise(env);
       break;
+    case MsgKind::kResponse: {
+      const auto* msg = MessageAs<ResponseMsg>(env, MsgKind::kResponse);
+      if (msg != nullptr && response_observer_) {
+        response_observer_(env.from, *msg);
+      }
+      break;
+    }
     default:
       break;
   }
@@ -116,11 +121,7 @@ void MultiPaxosReplica::ScheduleBatchFlush() {
     if (crashed_ || !IsLeader() || phase1_pending_ || pending_.empty()) {
       return;
     }
-    size_t take = std::min(pending_.size(), config_.batch_size);
-    workload::TransactionBatch batch;
-    batch.txns.assign(pending_.begin(), pending_.begin() + take);
-    pending_.erase(pending_.begin(), pending_.begin() + take);
-    ProposeBatch(std::move(batch));
+    ProposeBatch(std::min(pending_.size(), config_.batch_size));
     MaybeProposeBatch();
   });
 }
@@ -133,20 +134,19 @@ void MultiPaxosReplica::MaybeProposeBatch() {
   }
   while (pending_.size() >= config_.batch_size &&
          inflight < config_.pipeline_width) {
-    workload::TransactionBatch batch;
-    batch.txns.assign(pending_.begin(), pending_.begin() + config_.batch_size);
-    pending_.erase(pending_.begin(), pending_.begin() + config_.batch_size);
-    ProposeBatch(std::move(batch));
-    ++inflight;
+    if (!ProposeBatch(config_.batch_size)) ++inflight;
   }
   ScheduleBatchFlush();
 }
 
-void MultiPaxosReplica::ProposeBatch(workload::TransactionBatch batch) {
-  ProposeAtSlot(next_slot_++, workload::ShareBatch(std::move(batch)));
+bool MultiPaxosReplica::ProposeBatch(size_t count) {
+  workload::TransactionBatch batch;
+  batch.txns.assign(pending_.begin(), pending_.begin() + count);
+  pending_.erase(pending_.begin(), pending_.begin() + count);
+  return ProposeAtSlot(next_slot_++, workload::ShareBatch(std::move(batch)));
 }
 
-void MultiPaxosReplica::ProposeAtSlot(SeqNum slot_num,
+bool MultiPaxosReplica::ProposeAtSlot(SeqNum slot_num,
                                       workload::BatchPtr batch) {
   Slot& slot = slots_[slot_num];
   slot.batch = std::move(batch);
@@ -164,6 +164,7 @@ void MultiPaxosReplica::ProposeAtSlot(SeqNum slot_num,
   msg->digest = slot.digest;
   msg->committed_upto = commit_frontier_;
   net_->Broadcast(id(), peers_, id(), msg, msg->WireSize());
+  return MaybeCommit(slot_num);
 }
 
 void MultiPaxosReplica::HandleAccept(const sim::Envelope& env) {
@@ -171,15 +172,7 @@ void MultiPaxosReplica::HandleAccept(const sim::Envelope& env) {
   if (msg == nullptr) return;
   if (msg->ballot < ballot_) return;  // Stale (pre-failover) leader.
   if (env.from != LeaderOf(msg->ballot)) return;
-  if (msg->ballot > ballot_) {
-    // Adopt the higher ballot (a failover happened while we were dark).
-    // A phase-1 read we were running under the older ballot is moot.
-    ballot_ = msg->ballot;
-    view_ = msg->ballot - 1;
-    phase1_pending_ = false;
-    phase1_promises_.clear();
-    phase1_merged_.clear();
-  }
+  if (msg->ballot > ballot_) AdoptBallot(msg->ballot);
   last_leader_activity_ = sim_->now();
   // The leader is alive and proposing: drain any stuck-work evidence it
   // just covered.
@@ -201,6 +194,7 @@ void MultiPaxosReplica::HandleAccept(const sim::Envelope& env) {
   }
   slot_frontier_ = std::max(slot_frontier_, msg->slot);
   commit_frontier_ = std::max(commit_frontier_, msg->committed_upto);
+  PruneToCommitFrontier();
   auto reply = std::make_shared<PaxosAcceptedMsg>(id());
   reply->ballot = msg->ballot;
   reply->slot = msg->slot;
@@ -216,31 +210,52 @@ void MultiPaxosReplica::HandleAccepted(const sim::Envelope& env) {
   if (it == slots_.end() || it->second.committed) return;
   if (msg->digest != it->second.digest) return;
   it->second.accepted.insert(env.from);
-  if (it->second.accepted.size() >= Majority()) {
-    it->second.committed = true;
-    ++committed_batches_;
-    committed_txns_ += it->second.batch->txns.size();
-    last_leader_activity_ = sim_->now();
-    // Advance the contiguous commit frontier (commits may finish out of
-    // order under pipelining).
-    while (true) {
-      auto next = slots_.find(commit_frontier_ + 1);
-      if (next == slots_.end() || !next->second.committed) break;
-      ++commit_frontier_;
-    }
-    if (commit_cb_) {
-      crypto::CommitCertificate cert;  // CFT: no signatures needed.
-      cert.seq = msg->slot;
-      cert.digest = it->second.digest;
-      commit_cb_(msg->slot, view_, it->second.batch, cert);
-    }
-    MaybeProposeBatch();
+  if (MaybeCommit(msg->slot)) MaybeProposeBatch();
+}
+
+bool MultiPaxosReplica::MaybeCommit(SeqNum slot_num) {
+  Slot& slot = slots_.at(slot_num);
+  if (slot.committed || slot.accepted.size() < Majority()) return false;
+  slot.committed = true;
+  ++committed_batches_;
+  committed_txns_ += slot.batch->txns.size();
+  last_leader_activity_ = sim_->now();
+  // Advance the contiguous commit frontier (commits may finish out of
+  // order under pipelining).
+  while (true) {
+    auto next = slots_.find(commit_frontier_ + 1);
+    if (next == slots_.end() || !next->second.committed) break;
+    ++commit_frontier_;
   }
+  if (commit_cb_) {
+    crypto::CommitCertificate cert;  // CFT: no signatures needed.
+    cert.seq = slot_num;
+    cert.digest = slot.digest;
+    commit_cb_(slot_num, view_, slot.batch, cert);
+  }
+  PruneToCommitFrontier();
+  return true;
+}
+
+void MultiPaxosReplica::PruneToCommitFrontier() {
+  slots_.erase(slots_.begin(), slots_.upper_bound(commit_frontier_));
+  accepted_log_.erase(accepted_log_.begin(),
+                      accepted_log_.upper_bound(commit_frontier_));
 }
 
 // ---------------------------------------------------------------------------
 // Leader failover.
 // ---------------------------------------------------------------------------
+
+void MultiPaxosReplica::AdoptBallot(uint64_t ballot) {
+  // A failover happened while this node was dark, or another candidate
+  // won the ballot race: a phase-1 read under an older ballot is moot.
+  ballot_ = ballot;
+  view_ = ballot - 1;
+  phase1_pending_ = false;
+  phase1_promises_.clear();
+  phase1_merged_.clear();
+}
 
 void MultiPaxosReplica::ScheduleLeaderCheck() {
   // Armed only while stuck-work evidence is queued at a follower — the
@@ -297,7 +312,7 @@ void MultiPaxosReplica::TakeOverLeadership() {
   msg->ballot = ballot_;
   msg->from_slot = commit_frontier_ + 1;
   net_->Broadcast(id(), peers_, id(), msg, msg->WireSize());
-  if (peers_.size() == 1 || Majority() == 1) {
+  if (phase1_promises_.size() >= Majority()) {
     FinishPhaseOne();
     return;
   }
@@ -319,13 +334,7 @@ void MultiPaxosReplica::HandlePrepare(const sim::Envelope& env) {
   if (msg == nullptr) return;
   if (msg->ballot < ballot_) return;  // Stale candidate; no promise.
   if (env.from != LeaderOf(msg->ballot)) return;
-  if (msg->ballot > ballot_) {
-    ballot_ = msg->ballot;
-    view_ = msg->ballot - 1;
-    phase1_pending_ = false;  // Someone else won the ballot race.
-    phase1_promises_.clear();
-    phase1_merged_.clear();
-  }
+  if (msg->ballot > ballot_) AdoptBallot(msg->ballot);
   last_leader_activity_ = sim_->now();
   auto reply = std::make_shared<PaxosPromiseMsg>(id());
   reply->ballot = msg->ballot;
@@ -365,13 +374,16 @@ void MultiPaxosReplica::FinishPhaseOne() {
   // piggybacked frontier keeps a late-run failover from re-driving the
   // whole history. Transactions that lived only in the dead leader's
   // memory come back via the verifier's ERROR path.
-  SeqNum frontier = slot_frontier_;
   for (const auto& [slot, value] : phase1_merged_) {
     accepted_log_[slot] = value;
-    frontier = std::max(frontier, slot);
+    slot_frontier_ = std::max(slot_frontier_, slot);
   }
-  slot_frontier_ = std::max(slot_frontier_, frontier);
-  next_slot_ = std::max(next_slot_, slot_frontier_ + 1);
+  PruneToCommitFrontier();
+  // A promise carries no slot at or below its sender's commit frontier,
+  // so the witnessed slots alone can end below a committed one: fresh
+  // batches go above both.
+  next_slot_ = std::max(next_slot_,
+                        std::max(slot_frontier_, commit_frontier_) + 1);
   for (SeqNum s = commit_frontier_ + 1; s < next_slot_; ++s) {
     auto committed_it = slots_.find(s);
     if (committed_it != slots_.end() && committed_it->second.committed) {
@@ -387,58 +399,6 @@ void MultiPaxosReplica::FinishPhaseOne() {
   phase1_merged_.clear();
   phase1_promises_.clear();
   MaybeProposeBatch();
-}
-
-NoShimCoordinator::NoShimCoordinator(ActorId id, const ShimConfig& config,
-                                     sim::Simulator* sim, sim::Network* net)
-    : Actor(id, "noshim"), config_(config), sim_(sim), net_(net) {}
-
-void NoShimCoordinator::OnMessage(const sim::Envelope& env) {
-  const auto* msg = MessageAs<ClientRequestMsg>(env, MsgKind::kClientRequest);
-  if (msg == nullptr) return;
-  SubmitTransaction(msg->txn);
-}
-
-void NoShimCoordinator::SubmitTransaction(const workload::Transaction& txn) {
-  pending_.push_back(txn);
-  MaybeFlush();
-}
-
-void NoShimCoordinator::ScheduleBatchFlush() {
-  if (batch_flush_timer_ != 0 || pending_.empty()) return;
-  batch_flush_timer_ = sim_->Schedule(config_.batch_timeout, [this]() {
-    batch_flush_timer_ = 0;
-    if (pending_.empty()) return;
-    size_t take = std::min(pending_.size(), config_.batch_size);
-    workload::TransactionBatch batch;
-    batch.txns.assign(pending_.begin(), pending_.begin() + take);
-    pending_.erase(pending_.begin(), pending_.begin() + take);
-    Emit(std::move(batch));
-    MaybeFlush();
-  });
-}
-
-void NoShimCoordinator::MaybeFlush() {
-  while (pending_.size() >= config_.batch_size) {
-    workload::TransactionBatch batch;
-    batch.txns.assign(pending_.begin(), pending_.begin() + config_.batch_size);
-    pending_.erase(pending_.begin(), pending_.begin() + config_.batch_size);
-    Emit(std::move(batch));
-  }
-  ScheduleBatchFlush();
-}
-
-void NoShimCoordinator::Emit(workload::TransactionBatch batch) {
-  SeqNum seq = next_seq_++;
-  ++committed_batches_;
-  committed_txns_ += batch.txns.size();
-  if (commit_cb_) {
-    workload::BatchPtr shared = workload::ShareBatch(std::move(batch));
-    crypto::CommitCertificate cert;
-    cert.seq = seq;
-    cert.digest = shared->Hash();
-    commit_cb_(seq, 0, shared, cert);
-  }
 }
 
 }  // namespace sbft::shim

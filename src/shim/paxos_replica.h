@@ -1,6 +1,7 @@
 #ifndef SBFT_SHIM_PAXOS_REPLICA_H_
 #define SBFT_SHIM_PAXOS_REPLICA_H_
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <map>
@@ -15,34 +16,45 @@
 
 namespace sbft::shim {
 
-/// \brief SERVERLESSCFT baseline (paper §IX-H): the shim runs a
-/// crash-fault-tolerant consensus (leader-stable multi-Paxos, phase 2
-/// steady state) instead of PBFT.
+/// \brief The crash-fault shim of the paper's §IX-H baselines: a
+/// leader-stable multi-Paxos (phase 2 steady state) in place of PBFT.
+/// SERVERLESSCFT runs it on n nodes, NOSHIM on one: a leader that is its
+/// own majority commits each batch as it proposes it, sending nothing.
+/// No signatures are computed or carried — the cost advantage the paper
+/// attributes to the CFT baseline — and the quorum is a simple majority.
 ///
-/// No cryptographic signatures are computed or carried — that is exactly
-/// the cost advantage the paper attributes to the CFT baseline — and the
-/// quorum is a simple majority instead of 2f+1 of 3f+1.
+/// Both logs keep only the slots above the contiguous commit frontier:
+/// the leader prunes when it commits, a follower when an Accept carries
+/// the leader's frontier.
 ///
 /// Leader failover (fault-engine coverage): the leader of view v is node
 /// v % n. Followers watch for leader activity; when the leader goes
 /// silent while work is outstanding they bump the view after
 /// `view_change_timeout`. The new leader runs a real phase-1 majority
-/// read: it broadcasts Prepare(ballot) and waits for promises from a
-/// majority (itself included), each carrying the acceptor's
-/// highest-ballot accepted suffix. The merged highest-ballot value per
-/// slot is re-proposed under the new ballot; slots no promise witnessed
-/// are plugged with empty no-op batches so the verifier's k_max cursor
-/// can keep moving. Transactions lost with the old leader come back
-/// through the verifier's ERROR(missing request) path (Fig. 4), which
-/// the leader re-proposes. The majority read is what makes recovery
-/// safe when the candidate itself missed accepts (e.g. it was the one
-/// partitioned away): any committed value lives on some member of every
-/// majority, so the merge cannot orphan a committed slot.
+/// read: Prepare(ballot) to all, and promises from a majority (itself
+/// included), each carrying the acceptor's commit frontier and its
+/// highest-ballot accepted values above it. The merged highest-ballot
+/// value per slot is re-proposed under the new ballot; slots no promise
+/// witnessed are plugged with empty no-op batches so the verifier's k_max
+/// cursor can keep moving. Fresh batches go above both the merged
+/// frontier and the highest witnessed slot, since a promise carries
+/// nothing at or below its sender's frontier. Transactions lost with the
+/// old leader come back through the verifier's ERROR(missing request)
+/// path (Fig. 4), which the leader re-proposes. The majority read keeps
+/// recovery safe when the candidate itself missed accepts (e.g. it was
+/// the one partitioned away): every committed slot is in some majority
+/// member's promise, or at or below the frontier it reports.
 class MultiPaxosReplica : public sim::Actor {
  public:
   using CommitCallback = std::function<void(
       SeqNum seq, ViewNum view, const workload::BatchPtr& batch,
       const crypto::CommitCertificate& cert)>;
+
+  /// Fired when a RESPONSE reaches this node — from the verifier, it
+  /// reports a settled sequence. `from` is the envelope's sender: the
+  /// observer must check it.
+  using ResponseObserver =
+      std::function<void(ActorId from, const ResponseMsg& msg)>;
 
   MultiPaxosReplica(ActorId id, uint32_t index, const ShimConfig& config,
                     std::vector<ActorId> peers, sim::Simulator* sim,
@@ -51,6 +63,9 @@ class MultiPaxosReplica : public sim::Actor {
   void OnMessage(const sim::Envelope& env) override;
 
   void SetCommitCallback(CommitCallback cb) { commit_cb_ = std::move(cb); }
+  void SetResponseObserver(ResponseObserver cb) {
+    response_observer_ = std::move(cb);
+  }
 
   /// The leader of view v is node v % n.
   bool IsLeader() const { return index_ == view_ % peers_.size(); }
@@ -67,6 +82,11 @@ class MultiPaxosReplica : public sim::Actor {
 
   uint64_t committed_batches() const { return committed_batches_; }
   uint64_t committed_txns() const { return committed_txns_; }
+  /// Entries in the longer of the slot table and the accepted log: the
+  /// slots above the commit frontier this node knows.
+  size_t log_size() const {
+    return std::max(slots_.size(), accepted_log_.size());
+  }
 
  private:
   struct Slot {
@@ -90,11 +110,21 @@ class MultiPaxosReplica : public sim::Actor {
   void HandlePrepare(const sim::Envelope& env);
   void HandlePromise(const sim::Envelope& env);
   void MaybeProposeBatch();
-  void ProposeBatch(workload::TransactionBatch batch);
-  void ProposeAtSlot(SeqNum slot_num, workload::BatchPtr batch);
+  /// Both return whether the slot committed as it was proposed, which
+  /// only a group of one does. ProposeBatch takes the first `count`
+  /// pending transactions.
+  bool ProposeBatch(size_t count);
+  bool ProposeAtSlot(SeqNum slot_num, workload::BatchPtr batch);
+  /// The leader commits `slot_num` once a majority, itself included, has
+  /// accepted it; returns whether it committed just now.
+  bool MaybeCommit(SeqNum slot_num);
+  /// Erases the slots and accepted values at or below commit_frontier_.
+  void PruneToCommitFrontier();
   void ScheduleBatchFlush();
   void ScheduleLeaderCheck();
   void OnLeaderCheck();
+  /// Moves to a higher ballot another node leads.
+  void AdoptBallot(uint64_t ballot);
   /// New-leader takeover: starts the phase-1 majority read (Prepare
   /// broadcast + self-promise). Proposals are gated until the read
   /// completes in FinishPhaseOne.
@@ -122,8 +152,9 @@ class MultiPaxosReplica : public sim::Actor {
   std::map<SeqNum, AcceptedValue> accepted_log_;
   SeqNum slot_frontier_ = 0;  // Highest slot witnessed in any Accept.
   /// Contiguous commit frontier: as leader, advanced over slots_; as
-  /// follower, learned from the leader's Accept piggyback. A takeover
-  /// re-proposes only slots above this watermark.
+  /// follower, learned from the leader's Accept piggyback; as candidate,
+  /// from the promises. Both logs hold only the slots above it, and a
+  /// takeover re-proposes only those.
   SeqNum commit_frontier_ = 0;
   std::deque<workload::Transaction> pending_;
   /// Seen requests, keyed by (client, id) above each client's floor.
@@ -144,40 +175,7 @@ class MultiPaxosReplica : public sim::Actor {
   bool phase1_retry_armed_ = false;
 
   CommitCallback commit_cb_;
-  uint64_t committed_batches_ = 0;
-  uint64_t committed_txns_ = 0;
-};
-
-/// \brief NOSHIM baseline (paper §IX-H): no consensus at all — one
-/// coordinator node receives client requests and immediately hands the
-/// batch to the spawner, approximating the Baresi et al. architecture the
-/// paper compares against.
-class NoShimCoordinator : public sim::Actor {
- public:
-  using CommitCallback = MultiPaxosReplica::CommitCallback;
-
-  NoShimCoordinator(ActorId id, const ShimConfig& config, sim::Simulator* sim,
-                    sim::Network* net);
-
-  void OnMessage(const sim::Envelope& env) override;
-  void SetCommitCallback(CommitCallback cb) { commit_cb_ = std::move(cb); }
-  void SubmitTransaction(const workload::Transaction& txn);
-
-  uint64_t committed_batches() const { return committed_batches_; }
-  uint64_t committed_txns() const { return committed_txns_; }
-
- private:
-  void MaybeFlush();
-  void ScheduleBatchFlush();
-  void Emit(workload::TransactionBatch batch);
-
-  ShimConfig config_;
-  sim::Simulator* sim_;
-  sim::Network* net_;
-  SeqNum next_seq_ = 1;
-  std::deque<workload::Transaction> pending_;
-  sim::EventId batch_flush_timer_ = 0;
-  CommitCallback commit_cb_;
+  ResponseObserver response_observer_;
   uint64_t committed_batches_ = 0;
   uint64_t committed_txns_ = 0;
 };

@@ -6,6 +6,11 @@
 
 namespace sbft::sim {
 
+/// Uniform extra delay in [0, kJitterMax) added per delivered copy.
+constexpr SimDuration kJitterMax = Micros(200);
+/// NIC line rate used for transmission delay (paper setup: 10 GiB NICs).
+constexpr double kBandwidthGbps = 10.0;
+
 Network::Network(Simulator* sim, RegionTable regions, NetworkConfig config)
     : regions_(std::move(regions)), config_(config) {
   loops_.emplace_back(sim, sim->rng()->Fork(0x4e42));
@@ -233,15 +238,12 @@ void Network::SendFrom(int cur, ActorId from, RegionId from_region,
     return;
   }
 
-  double tx_seconds = static_cast<double>(wire_bytes) * 8.0 /
-                      (config_.bandwidth_gbps * 1e9);
+  double tx_seconds =
+      static_cast<double>(wire_bytes) * 8.0 / (kBandwidthGbps * 1e9);
   SimDuration delay = Seconds(tx_seconds) +
                       regions_.OneWay(from_region, to_region) +
-                      verdict.extra_delay;
-  if (config_.jitter_max > 0) {
-    delay += static_cast<SimDuration>(
-        ln.rng.Uniform(static_cast<uint64_t>(config_.jitter_max)));
-  }
+                      verdict.extra_delay +
+                      static_cast<SimDuration>(ln.rng.Uniform(kJitterMax));
 
   Envelope env;
   env.from = from;
@@ -252,9 +254,8 @@ void Network::SendFrom(int cur, ActorId from, RegionId from_region,
 
   for (int c = 0; c < verdict.copies; ++c) {
     SimDuration copy_delay = delay;
-    if (c > 0 && config_.jitter_max > 0) {
-      copy_delay += static_cast<SimDuration>(
-          ln.rng.Uniform(static_cast<uint64_t>(config_.jitter_max)));
+    if (c > 0) {
+      copy_delay += static_cast<SimDuration>(ln.rng.Uniform(kJitterMax));
     }
     // The last (usually only) copy moves the envelope into the event,
     // saving a shared_ptr refcount round-trip per delivery.

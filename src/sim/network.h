@@ -26,10 +26,6 @@ struct NetworkConfig {
   double drop_probability = 0.0;
   /// Probability a message is delivered twice.
   double duplicate_probability = 0.0;
-  /// Uniform extra delay in [0, jitter_max) added per message.
-  SimDuration jitter_max = Micros(200);
-  /// NIC line rate used for transmission delay (paper setup: 10 GiB NICs).
-  double bandwidth_gbps = 10.0;
 };
 
 /// Per-link fault-injection rule layered on top of the global

@@ -17,7 +17,7 @@ using RegionId = uint32_t;
 /// Inter-region round-trip times are derived from great-circle distance at
 /// effective fiber speed (~2/3 c) with a route-inflation factor plus fixed
 /// overhead — the standard first-order WAN model. This substitutes for the
-/// paper's real OCI↔AWS topology (DESIGN.md §15) while preserving the
+/// paper's real OCI↔AWS topology (DESIGN.md §16) while preserving the
 /// property the experiments rely on: nearby regions answer first
 /// (paper §IX-E).
 class RegionTable {

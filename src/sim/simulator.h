@@ -18,7 +18,7 @@ using EventId = uint64_t;
 
 /// \brief Deterministic discrete-event simulator.
 ///
-/// The substitution for the paper's wall-clock testbed (DESIGN.md §15): all
+/// The substitution for the paper's wall-clock testbed (DESIGN.md §16): all
 /// latency/throughput numbers in the benches are measured in this clock.
 /// Events at equal times fire in scheduling order, so a run is a pure
 /// function of (program, seed).

@@ -129,8 +129,8 @@ void Verifier::HandleVerify(const sim::Envelope& env) {
   }
   if (msg->cert.seq != seq || msg->cert.digest != msg->batch_digest ||
       !msg->cert.Validate(*keys_, config_.shim_quorum).ok()) {
-    // CFT/NoShim baselines carry empty certificates; they configure
-    // shim_quorum = 0, which Validate accepts.
+    // The crash-fault shim (CFT, or no shim) carries empty certificates;
+    // its shim_quorum is 0, which Validate accepts.
     if (config_.shim_quorum > 0) {
       ++rejected_verifies_;
       return;

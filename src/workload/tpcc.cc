@@ -6,8 +6,18 @@
 
 namespace sbft::workload {
 
+/// Value bytes per row.
+constexpr size_t kValueSize = 64;
+/// Order lines per NewOrder, uniform in [min, max] (TPC-C: 5..15).
+constexpr int kOrderLinesMin = 2;
+constexpr int kOrderLinesMax = 5;
+/// Percentage (0-100) of order lines whose stock row lives at a *remote*
+/// warehouse (TPC-C: 1%); with hash-sharding this is what makes NewOrder
+/// span shards.
+constexpr double kRemotePercentage = 1.0;
+
 TpccGenerator::TpccGenerator(const TpccConfig& config, Rng rng)
-    : TxnGenerator(config.value_size, 't'),
+    : TxnGenerator(kValueSize, 't'),
       config_(config),
       rng_(rng),
       warehouses_(MakeKeyDistribution(std::max<uint32_t>(config.warehouses, 1),
@@ -63,7 +73,7 @@ Transaction TpccGenerator::Next(ActorId client) {
     Operation op;
     op.type = OpType::kWrite;
     op.key = std::move(key);
-    op.value.assign(config_.value_size, static_cast<uint8_t>('n'));
+    op.value.assign(kValueSize, static_cast<uint8_t>('n'));
     txn.ops.push_back(std::move(op));
   };
 
@@ -77,16 +87,14 @@ Transaction TpccGenerator::Next(ActorId client) {
   read(district);
   write(district);
 
-  int lines = static_cast<int>(rng_.Range(config_.order_lines_min,
-                                          std::max(config_.order_lines_max,
-                                                   config_.order_lines_min)));
+  int lines = static_cast<int>(rng_.Range(kOrderLinesMin, kOrderLinesMax));
   for (int l = 0; l < lines; ++l) {
     auto item =
         static_cast<uint32_t>(rng_.Uniform(std::max<uint32_t>(config_.items,
                                                               1)));
     uint32_t supply = w;
     if (config_.warehouses > 1 &&
-        rng_.Bernoulli(config_.remote_percentage / 100.0)) {
+        rng_.Bernoulli(kRemotePercentage / 100.0)) {
       supply = static_cast<uint32_t>(rng_.Uniform(config_.warehouses - 1));
       if (supply >= w) ++supply;  // Any warehouse but the home one.
     }

@@ -22,19 +22,10 @@ struct TpccConfig {
   uint32_t districts_per_warehouse = 10;
   /// Item/stock rows per warehouse (TPC-C: 100k; scaled down).
   uint32_t items = 1000;
-  /// Order lines per NewOrder, uniform in [min, max] (TPC-C: 5..15).
-  int order_lines_min = 2;
-  int order_lines_max = 5;
-  /// Value bytes per row.
-  size_t value_size = 64;
   /// Warehouse-popularity skew (0 = uniform): hot warehouses
   /// concentrate district RMW conflicts, the TPC-C analogue of YCSB's
   /// hot-key knob.
   double zipf_theta = 0.0;
-  /// Percentage (0-100) of order lines whose stock row lives at a
-  /// *remote* warehouse (TPC-C: 1%); with hash-sharding this is what
-  /// makes NewOrder span shards.
-  double remote_percentage = 1.0;
 };
 
 /// \brief TPC-C-style NewOrder generator: per transaction, one read of

@@ -71,9 +71,6 @@ struct TrafficConfig {
   /// Hard cap on total in-flight transactions per source; arrivals
   /// beyond it are shed (offered + dropped). 0 = unbounded.
   uint64_t max_inflight = 0;
-  /// Workflow chains: attempts per hop before the chain is dropped
-  /// (each attempt after an abort is a fresh transaction).
-  uint32_t max_hop_attempts = 16;
 };
 
 }  // namespace sbft::workload

@@ -23,8 +23,6 @@ struct WorkflowConfig {
   uint32_t state_keys_per_function = 200;
   /// Hops per chain (function invocations per workflow).
   uint32_t chain_hops = 3;
-  /// Value bytes per state row.
-  size_t value_size = 64;
   /// Slot-popularity skew within a function's state (0 = uniform).
   double zipf_theta = 0.0;
   /// Shard planes the keyspace is hash-partitioned over. When > 1 each

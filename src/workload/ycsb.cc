@@ -8,8 +8,11 @@
 
 namespace sbft::workload {
 
+/// Value bytes per record.
+constexpr size_t kValueSize = 100;
+
 YcsbGenerator::YcsbGenerator(const YcsbConfig& config, Rng rng)
-    : TxnGenerator(config.value_size, 'v'),
+    : TxnGenerator(kValueSize, 'v'),
       config_(config),
       rng_(rng),
       // The 100k cap bounds the zipfian harmonic-sum precomputation;
@@ -51,7 +54,7 @@ Transaction YcsbGenerator::Next(ActorId client) {
     op.key = YcsbKey(index);
     if (is_write) {
       op.type = OpType::kWrite;
-      op.value.assign(config_.value_size, static_cast<uint8_t>('w'));
+      op.value.assign(kValueSize, static_cast<uint8_t>('w'));
     } else {
       op.type = OpType::kRead;
     }
@@ -66,7 +69,7 @@ Transaction YcsbGenerator::Next(ActorId client) {
     }
     if (!has_write) {
       txn.ops[0].type = OpType::kWrite;
-      txn.ops[0].value.assign(config_.value_size, static_cast<uint8_t>('w'));
+      txn.ops[0].value.assign(kValueSize, static_cast<uint8_t>('w'));
     }
   }
 

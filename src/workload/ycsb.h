@@ -20,8 +20,6 @@ namespace sbft::workload {
 struct YcsbConfig {
   /// Records loaded into the store ("user0".."user<N-1>").
   uint64_t record_count = 600000;
-  /// Value size per record, bytes.
-  size_t value_size = 100;
   /// Operations per transaction (split between reads and writes).
   int ops_per_txn = 2;
   /// Fraction of operations that are writes.

@@ -99,6 +99,30 @@ TEST(ConflictsTest, ConflictAvoidanceQueuesConflictingBatches) {
   EXPECT_GT(arch.TotalCompleted(), 0u);
 }
 
+TEST(ConflictsTest, ConflictAvoidanceKeepsCommittingOnCrashFaultShims) {
+  // A batch's §VI-C locks go when the verifier's RESPONSE reaches the
+  // spawner. The crash-fault shim (CFT, and no shim, its group of one)
+  // must deliver it too: otherwise the first batches keep their locks and
+  // every later batch that touches a hot key queues behind them for good.
+  for (Protocol protocol : {Protocol::kServerlessCft, Protocol::kNoShim}) {
+    SystemConfig config = ConflictConfig(30, /*rw_known=*/true);
+    config.protocol = protocol;
+    config.conflict_avoidance = true;
+    config.shim.batch_size = 10;
+    config.num_clients = 200;
+    config.workload.hot_keys = 4;
+    Architecture arch(config);
+    arch.Start();
+    arch.simulator()->RunUntil(Seconds(2));
+    const uint64_t at_two_seconds = arch.TotalCompleted();
+    arch.simulator()->RunUntil(Seconds(3));
+    const char* name =
+        protocol == Protocol::kNoShim ? "no shim" : "ServerlessCFT";
+    EXPECT_GT(at_two_seconds, 200u) << name;
+    EXPECT_GT(arch.TotalCompleted(), at_two_seconds + 100) << name;
+  }
+}
+
 TEST(ConflictsTest, AbortedTransactionsStillAdvanceKmax) {
   SystemConfig config = ConflictConfig(60, /*rw_known=*/false);
   Architecture arch(config);

@@ -46,6 +46,36 @@ class SpawnerTest : public ::testing::Test {
     return batch;
   }
 
+  // The registry holds the keys of live executors and of finished ones
+  // whose sequence has not settled, not of every executor ever spawned.
+  // Batches without operations skip the storage fetch, so their
+  // executors finish within one step.
+  Spawner ExpectExecutorKeysBoundedBySettleLag(Protocol protocol) {
+    SystemConfig config;
+    config.protocol = protocol;
+    config.shim.n = 4;
+    config.n_e = 3;
+    Spawner spawner = MakeSpawner(config);
+    const size_t static_keys = keys_.size();
+    constexpr SeqNum kWidth = 8;
+    constexpr SeqNum kLag = 20;
+    SeqNum committed = 0;
+    for (SeqNum base = 1; base <= 400; base += kWidth) {
+      for (SeqNum i = kWidth; i-- > 0;) Commit(spawner, base + i, {});
+      committed = base + kWidth - 1;
+      sim_.RunUntil(sim_.now() + Millis(200));
+      if (committed > kLag) spawner.OnResponse(committed - kLag);
+      EXPECT_LE(keys_.size() - static_keys,
+                (committed - spawner.settled_seq()) * config.n_e +
+                    cloud_->active_executors());
+    }
+    EXPECT_EQ(spawner.executors_spawned(), 400u * config.n_e);
+    sim_.RunUntil(sim_.now() + Seconds(1));
+    EXPECT_EQ(cloud_->active_executors(), 0);
+    EXPECT_EQ(keys_.size() - static_keys, kLag * config.n_e);
+    return spawner;
+  }
+
   crypto::CommitCertificate MakeCert(SeqNum seq,
                                      const workload::BatchPtr& b) {
     crypto::CommitCertificate cert;
@@ -236,47 +266,16 @@ TEST_F(SpawnerTest, RespawnCacheBoundedBySettleLag) {
 }
 
 TEST_F(SpawnerTest, ExecutorKeysBoundedBySettleLag) {
-  // The registry holds the keys of live executors and of finished ones
-  // whose sequence has not settled, not of every executor ever spawned.
-  // Batches without operations skip the storage fetch, so their
-  // executors finish within one step.
-  SystemConfig config;
-  config.shim.n = 4;
-  config.n_e = 3;
-  Spawner spawner = MakeSpawner(config);
-  const size_t static_keys = keys_.size();
-  constexpr SeqNum kWidth = 8;
-  constexpr SeqNum kLag = 20;
-  SeqNum committed = 0;
-  for (SeqNum base = 1; base <= 400; base += kWidth) {
-    for (SeqNum i = kWidth; i-- > 0;) Commit(spawner, base + i, {});
-    committed = base + kWidth - 1;
-    sim_.RunUntil(sim_.now() + Millis(200));
-    if (committed > kLag) spawner.OnResponse(committed - kLag);
-    EXPECT_LE(keys_.size() - static_keys,
-              (committed - spawner.settled_seq()) * config.n_e +
-                  cloud_->active_executors());
-  }
-  EXPECT_EQ(spawner.executors_spawned(), 400u * config.n_e);
-  sim_.RunUntil(sim_.now() + Seconds(1));
-  EXPECT_EQ(cloud_->active_executors(), 0);
-  EXPECT_EQ(keys_.size() - static_keys, kLag * config.n_e);
+  ExpectExecutorKeysBoundedBySettleLag(Protocol::kServerlessBft);
 }
 
-TEST_F(SpawnerTest, CftPlaneKeepsExecutorKeysAndTracksNothing) {
-  // CFT and no-shim planes have no settle signal: their executors keep
-  // their keys and the cloud records no per-executor retirement state.
-  SystemConfig config;
-  config.protocol = Protocol::kServerlessCft;
-  config.shim.n = 3;
-  config.n_e = 3;
-  Spawner spawner = MakeSpawner(config);
-  const size_t static_keys = keys_.size();
-  for (SeqNum seq = 1; seq <= 10; ++seq) Commit(spawner, seq, {});
-  sim_.RunUntil(Seconds(1));
-  EXPECT_EQ(cloud_->active_executors(), 0);
-  EXPECT_EQ(keys_.size() - static_keys, 10u * config.n_e);
-  EXPECT_EQ(cloud_->executors_awaiting_settle(), 0u);
+TEST_F(SpawnerTest, CftPlaneExecutorKeysBoundedBySettleLag) {
+  // The crash-fault shim reports settles too, so its executors' keys
+  // retire at the same bound; it never asks for respawns, so it caches
+  // no EXECUTE payload.
+  Spawner spawner =
+      ExpectExecutorKeysBoundedBySettleLag(Protocol::kServerlessCft);
+  EXPECT_EQ(spawner.respawn_cache_size(), 0u);
 }
 
 TEST(ExecutorKeyRetirementTest, ReplayedVerifyFromRetiredExecutorIsFlooding) {

@@ -192,7 +192,6 @@ TEST_F(CloudTest, ExecutorsInFarRegionsTakeLonger) {
 // killed) and its sequence has settled, and not before both.
 
 TEST_F(CloudTest, KeysRetireOnceFinishedAndSettled) {
-  cloud_->RetireKeysAtSettle();
   ActorId id = cloud_->Spawn(1, MakeWork(1), 900, 901, 3);
   sim_.RunUntil(Seconds(1));
   ASSERT_EQ(sink_.verifies.size(), 1u);
@@ -207,7 +206,6 @@ TEST_F(CloudTest, KeysRetireOnceFinishedAndSettled) {
 }
 
 TEST_F(CloudTest, ExecutorRunningAtSettleKeepsKeyUntilItFinishes) {
-  cloud_->RetireKeysAtSettle();
   ActorId id = cloud_->Spawn(1, MakeWork(1), 900, 901, 3);
   ActorId later = cloud_->Spawn(1, MakeWork(2), 900, 901, 3);
   // Its peers settled sequence 1 before this executor even started.
@@ -237,7 +235,6 @@ TEST_F(CloudTest, ExecutorRunningAtSettleKeepsKeyUntilItFinishes) {
 }
 
 TEST_F(CloudTest, KilledExecutorsRetireAtSettle) {
-  cloud_->RetireKeysAtSettle();
   ActorId early = cloud_->Spawn(1, MakeWork(1), 900, 901, 3);
   EXPECT_EQ(cloud_->KillAllExecutors(), 1u);
   EXPECT_TRUE(keys_.IsRegistered(early));  // Sequence 1 is unsettled.
