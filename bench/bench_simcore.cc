@@ -179,7 +179,7 @@ workload::TransactionBatch MakeBatch(size_t txns, uint64_t seed) {
     workload::Operation write;
     write.type = workload::OpType::kWrite;
     write.key = "user" + std::to_string(rng.Uniform(600000));
-    write.value.assign(100, static_cast<uint8_t>(i));
+    write.value = Bytes(100, static_cast<uint8_t>(i));
     t.ops.push_back(std::move(write));
     batch.txns.push_back(std::move(t));
   }
@@ -495,7 +495,7 @@ double VarintCodec(const Options& opt, RepClock& clock) {
 double KvPut(const Options& opt, RepClock& clock) {
   const uint64_t total = Scaled(opt, 200'000);
   storage::KvStore store;
-  const Bytes value(100, 'v');
+  const SharedBytes value(Bytes(100, 'v'));
   clock.Start();
   for (uint64_t i = 0; i < total; ++i) {
     store.Put("user" + std::to_string(i % 100'000), value);

@@ -13,6 +13,11 @@ int HexDigitValue(char c) {
 }
 }  // namespace
 
+const Bytes& SharedBytes::Empty() {
+  static const Bytes kEmpty;
+  return kEmpty;
+}
+
 Bytes ToBytes(std::string_view s) {
   return Bytes(s.begin(), s.end());
 }

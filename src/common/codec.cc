@@ -98,6 +98,13 @@ Status Decoder::GetBytes(Bytes* out) {
   return Status::Ok();
 }
 
+Status Decoder::GetBytes(SharedBytes* out) {
+  Bytes bytes;
+  Status s = GetBytes(&bytes);
+  if (s.ok()) *out = std::move(bytes);
+  return s;
+}
+
 Status Decoder::GetString(std::string* out) {
   uint64_t len;
   Status s = GetVarint(&len);

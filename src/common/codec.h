@@ -163,6 +163,7 @@ class Decoder {
   Status GetU64(uint64_t* out);
   Status GetVarint(uint64_t* out);
   Status GetBytes(Bytes* out);
+  Status GetBytes(SharedBytes* out);
   Status GetString(std::string* out);
   /// Reads a varint element count. Every element takes at least one
   /// byte, so a count above remaining() is Corruption — checked before

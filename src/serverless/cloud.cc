@@ -4,9 +4,7 @@
 
 namespace sbft::serverless {
 
-/// Executor instance shape: the cores its function body runs on, and the
-/// memory each invocation is billed for.
-constexpr int kExecutorCores = 2;
+/// The memory each executor invocation is billed for.
 constexpr double kExecutorMemoryGb = 1.0;
 
 CloudSimulator::CloudSimulator(sim::Simulator* sim, sim::Network* net,
@@ -44,12 +42,9 @@ ActorId CloudSimulator::Spawn(sim::RegionId region,
   instance.region = region;
   instance.started_at = sim_->now();
   instance.seq = work->seq;
-  instance.cpu =
-      std::make_unique<sim::ServerResource>(sim_, kExecutorCores);
   instance.function = std::make_unique<ExecutorFunction>(
       id, std::move(work), verifier, storage, shim_quorum, keys_, sim_, net_,
-      instance.cpu.get(), behavior,
-      [this](ActorId done_id) { OnExecutorDone(done_id); });
+      behavior, [this](ActorId done_id) { OnExecutorDone(done_id); });
 
   net_->Register(instance.function.get(), region);
 
@@ -86,8 +81,8 @@ size_t CloudSimulator::KillAllExecutors() {
     RetireWhenSettled(id, instance.seq);
     --active_;
     ++killed;
-    // The instance object stays alive until teardown: its ServerResource
-    // may still have queued jobs whose completion events reference it.
+    // The instance object stays alive until teardown: a CPU step of its
+    // function may still be scheduled, and that event references it.
   }
   executors_killed_ += killed;
   return killed;

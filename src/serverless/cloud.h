@@ -15,14 +15,15 @@
 
 namespace sbft::serverless {
 
-/// Static parameters of the simulated serverless provider.
+/// Static parameters of the simulated serverless provider. Each region
+/// starts with no warm container, so its first spawns start cold; every
+/// executor that finishes leaves one warm container in its region, with
+/// no cap, and a spawn takes a warm one when its region has any.
 struct CloudConfig {
-  /// Container cold-start latency (no warm instance available).
+  /// Container cold-start latency (no warm container in the region).
   SimDuration cold_start = Millis(120);
   /// Warm-start latency (reused container).
   SimDuration warm_start = Millis(12);
-  /// Warm container pool per region; spawns beyond it cold-start.
-  int warm_pool_per_region = 64;
   /// Account-level concurrent execution limit — the knob behind the
   /// paper's "could not scale further due to limits by cloud provider"
   /// remark (§I).
@@ -114,7 +115,6 @@ class CloudSimulator {
  private:
   struct Instance {
     std::unique_ptr<ExecutorFunction> function;
-    std::unique_ptr<sim::ServerResource> cpu;
     sim::RegionId region;
     SimTime started_at;
     SeqNum seq = 0;       // The sequence of the batch it executes.

@@ -9,7 +9,7 @@ ExecutorFunction::ExecutorFunction(
     ActorId id, std::shared_ptr<const shim::ExecuteMsg> work,
     ActorId verifier, ActorId storage, uint32_t shim_quorum,
     crypto::KeyRegistry* keys, sim::Simulator* sim, sim::Network* net,
-    sim::ServerResource* cpu, ExecutorBehavior behavior, DoneCallback done)
+    ExecutorBehavior behavior, DoneCallback done)
     : Actor(id, "executor-" + std::to_string(id)),
       work_(std::move(work)),
       verifier_(verifier),
@@ -18,7 +18,6 @@ ExecutorFunction::ExecutorFunction(
       keys_(keys),
       sim_(sim),
       net_(net),
-      cpu_(cpu),
       behavior_(behavior),
       done_(std::move(done)) {}
 
@@ -31,7 +30,7 @@ void ExecutorFunction::Start() {
       kExecutorCosts.base +
       kExecutorCosts.per_sig_verify *
           static_cast<SimDuration>(work_->cert.signatures.size() + 1);
-  cpu_->Submit(validate_cost, [this]() {
+  sim_->Schedule(validate_cost, [this]() {
     if (killed_) return;
     if (!keys_->Verify(work_->sender,
                        shim::ExecuteMsg::SigningBytes(
@@ -161,8 +160,8 @@ void ExecutorFunction::Execute(const shim::StorageReadReplyMsg& reply) {
 
   Bytes result = result_hash.Finish().ToBytes();
   // Step (iv): execute (charge the compute time), then send the result.
-  cpu_->Submit(compute, [this, txn_rws = std::move(txn_rws),
-                         result = std::move(result)]() mutable {
+  sim_->Schedule(compute, [this, txn_rws = std::move(txn_rws),
+                           result = std::move(result)]() mutable {
     if (killed_) return;
     if (behavior_ == ExecutorBehavior::kWrongResult) {
       // Arbitrary fault: flip the result. The rw sets stay plausible, so

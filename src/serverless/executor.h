@@ -8,7 +8,6 @@
 #include "crypto/keys.h"
 #include "shim/message.h"
 #include "sim/network.h"
-#include "sim/server.h"
 #include "sim/simulator.h"
 
 namespace sbft::serverless {
@@ -45,7 +44,9 @@ inline constexpr ExecutorCostModel kExecutorCosts{};
 /// batch locally, recording one read/write set per transaction -> send
 /// VERIFY, signed over those sets and the result, to the verifier ->
 /// terminate. Executors never write to storage and never talk to each
-/// other.
+/// other. Validating and executing each cost CPU time, charged as one
+/// simulator delay: the steps run one after the other, so they never
+/// wait for a core.
 class ExecutorFunction : public sim::Actor {
  public:
   /// Invoked when the function finishes (or would have, for byzantine
@@ -55,8 +56,8 @@ class ExecutorFunction : public sim::Actor {
   ExecutorFunction(ActorId id, std::shared_ptr<const shim::ExecuteMsg> work,
                    ActorId verifier, ActorId storage, uint32_t shim_quorum,
                    crypto::KeyRegistry* keys, sim::Simulator* sim,
-                   sim::Network* net, sim::ServerResource* cpu,
-                   ExecutorBehavior behavior, DoneCallback done);
+                   sim::Network* net, ExecutorBehavior behavior,
+                   DoneCallback done);
 
   /// Begins the function body (called by the cloud after start latency).
   void Start();
@@ -84,7 +85,6 @@ class ExecutorFunction : public sim::Actor {
   crypto::KeyRegistry* keys_;
   sim::Simulator* sim_;
   sim::Network* net_;
-  sim::ServerResource* cpu_;
   ExecutorBehavior behavior_;
   DoneCallback done_;
   uint64_t read_request_id_ = 0;

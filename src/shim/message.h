@@ -357,7 +357,7 @@ struct StorageReadReplyMsg : Message {
 
   struct Item {
     std::string key;
-    Bytes value;
+    SharedBytes value;  ///< Shared with the store's record.
     uint64_t version = 0;
     bool found = false;
   };

@@ -1,6 +1,7 @@
 #include "shim/paxos_replica.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace sbft::shim {
 
@@ -141,7 +142,8 @@ void MultiPaxosReplica::MaybeProposeBatch() {
 
 bool MultiPaxosReplica::ProposeBatch(size_t count) {
   workload::TransactionBatch batch;
-  batch.txns.assign(pending_.begin(), pending_.begin() + count);
+  batch.txns.assign(std::make_move_iterator(pending_.begin()),
+                    std::make_move_iterator(pending_.begin() + count));
   pending_.erase(pending_.begin(), pending_.begin() + count);
   return ProposeAtSlot(next_slot_++, workload::ShareBatch(std::move(batch)));
 }

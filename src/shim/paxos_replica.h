@@ -111,8 +111,8 @@ class MultiPaxosReplica : public sim::Actor {
   void HandlePromise(const sim::Envelope& env);
   void MaybeProposeBatch();
   /// Both return whether the slot committed as it was proposed, which
-  /// only a group of one does. ProposeBatch takes the first `count`
-  /// pending transactions.
+  /// only a group of one does. ProposeBatch moves the first `count`
+  /// pending transactions into a batch.
   bool ProposeBatch(size_t count);
   bool ProposeAtSlot(SeqNum slot_num, workload::BatchPtr batch);
   /// The leader commits `slot_num` once a majority, itself included, has

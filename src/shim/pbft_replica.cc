@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <set>
 
 #include "common/logging.h"
@@ -152,11 +153,7 @@ void PbftReplica::ScheduleBatchFlush() {
     if (crashed_ || !IsPrimary() || in_view_change_ || pending_.empty()) {
       return;
     }
-    size_t take = std::min(pending_.size(), config_.batch_size);
-    workload::TransactionBatch batch;
-    batch.txns.assign(pending_.begin(), pending_.begin() + take);
-    pending_.erase(pending_.begin(), pending_.begin() + take);
-    ProposeBatch(std::move(batch));
+    ProposeBatch(std::min(pending_.size(), config_.batch_size));
     MaybeProposeBatch();
   });
 }
@@ -170,18 +167,17 @@ void PbftReplica::MaybeProposeBatch() {
   }
   while (pending_.size() >= config_.batch_size &&
          inflight < config_.pipeline_width) {
-    workload::TransactionBatch batch;
-    batch.txns.assign(pending_.begin(),
-                      pending_.begin() + config_.batch_size);
-    pending_.erase(pending_.begin(),
-                   pending_.begin() + config_.batch_size);
-    ProposeBatch(std::move(batch));
+    ProposeBatch(config_.batch_size);
     ++inflight;
   }
   ScheduleBatchFlush();
 }
 
-void PbftReplica::ProposeBatch(workload::TransactionBatch batch) {
+void PbftReplica::ProposeBatch(size_t count) {
+  workload::TransactionBatch batch;
+  batch.txns.assign(std::make_move_iterator(pending_.begin()),
+                    std::make_move_iterator(pending_.begin() + count));
+  pending_.erase(pending_.begin(), pending_.begin() + count);
   SeqNum seq = next_seq_++;
   auto msg = std::make_shared<PrePrepareMsg>(id());
   msg->view = view_;

@@ -144,7 +144,8 @@ class PbftReplica : public sim::Actor {
 
   // --- primary logic ---
   void MaybeProposeBatch();
-  void ProposeBatch(workload::TransactionBatch batch);
+  /// Proposes the first `count` pending transactions, moved into a batch.
+  void ProposeBatch(size_t count);
   void ScheduleBatchFlush();
 
   // --- consensus helpers ---

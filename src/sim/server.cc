@@ -1,7 +1,6 @@
 #include "sim/server.h"
 
 #include <cassert>
-#include <memory>
 #include <utility>
 
 namespace sbft::sim {
@@ -24,10 +23,9 @@ void ServerResource::Submit(SimDuration cost, std::function<void()> done) {
 void ServerResource::StartJob(Job job) {
   ++busy_;
   busy_time_ += job.cost;
-  // Move the completion callback into the scheduled event.
-  auto done = std::make_shared<std::function<void()>>(std::move(job.done));
-  sim_->Schedule(job.cost, [this, done]() {
-    (*done)();
+  // The completion callback moves into the event, which holds it inline.
+  sim_->Schedule(job.cost, [this, done = std::move(job.done)]() {
+    done();
     FinishJob();
   });
 }

@@ -19,6 +19,16 @@ void Simulator::RunToCompletion() {
   }
 }
 
+void Simulator::DropStale() {
+  std::erase_if(heap_, [this](const HeapEntry& e) { return Stale(e); });
+  stale_ = 0;
+  // Floyd's bottom-up build: sift down every parent, last one first.
+  if (heap_.size() < 2) return;
+  for (size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;) {
+    SiftDown(i, heap_[i]);
+  }
+}
+
 uint64_t Simulator::ExecuteWindow(SimTime limit) {
   uint64_t executed = 0;
   SimTime next;

@@ -27,12 +27,17 @@ using EventId = uint64_t;
 /// generation-stamped pooled slots (recycled through a free list) and the
 /// ready queue is a 4-ary heap of 24-byte plain entries, so Schedule /
 /// Cancel / Step touch no allocator once the pool has warmed up to the
-/// peak number of outstanding events. Cancel is O(1): it retires the slot
-/// immediately (bumping its generation) and the heap entry is skipped on
-/// pop via the stamp mismatch — no tombstone set that can grow without
-/// bound across a long run.
+/// peak number of outstanding events. Cancel is amortised O(1): it retires
+/// the slot immediately (bumping its generation) and the heap entry, now
+/// stale, is skipped on pop via the stamp mismatch. Once the stale
+/// entries outnumber the live ones by more than kStaleSlack, the heap is
+/// rebuilt from the live ones, so a run that cancels most of its timers
+/// does not sift a heap many times deeper than its pending events.
 class Simulator {
  public:
+  /// How far the heap's stale entries may outnumber its live ones.
+  static constexpr size_t kStaleSlack = 64;
+
   explicit Simulator(uint64_t seed = 1);
 
   Simulator(const Simulator&) = delete;
@@ -119,7 +124,7 @@ class Simulator {
   size_t slot_pool_size() const { return slots_.size(); }
 
   /// Heap entries, including stale entries for cancelled events that have
-  /// not reached the top yet (bounded by total scheduled-but-unpopped).
+  /// not been dropped yet: at most 2 * pending_events() + kStaleSlack.
   size_t queue_depth() const { return heap_.size(); }
 
   /// Simulation-wide RNG (fork per component for independence).
@@ -164,11 +169,26 @@ class Simulator {
     return a.seq < b.seq;
   }
 
+  /// True for the entry of a cancelled event: its slot has moved on.
+  bool Stale(const HeapEntry& e) const {
+    return slots_[e.slot].generation != e.generation;
+  }
+
   uint32_t AcquireSlot(EventFn fn);
   void RetireSlot(uint32_t slot);
 
   void HeapPush(HeapEntry entry);
   void HeapPopTop();
+  /// Moves the hole at `i` down until `entry` fits there.
+  void SiftDown(size_t i, HeapEntry entry);
+
+  /// Rebuilds the heap from its live entries once the stale ones
+  /// outnumber them by more than kStaleSlack. Pop order cannot change:
+  /// it is (time, seq), and no two entries share both.
+  void MaybeDropStale() {
+    if (stale_ > heap_.size() - stale_ + kStaleSlack) DropStale();
+  }
+  void DropStale();
 
   /// Drops stale (cancelled) heads, then reports the next live event time.
   bool PeekTime(SimTime* when);
@@ -181,6 +201,7 @@ class Simulator {
   uint32_t owner_tag_ = 0;
   bool stopped_ = false;
   std::vector<HeapEntry> heap_;  ///< 4-ary min-heap.
+  size_t stale_ = 0;             ///< Entries in heap_ of cancelled events.
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
   Rng rng_;
@@ -234,10 +255,12 @@ inline void Simulator::HeapPush(HeapEntry entry) {
 inline void Simulator::HeapPopTop() {
   const HeapEntry last = heap_.back();
   heap_.pop_back();
+  if (!heap_.empty()) SiftDown(0, last);
+}
+
+inline void Simulator::SiftDown(size_t i, const HeapEntry entry) {
+  // Sift the hole down, placing `entry` once at its final level.
   const size_t n = heap_.size();
-  if (n == 0) return;
-  // Sift the hole down, placing `last` once at its final level.
-  size_t i = 0;
   while (true) {
     size_t first_child = 4 * i + 1;
     if (first_child >= n) break;
@@ -246,11 +269,11 @@ inline void Simulator::HeapPopTop() {
     for (size_t c = first_child + 1; c < last_child; ++c) {
       if (Earlier(heap_[c], heap_[best])) best = c;
     }
-    if (!Earlier(heap_[best], last)) break;
+    if (!Earlier(heap_[best], entry)) break;
     heap_[i] = heap_[best];
     i = best;
   }
-  heap_[i] = last;
+  heap_[i] = entry;
 }
 
 inline EventId Simulator::Schedule(SimDuration delay, EventFn fn) {
@@ -297,18 +320,19 @@ inline bool Simulator::Cancel(EventId id) {
   // entry stays behind and is skipped on pop by the same stamp check.
   if (slots_[slot].generation != generation || !slots_[slot].fn) return false;
   RetireSlot(slot);
+  ++stale_;
+  MaybeDropStale();
   return true;
 }
 
 inline bool Simulator::PeekTime(SimTime* when) {
   while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
-    if (slots_[top.slot].generation != top.generation) {
-      HeapPopTop();  // Cancelled; its slot is already recycled.
-      continue;
+    if (!Stale(heap_.front())) {
+      *when = heap_.front().time;
+      return true;
     }
-    *when = top.time;
-    return true;
+    HeapPopTop();  // Cancelled; its slot is already recycled.
+    --stale_;
   }
   return false;
 }
@@ -323,6 +347,7 @@ inline bool Simulator::PopNext(SimTime* when, EventFn* fn) {
   // and the slot is immediately reusable by events it schedules.
   RetireSlot(top.slot);
   HeapPopTop();
+  MaybeDropStale();
   return true;
 }
 

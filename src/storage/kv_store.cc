@@ -8,37 +8,33 @@
 
 namespace sbft::storage {
 
-/// A 16-byte header followed by the key's bytes, then the value's.
+/// A header followed by the key's bytes.
 struct KvStore::Record {
   uint64_t version;
+  SharedBytes value;
   uint32_t key_size;
-  uint32_t value_size;
 
-  char* bytes() { return reinterpret_cast<char*>(this + 1); }
-  const char* bytes() const { return reinterpret_cast<const char*>(this + 1); }
-  std::string_view key() const { return {bytes(), key_size}; }
-  char* value() { return bytes() + key_size; }
-  const char* value() const { return bytes() + key_size; }
+  std::string_view key() const {
+    return {reinterpret_cast<const char*>(this + 1), key_size};
+  }
 };
 
 void KvStore::FreeRecord::operator()(Record* record) const {
+  record->~Record();
   ::operator delete(record);
 }
 
-KvStore::RecordPtr KvStore::NewRecord(std::string_view key,
-                                      const Bytes& value, uint64_t version) {
-  constexpr size_t kMaxSize = std::numeric_limits<uint32_t>::max();
-  if (key.size() > kMaxSize || value.size() > kMaxSize) {
-    std::fprintf(stderr, "KvStore: a key or value is over 4 GiB\n");
+KvStore::RecordPtr KvStore::NewRecord(std::string_view key, SharedBytes value,
+                                      uint64_t version) {
+  if (key.size() > std::numeric_limits<uint32_t>::max()) {
+    std::fprintf(stderr, "KvStore: a key is over 4 GiB\n");
     std::abort();
   }
-  void* raw = ::operator new(sizeof(Record) + key.size() + value.size());
-  RecordPtr record(new (raw) Record{version, static_cast<uint32_t>(key.size()),
-                                    static_cast<uint32_t>(value.size())});
-  std::memcpy(record->bytes(), key.data(), key.size());
-  if (!value.empty()) {
-    std::memcpy(record->value(), value.data(), value.size());
-  }
+  void* raw = ::operator new(sizeof(Record) + key.size());
+  RecordPtr record(new (raw) Record{version, std::move(value),
+                                    static_cast<uint32_t>(key.size())});
+  std::memcpy(reinterpret_cast<char*>(record.get() + 1), key.data(),
+              key.size());
   return record;
 }
 
@@ -50,9 +46,8 @@ bool KvStore::WrittenPolicy::Matches(const Slot& slot, uint64_t hash,
 Status KvStore::Get(const std::string& key, VersionedValue* out) const {
   ++reads_;
   if (const auto* slot = written_.Find(key)) {
-    const Record& record = *slot->record;
-    out->value.assign(record.value(), record.value() + record.value_size);
-    out->version = record.version;
+    out->value = slot->record->value;
+    out->version = slot->record->version;
   } else if (IsRecord(key)) {
     out->value = image_;
     out->version = 1;
@@ -71,26 +66,19 @@ bool KvStore::Contains(const std::string& key) const {
   return written_.Find(key) != nullptr || IsRecord(key);
 }
 
-void KvStore::Put(const std::string& key, Bytes value) {
+void KvStore::Put(const std::string& key, SharedBytes value) {
   ++writes_;
   auto [slot, first_write] = written_.FindOrInsert(key, [&](uint64_t hash) {
     // A record of the load phase is at version 1 until this write.
-    return WrittenPolicy::Slot{hash,
-                               NewRecord(key, value, IsRecord(key) ? 2 : 1)};
+    return WrittenPolicy::Slot{
+        hash, NewRecord(key, std::move(value), IsRecord(key) ? 2 : 1)};
   });
   if (first_write) return;
-  Record& record = *slot->record;
-  if (record.value_size != value.size()) {
-    slot->record = NewRecord(key, value, record.version + 1);
-    return;
-  }
-  if (!value.empty()) {
-    std::memcpy(record.value(), value.data(), value.size());
-  }
-  ++record.version;
+  slot->record->value = std::move(value);
+  ++slot->record->version;
 }
 
-void KvStore::SetLoadBase(Bytes image, RecordPredicate is_record) {
+void KvStore::SetLoadBase(SharedBytes image, RecordPredicate is_record) {
   image_ = std::move(image);
   is_record_ = std::move(is_record);
 }

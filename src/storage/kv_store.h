@@ -13,9 +13,10 @@
 
 namespace sbft::storage {
 
-/// A value together with its write version.
+/// A value together with its write version. The value shares the
+/// store's buffer.
 struct VersionedValue {
-  Bytes value;
+  SharedBytes value;
   uint64_t version = 0;
 };
 
@@ -33,7 +34,8 @@ struct VersionedValue {
 /// the keys written since. A key missing from the table that the
 /// predicate accepts reads as the image at version 1; its first Put gives
 /// it version 2. Memory is bounded by the keys written since the load,
-/// not by the record count.
+/// not by the record count. Values are shared, never copied: a Put keeps
+/// the buffer it is given and a Get returns it.
 class KvStore {
  public:
   /// Accepts exactly the record keys of a load phase. It must own
@@ -51,19 +53,20 @@ class KvStore {
   bool Contains(const std::string& key) const;
 
   /// Writes a key, bumping its version.
-  void Put(const std::string& key, Bytes value);
+  void Put(const std::string& key, SharedBytes value);
 
   /// Load phase: every key `is_record` accepts holds `image` at version 1
   /// until its first Put. Meant for a fresh store; replaces any earlier
   /// base.
-  void SetLoadBase(Bytes image, RecordPredicate is_record);
+  void SetLoadBase(SharedBytes image, RecordPredicate is_record);
 
   uint64_t reads() const { return reads_; }
   /// Puts since construction; the load phase writes nothing.
   uint64_t writes() const { return writes_; }
 
  private:
-  /// One written key: its version, key and value in one allocation.
+  /// One written key: its version, a reference to its value and its key,
+  /// in one allocation.
   struct Record;
   struct FreeRecord {
     void operator()(Record* record) const;
@@ -89,7 +92,7 @@ class KvStore {
                         std::string_view key);
   };
 
-  static RecordPtr NewRecord(std::string_view key, const Bytes& value,
+  static RecordPtr NewRecord(std::string_view key, SharedBytes value,
                              uint64_t version);
 
   /// True when `key` is a record of the load phase.
@@ -99,7 +102,7 @@ class KvStore {
 
   /// Keys written since the load phase.
   PagedTable<WrittenPolicy> written_;
-  Bytes image_;
+  SharedBytes image_;
   RecordPredicate is_record_;
   mutable uint64_t reads_ = 0;
   uint64_t writes_ = 0;

@@ -20,10 +20,11 @@ struct ReadEntry {
   }
 };
 
-/// One buffered write: key plus the new value.
+/// One buffered write: key plus the new value, shared with the
+/// transaction that wrote it.
 struct WriteEntry {
   std::string key;
-  Bytes value;
+  SharedBytes value;
 
   friend bool operator==(const WriteEntry& a, const WriteEntry& b) {
     return a.key == b.key && a.value == b.value;

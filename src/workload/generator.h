@@ -46,8 +46,15 @@ class TxnGenerator {
 
  protected:
   /// Every record of the load phase holds the same `value_size`-byte
-  /// value of `fill`.
-  TxnGenerator(size_t value_size, uint8_t fill) : image_(value_size, fill) {}
+  /// value of `load_fill`, and every write the family generates carries
+  /// the same `value_size`-byte value of `write_fill`. Each is one buffer,
+  /// shared by every record, transaction and write set that holds it.
+  TxnGenerator(size_t value_size, uint8_t load_fill, uint8_t write_fill)
+      : image_(Bytes(value_size, load_fill)),
+        payload_(Bytes(value_size, write_fill)) {}
+
+  /// The value every write of the family carries.
+  const SharedBytes& payload() const { return payload_; }
 
   /// Accepts exactly the record keys of the load phase: the in-range keys
   /// the family's formatters produce (workload/key_parse.h). It must not
@@ -55,7 +62,8 @@ class TxnGenerator {
   virtual storage::KvStore::RecordPredicate RecordKeyPredicate() const = 0;
 
  private:
-  Bytes image_;
+  SharedBytes image_;
+  SharedBytes payload_;
 };
 
 }  // namespace sbft::workload

@@ -17,7 +17,7 @@ constexpr int kOrderLinesMax = 5;
 constexpr double kRemotePercentage = 1.0;
 
 TpccGenerator::TpccGenerator(const TpccConfig& config, Rng rng)
-    : TxnGenerator(kValueSize, 't'),
+    : TxnGenerator(kValueSize, 't', 'n'),
       config_(config),
       rng_(rng),
       warehouses_(MakeKeyDistribution(std::max<uint32_t>(config.warehouses, 1),
@@ -73,7 +73,7 @@ Transaction TpccGenerator::Next(ActorId client) {
     Operation op;
     op.type = OpType::kWrite;
     op.key = std::move(key);
-    op.value.assign(kValueSize, static_cast<uint8_t>('n'));
+    op.value = payload();
     txn.ops.push_back(std::move(op));
   };
 

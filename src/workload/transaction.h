@@ -26,7 +26,7 @@ enum class OpType : uint8_t {
 struct Operation {
   OpType type = OpType::kRead;
   std::string key;            ///< For kRead / kWrite.
-  Bytes value;                ///< For kWrite.
+  SharedBytes value;          ///< For kWrite.
   SimDuration compute_cost = 0;  ///< For kCompute.
 
   friend bool operator==(const Operation& a, const Operation& b) {

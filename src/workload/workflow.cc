@@ -11,7 +11,7 @@ namespace sbft::workload {
 constexpr size_t kValueSize = 64;
 
 WorkflowGenerator::WorkflowGenerator(const WorkflowConfig& config, Rng rng)
-    : TxnGenerator(kValueSize, 'f'),
+    : TxnGenerator(kValueSize, 'f', 'h'),
       config_(config),
       rng_(rng) {
   config_.functions = std::max<uint32_t>(config_.functions, 1);
@@ -62,7 +62,7 @@ Transaction WorkflowGenerator::HopTxn(ActorId source, uint64_t chain_id,
   Operation write;
   write.type = OpType::kWrite;
   write.key = StateKey(to_fn, NextSlot());
-  write.value.assign(kValueSize, static_cast<uint8_t>('h'));
+  write.value = payload();
   if (config_.shard_count > 1) {
     // Every hop spans shards: re-roll the write slot until it lands off
     // the read key's shard (bounded; a failed bound just yields a

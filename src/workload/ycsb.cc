@@ -12,7 +12,7 @@ namespace sbft::workload {
 constexpr size_t kValueSize = 100;
 
 YcsbGenerator::YcsbGenerator(const YcsbConfig& config, Rng rng)
-    : TxnGenerator(kValueSize, 'v'),
+    : TxnGenerator(kValueSize, 'v', 'w'),
       config_(config),
       rng_(rng),
       // The 100k cap bounds the zipfian harmonic-sum precomputation;
@@ -54,7 +54,7 @@ Transaction YcsbGenerator::Next(ActorId client) {
     op.key = YcsbKey(index);
     if (is_write) {
       op.type = OpType::kWrite;
-      op.value.assign(kValueSize, static_cast<uint8_t>('w'));
+      op.value = payload();
     } else {
       op.type = OpType::kRead;
     }
@@ -69,7 +69,7 @@ Transaction YcsbGenerator::Next(ActorId client) {
     }
     if (!has_write) {
       txn.ops[0].type = OpType::kWrite;
-      txn.ops[0].value.assign(kValueSize, static_cast<uint8_t>('w'));
+      txn.ops[0].value = payload();
     }
   }
 

@@ -11,6 +11,24 @@ TEST(BytesTest, ToBytesRoundTrip) {
   EXPECT_EQ(BytesToString(b), "hello");
 }
 
+// Copies share one buffer; equality still compares bytes, so two values
+// built apart with the same bytes are equal (a write set's match at the
+// verifier, Operation::operator==).
+TEST(BytesTest, SharedBytesShareOnCopyAndCompareBytes) {
+  const SharedBytes a(ToBytes("payload"));
+  const SharedBytes copy = a;
+  EXPECT_EQ(copy.data(), a.data());
+  const SharedBytes b(ToBytes("payload"));
+  EXPECT_NE(b.data(), a.data());
+  EXPECT_TRUE(a == b);
+  EXPECT_TRUE(a == ToBytes("payload"));
+  EXPECT_FALSE(a == SharedBytes(ToBytes("payloae")));
+  EXPECT_FALSE(a == SharedBytes());
+  EXPECT_TRUE(SharedBytes() == SharedBytes(Bytes()));
+  EXPECT_TRUE(SharedBytes().empty());
+  EXPECT_EQ(BytesToString(a), "payload");
+}
+
 TEST(BytesTest, HexEncode) {
   Bytes b = {0xde, 0xad, 0xbe, 0xef};
   EXPECT_EQ(HexEncode(b), "deadbeef");

@@ -106,6 +106,45 @@ TEST(CrossShardTest, SingleShardTransactionsCommitOnAllPlanes) {
   }
 }
 
+// Every layer shares a written value instead of copying it: the client's
+// transaction, the coordinator's fragments, the shim's batches, the
+// executors' write sets and the store all hold the generator's one
+// payload buffer. A deep copy anywhere on the path leaves a written key
+// holding a buffer of its own.
+TEST(CrossShardTest, WrittenValuesAreTheGeneratorsOneBuffer) {
+  Architecture arch(ShardedConfig(2, 30.0));
+  const uint8_t* payload = nullptr;
+  arch.network()->SetDeliveryObserver([&](const sim::Envelope& env) {
+    const auto* request = shim::MessageAs<shim::ClientRequestMsg>(
+        env, shim::MsgKind::kClientRequest);
+    if (request == nullptr || payload != nullptr) return;
+    for (const workload::Operation& op : request->txn.ops) {
+      if (op.type == workload::OpType::kWrite) payload = op.value.data();
+    }
+  });
+  arch.Start();
+  arch.simulator()->RunUntil(Seconds(2));
+  arch.network()->SetDeliveryObserver(nullptr);
+  ASSERT_NE(payload, nullptr);
+  EXPECT_GT(arch.coordinator()->commits_decided(), 0u);
+
+  std::vector<uint64_t> written(2, 0);
+  for (uint64_t i = 0; i < arch.config().workload.record_count; ++i) {
+    const std::string key = workload::YcsbKey(i);
+    for (uint32_t s = 0; s < 2; ++s) {
+      storage::VersionedValue value;
+      if (!arch.plane(s)->store()->Get(key, &value).ok()) continue;
+      if (value.version == 1) {
+        EXPECT_NE(value.value.data(), payload) << key;  // The load image.
+        continue;
+      }
+      ++written[s];
+      EXPECT_EQ(value.value.data(), payload) << key << " on plane " << s;
+    }
+  }
+  for (uint32_t s = 0; s < 2; ++s) EXPECT_GT(written[s], 100u) << s;
+}
+
 TEST(CrossShardTest, TenPercentCrossShardCommitsAtomically) {
   // The ISSUE-4 acceptance setup: shard_count=4, 10% cross-shard YCSB.
   Architecture arch(ShardedConfig(4, 10.0));

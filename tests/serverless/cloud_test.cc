@@ -36,7 +36,6 @@ class CloudTest : public ::testing::Test {
     CloudConfig config;
     config.cold_start = Millis(100);
     config.warm_start = Millis(10);
-    config.warm_pool_per_region = 0;  // First spawns are cold.
     cloud_ = std::make_unique<CloudSimulator>(&sim_, &net_, &keys_, config,
                                               5000);
   }

@@ -229,12 +229,14 @@ TEST(SimulatorTest, SlotPoolDrainsAfterRun) {
   EXPECT_EQ(sim.queue_depth(), 0u);
 }
 
-// The ISSUE-3 stress gate: 100k schedule/cancel operations interleaved
-// with partial runs. Verifies (a) firing order is exactly the documented
+// The stress gate: 100k schedule/cancel operations interleaved with
+// partial runs. Verifies (a) firing order is exactly the documented
 // (time, scheduling order) semantics via an independent reference model,
 // and (b) cancellation leaves no per-cancel residue — the slot pool is
 // bounded by peak concurrency, not by cancellation volume (the old
-// tombstone set grew with every Cancel of a long run).
+// tombstone set grew with every Cancel of a long run), and the heap by
+// twice the pending events plus the stale slack, since its cancelled
+// entries are dropped once they outnumber the live ones.
 TEST(SimulatorStressTest, InterleavedCancelStorm100k) {
   constexpr int kWaves = 50;
   constexpr int kPerWave = 2000;
@@ -254,6 +256,12 @@ TEST(SimulatorStressTest, InterleavedCancelStorm100k) {
   fired_order.reserve(kTotal);
 
   size_t peak_pending = 0;
+  size_t peak_depth = 0;
+  auto expect_heap_bounded = [&]() {
+    peak_depth = std::max(peak_depth, sim.queue_depth());
+    EXPECT_LE(sim.queue_depth(),
+              2 * sim.pending_events() + Simulator::kStaleSlack);
+  };
   int label = 0;
   for (int wave = 0; wave < kWaves; ++wave) {
     for (int i = 0; i < kPerWave; ++i, ++label) {
@@ -274,9 +282,12 @@ TEST(SimulatorStressTest, InterleavedCancelStorm100k) {
       Record& r = records[victim];
       sim.Cancel(r.id);
       if (!r.fired && !r.cancelled) r.cancelled = true;
+      if (i % 100 == 0) expect_heap_bounded();
     }
+    expect_heap_bounded();
     // Advance partway so waves overlap with live events.
     sim.RunUntil(sim.now() + Micros(2500));
+    expect_heap_bounded();
   }
   sim.RunToCompletion();
 
@@ -285,6 +296,7 @@ TEST(SimulatorStressTest, InterleavedCancelStorm100k) {
   EXPECT_EQ(sim.pending_events(), 0u);
   EXPECT_EQ(sim.queue_depth(), 0u);
   EXPECT_LE(sim.slot_pool_size(), peak_pending);
+  EXPECT_LE(peak_depth, 2 * peak_pending + Simulator::kStaleSlack);
   EXPECT_EQ(sim.events_executed(), fired_order.size());
 
   // Reference model: survivors fire ordered by (time, scheduling order).

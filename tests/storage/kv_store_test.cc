@@ -162,6 +162,31 @@ TEST(KvStoreTest, WrittenKeysSurviveGrowthBesideTheImage) {
   EXPECT_FALSE(store.Contains("extra600"));
 }
 
+// A value is stored and read by reference: the store keeps the buffer a
+// Put hands it and every Get returns that buffer, so no layer between a
+// generator and a reader copies the bytes.
+TEST(KvStoreTest, GetReturnsTheBufferPutStored) {
+  KvStore store;
+  const SharedBytes image(Bytes(100, 'v'));
+  store.SetLoadBase(image, [](std::string_view key) { return key == "a"; });
+  VersionedValue out;
+  ASSERT_TRUE(store.Get("a", &out).ok());
+  EXPECT_EQ(out.value.data(), image.data());  // Unwritten: the image.
+
+  const SharedBytes first(Bytes(100, 'w'));
+  store.Put("a", first);
+  ASSERT_TRUE(store.Get("a", &out).ok());
+  EXPECT_EQ(out.value.data(), first.data());
+  EXPECT_EQ(out.version, 2u);
+
+  const SharedBytes second(Bytes(100, 'w'));  // Equal bytes, own buffer.
+  store.Put("a", second);
+  ASSERT_TRUE(store.Get("a", &out).ok());
+  EXPECT_EQ(out.value.data(), second.data());
+  EXPECT_NE(out.value.data(), first.data());
+  EXPECT_EQ(out.version, 3u);
+}
+
 TEST(KvStoreTest, StatsCountAccesses) {
   KvStore store;
   store.Put("k", ToBytes("v"));

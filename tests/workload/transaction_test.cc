@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "storage/rw_set.h"
+
 namespace sbft::workload {
 namespace {
 
@@ -22,6 +24,26 @@ Transaction MakeTxn() {
   compute.compute_cost = Millis(3);
   txn.ops = {read, write, compute};
   return txn;
+}
+
+// A value is compared by its bytes, not its buffer: transactions and
+// write sets built apart from equal bytes are equal, which the verifier's
+// vote match relies on.
+TEST(TransactionTest, EqualBytesInDistinctBuffersCompareEqual) {
+  Transaction a = MakeTxn();
+  Transaction b = MakeTxn();
+  ASSERT_NE(a.ops[1].value.data(), b.ops[1].value.data());
+  EXPECT_EQ(a.ops, b.ops);
+  b.ops[1].value = ToBytes("payloae");
+  EXPECT_NE(a.ops, b.ops);
+
+  storage::RwSet x;
+  storage::RwSet y;
+  x.writes.push_back({"user2", a.ops[1].value});
+  y.writes.push_back({"user2", ToBytes("payload")});
+  EXPECT_EQ(x, y);
+  y.writes[0].value = ToBytes("payloae");
+  EXPECT_NE(x, y);
 }
 
 TEST(TransactionTest, KeyExtraction) {
