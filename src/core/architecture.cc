@@ -102,12 +102,8 @@ Architecture::Architecture(const SystemConfig& config)
   // Flattened shard-major views.
   for (const auto& plane : planes_) {
     for (ActorId id : plane->shim_ids()) shim_ids_.push_back(id);
-    for (const auto& r : plane->pbft_replicas()) {
-      pbft_flat_.push_back(r.get());
-    }
-    for (const auto& r : plane->paxos_replicas()) {
-      paxos_flat_.push_back(r.get());
-    }
+    for (const auto& r : plane->replicas()) replicas_flat_.push_back(r.get());
+    for (shim::PbftReplica* r : plane->pbft_replicas()) pbft_flat_.push_back(r);
   }
 
   // Parallel-mode routing snapshot: the view-0 primaries, taken before

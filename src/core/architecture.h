@@ -142,13 +142,15 @@ class Architecture {
   /// shard_count == 1.
   const std::vector<ActorId>& shim_ids() const { return shim_ids_; }
 
-  /// All replicas across shards, shard-major (raw pointers into the
-  /// planes; empty for protocols that do not instantiate the type).
+  /// All shim nodes across shards, shard-major (raw pointers into the
+  /// planes): global node index s * n + i is node i of shard s.
+  const std::vector<shim::Replica*>& replicas() const {
+    return replicas_flat_;
+  }
+  /// The same nodes typed as PbftReplicas; empty for the crash-fault
+  /// protocols.
   const std::vector<shim::PbftReplica*>& pbft_replicas() const {
     return pbft_flat_;
-  }
-  const std::vector<shim::MultiPaxosReplica*>& paxos_replicas() const {
-    return paxos_flat_;
   }
 
   /// Resolves the shim node clients of shard 0 should currently talk to.
@@ -263,8 +265,8 @@ class Architecture {
   // Flattened shard-major views over the planes (stable for the
   // architecture's lifetime).
   std::vector<ActorId> shim_ids_;
+  std::vector<shim::Replica*> replicas_flat_;
   std::vector<shim::PbftReplica*> pbft_flat_;
-  std::vector<shim::MultiPaxosReplica*> paxos_flat_;
 };
 
 }  // namespace sbft::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "shim/paxos_replica.h"
 
 namespace sbft::core {
 
@@ -130,40 +131,30 @@ void ShardPlane::BuildShim() {
     shim_ids_.push_back(ShimActorId(shard_, i));
     keys_->RegisterNode(shim_ids_[i]);
   }
-  switch (config_.protocol) {
-    case Protocol::kServerlessBft:
-    case Protocol::kPbftBaseline:
-    case Protocol::kServerlessBftLinear: {
-      shim::VotePattern pattern =
-          config_.protocol == Protocol::kServerlessBftLinear
-              ? shim::VotePattern::kCollector
-              : shim::VotePattern::kAllToAll;
-      for (uint32_t i = 0; i < config_.shim.n; ++i) {
-        auto replica = std::make_unique<shim::PbftReplica>(
-            shim_ids_[i], i, config_.shim, shim_ids_, keys_, sim_, net_,
-            pattern);
-        auto cpu =
-            std::make_unique<sim::ServerResource>(sim_, config_.shim_cores);
-        net_->Register(replica.get(), sim::RegionTable::kHomeRegion);
-        net_->AttachServer(shim_ids_[i], cpu.get(), ShimCostFn());
-        pbft_replicas_.push_back(std::move(replica));
-        shim_cpus_.push_back(std::move(cpu));
-      }
-      break;
+  // The crash-fault shims (CFT, and no shim, its group of one) certify
+  // with no quorum; the others run PBFT.
+  const bool crash_fault = config_.CertQuorum() == 0;
+  const shim::VotePattern pattern =
+      config_.protocol == Protocol::kServerlessBftLinear
+          ? shim::VotePattern::kCollector
+          : shim::VotePattern::kAllToAll;
+  for (uint32_t i = 0; i < config_.shim.n; ++i) {
+    std::unique_ptr<shim::Replica> replica;
+    if (crash_fault) {
+      replica = std::make_unique<shim::MultiPaxosReplica>(
+          shim_ids_[i], i, config_.shim, shim_ids_, sim_, net_);
+    } else {
+      auto pbft = std::make_unique<shim::PbftReplica>(
+          shim_ids_[i], i, config_.shim, shim_ids_, keys_, sim_, net_,
+          pattern);
+      pbft_replicas_.push_back(pbft.get());
+      replica = std::move(pbft);
     }
-    case Protocol::kServerlessCft:
-    case Protocol::kNoShim:
-      for (uint32_t i = 0; i < config_.shim.n; ++i) {
-        auto replica = std::make_unique<shim::MultiPaxosReplica>(
-            shim_ids_[i], i, config_.shim, shim_ids_, sim_, net_);
-        auto cpu =
-            std::make_unique<sim::ServerResource>(sim_, config_.shim_cores);
-        net_->Register(replica.get(), sim::RegionTable::kHomeRegion);
-        net_->AttachServer(shim_ids_[i], cpu.get(), ShimCostFn());
-        paxos_replicas_.push_back(std::move(replica));
-        shim_cpus_.push_back(std::move(cpu));
-      }
-      break;
+    auto cpu = std::make_unique<sim::ServerResource>(sim_, config_.shim_cores);
+    net_->Register(replica.get(), sim::RegionTable::kHomeRegion);
+    net_->AttachServer(shim_ids_[i], cpu.get(), ShimCostFn());
+    replicas_.push_back(std::move(replica));
+    shim_cpus_.push_back(std::move(cpu));
   }
 }
 
@@ -216,6 +207,12 @@ void ShardPlane::BuildCloudAndSpawner() {
 }
 
 void ShardPlane::WireCommitCallbacks() {
+  for (const auto& replica : replicas_) {
+    replica->SetResponseObserver(
+        [this](ActorId from, const shim::ResponseMsg& msg) {
+          OnShimResponse(from, msg);
+        });
+  }
   switch (config_.protocol) {
     case Protocol::kServerlessBft:
     case Protocol::kServerlessBftLinear:
@@ -226,17 +223,13 @@ void ShardPlane::WireCommitCallbacks() {
       break;
     case Protocol::kServerlessCft:
     case Protocol::kNoShim:
-      for (auto& replica : paxos_replicas_) {
+      for (const auto& replica : replicas_) {
         replica->SetCommitCallback(
             [this](SeqNum seq, ViewNum view, const workload::BatchPtr& batch,
                    const crypto::CommitCertificate& cert) {
               shim::ByzantineBehavior honest;
               spawner_->OnCommit(shim_ids_[0], /*is_primary=*/true, honest,
                                  seq, view, batch, cert);
-            });
-        replica->SetResponseObserver(
-            [this](ActorId from, const shim::ResponseMsg& msg) {
-              OnShimResponse(from, msg);
             });
       }
       break;
@@ -245,7 +238,7 @@ void ShardPlane::WireCommitCallbacks() {
 
 void ShardPlane::WirePbftCallbacks() {
   for (uint32_t i = 0; i < pbft_replicas_.size(); ++i) {
-    shim::PbftReplica* replica = pbft_replicas_[i].get();
+    shim::PbftReplica* replica = pbft_replicas_[i];
     ActorId node = shim_ids_[i];
     uint32_t index = i;
     uint32_t n = config_.shim.n;
@@ -261,10 +254,6 @@ void ShardPlane::WirePbftCallbacks() {
         });
     replica->SetRespawnCallback(
         [this](SeqNum seq) { spawner_->OnRespawn(seq); });
-    replica->SetResponseObserver(
-        [this](ActorId from, const shim::ResponseMsg& msg) {
-          OnShimResponse(from, msg);
-        });
   }
 }
 
@@ -286,7 +275,7 @@ void ShardPlane::WirePbftBaselineExecution() {
         sim_, config_.execution_threads));
   }
   for (uint32_t i = 0; i < pbft_replicas_.size(); ++i) {
-    shim::PbftReplica* replica = pbft_replicas_[i].get();
+    shim::PbftReplica* replica = pbft_replicas_[i];
     sim::ServerResource* exec = exec_cpus_[i].get();
     uint32_t index = i;
     uint32_t n = config_.shim.n;
@@ -343,7 +332,7 @@ ActorId ShardPlane::CurrentPrimary() const {
       // Leader-stable multi-Paxos with crash failover: the highest view
       // among live replicas names the leader.
       ViewNum view = 0;
-      for (const auto& replica : paxos_replicas_) {
+      for (const auto& replica : replicas_) {
         if (replica->crashed()) continue;
         view = std::max(view, replica->view());
       }
@@ -355,12 +344,7 @@ ActorId ShardPlane::CurrentPrimary() const {
 
 uint64_t ShardPlane::ViewChanges() const {
   uint64_t total = 0;
-  for (const auto& replica : pbft_replicas_) {
-    total += replica->view_changes();
-  }
-  for (const auto& replica : paxos_replicas_) {
-    total += replica->view_changes();
-  }
+  for (const auto& replica : replicas_) total += replica->view_changes();
   return total;
 }
 

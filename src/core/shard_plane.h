@@ -9,7 +9,6 @@
 #include "core/config.h"
 #include "core/spawner.h"
 #include "serverless/cloud.h"
-#include "shim/paxos_replica.h"
 #include "shim/pbft_replica.h"
 #include "storage/kv_store.h"
 #include "verifier/verifier.h"
@@ -65,13 +64,14 @@ class ShardPlane {
   const std::vector<ActorId>& shim_ids() const { return shim_ids_; }
   ActorId verifier_id() const { return VerifierId(shard_); }
 
-  const std::vector<std::unique_ptr<shim::PbftReplica>>& pbft_replicas()
-      const {
-    return pbft_replicas_;
+  /// This plane's shim nodes, by index.
+  const std::vector<std::unique_ptr<shim::Replica>>& replicas() const {
+    return replicas_;
   }
-  const std::vector<std::unique_ptr<shim::MultiPaxosReplica>>&
-  paxos_replicas() const {
-    return paxos_replicas_;
+  /// The same nodes typed as PbftReplicas, for what only PBFT has (the
+  /// byzantine behaviour, checkpoints); empty on a crash-fault plane.
+  const std::vector<shim::PbftReplica*>& pbft_replicas() const {
+    return pbft_replicas_;
   }
 
   /// The shim node clients (or the coordinator) should currently talk to:
@@ -104,8 +104,8 @@ class ShardPlane {
 
   storage::KvStore store_;
   std::vector<ActorId> shim_ids_;
-  std::vector<std::unique_ptr<shim::PbftReplica>> pbft_replicas_;
-  std::vector<std::unique_ptr<shim::MultiPaxosReplica>> paxos_replicas_;
+  std::vector<std::unique_ptr<shim::Replica>> replicas_;
+  std::vector<shim::PbftReplica*> pbft_replicas_;
   std::vector<std::unique_ptr<sim::ServerResource>> shim_cpus_;
   // Execution pools for the PBFT baseline (Fig. 8 "ET" threads).
   std::vector<std::unique_ptr<sim::ServerResource>> exec_cpus_;

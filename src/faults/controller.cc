@@ -1,5 +1,6 @@
 #include "faults/controller.h"
 
+#include <algorithm>
 #include <cassert>
 #include <sstream>
 
@@ -51,6 +52,12 @@ Status FaultController::Validate(const FaultEvent& event) const {
   uint32_t n = static_cast<uint32_t>(arch_->shim_ids().size());
   size_t regions = arch_->network()->regions().size();
   auto bad_node = [&](uint32_t node) { return node >= n; };
+  // A partition's two sides: each index must be below `limit`.
+  auto bad_side = [&](uint32_t limit) {
+    auto bad = [limit](uint32_t index) { return index >= limit; };
+    return std::ranges::any_of(event.group_a, bad) ||
+           std::ranges::any_of(event.group_b, bad);
+  };
   std::ostringstream os;
   switch (event.kind) {
     case FaultKind::kCrashReplica:
@@ -73,15 +80,8 @@ Status FaultController::Validate(const FaultEvent& event) const {
       }
       break;
     case FaultKind::kPartitionNodes:
-      for (uint32_t node : event.group_a) {
-        if (bad_node(node)) {
-          return Status::InvalidArgument("partition nodes: bad index");
-        }
-      }
-      for (uint32_t node : event.group_b) {
-        if (bad_node(node)) {
-          return Status::InvalidArgument("partition nodes: bad index");
-        }
+      if (bad_side(n)) {
+        return Status::InvalidArgument("partition nodes: bad index");
       }
       break;
     case FaultKind::kPartitionRegions:
@@ -109,17 +109,9 @@ Status FaultController::Validate(const FaultEvent& event) const {
       }
       break;
     case FaultKind::kPartitionCoordinators:
-      for (uint32_t member : event.group_a) {
-        if (member >= arch_->coordinator_replicas()) {
-          return Status::InvalidArgument(
-              "partition coordinators: bad member index");
-        }
-      }
-      for (uint32_t member : event.group_b) {
-        if (member >= arch_->coordinator_replicas()) {
-          return Status::InvalidArgument(
-              "partition coordinators: bad member index");
-        }
+      if (bad_side(arch_->coordinator_replicas())) {
+        return Status::InvalidArgument(
+            "partition coordinators: bad member index");
       }
       break;
     default:
@@ -156,10 +148,8 @@ ActorId FaultController::ShimActor(uint32_t index) const {
 }
 
 void FaultController::SetReplicaCrashed(uint32_t index, bool crashed) {
-  const auto& pbft = arch_->pbft_replicas();
-  if (index < pbft.size()) pbft[index]->SetCrashed(crashed);
-  const auto& paxos = arch_->paxos_replicas();
-  if (index < paxos.size()) paxos[index]->SetCrashed(crashed);
+  const auto& replicas = arch_->replicas();
+  if (index < replicas.size()) replicas[index]->SetCrashed(crashed);
 }
 
 void FaultController::SetReplicaBehavior(

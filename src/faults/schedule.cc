@@ -72,6 +72,31 @@ bool ParseProbability(const std::string& token, double* out) {
   return true;
 }
 
+/// Parses a partition's two sides, `<i...> | <j...>`, from `tok[first..]`
+/// into `event`'s groups. `what` is the partitioned kind ("nodes") and
+/// `index` names one of them ("node") in the error, which is empty on
+/// success.
+std::string ParsePartitionSides(const std::vector<std::string>& tok,
+                                size_t first, std::string_view what,
+                                std::string_view index, FaultEvent* event) {
+  bool after_bar = false;
+  for (size_t i = first; i < tok.size(); ++i) {
+    if (tok[i] == "|") {
+      after_bar = true;
+      continue;
+    }
+    uint32_t member = 0;
+    if (!ParseUint(tok[i], &member)) {
+      return "bad " + std::string(index) + " index in partition";
+    }
+    (after_bar ? event->group_b : event->group_a).push_back(member);
+  }
+  if (event->group_a.empty() || event->group_b.empty()) {
+    return "partition " + std::string(what) + " needs '<i...> | <j...>'";
+  }
+  return "";
+}
+
 /// Parses one byzantine flag ("equivocate", "spawn-delay=120ms", ...)
 /// into `behavior`. Returns false on an unknown flag or bad payload.
 bool ApplyByzantineFlag(const std::string& flag,
@@ -229,44 +254,16 @@ Result<FaultSchedule> FaultSchedule::Parse(std::string_view text) {
       if (!ParseUint(arg(1), &event.node)) {
         return LineError(line_no, "bad coordinator member index");
       }
-    } else if (action == "partition" && arg(0) == "coordinators") {
-      event.kind = FaultKind::kPartitionCoordinators;
-      bool after_bar = false;
-      for (size_t i = 1; i < args; ++i) {
-        if (arg(i) == "|") {
-          after_bar = true;
-          continue;
-        }
-        uint32_t member = 0;
-        if (!ParseUint(arg(i), &member)) {
-          return LineError(line_no, "bad member index in partition");
-        }
-        (after_bar ? event.group_b : event.group_a).push_back(member);
-      }
-      if (event.group_a.empty() || event.group_b.empty()) {
-        return LineError(line_no,
-                         "partition coordinators needs '<i...> | <j...>'");
-      }
+    } else if (action == "partition" &&
+               (arg(0) == "nodes" || arg(0) == "coordinators")) {
+      const bool nodes = arg(0) == "nodes";
+      event.kind = nodes ? FaultKind::kPartitionNodes
+                         : FaultKind::kPartitionCoordinators;
+      std::string error = ParsePartitionSides(
+          tok, /*first=*/4, arg(0), nodes ? "node" : "member", &event);
+      if (!error.empty()) return LineError(line_no, error);
     } else if (action == "heal" && arg(0) == "coordinators" && args == 1) {
       event.kind = FaultKind::kHealCoordinators;
-    } else if (action == "partition" && arg(0) == "nodes") {
-      event.kind = FaultKind::kPartitionNodes;
-      bool after_bar = false;
-      for (size_t i = 1; i < args; ++i) {
-        if (arg(i) == "|") {
-          after_bar = true;
-          continue;
-        }
-        uint32_t node = 0;
-        if (!ParseUint(arg(i), &node)) {
-          return LineError(line_no, "bad node index in partition");
-        }
-        (after_bar ? event.group_b : event.group_a).push_back(node);
-      }
-      if (event.group_a.empty() || event.group_b.empty()) {
-        return LineError(line_no,
-                         "partition nodes needs '<i...> | <j...>'");
-      }
     } else if (action == "heal" && arg(0) == "nodes" && args == 1) {
       event.kind = FaultKind::kHealNodes;
     } else if (action == "partition" && arg(0) == "regions" && args == 3) {

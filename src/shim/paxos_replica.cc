@@ -1,7 +1,6 @@
 #include "shim/paxos_replica.h"
 
 #include <algorithm>
-#include <iterator>
 
 namespace sbft::shim {
 
@@ -9,17 +8,12 @@ MultiPaxosReplica::MultiPaxosReplica(ActorId id, uint32_t index,
                                      const ShimConfig& config,
                                      std::vector<ActorId> peers,
                                      sim::Simulator* sim, sim::Network* net)
-    : Actor(id, "paxos-" + std::to_string(index)),
-      config_(config),
-      index_(index),
-      peers_(std::move(peers)),
-      sim_(sim),
-      net_(net) {
+    : Replica(id, "paxos-", index, config, std::move(peers), sim, net) {
   last_leader_activity_ = sim_->now();
 }
 
 void MultiPaxosReplica::SetCrashed(bool crashed) {
-  crashed_ = crashed;
+  Replica::SetCrashed(crashed);
   if (crashed_) {
     // A phase-1 read dies with the candidate; promises that trickle in
     // after recovery must not complete a stale read.
@@ -34,11 +28,9 @@ void MultiPaxosReplica::SetCrashed(bool crashed) {
   ScheduleLeaderCheck();
 }
 
-void MultiPaxosReplica::OnMessage(const sim::Envelope& env) {
-  if (crashed_) return;
-  const auto* base = static_cast<const Message*>(env.message.get());
-  if (base == nullptr) return;
-  switch (base->kind) {
+void MultiPaxosReplica::HandleMessage(const sim::Envelope& env,
+                                      MsgKind kind) {
+  switch (kind) {
     case MsgKind::kClientRequest:
       HandleClientRequest(env);
       break;
@@ -57,13 +49,6 @@ void MultiPaxosReplica::OnMessage(const sim::Envelope& env) {
     case MsgKind::kPaxosPromise:
       HandlePromise(env);
       break;
-    case MsgKind::kResponse: {
-      const auto* msg = MessageAs<ResponseMsg>(env, MsgKind::kResponse);
-      if (msg != nullptr && response_observer_) {
-        response_observer_(env.from, *msg);
-      }
-      break;
-    }
     default:
       break;
   }
@@ -72,7 +57,7 @@ void MultiPaxosReplica::OnMessage(const sim::Envelope& env) {
 void MultiPaxosReplica::HandleClientRequest(const sim::Envelope& env) {
   const auto* msg = MessageAs<ClientRequestMsg>(env, MsgKind::kClientRequest);
   if (msg == nullptr) return;
-  if (!IsLeader()) {
+  if (!IsPrimary()) {
     net_->Send(id(), LeaderOf(ballot_), env.message, msg->WireSize());
     return;
   }
@@ -82,21 +67,16 @@ void MultiPaxosReplica::HandleClientRequest(const sim::Envelope& env) {
 void MultiPaxosReplica::HandleError(const sim::Envelope& env) {
   // Verifier ERROR(missing request) after a leader crash lost in-flight
   // transactions (Fig. 4 line 12): the current leader re-proposes the
-  // attached ⟨T⟩C; duplicates are filtered by seen_txns_.
+  // attached ⟨T⟩C; duplicates are filtered by the intake.
   const auto* msg = MessageAs<ErrorMsg>(env, MsgKind::kError);
   if (msg == nullptr || !msg->has_txn) return;
-  if (IsLeader()) {
-    SubmitTransaction(msg->txn);
-    return;
-  }
-  // Followers keep the stuck transaction as stuck-work *evidence*: it
-  // arms the leader-liveness check (a dead leader produces no Accepts to
-  // drain it) and seeds the propose queue if this node takes over. It is
-  // also forwarded so a live-but-unaware leader can propose it.
-  seen_txns_.Raise(msg->txn.client, msg->txn.floor);
-  if (seen_txns_.FindOrInsert({msg->txn.client, msg->txn.id}).second) {
-    pending_.push_back(msg->txn);
-  }
+  // A follower queues the stuck transaction too, as stuck-work
+  // *evidence*: it arms the leader-liveness check (a dead leader produces
+  // no Accepts to drain it) and seeds the propose queue if this node
+  // takes over. It is also forwarded so a live-but-unaware leader can
+  // propose it.
+  SubmitTransaction(msg->txn);
+  if (IsPrimary()) return;
   // (Re-)arm the liveness check — a no-op when already armed; repeated
   // ERRORs for known-stuck txns still restore the check after e.g. a
   // crash window let it lapse.
@@ -106,46 +86,17 @@ void MultiPaxosReplica::HandleError(const sim::Envelope& env) {
   net_->Send(id(), LeaderOf(ballot_), fwd, fwd->WireSize());
 }
 
-void MultiPaxosReplica::SubmitTransaction(const workload::Transaction& txn) {
-  // As PbftReplica::SubmitTransaction: once per request, never at or
-  // below its client's floor.
-  seen_txns_.Raise(txn.client, txn.floor);
-  if (!seen_txns_.FindOrInsert({txn.client, txn.id}).second) return;
-  pending_.push_back(txn);
-  MaybeProposeBatch();
+bool MultiPaxosReplica::CanPropose() const {
+  return !crashed_ && IsPrimary() && !phase1_pending_;
 }
 
-void MultiPaxosReplica::ScheduleBatchFlush() {
-  if (batch_flush_timer_ != 0 || pending_.empty()) return;
-  batch_flush_timer_ = sim_->Schedule(config_.batch_timeout, [this]() {
-    batch_flush_timer_ = 0;
-    if (crashed_ || !IsLeader() || phase1_pending_ || pending_.empty()) {
-      return;
-    }
-    ProposeBatch(std::min(pending_.size(), config_.batch_size));
-    MaybeProposeBatch();
-  });
+size_t MultiPaxosReplica::UncommittedSlots() const {
+  return std::ranges::count_if(
+      slots_, [](const auto& entry) { return !entry.second.committed; });
 }
 
-void MultiPaxosReplica::MaybeProposeBatch() {
-  if (!IsLeader() || phase1_pending_) return;
-  size_t inflight = 0;
-  for (const auto& [slot, state] : slots_) {
-    if (!state.committed) ++inflight;
-  }
-  while (pending_.size() >= config_.batch_size &&
-         inflight < config_.pipeline_width) {
-    if (!ProposeBatch(config_.batch_size)) ++inflight;
-  }
-  ScheduleBatchFlush();
-}
-
-bool MultiPaxosReplica::ProposeBatch(size_t count) {
-  workload::TransactionBatch batch;
-  batch.txns.assign(std::make_move_iterator(pending_.begin()),
-                    std::make_move_iterator(pending_.begin() + count));
-  pending_.erase(pending_.begin(), pending_.begin() + count);
-  return ProposeAtSlot(next_slot_++, workload::ShareBatch(std::move(batch)));
+bool MultiPaxosReplica::Propose(workload::BatchPtr batch) {
+  return ProposeAtSlot(next_slot_++, std::move(batch));
 }
 
 bool MultiPaxosReplica::ProposeAtSlot(SeqNum slot_num,
@@ -158,7 +109,14 @@ bool MultiPaxosReplica::ProposeAtSlot(SeqNum slot_num,
   slot.committed = false;
   accepted_log_[slot_num] = {ballot_, slot.batch};
   slot_frontier_ = std::max(slot_frontier_, slot_num);
+  BroadcastAccept(slot_num);
+  if (MaybeCommit(slot_num)) return true;
+  ScheduleAcceptResend(slot_num);
+  return false;
+}
 
+void MultiPaxosReplica::BroadcastAccept(SeqNum slot_num) {
+  const Slot& slot = slots_.at(slot_num);
   auto msg = std::make_shared<PaxosAcceptMsg>(id());
   msg->ballot = ballot_;
   msg->slot = slot_num;
@@ -166,7 +124,22 @@ bool MultiPaxosReplica::ProposeAtSlot(SeqNum slot_num,
   msg->digest = slot.digest;
   msg->committed_upto = commit_frontier_;
   net_->Broadcast(id(), peers_, id(), msg, msg->WireSize());
-  return MaybeCommit(slot_num);
+}
+
+void MultiPaxosReplica::ScheduleAcceptResend(SeqNum slot_num) {
+  // Nothing else repeats an Accept or an Accepted: without this, one
+  // lost message with one node of three down leaves the slot open, and
+  // the commit frontier and both logs stop there. A new ballot
+  // re-proposes the slot itself, so the resend stops with the ballot.
+  sim_->Schedule(config_.request_timeout, [this, slot_num,
+                                           ballot = ballot_]() {
+    auto it = slots_.find(slot_num);
+    if (ballot != ballot_ || it == slots_.end() || it->second.committed) {
+      return;
+    }
+    if (!crashed_) BroadcastAccept(slot_num);
+    ScheduleAcceptResend(slot_num);
+  });
 }
 
 void MultiPaxosReplica::HandleAccept(const sim::Envelope& env) {
@@ -207,7 +180,7 @@ void MultiPaxosReplica::HandleAccept(const sim::Envelope& env) {
 void MultiPaxosReplica::HandleAccepted(const sim::Envelope& env) {
   const auto* msg = MessageAs<PaxosAcceptedMsg>(env, MsgKind::kPaxosAccepted);
   if (msg == nullptr) return;
-  if (!IsLeader() || msg->ballot != ballot_) return;
+  if (!IsPrimary() || msg->ballot != ballot_) return;
   auto it = slots_.find(msg->slot);
   if (it == slots_.end() || it->second.committed) return;
   if (msg->digest != it->second.digest) return;
@@ -219,8 +192,6 @@ bool MultiPaxosReplica::MaybeCommit(SeqNum slot_num) {
   Slot& slot = slots_.at(slot_num);
   if (slot.committed || slot.accepted.size() < Majority()) return false;
   slot.committed = true;
-  ++committed_batches_;
-  committed_txns_ += slot.batch->txns.size();
   last_leader_activity_ = sim_->now();
   // Advance the contiguous commit frontier (commits may finish out of
   // order under pipelining).
@@ -229,12 +200,10 @@ bool MultiPaxosReplica::MaybeCommit(SeqNum slot_num) {
     if (next == slots_.end() || !next->second.committed) break;
     ++commit_frontier_;
   }
-  if (commit_cb_) {
-    crypto::CommitCertificate cert;  // CFT: no signatures needed.
-    cert.seq = slot_num;
-    cert.digest = slot.digest;
-    commit_cb_(slot_num, view_, slot.batch, cert);
-  }
+  crypto::CommitCertificate cert;  // CFT: no signatures needed.
+  cert.seq = slot_num;
+  cert.digest = slot.digest;
+  ReportCommit(slot_num, view_, slot.batch, cert);
   PruneToCommitFrontier();
   return true;
 }
@@ -263,7 +232,7 @@ void MultiPaxosReplica::ScheduleLeaderCheck() {
   // Armed only while stuck-work evidence is queued at a follower — the
   // sole state OnLeaderCheck can act on — so idle/leader/crashed
   // replicas add no recurring events to the loop.
-  if (leader_check_armed_ || IsLeader() || pending_.empty()) return;
+  if (leader_check_armed_ || IsPrimary() || pending_.empty()) return;
   leader_check_armed_ = true;
   sim_->Schedule(config_.view_change_timeout,
                  [this]() { OnLeaderCheck(); });
@@ -271,7 +240,7 @@ void MultiPaxosReplica::ScheduleLeaderCheck() {
 
 void MultiPaxosReplica::OnLeaderCheck() {
   leader_check_armed_ = false;
-  if (crashed_ || IsLeader()) return;
+  if (crashed_ || IsPrimary()) return;
   // Silence alone must not rotate leadership (an idle system is fine);
   // silence *while stuck work is evidenced* (ERROR-carried transactions
   // that no Accept has covered) is what indicts the leader.
@@ -284,7 +253,7 @@ void MultiPaxosReplica::OnLeaderCheck() {
   ballot_ = view_ + 1;
   ++view_changes_;
   last_leader_activity_ = sim_->now();
-  if (IsLeader()) {
+  if (IsPrimary()) {
     TakeOverLeadership();
   } else {
     // Hand the evidence to whoever the new leader is; it stays queued

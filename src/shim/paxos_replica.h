@@ -2,17 +2,11 @@
 #define SBFT_SHIM_PAXOS_REPLICA_H_
 
 #include <algorithm>
-#include <deque>
-#include <functional>
 #include <map>
 #include <set>
 #include <vector>
 
-#include "common/client_floor.h"
-#include "shim/message.h"
-#include "shim/shim_config.h"
-#include "sim/network.h"
-#include "sim/simulator.h"
+#include "shim/replica.h"
 
 namespace sbft::shim {
 
@@ -22,10 +16,14 @@ namespace sbft::shim {
 /// own majority commits each batch as it proposes it, sending nothing.
 /// No signatures are computed or carried — the cost advantage the paper
 /// attributes to the CFT baseline — and the quorum is a simple majority.
+/// Intake, batching and the commit callback are the shim::Replica base's.
 ///
 /// Both logs keep only the slots above the contiguous commit frontier:
 /// the leader prunes when it commits, a follower when an Accept carries
-/// the leader's frontier.
+/// the leader's frontier. The leader re-broadcasts the Accept of a slot
+/// still uncommitted `request_timeout` after it was sent, until the slot
+/// commits or the ballot changes; followers answer every Accept, so a
+/// lost Accept or Accepted cannot hold the frontier for good.
 ///
 /// Leader failover (fault-engine coverage): the leader of view v is node
 /// v % n. Followers watch for leader activity; when the leader goes
@@ -44,44 +42,16 @@ namespace sbft::shim {
 /// recovery safe when the candidate itself missed accepts (e.g. it was
 /// the one partitioned away): every committed slot is in some majority
 /// member's promise, or at or below the frontier it reports.
-class MultiPaxosReplica : public sim::Actor {
+class MultiPaxosReplica : public Replica {
  public:
-  using CommitCallback = std::function<void(
-      SeqNum seq, ViewNum view, const workload::BatchPtr& batch,
-      const crypto::CommitCertificate& cert)>;
-
-  /// Fired when a RESPONSE reaches this node — from the verifier, it
-  /// reports a settled sequence. `from` is the envelope's sender: the
-  /// observer must check it.
-  using ResponseObserver =
-      std::function<void(ActorId from, const ResponseMsg& msg)>;
-
   MultiPaxosReplica(ActorId id, uint32_t index, const ShimConfig& config,
                     std::vector<ActorId> peers, sim::Simulator* sim,
                     sim::Network* net);
 
-  void OnMessage(const sim::Envelope& env) override;
+  /// On recovery the node rejoins with its in-memory state and adopts the
+  /// current ballot from the next Accept.
+  void SetCrashed(bool crashed) override;
 
-  void SetCommitCallback(CommitCallback cb) { commit_cb_ = std::move(cb); }
-  void SetResponseObserver(ResponseObserver cb) {
-    response_observer_ = std::move(cb);
-  }
-
-  /// The leader of view v is node v % n.
-  bool IsLeader() const { return index_ == view_ % peers_.size(); }
-  ViewNum view() const { return view_; }
-  uint64_t view_changes() const { return view_changes_; }
-
-  /// Crash-stop / recover hook (fault engine). A crashed replica drops
-  /// every message and proposes nothing; on recovery it rejoins with its
-  /// in-memory state and adopts the current ballot from the next Accept.
-  void SetCrashed(bool crashed);
-  bool crashed() const { return crashed_; }
-
-  void SubmitTransaction(const workload::Transaction& txn);
-
-  uint64_t committed_batches() const { return committed_batches_; }
-  uint64_t committed_txns() const { return committed_txns_; }
   /// Entries in the longer of the slot table and the accepted log: the
   /// slots above the commit frontier this node knows.
   size_t log_size() const {
@@ -103,24 +73,32 @@ class MultiPaxosReplica : public sim::Actor {
     workload::BatchPtr batch = workload::EmptyBatch();
   };
 
+  void HandleMessage(const sim::Envelope& env, MsgKind kind) override;
+  /// Leader, no phase-1 read pending, not crashed.
+  bool CanPropose() const override;
+  size_t UncommittedSlots() const override;
+  bool Propose(workload::BatchPtr batch) override;
+
   void HandleClientRequest(const sim::Envelope& env);
   void HandleAccept(const sim::Envelope& env);
   void HandleAccepted(const sim::Envelope& env);
   void HandleError(const sim::Envelope& env);
   void HandlePrepare(const sim::Envelope& env);
   void HandlePromise(const sim::Envelope& env);
-  void MaybeProposeBatch();
-  /// Both return whether the slot committed as it was proposed, which
-  /// only a group of one does. ProposeBatch moves the first `count`
-  /// pending transactions into a batch.
-  bool ProposeBatch(size_t count);
+  /// Returns whether the slot committed as it was proposed, which only a
+  /// group of one does.
   bool ProposeAtSlot(SeqNum slot_num, workload::BatchPtr batch);
+  /// Sends `slot_num`'s Accept, under the current ballot and with the
+  /// commit frontier, to every other node.
+  void BroadcastAccept(SeqNum slot_num);
+  /// Re-broadcasts `slot_num`'s Accept every `request_timeout` until the
+  /// slot commits or the ballot changes; a crashed leader skips the send.
+  void ScheduleAcceptResend(SeqNum slot_num);
   /// The leader commits `slot_num` once a majority, itself included, has
   /// accepted it; returns whether it committed just now.
   bool MaybeCommit(SeqNum slot_num);
   /// Erases the slots and accepted values at or below commit_frontier_.
   void PruneToCommitFrontier();
-  void ScheduleBatchFlush();
   void ScheduleLeaderCheck();
   void OnLeaderCheck();
   /// Moves to a higher ballot another node leads.
@@ -133,19 +111,10 @@ class MultiPaxosReplica : public sim::Actor {
   /// accepted_log_, re-propose everything above the commit frontier
   /// (no-op batches for unwitnessed holes), and resume normal proposing.
   void FinishPhaseOne();
-  ActorId LeaderOf(uint64_t ballot) const {
-    return peers_[(ballot - 1) % peers_.size()];
-  }
+  ActorId LeaderOf(uint64_t ballot) const { return PrimaryOf(ballot - 1); }
 
   size_t Majority() const { return peers_.size() / 2 + 1; }
 
-  ShimConfig config_;
-  uint32_t index_;
-  std::vector<ActorId> peers_;
-  sim::Simulator* sim_;
-  sim::Network* net_;
-
-  ViewNum view_ = 0;     // Leader = view_ % n.
   uint64_t ballot_ = 1;  // Always view_ + 1.
   SeqNum next_slot_ = 1;
   std::map<SeqNum, Slot> slots_;
@@ -156,14 +125,8 @@ class MultiPaxosReplica : public sim::Actor {
   /// from the promises. Both logs hold only the slots above it, and a
   /// takeover re-proposes only those.
   SeqNum commit_frontier_ = 0;
-  std::deque<workload::Transaction> pending_;
-  /// Seen requests, keyed by (client, id) above each client's floor.
-  FloorTable<> seen_txns_;
-  sim::EventId batch_flush_timer_ = 0;
   SimTime last_leader_activity_ = 0;
   bool leader_check_armed_ = false;
-  bool crashed_ = false;
-  uint64_t view_changes_ = 0;
 
   // Phase-1 read in flight (new-leader takeover). While pending, no
   // phase-2 proposals go out — a value chosen under an older ballot
@@ -173,11 +136,6 @@ class MultiPaxosReplica : public sim::Actor {
   std::set<ActorId> phase1_promises_;
   std::map<SeqNum, AcceptedValue> phase1_merged_;
   bool phase1_retry_armed_ = false;
-
-  CommitCallback commit_cb_;
-  ResponseObserver response_observer_;
-  uint64_t committed_batches_ = 0;
-  uint64_t committed_txns_ = 0;
 };
 
 }  // namespace sbft::shim

@@ -1,8 +1,6 @@
 #include "shim/pbft_replica.h"
 
 #include <algorithm>
-#include <cassert>
-#include <iterator>
 #include <set>
 
 #include "common/logging.h"
@@ -34,33 +32,16 @@ PbftReplica::PbftReplica(ActorId id, uint32_t index, const ShimConfig& config,
                          std::vector<ActorId> peers,
                          crypto::KeyRegistry* keys, sim::Simulator* sim,
                          sim::Network* net, VotePattern pattern)
-    : Actor(id, "shim-" + std::to_string(index)),
-      config_(config),
-      index_(index),
-      peers_(std::move(peers)),
+    : Replica(id, "shim-", index, config, std::move(peers), sim, net),
       keys_(keys),
-      sim_(sim),
-      net_(net),
-      pattern_(pattern) {
-  assert(peers_.size() == config_.n);
-  assert(peers_[index_] == id);
-}
-
-ActorId PbftReplica::PrimaryOf(ViewNum view) const {
-  return peers_[view % peers_.size()];
-}
-
-bool PbftReplica::IsPrimary() const { return PrimaryOf(view_) == id(); }
+      pattern_(pattern) {}
 
 void PbftReplica::BroadcastToPeers(const MessagePtr& msg) {
   net_->Broadcast(id(), peers_, id(), msg, msg->WireSize());
 }
 
-void PbftReplica::OnMessage(const sim::Envelope& env) {
-  if (crashed_) return;
-  const auto* base = static_cast<const Message*>(env.message.get());
-  if (base == nullptr) return;
-  switch (base->kind) {
+void PbftReplica::HandleMessage(const sim::Envelope& env, MsgKind kind) {
+  switch (kind) {
     case MsgKind::kClientRequest:
       HandleClientRequest(env);
       break;
@@ -98,20 +79,13 @@ void PbftReplica::OnMessage(const sim::Envelope& env) {
     case MsgKind::kCheckpoint:
       HandleCheckpoint(env);
       break;
-    case MsgKind::kResponse: {
-      const auto* msg = MessageAs<ResponseMsg>(env, MsgKind::kResponse);
-      if (msg != nullptr && response_observer_) {
-        response_observer_(env.from, *msg);
-      }
-      break;
-    }
     default:
       break;  // Not addressed to the shim.
   }
 }
 
 // ---------------------------------------------------------------------------
-// Client requests and batching (primary).
+// Client requests and proposals (primary).
 // ---------------------------------------------------------------------------
 
 void PbftReplica::HandleClientRequest(const sim::Envelope& env) {
@@ -136,53 +110,21 @@ void PbftReplica::HandleClientRequest(const sim::Envelope& env) {
   SubmitTransaction(msg->txn);
 }
 
-void PbftReplica::SubmitTransaction(const workload::Transaction& txn) {
-  // Each request is proposed once. One at or below its client's floor
-  // was answered or abandoned, and its seen id may be gone: it is never
-  // proposed again.
-  seen_txns_.Raise(txn.client, txn.floor);
-  if (!seen_txns_.FindOrInsert({txn.client, txn.id}).second) return;
-  pending_.push_back(txn);
-  MaybeProposeBatch();
+bool PbftReplica::CanPropose() const {
+  return !crashed_ && IsPrimary() && !in_view_change_;
 }
 
-void PbftReplica::ScheduleBatchFlush() {
-  if (batch_flush_timer_ != 0 || pending_.empty()) return;
-  batch_flush_timer_ = sim_->Schedule(config_.batch_timeout, [this]() {
-    batch_flush_timer_ = 0;
-    if (crashed_ || !IsPrimary() || in_view_change_ || pending_.empty()) {
-      return;
-    }
-    ProposeBatch(std::min(pending_.size(), config_.batch_size));
-    MaybeProposeBatch();
-  });
+size_t PbftReplica::UncommittedSlots() const {
+  return std::ranges::count_if(
+      slots_, [](const auto& entry) { return !entry.second.committed; });
 }
 
-void PbftReplica::MaybeProposeBatch() {
-  if (crashed_ || !IsPrimary() || in_view_change_) return;
-  // Pipeline bound (§VI-A concurrent consensus): count in-flight slots.
-  size_t inflight = 0;
-  for (const auto& [seq, slot] : slots_) {
-    if (!slot.committed) ++inflight;
-  }
-  while (pending_.size() >= config_.batch_size &&
-         inflight < config_.pipeline_width) {
-    ProposeBatch(config_.batch_size);
-    ++inflight;
-  }
-  ScheduleBatchFlush();
-}
-
-void PbftReplica::ProposeBatch(size_t count) {
-  workload::TransactionBatch batch;
-  batch.txns.assign(std::make_move_iterator(pending_.begin()),
-                    std::make_move_iterator(pending_.begin() + count));
-  pending_.erase(pending_.begin(), pending_.begin() + count);
+bool PbftReplica::Propose(workload::BatchPtr batch) {
   SeqNum seq = next_seq_++;
   auto msg = std::make_shared<PrePrepareMsg>(id());
   msg->view = view_;
   msg->seq = seq;
-  msg->batch = workload::ShareBatch(std::move(batch));
+  msg->batch = std::move(batch);
   msg->digest = msg->batch->Hash();
 
   Slot& slot = GetSlot(seq);
@@ -231,6 +173,7 @@ void PbftReplica::ProposeBatch(size_t count) {
   }
   StartRequestTimer(seq);
   TryPrepare(seq);
+  return HasCommitted(seq);
 }
 
 // ---------------------------------------------------------------------------
@@ -486,13 +429,9 @@ void PbftReplica::OnCommitted(SeqNum seq) {
       }
     }
   }
-  ++committed_batches_;
-  committed_txns_ += slot.batch->txns.size();
-  if (commit_cb_) {
-    commit_cb_(seq, slot.view, slot.batch, slot.cert);
-  }
+  ReportCommit(seq, slot.view, slot.batch, slot.cert);
   MaybeTakeCheckpoint();
-  if (IsPrimary()) MaybeProposeBatch();
+  MaybeProposeBatch();
 }
 
 bool PbftReplica::HasCommitted(SeqNum seq) const {
@@ -774,7 +713,7 @@ void PbftReplica::EnterView(ViewNum view) {
   if (view <= view_) return;
   view_ = view;
   in_view_change_ = false;
-  ++view_changes_completed_;
+  ++view_changes_;
   if (view_change_timer_ != 0) {
     sim_->Cancel(view_change_timer_);
     view_change_timer_ = 0;

@@ -1,19 +1,14 @@
 #ifndef SBFT_SHIM_PBFT_REPLICA_H_
 #define SBFT_SHIM_PBFT_REPLICA_H_
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "common/client_floor.h"
 #include "crypto/keys.h"
-#include "shim/message.h"
-#include "shim/shim_config.h"
-#include "sim/network.h"
-#include "sim/simulator.h"
+#include "shim/replica.h"
 
 namespace sbft::shim {
 
@@ -36,27 +31,19 @@ enum class VotePattern : uint8_t {
 /// view-change protocol on the §V-A timers, exchanges featherweight
 /// checkpoints (§V-B), and reacts to the verifier's ERROR/REPLACE/ACK
 /// control messages (Fig. 4). The VotePattern only decides how the
-/// prepare and commit votes travel; everything else is shared. Execution
-/// is *not* done here: when a batch commits, the commit callback hands
-/// (seq, batch, certificate) to the spawner installed by
-/// core::Architecture.
-class PbftReplica : public sim::Actor {
+/// prepare and commit votes travel; everything else is shared. Intake,
+/// batching and the commit callback are the shim::Replica base's.
+/// Execution is *not* done here: when a batch commits, the commit
+/// callback hands (seq, batch, certificate) to the spawner installed by
+/// core::Architecture. Every honest node fires it once per sequence.
+///
+/// A crashed node's timers take no action; on recovery it catches up
+/// through featherweight checkpoints (§V-B).
+class PbftReplica : public Replica {
  public:
-  /// Fired exactly once per committed sequence number on every honest
-  /// node, in arbitrary seq order (pipelined consensus).
-  using CommitCallback = std::function<void(
-      SeqNum seq, ViewNum view, const workload::BatchPtr& batch,
-      const crypto::CommitCertificate& cert)>;
-
   /// Fired when the verifier signals (via ERROR(kmax)) that executors for
   /// an already-committed sequence must be re-spawned.
   using RespawnCallback = std::function<void(SeqNum seq)>;
-
-  /// Fired when a RESPONSE reaches this node — from the verifier, it
-  /// notifies a validated sequence (Fig. 3 line 33) and releases §VI-C
-  /// locks. `from` is the envelope's sender: the observer must check it.
-  using ResponseObserver =
-      std::function<void(ActorId from, const ResponseMsg& msg)>;
 
   /// `index` is the node's position in `peers` (identifier 0..n-1, §IV-B);
   /// the primary of view v is peers[v mod n]. The node starts honest.
@@ -65,31 +52,10 @@ class PbftReplica : public sim::Actor {
               sim::Simulator* sim, sim::Network* net,
               VotePattern pattern = VotePattern::kAllToAll);
 
-  void OnMessage(const sim::Envelope& env) override;
-
-  void SetCommitCallback(CommitCallback cb) { commit_cb_ = std::move(cb); }
   void SetRespawnCallback(RespawnCallback cb) { respawn_cb_ = std::move(cb); }
-  void SetResponseObserver(ResponseObserver cb) {
-    response_observer_ = std::move(cb);
-  }
-
-  /// True when this node is the primary of the current view.
-  bool IsPrimary() const;
-  ViewNum view() const { return view_; }
-  uint32_t index() const { return index_; }
-
-  /// Submits a transaction directly (used by NewView re-proposals and
-  /// tests; normal flow arrives as ClientRequestMsg).
-  void SubmitTransaction(const workload::Transaction& txn);
 
   /// True if this node has committed sequence `seq`.
   bool HasCommitted(SeqNum seq) const;
-
-  /// Runtime crash-stop toggle (fault engine): while crashed the replica
-  /// drops every message and its timers take no action. On recovery the
-  /// node catches up through featherweight checkpoints (§V-B).
-  void SetCrashed(bool crashed) { crashed_ = crashed; }
-  bool crashed() const { return crashed_; }
 
   /// Replaces the byzantine behaviour (fault engine); pass a
   /// default-constructed ByzantineBehavior to return the node to honesty.
@@ -103,13 +69,8 @@ class PbftReplica : public sim::Actor {
   std::optional<crypto::Digest> CommittedDigest(SeqNum seq) const;
 
   // --- statistics ---
-  uint64_t committed_batches() const { return committed_batches_; }
-  uint64_t committed_txns() const { return committed_txns_; }
-  uint64_t view_changes() const { return view_changes_completed_; }
   uint64_t checkpoints_taken() const { return checkpoints_taken_; }
   uint64_t dark_recoveries() const { return dark_recoveries_; }
-  /// Client requests remembered for dedup (above each client's floor).
-  size_t seen_txns() const { return seen_txns_.size(); }
   SeqNum stable_seq() const { return stable_seq_; }
 
  private:
@@ -128,6 +89,12 @@ class PbftReplica : public sim::Actor {
     sim::EventId request_timer = 0;
   };
 
+  void HandleMessage(const sim::Envelope& env, MsgKind kind) override;
+  /// Primary, not in a view change, not crashed.
+  bool CanPropose() const override;
+  size_t UncommittedSlots() const override;
+  bool Propose(workload::BatchPtr batch) override;
+
   // --- message handlers ---
   void HandleClientRequest(const sim::Envelope& env);
   void HandlePrePrepare(const sim::Envelope& env);
@@ -141,12 +108,6 @@ class PbftReplica : public sim::Actor {
   void HandleViewChange(const sim::Envelope& env);
   void HandleNewView(const sim::Envelope& env);
   void HandleCheckpoint(const sim::Envelope& env);
-
-  // --- primary logic ---
-  void MaybeProposeBatch();
-  /// Proposes the first `count` pending transactions, moved into a batch.
-  void ProposeBatch(size_t count);
-  void ScheduleBatchFlush();
 
   // --- consensus helpers ---
   Slot& GetSlot(SeqNum seq);
@@ -178,31 +139,17 @@ class PbftReplica : public sim::Actor {
   void AdoptCertificate(const crypto::CompactCertificate& cert,
                         const PreparedProof& proof);
 
-  ActorId PrimaryOf(ViewNum view) const;
   /// Sends `msg` to every other replica; the wire size is the message's
   /// counted WireSize(), taken once for the whole fan-out.
   void BroadcastToPeers(const MessagePtr& msg);
 
-  ShimConfig config_;
-  uint32_t index_;
-  std::vector<ActorId> peers_;
   crypto::KeyRegistry* keys_;
-  sim::Simulator* sim_;
-  sim::Network* net_;
   ByzantineBehavior behavior_;
   VotePattern pattern_;
-  bool crashed_ = false;  // Runtime crash-stop (fault engine).
 
-  ViewNum view_ = 0;
   SeqNum next_seq_ = 1;         // Next sequence the primary assigns.
   SeqNum stable_seq_ = 0;       // Last checkpoint-stable sequence.
   std::map<SeqNum, Slot> slots_;
-
-  // Primary batching.
-  std::deque<workload::Transaction> pending_;
-  /// Seen requests, keyed by (client, id) above each client's floor.
-  FloorTable<> seen_txns_;
-  sim::EventId batch_flush_timer_ = 0;
 
   // View change state.
   bool in_view_change_ = false;
@@ -218,13 +165,8 @@ class PbftReplica : public sim::Actor {
   SeqNum last_checkpoint_sent_ = 0;
   std::map<SeqNum, std::map<ActorId, crypto::Digest>> checkpoint_votes_;
 
-  CommitCallback commit_cb_;
   RespawnCallback respawn_cb_;
-  ResponseObserver response_observer_;
 
-  uint64_t committed_batches_ = 0;
-  uint64_t committed_txns_ = 0;
-  uint64_t view_changes_completed_ = 0;
   uint64_t checkpoints_taken_ = 0;
   uint64_t dark_recoveries_ = 0;
 };

@@ -22,7 +22,8 @@ struct ShimConfig {
   SimDuration batch_timeout = Millis(5);
 
   /// Node timer τ_m: started on accepting a PREPREPARE, cancelled on
-  /// commit; expiry triggers a view change (§V-A).
+  /// commit; expiry triggers a view change (§V-A). A Multi-Paxos leader
+  /// resends a slot's Accept each time it passes uncommitted.
   SimDuration request_timeout = Millis(800);
 
   /// Node re-transmission timer Υ: started when forwarding an ERROR to
@@ -36,8 +37,9 @@ struct ShimConfig {
   /// Featherweight checkpoint period in sequence numbers (§V-B).
   uint32_t checkpoint_interval = 128;
 
-  /// Maximum in-flight consensus slots (PBFT watermark window); this is
-  /// what "concurrent consensus invocation" (§VI-A) bounds.
+  /// In-flight consensus slots at which full batches stop (PBFT watermark
+  /// window); this is what "concurrent consensus invocation" (§VI-A)
+  /// bounds. The batch_timeout flush still proposes past it.
   size_t pipeline_width = 64;
 
   /// Tolerated byzantine shim nodes f_R = floor((n-1)/3).

@@ -134,6 +134,23 @@ TEST(FaultScheduleTest, CoordinatorCrashIsMemberZero) {
   EXPECT_EQ(schedule->events()[1].node, 0u);
 }
 
+TEST(FaultScheduleTest, PartitionErrorsNameWhatIsPartitioned) {
+  auto error = [](std::string_view line) {
+    auto schedule = FaultSchedule::Parse(line);
+    return schedule.ok() ? std::string("ok") : schedule.status().message();
+  };
+  EXPECT_EQ(error("at 1s partition nodes 0 1\n"),
+            "scenario line 1: partition nodes needs '<i...> | <j...>'");
+  EXPECT_EQ(error("at 1s partition nodes 0 | x\n"),
+            "scenario line 1: bad node index in partition");
+  EXPECT_EQ(error("at 1s partition coordinators 0 1\n"),
+            "scenario line 1: partition coordinators needs '<i...> | <j...>'");
+  EXPECT_EQ(error("at 1s partition coordinators 0 | -1\n"),
+            "scenario line 1: bad member index in partition");
+  EXPECT_EQ(error("at 1s partition coordinators | 1\n"),
+            "scenario line 1: partition coordinators needs '<i...> | <j...>'");
+}
+
 TEST(FaultScheduleTest, RejectsNegativeNodeIndex) {
   // strtoul would happily wrap "-1"; the parser must not.
   EXPECT_FALSE(FaultSchedule::Parse("at 1s crash node -1\n").ok());
@@ -152,6 +169,13 @@ TEST(FaultEngineTest, InstallRejectsOutOfRangeTargets) {
   Status bad_region = controller2.Install(
       *FaultSchedule::Parse("at 1s partition regions 0 99\n"));
   EXPECT_TRUE(bad_region.IsInvalidArgument()) << bad_region.ToString();
+
+  // Either side of a partition is checked.
+  core::Architecture arch3(SmallConfig());
+  FaultController controller3(&arch3);
+  Status bad_side = controller3.Install(
+      *FaultSchedule::Parse("at 1s partition nodes 0 | 1 9\n"));
+  EXPECT_EQ(bad_side.message(), "partition nodes: bad index");
 }
 
 TEST(FaultEngineTest, InstallRefusesParallelEngine) {

@@ -67,8 +67,8 @@ TEST(PaxosFailoverTest, OldLeaderRecoveryDoesNotForkTheLog) {
   EXPECT_GT(arch.TotalViewChanges(), 0u);
   EXPECT_GT(arch.TotalCompleted(), 50u);
   // The recovered node adopted the higher ballot instead of re-leading.
-  EXPECT_GT(arch.paxos_replicas()[0]->view(), 0u);
-  EXPECT_FALSE(arch.paxos_replicas()[0]->IsLeader());
+  EXPECT_GT(arch.replicas()[0]->view(), 0u);
+  EXPECT_FALSE(arch.replicas()[0]->IsPrimary());
   // The verifier's k_max order stayed a verified chain: no slot was
   // settled twice with diverging content.
   EXPECT_TRUE(arch.verifier()->audit_log().VerifyChain());

@@ -153,6 +153,26 @@ TEST(PaxosTest, LogsStayWithinThePipelineWindow) {
   }
 }
 
+TEST(PaxosTest, LeaderResendsAnAcceptALostMessageLeftOpen) {
+  // Node 2 is down and the 0-1 link drops 2% of messages, so each lost
+  // Accept or Accepted leaves its slot one accept short of a majority.
+  // Resent Accepts close every such slot: all commit, the frontier
+  // reaches the last slot, and the leader's log drains to the window.
+  constexpr size_t kWidth = 16;
+  constexpr size_t kTxns = 5000;
+  PaxosHarness h(3, kWidth);
+  h.replicas_[2]->SetCrashed(true);
+  sim::LinkRule lossy;
+  lossy.drop_probability = 0.02;
+  h.net_.SetLinkRule(h.ids_[0], h.ids_[1], lossy);
+  for (TxnId t = 1; t <= kTxns; ++t) h.SubmitTxn(t);
+  h.sim_.RunUntil(Seconds(10));
+  ASSERT_EQ(h.commits_.size(), kTxns);
+  // One transaction per slot, so slots 1..kTxns all committed.
+  EXPECT_EQ(h.commits_.rbegin()->first, kTxns);
+  EXPECT_LE(h.replicas_[0]->log_size(), 2 * kWidth);
+}
+
 TEST(PaxosTest, TakeoverFromAPrunedPromiseProposesAboveItsFrontier) {
   // Node 1 misses every Accept while node 0 commits ten slots with node
   // 2, which then crashes. An ERROR-carried transaction makes node 1 take
@@ -181,7 +201,7 @@ TEST(PaxosTest, TakeoverFromAPrunedPromiseProposesAboveItsFrontier) {
   // Node 1's first Prepare dies on the cut link; its retry, one timeout
   // later, reaches node 0.
   h.sim_.RunUntil(Millis(100) + timeout + Millis(200));
-  EXPECT_TRUE(h.replicas_[1]->IsLeader());
+  EXPECT_TRUE(h.replicas_[1]->IsPrimary());
   h.net_.SetLinkEnabled(h.ids_[0], h.ids_[1], true);
   h.sim_.RunUntil(Millis(100) + 3 * timeout);
 
