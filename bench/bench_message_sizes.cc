@@ -20,7 +20,7 @@ int main() {
   workload::YcsbGenerator gen(wconfig, Rng(7));
   workload::TransactionBatch batch;
   for (int i = 0; i < 100; ++i) {
-    batch.txns.push_back(gen.Next(1000));
+    batch.txns.push_back(workload::ShareTxn(gen.Next(1000)));
   }
   workload::BatchPtr shared_batch = workload::ShareBatch(std::move(batch));
   crypto::Digest digest = shared_batch->Hash();
@@ -56,7 +56,8 @@ int main() {
   execute.seq = 1;
   execute.batch = shared_batch;
   execute.digest = digest;
-  execute.cert = cert;
+  execute.cert =
+      std::make_shared<const crypto::CommitCertificate>(cert);
   execute.spawner_sig = keys.Sign(0, shim::ExecuteMsg::SigningBytes(0, 1, digest));
 
   // One read/write set per transaction, aligned with txn_refs, as
@@ -65,18 +66,18 @@ int main() {
   shim::VerifyMsg verify(9);
   verify.seq = 1;
   verify.batch_digest = digest;
-  verify.cert = cert;
+  verify.cert = execute.cert;
   verify.result = Bytes(32, 'r');
-  for (const workload::Transaction& txn : shared_batch->txns) {
+  for (const workload::TxnPtr& txn : shared_batch->txns) {
     storage::RwSet& rw = verify.txn_rws.emplace_back();
-    for (const workload::Operation& op : txn.ops) {
+    for (const workload::Operation& op : txn->ops) {
       if (op.type == workload::OpType::kCompute) continue;
       rw.reads.push_back({op.key, 1});
       if (op.type == workload::OpType::kWrite) {
         rw.writes.push_back({op.key, op.value});
       }
     }
-    verify.txn_refs.push_back({txn.id, txn.client});
+    verify.txn_refs.push_back({txn->id, txn->client});
   }
   verify.executor_sig = Bytes(32, 's');
 

@@ -181,7 +181,7 @@ workload::TransactionBatch MakeBatch(size_t txns, uint64_t seed) {
     write.key = "user" + std::to_string(rng.Uniform(600000));
     write.value = Bytes(100, static_cast<uint8_t>(i));
     t.ops.push_back(std::move(write));
-    batch.txns.push_back(std::move(t));
+    batch.txns.push_back(workload::ShareTxn(std::move(t)));
   }
   return batch;
 }
@@ -332,9 +332,9 @@ double WireSizing(const Options& opt, RepClock& clock) {
   request->txn.id = 42;
   request->txn.client = 1000;
   request->txn.floor = 41;
-  for (const workload::Transaction& t : batch->txns) {
-    request->txn.ops.insert(request->txn.ops.end(), t.ops.begin(),
-                            t.ops.end());
+  for (const workload::TxnPtr& t : batch->txns) {
+    request->txn.ops.insert(request->txn.ops.end(), t->ops.begin(),
+                            t->ops.end());
   }
   request->client_sig = ds;
 
@@ -349,7 +349,7 @@ double WireSizing(const Options& opt, RepClock& clock) {
   execute->seq = 7;
   execute->batch = batch;
   execute->digest = digest;
-  execute->cert = cert;
+  execute->cert = std::make_shared<const crypto::CommitCertificate>(cert);
   execute->spawner_sig = ds;
 
   auto prepare = std::make_shared<shim::PrepareMsg>(2);
@@ -367,10 +367,10 @@ double WireSizing(const Options& opt, RepClock& clock) {
   verify->view = 1;
   verify->seq = 7;
   verify->batch_digest = digest;
-  verify->cert = cert;
-  for (const workload::Transaction& t : batch->txns) {
+  verify->cert = execute->cert;
+  for (const workload::TxnPtr& t : batch->txns) {
     storage::RwSet rw;
-    for (const workload::Operation& op : t.ops) {
+    for (const workload::Operation& op : t->ops) {
       if (op.type == workload::OpType::kRead) {
         rw.reads.push_back({op.key, 3});
       } else {
@@ -378,7 +378,8 @@ double WireSizing(const Options& opt, RepClock& clock) {
       }
     }
     verify->txn_rws.push_back(std::move(rw));
-    verify->txn_refs.push_back({t.id, t.client, t.id - 1, {}, kInvalidActor});
+    verify->txn_refs.push_back(
+        {t->id, t->client, t->id - 1, {}, kInvalidActor});
   }
   verify->result = ToBytes("ok");
   verify->executor_sig = ds;

@@ -216,7 +216,7 @@ class TxnCoordinator : public sim::Actor {
     /// Signed fragment requests, kept for re-drive on client resend.
     /// Empty on a pending rebuilt from a replicated launch record after
     /// takeover (the shards already hold their fragments).
-    std::vector<std::shared_ptr<shim::ClientRequestMsg>> fragments;
+    std::vector<std::shared_ptr<const shim::ClientRequestMsg>> fragments;
     sim::EventId timer = 0;
     /// A quorum-fenced decision append is in flight for this transaction
     /// — late votes are ignored until FinishDecide runs.

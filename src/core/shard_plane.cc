@@ -100,7 +100,7 @@ sim::Network::CostFn ShardPlane::VerifierCostFn() const {
       // Executor sig + certificate sigs + per-transaction bookkeeping.
       return kCosts.per_message + kCosts.ds_verify +
              kCosts.ds_verify *
-                 static_cast<SimDuration>(v->cert.signatures.size()) +
+                 static_cast<SimDuration>(v->cert->signatures.size()) +
              kCosts.per_txn * static_cast<SimDuration>(v->txn_refs.size());
     }
     if (msg->kind == shim::MsgKind::kClientRequest) {
@@ -226,7 +226,7 @@ void ShardPlane::WireCommitCallbacks() {
       for (const auto& replica : replicas_) {
         replica->SetCommitCallback(
             [this](SeqNum seq, ViewNum view, const workload::BatchPtr& batch,
-                   const crypto::CommitCertificate& cert) {
+                   const crypto::CertPtr& cert) {
               shim::ByzantineBehavior honest;
               spawner_->OnCommit(shim_ids_[0], /*is_primary=*/true, honest,
                                  seq, view, batch, cert);
@@ -247,7 +247,7 @@ void ShardPlane::WirePbftCallbacks() {
         [this, replica, node, index, n](
             SeqNum seq, ViewNum view,
             const workload::BatchPtr& batch,
-            const crypto::CommitCertificate& cert) {
+            const crypto::CertPtr& cert) {
           bool is_primary = (view % n) == index;
           spawner_->OnCommit(node, is_primary, replica->behavior(), seq,
                              view, batch, cert);
@@ -284,15 +284,15 @@ void ShardPlane::WirePbftBaselineExecution() {
         [this, exec, index, n, node](
             SeqNum seq, ViewNum view,
             const workload::BatchPtr& batch,
-            const crypto::CommitCertificate& cert) {
+            const crypto::CertPtr& cert) {
           bool is_primary = (view % n) == index;
           // Every replica executes every transaction (replicated
           // execution); only the primary responds.
-          for (const workload::Transaction& txn : batch->txns) {
-            SimDuration cost = txn.ComputeCost() + Micros(5);
-            TxnId txn_id = txn.id;
-            ActorId client = txn.client;
-            crypto::Digest digest = cert.digest;
+          for (const workload::TxnPtr& txn : batch->txns) {
+            SimDuration cost = txn->ComputeCost() + Micros(5);
+            TxnId txn_id = txn->id;
+            ActorId client = txn->client;
+            crypto::Digest digest = cert->digest;
             exec->Submit(cost, [this, is_primary, txn_id, client, seq,
                                 digest, node]() {
               if (!is_primary) return;

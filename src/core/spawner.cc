@@ -42,23 +42,22 @@ uint32_t Spawner::ExecutorsForNode(bool is_primary) const {
 
 std::shared_ptr<const shim::ExecuteMsg> Spawner::BuildWork(
     ActorId node, SeqNum seq, ViewNum view,
-    const workload::BatchPtr& batch,
-    const crypto::CommitCertificate& cert) const {
+    const workload::BatchPtr& batch, const crypto::CertPtr& cert) const {
   auto work = std::make_shared<shim::ExecuteMsg>(node);
   work->view = view;
   work->seq = seq;
   work->batch = batch;
-  work->digest = cert.digest;
+  work->digest = cert->digest;
   work->cert = cert;
   work->spawner_sig = keys_->Sign(
-      node, shim::ExecuteMsg::SigningBytes(view, seq, cert.digest));
+      node, shim::ExecuteMsg::SigningBytes(view, seq, cert->digest));
   return work;
 }
 
 void Spawner::OnCommit(ActorId node, bool is_primary,
                        const shim::ByzantineBehavior& behavior, SeqNum seq,
                        ViewNum view, const workload::BatchPtr& batch,
-                       const crypto::CommitCertificate& cert) {
+                       const crypto::CertPtr& cert) {
   // Record the EXECUTE payload on every node's commit so a *new* primary
   // can satisfy respawn requests for sequences the old primary spawned
   // short (§V-A recovery) — unless the verifier already settled it (a
@@ -81,11 +80,11 @@ void Spawner::OnCommit(ActorId node, bool is_primary,
     QueuedBatch queued;
     queued.seq = seq;
     queued.work = work;
-    for (const workload::Transaction& txn : batch->txns) {
-      for (const std::string& key : txn.WriteKeys()) {
+    for (const workload::TxnPtr& txn : batch->txns) {
+      for (const std::string& key : txn->WriteKeys()) {
         queued.keys.push_back(key);
       }
-      for (const std::string& key : txn.ReadKeys()) {
+      for (const std::string& key : txn->ReadKeys()) {
         queued.keys.push_back(key);  // Read locks prevent stale reads too.
       }
     }

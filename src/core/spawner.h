@@ -38,7 +38,7 @@ class Spawner {
   void OnCommit(ActorId node, bool is_primary,
                 const shim::ByzantineBehavior& behavior, SeqNum seq,
                 ViewNum view, const workload::BatchPtr& batch,
-                const crypto::CommitCertificate& cert);
+                const crypto::CertPtr& cert);
 
   /// Re-spawns executors for a sequence (verifier ERROR(kmax) recovery).
   /// A no-op for a sequence the verifier has settled.
@@ -78,6 +78,11 @@ class Spawner {
   size_t locked_keys() const { return lock_stage_.size(); }
   /// EXECUTE payloads held for respawns.
   size_t respawn_cache_size() const { return recent_work_.size(); }
+  /// The EXECUTE held for a respawn of `seq`, or null.
+  std::shared_ptr<const shim::ExecuteMsg> respawn_work(SeqNum seq) const {
+    auto it = recent_work_.find(seq);
+    return it == recent_work_.end() ? nullptr : it->second;
+  }
   /// Highest sequence a verifier RESPONSE has reported settled.
   SeqNum settled_seq() const { return settled_seq_; }
 
@@ -120,8 +125,7 @@ class Spawner {
 
   std::shared_ptr<const shim::ExecuteMsg> BuildWork(
       ActorId node, SeqNum seq, ViewNum view,
-      const workload::BatchPtr& batch,
-      const crypto::CommitCertificate& cert) const;
+      const workload::BatchPtr& batch, const crypto::CertPtr& cert) const;
 
   SystemConfig config_;
   serverless::CloudSimulator* cloud_;

@@ -126,7 +126,8 @@ class TrafficSource : public sim::Actor {
   static constexpr size_t kNoChain = static_cast<size_t>(-1);
 
   struct Pending {
-    std::shared_ptr<shim::ClientRequestMsg> msg;
+    /// The signed request; the shim batches its transaction in place.
+    std::shared_ptr<const shim::ClientRequestMsg> msg;
     SimTime sent_at = 0;
     sim::EventId timer = 0;
     SimDuration timeout = 0;

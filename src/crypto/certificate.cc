@@ -51,6 +51,11 @@ Status CommitCertificate::Validate(const KeyRegistry& registry,
   return Status::Ok();
 }
 
+const CertPtr& EmptyCertificate() {
+  static const CertPtr kEmpty = std::make_shared<const CommitCertificate>();
+  return kEmpty;
+}
+
 CompactCertificate CompactCertificate::FromFull(
     const CommitCertificate& full) {
   CompactCertificate c;

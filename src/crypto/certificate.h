@@ -2,6 +2,7 @@
 #define SBFT_CRYPTO_CERTIFICATE_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/bytes.h"
@@ -45,6 +46,15 @@ struct CommitCertificate {
   /// signature against the registry as it is then.
   Status Validate(const KeyRegistry& registry, size_t quorum) const;
 };
+
+/// Shared immutable commit certificate. A shim node builds one per
+/// committed slot; the spawner's EXECUTE and every executor's VERIFY for
+/// that slot hold the same object.
+using CertPtr = std::shared_ptr<const CommitCertificate>;
+
+/// The canonical empty certificate (null-object for default-constructed
+/// messages).
+const CertPtr& EmptyCertificate();
 
 /// \brief Threshold-signature-style compaction of a CommitCertificate
 /// (paper §IV-C remark: "threshold signatures allow combining 2f_R+1

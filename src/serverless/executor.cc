@@ -29,7 +29,7 @@ void ExecutorFunction::Start() {
   SimDuration validate_cost =
       kExecutorCosts.base +
       kExecutorCosts.per_sig_verify *
-          static_cast<SimDuration>(work_->cert.signatures.size() + 1);
+          static_cast<SimDuration>(work_->cert->signatures.size() + 1);
   sim_->Schedule(validate_cost, [this]() {
     if (killed_) return;
     if (!keys_->Verify(work_->sender,
@@ -40,9 +40,9 @@ void ExecutorFunction::Start() {
       Finish();
       return;
     }
-    if (!work_->cert.Validate(*keys_, shim_quorum_).ok() ||
-        work_->cert.seq != work_->seq ||
-        work_->cert.digest != work_->digest) {
+    if (!work_->cert->Validate(*keys_, shim_quorum_).ok() ||
+        work_->cert->seq != work_->seq ||
+        work_->cert->digest != work_->digest) {
       SBFT_LOG(kDebug) << name() << " rejecting EXECUTE: bad certificate";
       Finish();
       return;
@@ -61,8 +61,8 @@ void ExecutorFunction::FetchReadSet() {
   // current state from the on-premise storage (Fig. 3 lines 16-18).
   auto read = std::make_shared<shim::StorageReadMsg>(id());
   read->request_id = ++read_request_id_;
-  for (const workload::Transaction& txn : work_->batch->txns) {
-    for (const workload::Operation& op : txn.ops) {
+  for (const workload::TxnPtr& txn : work_->batch->txns) {
+    for (const workload::Operation& op : txn->ops) {
       if (op.type != workload::OpType::kCompute) {
         read->keys.push_back(op.key);
       }
@@ -127,11 +127,11 @@ void ExecutorFunction::Execute(const shim::StorageReadReplyMsg& reply) {
 
   std::vector<storage::RwSet> txn_rws;
   txn_rws.reserve(work_->batch->txns.size());
-  for (const workload::Transaction& txn : work_->batch->txns) {
+  for (const workload::TxnPtr& txn : work_->batch->txns) {
     compute += kExecutorCosts.per_txn;
     SimDuration txn_compute = 0;
     storage::RwSet txn_rw;
-    for (const workload::Operation& op : txn.ops) {
+    for (const workload::Operation& op : txn->ops) {
       switch (op.type) {
         case workload::OpType::kRead: {
           txn_rw.reads.push_back({op.key, version_of(op.key)});
@@ -185,9 +185,9 @@ void ExecutorFunction::SendVerify(std::vector<storage::RwSet> txn_rws,
   verify->cert = work_->cert;
   verify->txn_rws = std::move(txn_rws);
   verify->result = std::move(result);
-  for (const workload::Transaction& txn : work_->batch->txns) {
+  for (const workload::TxnPtr& txn : work_->batch->txns) {
     verify->txn_refs.push_back(
-        {txn.id, txn.client, txn.floor, txn.global_id, txn.coordinator});
+        {txn->id, txn->client, txn->floor, txn->global_id, txn->coordinator});
   }
   verify->executor_sig = keys_->Sign(
       id(), shim::VerifyMsg::SigningBytes(verify->view, verify->seq,

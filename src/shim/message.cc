@@ -129,7 +129,7 @@ void ExecuteMsg::BuildWire(Encoder* enc) const {
   enc->PutU64(seq);
   batch->EncodeTo(enc);
   enc->PutRaw(digest.data(), crypto::Digest::kSize);
-  cert.EncodeTo(enc);
+  cert->EncodeTo(enc);
   enc->PutBytes(spawner_sig);
 }
 
@@ -152,7 +152,7 @@ void VerifyMsg::BuildWire(Encoder* enc) const {
   enc->PutU64(view);
   enc->PutU64(seq);
   enc->PutRaw(batch_digest.data(), crypto::Digest::kSize);
-  cert.EncodeTo(enc);
+  cert->EncodeTo(enc);
   enc->PutVarint(txn_rws.size());
   for (const storage::RwSet& txn_rw : txn_rws) {
     txn_rw.EncodeTo(enc);

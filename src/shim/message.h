@@ -170,8 +170,9 @@ struct ExecuteMsg : Message {
   SeqNum seq = 0;
   workload::BatchPtr batch = workload::EmptyBatch();
   crypto::Digest digest;
-  crypto::CommitCertificate cert;  ///< C: 2f_R+1 commit signatures.
-  Bytes spawner_sig;               ///< DS by the spawning shim node.
+  /// C: 2f_R+1 commit signatures, shared with the committed slot.
+  crypto::CertPtr cert = crypto::EmptyCertificate();
+  Bytes spawner_sig;  ///< DS by the spawning shim node.
 
   static Bytes SigningBytes(ViewNum view, SeqNum seq,
                             const crypto::Digest& digest);
@@ -204,7 +205,8 @@ struct VerifyMsg : Message {
   ViewNum view = 0;
   SeqNum seq = 0;
   crypto::Digest batch_digest;
-  crypto::CommitCertificate cert;
+  /// C, shared with the EXECUTE the executor ran.
+  crypto::CertPtr cert = crypto::EmptyCertificate();
   /// The paper's rw, one read/write set per transaction, aligned with
   /// `txn_refs`. The executor signs exactly these sets, and the verifier
   /// matches, prepare-locks and applies them *per transaction* (the

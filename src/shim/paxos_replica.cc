@@ -61,7 +61,7 @@ void MultiPaxosReplica::HandleClientRequest(const sim::Envelope& env) {
     net_->Send(id(), LeaderOf(ballot_), env.message, msg->WireSize());
     return;
   }
-  SubmitTransaction(msg->txn);
+  SubmitTransaction(workload::TxnPtr(env.message, &msg->txn));
 }
 
 void MultiPaxosReplica::HandleError(const sim::Envelope& env) {
@@ -75,7 +75,7 @@ void MultiPaxosReplica::HandleError(const sim::Envelope& env) {
   // no Accepts to drain it) and seeds the propose queue if this node
   // takes over. It is also forwarded so a live-but-unaware leader can
   // propose it.
-  SubmitTransaction(msg->txn);
+  SubmitTransaction(workload::TxnPtr(env.message, &msg->txn));
   if (IsPrimary()) return;
   // (Re-)arm the liveness check — a no-op when already armed; repeated
   // ERRORs for known-stuck txns still restore the check after e.g. a
@@ -150,15 +150,14 @@ void MultiPaxosReplica::HandleAccept(const sim::Envelope& env) {
   if (msg->ballot > ballot_) AdoptBallot(msg->ballot);
   last_leader_activity_ = sim_->now();
   // The leader is alive and proposing: drain any stuck-work evidence it
-  // just covered.
+  // just covered. Ids count per client, so evidence matches on both.
   if (!pending_.empty()) {
-    for (const workload::Transaction& txn : msg->batch->txns) {
-      for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-        if (it->id == txn.id) {
-          pending_.erase(it);
-          break;
-        }
-      }
+    for (const workload::TxnPtr& txn : msg->batch->txns) {
+      auto it = std::ranges::find_if(
+          pending_, [&txn](const workload::TxnPtr& queued) {
+            return queued->client == txn->client && queued->id == txn->id;
+          });
+      if (it != pending_.end()) pending_.erase(it);
     }
   }
   // Acceptor: record the highest-ballot value and acknowledge.
@@ -200,9 +199,9 @@ bool MultiPaxosReplica::MaybeCommit(SeqNum slot_num) {
     if (next == slots_.end() || !next->second.committed) break;
     ++commit_frontier_;
   }
-  crypto::CommitCertificate cert;  // CFT: no signatures needed.
-  cert.seq = slot_num;
-  cert.digest = slot.digest;
+  auto cert = std::make_shared<crypto::CommitCertificate>();
+  cert->seq = slot_num;  // CFT: no signatures needed.
+  cert->digest = slot.digest;
   ReportCommit(slot_num, view_, slot.batch, cert);
   PruneToCommitFrontier();
   return true;
@@ -258,9 +257,9 @@ void MultiPaxosReplica::OnLeaderCheck() {
   } else {
     // Hand the evidence to whoever the new leader is; it stays queued
     // here until an Accept proves it was proposed.
-    for (const workload::Transaction& txn : pending_) {
+    for (const workload::TxnPtr& txn : pending_) {
       auto fwd = std::make_shared<ClientRequestMsg>(id());
-      fwd->txn = txn;
+      fwd->txn = *txn;
       net_->Send(id(), LeaderOf(ballot_), fwd, fwd->WireSize());
     }
   }

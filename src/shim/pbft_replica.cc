@@ -107,7 +107,7 @@ void PbftReplica::HandleClientRequest(const sim::Envelope& env) {
   if (behavior_.byzantine && behavior_.suppress_requests) {
     return;  // §V-A request-ignorance attack.
   }
-  SubmitTransaction(msg->txn);
+  SubmitTransaction(workload::TxnPtr(env.message, &msg->txn));
 }
 
 bool PbftReplica::CanPropose() const {
@@ -213,7 +213,7 @@ void PbftReplica::AddOwnPrepare(SeqNum seq) {
   // The pre-prepare is the primary's prepare; the collector's prepare
   // certificate carries it signed like every backup's vote.
   Slot& slot = GetSlot(seq);
-  slot.prepares[id()] =
+  VoteOf(slot.prepares, id()) =
       pattern_ == VotePattern::kCollector
           ? keys_->Sign(id(), LinearSigningBytes(LinearPhase::kPrepare,
                                                  slot.view, seq, slot.digest))
@@ -227,8 +227,8 @@ void PbftReplica::CastPrepare(SeqNum seq) {
     return;
   }
   Slot& slot = GetSlot(seq);
-  slot.prepares.try_emplace(PrimaryOf(slot.view));  // Implicit prepare.
-  slot.prepares.try_emplace(id());                   // Our own.
+  VoteOf(slot.prepares, PrimaryOf(slot.view));  // Implicit prepare.
+  VoteOf(slot.prepares, id());                   // Our own.
 
   auto prepare = std::make_shared<PrepareMsg>(id());
   prepare->view = slot.view;
@@ -245,11 +245,12 @@ void PbftReplica::HandlePrepare(const sim::Envelope& env) {
   if (msg == nullptr) return;
   if (msg->view != view_) return;
   Slot& slot = GetSlot(msg->seq);
+  if (slot.committed) return;
   if (slot.have_preprepare &&
       (slot.view != msg->view || slot.digest != msg->digest)) {
     return;  // Vote for a different proposal.
   }
-  slot.prepares.try_emplace(env.from);
+  VoteOf(slot.prepares, env.from);
   TryPrepare(msg->seq);
 }
 
@@ -261,7 +262,7 @@ void PbftReplica::TryPrepare(SeqNum seq) {
 
   Bytes ds = keys_->Sign(
       id(), crypto::CommitSigningBytes(slot.view, seq, slot.digest));
-  slot.commit_sigs[id()] = ds;
+  VoteOf(slot.commit_sigs, id()) = ds;
   if (pattern_ == VotePattern::kCollector) {
     // Only the collecting primary gets here; backups answer the prepare
     // certificate with their commit votes.
@@ -295,7 +296,7 @@ void PbftReplica::HandleCommit(const sim::Envelope& env) {
           msg->ds)) {
     return;
   }
-  slot.commit_sigs[env.from] = msg->ds;
+  VoteOf(slot.commit_sigs, env.from) = msg->ds;
   TryCommit(msg->seq);
 }
 
@@ -305,16 +306,27 @@ void PbftReplica::TryCommit(SeqNum seq) {
   if (slot.commit_sigs.size() < config_.quorum()) return;
   slot.committed = true;
 
-  // Assemble the commit certificate C (Fig. 3 line 8).
-  slot.cert = QuorumCert(seq, slot.commit_sigs);
-  if (pattern_ == VotePattern::kCollector) {
-    RelayLinearCert(LinearPhase::kCommit, slot.cert);
-  }
-  OnCommitted(seq);
+  // Assemble the commit certificate C (Fig. 3 line 8). The collector
+  // keeps the copy it relays.
+  crypto::CommitCertificate cert = QuorumCert(seq, slot.commit_sigs);
+  OnCommitted(seq, pattern_ == VotePattern::kCollector
+                       ? RelayLinearCert(LinearPhase::kCommit,
+                                         std::move(cert))
+                       : std::make_shared<const crypto::CommitCertificate>(
+                             std::move(cert)));
 }
 
-crypto::CommitCertificate PbftReplica::QuorumCert(
-    SeqNum seq, const std::map<ActorId, Bytes>& votes) const {
+Bytes& PbftReplica::VoteOf(Votes& votes, ActorId from) {
+  auto it = std::ranges::lower_bound(votes, from, {},
+                                     &std::pair<ActorId, Bytes>::first);
+  if (it == votes.end() || it->first != from) {
+    it = votes.insert(it, {from, Bytes{}});
+  }
+  return it->second;
+}
+
+crypto::CommitCertificate PbftReplica::QuorumCert(SeqNum seq,
+                                                  const Votes& votes) const {
   const Slot& slot = slots_.at(seq);
   crypto::CommitCertificate cert;
   cert.view = slot.view;
@@ -343,12 +355,13 @@ void PbftReplica::SendLinearVote(SeqNum seq, LinearPhase phase) {
   net_->Send(id(), PrimaryOf(slot.view), vote, vote->WireSize());
 }
 
-void PbftReplica::RelayLinearCert(LinearPhase phase,
-                                  crypto::CommitCertificate cert) {
+crypto::CertPtr PbftReplica::RelayLinearCert(
+    LinearPhase phase, crypto::CommitCertificate cert) {
   auto msg = std::make_shared<LinearCertMsg>(id());
   msg->phase = phase;
   msg->cert = std::move(cert);
   BroadcastToPeers(msg);
+  return crypto::CertPtr(msg, &msg->cert);
 }
 
 void PbftReplica::HandleLinearVote(const sim::Envelope& env) {
@@ -360,6 +373,7 @@ void PbftReplica::HandleLinearVote(const sim::Envelope& env) {
   auto it = slots_.find(msg->seq);
   if (it == slots_.end()) return;
   Slot& slot = it->second;
+  if (slot.committed) return;
   if (!slot.have_preprepare || slot.view != msg->view ||
       slot.digest != msg->digest) {
     return;  // Vote for a different proposal.
@@ -371,10 +385,10 @@ void PbftReplica::HandleLinearVote(const sim::Envelope& env) {
     return;
   }
   if (msg->phase == LinearPhase::kPrepare) {
-    slot.prepares[env.from] = msg->ds;
+    VoteOf(slot.prepares, env.from) = msg->ds;
     TryPrepare(msg->seq);
   } else {
-    slot.commit_sigs[env.from] = msg->ds;
+    VoteOf(slot.commit_sigs, env.from) = msg->ds;
     TryCommit(msg->seq);
   }
 }
@@ -405,15 +419,17 @@ void PbftReplica::HandleLinearCert(const sim::Envelope& env) {
     SendLinearVote(cert.seq, LinearPhase::kCommit);
     return;
   }
-  // The commit certificate is the standard C: validate it in full.
+  // The commit certificate is the standard C: validate it in full, then
+  // hold it inside the relayed message rather than copying it.
   if (!cert.Validate(*keys_, config_.quorum()).ok()) return;
   slot.committed = true;
-  slot.cert = cert;
-  OnCommitted(cert.seq);
+  OnCommitted(cert.seq, crypto::CertPtr(env.message, &cert));
 }
 
-void PbftReplica::OnCommitted(SeqNum seq) {
+void PbftReplica::OnCommitted(SeqNum seq, crypto::CertPtr cert) {
   Slot& slot = GetSlot(seq);
+  slot.cert = std::move(cert);
+  slot.DropVotes();
   CancelRequestTimer(seq);
   // Resolve missing-request Υ timers for the transactions that just
   // committed: the concern they track ("will the primary ever propose
@@ -421,8 +437,8 @@ void PbftReplica::OnCommitted(SeqNum seq) {
   // (ForwardPendingToPrimary) no verifier ACK will ever arrive, so
   // without this the timer would force a view change on a success path.
   if (!retransmit_timers_.empty()) {
-    for (const workload::Transaction& txn : slot.batch->txns) {
-      auto it = retransmit_timers_.find(ErrorKey(false, 0, txn.Hash()));
+    for (const workload::TxnPtr& txn : slot.batch->txns) {
+      auto it = retransmit_timers_.find(ErrorKey(false, 0, txn->Hash()));
       if (it != retransmit_timers_.end()) {
         sim_->Cancel(it->second);
         retransmit_timers_.erase(it);
@@ -444,6 +460,12 @@ std::optional<crypto::Digest> PbftReplica::CommittedDigest(SeqNum seq) const {
   auto it = slots_.find(seq);
   if (it == slots_.end() || !it->second.committed) return std::nullopt;
   return it->second.digest;
+}
+
+size_t PbftReplica::votes_held(SeqNum seq) const {
+  auto it = slots_.find(seq);
+  if (it == slots_.end()) return 0;
+  return it->second.prepares.size() + it->second.commit_sigs.size();
 }
 
 // ---------------------------------------------------------------------------
@@ -496,7 +518,7 @@ void PbftReplica::HandleError(const sim::Envelope& env) {
                !(behavior_.byzantine && behavior_.suppress_requests)) {
       // Missing request with ⟨T⟩C attached by the trusted verifier:
       // propose it (covers a new primary after a suppression attack).
-      SubmitTransaction(msg->txn);
+      SubmitTransaction(workload::TxnPtr(env.message, &msg->txn));
     }
   }
   if (!retransmit_timers_.contains(key)) {
@@ -744,17 +766,17 @@ void PbftReplica::ForwardPendingToPrimary() {
   // Hand them to the new primary through the same ERROR-with-txn message
   // the verifier uses.
   if (IsPrimary() || pending_.empty()) return;
-  for (const workload::Transaction& txn : pending_) {
+  for (const workload::TxnPtr& txn : pending_) {
     auto error = std::make_shared<ErrorMsg>(id());
     error->reason = ErrorMsg::Reason::kMissingRequest;
-    error->txn_digest = txn.Hash();
+    error->txn_digest = txn->Hash();
     error->has_txn = true;
-    error->txn = txn;
+    error->txn = *txn;
     net_->Send(id(), PrimaryOf(view_), error, error->WireSize());
     // The forward is a single unacked send; if it is lost (that is the
     // network model here) this node must be able to re-accept the txn
     // from a later verifier ERROR — forget that we saw it.
-    seen_txns_.Erase({txn.client, txn.id});
+    seen_txns_.Erase({txn->client, txn->id});
   }
   pending_.clear();
 }
@@ -791,7 +813,7 @@ void PbftReplica::MaybeTakeCheckpoint() {
       // Featherweight: only the signed proof (compact certificate), not
       // the requests or full commit proofs (§V-B).
       msg->certs.push_back(
-          crypto::CompactCertificate::FromFull(it->second.cert));
+          crypto::CompactCertificate::FromFull(*it->second.cert));
     }
     msg->cert_log_root = crypto::MerkleTree::ComputeRoot(leaves);
     ++checkpoints_taken_;
@@ -858,9 +880,13 @@ void PbftReplica::AdoptCertificate(const crypto::CompactCertificate& cert,
   slot.have_preprepare = true;
   slot.prepared = true;
   slot.committed = true;
-  slot.cert.view = cert.view;
-  slot.cert.seq = cert.seq;
-  slot.cert.digest = cert.digest;
+  // The checkpoint names the slot, not the signatures behind it.
+  auto full = std::make_shared<crypto::CommitCertificate>();
+  full->view = cert.view;
+  full->seq = cert.seq;
+  full->digest = cert.digest;
+  slot.cert = std::move(full);
+  slot.DropVotes();
   CancelRequestTimer(cert.seq);
   ++dark_recoveries_;
   // No commit callback: the certificate proves the shim already agreed and

@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "crypto/keys.h"
@@ -68,12 +69,20 @@ class PbftReplica : public Replica {
   /// Digest this node committed at `seq` (empty optional otherwise).
   std::optional<crypto::Digest> CommittedDigest(SeqNum seq) const;
 
+  /// Prepare and commit votes this node holds for `seq`. A committed
+  /// slot holds none: its certificate is all that is read of them.
+  size_t votes_held(SeqNum seq) const;
+
   // --- statistics ---
   uint64_t checkpoints_taken() const { return checkpoints_taken_; }
   uint64_t dark_recoveries() const { return dark_recoveries_; }
   SeqNum stable_seq() const { return stable_seq_; }
 
  private:
+  /// Votes of one phase by sender, kept in sender order: a slot's votes
+  /// sit in one block.
+  using Votes = std::vector<std::pair<ActorId, Bytes>>;
+
   struct Slot {
     ViewNum view = 0;
     crypto::Digest digest;
@@ -81,12 +90,22 @@ class PbftReplica : public Replica {
     bool have_preprepare = false;
     bool prepared = false;
     bool committed = false;
-    /// Prepare votes by sender. Only the collector pattern signs them
-    /// (its primary relays the signatures as the prepare certificate).
-    std::map<ActorId, Bytes> prepares;
-    std::map<ActorId, Bytes> commit_sigs;
-    crypto::CommitCertificate cert;  // Valid once committed.
+    /// Prepare votes by sender, in sender order. Only the collector
+    /// pattern signs them (its primary relays the signatures as the
+    /// prepare certificate). Both vote lists are emptied when the slot
+    /// commits, and later votes for it are ignored.
+    Votes prepares;
+    Votes commit_sigs;
+    /// C, set when the slot commits; the EXECUTE and every VERIFY for
+    /// the slot share it.
+    crypto::CertPtr cert;
     sim::EventId request_timer = 0;
+
+    /// Frees both vote lists (the slot committed).
+    void DropVotes() {
+      prepares = Votes();
+      commit_sigs = Votes();
+    }
   };
 
   void HandleMessage(const sim::Envelope& env, MsgKind kind) override;
@@ -116,13 +135,18 @@ class PbftReplica : public Replica {
   /// A backup accepted the proposal in `seq`'s slot: cast its prepare.
   void CastPrepare(SeqNum seq);
   void SendLinearVote(SeqNum seq, LinearPhase phase);
-  void RelayLinearCert(LinearPhase phase, crypto::CommitCertificate cert);
+  /// Broadcasts `cert` and returns a pointer to the relayed copy.
+  crypto::CertPtr RelayLinearCert(LinearPhase phase,
+                                  crypto::CommitCertificate cert);
   /// The first 2f+1 of `votes`, as a certificate for `seq`'s slot.
-  crypto::CommitCertificate QuorumCert(
-      SeqNum seq, const std::map<ActorId, Bytes>& votes) const;
+  crypto::CommitCertificate QuorumCert(SeqNum seq, const Votes& votes) const;
+  /// `from`'s vote in `votes`; an empty one is added if it cast none.
+  static Bytes& VoteOf(Votes& votes, ActorId from);
   void TryPrepare(SeqNum seq);
   void TryCommit(SeqNum seq);
-  void OnCommitted(SeqNum seq);
+  /// `seq`'s slot committed with certificate `cert`: drops its votes
+  /// and reports the commit.
+  void OnCommitted(SeqNum seq, crypto::CertPtr cert);
   void StartRequestTimer(SeqNum seq);
   void CancelRequestTimer(SeqNum seq);
 

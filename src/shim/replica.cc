@@ -30,22 +30,26 @@ void Replica::OnMessage(const sim::Envelope& env) {
   }
 }
 
-void Replica::SubmitTransaction(const workload::Transaction& txn) {
+void Replica::SubmitTransaction(workload::TxnPtr txn) {
   // Each request is proposed once. One at or below its client's floor
   // was answered or abandoned, and its seen id may be gone: it is never
   // proposed again.
-  seen_txns_.Raise(txn.client, txn.floor);
-  if (!seen_txns_.FindOrInsert({txn.client, txn.id}).second) return;
-  pending_.push_back(txn);
+  seen_txns_.Raise(txn->client, txn->floor);
+  if (!seen_txns_.FindOrInsert({txn->client, txn->id}).second) return;
+  pending_.push_back(std::move(txn));
   MaybeProposeBatch();
 }
 
 void Replica::MaybeProposeBatch() {
   if (!CanPropose()) return;
-  size_t inflight = UncommittedSlots();
-  while (pending_.size() >= config_.batch_size &&
-         inflight < config_.pipeline_width) {
-    if (!ProposeBatch(config_.batch_size)) ++inflight;
+  // Most requests leave the queue short of a batch: they need only the
+  // flush, not a count of the uncommitted slots.
+  if (pending_.size() >= config_.batch_size) {
+    size_t inflight = UncommittedSlots();
+    while (pending_.size() >= config_.batch_size &&
+           inflight < config_.pipeline_width) {
+      if (!ProposeBatch(config_.batch_size)) ++inflight;
+    }
   }
   ScheduleBatchFlush();
 }
@@ -72,7 +76,7 @@ bool Replica::ProposeBatch(size_t count) {
 
 void Replica::ReportCommit(SeqNum seq, ViewNum view,
                            const workload::BatchPtr& batch,
-                           const crypto::CommitCertificate& cert) {
+                           const crypto::CertPtr& cert) {
   ++committed_batches_;
   committed_txns_ += batch->txns.size();
   if (commit_cb_) commit_cb_(seq, view, batch, cert);

@@ -31,7 +31,7 @@ class Replica : public sim::Actor {
   /// (pipelined consensus).
   using CommitCallback = std::function<void(
       SeqNum seq, ViewNum view, const workload::BatchPtr& batch,
-      const crypto::CommitCertificate& cert)>;
+      const crypto::CertPtr& cert)>;
 
   /// Fired when a RESPONSE reaches this node — from the verifier, it
   /// reports a settled sequence (Fig. 3 line 33) and releases §VI-C
@@ -47,8 +47,10 @@ class Replica : public sim::Actor {
   }
 
   /// Queues `txn` for a batch unless it was seen or is at or below its
-  /// client's floor, and proposes what the pipeline allows.
-  void SubmitTransaction(const workload::Transaction& txn);
+  /// client's floor, and proposes what the pipeline allows. The queue
+  /// and the batch hold `txn` itself, not a copy: a node passes a pointer
+  /// into the message that delivered it.
+  void SubmitTransaction(workload::TxnPtr txn);
 
   /// Runtime crash-stop toggle (fault engine): a crashed node drops every
   /// message and proposes nothing.
@@ -96,7 +98,7 @@ class Replica : public sim::Actor {
 
   /// Counts a commit and hands it to the commit callback.
   void ReportCommit(SeqNum seq, ViewNum view, const workload::BatchPtr& batch,
-                    const crypto::CommitCertificate& cert);
+                    const crypto::CertPtr& cert);
 
   ShimConfig config_;
   std::vector<ActorId> peers_;
@@ -108,7 +110,7 @@ class Replica : public sim::Actor {
   bool crashed_ = false;
 
   /// Transactions waiting for a batch, in arrival order.
-  std::deque<workload::Transaction> pending_;
+  std::deque<workload::TxnPtr> pending_;
   /// Seen requests, keyed by (client, id) above each client's floor.
   FloorTable<> seen_txns_;
 

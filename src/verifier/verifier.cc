@@ -127,8 +127,8 @@ void Verifier::HandleVerify(const sim::Envelope& env) {
     ++rejected_verifies_;
     return;
   }
-  if (msg->cert.seq != seq || msg->cert.digest != msg->batch_digest ||
-      !msg->cert.Validate(*keys_, config_.shim_quorum).ok()) {
+  if (msg->cert->seq != seq || msg->cert->digest != msg->batch_digest ||
+      !msg->cert->Validate(*keys_, config_.shim_quorum).ok()) {
     // The crash-fault shim (CFT, or no shim) carries empty certificates;
     // its shim_quorum is 0, which Validate accepts.
     if (config_.shim_quorum > 0) {
@@ -164,14 +164,35 @@ void Verifier::HandleVerify(const sim::Envelope& env) {
     }
   }
   if (shape.matched < shape.txns.size()) return;
-  // Matched (Fig. 3 line 23): stop collecting for this sequence.
+  // Matched (Fig. 3 line 23): stop collecting for this sequence. Settle
+  // reads only the winners, and a later VERIFY counts as flooding before
+  // any sender check: keep the winning shape's winners and drop the rest.
   state.matched = true;
   state.shape = n;
+  std::erase_if(state.shapes,
+                [n](const auto& entry) { return entry.first != n; });
+  for (SeqState::TxnQuorum& quorum : shape.txns) {
+    quorum.votes = std::vector<SeqState::Vote>();
+  }
+  shape.sample = nullptr;
+  state.senders.clear();
   if (state.timer != 0) {
     sim_->Cancel(state.timer);
     state.timer = 0;
   }
   ProcessInOrder();
+}
+
+size_t Verifier::votes_held(SeqNum seq) const {
+  auto it = pending_.find(seq);
+  if (it == pending_.end()) return 0;
+  size_t votes = 0;
+  for (const auto& [n, shape] : it->second.shapes) {
+    for (const SeqState::TxnQuorum& quorum : shape.txns) {
+      votes += quorum.votes.size();
+    }
+  }
+  return votes;
 }
 
 void Verifier::RecordMatchedRef(const shim::VerifyMsg::TxnRef& ref,

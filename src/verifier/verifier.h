@@ -103,6 +103,9 @@ class Verifier : public sim::Actor {
   uint64_t replace_broadcasts() const { return replace_broadcasts_; }
   uint64_t error_broadcasts() const { return error_broadcasts_; }
   uint64_t responses_sent() const { return responses_sent_; }
+  /// Distinct votes the quorums of pending sequence `seq` hold. A
+  /// sequence matched by quorum holds none: only its winners stay.
+  size_t votes_held(SeqNum seq) const;
   /// Outcome records held for client retransmissions: per client, the
   /// transactions above its floor whose quorum matched here.
   size_t txn_records() const { return txn_records_.size(); }
@@ -179,7 +182,9 @@ class Verifier : public sim::Actor {
   /// each request separately (§VI), so every VERIFY votes once per
   /// transaction, and only in the quorums of its own batch shape
   /// (transaction count): a VERIFY claiming another shape can neither
-  /// size nor fill the quorums the honest ones vote in.
+  /// size nor fill the quorums the honest ones vote in. Once every
+  /// quorum of a shape has a winner, the state keeps only those winners
+  /// while it waits in π: no other shape, vote list, sample or sender.
   struct SeqState {
     /// One distinct vote (see SameVote): the first VERIFY that cast it,
     /// and how many did.

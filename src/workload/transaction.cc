@@ -148,8 +148,8 @@ void TransactionBatch::EncodeTo(Encoder* enc) const {
 
 void TransactionBatch::EncodeTxns(Encoder* enc) const {
   enc->PutVarint(txns.size());
-  for (const Transaction& t : txns) {
-    t.EncodeTo(enc);
+  for (const TxnPtr& t : txns) {
+    t->EncodeTo(enc);
   }
 }
 
@@ -164,7 +164,7 @@ Status TransactionBatch::DecodeFrom(Decoder* dec, TransactionBatch* out) {
     Transaction t;
     st = Transaction::DecodeFrom(dec, &t);
     if (!st.ok()) return st;
-    out->txns.push_back(std::move(t));
+    out->txns.push_back(ShareTxn(std::move(t)));
   }
   return Status::Ok();
 }
@@ -195,7 +195,7 @@ const BatchPtr& EmptyBatch() {
 
 SimDuration TransactionBatch::TotalComputeCost() const {
   SimDuration total = 0;
-  for (const Transaction& t : txns) total += t.ComputeCost();
+  for (const TxnPtr& t : txns) total += t->ComputeCost();
   return total;
 }
 

@@ -85,6 +85,12 @@ struct Transaction {
   crypto::Digest Hash() const;
 };
 
+/// Shared immutable transaction. A shim node queues and batches the
+/// transaction inside the signed request that delivered it (an aliasing
+/// pointer into the ClientRequestMsg or ERROR), so a request in flight
+/// is held once however many batches, slots and executors carry it.
+using TxnPtr = std::shared_ptr<const Transaction>;
+
 /// \brief An ordered batch of transactions — the unit of consensus
 /// (paper §IX setup: "consensuses on batches of 100 client transactions").
 ///
@@ -94,7 +100,7 @@ struct Transaction {
 /// path (equivocation injection) re-hashes correctly. Mutating `txns` on
 /// an already-hashed batch in place is not supported — copy first.
 struct TransactionBatch {
-  std::vector<Transaction> txns;
+  std::vector<TxnPtr> txns;
 
   TransactionBatch() = default;
   TransactionBatch(const TransactionBatch& o) : txns(o.txns) {}
@@ -138,6 +144,11 @@ using BatchPtr = std::shared_ptr<const TransactionBatch>;
 /// The canonical empty batch (null-object for default-constructed
 /// messages and gap-fill proposals).
 const BatchPtr& EmptyBatch();
+
+/// Wraps a transaction for sharing.
+inline TxnPtr ShareTxn(Transaction t) {
+  return std::make_shared<const Transaction>(std::move(t));
+}
 
 /// Wraps a batch for sharing; moves out of `b`.
 inline BatchPtr ShareBatch(TransactionBatch&& b) {

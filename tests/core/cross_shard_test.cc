@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/serverless_bft.h"
@@ -143,6 +145,62 @@ TEST(CrossShardTest, WrittenValuesAreTheGeneratorsOneBuffer) {
     }
   }
   for (uint32_t s = 0; s < 2; ++s) EXPECT_GT(written[s], 100u) << s;
+}
+
+// An in-flight request is held once. A committed batch holds each
+// transaction inside the signed request its client or coordinator sent,
+// not a copy, and a sequence's EXECUTE and all of its VERIFYs hold one
+// commit certificate.
+TEST(CrossShardTest, InFlightRequestsAndCertificatesAreHeldOnce) {
+  Architecture arch(ShardedConfig(2, 30.0));
+  std::vector<sim::MessagePtr> requests;  // Keeps each address unique.
+  std::set<const workload::Transaction*> signed_txns;
+  std::map<std::pair<uint32_t, SeqNum>, std::set<crypto::CertPtr>> certs;
+  std::set<workload::BatchPtr> batches;
+  size_t executes_seen = 0;
+  arch.network()->SetDeliveryObserver([&](const sim::Envelope& env) {
+    if (const auto* request = shim::MessageAs<shim::ClientRequestMsg>(
+            env, shim::MsgKind::kClientRequest)) {
+      if (request->sender != request->txn.client) return;  // A forward.
+      requests.push_back(env.message);
+      signed_txns.insert(&request->txn);
+      return;
+    }
+    const auto* verify =
+        shim::MessageAs<shim::VerifyMsg>(env, shim::MsgKind::kVerify);
+    if (verify == nullptr) return;
+    for (uint32_t s = 0; s < arch.shard_count(); ++s) {
+      if (env.to != ShardPlane::VerifierId(s)) continue;
+      certs[{s, verify->seq}].insert(verify->cert);
+      auto work = arch.plane(s)->spawner()->respawn_work(verify->seq);
+      if (work == nullptr) continue;  // Settled and pruned.
+      ++executes_seen;
+      EXPECT_EQ(work->cert, verify->cert) << "seq " << verify->seq;
+      batches.insert(work->batch);
+    }
+  });
+  arch.Start();
+  arch.simulator()->RunUntil(Seconds(2));
+  arch.network()->SetDeliveryObserver(nullptr);
+  EXPECT_GT(arch.coordinator()->commits_decided(), 0u);
+  EXPECT_GT(executes_seen, 100u);
+
+  size_t txns = 0;
+  size_t fragments = 0;
+  for (const workload::BatchPtr& batch : batches) {
+    for (const workload::TxnPtr& txn : batch->txns) {
+      ++txns;
+      if (txn->IsFragment()) ++fragments;
+      EXPECT_TRUE(signed_txns.contains(txn.get()))
+          << "txn (" << txn->client << ", " << txn->id << ") is a copy";
+    }
+  }
+  EXPECT_GT(txns, 100u);
+  EXPECT_GT(fragments, 10u);
+  for (const auto& [slot, held] : certs) {
+    EXPECT_EQ(held.size(), 1u)
+        << "plane " << slot.first << " seq " << slot.second;
+  }
 }
 
 TEST(CrossShardTest, TenPercentCrossShardCommitsAtomically) {

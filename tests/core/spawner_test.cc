@@ -42,7 +42,7 @@ class SpawnerTest : public ::testing::Test {
       op.value = ToBytes("v");
       txn.ops.push_back(op);
     }
-    batch.txns.push_back(txn);
+    batch.txns.push_back(workload::ShareTxn(txn));
     return batch;
   }
 
@@ -76,14 +76,13 @@ class SpawnerTest : public ::testing::Test {
     return spawner;
   }
 
-  crypto::CommitCertificate MakeCert(SeqNum seq,
-                                     const workload::BatchPtr& b) {
-    crypto::CommitCertificate cert;
-    cert.seq = seq;
-    cert.digest = b->Hash();
-    Bytes signing = crypto::CommitSigningBytes(0, seq, cert.digest);
+  crypto::CertPtr MakeCert(SeqNum seq, const workload::BatchPtr& b) {
+    auto cert = std::make_shared<crypto::CommitCertificate>();
+    cert->seq = seq;
+    cert->digest = b->Hash();
+    Bytes signing = crypto::CommitSigningBytes(0, seq, cert->digest);
     for (ActorId id = 1; id <= 3; ++id) {
-      cert.signatures.push_back({id, keys_.Sign(id, signing)});
+      cert->signatures.push_back({id, keys_.Sign(id, signing)});
     }
     return cert;
   }

@@ -225,7 +225,7 @@ TEST(VoteCertTest, ProoflessCommitDecisionNeverAppliesAtVerifier) {
     msg->view = 0;
     msg->seq = 1;
     msg->batch_digest = digest;
-    msg->cert = cert;
+    msg->cert = std::make_shared<const crypto::CommitCertificate>(cert);
     msg->txn_refs.push_back(
         {kFragId, kCoordinator, kFragId - 1, kGid, kCoordinator});
     msg->txn_rws.push_back(rw);

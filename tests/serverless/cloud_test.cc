@@ -54,21 +54,23 @@ class CloudTest : public ::testing::Test {
     write.key = "user1";
     write.value = ToBytes("new");
     txn.ops = {read, write};
-    batch.txns.push_back(txn);
+    batch.txns.push_back(workload::ShareTxn(txn));
 
     auto work = std::make_shared<shim::ExecuteMsg>(1);
     work->view = 0;
     work->seq = seq;
     work->batch = workload::ShareBatch(std::move(batch));
     work->digest = work->batch->Hash();
-    work->cert.view = 0;
-    work->cert.seq = seq;
-    work->cert.digest = work->digest;
+    auto cert = std::make_shared<crypto::CommitCertificate>();
+    cert->view = 0;
+    cert->seq = seq;
+    cert->digest = work->digest;
     Bytes to_sign = crypto::CommitSigningBytes(0, seq, work->digest);
     ActorId signers = valid_cert ? 3 : 1;
     for (ActorId id = 1; id <= signers; ++id) {
-      work->cert.signatures.push_back({id, keys_.Sign(id, to_sign)});
+      cert->signatures.push_back({id, keys_.Sign(id, to_sign)});
     }
+    work->cert = std::move(cert);
     work->spawner_sig = keys_.Sign(
         1, shim::ExecuteMsg::SigningBytes(0, seq, work->digest));
     return work;

@@ -136,7 +136,9 @@ workload::Transaction MakeFragment() {
 
 workload::TransactionBatch MakeBatch() {
   workload::TransactionBatch batch;
-  batch.txns = {MakeTxn(1), MakeFragment(), MakeTxn(130)};
+  batch.txns = {workload::ShareTxn(MakeTxn(1)),
+                workload::ShareTxn(MakeFragment()),
+                workload::ShareTxn(MakeTxn(130))};
   return batch;
 }
 

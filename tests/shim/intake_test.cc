@@ -67,9 +67,9 @@ class IntakeTest : public ::testing::TestWithParam<Shim> {
     }
     replicas_[0]->SetCommitCallback(
         [this](SeqNum seq, ViewNum, const workload::BatchPtr& batch,
-               const crypto::CommitCertificate&) {
-          for (const workload::Transaction& txn : batch->txns) {
-            commits_[seq].push_back(txn.id);
+               const crypto::CertPtr&) {
+          for (const workload::TxnPtr& txn : batch->txns) {
+            commits_[seq].push_back(txn->id);
           }
         });
   }
@@ -126,7 +126,7 @@ TEST_P(IntakeTest, ResentRequestIsProposedOnce) {
   ASSERT_EQ(TimesCommitted(1), 1u);
   // A client that missed the answer resends after the commit.
   Send(Txn(1));
-  replicas_[0]->SubmitTransaction(Txn(1));
+  replicas_[0]->SubmitTransaction(workload::ShareTxn(Txn(1)));
   sim_.RunUntil(Millis(400));
   EXPECT_EQ(TimesCommitted(1), 1u);
   EXPECT_EQ(commits_.size(), 1u);
@@ -134,10 +134,11 @@ TEST_P(IntakeTest, ResentRequestIsProposedOnce) {
 
 TEST_P(IntakeTest, RequestAtOrBelowItsClientsFloorIsNeverProposed) {
   Build();
-  replicas_[0]->SubmitTransaction(Txn(3, /*floor=*/5));  // At 3 <= 5.
-  replicas_[0]->SubmitTransaction(Txn(4));  // The floor is still 5.
-  replicas_[0]->SubmitTransaction(Txn(5));
-  replicas_[0]->SubmitTransaction(Txn(6, /*floor=*/5));
+  // At 3 <= 5, then 4 while the floor is still 5.
+  replicas_[0]->SubmitTransaction(workload::ShareTxn(Txn(3, /*floor=*/5)));
+  replicas_[0]->SubmitTransaction(workload::ShareTxn(Txn(4)));
+  replicas_[0]->SubmitTransaction(workload::ShareTxn(Txn(5)));
+  replicas_[0]->SubmitTransaction(workload::ShareTxn(Txn(6, /*floor=*/5)));
   sim_.RunUntil(Millis(200));
   EXPECT_EQ(TimesCommitted(3), 0u);
   EXPECT_EQ(TimesCommitted(4), 0u);
@@ -154,7 +155,9 @@ TEST_P(IntakeTest, PipelineStopsAtWidthAndTheFlushProposesOnePerTimeout) {
   constexpr size_t kTxns = 10;
   Build();
   for (uint32_t i = 1; i < n_; ++i) replicas_[i]->SetCrashed(true);
-  for (TxnId t = 1; t <= kTxns; ++t) replicas_[0]->SubmitTransaction(Txn(t));
+  for (TxnId t = 1; t <= kTxns; ++t) {
+    replicas_[0]->SubmitTransaction(workload::ShareTxn(Txn(t)));
+  }
   if (n_ == 1) {
     EXPECT_EQ(Proposals(), kTxns);
     return;
@@ -174,8 +177,8 @@ TEST_P(IntakeTest, PipelineStopsAtWidthAndTheFlushProposesOnePerTimeout) {
 
 TEST_P(IntakeTest, PartialBatchLeavesAfterBatchTimeout) {
   Build(/*batch_size=*/5);
-  replicas_[0]->SubmitTransaction(Txn(1));
-  replicas_[0]->SubmitTransaction(Txn(2));
+  replicas_[0]->SubmitTransaction(workload::ShareTxn(Txn(1)));
+  replicas_[0]->SubmitTransaction(workload::ShareTxn(Txn(2)));
   sim_.RunUntil(kFlush - 1);
   EXPECT_EQ(net_.messages_sent(), 0u);
   EXPECT_TRUE(commits_.empty());

@@ -26,7 +26,9 @@ workload::Transaction MakeTxn(TxnId id) {
 
 workload::TransactionBatch MakeBatch(size_t n) {
   workload::TransactionBatch batch;
-  for (size_t i = 0; i < n; ++i) batch.txns.push_back(MakeTxn(i + 1));
+  for (size_t i = 0; i < n; ++i) {
+    batch.txns.push_back(workload::ShareTxn(MakeTxn(i + 1)));
+  }
   return batch;
 }
 

@@ -28,9 +28,9 @@ class PaxosHarness {
       // node, so every node records.
       replicas_.back()->SetCommitCallback(
           [this](SeqNum seq, ViewNum, const workload::BatchPtr& batch,
-                 const crypto::CommitCertificate& cert) {
+                 const crypto::CertPtr& cert) {
             commits_[seq] = batch->txns.size();
-            digests_[seq].insert(cert.digest);
+            digests_[seq].insert(cert->digest);
           });
     }
   }
@@ -39,7 +39,7 @@ class PaxosHarness {
     workload::Transaction txn;
     txn.id = id;
     txn.client = 99;
-    replicas_[0]->SubmitTransaction(txn);
+    replicas_[0]->SubmitTransaction(workload::ShareTxn(txn));
   }
 
   sim::Simulator sim_;
@@ -109,13 +109,13 @@ TEST(PaxosTest, GroupOfOneEmitsBatchesImmediately) {
   std::map<SeqNum, size_t> commits;
   node.SetCommitCallback(
       [&](SeqNum seq, ViewNum, const workload::BatchPtr& batch,
-          const crypto::CommitCertificate&) {
+          const crypto::CertPtr&) {
         commits[seq] = batch->txns.size();
       });
   for (TxnId t = 1; t <= 5; ++t) {
     workload::Transaction txn;
     txn.id = t;
-    node.SubmitTransaction(txn);
+    node.SubmitTransaction(workload::ShareTxn(txn));
   }
   EXPECT_EQ(commits.size(), 2u);  // Before any event runs.
   sim.RunUntil(Seconds(1));
@@ -210,6 +210,46 @@ TEST(PaxosTest, TakeoverFromAPrunedPromiseProposesAboveItsFrontier) {
   for (const auto& [seq, digests] : h.digests_) {
     EXPECT_EQ(digests.size(), 1u) << "slot " << seq;
   }
+}
+
+TEST(PaxosTest, AnAcceptDrainsOnlyTheEvidenceOfItsOwnClient) {
+  // Ids count per client. Node 1 holds ERROR evidence for (50, 7) whose
+  // forward to the leader is lost, then sees the leader's Accept for
+  // (99, 7). That Accept must not drain the evidence: when the leader
+  // crashes, node 1 takes over and (50, 7) commits.
+  PaxosHarness h(3);
+  const SimDuration timeout = ShimConfig{}.view_change_timeout;
+  std::set<TxnKey> committed;
+  h.replicas_[1]->SetCommitCallback(
+      [&](SeqNum, ViewNum, const workload::BatchPtr& batch,
+          const crypto::CertPtr&) {
+        for (const workload::TxnPtr& txn : batch->txns) {
+          committed.insert({txn->client, txn->id});
+        }
+      });
+
+  h.net_.SetLinkEnabled(h.ids_[0], h.ids_[1], false);
+  auto error = std::make_shared<ErrorMsg>(900);
+  error->reason = ErrorMsg::Reason::kMissingRequest;
+  error->has_txn = true;
+  error->txn.id = 7;
+  error->txn.client = 50;
+  sim::Envelope env;
+  env.from = 900;
+  env.to = h.ids_[1];
+  env.message = error;
+  h.replicas_[1]->OnMessage(env);  // Its forward dies on the cut link.
+  h.sim_.RunUntil(Millis(50));
+  h.net_.SetLinkEnabled(h.ids_[0], h.ids_[1], true);
+
+  h.SubmitTxn(7);  // (99, 7), proposed by the leader.
+  h.sim_.RunUntil(Millis(100));
+  ASSERT_EQ(h.commits_.size(), 1u);
+  h.replicas_[0]->SetCrashed(true);
+  h.sim_.RunUntil(Millis(100) + 3 * timeout);
+
+  EXPECT_TRUE(h.replicas_[1]->IsPrimary());
+  EXPECT_TRUE(committed.contains(TxnKey{50, 7}));
 }
 
 }  // namespace

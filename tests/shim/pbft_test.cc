@@ -216,6 +216,97 @@ TEST_P(PbftPatternTest, TwoCrashedOfSevenStillLive) {
   }
 }
 
+TEST_P(PbftPatternTest, CommittedSlotHoldsNoVotesAndIgnoresLateOnes) {
+  // Node 3 is down while seq 1 commits, so its votes arrive late. The
+  // committed slot holds no votes and ignores the late ones, and its
+  // prepared proof and compact certificate are what it committed.
+  PbftHarness h(4, {}, {}, PbftHarness::DefaultShimConfig(), GetParam());
+  std::map<SeqNum, int> calls;
+  crypto::CertPtr cert;
+  workload::BatchPtr batch;
+  h.replicas_[0]->SetCommitCallback(
+      [&](SeqNum seq, ViewNum, const workload::BatchPtr& b,
+          const crypto::CertPtr& c) {
+        ++calls[seq];
+        if (seq == 1) {
+          cert = c;
+          batch = b;
+        }
+      });
+  std::vector<PreparedProof> proofs;
+  std::vector<crypto::CompactCertificate> compact;
+  h.net_.SetDeliveryObserver([&](const sim::Envelope& env) {
+    if (env.from != h.ids_[0]) return;
+    if (const auto* vc = MessageAs<ViewChangeMsg>(env, MsgKind::kViewChange)) {
+      for (const PreparedProof& p : vc->prepared) {
+        if (p.seq == 1) proofs.push_back(p);
+      }
+    } else if (const auto* cp =
+                   MessageAs<CheckpointMsg>(env, MsgKind::kCheckpoint)) {
+      for (const crypto::CompactCertificate& c : cp->certs) {
+        if (c.seq == 1) compact.push_back(c);
+      }
+    }
+  });
+  h.replicas_[3]->SetCrashed(true);
+  h.SendTxn(1);
+  h.sim_.RunUntil(Millis(200));
+  ASSERT_EQ(calls[1], 1);
+  ASSERT_NE(cert, nullptr);
+
+  const ActorId late = h.ids_[3];
+  const Bytes commit_ds = h.keys_.Sign(
+      late, crypto::CommitSigningBytes(0, 1, cert->digest));
+  auto prepare = std::make_shared<PrepareMsg>(late);
+  prepare->seq = 1;
+  prepare->digest = cert->digest;
+  auto commit = std::make_shared<CommitMsg>(late);
+  commit->seq = 1;
+  commit->digest = cert->digest;
+  commit->ds = commit_ds;
+  auto vote = std::make_shared<LinearVoteMsg>(late);
+  vote->phase = LinearPhase::kCommit;
+  vote->seq = 1;
+  vote->digest = cert->digest;
+  vote->ds = commit_ds;
+  for (uint32_t i = 0; i < 3; ++i) {
+    for (const MessagePtr& msg : {MessagePtr(prepare), MessagePtr(commit),
+                                  MessagePtr(vote)}) {
+      h.net_.Send(late, h.ids_[i], msg, msg->WireSize());
+    }
+  }
+  h.sim_.RunUntil(Millis(400));
+  EXPECT_EQ(calls[1], 1);
+  for (uint32_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(h.replicas_[i]->HasCommitted(1)) << "node " << i;
+    EXPECT_EQ(h.replicas_[i]->votes_held(1), 0u) << "node " << i;
+  }
+
+  // A view change before any checkpoint carries seq 1's proposal.
+  h.SendReplaceToAll();
+  h.sim_.RunUntil(Millis(800));
+  ASSERT_FALSE(proofs.empty());
+  for (const PreparedProof& p : proofs) {
+    EXPECT_EQ(p.view, 0u);
+    EXPECT_EQ(p.digest, cert->digest);
+    EXPECT_EQ(p.batch, batch);
+  }
+
+  // Seqs 2..8 commit in the new view and cut the checkpoint at 8.
+  for (TxnId t = 2; t <= 8; ++t) h.SendTxn(t, h.ids_[1]);
+  h.sim_.RunUntil(Seconds(2));
+  ASSERT_FALSE(compact.empty());
+  const auto expected = crypto::CompactCertificate::FromFull(*cert);
+  for (const crypto::CompactCertificate& c : compact) {
+    EXPECT_EQ(c.view, expected.view);
+    EXPECT_EQ(c.digest, expected.digest);
+    EXPECT_EQ(c.signers, expected.signers);
+    EXPECT_EQ(c.aggregate, expected.aggregate);
+  }
+  EXPECT_EQ(expected.signers.size(), 3u);
+  EXPECT_EQ(calls[1], 1);
+}
+
 INSTANTIATE_TEST_SUITE_P(VotePatterns, PbftPatternTest,
                          ::testing::Values(VotePattern::kAllToAll,
                                            VotePattern::kCollector),

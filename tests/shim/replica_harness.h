@@ -45,8 +45,8 @@ class PbftHarness {
       uint32_t index = i;
       replicas_.back()->SetCommitCallback(
           [this, index](SeqNum seq, ViewNum, const workload::BatchPtr& batch,
-                        const crypto::CommitCertificate& cert) {
-            commits_[index][seq] = cert;
+                        const crypto::CertPtr& cert) {
+            commits_[index][seq] = *cert;
             batch_sizes_[seq] = batch->txns.size();
           });
     }

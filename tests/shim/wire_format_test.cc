@@ -29,7 +29,9 @@ workload::Transaction MakeTxn(TxnId id) {
 
 workload::BatchPtr MakeBatch(size_t n) {
   workload::TransactionBatch batch;
-  for (size_t i = 0; i < n; ++i) batch.txns.push_back(MakeTxn(i + 1));
+  for (size_t i = 0; i < n; ++i) {
+    batch.txns.push_back(workload::ShareTxn(MakeTxn(i + 1)));
+  }
   return workload::ShareBatch(std::move(batch));
 }
 
@@ -137,14 +139,14 @@ TEST(WireFormatTest, ExecuteMatchesLegacyBytes) {
   m.seq = 9;
   m.batch = MakeBatch(2);
   m.digest = m.batch->Hash();
-  m.cert = MakeCert();
+  m.cert = std::make_shared<const crypto::CommitCertificate>(MakeCert());
   m.spawner_sig = ToBytes("spawn-ds");
   ExpectLegacyBytes(m, [&](Encoder* e) {
     e->PutU64(m.view);
     e->PutU64(m.seq);
     m.batch->EncodeTo(e);
     e->PutRaw(m.digest.data(), crypto::Digest::kSize);
-    m.cert.EncodeTo(e);
+    m.cert->EncodeTo(e);
     e->PutBytes(m.spawner_sig);
   });
 }
@@ -154,7 +156,7 @@ TEST(WireFormatTest, VerifyMatchesLegacyBytesWithAndWithoutFragments) {
   m.view = 1;
   m.seq = 4;
   m.batch_digest = crypto::Sha256::Hash("b");
-  m.cert = MakeCert();
+  m.cert = std::make_shared<const crypto::CommitCertificate>(MakeCert());
   storage::RwSet txn_rw;
   txn_rw.reads.push_back({"alpha", 3});
   txn_rw.writes.push_back({"beta", ToBytes("v")});
@@ -167,7 +169,7 @@ TEST(WireFormatTest, VerifyMatchesLegacyBytesWithAndWithoutFragments) {
     e->PutU64(m.view);
     e->PutU64(m.seq);
     e->PutRaw(m.batch_digest.data(), crypto::Digest::kSize);
-    m.cert.EncodeTo(e);
+    m.cert->EncodeTo(e);
     e->PutVarint(m.txn_rws.size());
     for (const storage::RwSet& r : m.txn_rws) r.EncodeTo(e);
     e->PutVarint(m.txn_refs.size());
@@ -214,7 +216,7 @@ TEST(WireFormatTest, VerifyMatchesLegacyBytesWithAndWithoutFragments) {
     e->PutU64(frag.view);
     e->PutU64(frag.seq);
     e->PutRaw(frag.batch_digest.data(), crypto::Digest::kSize);
-    frag.cert.EncodeTo(e);
+    frag.cert->EncodeTo(e);
     e->PutVarint(frag.txn_rws.size());
     for (const storage::RwSet& r : frag.txn_rws) r.EncodeTo(e);
     e->PutVarint(2);

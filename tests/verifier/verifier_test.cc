@@ -78,14 +78,14 @@ class VerifierTest : public ::testing::Test {
                                       msg->txn_rws, msg->result));
   }
 
-  crypto::CommitCertificate MakeCert(SeqNum seq, const crypto::Digest& digest) {
-    crypto::CommitCertificate cert;
-    cert.view = 0;
-    cert.seq = seq;
-    cert.digest = digest;
+  crypto::CertPtr MakeCert(SeqNum seq, const crypto::Digest& digest) {
+    auto cert = std::make_shared<crypto::CommitCertificate>();
+    cert->view = 0;
+    cert->seq = seq;
+    cert->digest = digest;
     Bytes to_sign = crypto::CommitSigningBytes(0, seq, digest);
     for (ActorId id = 1; id <= 3; ++id) {
-      cert.signatures.push_back({id, keys_.Sign(id, to_sign)});
+      cert->signatures.push_back({id, keys_.Sign(id, to_sign)});
     }
     return cert;
   }
@@ -219,6 +219,42 @@ TEST_F(VerifierTest, OutOfOrderSequenceWaitsInPi) {
   EXPECT_EQ(verifier_->audit_log().entries()[1].seq, 2u);
 }
 
+TEST_F(VerifierTest, MatchedSequenceKeepsOnlyItsWinner) {
+  // A byzantine executor's divergent VERIFY comes first, then two honest
+  // ones. Seq 2 matches while it waits in π for seq 1: it drops its vote
+  // lists, ignores a later VERIFY as flooding, and settles from the
+  // honest winner once seq 1 lands.
+  storage::RwSet honest;
+  honest.writes.push_back({"user2", ToBytes("honest")});
+  storage::RwSet divergent;
+  divergent.writes.push_back({"user2", ToBytes("forged")});
+  Deliver(MakeVerify(2, kFirstExecutor, divergent, ToBytes("bad")));
+  Deliver(MakeVerify(2, kFirstExecutor + 1, honest, ToBytes("r")));
+  sim_.RunUntil(Millis(10));
+  EXPECT_EQ(verifier_->votes_held(2), 2u);
+  Deliver(MakeVerify(2, kFirstExecutor + 2, honest, ToBytes("r")));
+  sim_.RunUntil(Millis(20));
+  EXPECT_EQ(verifier_->kmax(), 1u);  // Matched, held in π.
+  EXPECT_EQ(verifier_->votes_held(2), 0u);
+  const uint64_t flooding = verifier_->flooding_ignored();
+  Deliver(MakeVerify(2, kFirstExecutor + 3, honest, ToBytes("r")));
+  sim_.RunUntil(Millis(30));
+  EXPECT_EQ(verifier_->flooding_ignored(), flooding + 1);
+
+  storage::RwSet empty;
+  Deliver(MakeVerify(1, kFirstExecutor + 4, empty, ToBytes("r1")));
+  Deliver(MakeVerify(1, kFirstExecutor + 5, empty, ToBytes("r1")));
+  sim_.RunUntil(Millis(40));
+  EXPECT_EQ(verifier_->kmax(), 3u);
+  EXPECT_EQ(verifier_->applied_batches(), 2u);
+  ASSERT_EQ(verifier_->audit_log().entries().size(), 2u);
+  EXPECT_EQ(verifier_->audit_log().entries()[1].result_digest,
+            crypto::Sha256::Hash(ToBytes("r")));
+  storage::VersionedValue v;
+  ASSERT_TRUE(store_.Get("user2", &v).ok());
+  EXPECT_EQ(BytesToString(v.value), "honest");
+}
+
 TEST_F(VerifierTest, StaleReadsAbort) {
   // The rw ccheck only runs when transactions may conflict (§IV-D).
   EnableConflicts(Millis(500));
@@ -262,7 +298,9 @@ TEST_F(VerifierTest, SubQuorumCertificateRejected) {
   storage::RwSet rw;
   auto msg = MakeVerify(1, kFirstExecutor, rw, ToBytes("r"));
   auto mutated = std::make_shared<shim::VerifyMsg>(*msg);
-  mutated->cert.signatures.pop_back();  // 2 < 2f_R+1 = 3.
+  auto cert = std::make_shared<crypto::CommitCertificate>(*msg->cert);
+  cert->signatures.pop_back();  // 2 < 2f_R+1 = 3.
+  mutated->cert = cert;
   Resign(mutated.get());
   Deliver(mutated);
   sim_.RunUntil(Millis(10));

@@ -142,7 +142,7 @@ TEST(TransactionBatchTest, RoundTripAndHash) {
   for (int i = 0; i < 5; ++i) {
     Transaction t = MakeTxn();
     t.id = i;
-    batch.txns.push_back(t);
+    batch.txns.push_back(ShareTxn(t));
   }
   Encoder enc;
   batch.EncodeTo(&enc);
@@ -177,8 +177,8 @@ TEST(TransactionBatchTest, EmptyBatch) {
 
 TEST(TransactionBatchTest, TotalComputeCost) {
   TransactionBatch batch;
-  batch.txns.push_back(MakeTxn());
-  batch.txns.push_back(MakeTxn());
+  batch.txns.push_back(ShareTxn(MakeTxn()));
+  batch.txns.push_back(ShareTxn(MakeTxn()));
   EXPECT_EQ(batch.TotalComputeCost(), Millis(6));
 }
 
