@@ -51,14 +51,18 @@ class VerifierTest : public ::testing::Test {
   }
 
   /// (Re)builds the verifier; `conflicts` enables the §VI regime with
-  /// abort timer `timeout`.
-  void BuildVerifier(bool conflicts, SimDuration timeout = Millis(50)) {
+  /// abort timer `timeout`, and `queue_depth` caps each prepare-lock
+  /// queue.
+  void BuildVerifier(
+      bool conflicts, SimDuration timeout = Millis(50),
+      uint32_t queue_depth = VerifierConfig{}.prepare_lock_queue_depth) {
     if (verifier_ != nullptr) net_.Unregister(999);
     VerifierConfig config;
     config.f_e = 1;
     config.shim_quorum = 3;
     config.conflicts_possible = conflicts;
     config.match_timeout = timeout;
+    config.prepare_lock_queue_depth = queue_depth;
     verifier_ = std::make_unique<Verifier>(999, config, &store_, &keys_,
                                            &sim_, &net_,
                                            std::vector<ActorId>{1, 2, 3, 4});
@@ -865,6 +869,184 @@ TEST_F(VerifierTest, AuditLogCoversEverySettledSequence) {
   sim_.RunUntil(Millis(50));
   EXPECT_EQ(verifier_->audit_log().size(), 5u);
   EXPECT_TRUE(verifier_->audit_log().VerifyChain());
+}
+
+/// A 2PC fragment settles at seq 1 and prepare-locks user1 until its
+/// COMMIT; plain writes to user1 settle behind it.
+class VerifierLockQueueTest : public VerifierTest {
+ protected:
+  static constexpr ActorId kCoordinator = core::kCoordinatorBaseId;
+  static constexpr TxnKey kLockGid{kClient, 777};
+
+  VerifierLockQueueTest() : coordinator_(kCoordinator) {
+    keys_.RegisterNode(999);  // The verifier signs its vote shares.
+    net_.Register(&coordinator_, 0);
+  }
+
+  /// Two matching VERIFYs of one fragment of `gid` at `seq`.
+  void DeliverFragment(SeqNum seq, const TxnKey& gid,
+                       const storage::RwSet& rw) {
+    for (ActorId executor : {kFirstExecutor, kFirstExecutor + 1}) {
+      auto msg = MakeVerify(seq, executor, rw, ToBytes("r"));
+      msg->txn_refs[0] = FragmentRef(gid, kCoordinator);
+      Deliver(msg);
+    }
+  }
+
+  /// kLockGid's fragment votes YES at seq 1 and locks user1.
+  void LockUser1() {
+    DeliverFragment(1, kLockGid, CurrentRw());
+    sim_.RunUntil(sim_.now() + Millis(10));
+    ASSERT_EQ(verifier_->twopc_votes_yes(), 1u);
+    ASSERT_TRUE(verifier_->prepare_lock_table()->LockedByOther("user1", 0));
+  }
+
+  /// Two matching VERIFYs of a plain transaction (id seq * 100) that
+  /// writes `value` to user1.
+  void DeliverWriteUser1(SeqNum seq, const std::string& value) {
+    storage::RwSet rw;
+    rw.writes.push_back({"user1", ToBytes(value)});
+    Deliver(MakeVerify(seq, kFirstExecutor, rw, ToBytes("r")));
+    Deliver(MakeVerify(seq, kFirstExecutor + 1, rw, ToBytes("r")));
+  }
+
+  /// The coordinator's COMMIT for kLockGid, proved by this shard's YES.
+  void CommitLockGid() {
+    auto decision =
+        std::make_shared<shim::ShardCommitDecisionMsg>(kCoordinator);
+    decision->global_id = kLockGid;
+    decision->commit = true;
+    decision->proof.shares.push_back(
+        {kLockGid.id, kLockGid.client, 0, 1, true, 999,
+         keys_.Sign(999, crypto::VoteSigningBytes(kLockGid, 0, 1, true))});
+    sim::Envelope env;
+    env.from = kCoordinator;
+    env.to = 999;
+    env.wire_bytes = decision->WireSize();
+    env.message = decision;
+    verifier_->OnMessage(env);
+  }
+
+  std::string User1() {
+    storage::VersionedValue v;
+    EXPECT_TRUE(store_.Get("user1", &v).ok());
+    return BytesToString(v.value);
+  }
+
+  /// RESPONSEs the client got for transaction `id`, and how many of them
+  /// were aborts.
+  std::pair<size_t, size_t> ResponsesFor(TxnId id) const {
+    std::pair<size_t, size_t> n;
+    for (const auto& m : client_.msgs) {
+      if (m->kind != shim::MsgKind::kResponse) continue;
+      const auto& resp = static_cast<const shim::ResponseMsg&>(*m);
+      if (resp.txn_id != id) continue;
+      ++n.first;
+      if (resp.aborted) ++n.second;
+    }
+    return n;
+  }
+
+  RecorderActor coordinator_;
+};
+
+TEST_F(VerifierLockQueueTest, ParkedTransactionsApplyInArrivalOrder) {
+  LockUser1();
+  DeliverWriteUser1(2, "first");
+  DeliverWriteUser1(3, "second");
+  sim_.RunUntil(sim_.now() + Millis(10));
+  EXPECT_EQ(verifier_->kmax(), 4u);
+  EXPECT_EQ(verifier_->lock_waiters(), 2u);
+  EXPECT_EQ(verifier_->lock_waits_queued(), 2u);
+  EXPECT_EQ(verifier_->applied_txns(), 0u);
+  EXPECT_EQ(verifier_->aborted_txns(), 0u);
+  // A parked transaction keeps its batch alive.
+  EXPECT_EQ(verifier_->applied_batches(), 3u);
+  EXPECT_EQ(client_.CountKind(shim::MsgKind::kResponse), 0u);
+
+  CommitLockGid();
+  sim_.RunUntil(sim_.now() + Millis(10));
+  EXPECT_EQ(verifier_->twopc_committed(), 1u);
+  EXPECT_EQ(verifier_->lock_waiters(), 0u);
+  EXPECT_EQ(verifier_->lock_waits_applied(), 2u);
+  EXPECT_EQ(verifier_->lock_waits_aborted(), 0u);
+  EXPECT_EQ(verifier_->applied_txns(), 2u);
+  // The fragment's write, then seq 2's, then seq 3's.
+  EXPECT_EQ(User1(), "second");
+  EXPECT_EQ(store_.VersionOf("user1"), 4u);
+  EXPECT_EQ(ResponsesFor(200), std::make_pair(size_t{1}, size_t{0}));
+  EXPECT_EQ(ResponsesFor(300), std::make_pair(size_t{1}, size_t{0}));
+  EXPECT_EQ(client_.CountKind(shim::MsgKind::kResponse), 2u);
+}
+
+TEST_F(VerifierLockQueueTest, DepthZeroAbortsABlockedTransactionAtOnce) {
+  BuildVerifier(/*conflicts=*/false, Millis(50), /*queue_depth=*/0);
+  LockUser1();
+  DeliverWriteUser1(2, "blocked");
+  sim_.RunUntil(sim_.now() + Millis(10));
+  EXPECT_EQ(verifier_->kmax(), 3u);
+  EXPECT_EQ(verifier_->aborted_txns(), 1u);
+  EXPECT_EQ(verifier_->aborted_batches(), 1u);
+  EXPECT_EQ(verifier_->lock_waits_queued(), 0u);
+  EXPECT_EQ(verifier_->lock_waits_aborted(), 0u);
+  EXPECT_EQ(verifier_->lock_waiters(), 0u);
+  EXPECT_EQ(ResponsesFor(200), std::make_pair(size_t{1}, size_t{1}));
+  EXPECT_EQ(User1(), "a");
+}
+
+TEST_F(VerifierLockQueueTest, DepthOneParksTheFirstAndAbortsTheSecond) {
+  BuildVerifier(/*conflicts=*/false, Millis(50), /*queue_depth=*/1);
+  LockUser1();
+  DeliverWriteUser1(2, "parked");
+  DeliverWriteUser1(3, "refused");
+  sim_.RunUntil(sim_.now() + Millis(10));
+  EXPECT_EQ(verifier_->lock_waiters(), 1u);
+  EXPECT_EQ(verifier_->lock_waits_queued(), 1u);
+  EXPECT_EQ(verifier_->aborted_txns(), 1u);
+  EXPECT_EQ(verifier_->lock_waits_aborted(), 0u);
+  EXPECT_EQ(ResponsesFor(200), std::make_pair(size_t{0}, size_t{0}));
+  EXPECT_EQ(ResponsesFor(300), std::make_pair(size_t{1}, size_t{1}));
+
+  CommitLockGid();
+  sim_.RunUntil(sim_.now() + Millis(10));
+  EXPECT_EQ(verifier_->lock_waiters(), 0u);
+  EXPECT_EQ(verifier_->lock_waits_applied(), 1u);
+  EXPECT_EQ(verifier_->applied_txns(), 1u);
+  EXPECT_EQ(ResponsesFor(200), std::make_pair(size_t{1}, size_t{0}));
+  EXPECT_EQ(User1(), "parked");
+}
+
+TEST_F(VerifierLockQueueTest, ParkedFragmentGidParksOnce) {
+  // A second instance of a parked fragment (a coordinator re-drive) does
+  // not park again: it votes at once, NO while the lock is held. When the
+  // lock is released, the parked instance finds that standing vote and
+  // casts no other.
+  constexpr TxnKey kOtherGid{kClient, 778};
+  storage::RwSet rw;
+  rw.writes.push_back({"user1", ToBytes("other")});
+  LockUser1();
+  DeliverFragment(2, kOtherGid, rw);
+  sim_.RunUntil(sim_.now() + Millis(10));
+  EXPECT_EQ(verifier_->lock_waiters(), 1u);
+  EXPECT_EQ(verifier_->twopc_votes_no(), 0u);
+
+  DeliverFragment(3, kOtherGid, rw);
+  sim_.RunUntil(sim_.now() + Millis(10));
+  EXPECT_EQ(verifier_->kmax(), 4u);
+  EXPECT_EQ(verifier_->lock_waiters(), 1u);
+  EXPECT_EQ(verifier_->lock_waits_queued(), 1u);
+  EXPECT_EQ(verifier_->twopc_votes_yes(), 1u);
+  EXPECT_EQ(verifier_->twopc_votes_no(), 1u);
+  EXPECT_EQ(coordinator_.CountKind(shim::MsgKind::kShardVoteCert), 2u);
+
+  CommitLockGid();
+  sim_.RunUntil(sim_.now() + Millis(10));
+  EXPECT_EQ(verifier_->lock_waiters(), 0u);
+  EXPECT_EQ(verifier_->lock_waits_voted(), 1u);
+  EXPECT_EQ(verifier_->twopc_votes_yes(), 1u);
+  EXPECT_EQ(verifier_->twopc_votes_no(), 1u);
+  EXPECT_EQ(verifier_->prepare_locks_held(), 0u);
+  EXPECT_EQ(User1(), "updated");
 }
 
 TEST(StorageActorTest, ServesReadsWithVersions) {
