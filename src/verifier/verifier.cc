@@ -229,107 +229,78 @@ void Verifier::Settle(SeqNum seq, const SeqState& state) {
       break;
     }
   }
-  // A matched transaction takes its ref and set from its own quorum's
-  // winner; one that τ_m aborts takes its ref from `sample`.
-  std::vector<SettleItem> items(state.shape);
-  for (size_t i = 0; i < items.size(); ++i) {
-    const auto& winner = shape.txns[i].winner;
-    items[i].ref = (winner != nullptr ? *winner : *sample).txn_refs[i];
-    if (winner != nullptr) items[i].rw = &winner->txn_rws[i];
-  }
-  SettlePerTxn(seq, *sample, items);
-}
-
-// ---------------------------------------------------------------------------
-// The unified settle loop.
-// ---------------------------------------------------------------------------
-
-void Verifier::SettlePerTxn(SeqNum seq, const shim::VerifyMsg& sample,
-                            const std::vector<SettleItem>& items) {
-  static const storage::RwSet kEmptyRw;
   // One settle round = one vote-certificate flush per coordinator: every
   // fragment vote cast below lands in the same aggregate message.
   const bool outer_batching = vote_batching_;
   vote_batching_ = true;
-  size_t applied = 0;
-  size_t aborted = 0;
-  size_t yes_votes = 0;
-  size_t queued = 0;
-  for (const SettleItem& item : items) {
-    // Cross-shard fragments vote to the coordinator instead of applying;
-    // the ref carries the routing metadata.
-    if (item.ref.IsFragment()) {
-      const TxnKey& gid = item.ref.global_id;
-      if (item.rw != nullptr && !prepared_.contains(gid) &&
-          !applied_global_.contains(gid) && !aborted_global_.contains(gid) &&
-          !queued_fragment_gids_.contains(gid)) {
-        // A fresh fragment blocked on a foreign prepare lock waits its
-        // turn instead of voting NO (it holds no lock yet: owner 0).
-        const std::string* blocked = FirstBlockedKey(*item.rw, 0);
-        if (blocked != nullptr &&
-            TryQueueBehindLock(*blocked, seq, item.ref, *item.rw,
-                               sample.batch_digest, sample.result,
-                               /*is_fragment=*/true)) {
-          ++queued;
-          continue;
-        }
-      }
-      if (PrepareFragment(seq, item.ref,
-                          item.rw != nullptr ? *item.rw : kEmptyRw,
-                          /*executable=*/item.rw != nullptr)) {
-        ++yes_votes;
-      }
-      continue;
-    }
-    // Plain transaction: prepare-locked keys are in-doubt 2PC state —
-    // queue behind the lock when the bounded FIFO has room, otherwise
-    // abort (the client retries). The per-request ccheck (Fig. 3 lines
-    // 31-34) runs only under the conflict regime (§IV-D): otherwise the
-    // matched writes apply directly.
-    bool ok = false;
-    if (item.rw != nullptr) {
-      const std::string* blocked = FirstBlockedKey(*item.rw, 0);
-      if (blocked != nullptr &&
-          TryQueueBehindLock(*blocked, seq, item.ref, *item.rw,
-                             sample.batch_digest, sample.result,
-                             /*is_fragment=*/false)) {
-        ++queued;
-        continue;
-      }
-      ok = blocked == nullptr &&
-           (!config_.conflicts_possible || item.rw->ReadsCurrent(*store_));
-      if (ok) item.rw->ApplyWrites(store_);
-    }
-    if (ok) {
-      ++applied;
-    } else {
-      ++aborted;
-    }
-    if (item.ref.client != kInvalidActor) {
-      SendOneResponse(item.ref, seq, sample.batch_digest, !ok,
-                      ok ? sample.result : Bytes{});
+  // Batch outcome: alive when any plain transaction applied (or waits in
+  // the lock queue) or any fragment stands at a YES vote. An empty batch
+  // (a view-change null request) has nothing to abort and is alive too.
+  bool batch_alive = state.shape == 0;
+  for (size_t i = 0; i < state.shape; ++i) {
+    // A matched transaction takes its ref and set from its own quorum's
+    // winner; one that τ_m aborts takes its ref from `sample`.
+    const auto& winner = shape.txns[i].winner;
+    const shim::VerifyMsg& vote = winner != nullptr ? *winner : *sample;
+    if (SettleTxn(seq, vote.txn_refs[i],
+                  winner != nullptr ? &winner->txn_rws[i] : nullptr,
+                  sample->batch_digest, sample->result,
+                  /*drained=*/nullptr)) {
+      batch_alive = true;
     }
   }
   vote_batching_ = outer_batching;
   if (!vote_batching_) FlushVoteCerts();
-  // Batch outcome: alive when any plain transaction applied (or waits in
-  // the lock queue) or any fragment stands at a YES vote. An empty batch
-  // (a view-change null request) has nothing to abort and is alive too.
-  bool batch_alive =
-      items.empty() || applied > 0 || yes_votes > 0 || queued > 0;
-  if (batch_alive) {
-    ++applied_batches_;
-  } else {
-    ++aborted_batches_;
-  }
-  applied_txns_ += applied;
-  aborted_txns_ += aborted;
+  ++(batch_alive ? applied_batches_ : aborted_batches_);
   audit_log_
-      .Append(seq, sample.batch_digest, crypto::Sha256::Hash(sample.result),
+      .Append(seq, sample->batch_digest, crypto::Sha256::Hash(sample->result),
               batch_alive ? storage::AuditLog::Outcome::kApplied
                           : storage::AuditLog::Outcome::kAborted)
       .ok();
-  NotifyPrimary(seq, sample.batch_digest, !batch_alive);
+  NotifyPrimary(seq, sample->batch_digest, !batch_alive);
+}
+
+bool Verifier::SettleTxn(SeqNum seq, const shim::VerifyMsg::TxnRef& ref,
+                         const storage::RwSet* rw,
+                         const crypto::Digest& digest, const Bytes& result,
+                         LockWaiters::node_type* drained) {
+  // Prepare-locked keys are in-doubt 2PC state: a transaction with a set
+  // waits behind the first foreign lock it hits (it holds no lock yet:
+  // owner 0). A fragment waits only while its gid has not voted, been
+  // decided or parked already.
+  const TxnKey& gid = ref.global_id;
+  const bool may_wait =
+      rw != nullptr &&
+      (!ref.IsFragment() ||
+       (!prepared_.contains(gid) && !applied_global_.contains(gid) &&
+        !aborted_global_.contains(gid) &&
+        !queued_fragment_gids_.contains(gid)));
+  const std::string* blocked = may_wait ? FirstBlockedKey(*rw, 0) : nullptr;
+  if (blocked != nullptr &&
+      Park(*blocked, seq, ref, *rw, digest, result, drained)) {
+    // A drained waiter's node is back in the table, and the arguments
+    // alias its fields: touch nothing more.
+    return true;
+  }
+  // Cross-shard fragments vote to the coordinator instead of applying;
+  // the ref carries the routing metadata. One still blocked votes NO.
+  if (ref.IsFragment()) {
+    if (drained != nullptr) ++lock_waits_voted_;
+    return PrepareFragment(seq, ref, rw);
+  }
+  // Plain transaction: one still blocked aborts (the client retries).
+  // The per-request ccheck (Fig. 3 lines 31-34) runs only under the
+  // conflict regime (§IV-D): otherwise the matched writes apply directly.
+  const bool ok =
+      rw != nullptr && blocked == nullptr &&
+      (!config_.conflicts_possible || rw->ReadsCurrent(*store_));
+  if (ok) rw->ApplyWrites(store_);
+  ++(ok ? applied_txns_ : aborted_txns_);
+  if (drained != nullptr) ++(ok ? lock_waits_applied_ : lock_waits_aborted_);
+  if (ref.client != kInvalidActor) {
+    SendOneResponse(ref, seq, digest, !ok, ok ? result : Bytes{});
+  }
+  return ok;
 }
 
 // ---------------------------------------------------------------------------
@@ -350,7 +321,7 @@ const std::string* Verifier::FirstBlockedKey(
 
 bool Verifier::PrepareFragment(SeqNum seq,
                                const shim::VerifyMsg::TxnRef& ref,
-                               const storage::RwSet& rw, bool executable) {
+                               const storage::RwSet* rw) {
   const TxnKey& gid = ref.global_id;
   // Duplicate fragment instances (coordinator re-drive, relaunch,
   // respawns) vote at most once and never re-apply after a decision.
@@ -359,18 +330,18 @@ bool Verifier::PrepareFragment(SeqNum seq,
   if (applied_global_.contains(gid)) return true;
   if (aborted_global_.contains(gid)) return false;
   PreparedFragment frag;
-  frag.rw = rw;
+  if (rw != nullptr) frag.rw = *rw;
   frag.seq = seq;
   frag.ref = ref;
-  bool ok = executable && FirstBlockedKey(rw, 0) == nullptr;
-  if (ok && config_.conflicts_possible) ok = rw.ReadsCurrent(*store_);
+  bool ok = rw != nullptr && FirstBlockedKey(frag.rw, 0) == nullptr;
+  if (ok && config_.conflicts_possible) ok = frag.rw.ReadsCurrent(*store_);
   frag.vote_commit = ok;
   if (ok) {
     frag.lock_owner = next_lock_owner_++;
-    for (const storage::ReadEntry& r : rw.reads) {
+    for (const storage::ReadEntry& r : frag.rw.reads) {
       prepare_locks_.AcquireOne(frag.lock_owner, r.key);
     }
-    for (const storage::WriteEntry& w : rw.writes) {
+    for (const storage::WriteEntry& w : frag.rw.writes) {
       prepare_locks_.AcquireOne(frag.lock_owner, w.key);
     }
     ++twopc_votes_yes_;
@@ -631,94 +602,48 @@ void Verifier::PruneAtWatermark(CoordGroupState& gs, uint64_t watermark) {
 // Bounded queueing behind prepare locks.
 // ---------------------------------------------------------------------------
 
-bool Verifier::TryQueueBehindLock(const std::string& blocked_key, SeqNum seq,
-                                  const shim::VerifyMsg::TxnRef& ref,
-                                  const storage::RwSet& rw,
-                                  const crypto::Digest& batch_digest,
-                                  const Bytes& result, bool is_fragment) {
+bool Verifier::Park(const std::string& key, SeqNum seq,
+                    const shim::VerifyMsg::TxnRef& ref,
+                    const storage::RwSet& rw, const crypto::Digest& digest,
+                    const Bytes& result, LockWaiters::node_type* drained) {
   uint64_t waiter_id = next_waiter_id_;
-  if (!prepare_locks_.Enqueue(blocked_key, waiter_id)) return false;
+  if (drained != nullptr) {
+    // A re-park on the same key is free (the key was re-taken by a
+    // waiter ahead in this drain — bounded by the depth cap); a hop to a
+    // different key burns the budget. Each wait ends at a lock a future
+    // decision releases.
+    LockWaiter& waiter = drained->mapped();
+    if (key != waiter.waiting_key) {
+      if (waiter.requeues_left == 0) return false;
+      --waiter.requeues_left;
+      waiter.waiting_key = key;
+    }
+    waiter_id = drained->key();
+  }
+  if (!prepare_locks_.Enqueue(key, waiter_id)) return false;
+  if (ref.IsFragment()) queued_fragment_gids_.insert(ref.global_id);
+  if (drained != nullptr) {
+    lock_waiters_.insert(std::move(*drained));
+    return true;
+  }
   ++next_waiter_id_;
-  LockWaiter waiter;
-  waiter.ref = ref;
-  waiter.rw = rw;
-  waiter.seq = seq;
-  waiter.batch_digest = batch_digest;
-  waiter.result = result;
-  waiter.is_fragment = is_fragment;
-  waiter.waiting_key = blocked_key;
-  waiter.requeues_left = kPrepareLockMaxRequeues;
-  lock_waiters_.emplace(waiter_id, std::move(waiter));
-  if (is_fragment) queued_fragment_gids_.insert(ref.global_id);
+  lock_waiters_.emplace(waiter_id,
+                        LockWaiter{ref, rw, seq, digest, result, key,
+                                   kPrepareLockMaxRequeues});
   ++lock_waits_queued_;
   return true;
 }
 
 void Verifier::DrainLockWaiters(const std::string& key) {
   for (uint64_t waiter_id : prepare_locks_.DrainWaiters(key)) {
-    auto it = lock_waiters_.find(waiter_id);
-    if (it == lock_waiters_.end()) continue;
-    LockWaiter waiter = std::move(it->second);
-    lock_waiters_.erase(it);
-    ResolveWaiter(waiter_id, std::move(waiter));
-  }
-}
-
-bool Verifier::Repark(uint64_t waiter_id, LockWaiter& waiter,
-                      const std::string* blocked) {
-  if (blocked == nullptr) return false;
-  // Still blocked: re-park. A re-park on the same key is free (the key
-  // was re-taken by a waiter ahead in this drain — bounded by the depth
-  // cap); a hop to a different key burns the budget. Each wait ends at a
-  // lock a future decision releases.
-  if (*blocked != waiter.waiting_key) {
-    if (waiter.requeues_left == 0) return false;
-    --waiter.requeues_left;
-    waiter.waiting_key = *blocked;
-  }
-  if (!prepare_locks_.Enqueue(*blocked, waiter_id)) return false;
-  lock_waiters_.emplace(waiter_id, std::move(waiter));
-  return true;
-}
-
-void Verifier::ResolveWaiter(uint64_t waiter_id, LockWaiter waiter) {
-  if (waiter.is_fragment) {
-    const TxnKey gid = waiter.ref.global_id;
-    if (!prepared_.contains(gid) && !applied_global_.contains(gid) &&
-        !aborted_global_.contains(gid) &&
-        Repark(waiter_id, waiter, FirstBlockedKey(waiter.rw, 0))) {
-      return;
+    LockWaiters::node_type node = lock_waiters_.extract(waiter_id);
+    if (node.empty()) continue;
+    const LockWaiter& waiter = node.mapped();
+    if (waiter.ref.IsFragment()) {
+      queued_fragment_gids_.erase(waiter.ref.global_id);
     }
-    queued_fragment_gids_.erase(gid);
-    ++lock_waits_voted_;
-    // Runs ccheck + locking now; votes NO if it is (still) blocked.
-    PrepareFragment(waiter.seq, waiter.ref, waiter.rw, /*executable=*/true);
-    return;
-  }
-  const std::string* blocked = FirstBlockedKey(waiter.rw, 0);
-  if (Repark(waiter_id, waiter, blocked)) return;
-  if (blocked != nullptr) {
-    // Queue exhausted: fall back to the abort rule.
-    ++aborted_txns_;
-    ++lock_waits_aborted_;
-    if (waiter.ref.client != kInvalidActor) {
-      SendOneResponse(waiter.ref, waiter.seq, waiter.batch_digest,
-                      /*aborted=*/true, Bytes{});
-    }
-    return;
-  }
-  bool ok = !config_.conflicts_possible || waiter.rw.ReadsCurrent(*store_);
-  if (ok) {
-    waiter.rw.ApplyWrites(store_);
-    ++applied_txns_;
-    ++lock_waits_applied_;
-  } else {
-    ++aborted_txns_;
-    ++lock_waits_aborted_;
-  }
-  if (waiter.ref.client != kInvalidActor) {
-    SendOneResponse(waiter.ref, waiter.seq, waiter.batch_digest, !ok,
-                    ok ? waiter.result : Bytes{});
+    SettleTxn(waiter.seq, waiter.ref, &waiter.rw, waiter.batch_digest,
+              waiter.result, &node);
   }
 }
 

@@ -245,25 +245,16 @@ class Verifier : public sim::Actor {
     SimDuration retry_interval = 0;
   };
 
-  /// One transaction settled by the unified per-transaction loop. `rw`
-  /// is null when the transaction has no executable outcome (its quorum
-  /// was still unmatched when τ_m fired).
-  struct SettleItem {
-    shim::VerifyMsg::TxnRef ref;
-    const storage::RwSet* rw = nullptr;
-  };
-
   /// A transaction parked behind a prepare lock (bounded FIFO queueing):
-  /// either a plain transaction waiting to apply or a fragment waiting
-  /// to run its prepare/vote step. Owns copies of everything it needs —
-  /// the VERIFY message that carried it is gone by release time.
+  /// a plain transaction waiting to apply or a fragment waiting to run
+  /// its prepare/vote step. Owns copies of everything its settle step
+  /// reads: the VERIFY that carried it is gone by release time.
   struct LockWaiter {
     shim::VerifyMsg::TxnRef ref;
     storage::RwSet rw;
     SeqNum seq = 0;
     crypto::Digest batch_digest;
     Bytes result;
-    bool is_fragment = false;
     /// Key this waiter is currently parked on. Re-parking on the same
     /// key (its next holder came from the same drain) is free; only a
     /// hop to a *different* key burns the budget below — re-parks on
@@ -271,6 +262,9 @@ class Verifier : public sim::Actor {
     std::string waiting_key;
     uint32_t requeues_left = 0;
   };
+  /// Parked transactions by waiter id (ids are handed to the lock
+  /// table's FIFO queues).
+  using LockWaiters = std::unordered_map<uint64_t, LockWaiter>;
 
   /// Per-coordinator-group 2PC bookkeeping (DESIGN.md §12). Groups
   /// assign decision sequence numbers (cseq) independently, so the ack
@@ -333,26 +327,33 @@ class Verifier : public sim::Actor {
   /// 24-29 + ccheck).
   void ProcessInOrder();
 
-  /// Settles sequence `seq`: builds one item per transaction from the
-  /// quorums of the settled shape (a quorum's winner supplies the
-  /// transaction's set; an unmatched quorum settles as an abort) and
-  /// runs SettlePerTxn.
+  /// Settles sequence `seq`: runs SettleTxn for each transaction of the
+  /// settled shape (a quorum's winner supplies the transaction's ref and
+  /// set; an unmatched quorum settles with no set, as an abort), then
+  /// applies the batch-outcome rule: the batch is alive iff it is empty
+  /// or any transaction applied, parked, or stands at a YES vote.
   void Settle(SeqNum seq, const SeqState& state);
 
-  /// THE settle loop: every matched batch runs through this one
-  /// function. Fragments run the prepare/vote step, plain transactions
-  /// ccheck-and-apply, and the batch-outcome rule (alive iff the batch
-  /// is empty or any transaction applied, queued, or stands at a YES
-  /// vote) lives in exactly one place.
-  void SettlePerTxn(SeqNum seq, const shim::VerifyMsg& sample,
-                    const std::vector<SettleItem>& items);
+  /// THE settle step, one transaction at a time, for a transaction of a
+  /// settled batch and for one drained from a prepare-lock queue alike.
+  /// While it may wait, a transaction blocked by a foreign prepare lock
+  /// parks (Park); otherwise a fragment runs PrepareFragment and a plain
+  /// transaction is cchecked, applied or aborted, and answered. `rw` is
+  /// null for a transaction with no executable outcome (its quorum was
+  /// unmatched when τ_m fired). `drained` is the node of the waiter the
+  /// arguments belong to, null for a fresh transaction. Returns whether
+  /// the transaction applied, parked, or stands at a YES vote.
+  bool SettleTxn(SeqNum seq, const shim::VerifyMsg::TxnRef& ref,
+                 const storage::RwSet* rw, const crypto::Digest& digest,
+                 const Bytes& result, LockWaiters::node_type* drained);
 
   /// 2PC phase 1 at this shard: ccheck + prepare-lock the fragment, then
-  /// vote to the coordinator. Returns whether the fragment's standing
-  /// vote is YES (for duplicates: the recorded vote / applied outcome),
-  /// which is what batch-outcome accounting keys on.
+  /// vote to the coordinator; with no `rw` it votes NO. Returns whether
+  /// the fragment's standing vote is YES (for duplicates: the recorded
+  /// vote / applied outcome), which is what batch-outcome accounting
+  /// keys on.
   bool PrepareFragment(SeqNum seq, const shim::VerifyMsg::TxnRef& ref,
-                       const storage::RwSet& rw, bool executable);
+                       const storage::RwSet* rw);
   void SendVote(const TxnKey& global_id, PreparedFragment& frag);
   /// Flushes the shares buffered by SendVote during a batched section
   /// (settle loop, decision-drain) as one kShardVoteCert message per
@@ -366,25 +367,18 @@ class Verifier : public sim::Actor {
                                      core::LockTable::Owner self) const;
 
   // --- prepare-lock queueing ---
-  /// True when the transaction was parked behind the blocking key (the
-  /// caller must then skip the abort/response path); false when the
-  /// key's queue is at its cap, which a cap of 0 always is.
-  bool TryQueueBehindLock(const std::string& blocked_key, SeqNum seq,
-                          const shim::VerifyMsg::TxnRef& ref,
-                          const storage::RwSet& rw,
-                          const crypto::Digest& batch_digest,
-                          const Bytes& result, bool is_fragment);
-  /// Re-attempts every waiter parked on `key` in FIFO order.
+  /// Parks a transaction behind `key`: a fresh one as a new waiter with
+  /// the full hop budget, a `drained` one again (free on the key it just
+  /// left, one hop on another), moving its node back into the table.
+  /// False when the park is refused (a queue depth of 0, a full queue or
+  /// a spent budget): the caller then settles the transaction at once,
+  /// which is the abort-on-lock rule.
+  bool Park(const std::string& key, SeqNum seq,
+            const shim::VerifyMsg::TxnRef& ref, const storage::RwSet& rw,
+            const crypto::Digest& digest, const Bytes& result,
+            LockWaiters::node_type* drained);
+  /// Runs SettleTxn for every waiter parked on `key`, in FIFO order.
   void DrainLockWaiters(const std::string& key);
-  /// Finishes one drained waiter: re-queue behind the next blocking key,
-  /// apply/vote, or abort.
-  void ResolveWaiter(uint64_t waiter_id, LockWaiter waiter);
-  /// Parks `waiter` again behind `blocked` (free on its current key, one
-  /// of its requeues on another) and takes ownership of it. False, with
-  /// `waiter` still the caller's, when `blocked` is null, the budget is
-  /// spent or the key's queue is full.
-  bool Repark(uint64_t waiter_id, LockWaiter& waiter,
-              const std::string* blocked);
 
   /// Records a decided global id (and watermark-prunes the maps).
   void RecordGlobalOutcome(const TxnKey& global_id, bool applied,
@@ -437,9 +431,7 @@ class Verifier : public sim::Actor {
   storage::AuditLog decision_log_;
   SeqNum decision_seq_ = 0;
   std::function<void()> lock_release_callback_;
-  /// Parked transactions by waiter id (ids are handed to the lock
-  /// table's FIFO queues).
-  std::unordered_map<uint64_t, LockWaiter> lock_waiters_;
+  LockWaiters lock_waiters_;
   /// Global ids with a parked fragment waiter, so duplicate fragment
   /// instances never queue twice.
   std::set<TxnKey> queued_fragment_gids_;
