@@ -12,12 +12,13 @@ std::string ScenarioReport::OneLine() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "completed=%-6llu aborted=%-4llu view-changes=%-3llu "
-                "retrans=%-4llu lat(p50=%.1fms p99=%.1fms) audit=%s "
-                "digest=%.16s",
+                "retrans=%-4llu replaces=%-3llu lat(p50=%.1fms p99=%.1fms) "
+                "audit=%s digest=%.16s",
                 static_cast<unsigned long long>(completed_txns),
                 static_cast<unsigned long long>(aborted_txns),
                 static_cast<unsigned long long>(view_changes),
                 static_cast<unsigned long long>(client_retransmissions),
+                static_cast<unsigned long long>(replace_broadcasts),
                 latency_p50_ms, latency_p99_ms,
                 audit_chain_ok ? "ok" : "BROKEN", commit_digest.c_str());
   return buf;
@@ -69,8 +70,10 @@ Result<ScenarioReport> RunScenario(const Scenario& scenario) {
   report.executors_spawned = 0;
   report.executors_killed = 0;
   for (uint32_t s = 0; s < arch.shard_count(); ++s) {
-    report.executors_spawned += arch.plane(s)->spawner()->executors_spawned();
-    report.executors_killed += arch.plane(s)->cloud()->executors_killed();
+    core::ShardPlane* plane = arch.plane(s);
+    report.executors_spawned += plane->spawner()->executors_spawned();
+    report.executors_killed += plane->cloud()->executors_killed();
+    report.replace_broadcasts += plane->verifier()->replace_broadcasts();
   }
   report.messages_dropped = arch.network()->messages_dropped();
   report.fault_events_applied = controller.events_applied();

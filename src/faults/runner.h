@@ -25,6 +25,9 @@ struct ScenarioReport {
   uint64_t aborted_txns = 0;
   uint64_t view_changes = 0;
   uint64_t client_retransmissions = 0;
+  /// REPLACEs the verifiers broadcast: each accuses a primary, so a run
+  /// with no byzantine actor should read 0.
+  uint64_t replace_broadcasts = 0;
   uint64_t executors_spawned = 0;
   uint64_t executors_killed = 0;
   uint64_t messages_dropped = 0;
