@@ -792,6 +792,10 @@ void Verifier::HandleClientResend(const sim::Envelope& env) {
 
   if (rec != nullptr) {
     SeqNum seq = rec->seq;
+    // Settled but unanswered: the transaction is parked behind a prepare
+    // lock, and its RESPONSE comes when a decision releases the lock.
+    // No primary is at fault, and there is nothing to answer yet.
+    if (seq < kmax_) return;
     auto pending_it = pending_.find(seq);
     bool matched = pending_it != pending_.end() && pending_it->second.matched;
     if (matched) {

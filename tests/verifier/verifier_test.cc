@@ -1016,6 +1016,47 @@ TEST_F(VerifierLockQueueTest, DepthOneParksTheFirstAndAbortsTheSecond) {
   EXPECT_EQ(User1(), "parked");
 }
 
+TEST_F(VerifierLockQueueTest, RetransmitForParkedTransactionAccusesNoOne) {
+  // A parked transaction's sequence has settled, so its record is
+  // unanswered below k_max. Its RESPONSE comes when the lock is
+  // released: a retransmit meanwhile gets no answer, and it is not case
+  // (iii), which would broadcast REPLACE and accuse an honest primary.
+  // This is also all a retransmit gets while the lock is never released.
+  LockUser1();
+  DeliverWriteUser1(2, "parked");
+  sim_.RunUntil(sim_.now() + Millis(10));
+  ASSERT_EQ(verifier_->lock_waiters(), 1u);
+  auto resend = std::make_shared<shim::ClientRequestMsg>(kClient);
+  resend->txn.id = 200;
+  resend->txn.client = kClient;
+  resend->client_sig =
+      keys_.Sign(kClient, shim::ClientRequestMsg::SigningBytes(resend->txn));
+  for (int i = 0; i < 2; ++i) {
+    net_.Send(kClient, 999, resend, resend->WireSize());
+    sim_.RunUntil(sim_.now() + Millis(10));
+  }
+  EXPECT_EQ(verifier_->replace_broadcasts(), 0u);
+  EXPECT_EQ(verifier_->error_broadcasts(), 0u);
+  EXPECT_EQ(client_.CountKind(shim::MsgKind::kResponse), 0u);
+  EXPECT_EQ(verifier_->applied_txns(), 0u);
+  EXPECT_EQ(User1(), "a");
+
+  CommitLockGid();
+  sim_.RunUntil(sim_.now() + Millis(10));
+  EXPECT_EQ(verifier_->applied_txns(), 1u);
+  EXPECT_EQ(ResponsesFor(200), std::make_pair(size_t{1}, size_t{0}));
+  EXPECT_EQ(User1(), "parked");
+  EXPECT_EQ(store_.VersionOf("user1"), 3u);
+
+  // Case (i): answered from its record, and applied only once.
+  net_.Send(kClient, 999, resend, resend->WireSize());
+  sim_.RunUntil(sim_.now() + Millis(10));
+  EXPECT_EQ(ResponsesFor(200), std::make_pair(size_t{2}, size_t{0}));
+  EXPECT_EQ(verifier_->applied_txns(), 1u);
+  EXPECT_EQ(store_.VersionOf("user1"), 3u);
+  EXPECT_EQ(verifier_->replace_broadcasts(), 0u);
+}
+
 TEST_F(VerifierLockQueueTest, ParkedFragmentGidParksOnce) {
   // A second instance of a parked fragment (a coordinator re-drive) does
   // not park again: it votes at once, NO while the lock is held. When the
