@@ -419,10 +419,6 @@ ActorId Architecture::FallbackTarget(const workload::Transaction& txn) const {
   return planes_[route.home]->verifier_id();
 }
 
-Histogram* Architecture::LatencyFor(const workload::Transaction& txn) {
-  return planes_[RouteOf(txn).home]->latency_histogram();
-}
-
 // ---------------------------------------------------------------------------
 // Runtime.
 // ---------------------------------------------------------------------------
@@ -430,20 +426,6 @@ Histogram* Architecture::LatencyFor(const workload::Transaction& txn) {
 void Architecture::Start() {
   for (auto& source : sources_) {
     source->Start();
-  }
-}
-
-Histogram Architecture::MergedLatency() const {
-  Histogram merged;
-  for (const auto& plane : planes_) {
-    merged.Merge(plane->latency());
-  }
-  return merged;
-}
-
-void Architecture::ResetLatency() {
-  for (auto& plane : planes_) {
-    plane->latency_histogram()->Reset();
   }
 }
 

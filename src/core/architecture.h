@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/histogram.h"
 #include "core/config.h"
 #include "core/coordinator.h"
 #include "core/shard_plane.h"
@@ -162,13 +163,17 @@ class Architecture {
   /// Retransmission target after τ_m: the home shard's verifier, or the
   /// coordinator for cross-shard transactions (Fig. 4 client role).
   ActorId FallbackTarget(const workload::Transaction& txn) const;
-  /// Latency histogram `txn` settles into (its home shard's plane).
-  Histogram* LatencyFor(const workload::Transaction& txn);
+  /// Latency histogram `txn` settles into: the one every source records
+  /// into. Sources run on the global loop, so one thread writes it on
+  /// either engine.
+  Histogram* LatencyFor(const workload::Transaction& /*txn*/) {
+    return &latency_;
+  }
 
-  /// All shard planes' latency histograms merged into one distribution.
-  Histogram MergedLatency() const;
-  /// Clears every plane's latency histogram (start of measurement).
-  void ResetLatency();
+  /// Every source's client-observed latency, as one distribution.
+  Histogram MergedLatency() const { return latency_; }
+  /// Clears the latency histogram (start of measurement).
+  void ResetLatency() { latency_.Reset(); }
 
   /// Turns the sources' latency recording on/off (used to skip warmup).
   void SetRecording(bool recording);
@@ -261,6 +266,7 @@ class Architecture {
   std::vector<std::unique_ptr<sim::ServerResource>> coordinator_cpus_;
   std::vector<std::unique_ptr<TrafficSource>> sources_;
   InflightGauge inflight_;
+  Histogram latency_;
 
   // Flattened shard-major views over the planes (stable for the
   // architecture's lifetime).

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/histogram.h"
 #include "core/config.h"
 #include "core/spawner.h"
 #include "serverless/cloud.h"
@@ -58,8 +57,6 @@ class ShardPlane {
   verifier::Verifier* verifier() { return verifier_.get(); }
   serverless::CloudSimulator* cloud() { return cloud_.get(); }
   Spawner* spawner() { return spawner_.get(); }
-  Histogram* latency_histogram() { return &latency_; }
-  const Histogram& latency() const { return latency_; }
 
   const std::vector<ActorId>& shim_ids() const { return shim_ids_; }
   ActorId verifier_id() const { return VerifierId(shard_); }
@@ -115,7 +112,6 @@ class ShardPlane {
   std::unique_ptr<verifier::StorageActor> storage_actor_;
   std::unique_ptr<serverless::CloudSimulator> cloud_;
   std::unique_ptr<Spawner> spawner_;
-  Histogram latency_;
 };
 
 }  // namespace sbft::core
