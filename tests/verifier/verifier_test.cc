@@ -910,15 +910,16 @@ class VerifierLockQueueTest : public VerifierTest {
     Deliver(MakeVerify(seq, kFirstExecutor + 1, rw, ToBytes("r")));
   }
 
-  /// The coordinator's COMMIT for kLockGid, proved by this shard's YES.
-  void CommitLockGid() {
+  /// The coordinator's COMMIT for `gid`, whose fragment voted YES here
+  /// at `seq`, proved by this shard's share.
+  void Commit(const TxnKey& gid, SeqNum seq) {
     auto decision =
         std::make_shared<shim::ShardCommitDecisionMsg>(kCoordinator);
-    decision->global_id = kLockGid;
+    decision->global_id = gid;
     decision->commit = true;
     decision->proof.shares.push_back(
-        {kLockGid.id, kLockGid.client, 0, 1, true, 999,
-         keys_.Sign(999, crypto::VoteSigningBytes(kLockGid, 0, 1, true))});
+        {gid.id, gid.client, 0, seq, true, 999,
+         keys_.Sign(999, crypto::VoteSigningBytes(gid, 0, seq, true))});
     sim::Envelope env;
     env.from = kCoordinator;
     env.to = 999;
@@ -926,6 +927,9 @@ class VerifierLockQueueTest : public VerifierTest {
     env.message = decision;
     verifier_->OnMessage(env);
   }
+
+  /// The COMMIT that releases kLockGid's lock on user1.
+  void CommitLockGid() { Commit(kLockGid, 1); }
 
   std::string User1() {
     storage::VersionedValue v;
@@ -1055,6 +1059,57 @@ TEST_F(VerifierLockQueueTest, RetransmitForParkedTransactionAccusesNoOne) {
   EXPECT_EQ(verifier_->applied_txns(), 1u);
   EXPECT_EQ(store_.VersionOf("user1"), 3u);
   EXPECT_EQ(verifier_->replace_broadcasts(), 0u);
+}
+
+TEST_F(VerifierLockQueueTest, DrainedWaiterParksAgainWhileStillBlocked) {
+  // A drained waiter runs the same step as a fresh transaction, so one
+  // still blocked parks again: behind the key it just left, which a
+  // fragment ahead of it in the drain re-took, and then behind another
+  // key. It applies only when its last lock is released.
+  constexpr TxnKey kAheadGid{kClient, 778};
+  constexpr TxnKey kUser2Gid{kClient, 779};
+  storage::RwSet ahead;
+  ahead.writes.push_back({"user1", ToBytes("ahead")});
+  storage::RwSet user2;
+  user2.writes.push_back({"user2", ToBytes("fragment")});
+  storage::RwSet both;
+  both.writes.push_back({"user1", ToBytes("both")});
+  both.writes.push_back({"user2", ToBytes("both")});
+  LockUser1();
+  DeliverFragment(2, kUser2Gid, user2);
+  DeliverFragment(3, kAheadGid, ahead);
+  Deliver(MakeVerify(4, kFirstExecutor, both, ToBytes("r")));
+  Deliver(MakeVerify(4, kFirstExecutor + 1, both, ToBytes("r")));
+  sim_.RunUntil(sim_.now() + Millis(10));
+  EXPECT_EQ(verifier_->twopc_votes_yes(), 2u);
+  EXPECT_EQ(verifier_->lock_waiters(), 2u);
+
+  // The fragment ahead prepares and re-takes user1: the plain waiter
+  // parks behind it again.
+  CommitLockGid();
+  sim_.RunUntil(sim_.now() + Millis(10));
+  EXPECT_EQ(verifier_->lock_waits_voted(), 1u);
+  EXPECT_EQ(verifier_->twopc_votes_yes(), 3u);
+  EXPECT_EQ(verifier_->lock_waiters(), 1u);
+  EXPECT_EQ(verifier_->lock_waits_queued(), 2u);
+
+  // user1 is released; the waiter hops to user2, still locked.
+  Commit(kAheadGid, 3);
+  sim_.RunUntil(sim_.now() + Millis(10));
+  EXPECT_EQ(verifier_->lock_waiters(), 1u);
+  EXPECT_EQ(verifier_->applied_txns(), 0u);
+  EXPECT_EQ(ResponsesFor(400), std::make_pair(size_t{0}, size_t{0}));
+
+  Commit(kUser2Gid, 2);
+  sim_.RunUntil(sim_.now() + Millis(10));
+  EXPECT_EQ(verifier_->lock_waiters(), 0u);
+  EXPECT_EQ(verifier_->lock_waits_applied(), 1u);
+  EXPECT_EQ(verifier_->lock_waits_queued(), 2u);
+  EXPECT_EQ(ResponsesFor(400), std::make_pair(size_t{1}, size_t{0}));
+  EXPECT_EQ(User1(), "both");
+  storage::VersionedValue v;
+  ASSERT_TRUE(store_.Get("user2", &v).ok());
+  EXPECT_EQ(BytesToString(v.value), "both");
 }
 
 TEST_F(VerifierLockQueueTest, ParkedFragmentGidParksOnce) {
